@@ -425,19 +425,20 @@ let run_population ~huge =
 
    The multiplexed secure-channel service (Secure_channel.Mux) driven at
    growing logical-channel counts under a null and a jamming adversary,
-   once with the batched crypto entry points and once with the naive
-   per-message API.  Each (channels, adversary) cell runs the two crypto
-   modes [service_runs] times in strict alternation (B,P,B,P,...) so slow
-   drift in machine load cancels out of the A/B comparison; the reported
-   figure is the median.  ns_per_run is wall-clock per *delivered message*,
-   so `ops_per_sec` in the radio-bench document reads as messages/sec.
+   once with slotted acks and once with piggybacked acks.  Each (channels,
+   adversary) cell runs the two ack modes [service_runs] times in strict
+   alternation (S,G,S,G,...) so slow drift in machine load cancels out of
+   the comparison; the reported figure is the median.  ns_per_run is
+   wall-clock per *delivered message*, so `ops_per_sec` in the radio-bench
+   document reads as messages/sec.  The slotted rows keep their historical
+   `-batched` suffix so the trend history stays continuous.
 
-   The two modes must also be bit-for-bit equivalent: every run's
-   {!Mux.render_stats} digest is asserted identical across all runs of the
-   cell, and the shared digest plus the engine round count become a
-   `service/c{M}-{adv}` determinism row that bench_compare gates on.  The
-   p99 emulated-round delivery latency rides along as its own micro row
-   (units are emulated rounds, not nanoseconds; reported, never gated). *)
+   Every run of a mode must be bit-for-bit identical: each run's
+   {!Mux.render_stats} digest is asserted equal to the first, and the
+   digest plus the engine round count become a `service/c{M}-{adv}`
+   (`-piggyback`) determinism row that bench_compare gates on.  The p99
+   emulated-round delivery latency rides along as its own micro row (units
+   are emulated rounds, not nanoseconds; reported, never gated). *)
 
 module Mux = Secure_channel.Mux
 
@@ -449,13 +450,13 @@ let service_runs = 3
    the piggybacked side's per-message cost by a sixth. *)
 let service_emulated_rounds = 24
 
-let service_spec ?(ack_mode = Mux.Slotted) ~channels ~crypto () =
+let service_spec ?(ack_mode = Mux.Slotted) ~channels () =
   Mux.make ~key:"bench-service-group-key" ~logical:channels ~phys:16 ~budget:4
-    ~ack_mode ~crypto ~rounds:service_emulated_rounds ~rate:1 ~queue_cap:8 ~window:32
+    ~ack_mode ~rounds:service_emulated_rounds ~rate:1 ~queue_cap:8 ~window:32
     ~epoch_len:2 ~grace:1 ~payload:16 ~seed:42L ()
 
 (* Fresh adversary per run: random_jammer holds mutable PRNG state, and
-   reusing one across runs would break the A/B byte-identity assertion. *)
+   reusing one across runs would break the byte-identity assertion. *)
 let service_adversaries =
   [ ("null", fun () -> Radio.Adversary.null);
     ("jam", fun () -> Experiments.Common.random_jam ~seed:77L ~channels:16 ~budget:4) ]
@@ -463,9 +464,9 @@ let service_adversaries =
 type service_det = { service_id : string; service_rounds : int; service_sha : string }
 
 let run_service ~jobs ~channels_list =
-  print_endline "\n== Service throughput (plain timed, median of alternating A/B runs) ==\n";
-  Printf.printf "  %-22s %8s %10s %10s %8s %10s %8s %6s\n" "cell" "msgs" "batched s"
-    "permsg s" "speedup" "pig s" "pig-x" "p99";
+  print_endline "\n== Service throughput (plain timed, median of alternating runs) ==\n";
+  Printf.printf "  %-22s %8s %10s %10s %8s %6s\n" "cell" "msgs" "slotted s" "pig s" "pig-x"
+    "p99";
   Parallel.Pool.with_pool ~domains:jobs (fun pool ->
       List.concat_map
         (fun channels ->
@@ -473,33 +474,28 @@ let run_service ~jobs ~channels_list =
           let pig_ok = channels land 1 = 0 in
           List.concat_map
             (fun (adv_name, mk_adv) ->
-              let one ?ack_mode crypto =
-                let spec = service_spec ?ack_mode ~channels ~crypto () in
+              let one ack_mode =
+                let spec = service_spec ~ack_mode ~channels () in
                 Parallel.Clock.time (fun () -> Mux.run ~pool spec ~adversary:(mk_adv ()))
               in
-              (* Strict alternation B,P,G,B,P,G,... so machine-load drift
-                 cancels out of every pairwise comparison. *)
+              (* Strict alternation S,G,S,G,... so machine-load drift cancels
+                 out of the comparison. *)
               let runs =
                 List.init service_runs (fun _ ->
-                    ( one Mux.Batched,
-                      one Mux.Per_message,
-                      if pig_ok then Some (one ~ack_mode:Mux.Piggybacked Mux.Batched)
-                      else None ))
+                    (one Mux.Slotted, if pig_ok then Some (one Mux.Piggybacked) else None))
               in
-              let sample = match List.hd runs with b, _, _ -> fst b in
+              let sample = fst (fst (List.hd runs)) in
               let sha = Mux.output_digest sample in
-              let pig_sample =
-                match List.hd runs with _, _, Some g -> Some (fst g) | _, _, None -> None
-              in
+              let pig_sample = Option.map fst (snd (List.hd runs)) in
               let pig_sha = Option.map Mux.output_digest pig_sample in
               List.iteri
-                (fun i (b, p, g) ->
+                (fun i (b, g) ->
                   let checks =
-                    [ ("batched", fst b, sha); ("per-message", fst p, sha) ]
-                    @
-                    match (g, pig_sha) with
+                    ("slotted", fst b, sha)
+                    ::
+                    (match (g, pig_sha) with
                     | Some (r, _), Some psha -> [ ("piggybacked", r, psha) ]
-                    | _ -> []
+                    | _ -> [])
                   in
                   List.iter
                     (fun (mode, (r : Mux.result), expect) ->
@@ -512,17 +508,12 @@ let run_service ~jobs ~channels_list =
                     checks)
                 runs;
               let msgs = sample.Mux.stats.Mux.delivered in
-              let med_b = median (List.map (fun ((_, s), _, _) -> s) runs) in
-              let med_p = median (List.map (fun (_, (_, s), _) -> s) runs) in
+              let med_b = median (List.map (fun ((_, s), _) -> s) runs) in
               let pig =
-                match pig_sample with
-                | None -> None
-                | Some ps ->
-                  let med_g =
-                    median
-                      (List.filter_map (fun (_, _, g) -> Option.map snd g) runs)
-                  in
-                  Some (ps, med_g)
+                Option.map
+                  (fun ps ->
+                    (ps, median (List.filter_map (fun (_, g) -> Option.map snd g) runs)))
+                  pig_sample
               in
               let p99 = Mux.latency_percentile sample 0.99 in
               let mps msgs wall = float_of_int msgs /. wall in
@@ -533,13 +524,13 @@ let run_service ~jobs ~channels_list =
                 let pig_x =
                   mps ps.Mux.stats.Mux.delivered med_g /. mps msgs med_b
                 in
-                Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %10.3f %7.2fx %6d\n%!"
+                Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %6d\n%!"
                   (Printf.sprintf "c%d-%s" channels adv_name)
-                  msgs med_b med_p (med_p /. med_b) med_g pig_x p99
+                  msgs med_b med_g pig_x p99
               | None ->
-                Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %10s %8s %6d\n%!"
+                Printf.printf "  %-22s %8d %10.3f %10s %8s %6d\n%!"
                   (Printf.sprintf "c%d-%s" channels adv_name)
-                  msgs med_b med_p (med_p /. med_b) "-" "-" p99);
+                  msgs med_b "-" "-" p99);
               let per_msg_ns msgs wall =
                 if msgs > 0 then wall *. 1e9 /. float_of_int msgs else nan
               in
@@ -551,9 +542,6 @@ let run_service ~jobs ~channels_list =
                 [ row
                     (Printf.sprintf "service/msgs-per-sec-c%d-%s-batched" channels adv_name)
                     (per_msg_ns msgs med_b);
-                  row
-                    (Printf.sprintf "service/msgs-per-sec-c%d-%s-permsg" channels adv_name)
-                    (per_msg_ns msgs med_p);
                   row
                     (Printf.sprintf "service/p99-latency-rounds-c%d-%s" channels adv_name)
                     (float_of_int p99) ]

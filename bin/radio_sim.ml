@@ -119,12 +119,6 @@ let service_cmd =
       value & opt int 0
       & info [ "outsiders" ] ~docv:"K" ~doc:"Keyless nodes that snoop and forge.")
   in
-  let crypto_arg =
-    Arg.(
-      value & opt string "batched"
-      & info [ "crypto" ] ~docv:"MODE"
-          ~doc:"Crypto back end: batched or per-message (byte-identical output).")
-  in
   let jam_arg =
     Arg.(value & flag & info [ "jam" ] ~doc:"Random jammer spending the full budget (-t).")
   in
@@ -136,26 +130,18 @@ let service_cmd =
             "Ack mode: slotted (dedicated ack phase) or piggybacked (cumulative acks ride \
              in duplex-paired data frames; needs an even channel count).")
   in
-  let run seed t channels phys rounds epoch_len outsiders crypto ack_mode jam =
+  let run seed t channels phys rounds epoch_len outsiders ack_mode jam =
     match
-      match
-        match crypto with
-        | "batched" -> Ok Mux.Batched
-        | "per-message" | "permsg" -> Ok Mux.Per_message
-        | other -> Error (Printf.sprintf "unknown crypto mode %S (batched, per-message)" other)
-      with
-      | Error _ as e -> e
-      | Ok crypto -> (
-        match ack_mode with
-        | "slotted" -> Ok (crypto, Mux.Slotted)
-        | "piggybacked" | "pig" -> Ok (crypto, Mux.Piggybacked)
-        | other -> Error (Printf.sprintf "unknown ack mode %S (slotted, piggybacked)" other))
+      match ack_mode with
+      | "slotted" -> Ok Mux.Slotted
+      | "piggybacked" | "pig" -> Ok Mux.Piggybacked
+      | other -> Error (Printf.sprintf "unknown ack mode %S (slotted, piggybacked)" other)
     with
     | Error msg -> `Error (false, msg)
-    | Ok (crypto, ack_mode) ->
+    | Ok ack_mode ->
       let spec =
-        Mux.make ~key:"radio-sim-service-key" ~logical:channels ~phys ~budget:t ~crypto
-          ~ack_mode ~rounds ~epoch_len ~grace:(max 1 (epoch_len / 4)) ~outsiders ~seed ()
+        Mux.make ~key:"radio-sim-service-key" ~logical:channels ~phys ~budget:t ~ack_mode
+          ~rounds ~epoch_len ~grace:(max 1 (epoch_len / 4)) ~outsiders ~seed ()
       in
       let adversary =
         if jam then
@@ -173,7 +159,7 @@ let service_cmd =
     Term.(
       ret
         (const run $ seed_arg $ t_arg $ channels_arg $ phys_arg $ rounds_arg $ epoch_arg
-       $ outsiders_arg $ crypto_arg $ ack_arg $ jam_arg))
+       $ outsiders_arg $ ack_arg $ jam_arg))
 
 let game_cmd =
   let nodes_arg =

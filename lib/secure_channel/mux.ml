@@ -11,7 +11,9 @@
    determinism contract; harvest sharding only ever reads engine-internal
    arrays), so the central mutable state needs no synchronization, and the
    batch crypto amortizes key schedules and scratch buffers across every
-   frame of the round.
+   frame of the round: one {!Cipher.seal_batch} / {!Cipher.open_batch} /
+   {!Hmac.mac_batch} / {!Hmac.verify_batch} call per epoch per step, under
+   epoch keys prepared once and cached by epoch parity.
 
    Emulated-round layout (Acked transport): S data slots, a mid sync
    round, S ack slots, an end sync round — 2S+2 real rounds,
@@ -86,107 +88,38 @@ let epoch_verdict ~epoch_len ~grace ~now ~frame_epoch =
 let epoch_of ~epoch_len ~now = now / epoch_len
 
 (* ------------------------------------------------------------------ *)
-(* Epoch key derivation and the two crypto back ends.                  *)
+(* Epoch keys.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-type crypto_mode = Batched | Per_message
-
-let epoch_raw group_prf ~epoch =
-  Prf.Keyed.bytes group_prf ~label:"mux-epoch" ~counter:epoch
-
-let ack_raw raw = Sha256.digest ("mux-ack|" ^ raw)
-
-(* Batch-shaped crypto interface.  The protocol logic only ever talks to
-   these four entry points, so [Batched] and [Per_message] produce
-   byte-identical frames and decisions by construction — only the work per
-   frame differs. *)
-type ops = {
-  seal_many : epoch:int -> nonces:int64 array -> string array -> Cipher.sealed array;
-  open_many : epoch:int -> Cipher.sealed array -> string option array;
-  mac_many : epoch:int -> string array -> string array;
-  verify_many : epoch:int -> tags:string array -> string array -> bool array;
-}
-
+(* Prepared cipher and ack-MAC keys of one epoch, derived by PRF from the
+   group key and the epoch counter (see [keys]). *)
 type epoch_keys = { ek_epoch : int; ck : Cipher.key; ak : Hmac.key }
-
-(* The batched back end: epoch-key handles cached by epoch parity (exactly
-   the current and previous epoch are ever decodable, so two slots never
-   thrash), one cipher scratch for the whole run, and the multi-message
-   batch entry points of {!Cipher} and {!Hmac}. *)
-let batched_ops group_prf =
-  let scratch = Cipher.scratch () in
-  let cache : epoch_keys option array = [| None; None |] in
-  let keys epoch =
-    let slot = epoch land 1 in
-    match cache.(slot) with
-    | Some k when k.ek_epoch = epoch -> k
-    | Some _ | None ->
-      let raw = epoch_raw group_prf ~epoch in
-      let k = { ek_epoch = epoch; ck = Cipher.key raw; ak = Hmac.key (ack_raw raw) } in
-      cache.(slot) <- Some k;
-      k
-  in
-  { seal_many =
-      (fun ~epoch ~nonces msgs -> Cipher.seal_batch (keys epoch).ck scratch ~nonces msgs);
-    open_many = (fun ~epoch frames -> Cipher.open_batch (keys epoch).ck scratch frames);
-    mac_many = (fun ~epoch msgs -> Hmac.mac_batch (keys epoch).ak msgs);
-    verify_many = (fun ~epoch ~tags msgs -> Hmac.verify_batch (keys epoch).ak ~tags msgs) }
-
-(* The per-message back end: the naive path, re-deriving everything a
-   frame needs — the group PRF handle from the raw group key, the epoch
-   key material from it, and the cipher/MAC subkey schedules — for every
-   single frame through the one-shot crypto API, exactly as a caller with
-   no caching layer would.  Byte-identical outputs; this is the baseline
-   side of the throughput bench's A/B. *)
-let per_message_ops key =
-  let raw ~epoch = epoch_raw (Prf.Keyed.create key) ~epoch in
-  { seal_many =
-      (fun ~epoch ~nonces msgs ->
-        Array.init (Array.length msgs) (fun i ->
-            Cipher.seal ~key:(raw ~epoch) ~nonce:nonces.(i) msgs.(i)));
-    open_many = (fun ~epoch frames -> Array.map (fun f -> Cipher.open_ ~key:(raw ~epoch) f) frames);
-    mac_many =
-      (fun ~epoch msgs -> Array.map (fun m -> Hmac.mac ~key:(ack_raw (raw ~epoch)) m) msgs);
-    verify_many =
-      (fun ~epoch ~tags msgs ->
-        Array.init (Array.length msgs) (fun i ->
-            Hmac.verify ~key:(ack_raw (raw ~epoch)) ~tag:tags.(i) msgs.(i))) }
-
-let ops_of_mode mode ~key group_prf =
-  match mode with
-  | Batched -> batched_ops group_prf
-  | Per_message -> per_message_ops key
 
 (* ------------------------------------------------------------------ *)
 (* Wire formats.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
-
-(* Same big-endian bytes as [u32] (int32 truncation keeps the low 32 bits
-   bytewise), written in place. *)
+(* Big-endian u32 fields: int32 truncation keeps the low 32 bits, and the
+   mask reads them back unsigned (bit 31 carries [pig_ack_flag]). *)
 let set_u32 b pos n = Bytes.set_int32_be b pos (Int32.of_int n)
 
-let read_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
+let read_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
+
+(* [prefix], then each of [words] as a u32, then [tail], in one buffer. *)
+let pack prefix words tail =
+  let p = String.length prefix and w = 4 * Array.length words in
+  let out = Bytes.create (p + w + String.length tail) in
+  Bytes.blit_string prefix 0 out 0 p;
+  Array.iteri (fun i n -> set_u32 out (p + (4 * i)) n) words;
+  Bytes.blit_string tail 0 out (p + w) (String.length tail);
+  (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
+  Bytes.unsafe_to_string out
 
 (* Authenticated payload of a data frame: channel id (epoch keys are shared
    by the whole group, so without the binding a valid frame could be
    spliced onto another logical channel), sequence number, sealing epoch,
    enqueue round (for latency accounting). *)
-let encode_payload ~chan ~seq ~epoch ~enq body =
-  let bl = String.length body in
-  let out = Bytes.create (16 + bl) in
-  set_u32 out 0 chan;
-  set_u32 out 4 seq;
-  set_u32 out 8 epoch;
-  set_u32 out 12 enq;
-  Bytes.blit_string body 0 out 16 bl;
-  (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
-  Bytes.unsafe_to_string out
+let encode_payload ~chan ~seq ~epoch ~enq body = pack "" [| chan; seq; epoch; enq |] body
 
 let decode_payload payload =
   if String.length payload < 16 then None
@@ -217,9 +150,9 @@ let decode_data blob =
 
 (* Ack frame: marker, channel, seq, epoch, 32-byte HMAC under the epoch's
    ack subkey.  MAC-only — a bare sequence number needs no secrecy. *)
-let ack_msg ~chan ~seq ~epoch = "ack|" ^ u32 chan ^ u32 seq ^ u32 epoch
+let ack_msg ~chan ~seq ~epoch = pack "ack|" [| chan; seq; epoch |] ""
 
-let encode_ack ~chan ~seq ~epoch tag = "A" ^ u32 chan ^ u32 seq ^ u32 epoch ^ tag
+let encode_ack ~chan ~seq ~epoch tag = pack "A" [| chan; seq; epoch |] tag
 
 let decode_ack blob =
   if String.length blob <> 45 || blob.[0] <> 'A' then None
@@ -244,19 +177,10 @@ let decode_ack blob =
    wire format byte-for-byte untouched. *)
 let pig_ack_flag = 1 lsl 31
 
-let encode_pig_data ~ack ~chan ~seq ~enq body =
-  let bl = String.length body in
-  let out = Bytes.create (16 + bl) in
-  set_u32 out 0 (ack + 1);
-  set_u32 out 4 chan;
-  set_u32 out 8 seq;
-  set_u32 out 12 enq;
-  Bytes.blit_string body 0 out 16 bl;
-  (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
-  Bytes.unsafe_to_string out
+let encode_pig_data ~ack ~chan ~seq ~enq body = pack "" [| ack + 1; chan; seq; enq |] body
 
 let encode_pig_ack ~ack ~chan ~epoch ~round =
-  u32 ((ack + 1) lor pig_ack_flag) ^ u32 chan ^ u32 epoch ^ u32 round
+  pack "" [| (ack + 1) lor pig_ack_flag; chan; epoch; round |] ""
 
 (* Piggybacked frames are re-sealed whenever the folded ack advances, so
    their nonces are keyed by (channel, emulated round) — unique per sealed
@@ -292,7 +216,6 @@ type spec = {
   budget : int;
   transport : transport;
   ack_mode : ack_mode;
-  crypto : crypto_mode;
   rounds : int;
   rate : int;
   queue_cap : int;
@@ -304,9 +227,9 @@ type spec = {
   seed : int64;
 }
 
-let make ~key ~logical ~phys ~budget ?(transport = Acked) ?(ack_mode = Slotted)
-    ?(crypto = Batched) ~rounds ?(rate = 1) ?(queue_cap = 8) ?(window = 32)
-    ?(epoch_len = 16) ?(grace = 4) ?(payload = 16) ?(outsiders = 0) ?(seed = 1L) () =
+let make ~key ~logical ~phys ~budget ?(transport = Acked) ?(ack_mode = Slotted) ~rounds
+    ?(rate = 1) ?(queue_cap = 8) ?(window = 32) ?(epoch_len = 16) ?(grace = 4)
+    ?(payload = 16) ?(outsiders = 0) ?(seed = 1L) () =
   if logical < 1 then invalid_arg "Mux.make: need at least one logical channel";
   if phys < 2 then invalid_arg "Mux.make: need at least 2 physical channels";
   if budget < 0 || budget >= phys then invalid_arg "Mux.make: need 0 <= budget < phys";
@@ -330,8 +253,8 @@ let make ~key ~logical ~phys ~budget ?(transport = Acked) ?(ack_mode = Slotted)
     if logical < 2 || logical land 1 <> 0 then
       invalid_arg "Mux.make: Piggybacked acks need an even number of logical channels");
   ignore (Window.create ~width:window);
-  { key; logical; phys; budget; transport; ack_mode; crypto; rounds; rate; queue_cap;
-    window; epoch_len; grace; payload; outsiders; seed }
+  { key; logical; phys; budget; transport; ack_mode; rounds; rate; queue_cap; window;
+    epoch_len; grace; payload; outsiders; seed }
 
 let service_nodes spec =
   match (spec.transport, spec.ack_mode) with
@@ -430,7 +353,11 @@ type state = {
   s : int;  (* slots per phase *)
   rpe : int;  (* real rounds per emulated round *)
   hop_prf : Prf.Keyed.t;
-  ops : ops;
+  group_prf : Prf.Keyed.t;
+  (* Epoch keys cached by epoch parity: exactly the current and previous
+     epoch are ever decodable, so the two slots never thrash. *)
+  epoch_cache : epoch_keys option array;
+  scratch : Cipher.scratch;  (* one cipher scratch for the whole run *)
   st : stats;
   lat : int array;
   mutable prepared_data : int;  (* last round [prepare_data] ran for; -1 before start *)
@@ -471,14 +398,15 @@ type state = {
 let create_state spec =
   let m = spec.logical in
   let nodes = node_count spec in
-  let group_prf = Prf.Keyed.create spec.key in
   let multi = match spec.transport with Acked -> 0 | Repeat _ -> nodes in
   let reps = match spec.transport with Acked -> 0 | Repeat { reps; _ } -> reps in
   { sp = spec;
     s = slots spec;
     rpe = real_rounds_per_emulated spec;
     hop_prf = Prf.Keyed.create (Sha256.digest ("mux-hop|" ^ spec.key));
-    ops = ops_of_mode spec.crypto ~key:spec.key group_prf;
+    group_prf = Prf.Keyed.create spec.key;
+    epoch_cache = [| None; None |];
+    scratch = Cipher.scratch ();
     st = create_stats ();
     lat = Array.make lat_buckets 0;
     prepared_data = -1;
@@ -507,6 +435,17 @@ let create_state spec =
     r_sender = Array.make m 0;
     r_windows = Array.init (max 1 multi) (fun _ -> Window.create ~width:spec.window);
     r_chans = Array.make (max 1 (m * reps)) 0 }
+
+let keys t epoch =
+  match t.epoch_cache.(epoch land 1) with
+  | Some k when k.ek_epoch = epoch -> k
+  | Some _ | None ->
+    let raw = Prf.Keyed.bytes t.group_prf ~label:"mux-epoch" ~counter:epoch in
+    let k =
+      { ek_epoch = epoch; ck = Cipher.key raw; ak = Hmac.key (Sha256.digest ("mux-ack|" ^ raw)) }
+    in
+    t.epoch_cache.(epoch land 1) <- Some k;
+    k
 
 let note_latency t d =
   let d = if d < 0 then 0 else if d >= lat_buckets then lat_buckets - 1 else d in
@@ -538,8 +477,8 @@ let head_enq t c = t.q_enq.(q_slot t c 0)
 
 (* Epoch-batched accumulation: collect items per distinct epoch (at most
    two epochs are ever decodable), then drain each group through a single
-   [ops] call.  Items within a group keep collection order; groups drain
-   in first-seen order — all deterministic. *)
+   batch crypto call.  Items within a group keep collection order; groups
+   drain in first-seen order — all deterministic. *)
 let add_item items epoch v =
   match !items with
   | (e0, l0) :: rest when e0 = epoch -> items := (e0, v :: l0) :: rest
@@ -556,6 +495,14 @@ let drain_items items ~apply =
 
 let verdict_at t ~now ~frame_epoch =
   epoch_verdict ~epoch_len:t.sp.epoch_len ~grace:t.sp.grace ~now ~frame_epoch
+
+let decodable t ~now ~frame_epoch = verdict_at t ~now ~frame_epoch <> Stale
+
+(* Queue [v] into its epoch's batch if that epoch still decodes at [now];
+   stale frames are counted and never opened. *)
+let admit t items ~now ~frame_epoch v =
+  if decodable t ~now ~frame_epoch then add_item items frame_epoch v
+  else t.st.stale_epoch <- t.st.stale_epoch + 1
 
 let nonce_of ~chan ~seq =
   Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int seq)
@@ -598,7 +545,11 @@ let deliver_payload t c ~arrival payload =
     None
   | Some (c', seq, _epoch, enq, body) -> deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body
 
-let process_heard_data t ~arrival =
+(* Judge every data frame heard in round [arrival] (both ack modes):
+   malformed or spoofed frames are bad, stale epochs are rejected unopened,
+   the rest are batch-opened per epoch and each authentic payload goes to
+   [deliver c payload]. *)
+let open_heard_data t ~arrival ~deliver =
   let items = ref [] in
   for c = 0 to t.sp.logical - 1 do
     (match t.heard_data.(c) with
@@ -606,26 +557,26 @@ let process_heard_data t ~arrival =
     | Some (Radio.Frame.Sealed blob) -> (
       match decode_data blob with
       | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (frame_epoch, sealed) -> (
-        match verdict_at t ~now:arrival ~frame_epoch with
-        | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-        | Current | Previous -> add_item items frame_epoch (c, sealed)))
+      | Some (frame_epoch, sealed) -> admit t items ~now:arrival ~frame_epoch (c, sealed))
     | Some _ ->
       (* A decodable non-sealed frame on our slot: spoofed traffic. *)
       t.st.bad_frames <- t.st.bad_frames + 1);
     t.heard_data.(c) <- None
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let opened = t.ops.open_many ~epoch (Array.map snd batch) in
+      let opened = Cipher.open_batch (keys t epoch).ck t.scratch (Array.map snd batch) in
       Array.iteri
         (fun i (c, _) ->
           match opened.(i) with
           | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some payload -> (
-            match deliver_payload t c ~arrival payload with
-            | Some seq -> t.ack_pend_seq.(c) <- seq
-            | None -> ()))
+          | Some payload -> deliver c payload)
         batch)
+
+let process_heard_data t ~arrival =
+  open_heard_data t ~arrival ~deliver:(fun c payload ->
+      match deliver_payload t c ~arrival payload with
+      | Some seq -> t.ack_pend_seq.(c) <- seq
+      | None -> ())
 
 let process_heard_acks t ~arrival =
   let items = ref [] in
@@ -635,17 +586,15 @@ let process_heard_acks t ~arrival =
     | Some (Radio.Frame.Sealed blob) -> (
       match decode_ack blob with
       | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (c', seq, epoch, tag) -> (
-        match verdict_at t ~now:arrival ~frame_epoch:epoch with
-        | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-        | Current | Previous -> add_item items epoch (c, c', seq, tag)))
+      | Some (c', seq, epoch, tag) ->
+        admit t items ~now:arrival ~frame_epoch:epoch (c, c', seq, tag))
     | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
     t.heard_ack.(c) <- None
   done;
   drain_items items ~apply:(fun epoch batch ->
       let msgs = Array.map (fun (_, c', seq, _) -> ack_msg ~chan:c' ~seq ~epoch) batch in
       let tags = Array.map (fun (_, _, _, tag) -> tag) batch in
-      let ok = t.ops.verify_many ~epoch ~tags msgs in
+      let ok = Hmac.verify_batch (keys t epoch).ak ~tags msgs in
       Array.iteri
         (fun i (c, c', seq, _) ->
           if not ok.(i) then t.st.bad_frames <- t.st.bad_frames + 1
@@ -664,6 +613,26 @@ let offer_load t ~e =
     done
   done
 
+(* Seal each batched (channel, head seq) under its epoch and cache the
+   result as the channel's data frame (slotted and Repeat transports). *)
+let seal_heads t items =
+  drain_items items ~apply:(fun epoch batch ->
+      let nonces = Array.map (fun (c, seq) -> nonce_of ~chan:c ~seq) batch in
+      let payloads =
+        Array.map
+          (fun (c, seq) ->
+            encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
+              (gen_body ~payload:t.sp.payload ~chan:c ~seq))
+          batch
+      in
+      let sealed = Cipher.seal_batch (keys t epoch).ck t.scratch ~nonces payloads in
+      Array.iteri
+        (fun i (c, seq) ->
+          t.seal_seq.(c) <- seq;
+          t.seal_epoch.(c) <- epoch;
+          t.data_blob.(c) <- encode_data ~epoch sealed.(i))
+        batch)
+
 (* Build (or reuse) the sealed data frame for every busy channel.  A cached
    frame survives as long as its sealing epoch is still decodable at the
    receiver — which is exactly how the epoch grace window gets exercised:
@@ -680,32 +649,14 @@ let build_data_frames t ~e =
     else begin
       let seq = head_seq t c in
       let reusable =
-        t.seal_seq.(c) = seq
-        && (match verdict_at t ~now:e ~frame_epoch:t.seal_epoch.(c) with
-           | Current | Previous -> true
-           | Stale -> false)
+        t.seal_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.seal_epoch.(c)
       in
       if not reusable then add_item items cur (c, seq);
       if t.sent_once.(c) then t.st.retransmissions <- t.st.retransmissions + 1;
       t.sent_once.(c) <- true
     end
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces = Array.map (fun (c, seq) -> nonce_of ~chan:c ~seq) batch in
-      let payloads =
-        Array.map
-          (fun (c, seq) ->
-            encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
-              (gen_body ~payload:t.sp.payload ~chan:c ~seq))
-          batch
-      in
-      let sealed = t.ops.seal_many ~epoch ~nonces payloads in
-      Array.iteri
-        (fun i (c, seq) ->
-          t.seal_seq.(c) <- seq;
-          t.seal_epoch.(c) <- epoch;
-          t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch)
+  seal_heads t items
 
 (* Build (or reuse) the pending ack frame for every channel that has
    delivered at least once.  Acks are re-sent every emulated round (the
@@ -718,17 +669,14 @@ let build_ack_frames t ~e =
     if seq < 0 then t.ack_blob.(c) <- ""
     else begin
       let reusable =
-        t.ack_built_seq.(c) = seq
-        && (match verdict_at t ~now:e ~frame_epoch:t.ack_built_epoch.(c) with
-           | Current | Previous -> true
-           | Stale -> false)
+        t.ack_built_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.ack_built_epoch.(c)
       in
       if not reusable then add_item items cur (c, seq)
     end
   done;
   drain_items items ~apply:(fun epoch batch ->
       let msgs = Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) batch in
-      let tags = t.ops.mac_many ~epoch msgs in
+      let tags = Hmac.mac_batch (keys t epoch).ak msgs in
       Array.iteri
         (fun i (c, seq) ->
           t.ack_built_seq.(c) <- seq;
@@ -742,19 +690,13 @@ let build_ack_frames t ~e =
    phase) and fanned out — with thousands of channels over a few dozen
    slots, drawing it per channel made this loop as expensive as sealing
    the frames it was placing. *)
-let assign_channels t ~e =
-  let off_d =
+let place_slots t ~e ~label chans =
+  let off =
     Array.init t.s (fun s ->
-        Prf.Keyed.below t.hop_prf ~label:"mux-hop-data" ~counter:((e * t.s) + s) t.sp.phys)
-  in
-  let off_a =
-    Array.init t.s (fun s ->
-        Prf.Keyed.below t.hop_prf ~label:"mux-hop-ack" ~counter:((e * t.s) + s) t.sp.phys)
+        Prf.Keyed.below t.hop_prf ~label ~counter:((e * t.s) + s) t.sp.phys)
   in
   for c = 0 to t.sp.logical - 1 do
-    let s = c mod t.s and p = c / t.s in
-    t.data_chan.(c) <- (p + off_d.(s)) mod t.sp.phys;
-    t.ack_chan.(c) <- (p + off_a.(s)) mod t.sp.phys
+    chans.(c) <- ((c / t.s) + off.(c mod t.s)) mod t.sp.phys
   done
 
 (* ------------------------------------------------------------------ *)
@@ -810,28 +752,8 @@ let deliver_pig_payload t c ~arrival payload =
   end
 
 let process_heard_pig t ~arrival =
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    (match t.heard_data.(c) with
-    | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> (
-      match decode_data blob with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (frame_epoch, sealed) -> (
-        match verdict_at t ~now:arrival ~frame_epoch with
-        | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-        | Current | Previous -> add_item items frame_epoch (c, sealed)))
-    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
-    t.heard_data.(c) <- None
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let opened = t.ops.open_many ~epoch (Array.map snd batch) in
-      Array.iteri
-        (fun i (c, _) ->
-          match opened.(i) with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some payload -> deliver_pig_payload t c ~arrival payload)
-        batch)
+  open_heard_data t ~arrival ~deliver:(fun c payload ->
+      deliver_pig_payload t c ~arrival payload)
 
 (* Build this round's frame per channel: the next unsent queue entry while
    the send window has room, the unacknowledged head otherwise, or a bare
@@ -873,24 +795,10 @@ let build_pig_frames t ~e =
             | None -> encode_pig_ack ~ack ~chan:c ~epoch ~round:e)
           batch
       in
-      let sealed = t.ops.seal_many ~epoch ~nonces payloads in
+      let sealed = Cipher.seal_batch (keys t epoch).ck t.scratch ~nonces payloads in
       Array.iteri
         (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
         batch)
-
-(* Same PRF stream and counters as the slotted data phase, so a given
-   (channel, emulated round) lands on the same physical channel in both
-   ack modes whenever the slot counts coincide.  One PRF draw per slot,
-   as in {!assign_channels}. *)
-let assign_pig_channels t ~e =
-  let off =
-    Array.init t.s (fun s ->
-        Prf.Keyed.below t.hop_prf ~label:"mux-hop-data" ~counter:((e * t.s) + s) t.sp.phys)
-  in
-  for c = 0 to t.sp.logical - 1 do
-    let s = c mod t.s and p = c / t.s in
-    t.data_chan.(c) <- (p + off.(s)) mod t.sp.phys
-  done
 
 (* ------------------------------------------------------------------ *)
 (* prepare (Repeat transport).                                         *)
@@ -910,15 +818,13 @@ let process_heard_multi t ~arrival ~group =
           Hashtbl.add opened blob None;
           match decode_data blob with
           | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some (frame_epoch, sealed) -> (
-            match verdict_at t ~now:arrival ~frame_epoch with
-            | Stale -> t.st.stale_epoch <- t.st.stale_epoch + 1
-            | Current | Previous -> add_item items frame_epoch (blob, sealed))
+          | Some (frame_epoch, sealed) ->
+            admit t items ~now:arrival ~frame_epoch (blob, sealed)
         end)
       (List.rev t.heard_multi.(node))
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let res = t.ops.open_many ~epoch (Array.map snd batch) in
+      let res = Cipher.open_batch (keys t epoch).ck t.scratch (Array.map snd batch) in
       Array.iteri
         (fun i (blob, _) ->
           match res.(i) with
@@ -992,22 +898,7 @@ let build_repeat_frames t ~e ~reps ~group =
       t.sent_once.(c) <- true
     end
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces = Array.map (fun (c, seq) -> nonce_of ~chan:c ~seq) batch in
-      let payloads =
-        Array.map
-          (fun (c, seq) ->
-            encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
-              (gen_body ~payload:t.sp.payload ~chan:c ~seq))
-          batch
-      in
-      let sealed = t.ops.seal_many ~epoch ~nonces payloads in
-      Array.iteri
-        (fun i (c, seq) ->
-          t.seal_seq.(c) <- seq;
-          t.seal_epoch.(c) <- epoch;
-          t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch);
+  seal_heads t items;
   for c = 0 to t.sp.logical - 1 do
     for j = 0 to reps - 1 do
       t.r_chans.((c * reps) + j) <-
@@ -1031,14 +922,18 @@ let prepare_data t ~e =
     if e > 0 then process_heard_acks t ~arrival:(e - 1);
     offer_load t ~e;
     build_data_frames t ~e;
-    assign_channels t ~e
+    place_slots t ~e ~label:"mux-hop-data" t.data_chan;
+    place_slots t ~e ~label:"mux-hop-ack" t.ack_chan
   | Acked, Piggybacked ->
     if e > 0 then process_heard_pig t ~arrival:(e - 1);
     (* Round [rounds] is the flush round: acks and retransmissions still
        flow so the final deliveries get retired, but no new load enters. *)
     if e < t.sp.rounds then offer_load t ~e;
     build_pig_frames t ~e;
-    assign_pig_channels t ~e
+    (* Same PRF stream and counters as the slotted data phase, so a given
+       (channel, emulated round) lands on the same physical channel in both
+       ack modes whenever the slot counts coincide. *)
+    place_slots t ~e ~label:"mux-hop-data" t.data_chan
   | Repeat { reps; group }, _ ->
     if e > 0 then process_heard_multi t ~arrival:(e - 1) ~group;
     offer_load t ~e;
@@ -1205,7 +1100,7 @@ let run ?pool spec ~adversary =
     real_rounds_per_emulated = t.rpe }
 
 (* ------------------------------------------------------------------ *)
-(* Canonical rendering (crypto-mode- and pool-independent).            *)
+(* Canonical rendering (pool-independent).                             *)
 (* ------------------------------------------------------------------ *)
 
 let transport_name = function
@@ -1214,9 +1109,8 @@ let transport_name = function
 
 let ack_mode_name = function Slotted -> "slotted" | Piggybacked -> "piggybacked"
 
-(* Everything here must be byte-identical across crypto modes and pool
-   sizes — it is the text the bench's determinism rows hash.  The crypto
-   mode itself is deliberately excluded. *)
+(* Everything here must be byte-identical across pool sizes — it is the
+   text the bench's determinism rows hash. *)
 let render_stats r =
   let b = Buffer.create 1024 in
   let s = r.stats in

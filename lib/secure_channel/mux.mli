@@ -10,11 +10,10 @@
 
     All protocol work is centralized in a once-per-emulated-round prepare
     step that batch-seals, batch-opens, batch-MACs and batch-verifies every
-    frame of the round through {!Crypto.Cipher} / {!Crypto.Hmac} batch
-    entry points ([crypto = Batched]) or through the naive one-shot API
-    re-deriving key material per frame ([crypto = Per_message]).  Both
-    modes produce byte-identical frames, decisions, and {!render_stats}
-    output — the throughput bench A/Bs them. *)
+    frame of the round through the {!Crypto.Cipher} / {!Crypto.Hmac} batch
+    entry points, with each epoch's keys prepared once per run.  The
+    one-shot crypto API stays the reference those batch entry points are
+    tested against. *)
 
 (** Pure sliding replay window over per-channel sequence numbers.  Exposed
     for property tests. *)
@@ -51,8 +50,6 @@ val epoch_verdict :
 
 val epoch_of : epoch_len:int -> now:int -> int
 
-type crypto_mode = Batched | Per_message
-
 type transport =
   | Acked
       (** One sender/receiver pair per logical channel; slotted data and
@@ -87,7 +84,6 @@ type spec = {
   budget : int;  (** adversary strikes per round *)
   transport : transport;
   ack_mode : ack_mode;
-  crypto : crypto_mode;
   rounds : int;  (** emulated rounds to run *)
   rate : int;  (** messages offered per channel per emulated round *)
   queue_cap : int;  (** bounded send queue; overflow is shed *)
@@ -106,7 +102,6 @@ val make :
   budget:int ->
   ?transport:transport ->
   ?ack_mode:ack_mode ->
-  ?crypto:crypto_mode ->
   rounds:int ->
   ?rate:int ->
   ?queue_cap:int ->
@@ -119,7 +114,7 @@ val make :
   unit ->
   spec
 (** Validates every field; raises [Invalid_argument] otherwise.  Defaults:
-    [Acked], [Slotted], [Batched], rate 1, queue_cap 8, window 32,
+    [Acked], [Slotted], rate 1, queue_cap 8, window 32,
     epoch_len 16, grace 4, payload 16, outsiders 0, seed 1. *)
 
 val node_count : spec -> int
@@ -164,13 +159,11 @@ val latency_percentile : result -> float -> int
 val run : ?pool:Parallel.Pool.t -> spec -> adversary:Radio.Adversary.t -> result
 (** Run the workload on the sparse engine (channel-usage tracking on).
     Deterministic in [spec]: byte-identical stats and {!render_stats} for
-    every pool size and for both crypto modes. *)
+    every pool size. *)
 
 val render_stats : result -> string
-(** Canonical multi-line rendering of everything observable about the run.
-    Deliberately excludes the crypto mode, so Batched and Per_message runs
-    of the same spec render identically — the bench's determinism rows
-    hash this. *)
+(** Canonical multi-line rendering of everything observable about the run
+    — the text the bench's determinism rows hash. *)
 
 val output_digest : result -> string
 (** SHA-256 (hex) of {!render_stats}. *)

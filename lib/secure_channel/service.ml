@@ -3,6 +3,7 @@ type spec = {
   channels : int;
   budget : int;
   reps : int;
+  hop_label : string;
   hop_prf : Crypto.Prf.Keyed.t;
   cipher : Crypto.Cipher.key;
   scratch : Crypto.Cipher.scratch;
@@ -16,28 +17,25 @@ let make_spec ?(beta = 4.0) ~key ~cfg () =
   let reps =
     max 1 (int_of_float (ceil (beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
   in
-  { key; channels = cfg.Radio.Config.channels; budget = t; reps;
+  { key; channels = cfg.Radio.Config.channels; budget = t; reps; hop_label = "channel-hop";
     hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key;
     scratch = Crypto.Cipher.scratch () }
 
-let hop spec ~round = Crypto.Prf.Keyed.channel_hop spec.hop_prf ~round ~channels:spec.channels
+let hop spec ~round =
+  Crypto.Prf.Keyed.below spec.hop_prf ~label:spec.hop_label ~counter:round spec.channels
 
 let encode_payload ~sender ~seq msg =
-  let field n =
-    String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
-  in
-  field sender ^ field seq ^ msg
+  let len = String.length msg in
+  let b = Bytes.create (8 + len) in
+  Bytes.set_int32_be b 0 (Int32.of_int sender);
+  Bytes.set_int32_be b 4 (Int32.of_int seq);
+  Bytes.blit_string msg 0 b 8 len;
+  Bytes.to_string b
 
 let decode_payload payload =
   if String.length payload < 8 then None
   else begin
-    let field pos =
-      let v = ref 0 in
-      for i = 0 to 3 do
-        v := (!v lsl 8) lor Char.code payload.[pos + i]
-      done;
-      !v
-    in
+    let field pos = Int32.to_int (String.get_int32_be payload pos) land 0xFFFF_FFFF in
     Some (field 0, field 4, String.sub payload 8 (String.length payload - 8))
   end
 
@@ -52,12 +50,11 @@ let broadcast spec ~sender ~seq msg =
     Radio.Engine.transmit ~chan (Radio.Frame.Sealed (Crypto.Cipher.encode sealed))
   done
 
-let recv spec rng =
+let recv spec =
   let got = ref None in
   for _ = 1 to spec.reps do
     let round = Radio.Engine.current_round () in
     let chan = hop spec ~round in
-    ignore rng;
     match Radio.Engine.listen ~chan with
     | Some (Radio.Frame.Sealed blob) when !got = None ->
       (match Crypto.Cipher.decode blob with
@@ -111,7 +108,7 @@ let run_workload ~cfg ~key_holders ~spec ~sends ~adversary () =
       | Some (_, _, msg) -> broadcast spec ~sender:id ~seq:er msg
       | None ->
         if holds_key then begin
-          match recv spec ctx.rng with
+          match recv spec with
           | Some (sender, seq, msg) -> receptions.(id) <- (er, sender, seq, msg) :: receptions.(id)
           | None -> ()
         end
@@ -128,15 +125,13 @@ let run_workload ~cfg ~key_holders ~spec ~sends ~adversary () =
     List.map
       (fun (er, sender, msg) ->
         let received_by =
-          List.sort Int.compare
-            (Array.to_list
-               (Array.mapi
-                  (fun id recs ->
-                    if List.exists (fun (r, s, _, m) -> r = er && s = sender && m = msg) recs
-                    then id
-                    else -1)
-                  receptions)
-             |> List.filter (fun id -> id >= 0 && id <> sender))
+          List.filter
+            (fun id ->
+              id <> sender
+              && List.exists
+                   (fun (r, s, _, m) -> r = er && s = sender && m = msg)
+                   receptions.(id))
+            (List.init n Fun.id)
         in
         { emulated_round = er; sender; message = msg; received_by })
       (List.sort

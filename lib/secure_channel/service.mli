@@ -19,6 +19,10 @@ type spec = {
   channels : int;
   budget : int;
   reps : int;  (** real rounds per emulated round *)
+  hop_label : string;
+      (** PRF label of the hopping pattern: ["channel-hop"] from
+          {!make_spec}; {!Unicast.make_spec} domain-separates pairwise hops
+          with its own label *)
   hop_prf : Crypto.Prf.Keyed.t;
       (** prepared hop PRF for [key] — built once in {!make_spec}, queried
           every round *)
@@ -42,11 +46,10 @@ val hop : spec -> round:int -> int
 val broadcast : spec -> sender:int -> seq:int -> string -> unit
 (** Transmit [msg] in this emulated round (requires holding the key). *)
 
-val recv : spec -> Prng.Rng.t -> (int * int * string) option
+val recv : spec -> (int * int * string) option
 (** Listen through this emulated round; [Some (sender, seq, msg)] on the
     first authentic frame.  Spoofed or corrupted frames fail MAC
-    verification and are ignored.  Pass the node's rng (used only by key
-    outsiders; key holders follow the hop deterministically). *)
+    verification and are ignored. *)
 
 val idle : spec -> unit
 (** Sit out this emulated round (still consumes [spec.reps] rounds). *)

@@ -1,14 +1,3 @@
-let u16 n = String.init 2 (fun i -> Char.chr ((n lsr (8 * (1 - i))) land 0xFF))
-let u32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * (3 - i))) land 0xFF))
-
-let read_u16 s pos = (Char.code s.[pos] lsl 8) lor Char.code s.[pos + 1]
-
-let read_u32 s pos =
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
 let fragment ~mtu ~msg_id message =
   if mtu <= 0 then invalid_arg "Session.fragment: mtu must be positive";
   if msg_id < 0 then invalid_arg "Session.fragment: negative msg_id";
@@ -17,14 +6,20 @@ let fragment ~mtu ~msg_id message =
   if count > 0xFFFF then invalid_arg "Session.fragment: message too large for mtu";
   List.init count (fun index ->
       let piece = String.sub message (index * mtu) (min mtu (len - (index * mtu))) in
-      "F" ^ u32 msg_id ^ u16 index ^ u16 count ^ piece)
+      let b = Bytes.create (9 + String.length piece) in
+      Bytes.set b 0 'F';
+      Bytes.set_int32_be b 1 (Int32.of_int msg_id);
+      Bytes.set_uint16_be b 5 index;
+      Bytes.set_uint16_be b 7 count;
+      Bytes.blit_string piece 0 b 9 (String.length piece);
+      Bytes.to_string b)
 
 let decode_fragment payload =
   if String.length payload < 9 || payload.[0] <> 'F' then None
   else begin
-    let msg_id = read_u32 payload 1 in
-    let index = read_u16 payload 5 in
-    let count = read_u16 payload 7 in
+    let msg_id = Int32.to_int (String.get_int32_be payload 1) land 0xFFFF_FFFF in
+    let index = String.get_uint16_be payload 5 in
+    let count = String.get_uint16_be payload 7 in
     if msg_id < 0 || count = 0 || index >= count then None
     else Some (msg_id, index, count, String.sub payload 9 (String.length payload - 9))
   end
@@ -48,13 +43,9 @@ let feed r ~sender payload =
       let partial =
         match Hashtbl.find_opt r.partials key with
         | Some p when p.count = count -> p
-        | Some _ ->
-          (* Conflicting fragment count for the same id: start over (can
+        | Some _ | None ->
+          (* A conflicting fragment count for the same id starts over (can
              only happen with a malformed sender; frames are MACed). *)
-          let p = { count; pieces = Hashtbl.create 8 } in
-          Hashtbl.replace r.partials key p;
-          p
-        | None ->
           let p = { count; pieces = Hashtbl.create 8 } in
           Hashtbl.replace r.partials key p;
           p
@@ -94,7 +85,6 @@ type outcome = {
 }
 
 let run_workload ~cfg ~key_holders ~spec ~mtu ~sends ~adversary () =
-  let n = cfg.Radio.Config.n in
   (* Lay out the schedule: message i gets msg_id i and a contiguous block of
      emulated rounds, one per fragment. *)
   let plan =
@@ -103,43 +93,27 @@ let run_workload ~cfg ~key_holders ~spec ~mtu ~sends ~adversary () =
   let schedule =
     List.concat_map (fun (_, sender, _, frags) -> List.map (fun f -> (sender, f)) frags) plan
   in
-  let emulated_rounds = List.length schedule in
-  let completed : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
-  let node_body (ctx : Radio.Engine.ctx) =
-    let id = ctx.id in
-    let holds_key = List.mem id key_holders in
-    let reassembler = create_reassembler () in
-    List.iteri
-      (fun er (sender, frag_payload) ->
-        if id = sender then Service.broadcast spec ~sender:id ~seq:er frag_payload
-        else if holds_key then begin
-          match Service.recv spec ctx.rng with
-          | Some (from, _, payload) ->
-            (match feed reassembler ~sender:from payload with
-             | Some (msg_id, _message) ->
-               let existing = Option.value (Hashtbl.find_opt completed id) ~default:[] in
-               Hashtbl.replace completed id ((from, msg_id) :: existing)
-             | None -> ())
-          | None -> ()
-        end
-        else Service.idle spec)
-      schedule
+  let o =
+    Service.run_workload ~cfg ~key_holders ~spec ~adversary
+      ~sends:(List.mapi (fun er (sender, frag) -> (er, sender, frag)) schedule)
+      ()
   in
-  let engine = Radio.Engine.run_nodes cfg ~adversary node_body in
+  (* Service deliveries come back in emulated-round order, which is
+     fragment order: message i owns the next [List.length frags] of them. *)
+  let heard = Array.of_list o.Service.deliveries in
+  let first = ref 0 in
   let deliveries =
     List.map
-      (fun (msg_id, sender, message, _) ->
+      (fun (msg_id, sender, message, frags) ->
+        let block = Array.sub heard !first (List.length frags) in
+        first := !first + Array.length block;
         let completed_by =
-          List.sort Int.compare
-            (List.filter
-               (fun id ->
-                 id <> sender
-                 && List.mem (sender, msg_id)
-                      (Option.value (Hashtbl.find_opt completed id) ~default:[]))
-               (List.init n Fun.id))
+          List.filter
+            (fun id -> Array.for_all (fun d -> List.mem id d.Service.received_by) block)
+            block.(0).Service.received_by
         in
         { sender; msg_id; message; completed_by })
       plan
   in
-  { engine; deliveries; emulated_rounds;
+  { engine = o.Service.engine; deliveries; emulated_rounds = List.length schedule;
     fragments_sent = List.length schedule }

@@ -38,7 +38,7 @@ type delivery = {
   sender : int;
   msg_id : int;
   message : string;
-  completed_by : int list;  (** nodes that fully reassembled it; sorted *)
+  completed_by : int list;  (** nodes that received every fragment; sorted *)
 }
 
 type outcome = {
@@ -58,5 +58,7 @@ val run_workload :
   unit ->
   outcome
 (** [sends] is a list of (sender, message); messages are transmitted
-    back-to-back (each fragment in its own emulated round), all nodes
-    listening otherwise.  Senders take turns in list order. *)
+    back-to-back (each fragment in its own emulated round of
+    {!Service.run_workload}), all nodes listening otherwise.  Senders take
+    turns in list order and must hold the key.  A node completes a message
+    when it received every one of its fragments. *)

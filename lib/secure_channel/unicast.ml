@@ -1,25 +1,5 @@
-type spec = {
-  key : string;
-  channels : int;
-  budget : int;
-  reps : int;
-  hop_prf : Crypto.Prf.Keyed.t;
-  cipher : Crypto.Cipher.key;
-}
-
-let log2 x = log x /. log 2.0
-
-let make_spec ?(beta = 4.0) ~key ~cfg () =
-  let t = cfg.Radio.Config.t in
-  let n = cfg.Radio.Config.n in
-  let reps =
-    max 1 (int_of_float (ceil (beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
-  in
-  { key; channels = cfg.Radio.Config.channels; budget = t; reps;
-    hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key }
-
-let hop spec ~round =
-  Crypto.Prf.Keyed.below spec.hop_prf ~label:"unicast-hop" ~counter:round spec.channels
+let make_spec ~key ~cfg =
+  { (Service.make_spec ~key ~cfg ()) with Service.hop_label = "unicast-hop" }
 
 type stream = {
   sender : int;
@@ -40,19 +20,6 @@ type outcome = {
   offered_total : int;
 }
 
-let encode_payload ~seq msg =
-  String.init 4 (fun i -> Char.chr ((seq lsr (8 * (3 - i))) land 0xFF)) ^ msg
-
-let decode_payload payload =
-  if String.length payload < 4 then None
-  else begin
-    let seq = ref 0 in
-    for i = 0 to 3 do
-      seq := (!seq lsl 8) lor Char.code payload.[i]
-    done;
-    Some (!seq, String.sub payload 4 (String.length payload - 4))
-  end
-
 let run_streams ~cfg ~keys ~streams ~adversary () =
   (* Endpoint disjointness: each node plays one role. *)
   let seen = Hashtbl.create 16 in
@@ -71,53 +38,28 @@ let run_streams ~cfg ~keys ~streams ~adversary () =
   List.iter (fun s -> Hashtbl.replace received_cells (s.sender, s.receiver) (ref [])) streams;
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
-    let my_stream_as v = List.find_opt (fun s -> v s = id) streams in
-    match (my_stream_as (fun s -> s.sender), my_stream_as (fun s -> s.receiver)) with
-    | Some stream, _ ->
-      let spec = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg () in
+    match List.find_opt (fun s -> s.sender = id || s.receiver = id) streams with
+    | Some stream when stream.sender = id ->
+      let spec = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
       List.iteri
-        (fun seq payload ->
-          for _ = 1 to spec.reps do
-            let round = Radio.Engine.current_round () in
-            let sealed =
-              Crypto.Cipher.seal_keyed spec.cipher ~nonce:(Int64.of_int round)
-                (encode_payload ~seq payload)
-            in
-            Radio.Engine.transmit ~chan:(hop spec ~round)
-              (Radio.Frame.Sealed (Crypto.Cipher.encode sealed))
-          done)
+        (fun seq payload -> Service.broadcast spec ~sender:id ~seq payload)
         stream.payloads;
       (* Pad to the longest stream so all fibers stay in lockstep. *)
       for _ = List.length stream.payloads + 1 to emulated_rounds do
-        for _ = 1 to spec.reps do
-          Radio.Engine.idle ()
-        done
+        Service.idle spec
       done
-    | None, Some stream ->
-      let spec = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg () in
+    | Some stream ->
+      let spec = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
       let cell = Hashtbl.find received_cells (stream.sender, stream.receiver) in
-      for _er = 0 to emulated_rounds - 1 do
-        for _ = 1 to spec.reps do
-          let round = Radio.Engine.current_round () in
-          match Radio.Engine.listen ~chan:(hop spec ~round) with
-          | Some (Radio.Frame.Sealed blob) ->
-            (match Crypto.Cipher.decode blob with
-             | Some sealed ->
-               (match Crypto.Cipher.open_ ~key:spec.key sealed with
-                | Some payload ->
-                  (match decode_payload payload with
-                   | Some (seq, msg) ->
-                     if not (List.mem_assoc seq !cell) then cell := (seq, msg) :: !cell
-                   | None -> ())
-                | None -> ())
-             | None -> ())
-          | Some _ | None -> ()
-        done
+      for _ = 1 to emulated_rounds do
+        match Service.recv spec with
+        | Some (_, seq, msg) when not (List.mem_assoc seq !cell) -> cell := (seq, msg) :: !cell
+        | Some _ | None -> ()
       done
-    | None, None ->
-      let reps = (make_spec ~key:"idle" ~cfg ()).reps in
-      for _ = 1 to emulated_rounds * reps do
-        Radio.Engine.idle ()
+    | None ->
+      let spec = make_spec ~key:"idle" ~cfg in
+      for _ = 1 to emulated_rounds do
+        Service.idle spec
       done
   in
   let engine = Radio.Engine.run_nodes cfg ~adversary node_body in

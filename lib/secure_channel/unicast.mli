@@ -10,21 +10,11 @@
     so aggregate throughput grows with C until self-collisions bite —
     which experiment E14 measures. *)
 
-type spec = {
-  key : string;  (** the pairwise secret *)
-  channels : int;
-  budget : int;
-  reps : int;
-  hop_prf : Crypto.Prf.Keyed.t;
-      (** prepared hop PRF for [key] — built once in {!make_spec}, queried
-          every round *)
-  cipher : Crypto.Cipher.key;  (** prepared seal/open key for [key] *)
-}
-
-val make_spec : ?beta:float -> key:string -> cfg:Radio.Config.t -> unit -> spec
-
-val hop : spec -> round:int -> int
-(** Pairwise pattern, domain-separated from the broadcast service's. *)
+val make_spec : key:string -> cfg:Radio.Config.t -> Service.spec
+(** The broadcast service's spec under the pairwise secret [key], with the
+    hopping pattern domain-separated from the broadcast service's: both
+    endpoints meet on {!Service.hop}, the frames travel through
+    {!Service.broadcast} and {!Service.recv}. *)
 
 type stream = {
   sender : int;

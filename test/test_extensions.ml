@@ -5,6 +5,7 @@
 
 module Rekey = Groupkey.Rekey
 module Protocol = Groupkey.Protocol
+module Service = Secure_channel.Service
 module Unicast = Secure_channel.Unicast
 
 let check = Alcotest.check
@@ -142,13 +143,40 @@ let unicast_rejects_overlap () =
 
 let unicast_hop_is_pair_private () =
   let cfg = Radio.Config.make ~n:16 ~channels:4 ~t:1 ~seed:5L () in
-  let s1 = Unicast.make_spec ~key:(pair_keys (0, 1)) ~cfg () in
-  let s2 = Unicast.make_spec ~key:(pair_keys (2, 3)) ~cfg () in
-  let differs = ref false in
-  for round = 0 to 50 do
-    if Unicast.hop s1 ~round <> Unicast.hop s2 ~round then differs := true
-  done;
-  check Alcotest.bool "distinct pairs hop differently" true !differs
+  let s1 = Unicast.make_spec ~key:(pair_keys (0, 1)) ~cfg in
+  let s2 = Unicast.make_spec ~key:(pair_keys (2, 3)) ~cfg in
+  let broadcast = Service.make_spec ~key:(pair_keys (0, 1)) ~cfg () in
+  let differs a b =
+    List.exists
+      (fun round -> Service.hop a ~round <> Service.hop b ~round)
+      (List.init 51 Fun.id)
+  in
+  check Alcotest.bool "distinct pairs hop differently" true (differs s1 s2);
+  check Alcotest.bool "pairwise hops are domain-separated from the broadcast service's" true
+    (differs s1 broadcast)
+
+(* The quick tier runs a single E14 configuration, so the full-tier table
+   is pinned here: it covers every (C, pairs) cell of the pairwise path. *)
+let unicast_e14_full_table () =
+  let r = Experiments.Unicast_exp.e14 ~quick:false ~jobs:1 in
+  let rows =
+    List.concat_map
+      (function Experiments.Common.Table { rows; _ } -> rows | _ -> [])
+      r.Experiments.Common.blocks
+  in
+  check
+    Alcotest.(list (list string))
+    "C, pairs, offered, delivered, rate, rounds"
+    [ [ "2"; "1"; "4"; "4"; "100%"; "128" ];
+      [ "2"; "2"; "8"; "8"; "100%"; "128" ];
+      [ "2"; "4"; "16"; "14"; "88%"; "128" ];
+      [ "4"; "1"; "4"; "4"; "100%"; "128" ];
+      [ "4"; "2"; "8"; "8"; "100%"; "128" ];
+      [ "4"; "4"; "16"; "16"; "100%"; "128" ];
+      [ "4"; "6"; "24"; "24"; "100%"; "128" ];
+      [ "8"; "4"; "16"; "16"; "100%"; "128" ];
+      [ "8"; "6"; "24"; "24"; "100%"; "128" ] ]
+    rows
 
 (* -- information-theoretic secret growing -- *)
 
@@ -242,7 +270,8 @@ let () =
       ( "unicast",
         [ Alcotest.test_case "concurrent delivery" `Quick unicast_delivers_concurrently;
           Alcotest.test_case "rejects overlapping endpoints" `Quick unicast_rejects_overlap;
-          Alcotest.test_case "pair-private hopping" `Quick unicast_hop_is_pair_private ] );
+          Alcotest.test_case "pair-private hopping" `Quick unicast_hop_is_pair_private;
+          Alcotest.test_case "full-tier e14 table" `Quick unicast_e14_full_table ] );
       ( "secret-bits",
         [ Alcotest.test_case "keys match" `Quick secret_bits_keys_match;
           Alcotest.test_case "partial eavesdropping" `Quick secret_bits_partial_eavesdropping;

@@ -107,9 +107,9 @@ let null = Radio.Adversary.null
 
 let jammer seed budget = Radio.Adversary.random_jammer (Prng.Rng.create seed) ~channels:8 ~budget
 
-let base_spec ?(crypto = Mux.Batched) ?(transport = Mux.Acked) ?(rounds = 40)
-    ?(logical = 24) ?(rate = 1) ?(queue_cap = 8) ?(outsiders = 0) () =
-  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport ~crypto ~rounds ~rate ~queue_cap
+let base_spec ?(transport = Mux.Acked) ?(rounds = 40) ?(logical = 24) ?(rate = 1)
+    ?(queue_cap = 8) ?(outsiders = 0) () =
+  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport ~rounds ~rate ~queue_cap
     ~epoch_len:8 ~grace:3 ~outsiders ~seed:11L ()
 
 let acked_null_delivers () =
@@ -149,17 +149,6 @@ let outsiders_cannot_read_or_forge () =
   (* Outsider injections that land on a listened slot die on the MAC. *)
   check Alcotest.bool "service still works" true (r.Mux.stats.Mux.delivered > 500)
 
-let crypto_modes_byte_identical () =
-  List.iter
-    (fun mk_adversary ->
-      (* A fresh adversary per run: random_jammer carries mutable rng state. *)
-      let a = Mux.run (base_spec ~crypto:Mux.Batched ~rounds:30 ()) ~adversary:(mk_adversary ()) in
-      let b = Mux.run (base_spec ~crypto:Mux.Per_message ~rounds:30 ()) ~adversary:(mk_adversary ()) in
-      check Alcotest.string "render_stats identical across crypto modes"
-        (Mux.render_stats a) (Mux.render_stats b);
-      check Alcotest.string "digest identical" (Mux.output_digest a) (Mux.output_digest b))
-    [ (fun () -> null); (fun () -> jammer 3L 2) ]
-
 let pool_sizes_byte_identical () =
   let run pool = Mux.run ?pool (base_spec ~rounds:30 ~outsiders:2 ()) ~adversary:(jammer 9L 2) in
   let solo = run None in
@@ -181,14 +170,7 @@ let repeat_transport_full_delivery () =
   check Alcotest.bool "heads retired" true (r.Mux.stats.Mux.messages_done > 0);
   check Alcotest.bool "most heads reach every receiver" true
     (r.Mux.stats.Mux.full_deliveries * 10 >= r.Mux.stats.Mux.messages_done * 8);
-  check Alcotest.int "no forged accepts" 0 r.Mux.stats.Mux.forged_accepts;
-  let b =
-    Mux.run
-      { spec with Mux.crypto = Mux.Per_message }
-      ~adversary:(jammer 13L 2)
-  in
-  check Alcotest.string "repeat crypto modes identical" (Mux.render_stats r)
-    (Mux.render_stats b)
+  check Alcotest.int "no forged accepts" 0 r.Mux.stats.Mux.forged_accepts
 
 let latency_percentiles_sane () =
   let r = Mux.run (base_spec ~rounds:40 ()) ~adversary:null in
@@ -209,9 +191,9 @@ let spec_validation () =
 (* Piggybacked acks.                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let pig_spec ?(crypto = Mux.Batched) ?(ack_mode = Mux.Piggybacked) ?(rounds = 40)
-    ?(logical = 24) ?(rate = 1) ?(queue_cap = 64) ?(outsiders = 0) () =
-  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport:Mux.Acked ~ack_mode ~crypto ~rounds
+let pig_spec ?(ack_mode = Mux.Piggybacked) ?(rounds = 40) ?(logical = 24) ?(rate = 1)
+    ?(queue_cap = 64) ?(outsiders = 0) () =
+  Mux.make ~key ~logical ~phys:8 ~budget:2 ~transport:Mux.Acked ~ack_mode ~rounds
     ~rate ~queue_cap ~epoch_len:8 ~grace:3 ~outsiders ~seed:11L ()
 
 (* Jams [budget] fixed channels during the first [real_rounds] engine rounds
@@ -293,17 +275,6 @@ let pig_early_jamming_recovers () =
   check Alcotest.bool "acked close behind delivered" true
     (ps.Mux.acked <= ps.Mux.delivered && ps.Mux.delivered - ps.Mux.acked <= 2 * 24)
 
-let pig_crypto_modes_byte_identical () =
-  List.iter
-    (fun mk_adversary ->
-      let a = Mux.run (pig_spec ~crypto:Mux.Batched ()) ~adversary:(mk_adversary ()) in
-      let b = Mux.run (pig_spec ~crypto:Mux.Per_message ()) ~adversary:(mk_adversary ()) in
-      check Alcotest.string "piggybacked render_stats identical across crypto modes"
-        (Mux.render_stats a) (Mux.render_stats b))
-    [ (fun () -> null);
-      (fun () -> early_jammer ~real_rounds:(4 * 4) ~budget:2);
-      (fun () -> jammer 3L 2) ]
-
 let pig_pool_sizes_byte_identical () =
   let run pool =
     Mux.run ?pool (pig_spec ~outsiders:2 ()) ~adversary:(jammer 9L 2)
@@ -357,8 +328,7 @@ let () =
           Alcotest.test_case "latency sane" `Quick latency_percentiles_sane;
           Alcotest.test_case "spec validation" `Quick spec_validation ] );
       ( "determinism",
-        [ Alcotest.test_case "crypto modes byte-identical" `Quick crypto_modes_byte_identical;
-          Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical ] );
+        [ Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical ] );
       ( "repeat",
         [ Alcotest.test_case "full delivery under jamming" `Quick repeat_transport_full_delivery ] );
       ( "piggybacked",
@@ -366,8 +336,6 @@ let () =
             pig_null_drains_and_matches_slotted;
           Alcotest.test_case "real-rounds reduction pinned" `Quick pig_rpe_pinned;
           Alcotest.test_case "early jamming recovers" `Quick pig_early_jamming_recovers;
-          Alcotest.test_case "crypto modes byte-identical" `Quick
-            pig_crypto_modes_byte_identical;
           Alcotest.test_case "pool sizes byte-identical" `Quick pig_pool_sizes_byte_identical;
           Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
           Alcotest.test_case "spec validation" `Quick pig_spec_validation ] ) ]

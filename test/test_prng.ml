@@ -5,7 +5,6 @@
 module Rng = Prng.Rng
 module Splitmix64 = Prng.Splitmix64
 module Xoshiro = Prng.Xoshiro
-module Pcg32 = Prng.Pcg32
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -148,30 +147,6 @@ let xoshiro_distribution () =
         Alcotest.failf "bucket %d has %d, expected about %d" i count expect)
     buckets
 
-(* -- PCG32 -- *)
-
-let pcg_deterministic () =
-  let a = Pcg32.create 77L and b = Pcg32.create 77L in
-  for _ = 1 to 100 do
-    check Alcotest.int32 "same stream" (Pcg32.next a) (Pcg32.next b)
-  done
-
-let pcg_streams_differ () =
-  let a = Pcg32.create ~stream:1L 7L and b = Pcg32.create ~stream:2L 7L in
-  let distinct = ref false in
-  for _ = 1 to 10 do
-    if not (Int32.equal (Pcg32.next a) (Pcg32.next b)) then distinct := true
-  done;
-  check Alcotest.bool "streams differ" true !distinct
-
-let pcg_next_in_bounds =
-  QCheck.Test.make ~name:"pcg next_in stays in range" ~count:500
-    QCheck.(pair small_int (int_range 1 100000))
-    (fun (seed, bound) ->
-      let g = Pcg32.create (Int64.of_int seed) in
-      let v = Pcg32.next_in g bound in
-      v >= 0 && v < bound)
-
 (* -- Rng facade -- *)
 
 let rng_deterministic () =
@@ -282,10 +257,6 @@ let () =
           Alcotest.test_case "jump disjoint" `Quick xoshiro_jump_disjoint;
           Alcotest.test_case "distribution" `Quick xoshiro_distribution;
           qcheck xoshiro_reference_qcheck ] );
-      ( "pcg32",
-        [ Alcotest.test_case "deterministic" `Quick pcg_deterministic;
-          Alcotest.test_case "streams differ" `Quick pcg_streams_differ;
-          qcheck pcg_next_in_bounds ] );
       ( "rng",
         [ Alcotest.test_case "deterministic" `Quick rng_deterministic;
           Alcotest.test_case "split_at stable" `Quick rng_split_at_stable;
