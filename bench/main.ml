@@ -463,112 +463,111 @@ let service_adversaries =
 
 type service_det = { service_id : string; service_rounds : int; service_sha : string }
 
-let run_service ~jobs ~channels_list =
+let run_service ~channels_list =
   print_endline "\n== Service throughput (plain timed, median of alternating runs) ==\n";
   Printf.printf "  %-22s %8s %10s %10s %8s %6s\n" "cell" "msgs" "slotted s" "pig s" "pig-x"
     "p99";
-  Parallel.Pool.with_pool ~domains:jobs (fun pool ->
+  List.concat_map
+    (fun channels ->
+      (* Piggybacked acks need an even duplex-paired channel count. *)
+      let pig_ok = channels land 1 = 0 in
       List.concat_map
-        (fun channels ->
-          (* Piggybacked acks need an even duplex-paired channel count. *)
-          let pig_ok = channels land 1 = 0 in
-          List.concat_map
-            (fun (adv_name, mk_adv) ->
-              let one ack_mode =
-                let spec = service_spec ~ack_mode ~channels () in
-                Parallel.Clock.time (fun () -> Mux.run ~pool spec ~adversary:(mk_adv ()))
-              in
-              (* Strict alternation S,G,S,G,... so machine-load drift cancels
-                 out of the comparison. *)
-              let runs =
-                List.init service_runs (fun _ ->
-                    (one Mux.Slotted, if pig_ok then Some (one Mux.Piggybacked) else None))
-              in
-              let sample = fst (fst (List.hd runs)) in
-              let sha = Mux.output_digest sample in
-              let pig_sample = Option.map fst (snd (List.hd runs)) in
-              let pig_sha = Option.map Mux.output_digest pig_sample in
-              List.iteri
-                (fun i (b, g) ->
-                  let checks =
-                    ("slotted", fst b, sha)
-                    ::
-                    (match (g, pig_sha) with
-                    | Some (r, _), Some psha -> [ ("piggybacked", r, psha) ]
-                    | _ -> [])
-                  in
-                  List.iter
-                    (fun (mode, (r : Mux.result), expect) ->
-                      if Mux.output_digest r <> expect then (
-                        Printf.eprintf
-                          "service/c%d-%s: %s run %d diverged from run 0 (runs are not \
-                           byte-identical)\n"
-                          channels adv_name mode i;
-                        exit 1))
-                    checks)
-                runs;
-              let msgs = sample.Mux.stats.Mux.delivered in
-              let med_b = median (List.map (fun ((_, s), _) -> s) runs) in
-              let pig =
-                Option.map
-                  (fun ps ->
-                    (ps, median (List.filter_map (fun (_, g) -> Option.map snd g) runs)))
-                  pig_sample
-              in
-              let p99 = Mux.latency_percentile sample 0.99 in
-              let mps msgs wall = float_of_int msgs /. wall in
-              (match pig with
-              | Some (ps, med_g) ->
-                (* Throughput ratio, not raw wall-clock: the two ack modes
-                   deliver (slightly) different message counts under load. *)
-                let pig_x =
-                  mps ps.Mux.stats.Mux.delivered med_g /. mps msgs med_b
-                in
-                Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %6d\n%!"
-                  (Printf.sprintf "c%d-%s" channels adv_name)
-                  msgs med_b med_g pig_x p99
-              | None ->
-                Printf.printf "  %-22s %8d %10.3f %10s %8s %6d\n%!"
-                  (Printf.sprintf "c%d-%s" channels adv_name)
-                  msgs med_b "-" "-" p99);
-              let per_msg_ns msgs wall =
-                if msgs > 0 then wall *. 1e9 /. float_of_int msgs else nan
-              in
-              let row name ns =
-                { bench_name = name; ns_per_run = ns; minor_words_per_run = 0.0;
-                  major_words_per_run = 0.0; promoted_words_per_run = 0.0 }
-              in
-              let micro =
-                [ row
-                    (Printf.sprintf "service/msgs-per-sec-c%d-%s-batched" channels adv_name)
-                    (per_msg_ns msgs med_b);
-                  row
-                    (Printf.sprintf "service/p99-latency-rounds-c%d-%s" channels adv_name)
-                    (float_of_int p99) ]
-                @
-                match pig with
-                | Some (ps, med_g) ->
-                  [ row
-                      (Printf.sprintf "service/msgs-per-sec-c%d-%s-piggyback" channels
-                         adv_name)
-                      (per_msg_ns ps.Mux.stats.Mux.delivered med_g) ]
-                | None -> []
-              in
-              let det =
-                { service_id = Printf.sprintf "service/c%d-%s" channels adv_name;
-                  service_rounds = sample.Mux.engine.Radio.Engine.rounds_used;
-                  service_sha = sha }
+        (fun (adv_name, mk_adv) ->
+          let one ack_mode =
+            let spec = service_spec ~ack_mode ~channels () in
+            Parallel.Clock.time (fun () -> Mux.run spec ~adversary:(mk_adv ()))
+          in
+          (* Strict alternation S,G,S,G,... so machine-load drift cancels
+             out of the comparison. *)
+          let runs =
+            List.init service_runs (fun _ ->
+                (one Mux.Slotted, if pig_ok then Some (one Mux.Piggybacked) else None))
+          in
+          let sample = fst (fst (List.hd runs)) in
+          let sha = Mux.output_digest sample in
+          let pig_sample = Option.map fst (snd (List.hd runs)) in
+          let pig_sha = Option.map Mux.output_digest pig_sample in
+          List.iteri
+            (fun i (b, g) ->
+              let checks =
+                ("slotted", fst b, sha)
                 ::
-                (match (pig_sample, pig_sha) with
-                | Some ps, Some psha ->
-                  [ { service_id = Printf.sprintf "service/c%d-%s-piggyback" channels adv_name;
-                      service_rounds = ps.Mux.engine.Radio.Engine.rounds_used;
-                      service_sha = psha } ]
+                (match (g, pig_sha) with
+                | Some (r, _), Some psha -> [ ("piggybacked", r, psha) ]
                 | _ -> [])
               in
-              [ (micro, det) ])
-            service_adversaries)
-        channels_list)
+              List.iter
+                (fun (mode, (r : Mux.result), expect) ->
+                  if Mux.output_digest r <> expect then (
+                    Printf.eprintf
+                      "service/c%d-%s: %s run %d diverged from run 0 (runs are not \
+                       byte-identical)\n"
+                      channels adv_name mode i;
+                    exit 1))
+                checks)
+            runs;
+          let msgs = sample.Mux.stats.Mux.delivered in
+          let med_b = median (List.map (fun ((_, s), _) -> s) runs) in
+          let pig =
+            Option.map
+              (fun ps ->
+                (ps, median (List.filter_map (fun (_, g) -> Option.map snd g) runs)))
+              pig_sample
+          in
+          let p99 = Mux.latency_percentile sample 0.99 in
+          let mps msgs wall = float_of_int msgs /. wall in
+          (match pig with
+          | Some (ps, med_g) ->
+            (* Throughput ratio, not raw wall-clock: the two ack modes
+               deliver (slightly) different message counts under load. *)
+            let pig_x =
+              mps ps.Mux.stats.Mux.delivered med_g /. mps msgs med_b
+            in
+            Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %6d\n%!"
+              (Printf.sprintf "c%d-%s" channels adv_name)
+              msgs med_b med_g pig_x p99
+          | None ->
+            Printf.printf "  %-22s %8d %10.3f %10s %8s %6d\n%!"
+              (Printf.sprintf "c%d-%s" channels adv_name)
+              msgs med_b "-" "-" p99);
+          let per_msg_ns msgs wall =
+            if msgs > 0 then wall *. 1e9 /. float_of_int msgs else nan
+          in
+          let row name ns =
+            { bench_name = name; ns_per_run = ns; minor_words_per_run = 0.0;
+              major_words_per_run = 0.0; promoted_words_per_run = 0.0 }
+          in
+          let micro =
+            [ row
+                (Printf.sprintf "service/msgs-per-sec-c%d-%s-batched" channels adv_name)
+                (per_msg_ns msgs med_b);
+              row
+                (Printf.sprintf "service/p99-latency-rounds-c%d-%s" channels adv_name)
+                (float_of_int p99) ]
+            @
+            match pig with
+            | Some (ps, med_g) ->
+              [ row
+                  (Printf.sprintf "service/msgs-per-sec-c%d-%s-piggyback" channels
+                     adv_name)
+                  (per_msg_ns ps.Mux.stats.Mux.delivered med_g) ]
+            | None -> []
+          in
+          let det =
+            { service_id = Printf.sprintf "service/c%d-%s" channels adv_name;
+              service_rounds = sample.Mux.engine.Radio.Engine.rounds_used;
+              service_sha = sha }
+            ::
+            (match (pig_sample, pig_sha) with
+            | Some ps, Some psha ->
+              [ { service_id = Printf.sprintf "service/c%d-%s-piggyback" channels adv_name;
+                  service_rounds = ps.Mux.engine.Radio.Engine.rounds_used;
+                  service_sha = psha } ]
+            | _ -> [])
+          in
+          [ (micro, det) ])
+        service_adversaries)
+    channels_list
   |> List.split
   |> fun (micro, det) -> (List.concat micro, List.concat det)
 
@@ -821,7 +820,7 @@ let () =
         | Some list -> list
         | None -> if cli.quick then [ 64; 256 ] else [ 64; 256; 1024; 4096 ]
       in
-      run_service ~jobs:cli.jobs ~channels_list
+      run_service ~channels_list
     end
   in
   let micro_rows = micro_rows @ service_micro in

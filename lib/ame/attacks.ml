@@ -51,15 +51,3 @@ let triangle_jammer board ~channels ~budget ~triple_of =
           let targets = List.filter intra entry.Oracle.kinds in
           take budget (List.map (fun (chan, _) -> jam chan) targets));
     observe = (fun _ -> ()); observes = false }
-
-let feedback_suppressor board ~channels ~budget rng =
-  { Radio.Adversary.name = "feedback-suppressor";
-    act =
-      (fun ~round ->
-        match Oracle.get board ~round with
-        | Some _ -> []
-        | None ->
-          let arr = Array.init channels Fun.id in
-          Prng.Rng.shuffle rng arr;
-          List.init (min budget channels) (fun i -> jam arr.(i)));
-    observe = (fun _ -> ()); observes = false }

@@ -20,7 +20,3 @@ val triangle_jammer :
     ([triple_of] maps a node to its triple index).  With t disjoint triples
     it keeps all intra-triple edges undelivered, forcing a disruption graph
     with vertex cover 2t against surrogate-free protocols. *)
-
-val feedback_suppressor : Oracle.t -> channels:int -> budget:int -> Prng.Rng.t -> Radio.Adversary.t
-(** Ignores message rounds entirely and jams [budget] random channels during
-    feedback rounds only: stresses Lemma 5's agreement property (E5). *)

@@ -12,8 +12,3 @@ let create () = Hashtbl.create 64
 let post t ~round entry = Hashtbl.replace t round entry
 
 let get t ~round = Hashtbl.find_opt t round
-
-let channels_for t ~round =
-  match get t ~round with
-  | Some entry -> entry.channels_in_use
-  | None -> []

@@ -23,6 +23,3 @@ val post : t -> round:int -> entry -> unit
 (** Idempotent: every node posts the same entry for the same round. *)
 
 val get : t -> round:int -> entry option
-
-val channels_for : t -> round:int -> int list
-(** [channels_in_use] of the entry, or [] when none was posted. *)

@@ -35,10 +35,6 @@ type witness =
   | Via of string * Names.loc * target
       (** (callee, call site, the callee-frame target this lifted from) *)
 
-type tchain =
-  | TCdirect of string * Names.loc
-  | TCvia of string * Names.loc
-
 type eff = {
   etbl : (target, witness) Hashtbl.t;
   mutable eorder : target list;  (* reversed insertion order *)
@@ -50,7 +46,7 @@ type t = {
   globals : (string, Summary.origin) Hashtbl.t;
   def_order : string list;
   effects : (string, eff) Hashtbl.t;
-  tlevels : (string, Names.taint * tchain option) Hashtbl.t;
+  tlevels : (string, Names.taint) Hashtbl.t;
 }
 
 let def t key = Hashtbl.find_opt t.defs key
@@ -249,32 +245,25 @@ let compute_effects t =
 (* --- the taint fixpoint ---------------------------------------------- *)
 
 let taint_of t key =
-  match Hashtbl.find_opt t.tlevels key with
-  | Some (lvl, _) -> lvl
-  | None -> Names.Pure
+  match Hashtbl.find_opt t.tlevels key with Some lvl -> lvl | None -> Names.Pure
 
 let compute_taint t ~capped =
   (* seed with each definition's direct sources *)
   List.iter
     (fun (d : Summary.def) ->
-      let lvl, chain =
+      let lvl =
         match d.Summary.d_taint with
-        | Some (what, loc) -> (Names.Tainted, Some (TCdirect (what, loc)))
-        | None -> ((if d.Summary.d_det then Names.Det_local else Names.Pure), None)
+        | Some _ -> Names.Tainted
+        | None -> if d.Summary.d_det then Names.Det_local else Names.Pure
       in
-      Hashtbl.replace t.tlevels d.Summary.d_key (lvl, chain))
+      Hashtbl.replace t.tlevels d.Summary.d_key lvl)
     (defs_in_order t);
   let changed = ref true in
   while !changed do
     changed := false;
     List.iter
       (fun (f : Summary.def) ->
-        let cur, cur_chain =
-          match Hashtbl.find_opt t.tlevels f.Summary.d_key with
-          | Some v -> v
-          | None -> (Names.Pure, None)
-        in
-        if cur <> Names.Tainted then
+        if taint_of t f.Summary.d_key <> Names.Tainted then
           List.iter
             (fun (c : Summary.call) ->
               match callee_def t c.Summary.c_callee with
@@ -288,19 +277,10 @@ let compute_taint t ~capped =
                     Names.Det_local
                   else glvl
                 in
-                let cur', _ =
-                  match Hashtbl.find_opt t.tlevels f.Summary.d_key with
-                  | Some v -> v
-                  | None -> (Names.Pure, None)
-                in
-                let merged = Names.taint_max cur' glvl in
-                if merged <> cur' then begin
-                  let chain =
-                    if merged = Names.Tainted then
-                      Some (TCvia (g.Summary.d_key, c.Summary.c_loc))
-                    else cur_chain
-                  in
-                  Hashtbl.replace t.tlevels f.Summary.d_key (merged, chain);
+                let cur = taint_of t f.Summary.d_key in
+                let merged = Names.taint_max cur glvl in
+                if merged <> cur then begin
+                  Hashtbl.replace t.tlevels f.Summary.d_key merged;
                   changed := true
                 end)
             f.Summary.d_calls)
@@ -324,18 +304,6 @@ let write_chain t key tg =
         | None -> [])
   in
   go [] key tg
-
-let taint_chain t key =
-  let rec go depth key =
-    if depth > 32 then []
-    else
-      match Hashtbl.find_opt t.tlevels key with
-      | Some (_, Some (TCdirect (what, loc))) -> [ (key, loc, what) ]
-      | Some (_, Some (TCvia (callee, loc))) ->
-        (key, loc, "calls " ^ callee) :: go (depth + 1) callee
-      | _ -> []
-  in
-  go 0 key
 
 (* --- construction ----------------------------------------------------- *)
 

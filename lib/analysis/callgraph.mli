@@ -53,7 +53,3 @@ val taint_of : t -> string -> Names.taint
 val write_chain : t -> string -> target -> (string * Names.loc * string) list
 (** Reconstruct the derivation of one effect target as presentation
     steps [(definition, location, action)], ending at the direct write. *)
-
-val taint_chain : t -> string -> (string * Names.loc * string) list
-(** Reconstruct why a definition is [Tainted], ending at the direct
-    source reference. *)

@@ -180,11 +180,6 @@ type taint =
   | Det_local  (** deterministic given the merge discipline; owns local state *)
   | Tainted  (** clock, OS state, randomness, unordered traversal, raw domains *)
 
-let taint_name = function
-  | Pure -> "Pure"
-  | Det_local -> "DetLocal"
-  | Tainted -> "Tainted"
-
 let taint_rank = function Pure -> 0 | Det_local -> 1 | Tainted -> 2
 
 let taint_max a b = if taint_rank a >= taint_rank b then a else b

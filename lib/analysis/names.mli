@@ -88,8 +88,6 @@ type taint =
           discipline; [Tainted] observes the clock, OS state, randomness,
           unordered traversal, or raw domain primitives. *)
 
-val taint_name : taint -> string
-
 val taint_max : taint -> taint -> taint
 
 val taint_le : taint -> taint -> bool

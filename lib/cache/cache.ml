@@ -10,8 +10,8 @@
 
    The only cross-domain state is monotonically-increasing [Atomic]
    hit/miss counters (observability only; never branched on by simulated
-   code) and the global enable flag, flipped by tests around deterministic
-   sections. *)
+   code) and the global enable flag, switched off by [with_disabled]
+   around deterministic sections. *)
 
 type stats = { hits : int; misses : int }
 
@@ -26,8 +26,6 @@ type 'v t = {
 let enabled_flag = Atomic.make true
 
 let enabled () = Atomic.get enabled_flag
-
-let set_enabled b = Atomic.set enabled_flag b
 
 let with_disabled f =
   let prev = Atomic.get enabled_flag in
@@ -103,9 +101,4 @@ module Key = struct
       Bytes.unsafe_set bytes (8 + i) (Char.unsafe_chr ((h2 lsr (8 * i)) land 0xFF))
     done;
     Bytes.unsafe_to_string bytes
-
-  let of_ints xs =
-    let b = create () in
-    List.iter (add_int b) xs;
-    finish b
 end

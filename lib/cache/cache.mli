@@ -28,8 +28,8 @@ val create : ?capacity:int -> string -> 'v t
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 (** [find_or_compute t ~key f] returns the cached value for [key] in the
     calling domain's table, or runs [f], stores, and returns the result.
-    When the global switch is off (see {!set_enabled}) it always runs [f]
-    and stores nothing. *)
+    When the global switch is off (see {!with_disabled}) it always runs
+    [f] and stores nothing. *)
 
 val name : 'v t -> string
 
@@ -41,15 +41,14 @@ val stats : 'v t -> stats
 (** Cumulative hit/miss totals across all domains. *)
 
 val enabled : unit -> bool
-
-val set_enabled : bool -> unit
-(** Global switch shared by every memo (reads are a single [Atomic.get]).
-    Intended for tests and A/B measurement; flipping it never changes any
-    memoized result, only whether solves repeat. *)
+(** The global switch shared by every memo (reads are a single
+    [Atomic.get]).  Turning it off never changes any memoized result, only
+    whether solves repeat. *)
 
 val with_disabled : (unit -> 'a) -> 'a
 (** [with_disabled f] runs [f] with the switch off, restoring the
-    previous state afterwards (even on exceptions). *)
+    previous state afterwards (even on exceptions).  Intended for tests
+    and A/B measurement. *)
 
 (** Canonical digest keys: append ints, get a 16-byte key string built
     from two independent 63-bit mixing lanes.  Deterministic across runs,
@@ -63,6 +62,4 @@ module Key : sig
   val add_int : builder -> int -> unit
 
   val finish : builder -> string
-
-  val of_ints : int list -> string
 end

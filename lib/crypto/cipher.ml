@@ -113,9 +113,6 @@ let seal ~key:raw ~nonce plaintext = seal_keyed (key raw) ~nonce plaintext
 
 let open_ ~key:raw sealed = open_keyed (key raw) sealed
 
-let wire_size { nonce; body; tag } =
-  String.length nonce + String.length body + String.length tag
-
 let encoded_size { nonce; body; tag } =
   12 + String.length nonce + String.length body + String.length tag
 

@@ -55,9 +55,6 @@ val seal : key:string -> nonce:int64 -> string -> sealed
 val open_ : key:string -> sealed -> string option
 (** [open_ ~key sealed] is [Some plaintext] iff the tag verifies. *)
 
-val wire_size : sealed -> int
-(** Total bytes on the air, used by the message-size experiment (E11). *)
-
 val encode : sealed -> string
 (** Flat wire encoding (length-prefixed fields). *)
 

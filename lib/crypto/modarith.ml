@@ -27,8 +27,6 @@ let pow_mod b e p =
   done;
   !acc
 
-let rec gcd a b = if b = 0L then a else gcd b (Int64.rem a b)
-
 let inv_mod a p =
   (* Extended Euclid on (a, p); coefficients tracked only for a. *)
   let rec go old_r r old_s s =

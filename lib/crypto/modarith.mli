@@ -15,8 +15,6 @@ val mul_mod : int64 -> int64 -> int64 -> int64
 val pow_mod : int64 -> int64 -> int64 -> int64
 (** [pow_mod b e p] = b^e mod p, square-and-multiply.  Requires [e >= 0]. *)
 
-val gcd : int64 -> int64 -> int64
-
 val inv_mod : int64 -> int64 -> int64
 (** Modular inverse by extended Euclid.  Raises [Invalid_argument] if the
     inverse does not exist. *)

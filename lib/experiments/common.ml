@@ -61,11 +61,6 @@ let mean = function
   | [] -> nan
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let pow2_floor x =
-  assert (x >= 1);
-  let rec go p = if p * 2 <= x then go (p * 2) else p in
-  go 1
-
 let fame_nodes_for ~t ~channels_used ~channels =
   let required =
     Ame.Params.nodes_required Ame.Params.default ~channels_used ~budget:t ~channels

@@ -63,9 +63,6 @@ val replicates : jobs:int -> trials:int -> (int -> 'a) -> 'a list
 
 val mean : float list -> float
 
-val pow2_floor : int -> int
-(** Largest power of two <= x (x >= 1). *)
-
 val fame_nodes_for : t:int -> channels_used:int -> channels:int -> int
 (** A node count comfortably above {!Ame.Params.nodes_required}. *)
 

@@ -223,8 +223,6 @@ module Dense = struct
 
   let out_degree t v = if v >= 0 && v < t.n then Bitset.count t.out_rows.(v) else 0
 
-  let in_degree t v = if v >= 0 && v < t.n then Bitset.count t.in_rows.(v) else 0
-
   let equal a b =
     if a.m <> b.m then false
     else if a.n = b.n then

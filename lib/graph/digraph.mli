@@ -118,8 +118,6 @@ module Dense : sig
 
   val out_degree : t -> int -> int
 
-  val in_degree : t -> int -> int
-
   val has_outgoing : t -> int -> bool
 
   val has_incoming : t -> int -> bool

@@ -16,9 +16,6 @@ let complete_on nodes =
 
 let star ~n ~hub = List.filter_map (fun w -> if w <> hub then Some (hub, w) else None) (List.init n Fun.id)
 
-let inverse_star ~n ~hub =
-  List.filter_map (fun v -> if v <> hub then Some (v, hub) else None) (List.init n Fun.id)
-
 let random_pairs rng ~n ~count =
   if count > n * (n - 1) then invalid_arg "Workload.random_pairs: too many pairs";
   let module S = Set.Make (struct

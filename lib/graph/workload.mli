@@ -18,9 +18,6 @@ val complete_on : int list -> (int * int) list
 val star : n:int -> hub:int -> (int * int) list
 (** Hub sends to every other node. *)
 
-val inverse_star : n:int -> hub:int -> (int * int) list
-(** Every other node sends to the hub. *)
-
 val random_pairs : Prng.Rng.t -> n:int -> count:int -> (int * int) list
 (** [count] distinct ordered pairs drawn uniformly. Requires
     [count <= n * (n-1)]. *)

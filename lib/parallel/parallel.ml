@@ -21,8 +21,6 @@ let default_jobs () = Domain.recommended_domain_count ()
    atomic), written only by the single outermost [run] caller. *)
 let ambient : Pool.t option Atomic.t = Atomic.make None
 
-let ambient_pool () = Atomic.get ambient
-
 let run ~jobs f =
   match Atomic.get ambient with
   | Some _ ->

@@ -18,12 +18,6 @@ module Clock = Clock
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val ambient_pool : unit -> Pool.t option
-(** The shared pool installed by the innermost enclosing {!run} scope, if
-    any.  Lets lower layers (e.g. the radio engine's intra-round sharding)
-    reuse the session's global domain budget instead of spawning their
-    own; [None] outside any [run] scope or when [jobs <= 1]. *)
-
 val run : jobs:int -> (unit -> 'a) -> 'a
 (** [run ~jobs f] runs [f] with a shared pool of [jobs] domains (clamped
     to {!default_jobs}) installed for its dynamic extent; [jobs <= 1]

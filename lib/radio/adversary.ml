@@ -137,14 +137,3 @@ let energy_bounded ~total inner =
         end);
     observe = inner.observe;
     observes = inner.observes }
-
-let combine ~name subs ~budget ~channels =
-  ignore budget;
-  ignore channels;
-  let count = List.length subs in
-  if count = 0 then invalid_arg "Adversary.combine: empty list";
-  let arr = Array.of_list subs in
-  { name;
-    act = (fun ~round -> arr.(round mod count).act ~round);
-    observe = (fun record -> Array.iter (fun sub -> sub.observe record) arr);
-    observes = Array.exists (fun sub -> sub.observes) arr }

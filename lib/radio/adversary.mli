@@ -64,7 +64,3 @@ val energy_bounded : total:int -> t -> t
     costs one unit, and once [total] units are spent the adversary falls
     silent forever.  Strikes beyond the remaining budget are dropped from
     the end of the inner strategy's list. *)
-
-val combine : name:string -> t list -> budget:int -> channels:int -> t
-(** Round-robin between sub-strategies (one per round), e.g. alternating
-    jamming and spoofing.  Each sub-strategy still observes every round. *)

@@ -1,6 +1,8 @@
 type ctx = { id : int; rng : Prng.Rng.t; cfg : Config.t }
 
-type obs = Received of Frame.t | Nothing
+(* [Declined] answers an [EListenSeq] the engine will not run as one
+   suspension: the fiber then listens round by round itself. *)
+type obs = Received of Frame.t | Nothing | Declined
 
 (* One effect constructor per action keeps the perform path lean: [EIdle] is
    a constant (no allocation at all), [EListen]/[ETransmit] are a single
@@ -16,21 +18,21 @@ type _ Effect.t += Round : int Effect.t
 
 let transmit ~chan frame =
   match Effect.perform (ETransmit (chan, frame)) with
-  | Received _ | Nothing -> ()
+  | Received _ | Nothing | Declined -> ()
 
 let listen ~chan =
   match Effect.perform (EListen chan) with
   | Received frame -> Some frame
-  | Nothing -> None
+  | Nothing | Declined -> None
 
 let idle () =
   match Effect.perform EIdle with
-  | Received _ | Nothing -> ()
+  | Received _ | Nothing | Declined -> ()
 
 let idle_for k =
   if k > 0 then
     match Effect.perform (EIdleFor k) with
-    | Received _ | Nothing -> ()
+    | Received _ | Nothing | Declined -> ()
 
 let listen_series ~chans ~into =
   let len = Array.length chans in
@@ -38,6 +40,7 @@ let listen_series ~chans ~into =
     invalid_arg "Engine.listen_series: chans and into must have equal length";
   if len > 0 then
     match Effect.perform (EListenSeq (chans, into)) with
+    | Declined -> Array.iteri (fun j chan -> into.(j) <- listen ~chan) chans
     | Received _ | Nothing -> ()
 
 let current_round () = Effect.perform Round
@@ -413,33 +416,11 @@ let run_reference cfg ~adversary nodes =
    two-word block beside the runtime continuation itself. *)
 type kont = NoK | K of (obs, unit) Effect.Deep.continuation
 
-(* Per-shard channel accumulators for the intra-round sharded harvest.
-   One scratch per shard, written by exactly one pool task per round and
-   merged serially in shard order afterwards, which reproduces the serial
-   id-order harvest byte for byte (shards are contiguous id ranges of the
-   sorted active list). *)
-type shard_scratch = {
-  s_tx : int array;
-  s_first : int array;
-  s_frame : Frame.t array;
-  s_listen : int array;
-  s_touched : int array;
-  mutable s_n_touched : int;
-  mutable s_tx_total : int;
-  mutable s_max_payload : int;
-}
-
-(* Minimum active-node count before a round's harvest is sharded across the
-   pool: below this the per-task queue overhead beats the scan. *)
-let default_shard_min = 16384
-
 (* State codes for the per-node SoA byte array: 'f' finished, 't' transmit
    declared, 'l' listen declared, 'w' idle (one round) or parked sleeper,
-   's' mid listen-series (a run of per-round listen channels declared by a
-   single [listen_series] suspension; the fiber is resumed once, after the
-   last round of the run). *)
+   'p' parked listen-series (see the series rings below). *)
 
-(* The sparse core.  Three ideas over [run_reference]:
+(* The sparse core.  Two ideas over [run_reference]:
 
    1. Sparse event-driven rounds — the engine keeps a sorted active list
       (double-buffered [cur]/[nxt]) of node ids suspended on this round's
@@ -454,15 +435,10 @@ let default_shard_min = 16384
       the harvest is a cache-linear scan over active indices instead of
       chasing per-fiber heap records.
 
-   3. Intra-round sharding — when a pool is available and the active list
-      is large, the harvest pass is partitioned into contiguous shards with
-      per-shard accumulators merged in shard order, preserving the serial
-      engine's byte-identical transcripts for every [--jobs].
-
    Determinism contract unchanged: fibers are started, resumed, and aborted
    in strictly ascending node-id order, and every run is a pure function of
    the configuration seed. *)
-let run_core ~pool ~shard_min cfg ~adversary ~get_body =
+let run_core cfg ~adversary ~get_body =
   let n = cfg.Config.n in
   let channels = cfg.Config.channels in
   let max_rounds = cfg.Config.max_rounds in
@@ -472,14 +448,11 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
   let chan_of = Array.make n 0 in
   let frame_of = Array.make n dummy_frame in
   let konts = Array.make n NoK in
-  (* Listen-series state: the declared channel run, the caller's result
-     buffer, and the cursor.  [chan_of] always holds the series' channel for
-     the *current* round, so the harvest treats 's' exactly like 'l'.  For
-     parked series ('p', below) [ser_pos] holds the series' first round
-     instead of a cursor. *)
+  (* Parked listen-series state: the declared channel run, the caller's
+     result buffer, and the series' first round. *)
   let ser_chans : int array array = Array.make n [||] in
   let ser_out : Frame.t option array array = Array.make n [||] in
-  let ser_pos = Array.make n 0 in
+  let ser_start = Array.make n 0 in
   let validate_chan chan =
     if chan < 0 || chan >= channels then
       invalid_arg (Printf.sprintf "Engine: action on invalid channel %d" chan)
@@ -575,18 +548,8 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
           Hashtbl.replace wake wake_round (i :: prev)
         end)
   in
-  let some_listen_seq =
-    Some
-      (fun (k : (obs, unit) Effect.Deep.continuation) ->
-        let i = !running_i in
-        let chans = !pending_chans in
-        Bytes.set st i 's';
-        ser_chans.(i) <- chans;
-        ser_out.(i) <- !pending_out;
-        ser_pos.(i) <- 0;
-        chan_of.(i) <- chans.(0);
-        konts.(i) <- K k;
-        push i)
+  let some_decline =
+    Some (fun (k : (obs, unit) Effect.Deep.continuation) -> Effect.Deep.continue k Declined)
   in
   (* Regrow the series rings to hold [needed] rounds, re-homing live rows
      under the new modulus.  At regrow time (a declare, so [round_counter]
@@ -640,7 +603,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
         Bytes.set st i 'p';
         ser_chans.(i) <- chans;
         ser_out.(i) <- !pending_out;
-        ser_pos.(i) <- r0;
+        ser_start.(i) <- r0;
         konts.(i) <- K k;
         incr series_outstanding;
         let wake_round = r0 + len - 1 in
@@ -684,12 +647,16 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
             pending_chan := d;
             some_sleep
           | EListenSeq (chans, out) ->
-            pending_chans := chans;
-            pending_out := out;
             (* The parked path skips the active list entirely but cannot
                name per-round listeners, so recording runs (transcript or
-               observing adversary) keep the per-round variant. *)
-            if record_wanted then some_listen_seq else some_listen_park
+               observing adversary) decline the series and the fiber
+               listens round by round. *)
+            if record_wanted then some_decline
+            else begin
+              pending_chans := chans;
+              pending_out := out;
+              some_listen_park
+            end
           | Round -> some_round
           | _ -> None) }
   in
@@ -729,12 +696,8 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
   let shared_outcomes = Array.make channels Transcript.Empty in
   (* Per-channel observation cache: one shared [Received] per delivered
      channel per round, handed to every listener at resume time (the frame
-     itself was already shared; now the wrapper is too).  [round_some] is
-     the same sharing for series result buffers: one [Some frame] per
-     delivered channel per round, stored into every series listener's
-     buffer. *)
+     itself was already shared; now the wrapper is too). *)
   let round_obs : obs array = Array.make channels Nothing in
-  let round_some : Frame.t option array = Array.make channels None in
   (* Empty-round fast-forward is sound only when nothing can observe the
      skipped rounds: no recording, and the adversary is the stateless null
      strategy (physical equality — [Adversary.t] is a record of closures). *)
@@ -748,7 +711,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
     struck.(s.Adversary.chan) <- true;
     spoof_on.(s.Adversary.chan) <- s.Adversary.spoof
   in
-  let harvest_serial () =
+  let harvest () =
     let arr = !cur in
     for j = 0 to !n_cur - 1 do
       let i = arr.(j) in
@@ -769,7 +732,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
         if payload > stats.Transcript.Stats.max_payload then
           stats.Transcript.Stats.max_payload <- payload;
         if record_wanted then honest_tx := (i, chan, frame) :: !honest_tx
-      | 'l' | 's' ->
+      | 'l' ->
         let chan = chan_of.(i) in
         validate_chan chan;
         touch chan;
@@ -778,120 +741,8 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
       | _ -> ()
     done
   in
-  (* Sharded harvest.  Each pool task scans one contiguous chunk of the
-     sorted active list into its own scratch; the merge below runs serially
-     in shard order after the join, so globally-first senders and the
-     touched order match the serial scan exactly. *)
-  let scratch : shard_scratch array ref = ref [||] in
-  let shard_ids : int list ref = ref [] in
-  let harvest_shard sc lo hi =
-    let arr = !cur in
-    for j = lo to hi - 1 do
-      let i = arr.(j) in
-      match Bytes.get st i with
-      | 't' ->
-        let chan = chan_of.(i) in
-        validate_chan chan;
-        sc.s_tx_total <- sc.s_tx_total + 1;
-        if sc.s_tx.(chan) = 0 && sc.s_listen.(chan) = 0 then begin
-          sc.s_touched.(sc.s_n_touched) <- chan;
-          sc.s_n_touched <- sc.s_n_touched + 1
-        end;
-        let count = sc.s_tx.(chan) in
-        sc.s_tx.(chan) <- count + 1;
-        if count = 0 then begin
-          sc.s_first.(chan) <- i;
-          sc.s_frame.(chan) <- frame_of.(i)
-        end;
-        let payload = Frame.payload_size frame_of.(i) in
-        if payload > sc.s_max_payload then sc.s_max_payload <- payload
-      | 'l' | 's' ->
-        let chan = chan_of.(i) in
-        validate_chan chan;
-        if sc.s_tx.(chan) = 0 && sc.s_listen.(chan) = 0 then begin
-          sc.s_touched.(sc.s_n_touched) <- chan;
-          sc.s_n_touched <- sc.s_n_touched + 1
-        end;
-        sc.s_listen.(chan) <- sc.s_listen.(chan) + 1
-      | _ -> ()
-    done
-  in
-  let merge_shard sc =
-    for j = 0 to sc.s_n_touched - 1 do
-      let chan = sc.s_touched.(j) in
-      touch chan;
-      let stx = sc.s_tx.(chan) in
-      if stx > 0 && Array.get tx_count chan = 0 then begin
-        Array.set first_sender chan sc.s_first.(chan);
-        Array.set first_frame chan sc.s_frame.(chan)
-      end;
-      Array.set tx_count chan (Array.get tx_count chan + stx);
-      Array.set listeners_on chan (Array.get listeners_on chan + sc.s_listen.(chan));
-      sc.s_tx.(chan) <- 0;
-      sc.s_listen.(chan) <- 0;
-      sc.s_first.(chan) <- -1;
-      sc.s_frame.(chan) <- dummy_frame
-    done;
-    sc.s_n_touched <- 0;
-    tx_total := !tx_total + sc.s_tx_total;
-    sc.s_tx_total <- 0;
-    if sc.s_max_payload > stats.Transcript.Stats.max_payload then
-      stats.Transcript.Stats.max_payload <- sc.s_max_payload;
-    sc.s_max_payload <- 0
-  in
-  let harvest_sharded p =
-    let nshards = Parallel.Pool.size p in
-    if Array.length !scratch = 0 then begin
-      scratch :=
-        Array.init nshards (fun _ ->
-            { s_tx = Array.make channels 0;
-              s_first = Array.make channels (-1);
-              s_frame = Array.make channels dummy_frame;
-              s_listen = Array.make channels 0;
-              s_touched = Array.make channels 0;
-              s_n_touched = 0;
-              s_tx_total = 0;
-              s_max_payload = 0 });
-      shard_ids := List.init nshards Fun.id
-    end;
-    let total = !n_cur in
-    let chunk = (total + nshards - 1) / nshards in
-    ignore
-      (Parallel.Pool.map_ordered p
-         (fun s ->
-           let lo = s * chunk in
-           let hi = min total (lo + chunk) in
-           (* Each task writes only scratch slot [s]; the join below is the
-              barrier before the serial merge. *)
-           if lo < hi then harvest_shard (Array.get !scratch s) lo hi)
-         !shard_ids);
-    Array.iter merge_shard !scratch
-  in
   let[@inline] resume_one i =
     match Bytes.get st i with
-    | 's' ->
-      (* Series step: store this round's observation without resuming the
-         fiber; the continuation only runs after the last round of the
-         run.  The stored [Some] is the per-channel shared one. *)
-      let p = ser_pos.(i) in
-      let chans = ser_chans.(i) in
-      ser_out.(i).(p) <- Array.get round_some chan_of.(i);
-      let p' = p + 1 in
-      if p' >= Array.length chans then begin
-        ser_chans.(i) <- [||];
-        ser_out.(i) <- [||];
-        match konts.(i) with
-        | NoK -> ()
-        | K k ->
-          konts.(i) <- NoK;
-          running_i := i;
-          Effect.Deep.continue k Nothing
-      end
-      else begin
-        ser_pos.(i) <- p';
-        chan_of.(i) <- chans.(p');
-        push i
-      end
     | 'p' ->
       (* Parked series completes: fill the whole result buffer from the
          history ring (row [r0] is [len - 1 < depth] rounds old, so every
@@ -899,7 +750,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
       let chans = ser_chans.(i) in
       let out = ser_out.(i) in
       let len = Array.length chans in
-      let r0 = ser_pos.(i) in
+      let r0 = ser_start.(i) in
       let depth = !series_depth in
       let hist = !series_hist in
       let row = ref (r0 mod depth) in
@@ -973,12 +824,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
     n_cur := !n_nxt;
     n_nxt := 0
   in
-  let min_wake () =
-    (* A pure minimum over the keys: the unspecified iteration order cannot
-       change the result, so no sorted Det.fold detour is needed here. *)
-    (* radio-lint: allow nondet-hashtbl-order — min over keys is order-independent *)
-    Hashtbl.fold (fun r _ acc -> if acc < 0 || r < acc then r else acc) wake (-1)
-  in
+  let min_wake () = match Det.keys wake with r :: _ -> r | [] -> -1 in
   while !live > 0 && !round_counter < max_rounds do
     let round = !round_counter in
     if fast_forward_ok && !n_cur = 0 && !series_outstanding = 0 then begin
@@ -998,12 +844,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
       honest_tx := [];
       listeners := [];
       tx_total := 0;
-      (match pool with
-      | Some p
-        when (not record_wanted) && !n_cur >= shard_min && Parallel.Pool.size p > 1
-        ->
-        harvest_sharded p
-      | _ -> harvest_serial ());
+      harvest ();
       (* 2. Adversary commits its strikes without seeing this round's
          choices. *)
       let strikes =
@@ -1077,11 +918,8 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
         (match outcome with
          | Transcript.Empty -> ()
          | Transcript.Delivered { origin; frame } ->
-           let shared_some = Some frame in
            Array.set round_obs chan (Received frame);
-           Array.set round_some chan shared_some;
-           if series_base >= 0 then
-             Array.set !series_hist (series_base + chan) shared_some;
+           if series_base >= 0 then Array.set !series_hist (series_base + chan) (Some frame);
            stats.Transcript.Stats.deliveries <- stats.Transcript.Stats.deliveries + hearers;
            (match origin with
             | Transcript.Adversarial ->
@@ -1121,9 +959,7 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
          per-round observation cache. *)
       resume_round round;
       for j = 0 to !n_touched - 1 do
-        let chan = Array.get touched j in
-        Array.set round_obs chan Nothing;
-        Array.set round_some chan None
+        Array.set round_obs (Array.get touched j) Nothing
       done;
       n_touched := 0;
       swap_active ()
@@ -1142,15 +978,13 @@ let run_core ~pool ~shard_min cfg ~adversary ~get_body =
   { stats; transcript = List.rev !transcript; completed; rounds_used = !round_counter;
     channel_usage = usage }
 
-let run ?pool ?(shard_min = default_shard_min) cfg ~adversary nodes =
+let run cfg ~adversary nodes =
   let n = cfg.Config.n in
   if Array.length nodes <> n then
     invalid_arg "Engine.run: node array length must equal cfg.n";
-  let pool = match pool with Some _ as p -> p | None -> Parallel.ambient_pool () in
-  run_core ~pool ~shard_min cfg ~adversary ~get_body:(fun i -> Array.get nodes i)
+  run_core cfg ~adversary ~get_body:(fun i -> Array.get nodes i)
 
-let run_nodes ?pool ?(shard_min = default_shard_min) cfg ~adversary body =
+let run_nodes cfg ~adversary body =
   (* One shared body closure, indexed by [ctx.id] — no n-length array of
      identical closures. *)
-  let pool = match pool with Some _ as p -> p | None -> Parallel.ambient_pool () in
-  run_core ~pool ~shard_min cfg ~adversary ~get_body:(fun _ -> body)
+  run_core cfg ~adversary ~get_body:(fun _ -> body)

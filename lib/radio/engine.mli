@@ -13,15 +13,16 @@
     steps all fibers in node-id order, making every run a deterministic
     function of the configuration seed.
 
-    Two execution cores share this interface.  The default ({!run} /
-    {!run_nodes}) is sparse and event-driven: per-node state lives in flat
-    struct-of-arrays slots, a round costs work proportional to the number
-    of {e active} nodes (fibers parked by {!idle_for} sit in a wake queue
-    until their round), and on a multi-domain pool the harvest scan of a
-    large round is sharded across domains with a deterministic in-order
-    merge.  {!run_reference} is the original dense O(n)-per-round loop,
-    kept as the semantic oracle: both cores produce byte-identical stats,
-    transcripts, and round counts for the same configuration. *)
+    One execution core runs protocols, and a second is kept as its oracle.
+    The core ({!run} / {!run_nodes}) is sparse and event-driven: per-node
+    state lives in flat struct-of-arrays slots, and a round costs work
+    proportional to the number of {e active} nodes (fibers parked by
+    {!idle_for} or {!listen_series} sit in a wake queue until their round).
+    It runs on the calling domain; parallelism lives above it, across
+    independent runs.  {!run_reference} is the original dense
+    O(n)-per-round loop, kept as the semantic oracle: both cores produce
+    byte-identical stats, transcripts, and round counts for the same
+    configuration. *)
 
 type ctx = {
   id : int;  (** this node's index in 0..n-1 *)
@@ -54,14 +55,16 @@ val listen_series : chans:int array -> into:Frame.t option array -> unit
     the j-th round, storing each round's observation into [into.(j)].
     Observationally identical to
     [Array.iteri (fun j c -> into.(j) <- listen ~chan:c) chans] — same
-    stats, transcripts, and delivery semantics — but a single suspension:
-    the engine steps the fiber's listening cursor itself, so a long run of
-    listens costs array reads per round instead of a continuation resume.
-    Use it when the channel sequence does not depend on what is heard
-    (e.g. the f-AME feedback listeners' random hops).  [into] must have the
-    same length as [chans] (else [Invalid_argument]); its previous contents
-    are overwritten round by round.  Zero-length [chans] consumes no
-    rounds. *)
+    stats, transcripts, and delivery semantics.  When nothing records
+    per-listener identities (transcript off, non-observing adversary) the
+    sparse core parks the fiber for the whole run: its listener counts are
+    booked ahead and the heard frames are copied into [into] at the end,
+    so the run costs no per-round resume.  Otherwise the series runs as
+    exactly that sequence of {!listen} calls.  Use it when the channel
+    sequence does not depend on what is heard (e.g. the f-AME feedback
+    listeners' random hops).  [into] must have the same length as [chans]
+    (else [Invalid_argument]); its previous contents are overwritten.
+    Zero-length [chans] consumes no rounds. *)
 
 val current_round : unit -> int
 (** The engine's round counter.  Does not consume a round. *)
@@ -75,34 +78,17 @@ type result = {
   rounds_used : int;
   channel_usage : Transcript.Channel_usage.t option;
       (** per-physical-channel counters; [Some] iff [Config.track_channels].
-          Identical across cores, pool sizes, and sharding. *)
+          Identical across cores. *)
 }
 
-val run :
-  ?pool:Parallel.Pool.t ->
-  ?shard_min:int ->
-  Config.t ->
-  adversary:Adversary.t ->
-  (ctx -> unit) array ->
-  result
+val run : Config.t -> adversary:Adversary.t -> (ctx -> unit) array -> result
 (** [run cfg ~adversary nodes] starts one fiber per node (the array must
     have length [cfg.n]) and drives rounds until every fiber returns.
     Raises [Invalid_argument] on malformed node actions (bad channel).
+    Everything runs on the calling domain, so the result never depends on
+    the [--jobs] setting of an enclosing [Parallel.run]. *)
 
-    [?pool] (default: the ambient {!Parallel.run} pool, if any) enables
-    intra-round sharding of the harvest scan; [?shard_min] (default 16384)
-    is the minimum active-node count before a round is sharded.  Sharding
-    never changes observable behaviour: per-shard accumulators are merged
-    in shard order, so stats, transcripts, and stdout are byte-identical
-    for every pool size, including none. *)
-
-val run_nodes :
-  ?pool:Parallel.Pool.t ->
-  ?shard_min:int ->
-  Config.t ->
-  adversary:Adversary.t ->
-  (ctx -> unit) ->
-  result
+val run_nodes : Config.t -> adversary:Adversary.t -> (ctx -> unit) -> result
 (** Convenience: the same body for every node (it can branch on [ctx.id]).
     The body closure is shared — node state is indexed by [ctx.id], so no
     n-length array of identical closures is built. *)

@@ -21,8 +21,6 @@ let spoof_delivered record =
   in
   List.exists (fun (_, chan) -> adversarial_on chan) record.listeners
 
-let channel_outcome record chan = record.outcomes.(chan)
-
 module Channel_usage = struct
   type t = {
     deliveries : int array;

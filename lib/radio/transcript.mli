@@ -26,8 +26,6 @@ type round_record = {
 val spoof_delivered : round_record -> bool
 (** Did some listener receive an adversarial frame this round? *)
 
-val channel_outcome : round_record -> int -> outcome
-
 module Channel_usage : sig
   type t = {
     deliveries : int array;  (** receptions per physical channel *)

@@ -8,12 +8,12 @@
    will transmit.  Node fibers are thin actors — they read their slot plan
    from the shared state and move bytes.  Fibers resume strictly
    sequentially in node-id order within the engine's domain (the
-   determinism contract; harvest sharding only ever reads engine-internal
-   arrays), so the central mutable state needs no synchronization, and the
-   batch crypto amortizes key schedules and scratch buffers across every
-   frame of the round: one {!Cipher.seal_batch} / {!Cipher.open_batch} /
-   {!Hmac.mac_batch} / {!Hmac.verify_batch} call per epoch per step, under
-   epoch keys prepared once and cached by epoch parity.
+   determinism contract), so the central mutable state needs no
+   synchronization, and the batch crypto amortizes key schedules and
+   scratch buffers across every frame of the round: one
+   {!Cipher.seal_batch} / {!Cipher.open_batch} / {!Hmac.mac_batch} /
+   {!Hmac.verify_batch} call per epoch per step, under epoch keys prepared
+   once and cached by epoch parity.
 
    Emulated-round layout (Acked transport): S data slots, a mid sync
    round, S ack slots, an end sync round — 2S+2 real rounds,
@@ -1075,7 +1075,7 @@ let outsider_body t (ctx : Radio.Engine.ctx) =
     done
   done
 
-let run ?pool spec ~adversary =
+let run spec ~adversary =
   let t = create_state spec in
   let n = node_count spec in
   (* Piggybacked mode runs one extra (flush) emulated round. *)
@@ -1094,7 +1094,7 @@ let run ?pool spec ~adversary =
       | Acked, Piggybacked -> pig_service_body t ctx
       | Repeat { reps; group }, _ -> repeat_service_body t ~reps ~group ctx
   in
-  let engine = Radio.Engine.run_nodes ?pool cfg ~adversary body in
+  let engine = Radio.Engine.run_nodes cfg ~adversary body in
   finalize t;
   { spec; stats = t.st; engine; latency_hist = t.lat; emulated_rounds = spec.rounds;
     real_rounds_per_emulated = t.rpe }

@@ -156,10 +156,10 @@ type result = {
 val latency_percentile : result -> float -> int
 (** [latency_percentile r 0.99]: delivery latency in emulated rounds. *)
 
-val run : ?pool:Parallel.Pool.t -> spec -> adversary:Radio.Adversary.t -> result
+val run : spec -> adversary:Radio.Adversary.t -> result
 (** Run the workload on the sparse engine (channel-usage tracking on).
-    Deterministic in [spec]: byte-identical stats and {!render_stats} for
-    every pool size. *)
+    Deterministic in [spec]: byte-identical stats and {!render_stats}
+    whatever the [--jobs] setting of an enclosing [Parallel.run]. *)
 
 val render_stats : result -> string
 (** Canonical multi-line rendering of everything observable about the run

@@ -42,5 +42,5 @@ type result = {
 val check : regime -> path_limit:int -> jobs:int -> result
 (** Enumerates all strike strategies of [regime] (failing loudly, never
     truncating, past [path_limit] leaves), runs each through the radio
-    engine sharded across the domain pool, and merges in enumeration
-    order — identical output for every [jobs]. *)
+    engine with the strategies spread across the domain pool, and merges
+    in enumeration order — identical output for every [jobs]. *)

@@ -3,16 +3,13 @@
    The sparse event-driven core (Engine.run) must be observationally
    identical to the dense reference core (Engine.run_reference): same
    stats, same transcript records, same round counts, same completion
-   flag, for every workload and adversary.  The sharded harvest path must
-   additionally be byte-identical for every pool size, so `--jobs` can
-   never change results. *)
+   flag, for every workload and adversary. *)
 
 module Config = Radio.Config
 module Frame = Radio.Frame
 module Engine = Radio.Engine
 module Adversary = Radio.Adversary
 module Transcript = Radio.Transcript
-module Pool = Parallel.Pool
 
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
@@ -73,7 +70,8 @@ let node_body ~n ~channels ~steps (ctx : Engine.ctx) =
     | 5 ->
       (* Series lengths 0..6 cover the empty no-op, the one-round case, and
          multi-round runs; with record off and a non-observing adversary
-         this is the parked fast path, otherwise the per-round path. *)
+         this is the parked fast path, otherwise the engine declines the
+         series and the fiber listens round by round. *)
       let len = Prng.Rng.int rng 7 in
       let chans = Array.init len (fun _ -> Prng.Rng.int rng channels) in
       Engine.listen_series ~chans ~into:(Array.make len None)
@@ -132,7 +130,7 @@ let config_of p =
   Config.make ~n:p.n ~channels:p.channels ~t:p.t ~seed:(Int64.of_int p.seed) ~max_rounds
     ~record_transcript:p.record ~track_channels:p.track ()
 
-let run_with core ?pool ?shard_min p =
+let run_with core p =
   let cfg = config_of p in
   let adversary =
     make_adversary ~which:p.which ~channels:p.channels ~budget:p.t ~seed:p.seed ()
@@ -140,7 +138,7 @@ let run_with core ?pool ?shard_min p =
   let nodes = Array.init p.n (fun _ -> node_body ~n:p.n ~channels:p.channels ~steps:p.steps) in
   match core with
   | `Reference -> Engine.run_reference cfg ~adversary nodes
-  | `Sparse -> Engine.run ?pool ?shard_min cfg ~adversary nodes
+  | `Sparse -> Engine.run cfg ~adversary nodes
 
 let fail_unequal p a b =
   QCheck.Test.fail_reportf "divergence on %s:@ %t" (pp_params p) (fun fmt ->
@@ -153,25 +151,6 @@ let sparse_equals_reference =
       let a = run_with `Reference p in
       let b = run_with `Sparse p in
       if not (same_result a b) then fail_unequal p a b else true)
-
-(* -- property: sharded harvest = serial harvest for pool sizes 1/2/4 --
-
-   [shard_min:1] forces sharding whenever a pool is present, so even the
-   small random populations exercise the scatter/merge path.  Recording is
-   forced off (the sharded path only runs on the cheap path; with record
-   on, [run] must silently fall back and still match). *)
-
-let sharded_equals_serial =
-  QCheck.Test.make ~name:"sharded rounds byte-identical for jobs 1/2/4" ~count:40 params_arb
-    (fun p ->
-      let serial = run_with `Sparse p in
-      List.for_all
-        (fun domains ->
-          Pool.with_pool ~domains (fun pool ->
-              let sharded = run_with `Sparse ~pool ~shard_min:1 p in
-              if not (same_result serial sharded) then fail_unequal p serial sharded
-              else true))
-        [ 1; 2; 4 ])
 
 (* -- deterministic spot checks -- *)
 
@@ -236,41 +215,14 @@ let run_nodes_equals_run () =
   let b = Engine.run_nodes cfg ~adversary:(mk ()) body in
   check Alcotest.bool "identical" true (same_result a b)
 
-let sharded_large_round_parity () =
-  (* A population large enough that sharding engages at the default-ish
-     threshold semantics (forced low here), with every node active every
-     round — the worst case for the scatter/merge. *)
-  let n = 2_000 in
-  let channels = 4 and t = 1 in
-  let cfg = Config.make ~n ~channels ~t ~seed:42L () in
-  let body (ctx : Engine.ctx) =
-    let id = ctx.Engine.id in
-    for round = 1 to 12 do
-      let chan = ((31 * round) + (17 * (id / 2))) mod channels in
-      if id land 1 = 0 then
-        Engine.transmit ~chan (Frame.Plain { src = id; dst = id + 1; body = "p" })
-      else ignore (Engine.listen ~chan)
-    done
-  in
-  let mk () = Adversary.sweep_jammer ~channels ~budget:t in
-  let serial = Engine.run_nodes cfg ~adversary:(mk ()) body in
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let sharded = Engine.run_nodes ~pool ~shard_min:64 cfg ~adversary:(mk ()) body in
-          check Alcotest.bool
-            (Printf.sprintf "jobs=%d byte-identical" domains)
-            true (same_result serial sharded)))
-    [ 1; 2; 4 ]
-
-(* -- listen_series: parked vs per-round vs reference ---------------------
+(* -- listen_series: parked vs declined vs reference ---------------------
 
    The random property above only compares engine-side observables; these
-   check the frames the listeners actually hear, through every core and
-   both series paths (parked ring when nothing records, per-round slots
-   when the transcript or an observing adversary needs identities), with
-   mixed series lengths chosen to force the round-ring to regrow while
-   series are outstanding. *)
+   check the frames the listeners actually hear, through both cores and
+   both series paths (parked ring when nothing records; declined, i.e.
+   plain per-round listens, when the transcript or an observing adversary
+   needs identities), with mixed series lengths chosen to force the
+   round-ring to regrow while series are outstanding. *)
 
 let series_lengths = [| 3; 1; 40; 0; 7; 33 |]
 
@@ -322,34 +274,43 @@ let series_workload ~n ~channels ~record ~seed run_core =
 
 let series_heard_parity () =
   let n = 12 and channels = 3 and seed = 5L in
-  let go ~record core = series_workload ~n ~channels ~record ~seed core in
-  let reference cfg nodes = Engine.run_reference cfg ~adversary:Adversary.null nodes in
-  let sparse ?pool ?shard_min cfg nodes =
-    Engine.run ?pool ?shard_min cfg ~adversary:Adversary.null nodes
+  let go ~record ?(adversary = Adversary.null) run =
+    series_workload ~n ~channels ~record ~seed (fun cfg nodes -> run cfg ~adversary nodes)
   in
   (* Parked fast path (record off, non-observing adversary) vs reference. *)
-  let ra, ha = go ~record:false reference in
-  let rb, hb = go ~record:false (sparse ?pool:None ?shard_min:None) in
+  let ra, ha = go ~record:false Engine.run_reference in
+  let rb, hb = go ~record:false Engine.run in
   check Alcotest.bool "parked: engine observables identical" true (same_result ra rb);
   check Alcotest.bool "parked: heard frames identical" true (ha = hb);
   check Alcotest.bool "listeners heard something" true
     (Array.exists (fun l -> List.exists (fun s -> s <> "-") l) hb);
-  (* Per-round path (record on) must hear exactly the same frames. *)
-  let rc, hc = go ~record:true reference in
-  let rd, hd = go ~record:true (sparse ?pool:None ?shard_min:None) in
+  (* Declined series, recording on: must hear exactly the same frames. *)
+  let rc, hc = go ~record:true Engine.run_reference in
+  let rd, hd = go ~record:true Engine.run in
   check Alcotest.bool "recorded: engine observables identical" true (same_result rc rd);
   check Alcotest.bool "recorded: heard frames identical" true (hc = hd);
   check Alcotest.bool "recorded path hears what the parked path hears" true (hb = hd);
-  (* Sharded harvest under the parked path, jobs 2 and 4. *)
-  List.iter
-    (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          let re, he = go ~record:false (sparse ~pool ~shard_min:1) in
-          check Alcotest.bool
-            (Printf.sprintf "parked sharded jobs=%d identical" domains)
-            true
-            (same_result rb re && hb = he)))
-    [ 2; 4 ]
+  (* Declined series, recording off but an observing adversary.  It never
+     strikes, so the heard frames must match the parked run; it keeps the
+     per-round listener identities, which both cores must show it alike. *)
+  let observed run =
+    let seen = ref [] in
+    let adversary =
+      { Adversary.null with
+        Adversary.name = "observer";
+        observes = true;
+        observe = (fun record -> seen := record.Transcript.listeners :: !seen) }
+    in
+    let r, heard = go ~record:false ~adversary run in
+    (r, heard, !seen)
+  in
+  let re, he, se = observed Engine.run_reference in
+  let rf, hf, sf = observed Engine.run in
+  check Alcotest.bool "observed: engine observables identical" true (same_result re rf);
+  check Alcotest.bool "observed: listeners seen identical" true (se = sf);
+  check Alcotest.bool "observed: heard frames identical" true (he = hf);
+  check Alcotest.bool "observed path matches the parked path" true
+    (same_result rb rf && hb = hf)
 
 let series_rejects_bad_arguments () =
   let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
@@ -426,9 +387,6 @@ let () =
       ( "listen-series",
         [ Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;
           Alcotest.test_case "argument validation" `Quick series_rejects_bad_arguments ] );
-      ( "sharding",
-        [ qcheck sharded_equals_serial;
-          Alcotest.test_case "large round jobs 1/2/4" `Quick sharded_large_round_parity ] );
       ( "adversary-validate",
         [ Alcotest.test_case "empty strikes allocation-free" `Quick validate_empty_no_alloc;
           Alcotest.test_case "nonempty strikes still validated" `Quick

@@ -149,16 +149,16 @@ let outsiders_cannot_read_or_forge () =
   (* Outsider injections that land on a listened slot die on the MAC. *)
   check Alcotest.bool "service still works" true (r.Mux.stats.Mux.delivered > 500)
 
-let pool_sizes_byte_identical () =
-  let run pool = Mux.run ?pool (base_spec ~rounds:30 ~outsiders:2 ()) ~adversary:(jammer 9L 2) in
-  let solo = run None in
+(* The same run inside a [Parallel.run] scope must render identically to
+   the serial run for every [--jobs]. *)
+let jobs_byte_identical spec () =
+  let run () = Mux.render_stats (Mux.run spec ~adversary:(jammer 9L 2)) in
+  let solo = run () in
   List.iter
-    (fun domains ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
-          let r = run (Some pool) in
-          check Alcotest.string
-            (Printf.sprintf "render_stats identical at %d domains" domains)
-            (Mux.render_stats solo) (Mux.render_stats r)))
+    (fun jobs ->
+      check Alcotest.string
+        (Printf.sprintf "render_stats identical at jobs=%d" jobs)
+        solo (Parallel.run ~jobs run))
     [ 2; 4 ]
 
 let repeat_transport_full_delivery () =
@@ -275,20 +275,6 @@ let pig_early_jamming_recovers () =
   check Alcotest.bool "acked close behind delivered" true
     (ps.Mux.acked <= ps.Mux.delivered && ps.Mux.delivered - ps.Mux.acked <= 2 * 24)
 
-let pig_pool_sizes_byte_identical () =
-  let run pool =
-    Mux.run ?pool (pig_spec ~outsiders:2 ()) ~adversary:(jammer 9L 2)
-  in
-  let solo = run None in
-  List.iter
-    (fun domains ->
-      Parallel.Pool.with_pool ~domains (fun pool ->
-          let r = run (Some pool) in
-          check Alcotest.string
-            (Printf.sprintf "piggybacked render_stats identical at %d domains" domains)
-            (Mux.render_stats solo) (Mux.render_stats r)))
-    [ 2; 4 ]
-
 let pig_outsiders_blocked () =
   let r = Mux.run (pig_spec ~outsiders:3 ()) ~adversary:null in
   check Alcotest.bool "outsiders overheard traffic" true (r.Mux.stats.Mux.snooped > 0);
@@ -328,7 +314,8 @@ let () =
           Alcotest.test_case "latency sane" `Quick latency_percentiles_sane;
           Alcotest.test_case "spec validation" `Quick spec_validation ] );
       ( "determinism",
-        [ Alcotest.test_case "pool sizes byte-identical" `Quick pool_sizes_byte_identical ] );
+        [ Alcotest.test_case "pool sizes byte-identical" `Quick
+            (jobs_byte_identical (base_spec ~rounds:30 ~outsiders:2 ())) ] );
       ( "repeat",
         [ Alcotest.test_case "full delivery under jamming" `Quick repeat_transport_full_delivery ] );
       ( "piggybacked",
@@ -336,6 +323,7 @@ let () =
             pig_null_drains_and_matches_slotted;
           Alcotest.test_case "real-rounds reduction pinned" `Quick pig_rpe_pinned;
           Alcotest.test_case "early jamming recovers" `Quick pig_early_jamming_recovers;
-          Alcotest.test_case "pool sizes byte-identical" `Quick pig_pool_sizes_byte_identical;
+          Alcotest.test_case "pool sizes byte-identical" `Quick
+            (jobs_byte_identical (pig_spec ~outsiders:2 ()));
           Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
           Alcotest.test_case "spec validation" `Quick pig_spec_validation ] ) ]
