@@ -308,7 +308,9 @@ let trace_cmd =
   let run seed t pairs_count shown csv =
     let n = resolve_n ~t 0 in
     let channels = t + 1 in
-    let cfg = Core.Radio.Config.make ~seed ~n ~channels ~t ~record_transcript:true () in
+    let cfg =
+      Core.Radio.Config.make ~seed ~n ~channels ~t ~record_transcript:true ~track_channels:true ()
+    in
     let pairs = Core.Rgraph.Workload.disjoint_pairs ~n ~count:(min pairs_count (n / 2)) in
     let o =
       Core.Ame.Fame.run ~cfg ~pairs
@@ -318,12 +320,14 @@ let trace_cmd =
             ~prefer:Core.Ame.Attacks.Prefer_edges)
         ()
     in
-    let transcript = o.Core.Ame.Fame.engine.Core.Radio.Engine.transcript in
+    let engine = o.Core.Ame.Fame.engine in
+    let transcript = engine.Core.Radio.Engine.transcript in
     Format.printf "f-AME trace: %d rounds total, showing %d@.@." (List.length transcript) shown;
     Core.Radio.Trace.pp_rounds ~limit:shown Format.std_formatter transcript;
     Format.printf "@.channel utilization:@.";
-    Core.Radio.Trace.pp_utilization Format.std_formatter
-      (Core.Radio.Trace.utilization ~channels transcript);
+    Option.iter
+      (Core.Radio.Transcript.Channel_usage.pp Format.std_formatter)
+      engine.Core.Radio.Engine.channel_usage;
     match csv with
     | Some path ->
       let oc = open_out path in

@@ -33,9 +33,8 @@ let[@inline] packed_chan d = (d lsr 2) land 0xFFFFFFFF
 let[@inline] packed_rank d = d lsr 34
 
 (* The inverted index is a view into its scratch: valid only while no later
-   build has bumped the generation.  [role_of] checks and falls back to the
-   retained scans, so a stale index degrades to the old cost, never to a
-   wrong answer. *)
+   build has bumped the generation.  The lookups check and raise on a stale
+   index, so a caller bug never turns into a wrong answer. *)
 type index = { src : scratch; built_gen : int }
 
 type t = {
@@ -153,45 +152,6 @@ type role =
   | Watch of { channel : int }
   | Off
 
-(* [Array.exists (fun w -> w = id)] without the per-call closure, limited to
-   the first [len] entries. *)
-let mem_prefix arr (id : int) len =
-  (* radio-lint: allow partial-array-unsafe — i < len <= length by the callers *)
-  let rec go i = i < len && (Array.unsafe_get arr i = id || go (i + 1)) in
-  go 0
-
-let mem_int arr id = mem_prefix arr id (Array.length arr)
-
-(* The retained O(k * watchers) scans: the semantic reference for the
-   indexed lookups (QCheck-pinned), and the fallback once a later build on
-   the same scratch has invalidated this schedule's index. *)
-let role_of_scan t id =
-  let k = Array.length t.items in
-  let rec scan c =
-    if c >= k then Off
-    else if t.broadcaster.(c) = id then Broadcast { channel = c; owner = t.owner.(c) }
-    else if t.receiver.(c) = Some id then
-      (match t.items.(c) with
-       | Game.State.Edge e -> Receive { channel = c; edge = e }
-       (* [build] only assigns a receiver on Edge channels, so this arm is
-          unreachable by construction; crashing loudly beats
-          mis-scheduling silently. *)
-       (* radio-lint: allow partial-assert-false *)
-       | Game.State.Node _ -> assert false)
-    else if mem_int t.watchers.(c) id then Watch { channel = c }
-    else scan (c + 1)
-  in
-  scan 0
-
-let witness_channel_scan t id =
-  let k = Array.length t.items in
-  let rec scan c =
-    if c >= k then None
-    else if mem_prefix t.watchers.(c) id t.witness_size then Some c
-    else scan (c + 1)
-  in
-  scan 0
-
 let[@inline] index_live t =
   let ix = t.index in
   ix.src.gen = ix.built_gen
@@ -219,7 +179,7 @@ let role_of t id =
          | Game.State.Node _ -> assert false)
       | _ -> Watch { channel = chan }
     end
-  else role_of_scan t id
+  else invalid_arg "Schedule.role_of: stale index (a later build reused the scratch)"
 
 let witness_channel t id =
   if index_live t then
@@ -230,7 +190,7 @@ let witness_channel t id =
         Some (packed_chan d)
       else None
     end
-  else witness_channel_scan t id
+  else invalid_arg "Schedule.witness_channel: stale index (a later build reused the scratch)"
 
 let witness_sets t =
   Array.map (fun ws -> Array.sub ws 0 t.witness_size) t.watchers

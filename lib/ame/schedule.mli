@@ -18,9 +18,9 @@
     {!role_of} and {!witness_channel} are O(1) lookups instead of
     O(k*watchers) scans per node per move.  The table is generation-stamped:
     it stays valid until a later build reuses the same scratch, after which
-    the lookups silently fall back to the retained scans
-    ({!role_of_scan} / {!witness_channel_scan}), which also serve as the
-    QCheck reference oracle. *)
+    the lookups raise [Invalid_argument].  A stale lookup is a caller bug:
+    query right after the build, or rebuild.  The linear-scan reference the
+    index is tested against lives in the test-only [test/oracle] library. *)
 
 exception Divergence of string
 (** Raised when no legal assignment exists (e.g. a starred source has no
@@ -78,21 +78,12 @@ type role =
       (** not scheduled this round (idles during the message round) *)
 
 val role_of : t -> int -> role
-(** O(1) via the inverted index while it is generation-current (always the
-    case between a build and the next build on the same scratch); falls
-    back to {!role_of_scan} afterwards.  Both paths return identical
-    results. *)
+(** O(1) via the inverted index.  Valid between a build and the next build
+    on the same scratch; afterwards it raises [Invalid_argument]. *)
 
 val witness_channel : t -> int -> int option
-(** The channel this node is a feedback witness for, if any.  Same O(1) /
-    fallback structure as {!role_of}. *)
-
-val role_of_scan : t -> int -> role
-(** The retained linear-scan implementation: the reference oracle for
-    {!role_of} and its fallback once the index is stale. *)
-
-val witness_channel_scan : t -> int -> int option
-(** Scan-based reference for {!witness_channel}. *)
+(** The channel this node is a feedback witness for, if any.  O(1), and
+    raises [Invalid_argument] on a stale index, like {!role_of}. *)
 
 val witness_sets : t -> int array array
 (** Materialized copies of the witness prefixes (fresh arrays), for tests

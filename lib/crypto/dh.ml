@@ -13,12 +13,12 @@ let make_params ~bits ~seed =
   in
   { p; q; g = pick_generator 2L }
 
-let default_params = lazy (make_params ~bits:61 ~seed:0x5EC0DE2008L)
-
-let get_params = function Some ps -> ps | None -> Lazy.force default_params
+(* [make_params ~bits:61 ~seed:0x5EC0DE2008L], written out (a test pins the
+   two together) so that no domain has to initialise it on first use. *)
+let default_params = { p = 2283104279122411247L; q = 1141552139561205623L; g = 4L }
 
 let generate ?params rng =
-  let ps = get_params params in
+  let ps = Option.value params ~default:default_params in
   (* Uniform secret in [1, q). q < 2^60, so 63 random bits + rejection. *)
   let rec draw () =
     let v = Int64.shift_right_logical (Prng.Rng.bits64 rng) 4 in
@@ -29,7 +29,7 @@ let generate ?params rng =
   { secret; public = Modarith.pow_mod ps.g secret ps.p }
 
 let shared_secret ?params ~secret peer_public =
-  let ps = get_params params in
+  let ps = Option.value params ~default:default_params in
   Modarith.pow_mod peer_public secret ps.p
 
 let derive_key ?(info = "") shared =
@@ -41,7 +41,7 @@ let derive_key ?(info = "") shared =
   Sha256.digest ("dh-key-v1|" ^ info ^ "|" ^ Bytes.unsafe_to_string b)
 
 let valid_public ?params y =
-  let ps = get_params params in
+  let ps = Option.value params ~default:default_params in
   y > 1L && y < ps.p && Modarith.pow_mod y ps.q ps.p = 1L
 
 let encode_public y =

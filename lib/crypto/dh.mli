@@ -16,11 +16,16 @@ type params = { p : int64; q : int64; g : int64 }
 
 type keypair = { secret : int64; public : int64 }
 
-val default_params : params Lazy.t
-(** Deterministically generated 61-bit safe-prime group, shared by all nodes
-    (group parameters are public in the paper's model). *)
+val default_params : params
+(** The 61-bit safe-prime group [make_params ~bits:61 ~seed:0x5EC0DE2008L],
+    shared by all nodes (group parameters are public in the paper's
+    model).  A plain constant: safe to read from any number of domains at
+    once, with no start-up cost. *)
 
 val make_params : bits:int -> seed:int64 -> params
+(** Deterministic group generation: the safe prime
+    {!Modarith.find_safe_prime} finds for [bits] and [seed], and a
+    generator of its order-q subgroup. *)
 
 val generate : ?params:params -> Prng.Rng.t -> keypair
 (** Fresh key pair; the secret exponent is uniform in [\[1, q)]. *)

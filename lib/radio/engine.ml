@@ -59,368 +59,18 @@ type result = {
    sentinel is the sender index, so the dummy is never read. *)
 let dummy_frame = Frame.Plain { src = -1; dst = -1; body = "" }
 
-(* ------------------------------------------------------------------ *)
-(* Reference engine: the original dense round loop.                    *)
-(* ------------------------------------------------------------------ *)
-
-type fiber =
-  | WaitT of int * Frame.t * (obs, unit) Effect.Deep.continuation
-  | WaitL of int * (obs, unit) Effect.Deep.continuation
-  | WaitI of (obs, unit) Effect.Deep.continuation
-  | WaitS of int * (obs, unit) Effect.Deep.continuation
-      (** sleeping; the int counts remaining idle rounds, current included *)
-  | WaitLS of series
-      (** listening through a pre-declared channel sequence, one per round *)
-  | Finished
-
-and series = {
-  ls_chans : int array;
-  ls_out : Frame.t option array;
-  mutable ls_pos : int;
-  ls_k : (obs, unit) Effect.Deep.continuation;
-}
-
-(* The original execution core, kept as the semantic oracle for the sparse
-   engine (the Dense-vs-sparse pattern from the graph kernel): every round
-   scans all n fibers, so work is proportional to population rather than
-   activity.  [EIdleFor k] is handled as a sleep countdown observationally
-   identical to k successive [EIdle] suspensions.
-
-   Channel resolution is a single O(T) harvest pass into reusable
-   per-channel accumulators followed by one pass over the channels actually
-   touched this round.  When neither the transcript nor the adversary
-   consumes round records ([record_transcript] off and [Adversary.observes]
-   false), the cons-heavy record lists are never materialized and the
-   outcome array is reused across rounds.
-
-   Allocation discipline: every suspension handler closure is hoisted and
-   shared across fibers (the pending-action scratch cells below are filled
-   by [effc] immediately before the matching closure runs — fibers are
-   strictly sequential within the domain, so one set of cells suffices). *)
-let run_reference cfg ~adversary nodes =
-  let n = cfg.Config.n in
-  if Array.length nodes <> n then
-    invalid_arg "Engine.run_reference: node array length must equal cfg.n";
-  let channels = cfg.Config.channels in
-  let round_counter = ref 0 in
-  let fibers = Array.make n Finished in
-  (* Scratch cells carrying the perform's payload from [effc] to the shared
-     suspension closures. *)
-  let pending_i = ref 0 in
-  let pending_chan = ref 0 in
-  let pending_frame = ref dummy_frame in
-  let pending_chans = ref [||] in
-  let pending_out : Frame.t option array ref = ref [||] in
-  let some_transmit =
-    Some
-      (fun (k : (obs, unit) Effect.Deep.continuation) ->
-        Array.set fibers !pending_i (WaitT (!pending_chan, !pending_frame, k)))
-  in
-  let some_listen =
-    Some
-      (fun (k : (obs, unit) Effect.Deep.continuation) ->
-        Array.set fibers !pending_i (WaitL (!pending_chan, k)))
-  in
-  let some_idle =
-    Some
-      (fun (k : (obs, unit) Effect.Deep.continuation) ->
-        Array.set fibers !pending_i (WaitI k))
-  in
-  let some_sleep =
-    Some
-      (fun (k : (obs, unit) Effect.Deep.continuation) ->
-        Array.set fibers !pending_i (WaitS (!pending_chan, k)))
-  in
-  let some_listen_seq =
-    Some
-      (fun (k : (obs, unit) Effect.Deep.continuation) ->
-        Array.set fibers !pending_i
-          (WaitLS { ls_chans = !pending_chans; ls_out = !pending_out; ls_pos = 0; ls_k = k }))
-  in
-  let some_round =
-    Some
-      (fun (k : (int, unit) Effect.Deep.continuation) ->
-        Effect.Deep.continue k !round_counter)
-  in
-  let start i body ctx =
-    let handler =
-      { Effect.Deep.retc = (fun () -> fibers.(i) <- Finished);
-        exnc = (fun e -> fibers.(i) <- Finished; if e <> Aborted then raise e);
-        effc =
-          (fun (type a) (eff : a Effect.t) :
-               ((a, unit) Effect.Deep.continuation -> unit) option ->
-            match eff with
-            | ETransmit (chan, frame) ->
-              pending_i := i;
-              pending_chan := chan;
-              pending_frame := frame;
-              some_transmit
-            | EListen chan ->
-              pending_i := i;
-              pending_chan := chan;
-              some_listen
-            | EIdle ->
-              pending_i := i;
-              some_idle
-            | EIdleFor k ->
-              pending_i := i;
-              pending_chan := k;
-              some_sleep
-            | EListenSeq (chans, out) ->
-              pending_i := i;
-              pending_chans := chans;
-              pending_out := out;
-              some_listen_seq
-            | Round -> some_round
-            | _ -> None) }
-    in
-    Effect.Deep.match_with body ctx handler
-  in
-  Array.iteri
-    (fun i body ->
-      let ctx =
-        { id = i; rng = Prng.Rng.split_at (Prng.Rng.create cfg.Config.seed) (i + 1); cfg }
-      in
-      start i body ctx)
-    nodes;
-  let stats = Transcript.Stats.create () in
-  let usage =
-    if cfg.Config.track_channels then Some (Transcript.Channel_usage.create channels)
-    else None
-  in
-  let transcript = ref [] in
-  let validate_chan chan =
-    if chan < 0 || chan >= channels then
-      invalid_arg (Printf.sprintf "Engine: action on invalid channel %d" chan)
-  in
-  (* Per-channel accumulators; only the channels touched in a round (tracked
-     in [touched]) are visited and reset, so quiet channels cost nothing. *)
-  let tx_count = Array.make channels 0 in
-  let first_sender = Array.make channels (-1) in
-  let first_frame = Array.make channels dummy_frame in
-  let listeners_on = Array.make channels 0 in
-  let struck = Array.make channels false in
-  let spoof_on : Frame.t option array = Array.make channels None in
-  let touched = Array.make channels 0 in
-  let n_touched = ref 0 in
-  let[@inline] touch chan =
-    if
-      Array.get tx_count chan = 0
-      && Array.get listeners_on chan = 0
-      && not (Array.get struck chan)
-    then begin
-      Array.set touched !n_touched chan;
-      incr n_touched
-    end
-  in
-  let shared_outcomes = Array.make channels Transcript.Empty in
-  let record_wanted = cfg.Config.record_transcript || adversary.Adversary.observes in
-  let running = ref true in
-  (* Round-loop state hoisted so the per-round closures below capture only
-     loop-invariant cells and are allocated once per run. *)
-  let honest_tx = ref [] and listeners = ref [] in
-  let tx_total = ref 0 in
-  let waiting = ref 0 in
-  let strike_count = ref 0 in
-  let apply_strike s =
-    incr strike_count;
-    touch s.Adversary.chan;
-    struck.(s.Adversary.chan) <- true;
-    spoof_on.(s.Adversary.chan) <- s.Adversary.spoof
-  in
-  while !running && !round_counter < cfg.Config.max_rounds do
-    let round = !round_counter in
-    (* 1. Harvest declared actions: one pass over the fibers. *)
-    honest_tx := [];
-    listeners := [];
-    tx_total := 0;
-    waiting := 0;
-    for i = 0 to n - 1 do
-      match Array.get fibers i with
-      | Finished -> ()
-      | WaitT (chan, frame, _) ->
-        incr waiting;
-        validate_chan chan;
-        incr tx_total;
-        touch chan;
-        let count = Array.get tx_count chan in
-        Array.set tx_count chan (count + 1);
-        if count = 0 then begin
-          Array.set first_sender chan i;
-          Array.set first_frame chan frame
-        end;
-        let payload = Frame.payload_size frame in
-        if payload > stats.Transcript.Stats.max_payload then
-          stats.Transcript.Stats.max_payload <- payload;
-        if record_wanted then honest_tx := (i, chan, frame) :: !honest_tx
-      | WaitL (chan, _) ->
-        incr waiting;
-        validate_chan chan;
-        touch chan;
-        Array.set listeners_on chan (Array.get listeners_on chan + 1);
-        if record_wanted then listeners := (i, chan) :: !listeners
-      | WaitLS s ->
-        incr waiting;
-        let chan = s.ls_chans.(s.ls_pos) in
-        validate_chan chan;
-        touch chan;
-        Array.set listeners_on chan (Array.get listeners_on chan + 1);
-        if record_wanted then listeners := (i, chan) :: !listeners
-      | WaitI _ | WaitS _ -> incr waiting
-    done;
-    if !waiting = 0 then running := false
-    else begin
-      (* 2. Adversary commits its strikes without seeing this round's
-         choices. *)
-      let strikes =
-        Adversary.validate ~channels ~budget:cfg.Config.t
-          (adversary.Adversary.act ~round)
-      in
-      strike_count := 0;
-      List.iter apply_strike strikes;
-      (* 3. Resolve the touched channels, fold the round into the stats, and
-         reset the accumulators — untouched channels stay Empty. *)
-      let outcomes =
-        if record_wanted then Array.make channels Transcript.Empty else shared_outcomes
-      in
-      let jammed_this_round = ref false in
-      for j = 0 to !n_touched - 1 do
-        let chan = Array.get touched j in
-        let honest = Array.get tx_count chan in
-        let outcome =
-          if Array.get struck chan then
-            if honest = 0 then
-              match Array.get spoof_on chan with
-              | Some frame -> Transcript.Delivered { origin = Transcript.Adversarial; frame }
-              | None ->
-                (* A lone jam: energy but no decodable frame. *)
-                Transcript.Collision { transmitters = 1; jammed = true }
-            else Transcript.Collision { transmitters = honest + 1; jammed = true }
-          else if honest = 0 then Transcript.Empty
-          else if honest = 1 then
-            Transcript.Delivered
-              { origin = Transcript.Honest (Array.get first_sender chan);
-                frame = Array.get first_frame chan }
-          else Transcript.Collision { transmitters = honest; jammed = false }
-        in
-        Array.set outcomes chan outcome;
-        (match usage with
-         | Some u ->
-           Transcript.Channel_usage.note u chan outcome
-             ~hearers:(Array.get listeners_on chan)
-         | None -> ());
-        (match outcome with
-         | Transcript.Empty -> ()
-         | Transcript.Delivered { origin; _ } ->
-           let hearers = Array.get listeners_on chan in
-           stats.Transcript.Stats.deliveries <- stats.Transcript.Stats.deliveries + hearers;
-           (match origin with
-            | Transcript.Adversarial ->
-              stats.Transcript.Stats.spoofed_deliveries <-
-                stats.Transcript.Stats.spoofed_deliveries + hearers
-            | Transcript.Honest _ -> ())
-         | Transcript.Collision { jammed; _ } ->
-           stats.Transcript.Stats.collisions <- stats.Transcript.Stats.collisions + 1;
-           if jammed then jammed_this_round := true);
-        Array.set tx_count chan 0;
-        Array.set first_sender chan (-1);
-        Array.set first_frame chan dummy_frame;
-        Array.set listeners_on chan 0;
-        Array.set struck chan false;
-        Array.set spoof_on chan None
-      done;
-      n_touched := 0;
-      stats.Transcript.Stats.rounds <- stats.Transcript.Stats.rounds + 1;
-      stats.Transcript.Stats.honest_transmissions <-
-        stats.Transcript.Stats.honest_transmissions + !tx_total;
-      stats.Transcript.Stats.strikes <- stats.Transcript.Stats.strikes + !strike_count;
-      if !jammed_this_round then
-        stats.Transcript.Stats.jammed_rounds <- stats.Transcript.Stats.jammed_rounds + 1;
-      if record_wanted then begin
-        let record =
-          { Transcript.round;
-            honest_tx = List.rev !honest_tx;
-            listeners = List.rev !listeners;
-            strikes = List.map (fun s -> (s.Adversary.chan, s.Adversary.spoof)) strikes;
-            outcomes }
-        in
-        if cfg.Config.record_transcript then transcript := record :: !transcript;
-        if adversary.Adversary.observes then adversary.Adversary.observe record
-      end;
-      incr round_counter;
-      (* 4. Resume fibers with their observations, in node-id order.  A
-         resumed fiber re-populates fibers.(i) if it suspends again. *)
-      for i = 0 to n - 1 do
-        match Array.get fibers i with
-        | Finished -> ()
-        | WaitL (chan, k) ->
-          let obs =
-            match Array.get outcomes chan with
-            | Transcript.Delivered { frame; _ } -> Received frame
-            | Transcript.Empty | Transcript.Collision _ -> Nothing
-          in
-          fibers.(i) <- Finished;
-          Effect.Deep.continue k obs
-        | WaitT (_, _, k) ->
-          fibers.(i) <- Finished;
-          Effect.Deep.continue k Nothing
-        | WaitI k ->
-          fibers.(i) <- Finished;
-          Effect.Deep.continue k Nothing
-        | WaitS (r, k) ->
-          if r <= 1 then begin
-            fibers.(i) <- Finished;
-            Effect.Deep.continue k Nothing
-          end
-          else fibers.(i) <- WaitS (r - 1, k)
-        | WaitLS s ->
-          let chan = s.ls_chans.(s.ls_pos) in
-          (s.ls_out.(s.ls_pos) <-
-             (match Array.get outcomes chan with
-              | Transcript.Delivered { frame; _ } -> Some frame
-              | Transcript.Empty | Transcript.Collision _ -> None));
-          if s.ls_pos + 1 >= Array.length s.ls_chans then begin
-            fibers.(i) <- Finished;
-            Effect.Deep.continue s.ls_k Nothing
-          end
-          else s.ls_pos <- s.ls_pos + 1
-      done
-    end
-  done;
-  let completed =
-    Array.for_all
-      (function
-        | Finished -> true
-        | WaitT _ | WaitL _ | WaitI _ | WaitS _ | WaitLS _ -> false)
-      fibers
-  in
-  if not completed then
-    Array.iter
-      (fun fiber ->
-        match fiber with
-        | Finished -> ()
-        | WaitT (_, _, k) | WaitL (_, k) | WaitI k | WaitS (_, k) -> (
-          try Effect.Deep.discontinue k Aborted with Aborted -> ())
-        | WaitLS s -> (
-          try Effect.Deep.discontinue s.ls_k Aborted with Aborted -> ()))
-      fibers;
-  { stats; transcript = List.rev !transcript; completed; rounds_used = !round_counter;
-    channel_usage = usage }
-
-(* ------------------------------------------------------------------ *)
-(* Sparse event-driven engine (the default core).                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Suspended-continuation slot: a two-constructor variant instead of the
-   reference's 4-5 word fiber records, so each suspension allocates one
-   two-word block beside the runtime continuation itself. *)
+(* Suspended-continuation slot: a two-constructor variant, so each
+   suspension allocates one two-word block beside the runtime continuation
+   itself. *)
 type kont = NoK | K of (obs, unit) Effect.Deep.continuation
 
 (* State codes for the per-node SoA byte array: 'f' finished, 't' transmit
    declared, 'l' listen declared, 'w' idle (one round) or parked sleeper,
    'p' parked listen-series (see the series rings below). *)
 
-(* The sparse core.  Two ideas over [run_reference]:
+(* The execution core.  Two ideas over a dense loop that scans all n fibers
+   every round (the plain reference loop the equivalence tests compare
+   against):
 
    1. Sparse event-driven rounds — the engine keeps a sorted active list
       (double-buffered [cur]/[nxt]) of node ids suspended on this round's
@@ -435,9 +85,9 @@ type kont = NoK | K of (obs, unit) Effect.Deep.continuation
       the harvest is a cache-linear scan over active indices instead of
       chasing per-fiber heap records.
 
-   Determinism contract unchanged: fibers are started, resumed, and aborted
-   in strictly ascending node-id order, and every run is a pure function of
-   the configuration seed. *)
+   Determinism: fibers are started, resumed, and aborted in strictly
+   ascending node-id order, and every run is a pure function of the
+   configuration seed. *)
 let run_core cfg ~adversary ~get_body =
   let n = cfg.Config.n in
   let channels = cfg.Config.channels in
@@ -829,8 +479,8 @@ let run_core cfg ~adversary ~get_body =
     let round = !round_counter in
     if fast_forward_ok && !n_cur = 0 && !series_outstanding = 0 then begin
       (* Every live fiber is parked: skip straight to the earliest wake
-         round (each skipped round is an all-idle round of the reference
-         engine — it counts toward the stats but resolves nothing). *)
+         round (each skipped round is an all-idle round — it counts toward
+         the stats but resolves nothing). *)
       let m = min_wake () in
       let last = if m < 0 then max_rounds - 1 else min m (max_rounds - 1) in
       stats.Transcript.Stats.rounds <-

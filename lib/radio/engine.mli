@@ -13,16 +13,16 @@
     steps all fibers in node-id order, making every run a deterministic
     function of the configuration seed.
 
-    One execution core runs protocols, and a second is kept as its oracle.
-    The core ({!run} / {!run_nodes}) is sparse and event-driven: per-node
-    state lives in flat struct-of-arrays slots, and a round costs work
-    proportional to the number of {e active} nodes (fibers parked by
-    {!idle_for} or {!listen_series} sit in a wake queue until their round).
-    It runs on the calling domain; parallelism lives above it, across
-    independent runs.  {!run_reference} is the original dense
-    O(n)-per-round loop, kept as the semantic oracle: both cores produce
-    byte-identical stats, transcripts, and round counts for the same
-    configuration. *)
+    One execution core runs every protocol ({!run} / {!run_nodes}).  It is
+    sparse and event-driven: per-node state lives in flat struct-of-arrays
+    slots, and a round costs work proportional to the number of {e active}
+    nodes (fibers parked by {!idle_for} or {!listen_series} sit in a wake
+    queue until their round).  It runs on the calling domain; parallelism
+    lives above it, across independent runs.  Its semantic oracle is a
+    plain dense loop in the test-only [test/oracle] library, driven through
+    the {{!section-protocol} action protocol} below; the equivalence suite
+    checks that both produce identical stats, transcripts, channel usage
+    and round counts for the same configuration. *)
 
 type ctx = {
   id : int;  (** this node's index in 0..n-1 *)
@@ -69,6 +69,30 @@ val listen_series : chans:int array -> into:Frame.t option array -> unit
 val current_round : unit -> int
 (** The engine's round counter.  Does not consume a round. *)
 
+(** {1:protocol Action protocol}
+
+    The effects behind the round actions, exported so another execution
+    core (the test oracle) can run the same node bodies.  Each round
+    action performs exactly one of these; a core answers with an {!obs}
+    when the round resolves. *)
+
+type obs =
+  | Received of Frame.t  (** a listener's channel carried one decodable frame *)
+  | Nothing  (** silence, collision, jam, or a non-listening action *)
+  | Declined
+      (** the core will not run an {!EListenSeq} as one suspension: the
+          fiber then performs one {!EListen} per round itself *)
+
+type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t  (** {!transmit} *)
+type _ Effect.t += EListen : int -> obs Effect.t  (** {!listen} *)
+type _ Effect.t += EIdle : obs Effect.t  (** {!idle} *)
+type _ Effect.t += EIdleFor : int -> obs Effect.t  (** {!idle_for}, [k > 0] rounds *)
+type _ Effect.t += EListenSeq : int array * Frame.t option array -> obs Effect.t
+(** {!listen_series} with a nonempty channel run: the core fills the
+    result array (same length) and answers [Nothing], or answers
+    [Declined]. *)
+type _ Effect.t += Round : int Effect.t  (** {!current_round}; consumes no round *)
+
 (** {1 Running} *)
 
 type result = {
@@ -77,8 +101,7 @@ type result = {
   completed : bool;  (** false if [max_rounds] was exhausted first *)
   rounds_used : int;
   channel_usage : Transcript.Channel_usage.t option;
-      (** per-physical-channel counters; [Some] iff [Config.track_channels].
-          Identical across cores. *)
+      (** per-physical-channel counters; [Some] iff [Config.track_channels] *)
 }
 
 val run : Config.t -> adversary:Adversary.t -> (ctx -> unit) array -> result
@@ -92,8 +115,3 @@ val run_nodes : Config.t -> adversary:Adversary.t -> (ctx -> unit) -> result
 (** Convenience: the same body for every node (it can branch on [ctx.id]).
     The body closure is shared — node state is indexed by [ctx.id], so no
     n-length array of identical closures is built. *)
-
-val run_reference : Config.t -> adversary:Adversary.t -> (ctx -> unit) array -> result
-(** The original dense execution core: scans all [n] fibers every round.
-    Kept as the reference implementation for equivalence testing; produces
-    byte-identical results to {!run} on the same inputs. *)

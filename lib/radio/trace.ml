@@ -57,46 +57,3 @@ let to_csv records =
         r.Transcript.outcomes)
     records;
   Buffer.contents buf
-
-type channel_usage = {
-  channel : int;
-  deliveries : int;
-  collisions : int;
-  jammed : int;
-  idle : int;
-  spoofed : int;
-}
-
-let utilization ~channels records =
-  let usage =
-    Array.init channels (fun channel ->
-        { channel; deliveries = 0; collisions = 0; jammed = 0; idle = 0; spoofed = 0 })
-  in
-  List.iter
-    (fun (r : Transcript.round_record) ->
-      Array.iteri
-        (fun chan outcome ->
-          if chan < channels then
-            let u = usage.(chan) in
-            usage.(chan) <-
-              (match outcome with
-               | Transcript.Empty -> { u with idle = u.idle + 1 }
-               | Transcript.Delivered { origin = Transcript.Adversarial; _ } ->
-                 { u with deliveries = u.deliveries + 1; spoofed = u.spoofed + 1 }
-               | Transcript.Delivered _ -> { u with deliveries = u.deliveries + 1 }
-               | Transcript.Collision { jammed; _ } ->
-                 { u with
-                   collisions = u.collisions + 1;
-                   jammed = (u.jammed + if jammed then 1 else 0) }))
-        r.Transcript.outcomes)
-    records;
-  Array.to_list usage
-
-let pp_utilization fmt usage =
-  Format.fprintf fmt "%-8s %10s %10s %8s %6s %8s@." "channel" "delivered" "collisions"
-    "jammed" "idle" "spoofed";
-  List.iter
-    (fun u ->
-      Format.fprintf fmt "%-8d %10d %10d %8d %6d %8d@." u.channel u.deliveries u.collisions
-        u.jammed u.idle u.spoofed)
-    usage

@@ -2,9 +2,10 @@
 
     When a run is configured with [record_transcript = true], the engine
     keeps every {!Transcript.round_record}; this module turns them into
-    human-readable logs, CSV for external analysis, and per-channel
-    utilization summaries — the debugging surface for protocol work on top
-    of the simulator. *)
+    human-readable logs and CSV for external analysis — the debugging
+    surface for protocol work on top of the simulator.  Per-channel
+    utilization needs no transcript: the engine counts it in
+    {!Transcript.Channel_usage} when [Config.track_channels] is on. *)
 
 val pp_round : Format.formatter -> Transcript.round_record -> unit
 (** One round as a compact multi-line block: per-channel outcome, honest
@@ -18,16 +19,3 @@ val to_csv : Transcript.round_record list -> string
 (** One row per (round, channel): round, channel, outcome kind, origin,
     honest transmitter count, listener count, frame summary.  Header
     included. *)
-
-type channel_usage = {
-  channel : int;
-  deliveries : int;  (** rounds this channel carried a decodable frame *)
-  collisions : int;
-  jammed : int;  (** collisions the adversary participated in *)
-  idle : int;
-  spoofed : int;  (** deliveries that originated from the adversary *)
-}
-
-val utilization : channels:int -> Transcript.round_record list -> channel_usage list
-
-val pp_utilization : Format.formatter -> channel_usage list -> unit

@@ -44,6 +44,13 @@ module Channel_usage = struct
     | Collision { jammed = j; _ } ->
       t.collisions.(chan) <- t.collisions.(chan) + 1;
       if j then t.jammed.(chan) <- t.jammed.(chan) + 1
+
+  let pp fmt t =
+    Format.fprintf fmt "%-8s %10s %10s %8s@." "channel" "delivered" "collisions" "jammed";
+    Array.iteri
+      (fun chan d ->
+        Format.fprintf fmt "%-8d %10d %10d %8d@." chan d t.collisions.(chan) t.jammed.(chan))
+      t.deliveries
 end
 
 module Stats = struct
@@ -61,32 +68,6 @@ module Stats = struct
   let create () =
     { rounds = 0; honest_transmissions = 0; deliveries = 0; spoofed_deliveries = 0;
       collisions = 0; jammed_rounds = 0; strikes = 0; max_payload = 0 }
-
-  let absorb t record =
-    t.rounds <- t.rounds + 1;
-    t.honest_transmissions <- t.honest_transmissions + List.length record.honest_tx;
-    t.strikes <- t.strikes + List.length record.strikes;
-    List.iter
-      (fun (_, _, frame) -> t.max_payload <- max t.max_payload (Frame.payload_size frame))
-      record.honest_tx;
-    let listeners_on = Array.make (Array.length record.outcomes) 0 in
-    List.iter (fun (_, chan) -> listeners_on.(chan) <- listeners_on.(chan) + 1) record.listeners;
-    let jammed = ref false in
-    Array.iteri
-      (fun chan outcome ->
-        match outcome with
-        | Empty -> ()
-        | Delivered { origin; _ } ->
-          (* Deliveries count actual receptions, not just occupied channels. *)
-          t.deliveries <- t.deliveries + listeners_on.(chan);
-          (match origin with
-           | Adversarial -> t.spoofed_deliveries <- t.spoofed_deliveries + listeners_on.(chan)
-           | Honest _ -> ())
-        | Collision { jammed = j; _ } ->
-          t.collisions <- t.collisions + 1;
-          if j then jammed := true)
-      record.outcomes;
-    if !jammed then t.jammed_rounds <- t.jammed_rounds + 1
 
   let pp fmt t =
     Format.fprintf fmt

@@ -4,7 +4,9 @@
     receive each record after the round completes (the paper grants the
     adversary full knowledge of all completed rounds, including random
     choices); tests use records to verify authenticity and disruption
-    claims; {!Stats} aggregates them cheaply when full recording is off. *)
+    claims.  The engine folds every round into {!Stats} (and, when
+    [Config.track_channels] is on, {!Channel_usage}) as it resolves it, so
+    the aggregates need no recording. *)
 
 type origin = Honest of int | Adversarial
 
@@ -43,6 +45,9 @@ module Channel_usage : sig
   val note : t -> int -> outcome -> hearers:int -> unit
   (** Fold one resolved channel outcome in ([hearers] = listeners tuned to
       that channel this round). *)
+
+  val pp : Format.formatter -> t -> unit
+  (** One row per channel: delivered (receptions), collisions, jammed. *)
 end
 
 module Stats : sig
@@ -57,9 +62,12 @@ module Stats : sig
     mutable max_payload : int;
   }
 
-  val create : unit -> t
+  (** Run totals, accumulated by the engine round by round.  [deliveries]
+      and [spoofed_deliveries] count receptions (one per listener on a
+      delivered channel), [collisions] counts channel collisions, and
+      [jammed_rounds] the rounds with at least one jammed collision. *)
 
-  val absorb : t -> round_record -> unit
+  val create : unit -> t
 
   val pp : Format.formatter -> t -> unit
 end

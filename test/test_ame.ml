@@ -197,9 +197,10 @@ let schedule_invariants_on_random_proposals =
         no_double_booking && owners_right && witnesses_full)
 
 let schedule_index_matches_scan =
-  (* Property: the O(1) inverted index agrees with the retained linear
-     scans for every node, across consecutive builds on one shared scratch
-     (the engine's usage pattern), including after the scratch regrows. *)
+  (* Property: the O(1) inverted index agrees with the linear-scan oracle
+     for every node, across consecutive builds on one shared scratch (the
+     engine's usage pattern), including after the scratch regrows; and once
+     a later build has retired an index, its lookups raise. *)
   let gen =
     QCheck.Gen.(
       let* t = int_range 1 3 in
@@ -233,28 +234,34 @@ let schedule_index_matches_scan =
       let agrees sched =
         let ok = ref true in
         for id = 0 to 119 do
-          if Schedule.role_of sched id <> Schedule.role_of_scan sched id then ok := false;
-          if Schedule.witness_channel sched id <> Schedule.witness_channel_scan sched id
+          if Schedule.role_of sched id <> Schedule_scan.role_of sched id then ok := false;
+          if Schedule.witness_channel sched id <> Schedule_scan.witness_channel sched id
           then ok := false
         done;
         !ok
       in
-      let rec go round last_ok stale =
-        if round >= builds then last_ok && Option.fold ~none:true ~some:agrees stale
+      let raises_stale sched =
+        let raises f = match f () with exception Invalid_argument _ -> true | _ -> false in
+        raises (fun () -> Schedule.role_of sched 0)
+        && raises (fun () -> Schedule.witness_channel sched 0)
+      in
+      let rec go round prev ok =
+        if round >= builds then ok
         else
           match build round with
-          | exception Schedule.Divergence _ -> go (round + 1) last_ok stale
+          | exception Schedule.Divergence _ -> go (round + 1) prev ok
           | sched ->
-            (* A later build on the same scratch stamps the previous index
-               stale: its lookups must fall back to the scans, unchanged. *)
-            go (round + 1) (last_ok && agrees sched) (Some sched)
+            (* This build on the shared scratch retired [prev]'s index. *)
+            let ok = ok && agrees sched && Option.fold ~none:true ~some:raises_stale prev in
+            go (round + 1) (Some sched) ok
       in
-      go 0 true None)
+      go 0 None true)
 
 let oracle_entry_huge_proposal () =
   (* The flattened builder and iterative oracle walk must survive a
      proposal three orders beyond protocol sizes without stack overflow,
-     and the O(1) role index must still agree with the scan at that scale. *)
+     and the O(1) role index must still agree with the scan oracle at that
+     scale. *)
   let k = 100_000 in
   let proposal = List.init k (fun i -> Game.State.Node i) in
   let sched =
@@ -266,7 +273,7 @@ let oracle_entry_huge_proposal () =
   check Alcotest.int "kinds cover all channels" k (List.length entry.Oracle.kinds);
   List.iter
     (fun id ->
-      let same = Schedule.role_of sched id = Schedule.role_of_scan sched id in
+      let same = Schedule.role_of sched id = Schedule_scan.role_of sched id in
       check Alcotest.bool (Printf.sprintf "index = scan at %d" id) true same)
     [ 0; 1; k - 1; k; (2 * k) - 1; (3 * k) - 1 ]
 

@@ -144,8 +144,14 @@ let safe_prime_deterministic () =
 
 (* -- Diffie-Hellman -- *)
 
+let dh_default_params_pinned () =
+  (* The default group is a literal; it must be exactly what the generator
+     produces from its documented seed. *)
+  check Alcotest.bool "make_params ~bits:61 ~seed:0x5EC0DE2008L" true
+    (Dh.make_params ~bits:61 ~seed:0x5EC0DE2008L = Dh.default_params)
+
 let dh_params_sane () =
-  let ps = Lazy.force Dh.default_params in
+  let ps = Dh.default_params in
   check Alcotest.bool "p prime" true (Modarith.is_probable_prime ps.Dh.p);
   check Alcotest.bool "q prime" true (Modarith.is_probable_prime ps.Dh.q);
   check Alcotest.int64 "g has order q" 1L (Modarith.pow_mod ps.Dh.g ps.Dh.q ps.Dh.p)
@@ -158,7 +164,7 @@ let dh_agreement =
       = Dh.shared_secret ~secret:b.Dh.secret a.Dh.public)
 
 let dh_validation () =
-  let ps = Lazy.force Dh.default_params in
+  let ps = Dh.default_params in
   let rng = Prng.Rng.create 4L in
   let kp = Dh.generate rng in
   check Alcotest.bool "generated key valid" true (Dh.valid_public kp.Dh.public);
@@ -486,6 +492,7 @@ let () =
           qcheck inv_mod_works ] );
       ( "dh",
         [ Alcotest.test_case "params sane" `Quick dh_params_sane;
+          Alcotest.test_case "default params pinned" `Quick dh_default_params_pinned;
           Alcotest.test_case "public validation" `Quick dh_validation;
           Alcotest.test_case "derive separates" `Quick dh_derive_key_separates;
           qcheck dh_agreement;

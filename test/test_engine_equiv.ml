@@ -1,9 +1,10 @@
 (* Sparse-vs-reference engine equivalence.
 
    The sparse event-driven core (Engine.run) must be observationally
-   identical to the dense reference core (Engine.run_reference): same
-   stats, same transcript records, same round counts, same completion
-   flag, for every workload and adversary. *)
+   identical to the plain dense loop in the test oracle library
+   (Reference_engine.run): same stats, same transcript records, same
+   channel usage, same round counts, same completion flag, for every
+   workload and adversary. *)
 
 module Config = Radio.Config
 module Frame = Radio.Frame
@@ -137,7 +138,7 @@ let run_with core p =
   in
   let nodes = Array.init p.n (fun _ -> node_body ~n:p.n ~channels:p.channels ~steps:p.steps) in
   match core with
-  | `Reference -> Engine.run_reference cfg ~adversary nodes
+  | `Reference -> Reference_engine.run cfg ~adversary nodes
   | `Sparse -> Engine.run cfg ~adversary nodes
 
 let fail_unequal p a b =
@@ -168,7 +169,7 @@ let idle_parking_parity () =
     Array.init p.n (fun _ (ctx : Engine.ctx) ->
         Engine.idle_for (5000 + (100 * (ctx.Engine.id mod 7))))
   in
-  let a = Engine.run_reference cfg ~adversary:Adversary.null nodes in
+  let a = Reference_engine.run cfg ~adversary:Adversary.null nodes in
   let b = Engine.run cfg ~adversary:Adversary.null nodes in
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.int "rounds" 5600 a.Engine.rounds_used;
@@ -179,7 +180,7 @@ let abort_with_parked_fibers () =
      must abort at the same round with the same stats. *)
   let cfg = Config.make ~n:6 ~channels:2 ~t:1 ~seed:9L ~max_rounds:100 () in
   let nodes = Array.init 6 (fun _ (_ : Engine.ctx) -> Engine.idle_for 10_000) in
-  let a = Engine.run_reference cfg ~adversary:Adversary.null nodes in
+  let a = Reference_engine.run cfg ~adversary:Adversary.null nodes in
   let b = Engine.run cfg ~adversary:Adversary.null nodes in
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.bool "aborted" false a.Engine.completed;
@@ -201,7 +202,7 @@ let staggered_wakes_parity () =
     done
   in
   let mk () = make_adversary ~which:p.which ~channels:p.channels ~budget:p.t ~seed:p.seed () in
-  let a = Engine.run_reference cfg ~adversary:(mk ()) (Array.make p.n body) in
+  let a = Reference_engine.run cfg ~adversary:(mk ()) (Array.make p.n body) in
   let b = Engine.run_nodes cfg ~adversary:(mk ()) body in
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.bool "has transcript" true (a.Engine.transcript <> [])
@@ -278,14 +279,14 @@ let series_heard_parity () =
     series_workload ~n ~channels ~record ~seed (fun cfg nodes -> run cfg ~adversary nodes)
   in
   (* Parked fast path (record off, non-observing adversary) vs reference. *)
-  let ra, ha = go ~record:false Engine.run_reference in
+  let ra, ha = go ~record:false Reference_engine.run in
   let rb, hb = go ~record:false Engine.run in
   check Alcotest.bool "parked: engine observables identical" true (same_result ra rb);
   check Alcotest.bool "parked: heard frames identical" true (ha = hb);
   check Alcotest.bool "listeners heard something" true
     (Array.exists (fun l -> List.exists (fun s -> s <> "-") l) hb);
   (* Declined series, recording on: must hear exactly the same frames. *)
-  let rc, hc = go ~record:true Engine.run_reference in
+  let rc, hc = go ~record:true Reference_engine.run in
   let rd, hd = go ~record:true Engine.run in
   check Alcotest.bool "recorded: engine observables identical" true (same_result rc rd);
   check Alcotest.bool "recorded: heard frames identical" true (hc = hd);
@@ -304,7 +305,7 @@ let series_heard_parity () =
     let r, heard = go ~record:false ~adversary run in
     (r, heard, !seen)
   in
-  let re, he, se = observed Engine.run_reference in
+  let re, he, se = observed Reference_engine.run in
   let rf, hf, sf = observed Engine.run in
   check Alcotest.bool "observed: engine observables identical" true (same_result re rf);
   check Alcotest.bool "observed: listeners seen identical" true (se = sf);

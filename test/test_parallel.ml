@@ -148,6 +148,21 @@ let experiment_determinism () =
         (rendered id ~jobs:1) (rendered id ~jobs:4))
     [ "e4"; "e5"; "e7"; "e16"; "e17" ]
 
+let e8_full_tier_jobs_parity () =
+  (* Full-tier e8 reads the shared default DH group from two domains at
+     once, so it fails unless that group is safe to read concurrently.  The
+     parallel run goes first: nothing in this process has touched the group
+     before it. *)
+  match Experiments.Registry.find "e8" with
+  | None -> Alcotest.fail "e8 missing"
+  | Some e ->
+    let render ~jobs =
+      Format.asprintf "%a" Experiments.Runner.render
+        (Experiments.Runner.run_one ~quick:false ~jobs e)
+    in
+    let parallel = render ~jobs:2 in
+    check Alcotest.string "e8 full tier byte-identical at jobs=2" (render ~jobs:1) parallel
+
 (* -- JSON emitter -- *)
 
 let json_escaping () =
@@ -201,7 +216,8 @@ let () =
         [ Alcotest.test_case "ordered trials" `Quick replicates_values;
           Alcotest.test_case "earliest failure" `Quick replicates_earliest_failure ] );
       ( "determinism",
-        [ Alcotest.test_case "experiments jobs-invariant" `Slow experiment_determinism ] );
+        [ Alcotest.test_case "e8 full tier jobs-invariant" `Quick e8_full_tier_jobs_parity;
+          Alcotest.test_case "experiments jobs-invariant" `Slow experiment_determinism ] );
       ( "json",
         [ Alcotest.test_case "escaping" `Quick json_escaping;
           Alcotest.test_case "document" `Quick json_document;

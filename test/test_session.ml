@@ -95,7 +95,10 @@ let e2e_large_message_under_jamming () =
 (* -- trace tooling -- *)
 
 let recorded_run () =
-  let cfg = Radio.Config.make ~n:4 ~channels:2 ~t:1 ~seed:3L ~record_transcript:true () in
+  let cfg =
+    Radio.Config.make ~n:4 ~channels:2 ~t:1 ~seed:3L ~record_transcript:true
+      ~track_channels:true ()
+  in
   let jam =
     { Radio.Adversary.name = "jam0";
       act = (fun ~round -> if round = 0 then [ { Radio.Adversary.chan = 1; spoof = None } ] else []);
@@ -132,13 +135,17 @@ let trace_csv_shape () =
 
 let trace_utilization () =
   let result = recorded_run () in
-  let usage = Trace.utilization ~channels:2 result.Radio.Engine.transcript in
-  match usage with
-  | [ ch0; ch1 ] ->
-    check Alcotest.int "ch0 carried the frame" 1 ch0.Trace.deliveries;
-    check Alcotest.int "ch1 jammed once" 1 ch1.Trace.jammed;
-    check Alcotest.int "no spoofs" 0 (ch0.Trace.spoofed + ch1.Trace.spoofed)
-  | _ -> Alcotest.fail "expected two channels"
+  match result.Radio.Engine.channel_usage with
+  | None -> Alcotest.fail "track_channels on but no usage"
+  | Some u ->
+    let per_channel = Alcotest.(array int) in
+    check per_channel "ch0 carried the frame to one listener" [| 1; 0 |]
+      u.Radio.Transcript.Channel_usage.deliveries;
+    check per_channel "ch1 jammed once" [| 0; 1 |] u.Radio.Transcript.Channel_usage.jammed;
+    check per_channel "the jam is ch1's only collision" [| 0; 1 |]
+      u.Radio.Transcript.Channel_usage.collisions;
+    check Alcotest.int "no spoofs" 0
+      result.Radio.Engine.stats.Radio.Transcript.Stats.spoofed_deliveries
 
 let () =
   Alcotest.run "session"
