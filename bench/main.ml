@@ -104,10 +104,11 @@ let vc_scaling ~quick =
     (kernel_ks ~quick)
 
 let game_full_play ~name ~n =
-  let g = Rgraph.Digraph.of_edges (Rgraph.Workload.complete ~n) in
+  let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n) in
   Test.make ~name
     (Staged.stage (fun () ->
-         ignore (Game.Runner.play (Game.State.create g ~t:2) Game.Referee.minimal_first)))
+         ignore
+           (Game.Runner.play (Game.State.create_dense g ~t:2) Game.Referee.minimal_first)))
 
 let game_scaling ~quick =
   List.filter_map
@@ -118,8 +119,8 @@ let game_scaling ~quick =
 
 let micro_tests ~quick =
   let greedy_move =
-    let g = Rgraph.Digraph.of_edges (Rgraph.Workload.complete ~n:10) in
-    let st = Game.State.create g ~t:2 in
+    let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n:10) in
+    let st = Game.State.create_dense g ~t:2 in
     Test.make ~name:"game/greedy-proposal" (Staged.stage (fun () -> ignore (Game.Greedy.proposal st)))
   in
   let game_full = game_full_play ~name:"game/full-play-K8" ~n:8 in
@@ -145,9 +146,9 @@ let micro_tests ~quick =
       (Staged.stage (fun () -> ignore (Crypto.Cipher.seal ~key:"k" ~nonce:7L sha_input_small)))
   in
   let vc =
-    let g = Rgraph.Digraph.of_edges (Rgraph.Workload.complete ~n:8) in
+    let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n:8) in
     Test.make ~name:"graph/min-vertex-cover-K8"
-      (Staged.stage (fun () -> ignore (Rgraph.Vertex_cover.minimum g)))
+      (Staged.stage (fun () -> ignore (Rgraph.Vertex_cover.minimum_dense g)))
   in
   let engine_round =
     Test.make ~name:"radio/1000-round-run"

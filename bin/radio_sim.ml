@@ -171,7 +171,7 @@ let game_cmd =
       & info [ "referee" ] ~docv:"R" ~doc:"Referee: generous, minimal, spiteful, random.")
   in
   let run seed t m referee_name =
-    let g = Core.Rgraph.Digraph.of_edges (Core.Rgraph.Workload.complete ~n:m) in
+    let g = Core.Rgraph.Digraph.Dense.of_edges (Core.Rgraph.Workload.complete ~n:m) in
     let referee =
       match referee_name with
       | "generous" -> Core.Game.Referee.generous
@@ -180,9 +180,9 @@ let game_cmd =
       | "random" -> Core.Game.Referee.random (Core.Prng.Rng.create seed) ~min_return:1
       | other -> failwith (Printf.sprintf "unknown referee %S" other)
     in
-    let o = Core.Game.Runner.play (Core.Game.State.create g ~t) referee in
+    let o = Core.Game.Runner.play (Core.Game.State.create_dense g ~t) referee in
     Printf.printf "starred-edge removal on K%d (|E|=%d), t=%d, referee=%s\n" m
-      (Core.Rgraph.Digraph.edge_count g) t referee_name;
+      (Core.Rgraph.Digraph.Dense.edge_count g) t referee_name;
     Printf.printf "moves=%d stars=%d edges_removed=%d won=%b\n" o.moves o.stars
       o.edges_removed o.won
   in

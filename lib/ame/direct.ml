@@ -9,6 +9,12 @@ type outcome = {
 
 module Int_set = Set.Make (Int)
 
+module Edge_set = Set.Make (struct
+  type t = Rgraph.Digraph.edge
+
+  let compare = Rgraph.Digraph.edge_compare
+end)
+
 (* Greedy maximal set of node-disjoint edges, in sorted order. *)
 let disjoint_batch edges ~limit =
   let rec go acc used = function
@@ -27,6 +33,10 @@ let run ?(ame_params = Params.default) ?channels_used ~cfg ~pairs ~messages ~adv
   let channels_used = Option.value channels_used ~default:channels in
   if channels_used > channels || channels_used <= budget then
     invalid_arg "Direct.run: invalid channels_used";
+  List.iter Rgraph.Digraph.check pairs;
+  (* Each node's undelivered pairs, as a sorted set: a bitset graph would
+     cost O(n) words per node. *)
+  let all_pairs = Edge_set.of_list pairs in
   let watchers_per_channel = Params.watchers_per_channel ame_params ~budget ~channels in
   let reps = Params.feedback_reps ame_params ~channels ~budget ~n in
   let board = Oracle.create () in
@@ -38,9 +48,9 @@ let run ?(ame_params = Params.default) ?channels_used ~cfg ~pairs ~messages ~adv
   let sched_scratch = Schedule.make_scratch () in
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
-    let remaining = ref (Rgraph.Digraph.of_edges pairs) in
+    let remaining = ref all_pairs in
     let rec play () =
-      let batch = disjoint_batch (Rgraph.Digraph.edges !remaining) ~limit:channels_used in
+      let batch = disjoint_batch (Edge_set.elements !remaining) ~limit:channels_used in
       (* With <= t schedulable edges the adversary can jam them all, every
          move: no further progress is guaranteed, so the protocol stops. *)
       if List.length batch <= budget then ()
@@ -85,7 +95,7 @@ let run ?(ame_params = Params.default) ?channels_used ~cfg ~pairs ~messages ~adv
                      | None -> ())
                   | _ -> ()
                 end;
-                remaining := Rgraph.Digraph.remove_edge !remaining (v, w)
+                remaining := Edge_set.remove (v, w) !remaining
               | Game.State.Node _ -> ())
             successes;
           if id = 0 then incr moves_counter;

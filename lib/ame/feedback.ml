@@ -8,14 +8,14 @@ let rec rank_scan arr id i len acc =
   (* radio-lint: allow partial-array-unsafe — i < len <= length checked by the caller *)
   else rank_scan arr id (i + 1) len (if Array.unsafe_get arr i = id then i else acc)
 
-(* Per-phase listener step, shared by both accumulator shapes: draw all
-   [reps] random hops first, then declare them as one engine listen-series.
-   The rng draws are a pure per-node stream and the hop sequence never
-   depends on what is heard, so drawing up front consumes the identical
-   stream prefix and the engine rounds are byte-identical to [reps]
-   separate [listen] calls — but the fiber suspends once per phase instead
-   of once per round, which is what makes population-scale feedback cheap
-   (every non-witness node listens in every feedback round). *)
+(* Per-phase listener step: draw all [reps] random hops first, then
+   declare them as one engine listen-series.  The rng draws are a pure
+   per-node stream and the hop sequence never depends on what is heard, so
+   drawing up front consumes the identical stream prefix and the engine
+   rounds are byte-identical to [reps] separate [listen] calls — but the
+   fiber suspends once per phase instead of once per round, which is what
+   makes population-scale feedback cheap (every non-witness node listens in
+   every feedback round). *)
 let listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf =
   for j = 0 to reps - 1 do
     (* radio-lint: allow partial-array-unsafe — j < reps = length chans_buf *)
@@ -31,66 +31,46 @@ let validate_group ~witness_size g =
   if Array.length g < witness_size then
     invalid_arg "Feedback.run: witness sets must have size >= C"
 
-let run_list ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
-  let k = Array.length witnesses in
-  let d = ref [] in
-  let chans_buf = Array.make reps 0 in
-  let out_buf : Radio.Frame.t option array = Array.make reps None in
-  for r = 0 to k - 1 do
-    validate_group ~witness_size witnesses.(r);
-    match rank_scan witnesses.(r) my_id 0 witness_size (-1) with
-    | rank when rank >= 0 ->
-      (* Witness for channel r: occupy my rank channel every round. *)
-      if my_flag && not (List.mem r !d) then d := r :: !d;
-      let frame = if my_flag then Radio.Frame.Feedback_true r else Radio.Frame.Feedback_false in
-      for _ = 1 to reps do
-        Radio.Engine.transmit ~chan:rank frame
-      done
-    | _ ->
-      (* Listener: a random channel per round; collect <true, r>. *)
-      listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf;
-      for j = 0 to reps - 1 do
-        match out_buf.(j) with
-        | Some (Radio.Frame.Feedback_true r') when r' = r ->
-          if not (List.mem r !d) then d := r :: !d
-        | Some _ | None -> ()
-      done
-  done;
-  List.sort Int.compare !d
+(* Phase r: occupy my rank channel as one of r's witnesses, or listen on
+   random channels; true when I then believe channel r succeeded. *)
+let phase ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~out_buf r =
+  let reps = Array.length chans_buf in
+  validate_group ~witness_size witnesses.(r);
+  match rank_scan witnesses.(r) my_id 0 witness_size (-1) with
+  | rank when rank >= 0 ->
+    let frame = if my_flag then Radio.Frame.Feedback_true r else Radio.Frame.Feedback_false in
+    for _ = 1 to reps do
+      Radio.Engine.transmit ~chan:rank frame
+    done;
+    my_flag
+  | _ ->
+    listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf;
+    let heard = ref false in
+    for j = 0 to reps - 1 do
+      match out_buf.(j) with
+      | Some (Radio.Frame.Feedback_true r') when r' = r -> heard := true
+      | Some _ | None -> ()
+    done;
+    !heard
+
+(* Phases run in ascending r and D is consed as the recursion returns, so
+   it comes out sorted and nothing but the stack holds it across a phase's
+   suspensions.  A heap accumulator would live through those rounds and be
+   promoted, once per node per move. *)
+let rec phases ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~out_buf r =
+  if r >= Array.length witnesses then []
+  else
+    let hit =
+      phase ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~out_buf r
+    in
+    let rest =
+      phases ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~out_buf
+        (r + 1)
+    in
+    if hit then r :: rest else rest
 
 let run ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
   validate_witness_size ~channels ~witness_size;
-  let k = Array.length witnesses in
-  if k > 62 then run_list ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag
-  else begin
-    (* Hot path: accumulate the successful-channel set as a bitmask instead
-       of a deduplicated list, then decode ascending (the same value the
-       sorted unique list produced). *)
-    let d = ref 0 in
-    let chans_buf = Array.make reps 0 in
-    let out_buf : Radio.Frame.t option array = Array.make reps None in
-    for r = 0 to k - 1 do
-      validate_group ~witness_size witnesses.(r);
-      match rank_scan witnesses.(r) my_id 0 witness_size (-1) with
-      | rank when rank >= 0 ->
-        if my_flag then d := !d lor (1 lsl r);
-        let frame = if my_flag then Radio.Frame.Feedback_true r else Radio.Frame.Feedback_false in
-        for _ = 1 to reps do
-          Radio.Engine.transmit ~chan:rank frame
-        done
-      | _ ->
-        listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf;
-        for j = 0 to reps - 1 do
-          match out_buf.(j) with
-          | Some (Radio.Frame.Feedback_true r') when r' = r -> d := !d lor (1 lsl r)
-          | Some _ | None -> ()
-        done
-    done;
-    let mask = !d in
-    let rec decode r =
-      if r >= k then []
-      else if mask land (1 lsl r) <> 0 then r :: decode (r + 1)
-      else decode (r + 1)
-    in
-    decode 0
-  end
+  let chans_buf = Array.make reps 0 in
+  let out_buf : Radio.Frame.t option array = Array.make reps None in
+  phases ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~out_buf 0

@@ -4,8 +4,8 @@ let e4 ~quick ~jobs =
     List.concat
       (Common.sweep ~jobs
          (fun m ->
-           let g = Rgraph.Digraph.of_edges (Rgraph.Workload.complete ~n:m) in
-           let edges = Rgraph.Digraph.edge_count g in
+           let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n:m) in
+           let edges = Rgraph.Digraph.Dense.edge_count g in
            let t = 2 in
            (* The random referee draws from a per-size seed so sizes stay
               independent replicates under parallel execution. *)
@@ -16,7 +16,7 @@ let e4 ~quick ~jobs =
            in
            List.map
              (fun (referee : Game.Referee.t) ->
-               let o = Game.Runner.play (Game.State.create g ~t) referee in
+               let o = Game.Runner.play (Game.State.create_dense g ~t) referee in
                [ Printf.sprintf "K%d" m; string_of_int edges; referee.Game.Referee.name;
                  string_of_int o.Game.Runner.moves; string_of_int o.Game.Runner.stars;
                  string_of_int o.Game.Runner.edges_removed; string_of_bool o.Game.Runner.won;

@@ -14,15 +14,12 @@ let create_dense ?proposal_size ?min_proposal graph ~t =
   let max_proposal = Option.value proposal_size ~default:(t + 1) in
   let min_proposal = Option.value min_proposal ~default:(min (t + 1) max_proposal) in
   if min_proposal < 1 || max_proposal < min_proposal then
-    invalid_arg "State.create: need 1 <= min_proposal <= max_proposal";
+    invalid_arg "State.create_dense: need 1 <= min_proposal <= max_proposal";
   let n = Rgraph.Digraph.Dense.universe graph in
   let universe = Rgraph.Bitset.create n in
   List.iter (Rgraph.Bitset.set universe) (Rgraph.Digraph.Dense.vertices graph);
   { graph; starred = []; starred_bits = Rgraph.Bitset.create n; budget = t;
     min_proposal; max_proposal; universe }
-
-let create ?proposal_size ?min_proposal graph ~t =
-  create_dense ?proposal_size ?min_proposal (Rgraph.Digraph.Dense.of_sparse graph) ~t
 
 let is_starred t v = Rgraph.Bitset.mem t.starred_bits v
 

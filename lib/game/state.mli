@@ -9,10 +9,10 @@
     Section 5.5 plays the same game with larger proposals and a referee
     forced to return at least [proposal_size - t] items.
 
-    The graph lives in the dense bitset representation
-    ({!Rgraph.Digraph.Dense}): membership tests during proposal validation
-    are O(1), the win check hits the memoized vertex-cover solver, and
-    [apply] copies only the two adjacency rows an edge removal touches. *)
+    The graph is a bitset {!Rgraph.Digraph.Dense}: membership tests during
+    proposal validation are O(1), the win check hits the memoized
+    vertex-cover solver, and [apply] copies only the two adjacency rows an
+    edge removal touches. *)
 
 type item = Node of int | Edge of (int * int)
 
@@ -27,18 +27,15 @@ type t = private {
   universe : Rgraph.Bitset.t;  (** V, fixed at game creation *)
 }
 
-val create : ?proposal_size:int -> ?min_proposal:int -> Rgraph.Digraph.t -> t:int -> t
-(** [create g ~t] starts a game on [g].  [proposal_size] (the maximum)
-    defaults to t+1, as does [min_proposal]; the base game of Section 5.1
-    therefore demands exactly t+1 items.  The C >= 2t regimes of Section
-    5.5 raise the maximum to the used channel count while keeping the
-    minimum at t+1, so that a tail with fewer than max-size proposals can
-    still make progress (any proposal larger than t beats the adversary's
-    budget). *)
-
 val create_dense :
   ?proposal_size:int -> ?min_proposal:int -> Rgraph.Digraph.Dense.t -> t:int -> t
-(** Like {!create} on an already-dense graph (no conversion). *)
+(** [create_dense g ~t] starts a game on [g].  [proposal_size] (the
+    maximum) defaults to t+1, as does [min_proposal]; the base game of
+    Section 5.1 therefore demands exactly t+1 items.  The C >= 2t regimes
+    of Section 5.5 raise the maximum to the used channel count while
+    keeping the minimum at t+1, so that a tail with fewer than max-size
+    proposals can still make progress (any proposal larger than t beats
+    the adversary's budget).  V is the set of endpoints of [g]'s edges. *)
 
 val is_starred : t -> int -> bool
 (** O(1). *)

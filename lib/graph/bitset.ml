@@ -92,11 +92,6 @@ let fold f s init =
 
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
-let of_list n xs =
-  let s = create n in
-  List.iter (fun i -> set s i) xs;
-  s
-
 let equal = ( = )
 
 let word s w = s.(w)

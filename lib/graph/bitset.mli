@@ -49,9 +49,6 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> int list
 (** Sorted ascending. *)
 
-val of_list : int -> int list -> t
-(** [of_list n xs]; raises if an element exceeds the capacity. *)
-
 val equal : t -> t -> bool
 (** Structural equality of the word arrays (same capacity class). *)
 

@@ -7,75 +7,13 @@ type edge = int * int
    bans in protocol-adjacent modules. *)
 let edge_compare (a, b) (c, d) = if a <> c then Int.compare a c else Int.compare b d
 
-module Edge_set = Set.Make (struct
-  type t = int * int
-
-  let compare = edge_compare
-end)
-
-type t = Edge_set.t
-
-let empty = Edge_set.empty
-
 let check (v, w) =
   if v = w then invalid_arg "Digraph: self-loop"
   else if v < 0 || w < 0 then invalid_arg "Digraph: negative node id"
 
-let add_edge t e =
-  check e;
-  Edge_set.add e t
-
-let of_edges es = List.fold_left add_edge empty es
-
-let remove_edge t e = Edge_set.remove e t
-
-let mem_edge t e = Edge_set.mem e t
-
-let edges t = Edge_set.elements t
-
-let edge_count t = Edge_set.cardinal t
-
-let is_empty t = Edge_set.is_empty t
-
-module Int_set = Set.Make (Int)
-
-let vertices t =
-  Int_set.elements
-    (Edge_set.fold (fun (v, w) acc -> Int_set.add v (Int_set.add w acc)) t Int_set.empty)
-
-let sources t =
-  (* Edge_set.fold visits edges in increasing (v, w) order, so duplicate
-     sources are adjacent: dedup on the fly instead of building a set. *)
-  List.rev
-    (Edge_set.fold
-       (fun (v, _) acc -> match acc with x :: _ when x = v -> acc | _ -> v :: acc)
-       t [])
-
-let out_edges t v = Edge_set.elements (Edge_set.filter (fun (x, _) -> x = v) t)
-
-let in_edges t w = Edge_set.elements (Edge_set.filter (fun (_, y) -> y = w) t)
-
-let out_degree t v = List.length (out_edges t v)
-
-let has_outgoing t v = Edge_set.exists (fun (x, _) -> x = v) t
-
-let equal = Edge_set.equal
-
-let pp fmt t =
-  Format.fprintf fmt "{";
-  List.iteri
-    (fun i (v, w) -> Format.fprintf fmt "%s(%d,%d)" (if i = 0 then "" else "; ") v w)
-    (edges t);
-  Format.fprintf fmt "}"
-
 (* -- dense bitset representation -------------------------------------- *)
 
 module Dense = struct
-  type sparse = t
-
-  (* The outer [of_edges] before Dense's own shadows it. *)
-  let sparse_of_edges = of_edges
-
   type t = {
     n : int;  (* node universe: ids 0..n-1 *)
     out_rows : Bitset.t array;  (* out_rows.(v) = successors of v *)
@@ -129,9 +67,14 @@ module Dense = struct
       { t with out_rows; in_rows; m = t.m - 1 }
     end
 
-  (* Builder used by [of_edges]/[of_sparse]: rows owned by the builder are
-     mutated in place; sharing with the zero row marks "not yet owned". *)
-  let build ~n es =
+  (* Rows owned by the builder are mutated in place; sharing with the zero
+     row marks "not yet owned". *)
+  let of_edges ?n es =
+    let n =
+      match n with
+      | Some n -> n
+      | None -> List.fold_left (fun acc (v, w) -> max acc (max v w + 1)) 0 es
+    in
     let zero = Bitset.create n in
     let out_rows = Array.make n zero and in_rows = Array.make n zero in
     let own rows v =
@@ -154,18 +97,6 @@ module Dense = struct
       es;
     { n; out_rows; in_rows; m = !m }
 
-  let bound_of es =
-    List.fold_left (fun acc (v, w) -> max acc (max v w + 1)) 0 es
-
-  let of_edges ?n es =
-    let n = match n with Some n -> n | None -> bound_of es in
-    build ~n es
-
-  let of_sparse ?n g =
-    let es = edges g in
-    let n = match n with Some n -> n | None -> bound_of es in
-    build ~n es
-
   let out_row t v = t.out_rows.(v)
 
   let in_row t v = t.in_rows.(v)
@@ -185,8 +116,6 @@ module Dense = struct
         acc := List.rev_append (Bitset.fold (fun w es -> (v, w) :: es) row []) !acc
     done;
     !acc
-
-  let to_sparse t = sparse_of_edges (edges t)
 
   let has_outgoing t v = v >= 0 && v < t.n && not (Bitset.is_empty t.out_rows.(v))
 

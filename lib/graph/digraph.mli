@@ -4,15 +4,11 @@
     starred-edge-removal game graph, and the disruption graph.  Nodes are
     identified by small non-negative integers (process indices).
 
-    Two implementations share one semantics:
-    - the original edge-set representation (this module's [t]) — compact
-      for sparse ad-hoc graphs and kept as the executable reference;
-    - {!Dense}, flat bitset adjacency over an explicit node universe —
-      the hot-path representation used by the game kernel and the
-      vertex-cover solver.  The QCheck equivalence suite checks them
-      operation-for-operation. *)
-
-type t
+    The library has one representation, {!Dense}: flat bitset adjacency
+    over an explicit node universe, used by the game kernel, f-AME, the
+    vertex-cover solver and the verifier.  A plain edge-set reference lives
+    in the test suite's oracle library, and a QCheck equivalence suite
+    checks [Dense] against it operation for operation. *)
 
 type edge = int * int
 (** Ordered pair (source, destination). *)
@@ -21,42 +17,9 @@ val edge_compare : edge -> edge -> int
 (** Monomorphic lexicographic order (source, then destination): the
     blessed comparator for sorting edge lists in protocol code. *)
 
-val empty : t
-
-val of_edges : edge list -> t
-(** Duplicate edges are collapsed; self-loops are rejected with
-    [Invalid_argument]. *)
-
-val add_edge : t -> edge -> t
-
-val remove_edge : t -> edge -> t
-
-val mem_edge : t -> edge -> bool
-
-val edges : t -> edge list
-(** Sorted lexicographically: deterministic iteration order everywhere. *)
-
-val edge_count : t -> int
-
-val is_empty : t -> bool
-
-val vertices : t -> int list
-(** Sorted list of nodes that appear as an endpoint of some edge. *)
-
-val sources : t -> int list
-(** Sorted list of nodes with at least one outgoing edge. *)
-
-val out_edges : t -> int -> edge list
-
-val in_edges : t -> int -> edge list
-
-val out_degree : t -> int -> int
-
-val has_outgoing : t -> int -> bool
-
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
+val check : edge -> unit
+(** Rejects a self-loop ([Invalid_argument "Digraph: self-loop"]) or a
+    negative endpoint ([Invalid_argument "Digraph: negative node id"]). *)
 
 (** Flat bitset adjacency over a fixed node universe [0..n-1].
 
@@ -65,12 +28,9 @@ val pp : Format.formatter -> t -> unit
     Values are immutable: [add_edge]/[remove_edge] copy the two affected
     rows and the row spines, sharing everything else, which keeps
     per-game-move updates allocation-light.  All iteration is in
-    ascending (source, destination) order — identical to the edge-set
-    representation, so the two can be swapped without disturbing any
-    deterministic transcript. *)
+    ascending (source, destination) order, so every deterministic
+    transcript sees edges in {!edge_compare} order. *)
 module Dense : sig
-  type sparse = t
-
   type t
 
   val create : n:int -> t
@@ -83,11 +43,6 @@ module Dense : sig
   (** Universe defaults to [1 + max endpoint] (0 for the empty list).
       Duplicates collapse; self-loops, negative ids, and ids outside an
       explicit universe raise [Invalid_argument]. *)
-
-  val of_sparse : ?n:int -> sparse -> t
-
-  val to_sparse : t -> sparse
-  (** Equivalence bridge: the edge-set view of the same graph. *)
 
   val add_edge : t -> edge -> t
 

@@ -11,8 +11,6 @@ let pairs ~n ~t =
   done;
   !acc
 
-let graph ~n ~t = Digraph.of_edges (pairs ~n ~t)
-
 let dense ~n ~t = Digraph.Dense.of_edges ~n (pairs ~n ~t)
 
 (* Connectivity of the undirected survivor graph by bitset BFS: the

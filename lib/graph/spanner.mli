@@ -11,10 +11,8 @@ val leaders : t:int -> int list
 val pairs : n:int -> t:int -> (int * int) list
 (** All ordered pairs (v, w), v <> w, with v or w a leader; sorted. *)
 
-val graph : n:int -> t:int -> Digraph.t
-
 val dense : n:int -> t:int -> Digraph.Dense.t
-(** The same spanner in the bitset representation (universe [0..n-1]). *)
+(** The spanner as a graph on universe [0..n-1]. *)
 
 val survives_removal : n:int -> t:int -> removed:int list -> bool
 (** After deleting [removed] (any set of at most t nodes), is the undirected

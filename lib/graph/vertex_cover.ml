@@ -184,7 +184,7 @@ let minimum_scratch s =
     try_size lb
   end
 
-(* -- memoized dense entry points -------------------------------------- *)
+(* -- memoized entry points -------------------------------------------- *)
 
 let at_most_memo : bool Cache.t = Cache.create "vertex-cover/at-most"
 
@@ -205,38 +205,3 @@ let minimum_size_dense g = List.length (minimum_dense g)
 let cache_stats () =
   [ (Cache.name at_most_memo, Cache.stats at_most_memo);
     (Cache.name minimum_memo, Cache.stats minimum_memo) ]
-
-(* -- edge-set (reference representation) entry points ------------------ *)
-
-let is_cover g cover =
-  let n = List.fold_left (fun acc v -> max acc (v + 1)) 0 cover in
-  let s = Bitset.of_list n cover in
-  List.for_all (fun (v, w) -> Bitset.mem s v || Bitset.mem s w) (Digraph.edges g)
-
-let at_most g k = at_most_dense (Digraph.Dense.of_sparse g) k
-
-let minimum g = minimum_dense (Digraph.Dense.of_sparse g)
-
-let minimum_size g = List.length (minimum g)
-
-let greedy_2approx g =
-  let s = scratch_of_dense (Digraph.Dense.of_sparse g) in
-  let matched = Bitset.create s.n in
-  for v = 0 to s.n - 1 do
-    if s.deg.(v) > 0 && not (Bitset.mem matched v) then begin
-      let row = s.adj.(v) in
-      let found = ref (-1) and w = ref 0 in
-      let nwords = Bitset.words row in
-      while !found < 0 && !w < nwords do
-        let cand = Bitset.word row !w land lnot (Bitset.word matched !w) in
-        if cand <> 0 then
-          found := (!w * Bitset.bits_per_word) + Bitset.bit_index (cand land -cand);
-        incr w
-      done;
-      if !found >= 0 then begin
-        Bitset.set matched v;
-        Bitset.set matched !found
-      end
-    end
-  done;
-  Bitset.to_list matched

@@ -22,42 +22,28 @@
       textbook O(1.47^k · poly(n)) bound, far below it in practice on the
       sparse failure graphs the game produces.
 
-    [at_most g k] therefore runs in O(1.47^k · n·w) worst case and O(n·w)
-    when the [m > k * max_degree] early-exit fires — the common case for
-    over-budget dense rounds.  [minimum] iteratively deepens k starting
-    from the matching lower bound, so it never explores budgets below the
-    provable optimum.
+    [at_most_dense g k] therefore runs in O(1.47^k · n·w) worst case and
+    O(n·w) when the [m > k * max_degree] early-exit fires — the common
+    case for over-budget dense rounds.  [minimum_dense] iteratively deepens
+    k starting from the matching lower bound, so it never explores budgets
+    below the provable optimum.
 
     {2 Memoization}
 
-    The [_dense] entry points memoize on {!Digraph.Dense.undirected_key}
-    in a pool-safe {!Cache}: repeated queries on the same position — across
+    Every entry point memoizes on {!Digraph.Dense.undirected_key} in a
+    pool-safe {!Cache}: repeated queries on the same position — across
     game replays, replicate trials, bench iterations, and [Parallel.Pool]
     workers — hit instead of re-solving.  The solver is a pure function of
     the graph, so cached answers are byte-identical to fresh ones and the
     cache never perturbs deterministic transcripts. *)
 
-val at_most : Digraph.t -> int -> bool
-(** [at_most g k]: does [g] (viewed undirected) have a vertex cover of
-    size at most [k]?  Edge-set entry point; converts to {!Digraph.Dense}
-    and defers to [at_most_dense]. *)
-
-val minimum : Digraph.t -> int list
-(** A minimum vertex cover, sorted ascending.  Deterministic: equal
-    graphs always yield the identical cover. *)
-
-val minimum_size : Digraph.t -> int
-
-val is_cover : Digraph.t -> int list -> bool
-
-val greedy_2approx : Digraph.t -> int list
-(** Endpoints of a greedy maximal matching (first-vertex order): a cover
-    of size at most twice the optimum, in O(n·w) time. *)
-
 val at_most_dense : Digraph.Dense.t -> int -> bool
-(** Memoized dense entry point used by the game kernel. *)
+(** [at_most_dense g k]: does [g] (viewed undirected) have a vertex cover
+    of size at most [k]?  Used by the game kernel's win check. *)
 
 val minimum_dense : Digraph.Dense.t -> int list
+(** A minimum vertex cover, sorted ascending.  Deterministic: equal
+    graphs always yield the identical cover. *)
 
 val minimum_size_dense : Digraph.Dense.t -> int
 

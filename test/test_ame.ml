@@ -303,6 +303,29 @@ let feedback_starved_fails_sometimes () =
   done;
   check Alcotest.bool "starving feedback causes disagreement" true (!failures > 0)
 
+let feedback_64_groups () =
+  (* More witness groups than an int bitmask holds: groups r mod 3 = 0 and
+     the last four are flagged.  With no jammer every listener round hears
+     its phase's witnesses, so every node must decode exactly that set. *)
+  let channels = 2 and k = 64 in
+  let n = (k * channels) + 2 in
+  let cfg = Radio.Config.make ~seed:5L ~n ~channels ~t:1 () in
+  let witnesses = Array.init k (fun r -> Array.init channels (fun i -> (r * channels) + i)) in
+  let flagged r = r mod 3 = 0 || r >= k - 4 in
+  let expected = List.filter flagged (List.init k Fun.id) in
+  let outputs = Array.make n [] in
+  let result =
+    Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null (fun (ctx : Radio.Engine.ctx) ->
+        let id = ctx.id in
+        outputs.(id) <-
+          Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps:2 ~witnesses ~witness_size:channels
+            ~my_flag:(id < k * channels && flagged (id / channels)))
+  in
+  check Alcotest.int "rounds = k * reps" (k * 2) result.Radio.Engine.rounds_used;
+  Array.iteri
+    (fun id d -> check (Alcotest.list Alcotest.int) (Printf.sprintf "node %d" id) expected d)
+    outputs
+
 (* -- f-AME (Theorem 6) -- *)
 
 let fame_delivers_without_adversary () =
@@ -548,6 +571,11 @@ let direct_delivers_without_adversary () =
     (fun (pair, body) -> check Alcotest.string "payload" (messages pair) body)
     o.Direct.delivered
 
+let direct_rejects_self_loop () =
+  let cfg = fame_cfg () in
+  Alcotest.check_raises "self-loop pair" (Invalid_argument "Digraph: self-loop") (fun () ->
+      ignore (Direct.run ~cfg ~pairs:[ (0, 1); (2, 2) ] ~messages ~adversary:null_adversary ()))
+
 let direct_triangle_lower_bound () =
   (* The Section 5 argument: t disjoint triangles, triangle-aware jamming,
      no surrogates -> disruption cover exactly 2t. *)
@@ -736,7 +764,8 @@ let () =
       ( "feedback",
         [ Alcotest.test_case "agreement across seeds" `Quick feedback_agreement_across_seeds;
           Alcotest.test_case "round cost" `Quick feedback_round_cost;
-          Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes ] );
+          Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes;
+          Alcotest.test_case "64 witness groups" `Quick feedback_64_groups ] );
       ( "fame",
         [ Alcotest.test_case "clean delivery" `Quick fame_delivers_without_adversary;
           Alcotest.test_case "t-disruptability" `Slow fame_t_disruptable_under_jamming;
@@ -753,6 +782,7 @@ let () =
           Alcotest.test_case "round formula" `Quick tree_rounds_formula ] );
       ( "direct",
         [ Alcotest.test_case "clean delivery" `Quick direct_delivers_without_adversary;
+          Alcotest.test_case "rejects self-loop pairs" `Quick direct_rejects_self_loop;
           Alcotest.test_case "triangle lower bound 2t" `Slow direct_triangle_lower_bound;
           Alcotest.test_case "fame beats triangles" `Slow fame_beats_triangle_adversary ] );
       ( "naive",

@@ -6,7 +6,7 @@ module State = Game.State
 module Greedy = Game.Greedy
 module Referee = Game.Referee
 module Runner = Game.Runner
-module Digraph = Rgraph.Digraph
+module Dense = Rgraph.Digraph.Dense
 module Vertex_cover = Rgraph.Vertex_cover
 module Workload = Rgraph.Workload
 
@@ -39,26 +39,26 @@ let expect_error label = function
 
 (* A state with a starred node, built by applying a node choice. *)
 let state_with_star () =
-  let g = Digraph.of_edges [ (0, 1); (0, 2); (3, 4); (5, 6) ] in
-  let st = State.create g ~t:1 in
+  let g = Dense.of_edges [ (0, 1); (0, 2); (3, 4); (5, 6) ] in
+  let st = State.create_dense g ~t:1 in
   State.apply st [ State.Node 0 ]
 
 (* -- proposal restrictions -- *)
 
 let restriction_1_size () =
-  let st = State.create (Digraph.of_edges [ (0, 1); (2, 3) ]) ~t:1 in
+  let st = State.create_dense (Dense.of_edges [ (0, 1); (2, 3) ]) ~t:1 in
   expect_error "too small" (State.check_proposal st [ State.Node 0 ]);
   expect_error "too big"
     (State.check_proposal st [ State.Node 0; State.Node 2; State.Edge (0, 1) ]);
   ok_or_fail "exact size" (State.check_proposal st [ State.Node 0; State.Node 2 ])
 
 let restriction_1_membership () =
-  let st = State.create (Digraph.of_edges [ (0, 1) ]) ~t:1 in
+  let st = State.create_dense (Dense.of_edges [ (0, 1) ]) ~t:1 in
   expect_error "node outside V" (State.check_proposal st [ State.Node 9; State.Node 0 ]);
   expect_error "edge outside E" (State.check_proposal st [ State.Node 0; State.Edge (1, 0) ])
 
 let restriction_2_unique_nodes () =
-  let st = State.create (Digraph.of_edges [ (0, 1); (2, 3) ]) ~t:1 in
+  let st = State.create_dense (Dense.of_edges [ (0, 1); (2, 3) ]) ~t:1 in
   expect_error "duplicate node" (State.check_proposal st [ State.Node 0; State.Node 0 ]);
   expect_error "node inside proposed edge"
     (State.check_proposal st [ State.Node 0; State.Edge (0, 1) ]);
@@ -69,8 +69,8 @@ let restriction_3_distinct_destinations () =
   let st = state_with_star () in
   (* 0 is starred; edges (0,1) and (0,2) share source 0 (allowed), but give
      them the same destination via another edge to test R3. *)
-  let g = Digraph.of_edges [ (0, 2); (1, 2); (3, 4); (5, 6) ] in
-  let st3 = State.apply (State.create g ~t:1) [ State.Node 0 ] in
+  let g = Dense.of_edges [ (0, 2); (1, 2); (3, 4); (5, 6) ] in
+  let st3 = State.apply (State.create_dense g ~t:1) [ State.Node 0 ] in
   ignore st;
   expect_error "shared destination"
     (State.check_proposal st3 [ State.Edge (0, 2); State.Edge (1, 2) ])
@@ -79,16 +79,16 @@ let restriction_4_shared_source () =
   let starred = state_with_star () in
   ok_or_fail "starred source may repeat"
     (State.check_proposal starred [ State.Edge (0, 1); State.Edge (0, 2) ]);
-  let unstarred = State.create (Digraph.of_edges [ (0, 1); (0, 2) ]) ~t:1 in
+  let unstarred = State.create_dense (Dense.of_edges [ (0, 1); (0, 2) ]) ~t:1 in
   expect_error "unstarred source may not repeat"
     (State.check_proposal unstarred [ State.Edge (0, 1); State.Edge (0, 2) ])
 
 let apply_semantics () =
-  let g = Digraph.of_edges [ (0, 1); (2, 3) ] in
-  let st = State.create g ~t:1 in
+  let g = Dense.of_edges [ (0, 1); (2, 3) ] in
+  let st = State.create_dense g ~t:1 in
   let st = State.apply st [ State.Node 0; State.Edge (2, 3) ] in
   check Alcotest.bool "starred" true (State.is_starred st 0);
-  check Alcotest.int "edge removed" 1 (Digraph.Dense.edge_count st.State.graph);
+  check Alcotest.int "edge removed" 1 (Dense.edge_count st.State.graph);
   (* Starring twice is idempotent. *)
   let st = State.apply st [ State.Node 0 ] in
   check (Alcotest.list Alcotest.int) "no duplicate star" [ 0 ] st.State.starred
@@ -96,8 +96,8 @@ let apply_semantics () =
 (* -- greedy strategy -- *)
 
 let p1_p2_definitions () =
-  let g = Digraph.of_edges [ (0, 1); (2, 3); (4, 5) ] in
-  let st = State.create g ~t:2 in
+  let g = Dense.of_edges [ (0, 1); (2, 3); (4, 5) ] in
+  let st = State.create_dense g ~t:2 in
   check (Alcotest.list Alcotest.int) "p1 = unstarred sources" [ 0; 2; 4 ] (Greedy.p1 st);
   check (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)) "p2 empty initially" []
     (Greedy.p2 st);
@@ -110,7 +110,7 @@ let greedy_proposals_always_legal =
   QCheck.Test.make ~name:"greedy proposal satisfies restrictions" ~count:300 arb_graph
     (fun edges ->
       QCheck.assume (edges <> []);
-      let g = Digraph.of_edges edges in
+      let g = Dense.of_edges edges in
       let t = 1 + (List.length edges mod 3) in
       (* Walk several moves with a stingy referee, checking each proposal. *)
       let rec walk st steps =
@@ -125,12 +125,12 @@ let greedy_proposals_always_legal =
              let response = [ List.hd proposal ] in
              walk (State.apply st response) (steps - 1))
       in
-      walk (State.create g ~t) 50)
+      walk (State.create_dense g ~t) 50)
 
 let lemma3_termination_implies_cover =
   QCheck.Test.make ~name:"greedy termination implies VC <= t (Lemma 3)" ~count:300 arb_graph
     (fun edges ->
-      let g = Digraph.of_edges edges in
+      let g = Dense.of_edges edges in
       let t = 1 + (List.length edges mod 3) in
       let rec drive st steps =
         if steps = 0 then true
@@ -139,15 +139,15 @@ let lemma3_termination_implies_cover =
           | None -> Vertex_cover.at_most_dense st.State.graph t
           | Some proposal -> drive (State.apply st [ List.hd proposal ]) (steps - 1)
       in
-      drive (State.create g ~t) 200)
+      drive (State.create_dense g ~t) 200)
 
 (* -- runner -- *)
 
 let runner_wins_all_referees () =
-  let g = Digraph.of_edges (Workload.complete ~n:7) in
+  let g = Dense.of_edges (Workload.complete ~n:7) in
   List.iter
     (fun referee ->
-      let o = Runner.play (State.create g ~t:2) referee in
+      let o = Runner.play (State.create_dense g ~t:2) referee in
       check Alcotest.bool (referee.Referee.name ^ " wins") true o.Runner.won)
     [ Referee.generous; Referee.minimal_first; Referee.spiteful ~min_return:1;
       Referee.stingy ~min_return:2; Referee.random (Prng.Rng.create 9L) ~min_return:1 ]
@@ -156,34 +156,38 @@ let runner_move_bound =
   QCheck.Test.make ~name:"moves bounded by |E| + stars (Theorem 4)" ~count:100 arb_graph
     (fun edges ->
       QCheck.assume (List.length edges >= 2);
-      let g = Digraph.of_edges edges in
-      let o = Runner.play (State.create g ~t:1) Referee.minimal_first in
-      o.Runner.moves <= Digraph.edge_count g + o.Runner.stars + 1)
+      let g = Dense.of_edges edges in
+      let o = Runner.play (State.create_dense g ~t:1) Referee.minimal_first in
+      o.Runner.moves <= Dense.edge_count g + o.Runner.stars + 1)
 
 let runner_rejects_cheating_referee () =
-  let g = Digraph.of_edges (Workload.complete ~n:5) in
+  let g = Dense.of_edges (Workload.complete ~n:5) in
   let cheat =
     { Referee.name = "cheat"; choose = (fun _ _ -> [ State.Edge (97, 98) ]) }
   in
   try
-    ignore (Runner.play (State.create g ~t:1) cheat);
+    ignore (Runner.play (State.create_dense g ~t:1) cheat);
     Alcotest.fail "expected Rule_violation"
   with Runner.Rule_violation _ -> ()
 
 let runner_rejects_empty_response () =
-  let g = Digraph.of_edges (Workload.complete ~n:5) in
+  let g = Dense.of_edges (Workload.complete ~n:5) in
   let empty = { Referee.name = "empty"; choose = (fun _ _ -> []) } in
   try
-    ignore (Runner.play (State.create g ~t:1) empty);
+    ignore (Runner.play (State.create_dense g ~t:1) empty);
     Alcotest.fail "expected Rule_violation"
   with Runner.Rule_violation _ -> ()
 
 let runner_stingy_faster_than_minimal () =
   (* The C = 2t regime: a referee forced to return t items per move
      finishes the game in about |E|/t moves. *)
-  let g = Digraph.of_edges (Workload.complete ~n:8) in
-  let minimal = Runner.play (State.create ~proposal_size:4 g ~t:2) Referee.minimal_first in
-  let stingy = Runner.play (State.create ~proposal_size:4 g ~t:2) (Referee.stingy ~min_return:2) in
+  let g = Dense.of_edges (Workload.complete ~n:8) in
+  let minimal =
+    Runner.play (State.create_dense ~proposal_size:4 g ~t:2) Referee.minimal_first
+  in
+  let stingy =
+    Runner.play (State.create_dense ~proposal_size:4 g ~t:2) (Referee.stingy ~min_return:2)
+  in
   check Alcotest.bool "stingy-2 at most half the moves (+1)" true
     (stingy.Runner.moves <= (minimal.Runner.moves / 2) + 1)
 

@@ -1,7 +1,8 @@
 (* Tests for the graph substrate: digraphs, vertex covers (the measure of
    disruptability), the leader spanner, and workload generators. *)
 
-module Digraph = Rgraph.Digraph
+module Dense = Rgraph.Digraph.Dense
+module Ref = Digraph_ref
 module Vertex_cover = Rgraph.Vertex_cover
 module Spanner = Rgraph.Spanner
 module Workload = Rgraph.Workload
@@ -31,31 +32,32 @@ let arb_graph = QCheck.make ~print:(fun es -> QCheck.Print.(list (pair int int))
 (* -- Digraph -- *)
 
 let digraph_basics () =
-  let g = Digraph.of_edges [ (1, 2); (2, 3); (1, 2) ] in
-  check Alcotest.int "duplicates collapse" 2 (Digraph.edge_count g);
-  check Alcotest.bool "mem" true (Digraph.mem_edge g (1, 2));
-  check Alcotest.bool "not mem" false (Digraph.mem_edge g (2, 1));
-  let g = Digraph.remove_edge g (1, 2) in
-  check Alcotest.int "removal" 1 (Digraph.edge_count g);
-  check (Alcotest.list edge) "edges sorted" [ (2, 3) ] (Digraph.edges g)
+  let g = Dense.of_edges [ (1, 2); (2, 3); (1, 2) ] in
+  check Alcotest.int "duplicates collapse" 2 (Dense.edge_count g);
+  check Alcotest.int "universe is 1 + max endpoint" 4 (Dense.universe g);
+  check Alcotest.bool "mem" true (Dense.mem_edge g (1, 2));
+  check Alcotest.bool "not mem" false (Dense.mem_edge g (2, 1));
+  let g = Dense.remove_edge g (1, 2) in
+  check Alcotest.int "removal" 1 (Dense.edge_count g);
+  check (Alcotest.list edge) "edges sorted" [ (2, 3) ] (Dense.edges g)
 
 let digraph_rejects_self_loop () =
   Alcotest.check_raises "self loop" (Invalid_argument "Digraph: self-loop") (fun () ->
-      ignore (Digraph.of_edges [ (1, 1) ]))
+      ignore (Dense.of_edges [ (1, 1) ]))
 
 let digraph_rejects_negative () =
   Alcotest.check_raises "negative id" (Invalid_argument "Digraph: negative node id") (fun () ->
-      ignore (Digraph.of_edges [ (-1, 2) ]))
+      ignore (Dense.of_edges [ (-1, 2) ]))
 
 let digraph_queries () =
-  let g = Digraph.of_edges [ (0, 1); (0, 2); (3, 1) ] in
-  check (Alcotest.list Alcotest.int) "vertices" [ 0; 1; 2; 3 ] (Digraph.vertices g);
-  check (Alcotest.list Alcotest.int) "sources" [ 0; 3 ] (Digraph.sources g);
-  check (Alcotest.list edge) "out edges" [ (0, 1); (0, 2) ] (Digraph.out_edges g 0);
-  check (Alcotest.list edge) "in edges" [ (0, 1); (3, 1) ] (Digraph.in_edges g 1);
-  check Alcotest.int "out degree" 2 (Digraph.out_degree g 0);
-  check Alcotest.bool "has outgoing" true (Digraph.has_outgoing g 3);
-  check Alcotest.bool "no outgoing" false (Digraph.has_outgoing g 1)
+  let g = Dense.of_edges [ (0, 1); (0, 2); (3, 1) ] in
+  check (Alcotest.list Alcotest.int) "vertices" [ 0; 1; 2; 3 ] (Dense.vertices g);
+  check (Alcotest.list Alcotest.int) "sources" [ 0; 3 ] (Dense.sources g);
+  check (Alcotest.list edge) "out edges" [ (0, 1); (0, 2) ] (Dense.out_edges g 0);
+  check (Alcotest.list edge) "in edges" [ (0, 1); (3, 1) ] (Dense.in_edges g 1);
+  check Alcotest.int "out degree" 2 (Dense.out_degree g 0);
+  check Alcotest.bool "has outgoing" true (Dense.has_outgoing g 3);
+  check Alcotest.bool "no outgoing" false (Dense.has_outgoing g 1)
 
 (* -- Bitset -- *)
 
@@ -82,29 +84,29 @@ let bitset_popcount_all_ones () =
   done;
   check Alcotest.int "full word" 63 (B.count s)
 
-(* -- Dense / edge-set equivalence -- *)
+(* -- Dense against the edge-set reference -- *)
 
 let dense_matches_sparse =
   QCheck.Test.make ~name:"Dense agrees with edge-set op-for-op" ~count:300 arb_graph
     (fun edges ->
-      let s = Digraph.of_edges edges in
-      let d = Digraph.Dense.of_edges edges in
+      let s = Ref.of_edges edges in
+      let d = Dense.of_edges edges in
       let nodes = List.init 11 Fun.id in
-      Digraph.edges s = Digraph.Dense.edges d
-      && Digraph.edge_count s = Digraph.Dense.edge_count d
-      && Digraph.vertices s = Digraph.Dense.vertices d
-      && Digraph.sources s = Digraph.Dense.sources d
+      Ref.edges s = Dense.edges d
+      && Ref.edge_count s = Dense.edge_count d
+      && Ref.vertices s = Dense.vertices d
+      && Ref.sources s = Dense.sources d
       && List.for_all
            (fun v ->
-             Digraph.out_edges s v = Digraph.Dense.out_edges d v
-             && Digraph.in_edges s v = Digraph.Dense.in_edges d v
-             && Digraph.out_degree s v = Digraph.Dense.out_degree d v
-             && Digraph.has_outgoing s v = Digraph.Dense.has_outgoing d v)
+             Ref.out_edges s v = Dense.out_edges d v
+             && Ref.in_edges s v = Dense.in_edges d v
+             && Ref.out_degree s v = Dense.out_degree d v
+             && Ref.has_outgoing s v = Dense.has_outgoing d v)
            nodes
       && List.for_all
-           (fun e -> Digraph.mem_edge s e = Digraph.Dense.mem_edge d e)
+           (fun e -> Ref.mem_edge s e = Dense.mem_edge d e)
            (List.concat_map (fun v -> List.map (fun w -> (v, w)) nodes) nodes)
-      && Digraph.equal (Digraph.Dense.to_sparse d) s)
+      && Dense.equal (Dense.of_edges ~n:11 (Ref.edges s)) d)
 
 let dense_update_matches_sparse =
   QCheck.Test.make ~name:"Dense add/remove tracks edge-set" ~count:300
@@ -113,33 +115,31 @@ let dense_update_matches_sparse =
       QCheck.assume (base <> []);
       (* Interpret the second edge list as an update script: remove the
          edge if present, add it otherwise. *)
-      let s = ref (Digraph.of_edges base) in
-      let d = ref (Digraph.Dense.of_edges ~n:11 base) in
+      let s = ref (Ref.of_edges base) in
+      let d = ref (Dense.of_edges ~n:11 base) in
       List.iter
         (fun e ->
-          if Digraph.mem_edge !s e then begin
-            s := Digraph.remove_edge !s e;
-            d := Digraph.Dense.remove_edge !d e
+          if Ref.mem_edge !s e then begin
+            s := Ref.remove_edge !s e;
+            d := Dense.remove_edge !d e
           end
           else begin
-            s := Digraph.add_edge !s e;
-            d := Digraph.Dense.add_edge !d e
+            s := Ref.add_edge !s e;
+            d := Dense.add_edge !d e
           end)
         updates;
-      Digraph.edges !s = Digraph.Dense.edges !d)
+      Ref.edges !s = Dense.edges !d)
 
 let dense_remove_noop_is_physical () =
-  let d = Digraph.Dense.of_edges [ (0, 1); (1, 2) ] in
-  check Alcotest.bool "absent removal returns same value" true
-    (Digraph.Dense.remove_edge d (2, 0) == d)
+  let d = Dense.of_edges [ (0, 1); (1, 2) ] in
+  check Alcotest.bool "absent removal returns same value" true (Dense.remove_edge d (2, 0) == d)
 
 (* -- Vertex cover -- *)
 
 (* Brute-force reference: smallest subset of the endpoint set covering
    every edge, by enumerating subsets in size-then-lex order. *)
 let brute_force_minimum edges =
-  let g = Digraph.of_edges edges in
-  let vs = Array.of_list (Digraph.vertices g) in
+  let vs = Array.of_list (Ref.vertices (Ref.of_edges edges)) in
   let n = Array.length vs in
   let covers mask =
     List.for_all
@@ -167,11 +167,11 @@ let brute_force_minimum edges =
 let vc_matches_brute_force =
   QCheck.Test.make ~name:"FPT solver matches subset enumeration" ~count:150 arb_graph
     (fun edges ->
-      let g = Digraph.of_edges edges in
+      let g = Dense.of_edges edges in
       let opt = List.length (brute_force_minimum edges) in
-      Vertex_cover.minimum_size g = opt
-      && Vertex_cover.at_most g opt
-      && ((opt = 0) || not (Vertex_cover.at_most g (opt - 1))))
+      Vertex_cover.minimum_size_dense g = opt
+      && Vertex_cover.at_most_dense g opt
+      && ((opt = 0) || not (Vertex_cover.at_most_dense g (opt - 1))))
 
 let vc_known_graphs () =
   let cases =
@@ -184,44 +184,36 @@ let vc_known_graphs () =
   in
   List.iter
     (fun (name, edges, expected) ->
-      check Alcotest.int name expected (Vertex_cover.minimum_size (Digraph.of_edges edges)))
+      check Alcotest.int name expected (Vertex_cover.minimum_size_dense (Dense.of_edges edges)))
     cases
 
 let vc_minimum_is_cover =
   QCheck.Test.make ~name:"minimum is a cover" ~count:200 arb_graph (fun edges ->
-      let g = Digraph.of_edges edges in
-      Vertex_cover.is_cover g (Vertex_cover.minimum g))
-
-let vc_greedy_within_2x =
-  QCheck.Test.make ~name:"greedy within 2x of optimum" ~count:150 arb_graph (fun edges ->
-      let g = Digraph.of_edges edges in
-      let greedy = Vertex_cover.greedy_2approx g in
-      Vertex_cover.is_cover g greedy
-      && List.length greedy <= 2 * Vertex_cover.minimum_size g)
+      Ref.is_cover (Ref.of_edges edges) (Vertex_cover.minimum_dense (Dense.of_edges edges)))
 
 let vc_at_most_consistent =
   QCheck.Test.make ~name:"at_most agrees with minimum" ~count:150 arb_graph (fun edges ->
-      let g = Digraph.of_edges edges in
-      let m = Vertex_cover.minimum_size g in
-      Vertex_cover.at_most g m && ((m = 0) || not (Vertex_cover.at_most g (m - 1))))
+      let g = Dense.of_edges edges in
+      let m = Vertex_cover.minimum_size_dense g in
+      Vertex_cover.at_most_dense g m && ((m = 0) || not (Vertex_cover.at_most_dense g (m - 1))))
 
 let vc_is_cover_negative () =
-  let g = Digraph.of_edges [ (0, 1); (2, 3) ] in
-  check Alcotest.bool "partial set is not a cover" false (Vertex_cover.is_cover g [ 0 ])
+  let g = Ref.of_edges [ (0, 1); (2, 3) ] in
+  check Alcotest.bool "partial set is not a cover" false (Ref.is_cover g [ 0 ])
 
 (* -- memo cache determinism -- *)
 
 let vc_cache_on_off_agree =
   QCheck.Test.make ~name:"cached and uncached solves agree" ~count:100 arb_graph
     (fun edges ->
-      let g = Digraph.of_edges edges in
-      let cached = Vertex_cover.minimum g in
-      let uncached = Cache.with_disabled (fun () -> Vertex_cover.minimum g) in
-      let cached_again = Vertex_cover.minimum g in
+      let g = Dense.of_edges edges in
+      let cached = Vertex_cover.minimum_dense g in
+      let uncached = Cache.with_disabled (fun () -> Vertex_cover.minimum_dense g) in
+      let cached_again = Vertex_cover.minimum_dense g in
       cached = uncached && cached = cached_again)
 
 let vc_cache_hits_on_repeat () =
-  let g = Digraph.Dense.of_edges (Workload.complete ~n:7) in
+  let g = Dense.of_edges (Workload.complete ~n:7) in
   let first = Vertex_cover.minimum_dense g in
   let hits_of () =
     match Vertex_cover.cache_stats () with
@@ -241,12 +233,12 @@ let vc_pool_matches_serial () =
   let graphs =
     List.init 24 (fun i ->
         let n = 4 + (i mod 6) in
-        Digraph.of_edges (Workload.random_pairs rng ~n ~count:(min 8 (n * (n - 1) / 2))))
+        Dense.of_edges (Workload.random_pairs rng ~n ~count:(min 8 (n * (n - 1) / 2))))
   in
-  let serial = List.map Vertex_cover.minimum graphs in
+  let serial = List.map Vertex_cover.minimum_dense graphs in
   let pooled =
     Parallel.Pool.with_pool ~domains:4 (fun pool ->
-        Parallel.Pool.map_ordered pool Vertex_cover.minimum graphs)
+        Parallel.Pool.map_ordered pool Vertex_cover.minimum_dense graphs)
   in
   check
     (Alcotest.list (Alcotest.list Alcotest.int))
@@ -348,7 +340,6 @@ let () =
         [ Alcotest.test_case "known graphs" `Quick vc_known_graphs;
           Alcotest.test_case "is_cover negative" `Quick vc_is_cover_negative;
           qcheck vc_minimum_is_cover;
-          qcheck vc_greedy_within_2x;
           qcheck vc_at_most_consistent;
           qcheck vc_matches_brute_force ] );
       ( "memo-cache",
