@@ -5,9 +5,7 @@ let mac_key key = Sha256.digest ("cipher-mac|" ^ key)
 
 let encode_nonce n =
   let b = Bytes.create 8 in
-  for i = 0 to 7 do
-    Bytes.set b i (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical n (8 * (7 - i))) 0xFFL)))
-  done;
+  Bytes.set_int64_be b 0 n;
   Bytes.unsafe_to_string b
 
 let xor_with a b =

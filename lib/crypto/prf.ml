@@ -25,23 +25,10 @@ module Keyed = struct
 
   let channel_hop t ~round ~channels = below t ~label:"channel-hop" ~counter:round channels
 
-  let keystream t ~nonce len =
-    let out = Bytes.create len in
-    let label = "ks|" ^ nonce in
-    let off = ref 0 and block = ref 0 in
-    while !off < len do
-      let chunk = bytes t ~label ~counter:!block in
-      let take = min Sha256.digest_size (len - !off) in
-      Bytes.blit_string chunk 0 out !off take;
-      off := !off + take;
-      incr block
-    done;
-    Bytes.unsafe_to_string out
-
   (* Reusable working state for {!keystream_into}: the HMAC scratch, the
      9-byte 0x00+counter tail, and a spill buffer for the final partial
-     block.  Lets the batch cipher generate keystream with zero per-frame
-     allocations. *)
+     block.  Lets the batch cipher generate keystream with no per-block
+     allocation. *)
   type scratch = { hs : Hmac.scratch; tail : Bytes.t; last : Bytes.t }
 
   let scratch () =
@@ -49,18 +36,18 @@ module Keyed = struct
       last = Bytes.create Sha256.digest_size }
 
   let keystream_into t s ~nonce out ~pos ~len =
-    (* Byte-identical to {!keystream}: the label ["ks|" ^ nonce] is fed as
-       two updates instead of being concatenated, absorbing the same byte
-       sequence. *)
+    (* Block [i] is HMAC(key, "ks|" || nonce || 0x00 || i_be8), the label
+       fed as two updates instead of being concatenated.  One [feed] serves
+       every block: it reads the counter from [s.tail]. *)
+    let feed ctx =
+      Sha256.update ctx "ks|";
+      Sha256.update ctx nonce;
+      Sha256.update_bytes ctx s.tail ~pos:0 ~len:9
+    in
     Bytes.set s.tail 0 '\000';
     let off = ref 0 and block = ref 0 in
     while !off < len do
       Bytes.set_int64_be s.tail 1 (Int64.of_int !block);
-      let feed ctx =
-        Sha256.update ctx "ks|";
-        Sha256.update ctx nonce;
-        Sha256.update_bytes ctx s.tail ~pos:0 ~len:9
-      in
       let take = min Sha256.digest_size (len - !off) in
       if take = Sha256.digest_size then
         Hmac.mac_feed_into t.hmac s.hs feed out ~pos:(pos + !off)
@@ -71,6 +58,11 @@ module Keyed = struct
       off := !off + take;
       incr block
     done
+
+  let keystream t ~nonce len =
+    let out = Bytes.create len in
+    keystream_into t (scratch ()) ~nonce out ~pos:0 ~len;
+    Bytes.unsafe_to_string out
 end
 
 let bytes ~key ~label ~counter = Keyed.bytes (Keyed.create key) ~label ~counter

@@ -27,6 +27,7 @@ module Keyed : sig
   val channel_hop : t -> round:int -> channels:int -> int
 
   val keystream : t -> nonce:string -> int -> string
+  (** A fresh buffer filled by {!keystream_into} with a fresh scratch. *)
 
   type scratch
   (** Reusable working state for {!keystream_into}.  One per domain;
@@ -36,8 +37,9 @@ module Keyed : sig
 
   val keystream_into : t -> scratch -> nonce:string -> Bytes.t -> pos:int -> len:int -> unit
   (** [keystream_into t s ~nonce out ~pos ~len] writes the same bytes
-      [keystream t ~nonce len] would return at [pos] of [out], with zero
-      per-call allocations — the batch cipher path. *)
+      [keystream t ~nonce len] would return at [pos] of [out] — the batch
+      cipher path.  It allocates one small closure per call, whatever
+      [len]; every block's working state comes from [s]. *)
 end
 
 val bytes : key:string -> label:string -> counter:int -> string

@@ -1,11 +1,19 @@
 (* SHA-256 per FIPS 180-4.
 
-   Word arithmetic is done on the native [int] (63-bit on 64-bit hosts)
-   masked to 32 bits, rather than on boxed [Int32]: the compression loop is
-   the hot path of every MAC and PRF call in the simulator, and native ints
-   keep it allocation-free.  Sums of up to five 32-bit terms stay below
-   2^35, so a single mask per assignment suffices.  Message length is
-   tracked in bytes as Int64. *)
+   Word arithmetic is done on the native [int] masked to 32 bits, rather
+   than on boxed [Int32]: the compression loop is the hot path of every MAC
+   and PRF call in the simulator, and native ints keep it allocation-free.
+   This needs 63-bit ints (a 64-bit host).
+
+   Rotations use the doubled word: for a clean 32-bit [x], the low 32 bits
+   of [d lsr n], with [d = x lor (x lsl 32)], are [rotr x n] for every
+   1 <= n <= 31.  So a sigma is one doubling, three shifts and two xors,
+   and its result carries dirty bits above bit 31.  Those are dropped once,
+   by the mask on assigning a state or schedule word; int addition wraps
+   modulo 2^63, so the low 32 bits of a sum never depend on them.  Sigma
+   inputs must therefore be clean words, and every word stored in [h], [w]
+   or a round register is.  The message length is a byte count in a native
+   int. *)
 
 let digest_size = 32
 let block_size = 64
@@ -32,12 +40,12 @@ type ctx = {
   h : int array;
   buf : Bytes.t; (* one block *)
   mutable buf_len : int;
-  mutable total_bytes : int64;
+  mutable total_bytes : int;
   w : int array; (* message schedule scratch *)
 }
 
 let init () =
-  { h = initial_h (); buf = Bytes.create block_size; buf_len = 0; total_bytes = 0L;
+  { h = initial_h (); buf = Bytes.create block_size; buf_len = 0; total_bytes = 0;
     w = Array.make 64 0 }
 
 let copy ctx =
@@ -59,12 +67,21 @@ let copy_into src ~into =
   into.buf_len <- src.buf_len;
   into.total_bytes <- src.total_bytes
 
-let[@inline] rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask32
+let[@inline] big_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 2) lxor (d lsr 13) lxor (d lsr 22)
 
-let[@inline] big_sigma0 x = rotr x 2 lxor rotr x 13 lxor rotr x 22
-let[@inline] big_sigma1 x = rotr x 6 lxor rotr x 11 lxor rotr x 25
-let[@inline] small_sigma0 x = rotr x 7 lxor rotr x 18 lxor (x lsr 3)
-let[@inline] small_sigma1 x = rotr x 17 lxor rotr x 19 lxor (x lsr 10)
+let[@inline] big_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 6) lxor (d lsr 11) lxor (d lsr 25)
+
+let[@inline] small_sigma0 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 7) lxor (d lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let d = x lor (x lsl 32) in
+  (d lsr 17) lxor (d lsr 19) lxor (x lsr 10)
 
 (* Equivalent minimal-operation forms of the FIPS boolean functions:
    ch = (e & f) ^ (~e & g), maj = (a & b) ^ (a & c) ^ (b & c). *)
@@ -88,30 +105,36 @@ let compress ctx block pos =
       land mask32)
   done;
   let h = ctx.h in
-  (* Tail recursion keeps the eight state words in registers: no per-round
-     stores, where the ref-based formulation paid eight. *)
-  let rec rounds i a b c d e f g hh =
-    if i = 64 then begin
-      h.(0) <- (h.(0) + a) land mask32;
-      h.(1) <- (h.(1) + b) land mask32;
-      h.(2) <- (h.(2) + c) land mask32;
-      h.(3) <- (h.(3) + d) land mask32;
-      h.(4) <- (h.(4) + e) land mask32;
-      h.(5) <- (h.(5) + f) land mask32;
-      h.(6) <- (h.(6) + g) land mask32;
-      h.(7) <- (h.(7) + hh) land mask32
-    end
-    else begin
-      let t1 = hh + big_sigma1 e + ch e f g + Array.unsafe_get k i + Array.unsafe_get w i in
-      let t2 = big_sigma0 a + maj a b c in
-      rounds (i + 1) ((t1 + t2) land mask32) a b c ((d + t1) land mask32) e f g
-    end
-  in
-  rounds 0 h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7)
+  (* The eight working words are local refs that no closure captures, so
+     ocamlopt keeps them in registers and the loop allocates nothing.  A
+     local recursive function would capture [w] and [h] and allocate its
+     closure on every call, for no measured speed gain. *)
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3) in
+  let e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
+  for i = 0 to 63 do
+    let t1 = !hh + big_sigma1 !e + ch !e !f !g + Array.unsafe_get k i + Array.unsafe_get w i in
+    let t2 = big_sigma0 !a + maj !a !b !c in
+    hh := !g;
+    g := !f;
+    f := !e;
+    e := (!d + t1) land mask32;
+    d := !c;
+    c := !b;
+    b := !a;
+    a := (t1 + t2) land mask32
+  done;
+  h.(0) <- (h.(0) + !a) land mask32;
+  h.(1) <- (h.(1) + !b) land mask32;
+  h.(2) <- (h.(2) + !c) land mask32;
+  h.(3) <- (h.(3) + !d) land mask32;
+  h.(4) <- (h.(4) + !e) land mask32;
+  h.(5) <- (h.(5) + !f) land mask32;
+  h.(6) <- (h.(6) + !g) land mask32;
+  h.(7) <- (h.(7) + !hh) land mask32
 
 let update_bytes ctx src ~pos ~len =
   assert (pos >= 0 && len >= 0 && pos + len <= Bytes.length src);
-  ctx.total_bytes <- Int64.add ctx.total_bytes (Int64.of_int len);
+  ctx.total_bytes <- ctx.total_bytes + len;
   let remaining = ref len and offset = ref pos in
   (* Fill a partial buffered block first. *)
   if ctx.buf_len > 0 then begin
@@ -141,34 +164,20 @@ let feed_string ctx s ~off ~len =
 let update ctx s = feed_string ctx s ~off:0 ~len:(String.length s)
 
 let finalize_into ctx out ~pos =
-  let bit_len = Int64.mul ctx.total_bytes 8L in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_len =
-    let rem = (ctx.buf_len + 1 + 8) mod block_size in
-    if rem = 0 then 1 else 1 + (block_size - rem)
-  in
-  let tail = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set tail 0 '\x80';
-  Bytes.set_int64_be tail pad_len bit_len;
-  (* Bypass update's length accounting: the padding is not message data. *)
-  let remaining = ref (Bytes.length tail) and offset = ref 0 in
-  if ctx.buf_len > 0 then begin
-    let take = min !remaining (block_size - ctx.buf_len) in
-    Bytes.blit tail !offset ctx.buf ctx.buf_len take;
-    ctx.buf_len <- ctx.buf_len + take;
-    offset := !offset + take;
-    remaining := !remaining - take;
-    if ctx.buf_len = block_size then begin
-      compress ctx ctx.buf 0;
-      ctx.buf_len <- 0
-    end
-  end;
-  while !remaining >= block_size do
-    compress ctx tail !offset;
-    offset := !offset + block_size;
-    remaining := !remaining - block_size
-  done;
-  assert (!remaining = 0 && ctx.buf_len = 0);
+  (* Padding, written in place after the buffered bytes: 0x80, zeros, and
+     the 8-byte big-endian bit length at the end of the last block.  When
+     fewer than 9 bytes are free, the zeros spill into a second block. *)
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n >= block_size - 8 then begin
+    Bytes.fill buf (n + 1) (block_size - n - 1) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 (block_size - 8) '\000'
+  end
+  else Bytes.fill buf (n + 1) (block_size - 9 - n) '\000';
+  Bytes.set_int64_be buf (block_size - 8) (Int64.of_int (ctx.total_bytes lsl 3));
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   for i = 0 to 7 do
     Bytes.set_int32_be out (pos + (i * 4)) (Int32.of_int ctx.h.(i))
   done

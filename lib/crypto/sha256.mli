@@ -14,7 +14,9 @@ val copy : ctx -> ctx
 (** An independent snapshot of the streaming state.  Feeding or finalizing
     either context leaves the other untouched — this is what lets {!Hmac}
     precompute the ipad/opad midstates once per key and replay them for
-    every MAC. *)
+    every MAC.  The copy shares the original's message-schedule scratch,
+    which each compression rewrites before reading, so a context and its
+    copies must stay on one domain. *)
 
 val copy_into : ctx -> into:ctx -> unit
 (** [copy_into src ~into] overwrites [into] with a snapshot of [src]
@@ -31,12 +33,14 @@ val feed_string : ctx -> string -> off:int -> len:int -> unit
     out first. *)
 
 val finalize : ctx -> string
-(** The 32-byte raw digest.  The context must not be reused afterwards
+(** The 32-byte raw digest.  The padding is written in place into the
+    context's block buffer, so the context must not be reused afterwards
     (except via {!copy_into}, which resets it to the copied state). *)
 
 val finalize_into : ctx -> Bytes.t -> pos:int -> unit
 (** Like {!finalize}, writing the 32 digest bytes at [pos] of a
-    caller-owned buffer instead of allocating a string. *)
+    caller-owned buffer instead of allocating a string.  Allocates
+    nothing. *)
 
 val digest : string -> string
 (** One-shot: [digest s] is the 32-byte raw digest of [s]. *)

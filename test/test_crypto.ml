@@ -52,6 +52,38 @@ let sha_distinct_inputs =
     QCheck.(pair (string_of_size (Gen.int_range 0 64)) (string_of_size (Gen.int_range 0 64)))
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
 
+(* -- SHA-256 known answers at every padding boundary.
+
+   Digests of the counting message 0x00 0x01 .. ((n - 1) land 0xff),
+   generated with python3 hashlib, so they do not depend on this library.
+   Lengths 55/56, 63/64 and 119/120 sit on either side of the split
+   between one and two padding blocks. *)
+
+let counting n = String.init n (fun i -> Char.chr (i land 0xff))
+
+let sha_padding_boundaries () =
+  List.iter
+    (fun (n, hex) ->
+      check Alcotest.string (Printf.sprintf "length %d" n) hex (Sha256.digest_hex (counting n)))
+    [ (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+      (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
+      (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
+      (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562");
+      (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488");
+      (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108");
+      (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6");
+      (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c");
+      (1040, "6a4fc19e9047c6bf8c1131dceab3c202ef086d952e2e114e1f3e2372bd853338");
+      (1048, "51233b7ce76dcf8e2438e5d948f5d79dec0967ed47c9426c6323fc9f05f609cb") ]
+
+let sha_every_short_length () =
+  (* One pin for all 131 lengths 0..130: the digest of their concatenated
+     raw digests. *)
+  let digests = String.concat "" (List.init 131 (fun n -> Sha256.digest (counting n))) in
+  check Alcotest.string "lengths 0..130"
+    "e5bbbecd60c3632a3455f465bfd8b079c30ef608d2bcc34227f4e5573029020e"
+    (Sha256.digest_hex digests)
+
 (* -- HMAC-SHA256 (RFC 4231) -- *)
 
 let hmac_case1 () =
@@ -341,6 +373,89 @@ let cipher_keyed_equals_oneshot =
       && Cipher.open_keyed ck keyed = Some plaintext
       && Cipher.open_keyed ck keyed = Cipher.open_ ~key keyed)
 
+(* -- PRF keystream and cipher known answers, generated with python3
+   hmac/hashlib: keystream block [i] is
+   HMAC-SHA256(key, "ks|" || nonce || 0x00 || i_be64), and a sealed frame
+   is that stream under SHA-256("cipher-enc|" || key) XORed into the
+   plaintext, tagged with HMAC-SHA256(SHA-256("cipher-mac|" || key),
+   nonce_be64 || body).  The keyed-vs-naive properties above compare two
+   routes through the same compression function; these do not. *)
+
+let prf_keystream_vectors () =
+  let keyed = Prf.Keyed.create "prf-kat-key" in
+  let nonce = "\000\000\000\000\000\000\000\007" in
+  let stream len = Prf.Keyed.keystream keyed ~nonce len in
+  List.iter
+    (fun (len, hex) ->
+      check Alcotest.string (Printf.sprintf "length %d" len) hex (Sha256.hex_of (stream len)))
+    [ (0, "");
+      (1, "a8");
+      (31, "a819a742d4dbedaa2030cd2749731444ae64ea2ce128a3528178d2fbc88a03");
+      (32, "a819a742d4dbedaa2030cd2749731444ae64ea2ce128a3528178d2fbc88a03e5");
+      (33, "a819a742d4dbedaa2030cd2749731444ae64ea2ce128a3528178d2fbc88a03e568") ];
+  check Alcotest.string "length 1040 (its SHA-256)"
+    "aeecedc89032b188c47db06fc1a0df0eddd63a567d3d26d9adcff39e685b96f9"
+    (Sha256.digest_hex (stream 1040))
+
+let cipher_seal_vector () =
+  (* The nonce has its top bit set, so the big-endian encoding of a
+     negative [int64] is pinned too. *)
+  let sealed =
+    Cipher.seal ~key:"cipher-kat-key" ~nonce:0x8102030405060708L
+      "attack at dawn, 33 bytes of text!"
+  in
+  check Alcotest.string "nonce" "8102030405060708" (Sha256.hex_of sealed.Cipher.nonce);
+  check Alcotest.string "body"
+    "779d8aef47776248ca8d5117efe653ee77a582588d9e6e09c8b38f55a205e460bf"
+    (Sha256.hex_of sealed.Cipher.body);
+  check Alcotest.string "tag"
+    "e8f56e52f74f95f6be391c5122212ba33425e3a2e322fa6e29f66d241af1a293"
+    (Sha256.hex_of sealed.Cipher.tag)
+
+(* -- steady-state allocation of the MAC, keystream and seal paths.
+
+   Each case warms up once, then averages [Gc.minor_words] over many calls;
+   the counter reads box a float or two, which the division makes
+   negligible.  The closures passed in are built before measuring. *)
+
+let minor_words_per_call f =
+  f ();
+  let iters = 2_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+let hmac_mac_feed_into_no_alloc () =
+  let k = Hmac.key "alloc-key" and s = Hmac.scratch () in
+  let msg = counting 200 and out = Bytes.create Sha256.digest_size in
+  let feed ctx = Sha256.update ctx msg in
+  let words = minor_words_per_call (fun () -> Hmac.mac_feed_into k s feed out ~pos:0) in
+  if words > 0.01 then Alcotest.failf "Hmac.mac_feed_into allocates %.3f words/call" words
+
+let prf_keystream_into_constant_alloc () =
+  let keyed = Prf.Keyed.create "alloc-key" and s = Prf.Keyed.scratch () in
+  let out = Bytes.create 4096 in
+  let words len =
+    minor_words_per_call (fun () ->
+        Prf.Keyed.keystream_into keyed s ~nonce:"01234567" out ~pos:0 ~len)
+  in
+  let short = words 32 and long = words 4096 in
+  (* One [feed] closure per call, never one per block. *)
+  if short > 8. || Float.abs (long -. short) > 0.01 then
+    Alcotest.failf "keystream_into allocates %.3f words at 32 B, %.3f at 4096 B" short long
+
+let cipher_seal_scratch_alloc () =
+  let ck = Cipher.key "alloc-key" and s = Cipher.scratch () in
+  let plaintext = counting 1040 in
+  let outputs = Obj.reachable_words (Obj.repr (Cipher.seal_scratch ck s ~nonce:1L plaintext)) in
+  let words = minor_words_per_call (fun () -> ignore (Cipher.seal_scratch ck s ~nonce:1L plaintext)) in
+  (* The frame itself (record, nonce, body, tag) plus the two feed
+     closures; anything per block is a regression. *)
+  if words > float_of_int (outputs + 16) then
+    Alcotest.failf "seal_scratch allocates %.1f words for a %d-word 1040 B frame" words outputs
+
 (* -- batch entry points: byte-identical to the keyed per-message forms.
 
    The mux service A/Bs batched against per-message crypto and asserts the
@@ -406,7 +521,15 @@ let prf_keystream_into_equals_keystream =
       let scratch = Prf.Keyed.scratch () in
       let out = Bytes.make (pos + len) 'Z' in
       Prf.Keyed.keystream_into keyed scratch ~nonce out ~pos ~len;
+      (* The CTR construction spelled out: block [i] is [Keyed.bytes] under
+         the label ["ks|" ^ nonce] and counter [i]. *)
+      let blocks =
+        String.concat ""
+          (List.init ((len + 31) / 32) (fun i ->
+               Prf.Keyed.bytes keyed ~label:("ks|" ^ nonce) ~counter:i))
+      in
       Bytes.sub_string out pos len = Prf.Keyed.keystream keyed ~nonce len
+      && Bytes.sub_string out pos len = String.sub blocks 0 len
       (* bytes before [pos] untouched *)
       && String.for_all (Char.equal 'Z') (Bytes.sub_string out 0 pos))
 
@@ -470,7 +593,9 @@ let () =
           qcheck sha_streaming_equals_oneshot;
           qcheck sha_feed_string_equals_update;
           qcheck sha_copy_into_equals_copy;
-          qcheck sha_distinct_inputs ] );
+          qcheck sha_distinct_inputs;
+          Alcotest.test_case "padding boundary vectors" `Quick sha_padding_boundaries;
+          Alcotest.test_case "every length 0..130" `Quick sha_every_short_length ] );
       ( "hmac",
         [ Alcotest.test_case "rfc4231 case 1" `Quick hmac_case1;
           Alcotest.test_case "rfc4231 case 2" `Quick hmac_case2;
@@ -504,7 +629,8 @@ let () =
           qcheck prf_keystream_length;
           qcheck prf_keyed_equals_oneshot;
           qcheck prf_keyed_keystream_equals_oneshot;
-          qcheck prf_keystream_into_equals_keystream ] );
+          qcheck prf_keystream_into_equals_keystream;
+          Alcotest.test_case "keystream vectors" `Quick prf_keystream_vectors ] );
       ( "cipher",
         [ Alcotest.test_case "rejects tamper" `Quick cipher_rejects_tamper;
           Alcotest.test_case "hides plaintext" `Quick cipher_hides_plaintext;
@@ -516,4 +642,11 @@ let () =
           qcheck cipher_batch_equals_keyed;
           Alcotest.test_case "batch cross-frame tamper" `Quick
             cipher_batch_rejects_cross_frame_tamper;
-          Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch ] ) ]
+          Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch;
+          Alcotest.test_case "seal vector" `Quick cipher_seal_vector ] );
+      ( "alloc",
+        [ Alcotest.test_case "mac_feed_into allocation-free" `Quick hmac_mac_feed_into_no_alloc;
+          Alcotest.test_case "keystream_into constant in length" `Quick
+            prf_keystream_into_constant_alloc;
+          Alcotest.test_case "seal_scratch allocates its outputs" `Quick
+            cipher_seal_scratch_alloc ] ) ]
