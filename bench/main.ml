@@ -5,6 +5,8 @@
      dune exec bench/main.exe -- quick        -- smaller grids
      dune exec bench/main.exe -- e4 e16       -- selected experiments
      dune exec bench/main.exe -- micro        -- Bechamel micro-benchmarks only
+     dune exec bench/main.exe -- service      -- + the benchsuite service workloads
+     dune exec bench/main.exe -- population [--huge]  -- plain-timed big-n rows only
      dune exec bench/main.exe -- quick --jobs 4 --json BENCH.json
 
    --jobs N          worker domains for the parallel experiment runner
@@ -12,12 +14,22 @@
                      comma-separated list L, reporting wall clock per count
                      (output must stay byte-identical; see bench_compare)
    --json P          write structured results + per-experiment wall-clock to P
+   --bench-json P    write the radio-bench/v1 document bench_compare reads
 
    Each experiment table regenerates one exhibit of the paper (Figure 3's
    three rows, plus the theorem-level claims); see EXPERIMENTS.md for the
-   paper-vs-measured record. *)
+   paper-vs-measured record.  The service and f-AME rows take their
+   workload shapes, correctness checks and median from the [Benchsuite]
+   library (benchsuite/), so they measure exactly what the repository
+   benchmark measures. *)
 
 open Bechamel
+module Workload = Benchsuite.Workload
+module Bench = Benchsuite.Bench
+module Mux = Secure_channel.Mux
+
+(* The seed every benchsuite workload here runs at. *)
+let workload_seed = 1
 
 (* -- micro-benchmarks: one Test.make per core operation -- *)
 
@@ -34,25 +46,46 @@ let sha_input_large = String.make 4096 'y'
    round machinery, not the node bodies. *)
 let rounds_per_run = 200
 
+(* One node of a busy DGGN epoch: even ids transmit to id + 1 and odd ids
+   listen, each pair hopping over its own channel schedule for [rounds]
+   rounds. *)
+let hop_pair ~channels ~rounds id =
+  let slot = id / 2 in
+  let chan round = ((31 * round) + (17 * slot)) mod channels in
+  if id land 1 = 0 then
+    for round = 1 to rounds do
+      Radio.Engine.transmit ~chan:(chan round)
+        (Radio.Frame.Plain { src = id; dst = id + 1; body = "x" })
+    done
+  else
+    for round = 1 to rounds do
+      ignore (Radio.Engine.listen ~chan:(chan round))
+    done
+
+(* Every node busy under a full-budget sweep jammer; returns the simulated
+   rounds, so rounds/sec need not trust the workload description. *)
+let dggn_epoch ~n ~channels ~t ~rounds () =
+  let cfg = Radio.Config.make ~n ~channels ~t ~seed:11L () in
+  let adversary = Radio.Adversary.sweep_jammer ~channels ~budget:t in
+  let result =
+    Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
+        hop_pair ~channels ~rounds ctx.Radio.Engine.id)
+  in
+  result.Radio.Engine.rounds_used
+
 let engine_bench ~name ~n ~channels ~t =
-  let hop ~round ~slot = (31 * round + (17 * slot)) mod channels in
   Test.make ~name
-    (Staged.stage (fun () ->
-         let cfg = Radio.Config.make ~n ~channels ~t ~seed:11L () in
-         let adversary = Radio.Adversary.sweep_jammer ~channels ~budget:t in
-         ignore
-           (Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
-                let id = ctx.Radio.Engine.id in
-                let slot = id / 2 in
-                if id land 1 = 0 then
-                  for round = 1 to rounds_per_run do
-                    Radio.Engine.transmit ~chan:(hop ~round ~slot)
-                      (Radio.Frame.Plain { src = id; dst = id + 1; body = "x" })
-                  done
-                else
-                  for round = 1 to rounds_per_run do
-                    ignore (Radio.Engine.listen ~chan:(hop ~round ~slot))
-                  done))))
+    (Staged.stage (fun () -> ignore (dggn_epoch ~n ~channels ~t ~rounds:rounds_per_run ())))
+
+(* f-AME inputs: the benchmark's fame-n2e4 shape (C = 2, t = 1, 4 disjoint
+   pairs, null adversary), with only n varied. *)
+let fame_inputs n =
+  let w = Option.get (Workload.find Workload.Full "fame-n2e4") in
+  Workload.inputs { w with Workload.kind = Workload.Fame { n } } ~seed:workload_seed
+
+let fame_bench ~name ~n =
+  let inputs = fame_inputs n in
+  Test.make ~name (Staged.stage (fun () -> ignore (Workload.run inputs)))
 
 (* n-scaling families: the same engine and f-AME workloads at growing node
    counts, so a baseline comparison shows how round-machinery and protocol
@@ -71,16 +104,7 @@ let engine_scaling ~quick =
 
 let fame_scaling ~quick =
   List.map
-    (fun n ->
-      Test.make ~name:(Printf.sprintf "ame/fame-4-pairs-n%d" n)
-        (Staged.stage (fun () ->
-             let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:5L () in
-             let pairs = Rgraph.Workload.disjoint_pairs ~n ~count:4 in
-             ignore
-               (Ame.Fame.run ~cfg ~pairs
-                  ~messages:(fun (v, w) -> Printf.sprintf "%d-%d" v w)
-                  ~adversary:(fun _ -> Radio.Adversary.null)
-                  ()))))
+    (fun n -> fame_bench ~name:(Printf.sprintf "ame/fame-4-pairs-n%d" n) ~n)
     (scaling_ns ~quick)
 
 (* K-scaling families for the bitset graph/game kernel.  [graph/vc-n-scaling]
@@ -164,17 +188,7 @@ let micro_tests ~quick =
                     else ignore (Radio.Engine.listen ~chan:0)
                   done))))
   in
-  let fame_small =
-    Test.make ~name:"ame/fame-4-pairs-t1"
-      (Staged.stage (fun () ->
-           let cfg = Radio.Config.make ~n:25 ~channels:2 ~t:1 ~seed:5L () in
-           let pairs = Rgraph.Workload.disjoint_pairs ~n:25 ~count:4 in
-           ignore
-             (Ame.Fame.run ~cfg ~pairs
-                ~messages:(fun (v, w) -> Printf.sprintf "%d-%d" v w)
-                ~adversary:(fun _ -> Radio.Adversary.null)
-                ())))
-  in
+  let fame_small = fame_bench ~name:"ame/fame-4-pairs-t1" ~n:25 in
   let prng =
     let rng = Prng.Rng.create 9L in
     Test.make ~name:"prng/bits64" (Staged.stage (fun () -> ignore (Prng.Rng.bits64 rng)))
@@ -211,6 +225,11 @@ type micro_row = {
   promoted_words_per_run : float;
 }
 
+(* A plain-timed row: no allocation figures. *)
+let micro_row name ns =
+  { bench_name = name; ns_per_run = ns; minor_words_per_run = 0.0; major_words_per_run = 0.0;
+    promoted_words_per_run = 0.0 }
+
 (* Runs the Bechamel suite, printing the human table, and returns the rows
    for the structured --bench-json emitter. *)
 let run_micro ~quick =
@@ -238,18 +257,13 @@ let run_micro ~quick =
       let by_promoted = Analyze.all ols promoted results in
       let rows = ref [] in
       Det.iter
-        (fun name ols_result ->
-          let ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some (est :: _) -> est
-            | Some [] | None -> nan
-          in
-          let words = estimate by_minor name in
+        (fun name _ ->
+          let ns = estimate by_time name in
           if ns > 1_000_000.0 then Printf.printf "  %-28s %10.2f ms/run\n" name (ns /. 1e6)
           else if ns > 1_000.0 then Printf.printf "  %-28s %10.2f us/run\n" name (ns /. 1e3)
           else Printf.printf "  %-28s %10.2f ns/run\n" name ns;
           rows :=
-            { bench_name = name; ns_per_run = ns; minor_words_per_run = words;
+            { bench_name = name; ns_per_run = ns; minor_words_per_run = estimate by_minor name;
               major_words_per_run = estimate by_major name;
               promoted_words_per_run = estimate by_promoted name }
             :: !rows)
@@ -277,32 +291,6 @@ let run_micro ~quick =
 
 let pop_runs = 3
 
-let median xs =
-  let sorted = List.sort Float.compare xs in
-  List.nth sorted (List.length sorted / 2)
-
-(* Each workload returns the number of simulated rounds, so rounds/sec can
-   be computed without trusting the workload description. *)
-let pop_engine_dense ~n ~channels ~t ~rounds () =
-  let hop ~round ~slot = ((31 * round) + (17 * slot)) mod channels in
-  let cfg = Radio.Config.make ~n ~channels ~t ~seed:11L () in
-  let adversary = Radio.Adversary.sweep_jammer ~channels ~budget:t in
-  let result =
-    Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
-        let id = ctx.Radio.Engine.id in
-        let slot = id / 2 in
-        if id land 1 = 0 then
-          for round = 1 to rounds do
-            Radio.Engine.transmit ~chan:(hop ~round ~slot)
-              (Radio.Frame.Plain { src = id; dst = id + 1; body = "x" })
-          done
-        else
-          for round = 1 to rounds do
-            ignore (Radio.Engine.listen ~chan:(hop ~round ~slot))
-          done)
-  in
-  result.Radio.Engine.rounds_used
-
 let pop_engine_sparse ~n ~rounds () =
   (* 8 active sender/receiver pairs hop channels for [rounds] rounds; the
      other n - 16 nodes idle the whole time.  The sparse core parks them
@@ -314,19 +302,7 @@ let pop_engine_sparse ~n ~rounds () =
     Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null
       (fun (ctx : Radio.Engine.ctx) ->
         let id = ctx.Radio.Engine.id in
-        if id < 2 * active_pairs then begin
-          let slot = id / 2 in
-          if id land 1 = 0 then
-            for round = 1 to rounds do
-              Radio.Engine.transmit
-                ~chan:(((31 * round) + (17 * slot)) mod channels)
-                (Radio.Frame.Plain { src = id; dst = id + 1; body = "x" })
-            done
-          else
-            for round = 1 to rounds do
-              ignore (Radio.Engine.listen ~chan:(((31 * round) + (17 * slot)) mod channels))
-            done
-        end
+        if id < 2 * active_pairs then hop_pair ~channels ~rounds id
         else Radio.Engine.idle_for rounds)
   in
   result.Radio.Engine.rounds_used
@@ -356,16 +332,9 @@ let pop_schedule ~n ~iters () =
   ignore (Sys.opaque_identity !acc);
   iters * n
 
-let pop_fame ~n () =
-  let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:5L () in
-  let pairs = Rgraph.Workload.disjoint_pairs ~n ~count:4 in
-  let outcome =
-    Ame.Fame.run ~cfg ~pairs
-      ~messages:(fun (v, w) -> Printf.sprintf "%d-%d" v w)
-      ~adversary:(fun _ -> Radio.Adversary.null)
-      ()
-  in
-  outcome.Ame.Fame.engine.Radio.Engine.rounds_used
+let pop_fame ~n =
+  let inputs = fame_inputs n in
+  fun () -> Workload.rounds (Workload.run inputs)
 
 let population_rows ~huge =
   let t = 8 in
@@ -376,14 +345,14 @@ let population_rows ~huge =
       (fun (tag, channels) ->
         ( Printf.sprintf "population/engine-dense-%s-%s" tag suffix,
           runs,
-          fun () -> pop_engine_dense ~n ~channels ~t ~rounds () ))
+          dggn_epoch ~n ~channels ~t ~rounds ))
       regimes
   in
   dense ~n:n5 ~rounds:200 ~runs:pop_runs "n1e5"
   @ [ ( "population/engine-sparse-n1e5",
         pop_runs,
         fun () -> pop_engine_sparse ~n:n5 ~rounds:5000 () );
-      ("population/fame-pair-hop-n1e5", pop_runs, fun () -> pop_fame ~n:n5 ());
+      ("population/fame-pair-hop-n1e5", pop_runs, pop_fame ~n:n5);
       ( "schedule/build-role-sweep-n1e4",
         pop_runs,
         fun () -> pop_schedule ~n:10_000 ~iters:5_000 () );
@@ -397,7 +366,7 @@ let population_rows ~huge =
     @ [ ( "population/engine-sparse-n1e6",
           1,
           fun () -> pop_engine_sparse ~n:1_000_000 ~rounds:5000 () );
-        ("population/fame-pair-hop-n1e6", 1, fun () -> pop_fame ~n:1_000_000 ()) ]
+        ("population/fame-pair-hop-n1e6", 1, pop_fame ~n:1_000_000) ]
 
 let run_population ~huge =
   print_endline "\n== Population-scale benches (plain timed, median of runs) ==\n";
@@ -405,172 +374,112 @@ let run_population ~huge =
     "runs (s)";
   List.map
     (fun (name, runs, work) ->
-      let samples =
-        List.init runs (fun _ ->
-            let rounds, wall_s = Parallel.Clock.time work in
-            (rounds, wall_s))
-      in
+      let samples = List.init runs (fun _ -> Parallel.Clock.time work) in
       let rounds = fst (List.hd samples) in
-      let med = median (List.map snd samples) in
+      let med = Bench.median (List.map snd samples) in
       let rps = float_of_int rounds /. med in
       Printf.printf "  %-36s %6d %10.3f %12.0f  [%s]\n%!" name runs med rps
         (String.concat "; " (List.map (fun (_, s) -> Printf.sprintf "%.3f" s) samples));
-      { bench_name = name;
-        ns_per_run = med *. 1e9 /. float_of_int rounds;
-        minor_words_per_run = 0.0;
-        major_words_per_run = 0.0;
-        promoted_words_per_run = 0.0 })
+      micro_row name (med *. 1e9 /. float_of_int rounds))
     (population_rows ~huge)
 
 (* -- service throughput benches (plain timed, medians of alternating runs) --
 
-   The multiplexed secure-channel service (Secure_channel.Mux) driven at
-   growing logical-channel counts under a null and a jamming adversary,
-   once with slotted acks and once with piggybacked acks.  Each (channels,
-   adversary) cell runs the two ack modes [service_runs] times in strict
-   alternation (S,G,S,G,...) so slow drift in machine load cancels out of
-   the comparison; the reported figure is the median.  ns_per_run is
-   wall-clock per *delivered message*, so `ops_per_sec` in the radio-bench
-   document reads as messages/sec.  The slotted rows keep their historical
-   `-batched` suffix so the trend history stays continuous.
+   Each of the benchmark's service workloads (svc-small, svc-bulk,
+   svc-jammed; see benchsuite/workload.ml) at seed 1, under both ack modes
+   of the multiplexed secure channel.  The two modes of a workload run
+   [service_runs] times in strict alternation (S,P,S,P,...) so slow drift
+   in machine load cancels out of the comparison; the reported figure is
+   the median.  ns_per_run is wall-clock per *delivered message*, so
+   `ops_per_sec` in the radio-bench document reads as messages/sec.
 
-   Every run of a mode must be bit-for-bit identical: each run's
-   {!Mux.render_stats} digest is asserted equal to the first, and the
-   digest plus the engine round count become a `service/c{M}-{adv}`
-   (`-piggyback`) determinism row that bench_compare gates on.  The p99
-   emulated-round delivery latency rides along as its own micro row (units
-   are emulated rounds, not nanoseconds; reported, never gated). *)
-
-module Mux = Secure_channel.Mux
+   Every run passes the benchmark's own checks ([Checks.svc]) and
+   reproduces the first run's digest, or the harness exits 1.  The digest
+   plus the engine round count become a `service/<workload>-<mode>`
+   determinism row that bench_compare gates on; the one for the workload's
+   own ack mode is the digest `benchsuite/main.exe --workload W --seed 1
+   --setup-only` prints.  The p99 emulated-round delivery latency rides
+   along as its own micro row (units are emulated rounds, not nanoseconds;
+   reported, never gated). *)
 
 let service_runs = 3
+(* Slotted first: the piggyback ratio divides by its throughput. *)
+let ack_modes = [ ("slotted", Mux.Slotted); ("piggyback", Mux.Piggybacked) ]
 
-(* Enough emulated rounds that one-off edges — queue ramp-up at the start,
-   the piggybacked mode's single flush round at the end — amortize into the
-   steady state being measured: at 6 rounds the flush round alone inflated
-   the piggybacked side's per-message cost by a sixth. *)
-let service_emulated_rounds = 24
+(* One determinism row of the radio-bench document: exact, and gated. *)
+type det_row = { det_id : string; det_rounds : int; det_sha : string }
 
-let service_spec ?(ack_mode = Mux.Slotted) ~channels () =
-  Mux.make ~key:"bench-service-group-key" ~logical:channels ~phys:16 ~budget:4
-    ~ack_mode ~rounds:service_emulated_rounds ~rate:1 ~queue_cap:8 ~window:32
-    ~epoch_len:2 ~grace:1 ~payload:16 ~seed:42L ()
+let mux_result = function
+  | Workload.Svc_out r -> r
+  | Workload.Fame_out _ | Workload.Sweep_out _ -> invalid_arg "not a service result"
 
-(* Fresh adversary per run: random_jammer holds mutable PRNG state, and
-   reusing one across runs would break the byte-identity assertion. *)
-let service_adversaries =
-  [ ("null", fun () -> Radio.Adversary.null);
-    ("jam", fun () -> Experiments.Common.random_jam ~seed:77L ~channels:16 ~budget:4) ]
-
-type service_det = { service_id : string; service_rounds : int; service_sha : string }
-
-let run_service ~channels_list =
-  print_endline "\n== Service throughput (plain timed, median of alternating runs) ==\n";
-  Printf.printf "  %-22s %8s %10s %10s %8s %6s\n" "cell" "msgs" "slotted s" "pig s" "pig-x"
-    "p99";
+let run_service () =
+  print_endline "\n== Service throughput (benchsuite workloads, median of alternating runs) ==\n";
+  Printf.printf "  %-22s %9s %8s %7s %9s %9s %6s %4s\n" "cell" "delivered" "offered" "rounds"
+    "median s" "msgs/s" "pig-x" "p99";
+  let service_workload (w : Workload.t) s =
+    let cells =
+      List.map
+        (fun (mode, ack_mode) ->
+          let cell =
+            { w with
+              Workload.name = Printf.sprintf "%s-%s" w.Workload.name mode;
+              kind = Workload.Svc { s with Workload.ack_mode = Some ack_mode } }
+          in
+          (cell, Workload.inputs cell ~seed:workload_seed, Bench.tally cell, ref []))
+        ack_modes
+    in
+    for _ = 1 to service_runs do
+      List.iter
+        (fun (_, inputs, tally, samples) ->
+          let res, wall_s = Bench.timed_op inputs in
+          Bench.check tally res;
+          samples := (res, wall_s) :: !samples)
+        cells
+    done;
+    let measured =
+      List.map
+        (fun ((cell : Workload.t), _, (tally : Bench.tally), samples) ->
+          if tally.Bench.failed > 0 then begin
+            Printf.eprintf "service/%s: %s\n" cell.Workload.name
+              (String.concat "; " tally.Bench.violations);
+            exit 1
+          end;
+          (* Every run reproduced the first one's digest, so any run stands for all. *)
+          let res = fst (List.hd !samples) in
+          let wall = Bench.median (List.map snd !samples) in
+          let delivered = (mux_result res).Mux.stats.Mux.delivered in
+          (cell.Workload.name, res, wall, float_of_int delivered /. wall))
+        cells
+    in
+    let slotted_mps = match measured with (_, _, _, mps) :: _ -> mps | [] -> nan in
+    List.map
+      (fun (name, res, wall, mps) ->
+        let r = mux_result res in
+        let p99 = Mux.latency_percentile r 0.99 in
+        (* Throughput ratio, not raw wall-clock: the two ack modes deliver
+           different message counts under jamming. *)
+        let pig_x =
+          match r.Mux.spec.Mux.ack_mode with
+          | Mux.Piggybacked -> Printf.sprintf "%.2fx" (mps /. slotted_mps)
+          | Mux.Slotted -> "-"
+        in
+        Printf.printf "  %-22s %9d %8d %7d %9.3f %9.0f %6s %4d\n%!" name r.Mux.stats.Mux.delivered
+          r.Mux.stats.Mux.offered (Workload.rounds res) wall mps pig_x p99;
+        ( [ micro_row ("service/msgs-per-sec-" ^ name) (1e9 /. mps);
+            micro_row ("service/p99-latency-rounds-" ^ name) (float_of_int p99) ],
+          { det_id = "service/" ^ name; det_rounds = Workload.rounds res;
+            det_sha = Workload.digest res } ))
+      measured
+  in
   List.concat_map
-    (fun channels ->
-      (* Piggybacked acks need an even duplex-paired channel count. *)
-      let pig_ok = channels land 1 = 0 in
-      List.concat_map
-        (fun (adv_name, mk_adv) ->
-          let one ack_mode =
-            let spec = service_spec ~ack_mode ~channels () in
-            Parallel.Clock.time (fun () -> Mux.run spec ~adversary:(mk_adv ()))
-          in
-          (* Strict alternation S,G,S,G,... so machine-load drift cancels
-             out of the comparison. *)
-          let runs =
-            List.init service_runs (fun _ ->
-                (one Mux.Slotted, if pig_ok then Some (one Mux.Piggybacked) else None))
-          in
-          let sample = fst (fst (List.hd runs)) in
-          let sha = Mux.output_digest sample in
-          let pig_sample = Option.map fst (snd (List.hd runs)) in
-          let pig_sha = Option.map Mux.output_digest pig_sample in
-          List.iteri
-            (fun i (b, g) ->
-              let checks =
-                ("slotted", fst b, sha)
-                ::
-                (match (g, pig_sha) with
-                | Some (r, _), Some psha -> [ ("piggybacked", r, psha) ]
-                | _ -> [])
-              in
-              List.iter
-                (fun (mode, (r : Mux.result), expect) ->
-                  if Mux.output_digest r <> expect then (
-                    Printf.eprintf
-                      "service/c%d-%s: %s run %d diverged from run 0 (runs are not \
-                       byte-identical)\n"
-                      channels adv_name mode i;
-                    exit 1))
-                checks)
-            runs;
-          let msgs = sample.Mux.stats.Mux.delivered in
-          let med_b = median (List.map (fun ((_, s), _) -> s) runs) in
-          let pig =
-            Option.map
-              (fun ps ->
-                (ps, median (List.filter_map (fun (_, g) -> Option.map snd g) runs)))
-              pig_sample
-          in
-          let p99 = Mux.latency_percentile sample 0.99 in
-          let mps msgs wall = float_of_int msgs /. wall in
-          (match pig with
-          | Some (ps, med_g) ->
-            (* Throughput ratio, not raw wall-clock: the two ack modes
-               deliver (slightly) different message counts under load. *)
-            let pig_x =
-              mps ps.Mux.stats.Mux.delivered med_g /. mps msgs med_b
-            in
-            Printf.printf "  %-22s %8d %10.3f %10.3f %7.2fx %6d\n%!"
-              (Printf.sprintf "c%d-%s" channels adv_name)
-              msgs med_b med_g pig_x p99
-          | None ->
-            Printf.printf "  %-22s %8d %10.3f %10s %8s %6d\n%!"
-              (Printf.sprintf "c%d-%s" channels adv_name)
-              msgs med_b "-" "-" p99);
-          let per_msg_ns msgs wall =
-            if msgs > 0 then wall *. 1e9 /. float_of_int msgs else nan
-          in
-          let row name ns =
-            { bench_name = name; ns_per_run = ns; minor_words_per_run = 0.0;
-              major_words_per_run = 0.0; promoted_words_per_run = 0.0 }
-          in
-          let micro =
-            [ row
-                (Printf.sprintf "service/msgs-per-sec-c%d-%s-batched" channels adv_name)
-                (per_msg_ns msgs med_b);
-              row
-                (Printf.sprintf "service/p99-latency-rounds-c%d-%s" channels adv_name)
-                (float_of_int p99) ]
-            @
-            match pig with
-            | Some (ps, med_g) ->
-              [ row
-                  (Printf.sprintf "service/msgs-per-sec-c%d-%s-piggyback" channels
-                     adv_name)
-                  (per_msg_ns ps.Mux.stats.Mux.delivered med_g) ]
-            | None -> []
-          in
-          let det =
-            { service_id = Printf.sprintf "service/c%d-%s" channels adv_name;
-              service_rounds = sample.Mux.engine.Radio.Engine.rounds_used;
-              service_sha = sha }
-            ::
-            (match (pig_sample, pig_sha) with
-            | Some ps, Some psha ->
-              [ { service_id = Printf.sprintf "service/c%d-%s-piggyback" channels adv_name;
-                  service_rounds = ps.Mux.engine.Radio.Engine.rounds_used;
-                  service_sha = psha } ]
-            | _ -> [])
-          in
-          [ (micro, det) ])
-        service_adversaries)
-    channels_list
+    (fun (w : Workload.t) ->
+      match w.Workload.kind with
+      | Workload.Svc s -> service_workload w s
+      | Workload.Fame _ | Workload.Sweep -> [])
+    (Workload.all Workload.Full)
   |> List.split
-  |> fun (micro, det) -> (List.concat micro, List.concat det)
+  |> fun (micro, det) -> (List.concat micro, det)
 
 let render_outcome (o : Experiments.Runner.outcome) =
   Format.printf "@.### %s: %s@." o.experiment.Experiments.Registry.id
@@ -626,11 +535,17 @@ let jobs_sweep_report rows =
       print_endline "  output: byte-identical across all worker counts"
     else print_endline "  WARNING: output differs across worker counts (nondeterminism!)"
 
+let experiment_det (o : Experiments.Runner.outcome) =
+  { det_id = o.experiment.Experiments.Registry.id;
+    det_rounds = o.result.Experiments.Common.total_rounds;
+    det_sha = Crypto.Sha256.digest_hex (Format.asprintf "%a" Experiments.Runner.render o) }
+
 (* The radio-bench/v1 document: micro-benchmark estimates plus a determinism
-   fingerprint (rendered-output hash and round count) per experiment.  The
-   fingerprint fields are exact — bench_compare gates on them — while the
-   timing fields are environment-dependent and only ever reported. *)
-let bench_json ~quick ~micro_rows ~outcomes ~sweep_rows ~service_det =
+   fingerprint (rendered-output hash and round count) per experiment and
+   service cell.  The fingerprint fields are exact — bench_compare gates on
+   them — while the timing fields are environment-dependent and only ever
+   reported. *)
+let bench_json ~quick ~micro_rows ~sweep_rows ~det =
   let open Experiments in
   Json.Obj
     [ ("schema", Json.String "radio-bench/v1");
@@ -660,31 +575,24 @@ let bench_json ~quick ~micro_rows ~outcomes ~sweep_rows ~service_det =
       ( "determinism",
         Json.List
           (List.map
-             (fun (o : Runner.outcome) ->
+             (fun d ->
                Json.Obj
-                 [ ("id", Json.String o.experiment.Registry.id);
-                   ("total_rounds", Json.Int o.result.Common.total_rounds);
-                   ( "output_sha256",
-                     Json.String
-                       (Crypto.Sha256.digest_hex (Format.asprintf "%a" Runner.render o)) ) ])
-             outcomes
-          @ List.map
-              (fun d ->
-                Json.Obj
-                  [ ("id", Json.String d.service_id);
-                    ("total_rounds", Json.Int d.service_rounds);
-                    ("output_sha256", Json.String d.service_sha) ])
-              service_det) ) ]
+                 [ ("id", Json.String d.det_id);
+                   ("total_rounds", Json.Int d.det_rounds);
+                   ("output_sha256", Json.String d.det_sha) ])
+             det) ) ]
 
-let write_bench_json ~path ~quick ~micro_rows ~outcomes ~sweep_rows ~service_det =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Experiments.Json.to_string
-           (bench_json ~quick ~micro_rows ~outcomes ~sweep_rows ~service_det));
-      output_char oc '\n')
+let write_bench_json ~path ~quick ~micro_rows ~sweep_rows ~det =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc
+          (Experiments.Json.to_string (bench_json ~quick ~micro_rows ~sweep_rows ~det));
+        output_char oc '\n')
+  with
+  | () -> Printf.printf "benchmark document written to %s\n" path
+  | exception Sys_error msg ->
+    Printf.eprintf "cannot write --bench-json results: %s\n" msg;
+    exit 1
 
 type cli = {
   quick : bool;
@@ -692,7 +600,6 @@ type cli = {
   population : bool;
   huge : bool;
   service : bool;
-  service_channels : int list option;
   jobs : int;
   jobs_sweep : int list;
   json : string option;
@@ -702,7 +609,7 @@ type cli = {
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [quick] [micro] [service [--service-channels N,N,...]] \
+    "usage: main.exe [quick] [micro] [service] \
      [population [--huge]] [ID...] [--jobs N] [--jobs-sweep N,N,...] [--json PATH] \
      [--bench-json PATH]\n\
      available: %s, micro, service, population\n"
@@ -718,15 +625,6 @@ let parse_jobs_sweep spec =
   in
   if List.length jobs <> List.length parts || jobs = [] then usage () else jobs
 
-let parse_service_channels spec =
-  let parts = String.split_on_char ',' spec in
-  let channels =
-    List.filter_map
-      (fun s -> match int_of_string_opt (String.trim s) with Some c when c >= 1 -> Some c | _ -> None)
-      parts
-  in
-  if List.length channels <> List.length parts || channels = [] then usage () else channels
-
 let parse_args args =
   let rec go acc = function
     | [] -> acc
@@ -734,8 +632,6 @@ let parse_args args =
     | "micro" :: rest -> go { acc with micro = true } rest
     | "population" :: rest -> go { acc with population = true } rest
     | "service" :: rest -> go { acc with service = true } rest
-    | "--service-channels" :: spec :: rest ->
-      go { acc with service_channels = Some (parse_service_channels spec) } rest
     | "--huge" :: rest -> go { acc with huge = true } rest
     | "--jobs" :: n :: rest ->
       (match int_of_string_opt n with
@@ -750,7 +646,7 @@ let parse_args args =
   in
   go
     { quick = false; micro = false; population = false; huge = false; service = false;
-      service_channels = None; jobs = Parallel.default_jobs (); jobs_sweep = [];
+      jobs = Parallel.default_jobs (); jobs_sweep = [];
       json = None; bench_json = None; ids = [] }
     args
 
@@ -759,18 +655,10 @@ let () =
   (* `population` is its own mode: the big-n plain-timed families, no
      experiment tables, no Bechamel micro suite. *)
   if cli.population then begin
-    let rows = run_population ~huge:cli.huge in
-    match cli.bench_json with
-    | Some path -> (
-      match
-        write_bench_json ~path ~quick:false ~micro_rows:rows ~outcomes:[] ~sweep_rows:[]
-          ~service_det:[]
-      with
-      | () -> Printf.printf "population benchmark document written to %s\n" path
-      | exception Sys_error msg ->
-        Printf.eprintf "cannot write --bench-json results: %s\n" msg;
-        exit 1)
-    | None -> ()
+    let micro_rows = run_population ~huge:cli.huge in
+    Option.iter
+      (fun path -> write_bench_json ~path ~quick:false ~micro_rows ~sweep_rows:[] ~det:[])
+      cli.bench_json
   end
   else begin
   (* Bare `main.exe` (or just `quick`) keeps the historical behavior: every
@@ -813,27 +701,10 @@ let () =
     end
   in
   let micro_rows = if run_micro_too then run_micro ~quick:cli.quick else [] in
-  let service_micro, service_det =
-    if not cli.service then ([], [])
-    else begin
-      let channels_list =
-        match cli.service_channels with
-        | Some list -> list
-        | None -> if cli.quick then [ 64; 256 ] else [ 64; 256; 1024; 4096 ]
-      in
-      run_service ~channels_list
-    end
-  in
-  let micro_rows = micro_rows @ service_micro in
-  match cli.bench_json with
-  | Some path -> (
-    match
-      write_bench_json ~path ~quick:cli.quick ~micro_rows ~outcomes ~sweep_rows
-        ~service_det
-    with
-    | () -> Printf.printf "benchmark baseline written to %s\n" path
-    | exception Sys_error msg ->
-      Printf.eprintf "cannot write --bench-json results: %s\n" msg;
-      exit 1)
-  | None -> ()
+  let service_micro, service_det = if cli.service then run_service () else ([], []) in
+  Option.iter
+    (fun path ->
+      write_bench_json ~path ~quick:cli.quick ~micro_rows:(micro_rows @ service_micro)
+        ~sweep_rows ~det:(List.map experiment_det outcomes @ service_det))
+    cli.bench_json
   end

@@ -3,7 +3,6 @@
    Usage: bench_compare [OPTIONS] BASELINE.json CURRENT.json
 
    Options (flags and positionals may be interleaved):
-     --timing-tolerance PCT    flag micro-benchmarks slower by more than PCT%
      --require-bench PREFIXES  comma-separated name prefixes; each must match
                                at least one micro row of CURRENT (coverage
                                gate: a family silently dropped from the suite
@@ -20,14 +19,12 @@
                                exit status; a missing or empty history file
                                is skipped with a note)
 
-   Determinism fields (per-experiment total_rounds and output_sha256, and
+   Determinism fields (per-row total_rounds and output_sha256, and
    sha-consistency across any --jobs-sweep rows) are a hard gate: any
-   drift, or an experiment that disappeared, exits nonzero.  Timing fields
-   (ns/run, ops/sec, allocation words) are environment-dependent and only
-   reported, never gated — CI machines and laptops disagree on speed, but
-   never on simulated bytes.  --timing-tolerance PCT additionally flags
-   micro-benchmarks that slowed down by more than PCT percent; the flags
-   are informational and do not change the exit status. *)
+   drift, a row that disappeared, or a row missing either field exits
+   nonzero.  Timing fields (ns/run, ops/sec, allocation words) are
+   environment-dependent and only reported, never gated — CI machines and
+   laptops disagree on speed, but never on simulated bytes. *)
 
 module Json = Experiments.Json
 
@@ -194,7 +191,6 @@ let report_history_trend ~path ~cur_micro =
        print_endline "  (informational only: timing never affects the exit status)")
 
 type cli = {
-  tolerance : float option;
   require_bench : string list;
   history : string option;
   history_trend : string option;
@@ -204,16 +200,12 @@ type cli = {
 let () =
   let usage () =
     prerr_endline
-      "usage: bench_compare [--timing-tolerance PCT] [--require-bench PREFIXES] \
-       [--append-history PATH] [--history-trend PATH] BASELINE.json CURRENT.json";
+      "usage: bench_compare [--require-bench PREFIXES] [--append-history PATH] \
+       [--history-trend PATH] BASELINE.json CURRENT.json";
     exit 2
   in
   let rec parse acc = function
     | [] -> acc
-    | "--timing-tolerance" :: pct :: rest -> (
-      match float_of_string_opt pct with
-      | Some p when p >= 0.0 -> parse { acc with tolerance = Some p } rest
-      | _ -> usage ())
     | "--require-bench" :: spec :: rest -> (
       let prefixes =
         List.filter (fun s -> s <> "") (List.map String.trim (String.split_on_char ',' spec))
@@ -228,11 +220,9 @@ let () =
   in
   let cli =
     parse
-      { tolerance = None; require_bench = []; history = None; history_trend = None;
-        paths = [] }
+      { require_bench = []; history = None; history_trend = None; paths = [] }
       (List.tl (Array.to_list Sys.argv))
   in
-  let tolerance = cli.tolerance in
   let baseline_path, current_path =
     match cli.paths with [ b; c ] -> (b, c) | _ -> usage ()
   in
@@ -248,14 +238,16 @@ let () =
   List.iter
     (fun (id, base_row) ->
       match List.assoc_opt id cur_det with
-      | None -> complain "%s: experiment missing from %s" id current_path
+      | None -> complain "%s: row missing from %s" id current_path
       | Some cur_row ->
-        (match (int_field "total_rounds" base_row, int_field "total_rounds" cur_row) with
-         | Some b, Some c when b <> c -> complain "%s: total_rounds %d -> %d" id b c
-         | _ -> ());
-        (match (str_field "output_sha256" base_row, str_field "output_sha256" cur_row) with
-         | Some b, Some c when b <> c -> complain "%s: output_sha256 %s -> %s" id b c
-         | _ -> ()))
+        List.iter
+          (fun (field, get) ->
+            match (get base_row, get cur_row) with
+            | Some b, Some c -> if b <> c then complain "%s: %s %s -> %s" id field b c
+            | None, _ -> complain "%s: %s missing from %s" id field baseline_path
+            | _, None -> complain "%s: %s missing from %s" id field current_path)
+          [ ("total_rounds", fun row -> Option.map string_of_int (int_field "total_rounds" row));
+            ("output_sha256", str_field "output_sha256") ])
     base_det;
   List.iter
     (fun (id, _) ->
@@ -280,7 +272,6 @@ let () =
   (* -- timing report (informational only) -- *)
   let base_micro = assoc_rows ~key_field:"name" (rows "micro" baseline) in
   let cur_micro = assoc_rows ~key_field:"name" (rows "micro" current) in
-  let slow = ref [] in
   if base_micro <> [] && cur_micro <> [] then begin
     Printf.printf "\n%-32s %12s %12s %8s\n" "micro-benchmark" "base ns" "cur ns" "speedup";
     List.iter
@@ -290,25 +281,10 @@ let () =
         | Some cur_row -> (
           match (float_field "ns_per_run" base_row, float_field "ns_per_run" cur_row) with
           | Some b, Some c when c > 0.0 ->
-            Printf.printf "%-32s %12.1f %12.1f %7.2fx\n" name b c (b /. c);
-            (match tolerance with
-             | Some pct when b > 0.0 && (c -. b) /. b *. 100.0 > pct ->
-               slow := (name, (c -. b) /. b *. 100.0) :: !slow
-             | _ -> ())
+            Printf.printf "%-32s %12.1f %12.1f %7.2fx\n" name b c (b /. c)
           | _ -> Printf.printf "%-32s %12s %12s %8s\n" name "?" "?" "?"))
       base_micro
   end;
-  (match tolerance with
-   | None -> ()
-   | Some pct ->
-     (match List.rev !slow with
-      | [] ->
-        Printf.printf "\ntiming: all micro-benchmarks within %.1f%% of baseline\n" pct
-      | regressions ->
-        Printf.printf "\ntiming: %d micro-benchmark(s) slower than baseline by more than %.1f%%:\n"
-          (List.length regressions) pct;
-        List.iter (fun (name, d) -> Printf.printf "  SLOW %-32s +%.1f%%\n" name d) regressions;
-        print_endline "  (informational only: timing never affects the exit status)"));
   (* -- coverage gate: every --require-bench prefix must match a micro row of
      CURRENT.  This catches a benchmark family silently dropped from the
      suite, which a pure diff-against-baseline would report as "gone" without

@@ -6,7 +6,9 @@
    - jobs-parity: every check merges identically for any worker count;
    - the pinned-certificate regression: the quick tier's radio-verify/v1
      document must match the checked-in fixture field for field;
-   - bench_compare exits 2 with a role-naming message on a missing file. *)
+   - bench_compare exits 2 with a role-naming message on a missing file,
+     passes the checked-in baseline against itself, and exits 1 on each
+     kind of tampering its gates exist to catch. *)
 
 module Json = Experiments.Json
 
@@ -209,6 +211,73 @@ let bench_compare_missing_baseline () =
   if not (contains output "baseline file" && contains output "/nonexistent/baseline.json") then
     Alcotest.failf "missing-baseline message should name the role and path, got: %s" output
 
+(* -- bench_compare gates, on tampered copies of the checked-in baseline -- *)
+
+let baseline_path = "../BENCH_baseline.json"
+
+let load_baseline () =
+  match Json.of_string (In_channel.with_open_bin baseline_path In_channel.input_all) with
+  | Ok doc -> doc
+  | Error msg -> Alcotest.failf "%s: %s" baseline_path msg
+
+let map_fields f = function Json.Obj fields -> Json.Obj (f fields) | v -> v
+
+(* [edit_rows key f doc] replaces the row list under [key] with [f] of it. *)
+let edit_rows key f =
+  map_fields
+    (List.map (fun (k, v) ->
+         match v with Json.List rows when String.equal k key -> (k, Json.List (f rows)) | _ -> (k, v)))
+
+let is_row id row = Json.member "id" row = Some (Json.String id)
+
+(* [edit_row id f doc] applies [f] to the determinism row [id]. *)
+let edit_row id f = edit_rows "determinism" (List.map (fun row -> if is_row id row then f row else row))
+
+let set_field name value = map_fields (List.map (fun (k, v) -> (k, if String.equal k name then value else v)))
+
+(* Runs bench_compare on the baseline and [current]; exit code and output. *)
+let bench_compare ?(flags = "") current =
+  let path = Filename.temp_file "bench_current" ".json" in
+  let out = Filename.temp_file "bench_compare" ".out" in
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Json.to_string current));
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/bench_compare.exe %s %s %s >%s 2>&1" flags baseline_path
+         (Filename.quote path) (Filename.quote out))
+  in
+  let output = In_channel.with_open_bin out In_channel.input_all in
+  Sys.remove path;
+  Sys.remove out;
+  (code, output)
+
+let bench_compare_case name ?flags ~expect ~says tamper =
+  Alcotest.test_case name `Quick (fun () ->
+      let code, output = bench_compare ?flags (tamper (load_baseline ())) in
+      if code <> expect || not (contains output says) then
+        Alcotest.failf "exit %d (want %d), output lacks %S:\n%s" code expect says output)
+
+let zeros = String.make 64 '0'
+
+let bench_compare_gates =
+  [ bench_compare_case "baseline against itself exits 0" ~expect:0 ~says:"determinism: OK" Fun.id;
+    bench_compare_case "changed output_sha256 exits 1" ~expect:1
+      ~says:"DRIFT service/svc-jammed-slotted: output_sha256"
+      (edit_row "service/svc-jammed-slotted" (set_field "output_sha256" (Json.String zeros)));
+    bench_compare_case "changed total_rounds exits 1" ~expect:1 ~says:"DRIFT e1: total_rounds"
+      (edit_row "e1" (set_field "total_rounds" (Json.Int 1)));
+    bench_compare_case "dropped row exits 1" ~expect:1 ~says:"DRIFT e17: row missing"
+      (edit_rows "determinism" (List.filter (fun row -> not (is_row "e17" row))));
+    bench_compare_case "row without output_sha256 exits 1" ~expect:1
+      ~says:"DRIFT e1: output_sha256 missing"
+      (edit_row "e1" (map_fields (List.remove_assoc "output_sha256")));
+    bench_compare_case "disagreeing jobs_sweep shas exit 1" ~expect:1
+      ~says:"jobs_sweep output_sha256 differs"
+      (edit_rows "jobs_sweep" (function
+        | first :: rest -> set_field "output_sha256" (Json.String zeros) first :: rest
+        | [] -> Alcotest.fail "the baseline has no jobs_sweep rows"));
+    bench_compare_case "unmatched --require-bench prefix exits 1" ~flags:"--require-bench no-such-family/"
+      ~expect:1 ~says:"MISSING" Fun.id ]
+
 let () =
   Alcotest.run "verify"
     [ ( "disrupt",
@@ -229,5 +298,5 @@ let () =
       ( "suite",
         [ Alcotest.test_case "pinned quick certificates" `Slow pinned_quick_certificates ] );
       ( "bench_compare",
-        [ Alcotest.test_case "missing baseline exits 2" `Quick bench_compare_missing_baseline ]
-      ) ]
+        Alcotest.test_case "missing baseline exits 2" `Quick bench_compare_missing_baseline
+        :: bench_compare_gates ) ]
