@@ -193,6 +193,19 @@ let micro_tests ~quick =
     let rng = Prng.Rng.create 9L in
     Test.make ~name:"prng/bits64" (Staged.stage (fun () -> ignore (Prng.Rng.bits64 rng)))
   in
+  (* Bounded draws: the power-of-two mask path, the division path, and one
+     feedback phase's hop fill (86 = the fame-n2e4 feedback reps). *)
+  let prng_int bound =
+    let rng = Prng.Rng.create 9L in
+    Test.make
+      ~name:(Printf.sprintf "prng/int-bound-%d" bound)
+      (Staged.stage (fun () -> ignore (Prng.Rng.int rng bound)))
+  in
+  let prng_fill =
+    let rng = Prng.Rng.create 9L and buf = Array.make 86 0 in
+    Test.make ~name:"prng/fill-int-86"
+      (Staged.stage (fun () -> Prng.Rng.fill_int rng 2 buf ~len:86))
+  in
   let engine_small = engine_bench ~name:"engine/rounds-per-sec-small" ~n:8 ~channels:2 ~t:1 in
   let engine_2t2 =
     engine_bench ~name:"engine/rounds-per-sec-2t2" ~n:64 ~channels:128 ~t:8
@@ -213,8 +226,8 @@ let micro_tests ~quick =
     Test.make ~name:"crypto/hmac-sha256-keyed"
       (Staged.stage (fun () -> ignore (Crypto.Hmac.mac_keyed handle sha_input_small)))
   in
-  [ prng; sha_small; sha_large; hmac; hmac_keyed; dh; seal; vc; greedy_move; game_full;
-    engine_round; fame_small; engine_small; engine_2t2; prf_naive; prf_keyed ]
+  [ prng; prng_int 2; prng_int 6; prng_fill; sha_small; sha_large; hmac; hmac_keyed; dh; seal;
+    vc; greedy_move; game_full; engine_round; fame_small; engine_small; engine_2t2; prf_naive; prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 
 type micro_row = {

@@ -48,6 +48,7 @@ let run ?(ame_params = Params.default) ?channels_used ~cfg ~pairs ~messages ~adv
   let sched_scratch = Schedule.make_scratch () in
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
+    let feedback_scratch = Feedback.make_scratch ~reps in
     let remaining = ref all_pairs in
     let rec play () =
       let batch = disjoint_batch (Edge_set.elements !remaining) ~limit:channels_used in
@@ -79,7 +80,7 @@ let run ?(ame_params = Params.default) ?channels_used ~cfg ~pairs ~messages ~adv
            | Schedule.Off -> Radio.Engine.idle ());
           let my_flag = Option.is_some !my_recv in
           let d =
-            Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps
+            Feedback.run ~scratch:feedback_scratch ~my_id:id ~rng:ctx.rng ~channels
               ~witnesses:sched.Schedule.watchers ~witness_size:channels ~my_flag
           in
           let successes = List.filter (fun c -> c < Array.length sched.Schedule.items) d in

@@ -75,6 +75,9 @@ let run ?(ame_params = Params.default) ?channels_used ?(feedback_mode = Sequenti
   let sched_scratch = Schedule.make_scratch () in
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
+    (* Made once per fiber, not per move: fibers stay parked across minor
+       collections, so per-move buffers would all be promoted. *)
+    let feedback_scratch = Feedback.make_scratch ~reps:sequential_reps in
     let state = ref initial_state in
     let surrogate_map : (int, int array) Hashtbl.t = Hashtbl.create 16 in
     let known : (int, (int * string) list) Hashtbl.t = Hashtbl.create 16 in
@@ -143,7 +146,7 @@ let run ?(ame_params = Params.default) ?channels_used ?(feedback_mode = Sequenti
                Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget ~reps:tree_reps
                  ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
              else
-               Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps:sequential_reps
+               Feedback.run ~scratch:feedback_scratch ~my_id:id ~rng:ctx.rng ~channels
                  ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
            in
            (* Referee simulation: items on successful channels are chosen. *)

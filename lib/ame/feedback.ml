@@ -8,6 +8,11 @@ let rec rank_scan arr id i len acc =
   (* radio-lint: allow partial-array-unsafe — i < len <= length checked by the caller *)
   else rank_scan arr id (i + 1) len (if Array.unsafe_get arr i = id then i else acc)
 
+type scratch = { chans_buf : int array; out_buf : Radio.Frame.t option array }
+
+let make_scratch ~reps =
+  { chans_buf = Array.make reps 0; out_buf = Array.make reps None }
+
 (* Per-phase listener step: draw all [reps] random hops first, then
    declare them as one engine listen-series.  The rng draws are a pure
    per-node stream and the hop sequence never depends on what is heard, so
@@ -15,12 +20,11 @@ let rec rank_scan arr id i len acc =
    rounds are byte-identical to [reps] separate [listen] calls — but the
    fiber suspends once per phase instead of once per round, which is what
    makes population-scale feedback cheap (every non-witness node listens in
-   every feedback round). *)
-let listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf =
-  for j = 0 to reps - 1 do
-    (* radio-lint: allow partial-array-unsafe — j < reps = length chans_buf *)
-    Array.unsafe_set chans_buf j (Prng.Rng.int rng channels)
-  done;
+   every feedback round).  The buffers are the caller's per-node scratch:
+   the engine drops its references to them when the series completes, and
+   [phase] reads [out_buf] before the next series is declared. *)
+let listen_phase ~rng ~channels ~chans_buf ~out_buf =
+  Prng.Rng.fill_int rng channels chans_buf ~len:(Array.length chans_buf);
   Radio.Engine.listen_series ~chans:chans_buf ~into:out_buf
 
 let validate_witness_size ~channels ~witness_size =
@@ -44,7 +48,7 @@ let phase ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~ou
     done;
     my_flag
   | _ ->
-    listen_phase ~rng ~channels ~reps ~chans_buf ~out_buf;
+    listen_phase ~rng ~channels ~chans_buf ~out_buf;
     let heard = ref false in
     for j = 0 to reps - 1 do
       match out_buf.(j) with
@@ -69,8 +73,7 @@ let rec phases ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_bu
     in
     if hit then r :: rest else rest
 
-let run ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag =
+let run ~scratch ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag =
   validate_witness_size ~channels ~witness_size;
-  let chans_buf = Array.make reps 0 in
-  let out_buf : Radio.Frame.t option array = Array.make reps None in
+  let { chans_buf; out_buf } = scratch in
   phases ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag ~chans_buf ~out_buf 0

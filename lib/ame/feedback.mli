@@ -12,31 +12,44 @@
     This function is node-side code: it must be called inside an engine
     fiber, by all nodes in the same round, with identical [witnesses]. *)
 
+type scratch
+(** One node's listener buffers: the hop channels and the heard frames of a
+    phase, [reps] entries each.  A node makes one when its fiber starts and
+    passes it to every {!run} call, so per-move feedback allocates no
+    buffers. *)
+
+val make_scratch : reps:int -> scratch
+(** [make_scratch ~reps] is a scratch for [reps] listener rounds per
+    phase. *)
+
 val run :
+  scratch:scratch ->
   my_id:int ->
   rng:Prng.Rng.t ->
   channels:int ->
-  reps:int ->
   witnesses:int array array ->
   witness_size:int ->
   my_flag:bool ->
   int list
-(** [run ~my_id ~rng ~channels ~reps ~witnesses ~witness_size ~my_flag]
-    consumes exactly [Array.length witnesses * reps] rounds and returns the
-    set D of channel indices believed to have succeeded, sorted.  The
-    witness set W[r] is the first [witness_size] entries of
-    [witnesses.(r)] — callers hand the schedule's full watcher arrays and a
-    prefix length instead of copied sub-arrays.  [witness_size] must equal
-    [channels] (each witness set occupies every channel during its phase)
-    and every [witnesses.(r)] must have at least that many entries.
-    [my_flag] is consulted only if [my_id] appears in some witness prefix
-    (a node may witness at most one channel).
+(** [run ~scratch ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag]
+    runs one phase of [reps] rounds per witness set, [reps] being the size
+    [scratch] was made with: it consumes exactly
+    [Array.length witnesses * reps] rounds and returns the set D of channel
+    indices believed to have succeeded, sorted.  The witness set W[r] is
+    the first [witness_size] entries of [witnesses.(r)] — callers hand the
+    schedule's full watcher arrays and a prefix length instead of copied
+    sub-arrays.  [witness_size] must equal [channels] (each witness set
+    occupies every channel during its phase) and every [witnesses.(r)] must
+    have at least that many entries.  [my_flag] is consulted only if
+    [my_id] appears in some witness prefix (a node may witness at most one
+    channel).  [scratch] belongs to the calling node: it is overwritten,
+    and may be reused as soon as [run] returns.
 
     Listener rounds are declared through {!Radio.Engine.listen_series} —
     one suspension per feedback phase rather than one per round — which is
     observationally identical (the random hop sequence is drawn from the
-    same per-node stream in the same order) but makes population-scale
-    feedback cost array reads per listener-round instead of a fiber
-    resume. *)
+    same per-node stream in the same order, by {!Prng.Rng.fill_int}) but
+    makes population-scale feedback cost array reads per listener-round
+    instead of a fiber resume. *)
 
 val rounds_consumed : witnesses:int array array -> reps:int -> int

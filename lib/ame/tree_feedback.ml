@@ -104,9 +104,7 @@ let run ~my_id ~rng ~channels ~budget ~reps ~witnesses ~witness_size ~my_flag =
         per-node stream, declare it as one listen-series, and absorb the
         results in round order — byte-identical to the per-round loop. *)
      let chans_buf = Array.make d_reps 0 in
-     for r = 0 to d_reps - 1 do
-       chans_buf.(r) <- Prng.Rng.int rng d_channels
-     done;
+     Prng.Rng.fill_int rng d_channels chans_buf ~len:d_reps;
      let out_buf : Radio.Frame.t option array = Array.make d_reps None in
      Radio.Engine.listen_series ~chans:chans_buf ~into:out_buf;
      for r = 0 to d_reps - 1 do

@@ -25,8 +25,8 @@ let agreement_trial ~beta ~t ~n ~seed =
       !flag
     in
     outputs.(id) <-
-      Ame.Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps ~witnesses
-        ~witness_size:channels ~my_flag
+      Ame.Feedback.run ~scratch:(Ame.Feedback.make_scratch ~reps) ~my_id:id ~rng:ctx.rng
+        ~channels ~witnesses ~witness_size:channels ~my_flag
   in
   let adversary =
     Radio.Adversary.random_jammer (Prng.Rng.create (Int64.add seed 17L)) ~channels ~budget:t

@@ -14,40 +14,32 @@ let split_at t label =
 
 let copy t = { engine = Xoshiro.copy t.engine; base = t.base }
 
-(* Allocation-free rejection draw over the unboxed engine.  The drawn value
-   v = bits64 >>> 1 is 63 bits — one more than a native int can hold — so it
-   is handled as halves: v = hi * 2^31 + lo31 with hi = out_hi (32 bits) and
-   lo31 = out_lo >> 1 (31 bits).  With R = 2^63 - 1 and r63 = R mod bound,
-   limit = R - r63 always has high half 0xFFFFFFFF (r63 < 2^31), so
-   v < limit iff hi <> 0xFFFFFFFF || lo31 < 2^31 - 1 - r63; and
-   v mod bound = ((hi mod bound) * (2^31 mod bound) + lo31) mod bound, whose
-   intermediate product stays under 2^61 for bound < 2^30.  Bit-identical to
-   the Int64 fallback below (tested against it in test_prng.ml). *)
-let rec draw_fast engine bound p31 limit_lo =
-  Xoshiro.step engine;
-  let hi = Xoshiro.out_hi engine in
-  let lo31 = Xoshiro.out_lo engine lsr 1 in
-  if hi <> 0xFFFFFFFF || lo31 < limit_lo then ((hi mod bound) * p31 + lo31) mod bound
-  else draw_fast engine bound p31 limit_lo
+(* Bounds up to [Xoshiro.max_below] take the engine's allocation-free
+   bounded draw; larger ones use the same rejection sampler over boxed
+   Int64 (both are tested against an Int64 reference in test_prng.ml). *)
+let int_large t bound =
+  let bound64 = Int64.of_int bound in
+  (* Rejection over the top 63 bits keeps the draw exactly uniform. *)
+  let range = Int64.max_int in
+  let limit = Int64.sub range (Int64.rem range bound64) in
+  let rec draw () =
+    let v = Int64.shift_right_logical (bits64 t) 1 in
+    if v < limit then Int64.to_int (Int64.rem v bound64) else draw ()
+  in
+  draw ()
 
 let int t bound =
   assert (bound > 0);
-  if bound <= 0x3FFFFFFF then begin
-    (* R mod bound, with R = 2^63 - 1 = 2 * max_int + 1 (63-bit R itself
-       does not fit a native int). *)
-    let r63 = ((2 * (max_int mod bound)) + 1) mod bound in
-    draw_fast t.engine bound (0x80000000 mod bound) (0x7FFFFFFF - r63)
-  end
+  if bound <= Xoshiro.max_below then Xoshiro.below t.engine bound else int_large t bound
+
+let fill_int t bound arr ~len =
+  assert (bound > 0);
+  if bound <= Xoshiro.max_below then Xoshiro.fill_below t.engine bound arr ~len
   else begin
-    let bound64 = Int64.of_int bound in
-    (* Rejection over the top 63 bits keeps the draw exactly uniform. *)
-    let range = Int64.max_int in
-    let limit = Int64.sub range (Int64.rem range bound64) in
-    let rec draw () =
-      let v = Int64.shift_right_logical (bits64 t) 1 in
-      if v < limit then Int64.to_int (Int64.rem v bound64) else draw ()
-    in
-    draw ()
+    if len < 0 || len > Array.length arr then invalid_arg "Rng.fill_int: bad len";
+    for i = 0 to len - 1 do
+      arr.(i) <- int_large t bound
+    done
   end
 
 let int_in t lo hi =

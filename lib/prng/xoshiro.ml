@@ -22,6 +22,8 @@ type t = {
 
 let mask32 = 0xFFFFFFFF
 
+let max_below = 0x3FFFFFFF
+
 let hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
 let lo64 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
 
@@ -79,6 +81,66 @@ let[@inline] step t =
 
 let out_hi t = t.outh
 let out_lo t = t.outl
+
+(* The bounded draw.  Its value v = next >>> 1 is 63 bits, so v >= 2^62
+   does not fit a native int; the halves hi = outh (32 bits) and
+   lo31 = outl >> 1 (31 bits), v = hi * 2^31 + lo31, and the signed reading
+   x = (hi lsl 31) lor lo31, equal to v - 2^63 when v >= 2^62, stand in for
+   it.  Exact rejection keeps the draw uniform: with R = 2^63 - 1 and
+   r63 = R mod bound, v is accepted iff v < R - r63, whose high half is
+   0xFFFFFFFF (r63 < 2^31): hi <> 0xFFFFFFFF || lo31 < 2^31 - 1 - r63.
+   Then v mod bound is x mod bound, plus c63 = 2^63 mod bound when x < 0,
+   brought back into [0, bound).  A power of two divides 2^63 (c63 = 0) and
+   reduces to a mask, with r63 = bound - 1: no division at all.  Any other
+   bound pays one division per call for r63 and one per draw. *)
+let[@inline] r63 bound =
+  if bound land (bound - 1) = 0 then bound - 1
+  else
+    (* R = 2 * max_int + 1 does not fit either; reduce through max_int. *)
+    let twice = (2 * (max_int mod bound)) + 1 in
+    if twice >= bound then twice - bound else twice
+
+let[@inline] c63 bound r63 = if r63 = bound - 1 then 0 else r63 + 1
+
+let[@inline] accepted limit_lo hi lo31 = hi <> mask32 || lo31 < limit_lo
+
+let accepts ~bound ~hi ~lo31 = accepted (0x7FFFFFFF - r63 bound) hi lo31
+
+(* Entered on a rejected output; steps until one is accepted.  Kept out of
+   [draw] because a function with a loop is never inlined, and rejection
+   is the cold path (probability below bound / 2^63). *)
+let skip_rejected t limit_lo =
+  while not (accepted limit_lo t.outh (t.outl lsr 1)) do
+    step t
+  done
+
+let[@inline] draw t bound limit_lo c63 =
+  step t;
+  if not (accepted limit_lo t.outh (t.outl lsr 1)) then skip_rejected t limit_lo;
+  if c63 = 0 then (t.outl lsr 1) land (bound - 1)
+  else
+    let x = (t.outh lsl 31) lor (t.outl lsr 1) in
+    (* [x asr 62] is -1 exactly when x < 0, i.e. v >= 2^62. *)
+    let r = (x mod bound) + (c63 land (x asr 62)) in
+    r + (bound land (r asr 62))
+
+let[@inline] check_bound bound =
+  if bound <= 0 || bound > max_below then invalid_arg "Xoshiro: bound out of range"
+
+let below t bound =
+  check_bound bound;
+  let r63 = r63 bound in
+  draw t bound (0x7FFFFFFF - r63) (c63 bound r63)
+
+let fill_below t bound arr ~len =
+  check_bound bound;
+  if len < 0 || len > Array.length arr then invalid_arg "Xoshiro.fill_below: bad len";
+  let r63 = r63 bound in
+  let limit_lo = 0x7FFFFFFF - r63 and c63 = c63 bound r63 in
+  for i = 0 to len - 1 do
+    (* radio-lint: allow partial-array-unsafe — i < len <= length arr, checked above *)
+    Array.unsafe_set arr i (draw t bound limit_lo c63)
+  done
 
 let next t =
   step t;

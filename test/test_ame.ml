@@ -318,13 +318,90 @@ let feedback_64_groups () =
     Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null (fun (ctx : Radio.Engine.ctx) ->
         let id = ctx.id in
         outputs.(id) <-
-          Feedback.run ~my_id:id ~rng:ctx.rng ~channels ~reps:2 ~witnesses ~witness_size:channels
-            ~my_flag:(id < k * channels && flagged (id / channels)))
+          Feedback.run ~scratch:(Feedback.make_scratch ~reps:2) ~my_id:id ~rng:ctx.rng ~channels
+            ~witnesses ~witness_size:channels ~my_flag:(id < k * channels && flagged (id / channels)))
   in
   check Alcotest.int "rounds = k * reps" (k * 2) result.Radio.Engine.rounds_used;
   Array.iteri
     (fun id d -> check (Alcotest.list Alcotest.int) (Printf.sprintf "node %d" id) expected d)
     outputs
+
+(* Three consecutive feedback runs per node, each with its own flags, all
+   through one per-node scratch ([reuse]) or a fresh scratch per run.
+   Returns each node's (D, round at return) per run and the rounds used. *)
+let feedback_consecutive ~reuse ~adversary =
+  let channels = 2 and k = 3 and reps = 5 and runs = 3 in
+  let n = (k * channels) + 6 in
+  let cfg = Radio.Config.make ~seed:9L ~n ~channels ~t:1 () in
+  let witnesses = Array.init k (fun r -> Array.init channels (fun i -> (r * channels) + i)) in
+  let outputs = Array.make n [] in
+  let result =
+    Radio.Engine.run_nodes cfg ~adversary:(adversary ()) (fun (ctx : Radio.Engine.ctx) ->
+        let id = ctx.id in
+        let shared = Feedback.make_scratch ~reps in
+        for run = 0 to runs - 1 do
+          let scratch = if reuse then shared else Feedback.make_scratch ~reps in
+          let my_flag = id < k * channels && ((id / channels) + run) mod 2 = 0 in
+          let d =
+            Feedback.run ~scratch ~my_id:id ~rng:ctx.rng ~channels ~witnesses
+              ~witness_size:channels ~my_flag
+          in
+          outputs.(id) <- outputs.(id) @ [ (d, Radio.Engine.current_round ()) ]
+        done)
+  in
+  check Alcotest.int "rounds = runs * k * reps" (runs * k * reps)
+    result.Radio.Engine.rounds_used;
+  outputs
+
+let feedback_scratch_reuse () =
+  (* Under the null adversary the listeners' series park in the engine;
+     the observing reactive jammer makes the engine decline them, so each
+     listener fills the reused buffer round by round. *)
+  List.iter
+    (fun (name, adversary) ->
+      let fresh = feedback_consecutive ~reuse:false ~adversary in
+      let reused = feedback_consecutive ~reuse:true ~adversary in
+      Array.iteri
+        (fun id runs ->
+          check
+            (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.int) Alcotest.int))
+            (Printf.sprintf "%s: node %d" name id) runs reused.(id))
+        fresh)
+    [ ("null", fun () -> Radio.Adversary.null);
+      ( "reactive jammer",
+        fun () ->
+          let a = Radio.Adversary.reactive_jammer (Prng.Rng.create 4L) ~channels:2 ~budget:1 in
+          assert a.Radio.Adversary.observes;
+          a ) ]
+
+let feedback_steady_state_allocation () =
+  (* One listener against silent witnesses (their fibers return at once):
+     after the first run, a run through the same scratch allocates less than
+     one word per listener round, engine work on its behalf included. *)
+  let channels = 2 and k = 2 and reps = 200 and runs = 10 in
+  let listener = k * channels in
+  let cfg = Radio.Config.make ~seed:3L ~n:(listener + 1) ~channels ~t:1 () in
+  let witnesses = Array.init k (fun r -> Array.init channels (fun i -> (r * channels) + i)) in
+  let words = ref 0.0 in
+  let _ =
+    Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null (fun (ctx : Radio.Engine.ctx) ->
+        if ctx.id = listener then begin
+          let scratch = Feedback.make_scratch ~reps in
+          let feedback () =
+            ignore
+              (Feedback.run ~scratch ~my_id:ctx.id ~rng:ctx.rng ~channels ~witnesses
+                 ~witness_size:channels ~my_flag:false)
+          in
+          feedback ();
+          let before = Gc.minor_words () in
+          for _ = 1 to runs do
+            feedback ()
+          done;
+          words := (Gc.minor_words () -. before) /. float_of_int runs
+        end)
+  in
+  if !words >= float_of_int reps then
+    Alcotest.failf "a steady-state Feedback.run allocates %.1f words (reps = %d)" !words reps
 
 (* -- f-AME (Theorem 6) -- *)
 
@@ -765,7 +842,9 @@ let () =
         [ Alcotest.test_case "agreement across seeds" `Quick feedback_agreement_across_seeds;
           Alcotest.test_case "round cost" `Quick feedback_round_cost;
           Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes;
-          Alcotest.test_case "64 witness groups" `Quick feedback_64_groups ] );
+          Alcotest.test_case "64 witness groups" `Quick feedback_64_groups;
+          Alcotest.test_case "scratch reused across runs" `Quick feedback_scratch_reuse;
+          Alcotest.test_case "steady-state allocation" `Quick feedback_steady_state_allocation ] );
       ( "fame",
         [ Alcotest.test_case "clean delivery" `Quick fame_delivers_without_adversary;
           Alcotest.test_case "t-disruptability" `Slow fame_t_disruptable_under_jamming;

@@ -171,19 +171,26 @@ let rng_split_does_not_disturb_split_at () =
     (Rng.bits64 (Rng.split_at p1 3))
     (Rng.bits64 (Rng.split_at p2 3))
 
-let rng_int_matches_reference () =
-  (* Rng.int has a half-word fast path for small bounds and an Int64
-     rejection path for large ones; both must reproduce the historical
-     Int64 rejection sampler draw for draw. *)
-  let reference_int g bound =
-    let bound64 = Int64.of_int bound in
-    let limit = Int64.sub Int64.max_int (Int64.rem Int64.max_int bound64) in
-    let rec draw () =
-      let v = Int64.shift_right_logical (Xoshiro_reference.next g) 1 in
-      if v < limit then Int64.to_int (Int64.rem v bound64) else draw ()
-    in
-    draw ()
+(* The historical Int64 rejection sampler: 63 uniform bits, exact
+   rejection of the top (2^63 - 1) mod bound values, then mod bound. *)
+let reference_limit bound =
+  Int64.sub Int64.max_int (Int64.rem Int64.max_int (Int64.of_int bound))
+
+let reference_int g bound =
+  let limit = reference_limit bound in
+  let rec draw () =
+    let v = Int64.shift_right_logical (Xoshiro_reference.next g) 1 in
+    if v < limit then Int64.to_int (Int64.rem v (Int64.of_int bound)) else draw ()
   in
+  draw ()
+
+(* Every power of two the mask path takes, the largest kernel bound, odd
+   and even non-powers, and the Int64 fallback's bounds. *)
+let reference_bounds =
+  List.init 30 (fun k -> 1 lsl k)
+  @ [ 0x3FFFFFFF; 3; 6; 7; 1000; 65537; 0x40000000; 0x7FFFFFFFF ]
+
+let rng_int_matches_reference () =
   List.iter
     (fun bound ->
       let g = Rng.create 2718L and r = Xoshiro_reference.create 2718L in
@@ -193,8 +200,100 @@ let rng_int_matches_reference () =
         if got <> expect then
           Alcotest.failf "bound %d: draw %d gives %d, reference %d" bound i got expect
       done)
-    (* Fast-path bounds (<= 2^30 - 1), the boundary, and fallback bounds. *)
-    [ 1; 2; 6; 256; 65537; 0x3FFFFFFF; 0x40000000; 0x7FFFFFFFF ]
+    reference_bounds
+
+let rng_fill_int_matches_reference () =
+  (* Fills of mixed lengths, a zero-length one included, into a buffer
+     longer than each fill: the draws continue one stream, and the slots
+     past [len] keep their sentinel. *)
+  let buf = Array.make 100 (-1) in
+  List.iter
+    (fun bound ->
+      let g = Rng.create 2718L and r = Xoshiro_reference.create 2718L in
+      List.iter
+        (fun len ->
+          Array.fill buf 0 (Array.length buf) (-1);
+          Rng.fill_int g bound buf ~len;
+          for i = 0 to len - 1 do
+            let expect = reference_int r bound in
+            if buf.(i) <> expect then
+              Alcotest.failf "bound %d, fill of %d: slot %d gives %d, reference %d" bound len i
+                buf.(i) expect
+          done;
+          if len < Array.length buf && buf.(len) <> -1 then
+            Alcotest.failf "bound %d: fill of %d wrote past len" bound len)
+        [ 1; 86; 0; 7; 99; 3; 100 ])
+    reference_bounds
+
+let rng_fill_int_shares_state () =
+  (* After a fill, the generator is where [len] single draws leave it. *)
+  List.iter
+    (fun bound ->
+      let a = Rng.create 99L and b = Rng.create 99L and r = Xoshiro_reference.create 99L in
+      let buf = Array.make 86 0 in
+      Rng.fill_int a bound buf ~len:86;
+      for _ = 1 to 86 do
+        ignore (Rng.int b bound);
+        ignore (reference_int r bound)
+      done;
+      let next = Xoshiro_reference.next r in
+      check Alcotest.int64 "bits64 after the fill" next (Rng.bits64 a);
+      check Alcotest.int64 "bits64 after the ints" next (Rng.bits64 b))
+    [ 2; 6; 0x3FFFFFFF; 0x40000000 ]
+
+let rng_fill_int_rejects_bad_len () =
+  let g = Rng.create 1L and buf = Array.make 4 0 in
+  List.iter
+    (fun (bound, len) ->
+      match Rng.fill_int g bound buf ~len with
+      | () -> Alcotest.failf "bound %d, len %d accepted" bound len
+      | exception Invalid_argument _ -> ())
+    [ (6, 5); (6, -1); (0x40000000, 5); (0x40000000, -1) ]
+
+let xoshiro_accept_boundary () =
+  (* The rejection branch: v = hi * 2^31 + lo31 is accepted iff v < limit.
+     Random draws reach it with probability about bound / 2^63, so it is
+     checked at the threshold itself, against the Int64 comparison. *)
+  List.iter
+    (fun bound ->
+      if bound <= Xoshiro.max_below then begin
+        let limit = reference_limit bound in
+        check Alcotest.int64 "limit's high half is all ones" 0xFFFFFFFFL
+          (Int64.shift_right_logical limit 31);
+        let limit_lo = Int64.to_int (Int64.logand limit 0x7FFFFFFFL) in
+        List.iter
+          (fun (hi, lo31) ->
+            let v = Int64.logor (Int64.shift_left (Int64.of_int hi) 31) (Int64.of_int lo31) in
+            if Xoshiro.accepts ~bound ~hi ~lo31 <> (v < limit) then
+              Alcotest.failf "bound %d: hi %x lo31 %x disagrees with v < limit" bound hi lo31)
+          [ (0xFFFFFFFF, limit_lo - 1); (0xFFFFFFFF, limit_lo); (0xFFFFFFFF, 0x7FFFFFFF);
+            (0xFFFFFFFF, 0); (0xFFFFFFFE, 0x7FFFFFFF); (0, 0) ]
+      end)
+    reference_bounds
+
+(* The same measurement as test_crypto's allocation pins. *)
+let minor_words_per_call f =
+  f ();
+  let iters = 2_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int iters
+
+let rng_draws_allocation_free () =
+  let g = Rng.create 5L and buf = Array.make 86 0 in
+  List.iter
+    (fun bound ->
+      let int_words = minor_words_per_call (fun () -> ignore (Rng.int g bound)) in
+      if int_words > 0.01 then
+        Alcotest.failf "Rng.int %d allocates %.3f words/draw" bound int_words;
+      let fill_words =
+        minor_words_per_call (fun () -> Rng.fill_int g bound buf ~len:86) /. 86.0
+      in
+      if fill_words > 0.01 then
+        Alcotest.failf "Rng.fill_int %d allocates %.3f words/draw" bound fill_words)
+    [ 1; 2; 6; 1000; 0x3FFFFFFF ]
 
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in range" ~count:1000
@@ -254,6 +353,7 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick xoshiro_deterministic;
           Alcotest.test_case "matches Int64 reference" `Quick xoshiro_matches_reference;
           Alcotest.test_case "step exposes halves" `Quick xoshiro_step_halves;
+          Alcotest.test_case "accept boundary" `Quick xoshiro_accept_boundary;
           Alcotest.test_case "jump disjoint" `Quick xoshiro_jump_disjoint;
           Alcotest.test_case "distribution" `Quick xoshiro_distribution;
           qcheck xoshiro_reference_qcheck ] );
@@ -263,6 +363,11 @@ let () =
           Alcotest.test_case "split_at base-keyed" `Quick rng_split_does_not_disturb_split_at;
           Alcotest.test_case "sample without replacement" `Quick rng_sample_without_replacement;
           Alcotest.test_case "int matches rejection reference" `Quick rng_int_matches_reference;
+          Alcotest.test_case "fill_int matches rejection reference" `Quick
+            rng_fill_int_matches_reference;
+          Alcotest.test_case "fill_int shares the stream state" `Quick rng_fill_int_shares_state;
+          Alcotest.test_case "fill_int rejects a bad len" `Quick rng_fill_int_rejects_bad_len;
+          Alcotest.test_case "int and fill_int allocation-free" `Quick rng_draws_allocation_free;
           qcheck rng_int_bounds;
           qcheck rng_int_in_bounds;
           qcheck rng_float_range;
