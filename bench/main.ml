@@ -188,6 +188,33 @@ let micro_tests ~quick =
                     else ignore (Radio.Engine.listen ~chan:0)
                   done))))
   in
+  (* Parked listen-series: 2,000 listeners each park one 86-hop series (the
+     fame-n2e4 feedback reps) on random channels and read it back from the
+     engine's history ring, beside one transmitter per channel. *)
+  let listen_series =
+    let listeners = 2_000 and channels = 2 and hops = 86 in
+    let heard = ref 0 in
+    let count _ frame = if Option.is_some frame then incr heard in
+    Test.make ~name:"radio/listen-series-86"
+      (Staged.stage (fun () ->
+           let cfg =
+             Radio.Config.make ~n:(listeners + channels) ~channels ~t:1 ~seed:3L ()
+           in
+           ignore
+             (Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null
+                (fun (ctx : Radio.Engine.ctx) ->
+                  let id = ctx.Radio.Engine.id in
+                  if id < channels then
+                    for _ = 1 to hops do
+                      Radio.Engine.transmit ~chan:id
+                        (Radio.Frame.Plain { src = id; dst = -1; body = "x" })
+                    done
+                  else begin
+                    let chans = Array.make hops 0 in
+                    Prng.Rng.fill_int ctx.Radio.Engine.rng channels chans ~len:hops;
+                    Radio.Engine.listen_series ~chans ~f:count
+                  end))))
+  in
   let fame_small = fame_bench ~name:"ame/fame-4-pairs-t1" ~n:25 in
   let prng =
     let rng = Prng.Rng.create 9L in
@@ -226,8 +253,8 @@ let micro_tests ~quick =
     Test.make ~name:"crypto/hmac-sha256-keyed"
       (Staged.stage (fun () -> ignore (Crypto.Hmac.mac_keyed handle sha_input_small)))
   in
-  [ prng; prng_int 2; prng_int 6; prng_fill; sha_small; sha_large; hmac; hmac_keyed; dh; seal;
-    vc; greedy_move; game_full; engine_round; fame_small; engine_small; engine_2t2; prf_naive; prf_keyed ]
+  [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac; hmac_keyed; dh; seal;
+    vc; greedy_move; game_full; engine_round; listen_series; fame_small; engine_small; engine_2t2; prf_naive; prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 
 type micro_row = {

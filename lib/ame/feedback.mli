@@ -13,10 +13,11 @@
     fiber, by all nodes in the same round, with identical [witnesses]. *)
 
 type scratch
-(** One node's listener buffers: the hop channels and the heard frames of a
-    phase, [reps] entries each.  A node makes one when its fiber starts and
-    passes it to every {!run} call, so per-move feedback allocates no
-    buffers. *)
+(** One node's listener buffer: the [reps] hop channels of a phase.  What
+    the hops hear is read straight from the engine (see
+    {!Radio.Engine.listen_series}), so no result buffer is kept.  A node
+    makes one when its fiber starts and passes it to every {!run} call, so
+    per-move feedback allocates no buffers. *)
 
 val make_scratch : reps:int -> scratch
 (** [make_scratch ~reps] is a scratch for [reps] listener rounds per
@@ -49,7 +50,7 @@ val run :
     one suspension per feedback phase rather than one per round — which is
     observationally identical (the random hop sequence is drawn from the
     same per-node stream in the same order, by {!Prng.Rng.fill_int}) but
-    makes population-scale feedback cost array reads per listener-round
-    instead of a fiber resume. *)
+    makes population-scale feedback cost one draw, one ring count and one
+    ring read per listener-round instead of a fiber resume. *)
 
 val rounds_consumed : witnesses:int array array -> reps:int -> int

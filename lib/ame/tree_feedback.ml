@@ -101,13 +101,10 @@ let run ~my_id ~rng ~channels ~budget ~reps ~witnesses ~witness_size ~my_flag =
      done
    | None ->
      (* Non-witnesses only listen: draw the whole hop sequence from the same
-        per-node stream, declare it as one listen-series, and absorb the
-        results in round order — byte-identical to the per-round loop. *)
-     let chans_buf = Array.make d_reps 0 in
-     Prng.Rng.fill_int rng d_channels chans_buf ~len:d_reps;
-     let out_buf : Radio.Frame.t option array = Array.make d_reps None in
-     Radio.Engine.listen_series ~chans:chans_buf ~into:out_buf;
-     for r = 0 to d_reps - 1 do
-       absorb out_buf.(r)
-     done);
+        per-node stream, declare it as one listen-series, and absorb each
+        heard frame in round order — byte-identical to the per-round
+        loop. *)
+     let chans = Array.make d_reps 0 in
+     Prng.Rng.fill_int rng d_channels chans ~len:d_reps;
+     Radio.Engine.listen_series ~chans ~f:(fun _ frame -> absorb frame));
   List.filter_map (fun (c, flag) -> if flag then Some c else None) (Det.bindings known)

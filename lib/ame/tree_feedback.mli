@@ -39,8 +39,9 @@ val run :
     [witnesses.(c)] (the schedule's watcher-prefix, shared rather than
     copied); [witness_size] must equal [budget + 1].  Non-witnesses park
     through the merge phase with one [idle_for] and declare their
-    dissemination hops as one {!Radio.Engine.listen_series} — same rounds,
-    same rng stream, one suspension instead of thousands. *)
+    dissemination hops as one {!Radio.Engine.listen_series}, absorbing
+    each heard flag set in its [f] — same rounds, same rng stream, one
+    suspension instead of thousands. *)
 
 (** {1 Exposed internals (tested directly)} *)
 

@@ -29,16 +29,15 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0].
-    Bounds up to {!Xoshiro.max_below} draw through {!Xoshiro.below} and
-    allocate nothing. *)
+    One {!Xoshiro.below} draw; allocates nothing. *)
 
 val fill_int : t -> int -> int array -> len:int -> unit
 (** [fill_int t bound arr ~len] sets [arr.(0) .. arr.(len - 1)] to
     successive draws uniform in [\[0, bound)].  Bit-identical to [len]
     calls of [int t bound] in index order: the same values, and [t] ends in
-    the same state, so later draws agree too.  For bounds up to
-    {!Xoshiro.max_below} it is one {!Xoshiro.fill_below} call, which
-    computes the bound's constants once and allocates nothing.  Requires
+    the same state, so later draws agree too.  It is one
+    {!Xoshiro.fill_below} call, which loads the generator state and
+    computes the bound's limit once, and allocates nothing.  Requires
     [bound > 0]; raises [Invalid_argument] unless
     [0 <= len <= Array.length arr]. *)
 

@@ -1,33 +1,34 @@
-(* xoshiro256** on unboxed native ints.
+(* xoshiro256** with its state unboxed.
 
-   Each 64-bit state word is held as two 32-bit halves in immediate [int]
-   fields, so stepping the generator allocates nothing — the original
-   [mutable int64] record boxed every store and cost ~20 minor words per
-   draw, which dominated the f-AME hot path.  The output stream is
+   The record holds each 64-bit state word as two 32-bit halves in
+   immediate [int] fields, so storing the state allocates nothing.  The one
+   step loop, [run], loads the four words once per call into local [Int64]
+   refs, which ocamlopt keeps unboxed, steps on them with plain Int64
+   arithmetic, and stores them back once.  The output stream is
    bit-identical to the reference Int64 formulation (tested against it in
-   test_prng.ml).  Requires a 64-bit platform, like the native-int SHA-256.
-
-   Multiplications by the constants 5 and 9 are shift-and-add, and 64-bit
-   rotates/shifts are composed from half-word shifts; every half is kept
-   masked to 32 bits so the cross terms never overflow the 63-bit int. *)
+   test_prng.ml).  Requires a 64-bit platform, like the native-int
+   SHA-256. *)
 
 type t = {
   mutable s0h : int; mutable s0l : int;
   mutable s1h : int; mutable s1l : int;
   mutable s2h : int; mutable s2l : int;
   mutable s3h : int; mutable s3l : int;
-  (* Output halves of the latest [step]; valid until the next step. *)
-  mutable outh : int; mutable outl : int;
 }
 
-let mask32 = 0xFFFFFFFF
+let[@inline] word hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+let[@inline] hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
+let[@inline] lo64 x = Int64.to_int x land 0xFFFFFFFF
 
-let max_below = 0x3FFFFFFF
-
-let hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
-let lo64 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
-
-let word hi lo = Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+let[@inline] set_state t s0 s1 s2 s3 =
+  t.s0h <- hi64 s0;
+  t.s0l <- lo64 s0;
+  t.s1h <- hi64 s1;
+  t.s1l <- lo64 s1;
+  t.s2h <- hi64 s2;
+  t.s2l <- lo64 s2;
+  t.s3h <- hi64 s3;
+  t.s3l <- lo64 s3
 
 let create seed =
   let sm = Splitmix64.create seed in
@@ -38,118 +39,115 @@ let create seed =
   (* An all-zero state is a fixed point; SplitMix64 cannot produce four
      consecutive zeros, so this is safe, but assert it anyway. *)
   assert (not Int64.(equal s0 0L && equal s1 0L && equal s2 0L && equal s3 0L));
-  { s0h = hi64 s0; s0l = lo64 s0;
-    s1h = hi64 s1; s1l = lo64 s1;
-    s2h = hi64 s2; s2l = lo64 s2;
-    s3h = hi64 s3; s3l = lo64 s3;
-    outh = 0; outl = 0 }
+  let t = { s0h = 0; s0l = 0; s1h = 0; s1l = 0; s2h = 0; s2l = 0; s3h = 0; s3l = 0 } in
+  set_state t s0 s1 s2 s3;
+  t
 
 let copy t =
   { s0h = t.s0h; s0l = t.s0l;
     s1h = t.s1h; s1l = t.s1l;
     s2h = t.s2h; s2l = t.s2l;
-    s3h = t.s3h; s3l = t.s3l;
-    outh = t.outh; outl = t.outl }
+    s3h = t.s3h; s3l = t.s3l }
 
-let[@inline] step t =
-  let s1h = t.s1h and s1l = t.s1l in
-  (* x5 = s1 * 5 = s1 + (s1 << 2), carried across the halves. *)
-  let l = (s1l lsl 2) land mask32 and h = ((s1h lsl 2) lor (s1l lsr 30)) land mask32 in
-  let sum = l + s1l in
-  let x5l = sum land mask32 and x5h = (h + s1h + (sum lsr 32)) land mask32 in
-  (* r = rotl (x5, 7) *)
-  let rh = ((x5h lsl 7) lor (x5l lsr 25)) land mask32
-  and rl = ((x5l lsl 7) lor (x5h lsr 25)) land mask32 in
-  (* out = r * 9 = r + (r << 3) *)
-  let l = (rl lsl 3) land mask32 and h = ((rh lsl 3) lor (rl lsr 29)) land mask32 in
-  let sum = l + rl in
-  t.outl <- sum land mask32;
-  t.outh <- (h + rh + (sum lsr 32)) land mask32;
-  (* tmp = s1 << 17 *)
-  let th = ((s1h lsl 17) lor (s1l lsr 15)) land mask32 and tl = (s1l lsl 17) land mask32 in
-  let s2h = t.s2h lxor t.s0h and s2l = t.s2l lxor t.s0l in
-  let s3h = t.s3h lxor s1h and s3l = t.s3l lxor s1l in
-  t.s1h <- s1h lxor s2h;
-  t.s1l <- s1l lxor s2l;
-  t.s0h <- t.s0h lxor s3h;
-  t.s0l <- t.s0l lxor s3l;
-  t.s2h <- s2h lxor th;
-  t.s2l <- s2l lxor tl;
-  (* s3 = rotl (s3, 45) = rotl by 13 with the halves swapped. *)
-  t.s3h <- ((s3l lsl 13) lor (s3h lsr 19)) land mask32;
-  t.s3l <- ((s3h lsl 13) lor (s3l lsr 19)) land mask32
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let out_hi t = t.outh
-let out_lo t = t.outl
+(* The output a step taken from state word s1 produces. *)
+let[@inline] scramble s1 = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L
 
-(* The bounded draw.  Its value v = next >>> 1 is 63 bits, so v >= 2^62
-   does not fit a native int; the halves hi = outh (32 bits) and
-   lo31 = outl >> 1 (31 bits), v = hi * 2^31 + lo31, and the signed reading
-   x = (hi lsl 31) lor lo31, equal to v - 2^63 when v >= 2^62, stand in for
-   it.  Exact rejection keeps the draw uniform: with R = 2^63 - 1 and
-   r63 = R mod bound, v is accepted iff v < R - r63, whose high half is
-   0xFFFFFFFF (r63 < 2^31): hi <> 0xFFFFFFFF || lo31 < 2^31 - 1 - r63.
-   Then v mod bound is x mod bound, plus c63 = 2^63 mod bound when x < 0,
-   brought back into [0, bound).  A power of two divides 2^63 (c63 = 0) and
-   reduces to a mask, with r63 = bound - 1: no division at all.  Any other
-   bound pays one division per call for r63 and one per draw. *)
-let[@inline] r63 bound =
-  if bound land (bound - 1) = 0 then bound - 1
-  else
-    (* R = 2 * max_int + 1 does not fit either; reduce through max_int. *)
-    let twice = (2 * (max_int mod bound)) + 1 in
-    if twice >= bound then twice - bound else twice
+(* The bounded draw takes v = out >>> 1, a 63-bit value, and accepts it iff
+   v < limit = R - (R mod bound), R = 2^63 - 1; the accepted v mod bound is
+   then exactly uniform.  A power of two divides 2^63, so R mod bound is
+   bound - 1 without a division, and v mod bound is a mask. *)
+let[@inline] limit bound =
+  let r =
+    if bound land (bound - 1) = 0 then Int64.of_int (bound - 1)
+    else Int64.rem Int64.max_int (Int64.of_int bound)
+  in
+  Int64.sub Int64.max_int r
 
-let[@inline] c63 bound r63 = if r63 = bound - 1 then 0 else r63 + 1
+let[@inline] accepted (v : int64) limit = v < limit
 
-let[@inline] accepted limit_lo hi lo31 = hi <> mask32 || lo31 < limit_lo
+let accepts ~bound v = accepted v (limit bound)
 
-let accepts ~bound ~hi ~lo31 = accepted (0x7FFFFFFF - r63 bound) hi lo31
-
-(* Entered on a rejected output; steps until one is accepted.  Kept out of
-   [draw] because a function with a loop is never inlined, and rejection
-   is the cold path (probability below bound / 2^63). *)
-let skip_rejected t limit_lo =
-  while not (accepted limit_lo t.outh (t.outl lsr 1)) do
-    step t
-  done
-
-let[@inline] draw t bound limit_lo c63 =
-  step t;
-  if not (accepted limit_lo t.outh (t.outl lsr 1)) then skip_rejected t limit_lo;
-  if c63 = 0 then (t.outl lsr 1) land (bound - 1)
-  else
-    let x = (t.outh lsl 31) lor (t.outl lsr 1) in
-    (* [x asr 62] is -1 exactly when x < 0, i.e. v >= 2^62. *)
-    let r = (x mod bound) + (c63 land (x asr 62)) in
-    r + (bound land (r asr 62))
+(* The one step loop.  With [bound > 0] it steps until [len] outputs are
+   accepted, writes the i-th draw to [dst.(i)] when [dst] is nonempty, and
+   returns the last; with [bound = 0] it takes [len] steps and returns 0.
+   Rejection stays inside the loop: it is one more step before the next
+   acceptance (probability below bound / 2^63). *)
+let run t bound dst len =
+  let s0 = ref (word t.s0h t.s0l) and s1 = ref (word t.s1h t.s1l) in
+  let s2 = ref (word t.s2h t.s2l) and s3 = ref (word t.s3h t.s3l) in
+  let limit = if bound > 0 then limit bound else Int64.max_int in
+  let mask = if bound land (bound - 1) = 0 then bound - 1 else -1 in
+  let bound64 = Int64.of_int bound in
+  let store = Array.length dst > 0 in
+  let last = ref 0 and i = ref 0 in
+  while !i < len do
+    let x = !s1 in
+    let out = scramble x in
+    let tmp = Int64.shift_left x 17 in
+    let y2 = Int64.logxor !s2 !s0 in
+    let y3 = Int64.logxor !s3 x in
+    s1 := Int64.logxor x y2;
+    s0 := Int64.logxor !s0 y3;
+    s2 := Int64.logxor y2 tmp;
+    s3 := rotl y3 45;
+    if bound = 0 then incr i
+    else begin
+      let v = Int64.shift_right_logical out 1 in
+      if accepted v limit then begin
+        let r =
+          if mask >= 0 then Int64.to_int v land mask else Int64.to_int (Int64.rem v bound64)
+        in
+        (* radio-lint: allow partial-array-unsafe — i < len <= length dst, checked by fill_below *)
+        if store then Array.unsafe_set dst !i r;
+        last := r;
+        incr i
+      end
+    end
+  done;
+  set_state t !s0 !s1 !s2 !s3;
+  !last
 
 let[@inline] check_bound bound =
-  if bound <= 0 || bound > max_below then invalid_arg "Xoshiro: bound out of range"
+  if bound <= 0 then invalid_arg "Xoshiro: bound must be positive"
 
 let below t bound =
   check_bound bound;
-  let r63 = r63 bound in
-  draw t bound (0x7FFFFFFF - r63) (c63 bound r63)
+  run t bound [||] 1
 
 let fill_below t bound arr ~len =
   check_bound bound;
   if len < 0 || len > Array.length arr then invalid_arg "Xoshiro.fill_below: bad len";
-  let r63 = r63 bound in
-  let limit_lo = 0x7FFFFFFF - r63 and c63 = c63 bound r63 in
-  for i = 0 to len - 1 do
-    (* radio-lint: allow partial-array-unsafe — i < len <= length arr, checked above *)
-    Array.unsafe_set arr i (draw t bound limit_lo c63)
-  done
+  ignore (run t bound arr len)
+
+(* [next], [bool] and [float] read the output the coming step produces,
+   which depends on s1 alone, then take that step. *)
+let[@inline] coming t = scramble (word t.s1h t.s1l)
+
+let advance t = ignore (run t 0 [||] 1)
 
 let next t =
-  step t;
-  word t.outh t.outl
+  let out = coming t in
+  advance t;
+  out
+
+let bool t =
+  let out = coming t in
+  advance t;
+  Int64.to_int out land 1 = 1
+
+let float t =
+  (* 53 uniform bits mapped to [0,1). *)
+  let out = coming t in
+  advance t;
+  float_of_int (Int64.to_int (Int64.shift_right_logical out 11)) /. 9007199254740992.0
 
 let jump_table =
   [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
 
-(* Cold path; runs over the boxed representation for clarity. *)
+(* Cold path; accumulates over the boxed representation for clarity. *)
 let jump t =
   let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
   Array.iter
@@ -161,14 +159,7 @@ let jump t =
           s2 := Int64.logxor !s2 (word t.s2h t.s2l);
           s3 := Int64.logxor !s3 (word t.s3h t.s3l)
         end;
-        step t
+        advance t
       done)
     jump_table;
-  t.s0h <- hi64 !s0;
-  t.s0l <- lo64 !s0;
-  t.s1h <- hi64 !s1;
-  t.s1l <- lo64 !s1;
-  t.s2h <- hi64 !s2;
-  t.s2l <- lo64 !s2;
-  t.s3h <- hi64 !s3;
-  t.s3l <- lo64 !s3
+  set_state t !s0 !s1 !s2 !s3

@@ -11,44 +11,36 @@ val create : int64 -> t
 val copy : t -> t
 
 val next : t -> int64
-(** Next 64-bit output (boxed; equals [step] + [out_hi]/[out_lo]). *)
+(** Next 64-bit output. *)
 
-val step : t -> unit
-(** Advance the state one draw without boxing the output; read it through
-    {!out_hi}/{!out_lo} before the next [step].  [Rng]'s [bool] and [float]
-    draw through it; bounded draws go through {!below}/{!fill_below}. *)
+val bool : t -> bool
+(** The low bit of the next output.  Allocates nothing. *)
 
-val out_hi : t -> int
-(** High 32 bits of the latest {!step} output, in [0, 2^32). *)
-
-val out_lo : t -> int
-(** Low 32 bits of the latest {!step} output, in [0, 2^32). *)
-
-val max_below : int
-(** The largest bound {!below} and {!fill_below} take: 2^30 - 1. *)
+val float : t -> float
+(** The top 53 bits of the next output, scaled into [\[0, 1)]. *)
 
 val below : t -> int -> int
-(** [below t bound] is uniform in [\[0, bound)], for
-    [0 < bound <= max_below]: the draw [next t >>> 1] mod [bound], with
-    exact rejection of the top [(2^63 - 1) mod bound] values, so it equals
-    the textbook Int64 rejection sampler draw for draw.  The bounded-draw
-    kernel: a power-of-two bound is a mask (no division); any other bound
-    pays one division per call for its rejection constants and one per
-    draw.  Allocates nothing.  Raises [Invalid_argument] on a bound out of
-    range. *)
+(** [below t bound] is uniform in [\[0, bound)], for any [bound > 0]: the
+    63-bit value [v = next t >>> 1] mod [bound], with exact rejection of
+    the top [(2^63 - 1) mod bound] values of [v], so it equals the
+    textbook Int64 rejection sampler draw for draw.  A power-of-two bound
+    is a mask (no division); any other bound pays one division per call
+    for its rejection limit and one per draw.  Allocates nothing.  Raises
+    [Invalid_argument] unless [bound > 0]. *)
 
 val fill_below : t -> int -> int array -> len:int -> unit
 (** [fill_below t bound arr ~len] sets [arr.(0) .. arr.(len - 1)] to [len]
-    successive {!below} draws, computing the bound's constants once.  Same
+    successive {!below} draws in one pass of the step loop: the state is
+    loaded and stored once, and the bound's limit computed once.  Same
     output and final state as [len] calls of [below].  Raises
-    [Invalid_argument] on a bound out of range or [len] outside
-    [\[0, Array.length arr\]]. *)
+    [Invalid_argument] unless [bound > 0] and
+    [0 <= len <= Array.length arr]. *)
 
-val accepts : bound:int -> hi:int -> lo31:int -> bool
-(** The kernel's rejection predicate: whether the 63-bit value
-    [hi * 2^31 + lo31] ([hi] 32 bits, [lo31] 31 bits) is below
-    [(2^63 - 1) - ((2^63 - 1) mod bound)].  Exposed so its boundary, which
-    random draws practically never reach, can be tested directly. *)
+val accepts : bound:int -> int64 -> bool
+(** The rejection predicate: whether the 63-bit value [v] (in
+    [\[0, 2^63)]) is below [limit = (2^63 - 1) - ((2^63 - 1) mod bound)],
+    i.e. kept by {!below}.  Exposed so its boundary, which random draws
+    practically never reach, can be tested directly. *)
 
 val jump : t -> unit
 (** Advance the state by 2^128 steps; used to create non-overlapping

@@ -1,8 +1,22 @@
 type ctx = { id : int; rng : Prng.Rng.t; cfg : Config.t }
 
+(* A finished parked series, read in place from the core's history ring:
+   hop j heard [hist.(((row0 + j) mod depth) * channels + chans.(j))].  The
+   rows stay put until the fiber's next round action, which advances
+   [clock] past [issued]; a read after that raises. *)
+type series_view = {
+  hist : Frame.t option array;
+  row0 : int;
+  depth : int;
+  channels : int;
+  issued : int;
+  clock : int ref;
+}
+
 (* [Declined] answers an [EListenSeq] the engine will not run as one
-   suspension: the fiber then listens round by round itself. *)
-type obs = Received of Frame.t | Nothing | Declined
+   suspension: the fiber then listens round by round itself.  [Heard]
+   answers one it ran parked. *)
+type obs = Received of Frame.t | Nothing | Declined | Heard of series_view
 
 (* One effect constructor per action keeps the perform path lean: [EIdle] is
    a constant (no allocation at all), [EListen]/[ETransmit] are a single
@@ -13,35 +27,41 @@ type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t
 type _ Effect.t += EListen : int -> obs Effect.t
 type _ Effect.t += EIdle : obs Effect.t
 type _ Effect.t += EIdleFor : int -> obs Effect.t
-type _ Effect.t += EListenSeq : int array * Frame.t option array -> obs Effect.t
+type _ Effect.t += EListenSeq : int array -> obs Effect.t
 type _ Effect.t += Round : int Effect.t
 
 let transmit ~chan frame =
   match Effect.perform (ETransmit (chan, frame)) with
-  | Received _ | Nothing | Declined -> ()
+  | Received _ | Nothing | Declined | Heard _ -> ()
 
 let listen ~chan =
   match Effect.perform (EListen chan) with
   | Received frame -> Some frame
-  | Nothing | Declined -> None
+  | Nothing | Declined | Heard _ -> None
 
 let idle () =
   match Effect.perform EIdle with
-  | Received _ | Nothing | Declined -> ()
+  | Received _ | Nothing | Declined | Heard _ -> ()
 
 let idle_for k =
   if k > 0 then
     match Effect.perform (EIdleFor k) with
-    | Received _ | Nothing | Declined -> ()
+    | Received _ | Nothing | Declined | Heard _ -> ()
 
-let listen_series ~chans ~into =
+let listen_series ~chans ~f =
   let len = Array.length chans in
-  if Array.length into <> len then
-    invalid_arg "Engine.listen_series: chans and into must have equal length";
   if len > 0 then
-    match Effect.perform (EListenSeq (chans, into)) with
-    | Declined -> Array.iteri (fun j chan -> into.(j) <- listen ~chan) chans
-    | Received _ | Nothing -> ()
+    match Effect.perform (EListenSeq chans) with
+    | Heard v ->
+      let row = ref v.row0 in
+      for j = 0 to len - 1 do
+        if !(v.clock) <> v.issued then
+          invalid_arg "Engine.listen_series: series read after a round action";
+        f j (Array.get v.hist ((!row * v.channels) + Array.get chans j));
+        incr row;
+        if !row = v.depth then row := 0
+      done
+    | Received _ | Nothing | Declined -> Array.iteri (fun j chan -> f j (listen ~chan)) chans
 
 let current_round () = Effect.perform Round
 
@@ -58,6 +78,22 @@ type result = {
 (* Placeholder occupying [first_frame] slots whose [first_sender] is -1; the
    sentinel is the sender index, so the dummy is never read. *)
 let dummy_frame = Frame.Plain { src = -1; dst = -1; body = "" }
+
+(* A wake bucket's ids, ascending.  Parks from one resume pass (which runs
+   in ascending id order) cons a descending list, so filling the array
+   back to front sorts it; only a bucket filled across passes needs the
+   sort. *)
+let wake_order ids =
+  let len = List.length ids in
+  let a = Array.make len 0 in
+  let rec fill p sorted = function
+    | [] -> sorted
+    | id :: rest ->
+      Array.set a p id;
+      fill (p - 1) (sorted && (p = len - 1 || id < Array.get a (p + 1))) rest
+  in
+  if not (fill (len - 1) true ids) then Array.sort Int.compare a;
+  a
 
 (* Suspended-continuation slot: a two-constructor variant, so each
    suspension allocates one two-word block beside the runtime continuation
@@ -98,10 +134,7 @@ let run_core cfg ~adversary ~get_body =
   let chan_of = Array.make n 0 in
   let frame_of = Array.make n dummy_frame in
   let konts = Array.make n NoK in
-  (* Parked listen-series state: the declared channel run, the caller's
-     result buffer, and the series' first round. *)
-  let ser_chans : int array array = Array.make n [||] in
-  let ser_out : Frame.t option array array = Array.make n [||] in
+  (* Parked listen-series state: the series' first round. *)
   let ser_start = Array.make n 0 in
   let validate_chan chan =
     if chan < 0 || chan >= channels then
@@ -114,13 +147,15 @@ let run_core cfg ~adversary ~get_body =
      pre-accumulated into [series_counts] (a round-ring of per-channel
      ints) at declare time, delivered frames land in [series_hist] (same
      geometry, shared [Some] per channel per round), and the fiber parks in
-     the wake queue until the round after its last listen, where the whole
-     result buffer is filled from the history ring in one pass.  Rows are
+     the wake queue until the round after its last listen, where it is
+     resumed once with a view of its history rows.  Rows are
      addressed by [round mod series_depth]; a row is live for exactly one
      round in each ring (counts: consumed and zeroed at its round's
      resolution; history: written at its round's resolution, pre-zeroed
      when the ring wraps back around), so depth >= the longest outstanding
-     series suffices. *)
+     series suffices.  The completed fiber reads its rows in place through
+     a [series_view]: they are next rewritten at a round's resolution, and
+     the fiber's own next round action comes first. *)
   let series_depth = ref 0 in
   let series_counts = ref [||] in
   let series_hist : Frame.t option array ref = ref [||] in
@@ -132,8 +167,8 @@ let run_core cfg ~adversary ~get_body =
   let n_nxt = ref 0 in
   let started = ref false in
   let live = ref 0 in
-  (* Wake queue: absolute round -> parked node ids (unordered; sorted when
-     popped). *)
+  (* Wake queue: absolute round -> parked node ids (newest first; put in
+     ascending order when popped, see [wake_order]). *)
   let wake : (int, int list) Hashtbl.t = Hashtbl.create 64 in
   let push i =
     if !started then begin
@@ -152,7 +187,6 @@ let run_core cfg ~adversary ~get_body =
   let pending_chan = ref 0 in
   let pending_frame = ref dummy_frame in
   let pending_chans = ref [||] in
-  let pending_out : Frame.t option array ref = ref [||] in
   let some_transmit =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
@@ -251,8 +285,6 @@ let run_core cfg ~adversary ~get_body =
           if !row = depth then row := 0
         done;
         Bytes.set st i 'p';
-        ser_chans.(i) <- chans;
-        ser_out.(i) <- !pending_out;
         ser_start.(i) <- r0;
         konts.(i) <- K k;
         incr series_outstanding;
@@ -296,7 +328,7 @@ let run_core cfg ~adversary ~get_body =
           | EIdleFor d ->
             pending_chan := d;
             some_sleep
-          | EListenSeq (chans, out) ->
+          | EListenSeq chans ->
             (* The parked path skips the active list entirely but cannot
                name per-round listeners, so recording runs (transcript or
                observing adversary) decline the series and the fiber
@@ -304,7 +336,6 @@ let run_core cfg ~adversary ~get_body =
             if record_wanted then some_decline
             else begin
               pending_chans := chans;
-              pending_out := out;
               some_listen_park
             end
           | Round -> some_round
@@ -393,31 +424,22 @@ let run_core cfg ~adversary ~get_body =
   in
   let[@inline] resume_one i =
     match Bytes.get st i with
-    | 'p' ->
-      (* Parked series completes: fill the whole result buffer from the
-         history ring (row [r0] is [len - 1 < depth] rounds old, so every
-         row of the run is still live), then resume the fiber once. *)
-      let chans = ser_chans.(i) in
-      let out = ser_out.(i) in
-      let len = Array.length chans in
-      let r0 = ser_start.(i) in
-      let depth = !series_depth in
-      let hist = !series_hist in
-      let row = ref (r0 mod depth) in
-      for p = 0 to len - 1 do
-        Array.set out p (Array.get hist ((!row * channels) + chans.(p)));
-        incr row;
-        if !row = depth then row := 0
-      done;
-      ser_chans.(i) <- [||];
-      ser_out.(i) <- [||];
+    | 'p' -> (
+      (* Parked series completes: resume the fiber once with a view of its
+         history rows (row [r0] is [len - 1 < depth] rounds old, so every
+         row of the run is still live), issued at the round it resumes
+         in. *)
       decr series_outstanding;
-      (match konts.(i) with
-       | NoK -> ()
-       | K k ->
-         konts.(i) <- NoK;
-         running_i := i;
-         Effect.Deep.continue k Nothing)
+      match konts.(i) with
+      | NoK -> ()
+      | K k ->
+        konts.(i) <- NoK;
+        running_i := i;
+        let depth = !series_depth in
+        Effect.Deep.continue k
+          (Heard
+             { hist = !series_hist; row0 = ser_start.(i) mod depth; depth; channels;
+               issued = !round_counter; clock = round_counter }))
     | code -> (
       match konts.(i) with
       | NoK -> ()
@@ -444,9 +466,7 @@ let run_core cfg ~adversary ~get_body =
       | None -> [||]
       | Some ids ->
         Hashtbl.remove wake round;
-        let a = Array.of_list ids in
-        Array.sort (fun a b -> Int.compare a b) a;
-        a
+        wake_order ids
     in
     let ca = !cur and cn = !n_cur in
     let wn = Array.length wakers in

@@ -50,21 +50,26 @@ val idle_for : int -> unit
     the fiber in its wake queue, so the idle span costs zero per-round
     work. *)
 
-val listen_series : chans:int array -> into:Frame.t option array -> unit
+val listen_series : chans:int array -> f:(int -> Frame.t option -> unit) -> unit
 (** Listen for [Array.length chans] consecutive rounds, on [chans.(j)] in
-    the j-th round, storing each round's observation into [into.(j)].
-    Observationally identical to
-    [Array.iteri (fun j c -> into.(j) <- listen ~chan:c) chans] — same
-    stats, transcripts, and delivery semantics.  When nothing records
+    the j-th round, calling [f j heard] with each round's observation, in
+    round order.  Observationally identical to
+    [Array.iteri (fun j c -> f j (listen ~chan:c)) chans] — same stats,
+    transcripts, and delivery semantics.  When nothing records
     per-listener identities (transcript off, non-observing adversary) the
     sparse core parks the fiber for the whole run: its listener counts are
-    booked ahead and the heard frames are copied into [into] at the end,
-    so the run costs no per-round resume.  Otherwise the series runs as
-    exactly that sequence of {!listen} calls.  Use it when the channel
-    sequence does not depend on what is heard (e.g. the f-AME feedback
-    listeners' random hops).  [into] must have the same length as [chans]
-    (else [Invalid_argument]); its previous contents are overwritten.
-    Zero-length [chans] consumes no rounds. *)
+    booked ahead, and when the run ends the fiber resumes once and [f]
+    reads each heard frame straight from the core's history ring, so the
+    run costs no per-round resume and copies nothing.  Otherwise the
+    series runs as exactly that sequence of {!listen} calls, [f] following
+    each.  Use it when the channel sequence does not depend on what is
+    heard (e.g. the f-AME feedback listeners' random hops).
+
+    [f] must not modify [chans] and must not perform a round action: on
+    the parked path every [f] call runs after the last round of the
+    series, and a read of the next hop after [f] took a round action
+    raises [Invalid_argument] (the ring rows may have been reused).
+    Zero-length [chans] consumes no rounds and calls no [f]. *)
 
 val current_round : unit -> int
 (** The engine's round counter.  Does not consume a round. *)
@@ -76,21 +81,30 @@ val current_round : unit -> int
     action performs exactly one of these; a core answers with an {!obs}
     when the round resolves. *)
 
+type series_view
+(** A finished parked series' heard frames, read in place from the core's
+    history ring by {!listen_series}.  Valid until the fiber's next round
+    action. *)
+
 type obs =
   | Received of Frame.t  (** a listener's channel carried one decodable frame *)
   | Nothing  (** silence, collision, jam, or a non-listening action *)
   | Declined
       (** the core will not run an {!EListenSeq} as one suspension: the
           fiber then performs one {!EListen} per round itself *)
+  | Heard of series_view
+      (** the core ran an {!EListenSeq} parked: the series' rounds are over
+          and the view holds what each hop heard *)
 
 type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t  (** {!transmit} *)
 type _ Effect.t += EListen : int -> obs Effect.t  (** {!listen} *)
 type _ Effect.t += EIdle : obs Effect.t  (** {!idle} *)
 type _ Effect.t += EIdleFor : int -> obs Effect.t  (** {!idle_for}, [k > 0] rounds *)
-type _ Effect.t += EListenSeq : int array * Frame.t option array -> obs Effect.t
-(** {!listen_series} with a nonempty channel run: the core fills the
-    result array (same length) and answers [Nothing], or answers
-    [Declined]. *)
+type _ Effect.t += EListenSeq : int array -> obs Effect.t
+(** {!listen_series} with a nonempty channel run: the core either runs it
+    parked and answers [Heard] once its last round has resolved, or
+    answers [Declined] at once.  Only the sparse core builds views; the
+    test oracle always declines. *)
 type _ Effect.t += Round : int Effect.t  (** {!current_round}; consumes no round *)
 
 (** {1 Running} *)

@@ -16,8 +16,6 @@ type fiber =
   | Listen of int * k
   | Idle of k
   | Sleep of int * k  (** idle rounds left, this one included *)
-  | Series of int array * Frame.t option array * int * k
-      (** listen run: channels, result buffer, this round's position *)
 
 exception Aborted
 
@@ -79,7 +77,11 @@ let run (cfg : Config.t) ~adversary nodes =
           | Engine.EListen chan -> park (fun k -> Listen (chan, k))
           | Engine.EIdle -> park (fun k -> Idle k)
           | Engine.EIdleFor d -> park (fun k -> Sleep (d, k))
-          | Engine.EListenSeq (chans, into) -> park (fun k -> Series (chans, into, 0, k))
+          | Engine.EListenSeq _ ->
+            (* Always declined: the fiber then performs one [EListen] per
+               round, the definition the sparse core's parked series is
+               checked against. *)
+            Some (fun k -> Effect.Deep.continue k Engine.Declined)
           | Engine.Round -> Some (fun k -> Effect.Deep.continue k !round)
           | _ -> None) }
   in
@@ -106,10 +108,7 @@ let run (cfg : Config.t) ~adversary nodes =
     in
     let listeners =
       List.filter_map
-        (function
-          | i, Listen (chan, _) -> Some (i, chan)
-          | i, Series (chans, _, pos, _) -> Some (i, chans.(pos))
-          | _ -> None)
+        (function i, Listen (chan, _) -> Some (i, chan) | _ -> None)
         declared
     in
     List.iter (fun (_, chan, _) -> check_chan chan) honest_tx;
@@ -152,17 +151,13 @@ let run (cfg : Config.t) ~adversary nodes =
       | Listen (chan, k) ->
         resume k (match heard chan with Some f -> Engine.Received f | None -> Engine.Nothing)
       | Sleep (d, k) -> if d <= 1 then resume k Engine.Nothing else fibers.(i) <- Sleep (d - 1, k)
-      | Series (chans, into, pos, k) ->
-        into.(pos) <- heard chans.(pos);
-        if pos + 1 = Array.length chans then resume k Engine.Nothing
-        else fibers.(i) <- Series (chans, into, pos + 1, k)
     done
   done;
   let completed = not (waiting ()) in
   Array.iter
     (function
       | Finished -> ()
-      | Transmit (_, _, k) | Listen (_, k) | Idle k | Sleep (_, k) | Series (_, _, _, k) ->
+      | Transmit (_, _, k) | Listen (_, k) | Idle k | Sleep (_, k) ->
         Effect.Deep.discontinue k Aborted)
     fibers;
   { Engine.stats; transcript = List.rev !transcript; completed; rounds_used = !round;

@@ -354,9 +354,11 @@ let feedback_consecutive ~reuse ~adversary =
   outputs
 
 let feedback_scratch_reuse () =
-  (* Under the null adversary the listeners' series park in the engine;
-     the observing reactive jammer makes the engine decline them, so each
-     listener fills the reused buffer round by round. *)
+  (* Under the null adversary the listeners' series park in the engine and
+     are read back from its history ring; the observing reactive jammer
+     makes the engine decline them, so each listener hears its hops round
+     by round.  Either way the reused hop buffer gives the same D at the
+     same rounds as a fresh one. *)
   List.iter
     (fun (name, adversary) ->
       let fresh = feedback_consecutive ~reuse:false ~adversary in
@@ -376,8 +378,10 @@ let feedback_scratch_reuse () =
 
 let feedback_steady_state_allocation () =
   (* One listener against silent witnesses (their fibers return at once):
-     after the first run, a run through the same scratch allocates less than
-     one word per listener round, engine work on its behalf included. *)
+     after the first run, a run through the same scratch allocates a few
+     dozen words per phase whatever [reps] is, engine work on its behalf
+     included — no per-round word at all.  Measured: 82 words per run of
+     k = 2 phases. *)
   let channels = 2 and k = 2 and reps = 200 and runs = 10 in
   let listener = k * channels in
   let cfg = Radio.Config.make ~seed:3L ~n:(listener + 1) ~channels ~t:1 () in
@@ -400,7 +404,7 @@ let feedback_steady_state_allocation () =
           words := (Gc.minor_words () -. before) /. float_of_int runs
         end)
   in
-  if !words >= float_of_int reps then
+  if !words > 96.0 then
     Alcotest.failf "a steady-state Feedback.run allocates %.1f words (reps = %d)" !words reps
 
 (* -- f-AME (Theorem 6) -- *)

@@ -75,7 +75,7 @@ let node_body ~n ~channels ~steps (ctx : Engine.ctx) =
          series and the fiber listens round by round. *)
       let len = Prng.Rng.int rng 7 in
       let chans = Array.init len (fun _ -> Prng.Rng.int rng channels) in
-      Engine.listen_series ~chans ~into:(Array.make len None)
+      Engine.listen_series ~chans ~f:(fun _ _ -> ())
     | _ -> Engine.idle_for (1 + Prng.Rng.int rng 5)
   done
 
@@ -255,18 +255,14 @@ let series_workload ~n ~channels ~record ~seed run_core =
       Array.iter
         (fun len ->
           let chans = Array.init len (fun j -> (id + j) mod channels) in
-          let into = Array.make len None in
-          Engine.listen_series ~chans ~into;
-          Array.iter
-            (fun f ->
+          Engine.listen_series ~chans ~f:(fun j frame ->
               let s =
-                match f with
-                | Some (Frame.Plain { src; body; _ }) -> Printf.sprintf "%d:%s" src body
+                match frame with
+                | Some (Frame.Plain { src; body; _ }) -> Printf.sprintf "%d@%d:%s" j src body
                 | Some _ -> "?"
-                | None -> "-"
+                | None -> Printf.sprintf "%d@-" j
               in
-              heard.(id) <- s :: heard.(id))
-            into)
+              heard.(id) <- s :: heard.(id)))
         series_lengths
     end
   in
@@ -284,7 +280,7 @@ let series_heard_parity () =
   check Alcotest.bool "parked: engine observables identical" true (same_result ra rb);
   check Alcotest.bool "parked: heard frames identical" true (ha = hb);
   check Alcotest.bool "listeners heard something" true
-    (Array.exists (fun l -> List.exists (fun s -> s <> "-") l) hb);
+    (Array.exists (List.exists (fun s -> not (String.ends_with ~suffix:"@-" s))) hb);
   (* Declined series, recording on: must hear exactly the same frames. *)
   let rc, hc = go ~record:true Reference_engine.run in
   let rd, hd = go ~record:true Engine.run in
@@ -315,17 +311,65 @@ let series_heard_parity () =
 
 let series_rejects_bad_arguments () =
   let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Engine.listen_series: chans and into must have equal length")
-    (fun () ->
-      ignore
-        (Engine.run_nodes cfg ~adversary:Adversary.null (fun _ ->
-             Engine.listen_series ~chans:[| 0; 1 |] ~into:(Array.make 1 None))));
   Alcotest.check_raises "invalid channel"
     (Invalid_argument "Engine: action on invalid channel 9") (fun () ->
       ignore
         (Engine.run_nodes cfg ~adversary:Adversary.null (fun _ ->
-             Engine.listen_series ~chans:[| 0; 9 |] ~into:(Array.make 2 None))))
+             Engine.listen_series ~chans:[| 0; 9 |] ~f:(fun _ _ -> ()))))
+
+let series_stale_read_raises () =
+  (* On the parked path [f] reads the history ring in place, so a round
+     action inside [f] invalidates the rest of the series: the next read
+     raises.  [current_round] is not a round action, and a round action in
+     the last hop's [f] is followed by no read. *)
+  let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
+  let run f =
+    Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
+        if ctx.Engine.id = 0 then Engine.listen_series ~chans:[| 0; 1; 0 |] ~f
+        else
+          for _ = 1 to 5 do
+            Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
+          done)
+  in
+  Alcotest.check_raises "round action, then a read"
+    (Invalid_argument "Engine.listen_series: series read after a round action") (fun () ->
+      ignore (run (fun j _ -> if j = 0 then Engine.idle ())));
+  let rounds = ref [] in
+  let r =
+    run (fun j _ ->
+        rounds := Engine.current_round () :: !rounds;
+        if j = 2 then Engine.idle ())
+  in
+  check Alcotest.(list int) "current_round reads the resume round" [ 3; 3; 3 ] !rounds;
+  check Alcotest.bool "completed" true r.Engine.completed
+
+let series_completion_allocation () =
+  (* A parked series costs the same constant number of words whatever its
+     length: the fiber is resumed once with a view of the ring, and no
+     per-hop result is copied or boxed. *)
+  let words ~len =
+    let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
+    let chans = Array.init len (fun j -> j land 1) in
+    let f _ _ = () in
+    let per_series = ref 0.0 in
+    let _ =
+      Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
+          if ctx.Engine.id = 0 then begin
+            Engine.listen_series ~chans ~f;
+            let runs = 50 in
+            let before = Gc.minor_words () in
+            for _ = 1 to runs do
+              Engine.listen_series ~chans ~f
+            done;
+            per_series := (Gc.minor_words () -. before) /. float_of_int runs
+          end)
+    in
+    !per_series
+  in
+  let one = words ~len:1 and many = words ~len:200 in
+  if Float.abs (one -. many) > 0.5 then
+    Alcotest.failf "a series allocates %.1f words at 1 hop but %.1f at 200" one many;
+  if many > 48.0 then Alcotest.failf "a parked series allocates %.1f words" many
 
 let channel_usage_totals_match_stats () =
   (* The per-channel counters are a refinement of the global stats: summed
@@ -387,7 +431,10 @@ let () =
           Alcotest.test_case "usage absent when off" `Quick untracked_has_no_usage ] );
       ( "listen-series",
         [ Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;
-          Alcotest.test_case "argument validation" `Quick series_rejects_bad_arguments ] );
+          Alcotest.test_case "argument validation" `Quick series_rejects_bad_arguments;
+          Alcotest.test_case "stale read raises" `Quick series_stale_read_raises;
+          Alcotest.test_case "completion allocation constant" `Quick
+            series_completion_allocation ] );
       ( "adversary-validate",
         [ Alcotest.test_case "empty strikes allocation-free" `Quick validate_empty_no_alloc;
           Alcotest.test_case "nonempty strikes still validated" `Quick

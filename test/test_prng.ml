@@ -66,9 +66,8 @@ let xoshiro_jump_disjoint () =
   check Alcotest.bool "jumped stream does not collide" false !overlap
 
 (* The textbook Int64 formulation of xoshiro256**, seeded exactly like the
-   production generator.  The unboxed half-word implementation must stay
-   bit-identical to this stream forever — every recorded experiment table
-   depends on it. *)
+   production generator.  The unboxed step loop must stay bit-identical to
+   this stream forever — every recorded experiment table depends on it. *)
 module Xoshiro_reference = struct
   type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
 
@@ -118,17 +117,26 @@ let xoshiro_reference_qcheck =
       done;
       !ok)
 
-let xoshiro_step_halves () =
-  (* [step] + [out_hi]/[out_lo] is the allocation-free view of [next]: the
-     halves must reassemble into exactly the boxed draw. *)
-  let a = Xoshiro.create 314L and b = Xoshiro.create 314L in
-  for _ = 1 to 100 do
-    let boxed = Xoshiro.next a in
-    Xoshiro.step b;
-    let hi = Int64.of_int (Xoshiro.out_hi b) and lo = Int64.of_int (Xoshiro.out_lo b) in
-    check Alcotest.int64 "halves reassemble" boxed
-      (Int64.logor (Int64.shift_left hi 32) lo)
-  done
+let xoshiro_bool_float_match_reference () =
+  (* [bool] and [float] read the low bit and the top 53 bits of the same
+     output [next] returns, and advance the stream by exactly one step. *)
+  List.iter
+    (fun seed ->
+      let b = Xoshiro.create seed and f = Xoshiro.create seed in
+      let r = Xoshiro_reference.create seed in
+      for i = 1 to 1000 do
+        let out = Xoshiro_reference.next r in
+        let bit = Int64.logand out 1L = 1L in
+        let top53 =
+          Int64.to_float (Int64.shift_right_logical out 11) /. 9007199254740992.0
+        in
+        if Xoshiro.bool b <> bit then Alcotest.failf "seed %Ld: bool %d diverges" seed i;
+        if Xoshiro.float f <> top53 then Alcotest.failf "seed %Ld: float %d diverges" seed i
+      done;
+      let next = Xoshiro_reference.next r in
+      check Alcotest.int64 "next after the bools" next (Xoshiro.next b);
+      check Alcotest.int64 "next after the floats" next (Xoshiro.next f))
+    [ 0L; 1L; 314L; -1L ]
 
 let xoshiro_distribution () =
   (* Coarse uniformity: bucket 64k draws into 16 buckets; each within 20%
@@ -184,8 +192,9 @@ let reference_int g bound =
   in
   draw ()
 
-(* Every power of two the mask path takes, the largest kernel bound, odd
-   and even non-powers, and the Int64 fallback's bounds. *)
+(* Every power of two below 2^30 (the mask path), odd and even
+   non-powers (the division path), and bounds past 2^30, which the
+   kernel's 63-bit acceptance test covers too. *)
 let reference_bounds =
   List.init 30 (fun k -> 1 lsl k)
   @ [ 0x3FFFFFFF; 3; 6; 7; 1000; 65537; 0x40000000; 0x7FFFFFFFF ]
@@ -251,24 +260,19 @@ let rng_fill_int_rejects_bad_len () =
     [ (6, 5); (6, -1); (0x40000000, 5); (0x40000000, -1) ]
 
 let xoshiro_accept_boundary () =
-  (* The rejection branch: v = hi * 2^31 + lo31 is accepted iff v < limit.
+  (* The rejection branch: the 63-bit value v is accepted iff v < limit.
      Random draws reach it with probability about bound / 2^63, so it is
      checked at the threshold itself, against the Int64 comparison. *)
   List.iter
     (fun bound ->
-      if bound <= Xoshiro.max_below then begin
-        let limit = reference_limit bound in
-        check Alcotest.int64 "limit's high half is all ones" 0xFFFFFFFFL
-          (Int64.shift_right_logical limit 31);
-        let limit_lo = Int64.to_int (Int64.logand limit 0x7FFFFFFFL) in
-        List.iter
-          (fun (hi, lo31) ->
-            let v = Int64.logor (Int64.shift_left (Int64.of_int hi) 31) (Int64.of_int lo31) in
-            if Xoshiro.accepts ~bound ~hi ~lo31 <> (v < limit) then
-              Alcotest.failf "bound %d: hi %x lo31 %x disagrees with v < limit" bound hi lo31)
-          [ (0xFFFFFFFF, limit_lo - 1); (0xFFFFFFFF, limit_lo); (0xFFFFFFFF, 0x7FFFFFFF);
-            (0xFFFFFFFF, 0); (0xFFFFFFFE, 0x7FFFFFFF); (0, 0) ]
-      end)
+      let limit = reference_limit bound in
+      List.iter
+        (fun (v, expect) ->
+          if Xoshiro.accepts ~bound v <> expect then
+            Alcotest.failf "bound %d: v = %Lx %s" bound v
+              (if expect then "rejected" else "accepted"))
+        [ (Int64.pred limit, true); (limit, false); (Int64.max_int, false);
+          (0L, true) ])
     reference_bounds
 
 (* The same measurement as test_crypto's allocation pins. *)
@@ -293,7 +297,7 @@ let rng_draws_allocation_free () =
       in
       if fill_words > 0.01 then
         Alcotest.failf "Rng.fill_int %d allocates %.3f words/draw" bound fill_words)
-    [ 1; 2; 6; 1000; 0x3FFFFFFF ]
+    [ 1; 2; 6; 1000; 0x3FFFFFFF; 0x40000000; 0x7FFFFFFFF ]
 
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in range" ~count:1000
@@ -352,7 +356,8 @@ let () =
       ( "xoshiro",
         [ Alcotest.test_case "deterministic" `Quick xoshiro_deterministic;
           Alcotest.test_case "matches Int64 reference" `Quick xoshiro_matches_reference;
-          Alcotest.test_case "step exposes halves" `Quick xoshiro_step_halves;
+          Alcotest.test_case "bool and float bits" `Quick
+            xoshiro_bool_float_match_reference;
           Alcotest.test_case "accept boundary" `Quick xoshiro_accept_boundary;
           Alcotest.test_case "jump disjoint" `Quick xoshiro_jump_disjoint;
           Alcotest.test_case "distribution" `Quick xoshiro_distribution;
