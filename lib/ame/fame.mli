@@ -7,6 +7,14 @@
     when C = t+1, and O(|E| log n) when C = 2t (Section 5.5, case 1) — the
     same code runs both regimes, with proposal size = channels used.
 
+    Every node simulates the referee, and nodes in the same game state
+    compute the same proposal and schedule (Invariant 1).  The simulator
+    computes each such referee step once per distinct game state and the
+    fibers in that state share it; a node whose feedback output D differs
+    moves to a state of its own, so a desynchronization still shows.
+    Only each node's own part of a move (its role, its radio actions,
+    its feedback and its known vectors) is computed per node.
+
     Guarantees measured by the experiments (Definition 1):
     - authentication: destinations only ever output genuinely-sent payloads;
     - sender awareness: each source learns exactly which of its messages

@@ -32,10 +32,12 @@ type scratch
 (** Reusable claimed-node workspace for {!build}: generation-stamped int
     arrays (claim stamps + the packed role table), grown on demand, so
     consecutive builds cost O(proposal) instead of an O(n) allocation +
-    clear each.  A scratch must not be shared by builds that can overlap —
-    use one per concurrent runner (fibers of one engine run interleave on a
-    single domain and never overlap, so one scratch per protocol run is
-    safe). *)
+    clear each.  A build retires every index taken earlier from the same
+    scratch, so share one only among builds whose lookups all happen
+    before the next build on it (each {!Direct} fiber builds and queries
+    between two suspensions).  A schedule queried long after its build,
+    like f-AME's per-move schedule that every node in the same game state
+    reads, is built without a scratch and owns its table. *)
 
 val make_scratch : unit -> scratch
 

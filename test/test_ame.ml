@@ -614,6 +614,169 @@ let fame_invariants_on_random_workloads =
       in
       authentic && accounted && cover_ok)
 
+(* Every observable field of an outcome, serialized canonically and hashed:
+   the lists, the cover, the flags, the move and round counts, every
+   [Stats] field, the transcript length and the per-channel usage. *)
+let outcome_sha (o : Fame.outcome) =
+  let r = o.Fame.engine in
+  let s = r.Radio.Engine.stats in
+  let b = Buffer.create 512 in
+  List.iter (fun ((v, w), body) -> Printf.bprintf b "d%d-%d=%s;" v w body) o.Fame.delivered;
+  List.iter (fun (v, w) -> Printf.bprintf b "c%d-%d;" v w) o.Fame.confirmed;
+  List.iter (fun (v, w) -> Printf.bprintf b "f%d-%d;" v w) o.Fame.failed;
+  Printf.bprintf b "vc=%s;diverged=%b;moves=%d;"
+    (match o.Fame.disruption_vc with Some vc -> string_of_int vc | None -> "-")
+    o.Fame.diverged o.Fame.moves;
+  Printf.bprintf b "rounds=%d;completed=%b;transcript=%d;" r.Radio.Engine.rounds_used
+    r.Radio.Engine.completed (List.length r.Radio.Engine.transcript);
+  Printf.bprintf b "stats=%d,%d,%d,%d,%d,%d,%d,%d;" s.Radio.Transcript.Stats.rounds
+    s.Radio.Transcript.Stats.honest_transmissions s.Radio.Transcript.Stats.deliveries
+    s.Radio.Transcript.Stats.spoofed_deliveries s.Radio.Transcript.Stats.collisions
+    s.Radio.Transcript.Stats.jammed_rounds s.Radio.Transcript.Stats.strikes
+    s.Radio.Transcript.Stats.max_payload;
+  (match r.Radio.Engine.channel_usage with
+   | None -> Buffer.add_string b "usage=-"
+   | Some u ->
+     let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+     Printf.bprintf b "usage=%s/%s/%s"
+       (ints u.Radio.Transcript.Channel_usage.deliveries)
+       (ints u.Radio.Transcript.Channel_usage.collisions)
+       (ints u.Radio.Transcript.Channel_usage.jammed));
+  Crypto.Sha256.digest_hex (Buffer.contents b)
+
+(* A low-beta feedback under a random jammer: too few repetitions, so
+   listeners disagree on D often enough that some runs diverge.  At
+   C = t + 1 a disagreeing listener mostly hears D empty; at C = 4, t = 1
+   listeners also split between two non-empty D. *)
+let jammed_low_beta ~t ~channels ~n ~beta ~seed =
+  let cfg =
+    Radio.Config.make ~n ~channels ~t ~seed:(Int64.of_int seed)
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
+  Fame.run
+    ~ame_params:{ Params.default with Params.beta_feedback = beta }
+    ~cfg ~pairs:(Workload.disjoint_pairs ~n ~count:8) ~messages
+    ~adversary:(fun _ ->
+      Experiments.Common.random_jam ~seed:(Int64.of_int (seed * 7)) ~channels ~budget:t)
+    ()
+
+(* The E13 shape: sources 0 and 1 fan out to 20..25 at t = 1, and the
+   corrupted nodes 2..5 are the first watchers, hence the surrogates. *)
+let byzantine corruption =
+  let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23; 24; 25 ]) [ 0; 1 ] in
+  let cfg = Radio.Config.make ~n:30 ~channels:2 ~t:1 ~seed:11L ~max_rounds:Radio.Config.default_max_rounds () in
+  Fame.run ~corrupted:[ 2; 3; 4; 5 ] ~corruption ~cfg ~pairs ~messages
+    ~adversary:(Experiments.Common.schedule_jam ~channels:2 ~budget:1)
+    ()
+
+let fame_outcome_pins () =
+  (* Pinned on the per-fiber referee: a run's outcome must not depend on
+     how the referee steps are computed. *)
+  let jammed ~t ~channels ~n ~beta =
+    let runs =
+      List.init 6 (fun i ->
+          let seed = i + 1 in
+          ( Printf.sprintf "low-beta random jam t=%d C=%d seed %d" t channels seed,
+            jammed_low_beta ~t ~channels ~n ~beta ~seed ))
+    in
+    let diverged = List.filter (fun (_, o) -> o.Fame.diverged) runs in
+    check Alcotest.bool
+      (Printf.sprintf "low-beta set at C=%d has diverged and clean runs" channels)
+      true
+      (diverged <> [] && List.length diverged < List.length runs);
+    runs
+  in
+  let narrow = jammed ~t:2 ~channels:3 ~n:40 ~beta:1.0 in
+  let wide = jammed ~t:1 ~channels:4 ~n:60 ~beta:0.6 in
+  let forging = byzantine Fame.Forge_as_surrogate in
+  check Alcotest.bool "a forged payload is delivered" true
+    (List.exists (fun (pair, body) -> body <> messages pair) forging.Fame.delivered);
+  let cut =
+    let n = Params.nodes_required Params.default ~channels_used:3 ~budget:2 ~channels:3 + 6 in
+    let cfg = Radio.Config.make ~n ~channels:3 ~t:2 ~seed:7L ~max_rounds:60 () in
+    Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n ~count:8) ~messages
+      ~adversary:null_adversary ()
+  in
+  check Alcotest.bool "max_rounds cuts the run" false cut.Fame.engine.Radio.Engine.completed;
+  let pins =
+    [ ( "sequential C=t+1",
+        (let cfg = fame_cfg ~t:2 ~seed:2L () in
+         Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8) ~messages
+           ~adversary:(fun board ->
+             Attacks.schedule_jammer board ~channels:3 ~budget:2 ~prefer:Attacks.Prefer_edges)
+           ()),
+        "6ddf0b537130be57dc0cf990d125be2211adaefacc1dd405ebe54a1f37199eb9" );
+      ( "sequential C=2t",
+        (let cfg = fame_cfg ~t:2 ~channels:4 ~seed:40L () in
+         Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8) ~messages
+           ~adversary:(fun board ->
+             Attacks.schedule_jammer board ~channels:4 ~budget:2 ~prefer:Attacks.Any)
+           ()),
+        "470662cdc2eb3c2a9c010ecf2173657be28a3bad7cae9483df77c401d9ec51e5" );
+      ( "tree C=2t^2",
+        (let cfg =
+           Radio.Config.make ~n:55 ~channels:8 ~t:2 ~seed:41L
+             ~max_rounds:Radio.Config.default_max_rounds ()
+         in
+         Fame.run ~channels_used:4 ~feedback_mode:Fame.Tree ~cfg
+           ~pairs:(Workload.disjoint_pairs ~n:55 ~count:8) ~messages
+           ~adversary:(fun board ->
+             Attacks.schedule_jammer board ~channels:8 ~budget:2 ~prefer:Attacks.Prefer_edges)
+           ()),
+        "9480ea7db2c8eb33200c90aab10962995570eb4132d4a2b56ebf51006410ba6c" );
+      ( "forge as surrogate",
+        forging,
+        "af6e99cf1e215aa297bb63d3b95ac66a3b61094729ef1ec5ac8ac65e84ad21ee" );
+      ( "lie as witness",
+        byzantine Fame.Lie_as_witness,
+        "2136f6580a9e5b5fecaa7886daffcb286e030568f2c4a458c0e1e09548858646" );
+      ( "observing jammer",
+        (let cfg = fame_cfg ~t:1 ~seed:5L () in
+         Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:5) ~messages
+           ~adversary:(fun _ ->
+             Radio.Adversary.reactive_jammer (Prng.Rng.create 6L) ~channels:2 ~budget:1)
+           ()),
+        "d26fe7b2b7a8c04b8d8c93f2c4065a5adb6c0d1a5fd493154996ccceb0d8c9e2" );
+      ("cut by max_rounds", cut, "9ff72f71c7a657f66754169122413a85b3ee72e498430068a6fe78ccfdc6eaf4");
+      (* Nodes end the game in different states with no other sign of
+         trouble on the way: only the final-state digests flag it. *)
+      ( "diverged at the final digests",
+        jammed_low_beta ~t:1 ~channels:3 ~n:40 ~beta:0.6 ~seed:6,
+        "1424476b9670eef46f928bd42e033c5611db3f4720cb8e3079334037792a9c02" ) ]
+    @ List.map2
+        (fun (name, o) sha -> (name, o, sha))
+        (narrow @ wide)
+        [ "ff103540d673015d843f4c266fdd5d553d39c20b1dea6e23d972da973388f029";
+          "9039cf292ae4d1f65b35d253dd50001e0d6d0a082cc9494c4f9671c418f1b1ed";
+          "ba6536e8bf8d426616c6f9c6d7f80d4755eb418cdd25d0d2e71186b9ee069f76";
+          "f88770c8d02e36bbd7bbb48710453805d6d4ac30ddb22dd5593e94ee50ce327b";
+          "ca40f58240ca1e2923a8ff1761f398b92d48a6846a5771b8f261d4a16f81afff";
+          "a720ea5b108c7fc18380f57779a6e4d060b6db0a76681736477a267941a71382";
+          "5a9ba9e0fbf3986dee20e2743a00d54ad029cee55fb7838a6a49dd56284c50a5";
+          "ac0688de7d4ed6b8ca8b149717e8237092f00ed85e52fba66e5b20264515326e";
+          "da3a176f716e67bb4133f320834b9ed14ec5b4e8e0241a4c73ef301e1b083d4d";
+          "86960ac6974a75d911d01cec9b969b971892be100520b0684947699604c81003";
+          "48be27ee183fb0d54707616688a6804f8d7741de9c1a823c0f41c0fda70abeff";
+          "5a3659b8d0913a2ae340bc82ca66c4977f408f2772feeb58e558d7f36bdfebfb" ]
+  in
+  List.iter (fun (name, o, sha) -> check Alcotest.string name sha (outcome_sha o)) pins
+
+let fame_allocation_per_move () =
+  (* Nodes in the same game state share one referee step, so a node-move
+     costs the node's own radio and feedback work only: measured 157.0
+     minor words, against 462.5 when every node rebuilt the proposal and
+     schedule itself. *)
+  let n = 8_000 in
+  let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:3L () in
+  let pairs = Workload.disjoint_pairs ~n ~count:4 in
+  let before = Gc.minor_words () in
+  let o = Fame.run ~cfg ~pairs ~messages ~adversary:null_adversary () in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "clean run" false o.Fame.diverged;
+  let per = words /. float_of_int (n * o.Fame.moves) in
+  if per > 220.0 then
+    Alcotest.failf "f-AME allocates %.1f minor words per node-move (%d moves)" per o.Fame.moves
+
 (* -- tree feedback internals -- *)
 
 let tree_pair_index_bijective () =
@@ -859,6 +1022,8 @@ let () =
           Alcotest.test_case "C=2t faster" `Slow fame_wide_channels_faster;
           Alcotest.test_case "tree mode end-to-end" `Slow fame_tree_mode_works;
           Alcotest.test_case "tree mode validation" `Quick fame_tree_mode_validation;
+          Alcotest.test_case "outcome pins" `Quick fame_outcome_pins;
+          Alcotest.test_case "allocation per node-move" `Quick fame_allocation_per_move;
           QCheck_alcotest.to_alcotest fame_invariants_on_random_workloads ] );
       ( "tree-feedback",
         [ Alcotest.test_case "pair index bijective" `Quick tree_pair_index_bijective;
