@@ -45,6 +45,16 @@ let attack_arg =
 let pairs_arg =
   Arg.(value & opt int 6 & info [ "pairs" ] ~docv:"K" ~doc:"Number of disjoint exchange pairs.")
 
+let jobs_arg =
+  Arg.(
+    value
+    & opt int (Parallel.default_jobs ())
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains for the parallel experiment runner and the \
+           service's per-frame crypto (default: the recommended domain \
+           count).  Output is byte-identical for every N.")
+
 let resolve_n ~t n =
   if n > 0 then n
   else
@@ -130,7 +140,7 @@ let service_cmd =
             "Ack mode: slotted (dedicated ack phase) or piggybacked (cumulative acks ride \
              in duplex-paired data frames; needs an even channel count).")
   in
-  let run seed t channels phys rounds epoch_len outsiders ack_mode jam =
+  let run seed t channels phys rounds epoch_len outsiders ack_mode jam jobs =
     match
       match ack_mode with
       | "slotted" -> Ok Mux.Slotted
@@ -149,7 +159,8 @@ let service_cmd =
             ~budget:t
         else Core.Radio.Adversary.null
       in
-      let r = Mux.run spec ~adversary in
+      (* The per-frame crypto fans out over --jobs domains. *)
+      let r = Parallel.run ~jobs (fun () -> Mux.run spec ~adversary) in
       print_string (Mux.render_stats r);
       `Ok ()
   in
@@ -159,7 +170,7 @@ let service_cmd =
     Term.(
       ret
         (const run $ seed_arg $ t_arg $ channels_arg $ phys_arg $ rounds_arg $ epoch_arg
-       $ outsiders_arg $ ack_arg $ jam_arg))
+       $ outsiders_arg $ ack_arg $ jam_arg $ jobs_arg))
 
 let game_cmd =
   let nodes_arg =
@@ -198,16 +209,6 @@ let experiment_cmd =
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Smaller parameter grid.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int (Parallel.default_jobs ())
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the parallel runner (default: the \
-             recommended domain count).  Output is byte-identical for \
-             every N.")
   in
   let json_arg =
     Arg.(

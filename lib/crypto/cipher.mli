@@ -14,7 +14,14 @@ type key
 (** A prepared session key: both domain-separated subkeys derived and their
     PRF/MAC midstates precomputed.  Build once per session with {!key};
     {!seal_keyed}/{!open_keyed} are byte-identical to {!seal}/{!open_}
-    under the same raw key. *)
+    under the same raw key.
+
+    {b Sharing across domains.}  One key may seal and open on several
+    domains at once through {!seal_scratch}, {!open_scratch},
+    {!seal_batch} and {!open_batch}, each domain with a {!type-scratch} of its
+    own: those read the key and write only the scratch.  {!seal_keyed} and
+    {!open_keyed} share the key's schedule scratch (see {!Hmac.key}), so
+    they must keep a given key on one domain. *)
 
 val key : string -> key
 
@@ -25,7 +32,8 @@ val open_keyed : key -> sealed -> string option
 type scratch
 (** Reusable working state (PRF/MAC scratch, keystream and tag buffers) for
     the batch entry points.  One [scratch] serves any number of sequential
-    calls under any keys; per-domain, not reentrant. *)
+    calls under any keys; per-domain, not reentrant.  Concurrent callers
+    sharing one {!type-key} each bring their own. *)
 
 val scratch : unit -> scratch
 

@@ -13,7 +13,17 @@
 
 type key
 (** A prepared MAC key (precomputed ipad/opad midstates).  Immutable once
-    built: one [key] may be shared freely within a domain. *)
+    built: one [key] may be shared freely within a domain.
+
+    {b Sharing across domains.}  A key may be used from several domains at
+    once only through the scratch and batch entry points —
+    {!mac_feed_into} with a scratch per domain, {!mac_batch},
+    {!verify_batch} — which replay its midstates into their own contexts
+    ({!Sha256.copy_into}) and never write the key.  {!mac_keyed},
+    {!mac_feed} and {!verify_keyed} replay through {!Sha256.copy}, whose
+    copies share the key's message-schedule scratch: they, and every
+    caller built on them ({!Prf.Keyed.bytes} and its relatives), must keep
+    a given key on one domain. *)
 
 val key : string -> key
 (** Prepare a raw key string.  Keys longer than the 64-byte block are

@@ -13,7 +13,11 @@
 module Keyed : sig
   type t
   (** A prepared PRF key.  Immutable; build once per key, reuse every
-      round. *)
+      round.  {!bytes}, {!int64}, {!below} and {!channel_hop} replay it
+      through {!Hmac.mac_feed}, which shares the key's schedule scratch, so
+      a given key stays on one domain for them; {!keystream} and
+      {!keystream_into} (with a scratch per domain) may share it across
+      domains. *)
 
   val create : string -> t
 

@@ -16,7 +16,10 @@ val copy : ctx -> ctx
     precompute the ipad/opad midstates once per key and replay them for
     every MAC.  The copy shares the original's message-schedule scratch,
     which each compression rewrites before reading, so a context and its
-    copies must stay on one domain. *)
+    copies must stay on one domain.  {!copy_into} reads its source and
+    writes only [into]: a context that no one feeds any more (a prepared
+    key's midstate) may be replayed from several domains at once that way,
+    each into a context of its own. *)
 
 val copy_into : ctx -> into:ctx -> unit
 (** [copy_into src ~into] overwrites [into] with a snapshot of [src]

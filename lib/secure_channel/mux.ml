@@ -9,11 +9,22 @@
    from the shared state and move bytes.  Fibers resume strictly
    sequentially in node-id order within the engine's domain (the
    determinism contract), so the central mutable state needs no
-   synchronization, and the batch crypto amortizes key schedules and
-   scratch buffers across every frame of the round: one
-   {!Cipher.seal_batch} / {!Cipher.open_batch} / {!Hmac.mac_batch} /
-   {!Hmac.verify_batch} call per epoch per step, under epoch keys prepared
-   once and cached by epoch parity.
+   synchronization.
+
+   The crypto is the step's floor, and it is per-frame and independent:
+   building and sealing a payload, decoding, opening and parsing a heard
+   frame, MACing or verifying an ack.  [chunks] cuts each batch of that
+   work into contiguous chunks — one per pool domain, none below [grain]
+   bytes of work — which run through [Parallel.map_ordered] with a
+   {!Cipher.scratch} (or the {!Hmac} batch calls' own scratch) per chunk
+   and are concatenated back in order.
+   Chunks read only immutable inputs: the spec, the frame descriptors
+   gathered beforehand, and epoch keys, which [keys] derives (and caches
+   by epoch parity) on the calling domain before the fan-out, since the
+   group PRF is not domain-safe.  Every state change — windows, queues,
+   stats, latency, the round plan — is applied after the join, on the
+   calling domain, in the order the one-domain step used.  So the output
+   is byte-identical for every pool size, a one-domain scope included.
 
    Emulated-round layout (Acked transport): S data slots, a mid sync
    round, S ack slots, an end sync round — 2S+2 real rounds,
@@ -357,7 +368,6 @@ type state = {
   (* Epoch keys cached by epoch parity: exactly the current and previous
      epoch are ever decodable, so the two slots never thrash. *)
   epoch_cache : epoch_keys option array;
-  scratch : Cipher.scratch;  (* one cipher scratch for the whole run *)
   st : stats;
   lat : int array;
   mutable prepared_data : int;  (* last round [prepare_data] ran for; -1 before start *)
@@ -406,7 +416,6 @@ let create_state spec =
     hop_prf = Prf.Keyed.create (Sha256.digest ("mux-hop|" ^ spec.key));
     group_prf = Prf.Keyed.create spec.key;
     epoch_cache = [| None; None |];
-    scratch = Cipher.scratch ();
     st = create_stats ();
     lat = Array.make lat_buckets 0;
     prepared_data = -1;
@@ -476,9 +485,9 @@ let head_seq t c = t.q_seq.(q_slot t c 0)
 let head_enq t c = t.q_enq.(q_slot t c 0)
 
 (* Epoch-batched accumulation: collect items per distinct epoch (at most
-   two epochs are ever decodable), then drain each group through a single
-   batch crypto call.  Items within a group keep collection order; groups
-   drain in first-seen order — all deterministic. *)
+   two epochs are ever decodable), then drain each group in turn.  Items
+   within a group keep collection order; groups drain in first-seen order
+   — all deterministic. *)
 let add_item items epoch v =
   match !items with
   | (e0, l0) :: rest when e0 = epoch -> items := (e0, v :: l0) :: rest
@@ -508,75 +517,167 @@ let nonce_of ~chan ~seq =
   Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int seq)
 
 (* ------------------------------------------------------------------ *)
+(* Per-frame crypto fan-out.                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Work of one frame in bytes: what it hashes, plus a fixed allowance for
+   the compressions every tag pays whatever the frame's size. *)
+let frame_overhead = 64
+
+(* A batch splits only into chunks of at least this much work — about
+   half a millisecond of SHA-256 at small-frame rates — so handing a
+   chunk to another domain never costs more than the chunk itself. *)
+let grain = 16_384
+
+(* [chunks ~frame_bytes items] cuts a batch into at most
+   [Parallel.budget ()] contiguous chunks, none below [grain] bytes of
+   work, for a [Parallel.map_ordered] whose images [Array.concat] merges
+   back in order: byte-identical for every pool size.  The task closures
+   are pure — they read shared immutable values (the spec, prepared keys,
+   the frame descriptors), allocate their own scratch, and touch no run
+   state; callers derive epoch keys before the fan-out and apply results
+   after the join.  Each closure is written out at its [map_ordered] call,
+   where radio_race checks it. *)
+let chunks ~frame_bytes items =
+  let n = Array.length items in
+  if n = 0 then []
+  else begin
+    let work = n * (frame_overhead + frame_bytes) in
+    let k = max 1 (min (min n (Parallel.budget ())) (work / grain)) in
+    List.init k (fun i -> Array.sub items (i * n / k) (((i + 1) * n / k) - (i * n / k)))
+  end
+
+(* The keys a frame heard in round [now] may open under: the current
+   epoch's, and the previous one's within grace.  Derived on the calling
+   domain before any fan-out: [keys] fills the run's cache, and the group
+   PRF shares its key's schedule scratch. *)
+let live_keys t ~now =
+  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now in
+  let prev =
+    if cur > 0 && now mod t.sp.epoch_len < t.sp.grace then Some (keys t (cur - 1)) else None
+  in
+  (keys t cur, prev)
+
+(* What the per-frame step makes of one heard data blob. *)
+type 'a heard =
+  | Garbled  (* not a well-formed data frame *)
+  | Stale_frame  (* sealed under an epoch that no longer decodes: never opened *)
+  | Opened of int * 'a option  (* sealing epoch; [None] when the MAC fails *)
+
+(* Decode, epoch-check, open and [parse] one [(key, blob)]: the pure
+   per-frame half of every receive step. *)
+let open_blob sp (cur, prev) ~now ~parse s (k, blob) =
+  match decode_data blob with
+  | None -> Garbled
+  | Some (frame_epoch, sealed) -> (
+    let keys =
+      match epoch_verdict ~epoch_len:sp.epoch_len ~grace:sp.grace ~now ~frame_epoch with
+      | Current -> Some cur
+      | Previous -> prev
+      | Stale -> None
+    in
+    match keys with
+    | None -> Stale_frame
+    | Some ek ->
+      Opened (frame_epoch, Option.map (parse k) (Cipher.open_scratch ek.ck s sealed)))
+
+(* Open every heard [(key, blob)] in round [now] — the per-frame work fans
+   out — then judge the results on this domain in the order the batched
+   one-domain step used: garbled frames are bad and stale ones rejected
+   in collection order, and the opened ones reach [deliver] grouped by
+   epoch in first-seen order, MAC failures counted bad. *)
+let open_heard t ~now ~parse ~deliver frames =
+  let live = live_keys t ~now in
+  let sp = t.sp in
+  let results =
+    chunks ~frame_bytes:(16 + sp.payload) frames
+    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+           let s = Cipher.scratch () in
+           Array.map (open_blob sp live ~now ~parse s) chunk)
+    |> Array.concat
+  in
+  let items = ref [] in
+  Array.iteri
+    (fun i (k, _) ->
+      match results.(i) with
+      | Garbled -> t.st.bad_frames <- t.st.bad_frames + 1
+      | Stale_frame -> t.st.stale_epoch <- t.st.stale_epoch + 1
+      | Opened (epoch, parsed) -> add_item items epoch (k, parsed))
+    frames;
+  drain_items items ~apply:(fun _ batch ->
+      Array.iter
+        (fun (k, parsed) ->
+          match parsed with
+          | None -> t.st.bad_frames <- t.st.bad_frames + 1
+          | Some x -> deliver k x)
+        batch)
+
+(* A data payload as the per-frame step parses it.  [body_ok]: the body is
+   the generated stream's message for ([chan], [seq]). *)
+type data = { chan : int; seq : int; enq : int; body_ok : bool }
+
+let parse_data ~payload p =
+  match decode_payload p with
+  | None -> None
+  | Some (chan, seq, _epoch, enq, body) ->
+    Some { chan; seq; enq; body_ok = String.equal body (gen_body ~payload ~chan ~seq) }
+
+(* ------------------------------------------------------------------ *)
 (* prepare: the once-per-emulated-round central step (Acked).          *)
 (* ------------------------------------------------------------------ *)
 
-(* One successfully opened data payload for channel [c], received in
-   emulated round [arrival], already parsed into its fields.  Returns the
-   seq to (re-)ack, if any. *)
-let deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body =
-  if c' <> c then begin
+(* One successfully opened and parsed data payload for channel [c],
+   received in emulated round [arrival].  Returns the seq to (re-)ack, if
+   any. *)
+let deliver_parsed t c ~arrival d =
+  if d.chan <> c then begin
     (* Valid MAC under the shared epoch key, but bound to another logical
        channel: a splice attempt, not a delivery. *)
     t.st.bad_frames <- t.st.bad_frames + 1;
     None
   end
   else begin
-    match Window.check t.windows.(c) seq with
+    match Window.check t.windows.(c) d.seq with
     | Window.Duplicate ->
       t.st.duplicates <- t.st.duplicates + 1;
-      Some seq (* the previous ack was lost: re-ack *)
+      Some d.seq (* the previous ack was lost: re-ack *)
     | Window.Out_of_window ->
       t.st.out_of_window <- t.st.out_of_window + 1;
       None
     | Window.Fresh ->
-      Window.note t.windows.(c) seq;
+      Window.note t.windows.(c) d.seq;
       t.st.delivered <- t.st.delivered + 1;
-      note_latency t (arrival - enq);
-      if not (String.equal body (gen_body ~payload:t.sp.payload ~chan:c ~seq)) then
-        t.st.forged_accepts <- t.st.forged_accepts + 1;
-      Some seq
+      note_latency t (arrival - d.enq);
+      if not d.body_ok then t.st.forged_accepts <- t.st.forged_accepts + 1;
+      Some d.seq
   end
 
-let deliver_payload t c ~arrival payload =
-  match decode_payload payload with
-  | None ->
-    t.st.bad_frames <- t.st.bad_frames + 1;
-    None
-  | Some (c', seq, _epoch, enq, body) -> deliver_parsed t c ~arrival ~chan:c' ~seq ~enq ~body
-
-(* Judge every data frame heard in round [arrival] (both ack modes):
-   malformed or spoofed frames are bad, stale epochs are rejected unopened,
-   the rest are batch-opened per epoch and each authentic payload goes to
-   [deliver c payload]. *)
-let open_heard_data t ~arrival ~deliver =
-  let items = ref [] in
+(* The data frames heard in round [arrival] (both ack modes), by channel:
+   a decodable non-sealed frame on a slot is spoofed traffic and bad on
+   sight.  Clears the slots for the next round. *)
+let take_heard_data t =
+  let frames = ref [] in
   for c = 0 to t.sp.logical - 1 do
     (match t.heard_data.(c) with
     | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> (
-      match decode_data blob with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (frame_epoch, sealed) -> admit t items ~now:arrival ~frame_epoch (c, sealed))
-    | Some _ ->
-      (* A decodable non-sealed frame on our slot: spoofed traffic. *)
-      t.st.bad_frames <- t.st.bad_frames + 1);
+    | Some (Radio.Frame.Sealed blob) -> frames := (c, blob) :: !frames
+    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
     t.heard_data.(c) <- None
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let opened = Cipher.open_batch (keys t epoch).ck t.scratch (Array.map snd batch) in
-      Array.iteri
-        (fun i (c, _) ->
-          match opened.(i) with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some payload -> deliver c payload)
-        batch)
+  Array.of_list (List.rev !frames)
 
 let process_heard_data t ~arrival =
-  open_heard_data t ~arrival ~deliver:(fun c payload ->
-      match deliver_payload t c ~arrival payload with
-      | Some seq -> t.ack_pend_seq.(c) <- seq
-      | None -> ())
+  let payload = t.sp.payload in
+  open_heard t ~now:arrival
+    ~parse:(fun _ p -> parse_data ~payload p)
+    ~deliver:(fun c parsed ->
+      match parsed with
+      | None -> t.st.bad_frames <- t.st.bad_frames + 1
+      | Some d -> (
+        match deliver_parsed t c ~arrival d with
+        | Some seq -> t.ack_pend_seq.(c) <- seq
+        | None -> ()))
+    (take_heard_data t)
 
 let process_heard_acks t ~arrival =
   let items = ref [] in
@@ -592,9 +693,15 @@ let process_heard_acks t ~arrival =
     t.heard_ack.(c) <- None
   done;
   drain_items items ~apply:(fun epoch batch ->
-      let msgs = Array.map (fun (_, c', seq, _) -> ack_msg ~chan:c' ~seq ~epoch) batch in
-      let tags = Array.map (fun (_, _, _, tag) -> tag) batch in
-      let ok = Hmac.verify_batch (keys t epoch).ak ~tags msgs in
+      let ak = (keys t epoch).ak in
+      let ok =
+        chunks ~frame_bytes:16 batch
+        |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+               Hmac.verify_batch ak
+                 ~tags:(Array.map (fun (_, _, _, tag) -> tag) chunk)
+                 (Array.map (fun (_, c', seq, _) -> ack_msg ~chan:c' ~seq ~epoch) chunk))
+        |> Array.concat
+      in
       Array.iteri
         (fun i (c, c', seq, _) ->
           if not ok.(i) then t.st.bad_frames <- t.st.bad_frames + 1
@@ -613,25 +720,30 @@ let offer_load t ~e =
     done
   done
 
-(* Seal each batched (channel, head seq) under its epoch and cache the
-   result as the channel's data frame (slotted and Repeat transports). *)
-let seal_heads t items =
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces = Array.map (fun (c, seq) -> nonce_of ~chan:c ~seq) batch in
-      let payloads =
-        Array.map
-          (fun (c, seq) ->
-            encode_payload ~chan:c ~seq ~epoch ~enq:(head_enq t c)
-              (gen_body ~payload:t.sp.payload ~chan:c ~seq))
-          batch
-      in
-      let sealed = Cipher.seal_batch (keys t epoch).ck t.scratch ~nonces payloads in
-      Array.iteri
-        (fun i (c, seq) ->
-          t.seal_seq.(c) <- seq;
-          t.seal_epoch.(c) <- epoch;
-          t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch)
+(* Seal each (channel, head seq, enqueue round) under [epoch] and cache the
+   result as the channel's data frame (slotted and Repeat transports):
+   payload, seal and framing fan out per frame; the cache is written after
+   the join. *)
+let seal_heads t ~epoch heads =
+  let ck = (keys t epoch).ck and payload = t.sp.payload in
+  let blobs =
+    chunks ~frame_bytes:(16 + payload) heads
+    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+           let s = Cipher.scratch () in
+           Array.map
+             (fun (c, seq, enq) ->
+               encode_payload ~chan:c ~seq ~epoch ~enq (gen_body ~payload ~chan:c ~seq)
+               |> Cipher.seal_scratch ck s ~nonce:(nonce_of ~chan:c ~seq)
+               |> encode_data ~epoch)
+             chunk)
+    |> Array.concat
+  in
+  Array.iteri
+    (fun i (c, seq, _) ->
+      t.seal_seq.(c) <- seq;
+      t.seal_epoch.(c) <- epoch;
+      t.data_blob.(c) <- blobs.(i))
+    heads
 
 (* Build (or reuse) the sealed data frame for every busy channel.  A cached
    frame survives as long as its sealing epoch is still decodable at the
@@ -639,8 +751,7 @@ let seal_heads t items =
    a retransmission sealed just before a boundary rides the grace period
    instead of being re-sealed the instant the epoch turns. *)
 let build_data_frames t ~e =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
+  let heads = ref [] in
   for c = 0 to t.sp.logical - 1 do
     if t.q_len.(c) = 0 then begin
       t.seal_seq.(c) <- -1;
@@ -651,19 +762,21 @@ let build_data_frames t ~e =
       let reusable =
         t.seal_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.seal_epoch.(c)
       in
-      if not reusable then add_item items cur (c, seq);
+      if not reusable then heads := (c, seq, head_enq t c) :: !heads;
       if t.sent_once.(c) then t.st.retransmissions <- t.st.retransmissions + 1;
       t.sent_once.(c) <- true
     end
   done;
-  seal_heads t items
+  seal_heads t
+    ~epoch:(epoch_of ~epoch_len:t.sp.epoch_len ~now:e)
+    (Array.of_list (List.rev !heads))
 
 (* Build (or reuse) the pending ack frame for every channel that has
    delivered at least once.  Acks are re-sent every emulated round (the
    slot is reserved anyway), which is what recovers from lost acks. *)
 let build_ack_frames t ~e =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
+  let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
+  let pending = ref [] in
   for c = 0 to t.sp.logical - 1 do
     let seq = t.ack_pend_seq.(c) in
     if seq < 0 then t.ack_blob.(c) <- ""
@@ -671,18 +784,26 @@ let build_ack_frames t ~e =
       let reusable =
         t.ack_built_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.ack_built_epoch.(c)
       in
-      if not reusable then add_item items cur (c, seq)
+      if not reusable then pending := (c, seq) :: !pending
     end
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let msgs = Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) batch in
-      let tags = Hmac.mac_batch (keys t epoch).ak msgs in
-      Array.iteri
-        (fun i (c, seq) ->
-          t.ack_built_seq.(c) <- seq;
-          t.ack_built_epoch.(c) <- epoch;
-          t.ack_blob.(c) <- encode_ack ~chan:c ~seq ~epoch tags.(i))
-        batch)
+  let pending = Array.of_list (List.rev !pending) in
+  let ak = (keys t epoch).ak in
+  let blobs =
+    chunks ~frame_bytes:16 pending
+    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+           let tags =
+             Hmac.mac_batch ak (Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) chunk)
+           in
+           Array.mapi (fun i (c, seq) -> encode_ack ~chan:c ~seq ~epoch tags.(i)) chunk)
+    |> Array.concat
+  in
+  Array.iteri
+    (fun i (c, seq) ->
+      t.ack_built_seq.(c) <- seq;
+      t.ack_built_epoch.(c) <- epoch;
+      t.ack_blob.(c) <- blobs.(i))
+    pending
 
 (* PRF-keyed slot rotation: every channel of slot s lands on a distinct
    physical channel, and the whole slot's placement is unpredictable.  The
@@ -726,34 +847,45 @@ let apply_cum_ack t c ~ack =
     t.st.acked <- t.st.acked + 1
   done
 
-(* One opened piggybacked payload heard on channel [c]: fold the carried
-   ack into the opposite direction's queue, then (for data frames) run the
-   regular delivery judgement and advance the cumulative prefix. *)
-let deliver_pig_payload t c ~arrival payload =
-  let len = String.length payload in
-  if len < 16 then t.st.bad_frames <- t.st.bad_frames + 1
+(* An opened piggybacked payload heard on channel [c], as the per-frame
+   step parses it: malformed, a bare ack carrier (fixed size, bound to its
+   own channel), or a data frame with its carried ack. *)
+type pig =
+  | Pig_bad
+  | Pig_ack of int
+  | Pig_data of int * data
+
+let parse_pig ~payload c p =
+  let len = String.length p in
+  if len < 16 then Pig_bad
   else begin
-    let word = read_u32 payload 0 in
+    let word = read_u32 p 0 in
     let ack = (word land lnot pig_ack_flag) - 1 in
-    if word land pig_ack_flag <> 0 then begin
-      (* Bare ack carrier: fixed size, bound to its own channel. *)
-      if len <> 16 || read_u32 payload 4 <> c then
-        t.st.bad_frames <- t.st.bad_frames + 1
-      else apply_cum_ack t (c lxor 1) ~ack
-    end
+    if word land pig_ack_flag <> 0 then
+      if len <> 16 || read_u32 p 4 <> c then Pig_bad else Pig_ack ack
     else begin
-      apply_cum_ack t (c lxor 1) ~ack;
-      let chan = read_u32 payload 4 and seq = read_u32 payload 8 and enq = read_u32 payload 12 in
-      let body = String.sub payload 16 (len - 16) in
-      (match deliver_parsed t c ~arrival ~chan ~seq ~enq ~body with
-      | Some _ | None -> ());
-      advance_cum t c
+      let chan = read_u32 p 4 and seq = read_u32 p 8 and enq = read_u32 p 12 in
+      let body = String.sub p 16 (len - 16) in
+      let body_ok = String.equal body (gen_body ~payload ~chan ~seq) in
+      Pig_data (ack, { chan; seq; enq; body_ok })
     end
   end
 
+(* Fold the carried ack into the opposite direction's queue, then (for
+   data frames) run the regular delivery judgement and advance the
+   cumulative prefix. *)
+let deliver_pig t c ~arrival = function
+  | Pig_bad -> t.st.bad_frames <- t.st.bad_frames + 1
+  | Pig_ack ack -> apply_cum_ack t (c lxor 1) ~ack
+  | Pig_data (ack, d) ->
+    apply_cum_ack t (c lxor 1) ~ack;
+    (match deliver_parsed t c ~arrival d with Some _ | None -> ());
+    advance_cum t c
+
 let process_heard_pig t ~arrival =
-  open_heard_data t ~arrival ~deliver:(fun c payload ->
-      deliver_pig_payload t c ~arrival payload)
+  let payload = t.sp.payload in
+  open_heard t ~now:arrival ~parse:(parse_pig ~payload) ~deliver:(deliver_pig t ~arrival)
+    (take_heard_data t)
 
 (* Build this round's frame per channel: the next unsent queue entry while
    the send window has room, the unacknowledged head otherwise, or a bare
@@ -761,76 +893,68 @@ let process_heard_pig t ~arrival =
    flight.  Every frame folds in the current cumulative ack, so frames are
    re-sealed each round under a (channel, round)-keyed nonce. *)
 let build_pig_frames t ~e =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
+  let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
+  let frames = ref [] in
   for c = 0 to t.sp.logical - 1 do
     t.data_blob.(c) <- "";
+    let ack = t.cum_delivered.(c lxor 1) in
     if t.q_len.(c) > 0 then begin
       let fresh = t.inflight.(c) < t.q_len.(c) && t.inflight.(c) < pig_send_window in
       let slot = q_slot t c (if fresh then t.inflight.(c) else 0) in
       if fresh then t.inflight.(c) <- t.inflight.(c) + 1
       else t.st.retransmissions <- t.st.retransmissions + 1;
-      add_item items cur (c, Some (t.q_seq.(slot), t.q_enq.(slot)))
+      frames := (c, ack, Some (t.q_seq.(slot), t.q_enq.(slot))) :: !frames
     end
-    else if t.inflight.(c lxor 1) > 0 && t.cum_delivered.(c lxor 1) >= 0 then
-      add_item items cur (c, None)
+    else if t.inflight.(c lxor 1) > 0 && ack >= 0 then frames := (c, ack, None) :: !frames
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let nonces =
-        Array.map
-          (fun (c, k) ->
-            match k with
-            | Some _ -> pig_nonce ~tag:61 ~chan:c ~round:e
-            | None -> pig_nonce ~tag:62 ~chan:c ~round:e)
-          batch
-      in
-      let payloads =
-        Array.map
-          (fun (c, k) ->
-            let ack = t.cum_delivered.(c lxor 1) in
-            match k with
-            | Some (seq, enq) ->
-              encode_pig_data ~ack ~chan:c ~seq ~enq
-                (gen_body ~payload:t.sp.payload ~chan:c ~seq)
-            | None -> encode_pig_ack ~ack ~chan:c ~epoch ~round:e)
-          batch
-      in
-      let sealed = Cipher.seal_batch (keys t epoch).ck t.scratch ~nonces payloads in
-      Array.iteri
-        (fun i (c, _) -> t.data_blob.(c) <- encode_data ~epoch sealed.(i))
-        batch)
+  let frames = Array.of_list (List.rev !frames) in
+  let ck = (keys t epoch).ck and payload = t.sp.payload in
+  let blobs =
+    chunks ~frame_bytes:(16 + payload) frames
+    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+           let s = Cipher.scratch () in
+           Array.map
+             (fun (c, ack, k) ->
+               let nonce, msg =
+                 match k with
+                 | Some (seq, enq) ->
+                   ( pig_nonce ~tag:61 ~chan:c ~round:e,
+                     encode_pig_data ~ack ~chan:c ~seq ~enq (gen_body ~payload ~chan:c ~seq) )
+                 | None ->
+                   ( pig_nonce ~tag:62 ~chan:c ~round:e,
+                     encode_pig_ack ~ack ~chan:c ~epoch ~round:e )
+               in
+               encode_data ~epoch (Cipher.seal_scratch ck s ~nonce msg))
+             chunk)
+    |> Array.concat
+  in
+  Array.iteri (fun i (c, _, _) -> t.data_blob.(c) <- blobs.(i)) frames
 
 (* ------------------------------------------------------------------ *)
 (* prepare (Repeat transport).                                         *)
 (* ------------------------------------------------------------------ *)
 
 let process_heard_multi t ~arrival ~group =
-  (* Collect the distinct sealed blobs heard across all members, batch-open
-     them once per epoch, then judge each member's arrival list against the
-     opened table.  The table is lookup-only, so the Hashtbl introduces no
-     iteration-order nondeterminism. *)
-  let opened : (string, string option) Hashtbl.t = Hashtbl.create 64 in
-  let items = ref [] in
+  (* Open the distinct sealed blobs heard across all members once each,
+     then judge each member's arrival list against the opened table.  The
+     table is lookup-only, so the Hashtbl introduces no iteration-order
+     nondeterminism. *)
+  let opened : (string, data option) Hashtbl.t = Hashtbl.create 64 in
+  let distinct = ref [] in
   for node = 0 to (t.sp.logical * group) - 1 do
     List.iter
       (fun blob ->
         if not (Hashtbl.mem opened blob) then begin
           Hashtbl.add opened blob None;
-          match decode_data blob with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some (frame_epoch, sealed) ->
-            admit t items ~now:arrival ~frame_epoch (blob, sealed)
+          distinct := (blob, blob) :: !distinct
         end)
       (List.rev t.heard_multi.(node))
   done;
-  drain_items items ~apply:(fun epoch batch ->
-      let res = Cipher.open_batch (keys t epoch).ck t.scratch (Array.map snd batch) in
-      Array.iteri
-        (fun i (blob, _) ->
-          match res.(i) with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some _ -> Hashtbl.replace opened blob res.(i))
-        batch);
+  let payload = t.sp.payload in
+  open_heard t ~now:arrival
+    ~parse:(fun _ p -> parse_data ~payload p)
+    ~deliver:(Hashtbl.replace opened)
+    (Array.of_list (List.rev !distinct));
   (* Per-node delivery, then per-channel head accounting: the head was
      repeated [reps] times in round [arrival] and is now retired — either
      every receiver has it (a full delivery) or the adversary won the round
@@ -847,25 +971,17 @@ let process_heard_multi t ~arrival ~group =
             (fun blob ->
               if not !got then
                 match Hashtbl.find_opt opened blob with
-                | Some (Some payload) -> (
-                  match decode_payload payload with
-                  | Some (c', seq', _, enq', body) when c' = c -> (
-                    got := true;
-                    match Window.check t.r_windows.(node) seq' with
-                    | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
-                    | Window.Out_of_window ->
-                      t.st.out_of_window <- t.st.out_of_window + 1
-                    | Window.Fresh ->
-                      Window.note t.r_windows.(node) seq';
-                      t.st.delivered <- t.st.delivered + 1;
-                      note_latency t (arrival - enq');
-                      if
-                        not
-                          (String.equal body
-                             (gen_body ~payload:t.sp.payload ~chan:c ~seq:seq'))
-                      then t.st.forged_accepts <- t.st.forged_accepts + 1)
-                  | Some _ | None -> ())
-                | Some None | None -> ())
+                | Some (Some d) when d.chan = c -> (
+                  got := true;
+                  match Window.check t.r_windows.(node) d.seq with
+                  | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
+                  | Window.Out_of_window -> t.st.out_of_window <- t.st.out_of_window + 1
+                  | Window.Fresh ->
+                    Window.note t.r_windows.(node) d.seq;
+                    t.st.delivered <- t.st.delivered + 1;
+                    note_latency t (arrival - d.enq);
+                    if not d.body_ok then t.st.forged_accepts <- t.st.forged_accepts + 1)
+                | Some _ | None -> ())
             (List.rev t.heard_multi.(node));
           if !got then
             match Window.check t.r_windows.(node) seq with
@@ -883,8 +999,7 @@ let process_heard_multi t ~arrival ~group =
   done
 
 let build_repeat_frames t ~e ~reps ~group =
-  let cur = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let items = ref [] in
+  let heads = ref [] in
   for c = 0 to t.sp.logical - 1 do
     if t.q_len.(c) = 0 then begin
       t.seal_seq.(c) <- -1;
@@ -893,12 +1008,14 @@ let build_repeat_frames t ~e ~reps ~group =
     end
     else begin
       let seq = head_seq t c in
-      add_item items cur (c, seq);
+      heads := (c, seq, head_enq t c) :: !heads;
       t.r_sender.(c) <- seq mod group;
       t.sent_once.(c) <- true
     end
   done;
-  seal_heads t items;
+  seal_heads t
+    ~epoch:(epoch_of ~epoch_len:t.sp.epoch_len ~now:e)
+    (Array.of_list (List.rev !heads));
   for c = 0 to t.sp.logical - 1 do
     for j = 0 to reps - 1 do
       t.r_chans.((c * reps) + j) <-
@@ -1094,8 +1211,14 @@ let run spec ~adversary =
       | Acked, Piggybacked -> pig_service_body t ctx
       | Repeat { reps; group }, _ -> repeat_service_body t ~reps ~group ctx
   in
-  let engine = Radio.Engine.run_nodes cfg ~adversary body in
-  finalize t;
+  (* The per-frame crypto of every prepare step fans out over this scope's
+     pool (or the enclosing one's: the outermost budget wins). *)
+  let engine =
+    Parallel.run ~jobs:(Parallel.default_jobs ()) (fun () ->
+        let engine = Radio.Engine.run_nodes cfg ~adversary body in
+        finalize t;
+        engine)
+  in
   { spec; stats = t.st; engine; latency_hist = t.lat; emulated_rounds = spec.rounds;
     real_rounds_per_emulated = t.rpe }
 

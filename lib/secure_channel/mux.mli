@@ -9,11 +9,17 @@
     shed load when the radio cannot keep up.
 
     All protocol work is centralized in a once-per-emulated-round prepare
-    step that batch-seals, batch-opens, batch-MACs and batch-verifies every
-    frame of the round through the {!Crypto.Cipher} / {!Crypto.Hmac} batch
-    entry points, with each epoch's keys prepared once per run.  The
-    one-shot crypto API stays the reference those batch entry points are
-    tested against. *)
+    step that seals, opens, MACs and verifies every frame of the round,
+    with each epoch's keys prepared once per run.  The per-frame part of
+    that work — building and sealing payloads, decoding, opening and
+    parsing heard frames, the slotted ack MACs and their verification —
+    fans out in contiguous chunks over the domain pool of the enclosing
+    [Parallel.run] scope (see {!run}), through the {!Crypto.Cipher} /
+    {!Crypto.Hmac} scratch and batch entry points under shared read-only
+    keys.  Everything else is serial: epoch keys are derived before the
+    fan-out, and every window, queue, counter, latency sample and round
+    plan is updated on the calling domain after the join, in channel
+    order.  Output is identical for every pool size. *)
 
 (** Pure sliding replay window over per-channel sequence numbers.  Exposed
     for property tests. *)
@@ -157,9 +163,12 @@ val latency_percentile : result -> float -> int
 (** [latency_percentile r 0.99]: delivery latency in emulated rounds. *)
 
 val run : spec -> adversary:Radio.Adversary.t -> result
-(** Run the workload on the sparse engine (channel-usage tracking on).
-    Deterministic in [spec]: byte-identical stats and {!render_stats}
-    whatever the [--jobs] setting of an enclosing [Parallel.run]. *)
+(** Run the workload on the sparse engine (channel-usage tracking on),
+    inside [Parallel.run ~jobs:(Parallel.default_jobs ())]: an enclosing
+    scope's budget wins, so under [Parallel.run ~jobs:1] every chunk runs
+    on the calling domain.  A prepare batch below a fixed work grain is a
+    single chunk.  Deterministic in [spec]: byte-identical stats and
+    {!render_stats} whatever the pool size. *)
 
 val render_stats : result -> string
 (** Canonical multi-line rendering of everything observable about the run

@@ -557,6 +557,34 @@ let cipher_batch_equals_keyed =
       in
       same_bytes && roundtrip)
 
+(* The secure-channel service fans its per-frame crypto out over domains
+   under one shared prepared key, each chunk with its own scratch.  That is
+   sound only if the batch entry points read the key and never write it:
+   two domains hammering one key at once must each get the serial bytes. *)
+let cipher_shared_key_concurrent =
+  QCheck.Test.make ~name:"seal_batch/open_batch/mac_batch on 2 domains under one key = serial"
+    ~count:20 batch_gen
+    (fun (key, msgs) ->
+      let ck = Cipher.key key and hk = Hmac.key key in
+      let arr = Array.of_list msgs in
+      let nonces = Array.mapi (fun i _ -> Int64.of_int (i * 7)) arr in
+      let encode = Array.map Cipher.encode in
+      let sealed = Cipher.seal_batch ck (Cipher.scratch ()) ~nonces arr in
+      let serial =
+        (encode sealed, Cipher.open_batch ck (Cipher.scratch ()) sealed, Hmac.mac_batch hk arr)
+      in
+      let hammer () =
+        let scratch = Cipher.scratch () in
+        List.for_all
+          (fun _ ->
+            let s = Cipher.seal_batch ck scratch ~nonces arr in
+            (encode s, Cipher.open_batch ck scratch s, Hmac.mac_batch hk arr) = serial)
+          (List.init 25 Fun.id)
+      in
+      let other = Domain.spawn hammer in
+      let here = hammer () in
+      Domain.join other && here)
+
 let cipher_batch_rejects_cross_frame_tamper () =
   (* Swapping tags between two frames of one batch must fail both opens:
      scratch reuse must not leak one frame's MAC state into the next. *)
@@ -640,6 +668,7 @@ let () =
           qcheck cipher_decode_garbage;
           qcheck cipher_keyed_equals_oneshot;
           qcheck cipher_batch_equals_keyed;
+          qcheck cipher_shared_key_concurrent;
           Alcotest.test_case "batch cross-frame tamper" `Quick
             cipher_batch_rejects_cross_frame_tamper;
           Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch;

@@ -149,17 +149,46 @@ let outsiders_cannot_read_or_forge () =
   (* Outsider injections that land on a listened slot die on the MAC. *)
   check Alcotest.bool "service still works" true (r.Mux.stats.Mux.delivered > 500)
 
-(* The same run inside a [Parallel.run] scope must render identically to
-   the serial run for every [--jobs]. *)
-let jobs_byte_identical spec () =
-  let run () = Mux.render_stats (Mux.run spec ~adversary:(jammer 9L 2)) in
-  let solo = run () in
+(* [Mux.run] fans its per-frame crypto out over the enclosing scope's
+   pool, so the reference is taken in a serial scope, where every chunk
+   runs on the calling domain.  [adversary] builds a fresh (stateful)
+   adversary per run. *)
+let render_at ~jobs ~adversary spec =
+  Parallel.run ~jobs (fun () -> Mux.render_stats (Mux.run spec ~adversary:(adversary ())))
+
+let jobs_byte_identical ?(adversary = fun () -> jammer 9L 2) spec () =
+  let serial = render_at ~jobs:1 ~adversary spec in
   List.iter
     (fun jobs ->
       check Alcotest.string
         (Printf.sprintf "render_stats identical at jobs=%d" jobs)
-        solo (Parallel.run ~jobs run))
+        serial (render_at ~jobs ~adversary spec))
     [ 2; 4 ]
+
+(* Specs whose prepare batches are large enough to split into several
+   chunks at jobs >= 2: 1024 channels over 16 physical ones, epoch_len 2
+   and grace 1 so every other round opens frames under two epochs. *)
+let wide_jammer seed () =
+  Radio.Adversary.random_jammer (Prng.Rng.create seed) ~channels:16 ~budget:4
+
+let wide_spec ?(transport = Mux.Acked) ?(ack_mode = Mux.Slotted) ?(logical = 1024)
+    ?(outsiders = 0) ~rounds () =
+  Mux.make ~key ~logical ~phys:16 ~budget:4 ~transport ~ack_mode ~rounds ~epoch_len:2
+    ~grace:1 ~outsiders ~seed:21L ()
+
+let wide_pig = wide_spec ~ack_mode:Mux.Piggybacked ~rounds:3 ()
+
+(* Twenty repeats at jobs 2: chunk scheduling differs run to run, the
+   output must not.  The jammer makes the heard sets uneven, so a chunk
+   merged out of place cannot cancel out between send and receive. *)
+let jobs_stress () =
+  let adversary = wide_jammer 3L in
+  let serial = render_at ~jobs:1 ~adversary wide_pig in
+  for i = 1 to 20 do
+    check Alcotest.string
+      (Printf.sprintf "repeat %d at jobs=2" i)
+      serial (render_at ~jobs:2 ~adversary wide_pig)
+  done
 
 let repeat_transport_full_delivery () =
   let spec =
@@ -315,7 +344,17 @@ let () =
           Alcotest.test_case "spec validation" `Quick spec_validation ] );
       ( "determinism",
         [ Alcotest.test_case "pool sizes byte-identical" `Quick
-            (jobs_byte_identical (base_spec ~rounds:30 ~outsiders:2 ())) ] );
+            (jobs_byte_identical (base_spec ~rounds:30 ~outsiders:2 ()));
+          Alcotest.test_case "piggybacked 1024/16 across the grain" `Quick
+            (jobs_byte_identical ~adversary:(wide_jammer 3L) wide_pig);
+          Alcotest.test_case "slotted 1024/16 jammed, outsiders, grace" `Quick
+            (jobs_byte_identical ~adversary:(wide_jammer 5L)
+               (wide_spec ~outsiders:4 ~rounds:5 ()));
+          Alcotest.test_case "repeat 512x2 across the grain" `Quick
+            (jobs_byte_identical ~adversary:(wide_jammer 7L)
+               (wide_spec ~transport:(Mux.Repeat { reps = 2; group = 2 }) ~logical:512
+                  ~outsiders:2 ~rounds:5 ()));
+          Alcotest.test_case "repeat-20 stress at jobs 2" `Quick jobs_stress ] );
       ( "repeat",
         [ Alcotest.test_case "full delivery under jamming" `Quick repeat_transport_full_delivery ] );
       ( "piggybacked",

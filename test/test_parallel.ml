@@ -108,6 +108,39 @@ let map_ordered_serial_exception () =
   | _ -> Alcotest.fail "expected Boom"
   | exception Boom x -> check Alcotest.int "serial path raises" 9 x
 
+(* -- scopes: the outermost budget wins -- *)
+
+let domain_id () = (Domain.self () :> int)
+
+let serial_scope_wins () =
+  (* A [run ~jobs:1] scope is serial all the way down: a nested [run] with
+     a larger budget reuses it, and every task stays on the caller. *)
+  let caller = domain_id () in
+  let ran_on, budget =
+    Parallel.run ~jobs:1 (fun () ->
+        Parallel.run ~jobs:2 (fun () ->
+            ( Parallel.map_ordered ~jobs:2
+                (fun x -> ignore (jittered_square x); domain_id ())
+                (List.init 32 Fun.id),
+              Parallel.budget () )))
+  in
+  check Alcotest.int "budget inside the serial scope" 1 budget;
+  check Alcotest.bool "every task ran on the calling domain" true
+    (List.for_all (Int.equal caller) ran_on);
+  check Alcotest.int "no scope left behind" 1 (Parallel.budget ())
+
+let transient_scope_shared () =
+  (* Outside any scope, [map_ordered] opens one for its own extent, so a
+     [run] inside a task reuses that budget instead of opening another. *)
+  let expect = min 2 (Parallel.default_jobs ()) in
+  let budgets =
+    Parallel.map_ordered ~jobs:2
+      (fun _ -> Parallel.run ~jobs:4 (fun () -> Parallel.budget ()))
+      (List.init 8 Fun.id)
+  in
+  check (Alcotest.list Alcotest.int) "tasks see the transient budget"
+    (List.init 8 (fun _ -> expect)) budgets
+
 (* -- replicates combinator -- *)
 
 let replicates_values () =
@@ -212,6 +245,9 @@ let () =
       ( "map_ordered",
         [ Alcotest.test_case "matches serial" `Quick map_ordered_matches_serial;
           Alcotest.test_case "serial exception" `Quick map_ordered_serial_exception ] );
+      ( "scope",
+        [ Alcotest.test_case "serial scope wins" `Quick serial_scope_wins;
+          Alcotest.test_case "transient scope shared" `Quick transient_scope_shared ] );
       ( "replicates",
         [ Alcotest.test_case "ordered trials" `Quick replicates_values;
           Alcotest.test_case "earliest failure" `Quick replicates_earliest_failure ] );
