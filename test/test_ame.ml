@@ -840,6 +840,125 @@ let direct_triangle_lower_bound () =
       | None -> Alcotest.fail "vc computable")
     [ 1; 2 ]
 
+(* A direct-exchange outcome, hashed like [outcome_sha] except for
+   [max_payload]: that field is the largest frame a source sent, which
+   depends on how much of its vector m_v,* a source packs, not on what the
+   exchange delivers. *)
+let direct_sha (o : Direct.outcome) =
+  let r = o.Direct.engine in
+  let s = r.Radio.Engine.stats in
+  let b = Buffer.create 512 in
+  List.iter (fun ((v, w), body) -> Printf.bprintf b "d%d-%d=%s;" v w body) o.Direct.delivered;
+  List.iter (fun (v, w) -> Printf.bprintf b "f%d-%d;" v w) o.Direct.failed;
+  Printf.bprintf b "vc=%s;diverged=%b;moves=%d;"
+    (match o.Direct.disruption_vc with Some vc -> string_of_int vc | None -> "-")
+    o.Direct.diverged o.Direct.moves;
+  Printf.bprintf b "rounds=%d;completed=%b;transcript=%d;" r.Radio.Engine.rounds_used
+    r.Radio.Engine.completed (List.length r.Radio.Engine.transcript);
+  Printf.bprintf b "stats=%d,%d,%d,%d,%d,%d,%d;" s.Radio.Transcript.Stats.rounds
+    s.Radio.Transcript.Stats.honest_transmissions s.Radio.Transcript.Stats.deliveries
+    s.Radio.Transcript.Stats.spoofed_deliveries s.Radio.Transcript.Stats.collisions
+    s.Radio.Transcript.Stats.jammed_rounds s.Radio.Transcript.Stats.strikes;
+  (match r.Radio.Engine.channel_usage with
+   | None -> Buffer.add_string b "usage=-"
+   | Some u ->
+     let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+     Printf.bprintf b "usage=%s/%s/%s"
+       (ints u.Radio.Transcript.Channel_usage.deliveries)
+       (ints u.Radio.Transcript.Channel_usage.collisions)
+       (ints u.Radio.Transcript.Channel_usage.jammed));
+  Crypto.Sha256.digest_hex (Buffer.contents b)
+
+let direct_outcome_pins () =
+  (* Disjoint pairs under both jammers: many moves, each a full schedule,
+     broadcast and feedback round. *)
+  let disjoint =
+    List.concat_map
+      (fun t ->
+        let channels = t + 1 in
+        let n = max 24 (Experiments.Common.fame_nodes_for ~t ~channels_used:channels ~channels) in
+        let cfg =
+          Radio.Config.make ~seed:(Int64.of_int (80 + t)) ~n ~channels ~t
+            ~max_rounds:Radio.Config.default_max_rounds ()
+        in
+        let pairs = Workload.disjoint_pairs ~n ~count:12 in
+        [ ( Printf.sprintf "schedule jam t=%d" t,
+            Direct.run ~cfg ~pairs ~messages
+              ~adversary:(Experiments.Common.schedule_jam ~channels ~budget:t)
+              () );
+          ( Printf.sprintf "random jam t=%d" t,
+            Direct.run ~cfg ~pairs ~messages
+              ~adversary:(fun _ ->
+                Experiments.Common.random_jam ~seed:(Int64.of_int (90 + t)) ~channels ~budget:t)
+              () ) ])
+      [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (name, o) ->
+      check Alcotest.bool (name ^ ": several moves") true (o.Direct.moves >= 4))
+    disjoint;
+  (* E13's direct rows: two sources fan out to 20..25 at t = 1, n = 30. *)
+  let byzantine_shape =
+    List.map
+      (fun k ->
+        let pairs =
+          List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23; 24; 25 ]) [ 0; 1 ]
+        in
+        let cfg =
+          Radio.Config.make ~n:30 ~channels:2 ~t:1 ~seed:(Int64.of_int (7 + k))
+            ~max_rounds:Radio.Config.default_max_rounds ()
+        in
+        ( Printf.sprintf "E13 shape seed %d" (7 + k),
+          Direct.run ~cfg ~pairs ~messages
+            ~adversary:(Experiments.Common.schedule_jam ~channels:2 ~budget:1)
+            () ))
+      [ 0; 2; 4; 8 ]
+  in
+  (* E12's direct rows: t triangles leave at most t disjoint edges, so the
+     run stops before its first move with cover 2t. *)
+  let triangles =
+    List.map
+      (fun t ->
+        let channels = t + 1 in
+        let triples = List.init t (fun i -> [ 3 * i; (3 * i) + 1; (3 * i) + 2 ]) in
+        let triple_of v = if v < 3 * t then Some (v / 3) else None in
+        let pairs = List.concat_map Workload.complete_on triples in
+        let n = Experiments.Common.fame_nodes_for ~t ~channels_used:channels ~channels in
+        let cfg =
+          Radio.Config.make ~seed:(Int64.of_int (500 + t)) ~n ~channels ~t
+            ~max_rounds:Radio.Config.default_max_rounds ()
+        in
+        let o =
+          Direct.run ~cfg ~pairs ~messages
+            ~adversary:(fun board -> Attacks.triangle_jammer board ~channels ~budget:t ~triple_of)
+            ()
+        in
+        check Alcotest.int (Printf.sprintf "triangles t=%d: no move" t) 0 o.Direct.moves;
+        check Alcotest.(option int) (Printf.sprintf "triangles t=%d: cover 2t" t) (Some (2 * t))
+          o.Direct.disruption_vc;
+        (Printf.sprintf "E12 triangles t=%d" t, o))
+      [ 1; 2; 3 ]
+  in
+  let pins =
+    [ "a877ddfb132d58ca3f4231aef93c16016996df8b92c0e6afa1ce091b169816c3";
+      "4e289533cf516674eac8ad6e161a4ee36769da41c518e914c3a1a20ade8e2d14";
+      "7f5fe422c8814f7ea18b4b717a90a21f03ab409c92c9ff0da705faabe1377f8f";
+      "f4f4d3e45e29ad734f581d42cad45ffb83c2840f0fa86de080eeab9582c739c4";
+      "9f95c043c09b3d9e5b6212f1ddbf888e4e8fb80ab3d8afdbd9a917dd59f4266c";
+      "393d3e9900dac94f07c0f3082a1caec6e878970a2839f93c6e4e03200f626e83";
+      "fc4970c6b74b6ab849978870731c3db905b5e1973667f10dce1c8489cb72b2b6";
+      "f4853fd48d2990bfcf3949ba6254bbff986f421c0a8f76e2cdcc28bd6077eff9";
+      "06812e52240d7c0b2c1a84575bb44f838ab7461cb018cfb61fd402afb51b477d";
+      "d1ed5aa2dab67a2f93266924e85142973cee0fc026d335f8f228428ec3a74d6d";
+      "4dac12de2b30556239dba8c51faa8063809d244ad5d27f702c2c2153693432c1";
+      "29726569dc8b12f892fd7420f7e0cf8605f056bc88766bf4702e4786f95d330b";
+      "a4bd531ff9507cbeeb61f3534c7d0ad36d6d31913e779a67a7b34cc139510429" ]
+  in
+  List.iter2
+    (fun (name, o) sha -> check Alcotest.string name sha (direct_sha o))
+    (disjoint @ byzantine_shape @ triangles)
+    pins
+
 let fame_beats_triangle_adversary () =
   let t = 2 in
   let triples = List.init t (fun i -> [ 3 * i; (3 * i) + 1; (3 * i) + 2 ]) in
@@ -1032,6 +1151,7 @@ let () =
         [ Alcotest.test_case "clean delivery" `Quick direct_delivers_without_adversary;
           Alcotest.test_case "rejects self-loop pairs" `Quick direct_rejects_self_loop;
           Alcotest.test_case "triangle lower bound 2t" `Slow direct_triangle_lower_bound;
+          Alcotest.test_case "outcome pins" `Quick direct_outcome_pins;
           Alcotest.test_case "fame beats triangles" `Slow fame_beats_triangle_adversary ] );
       ( "naive",
         [ Alcotest.test_case "genuine without adversary" `Quick naive_genuine_without_adversary;
