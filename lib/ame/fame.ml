@@ -16,6 +16,8 @@ let extract_entry entries ~dst =
   | Some body -> Some body
   | None -> List.assoc_opt (-1) entries
 
+type play = Game | Direct
+
 type feedback_mode = Sequential | Tree
 
 type corruption = Forge_as_surrogate | Lie_as_witness | Full
@@ -48,6 +50,23 @@ type position = {
   mutable children : (int list * position) list;  (** keyed by [successes] *)
 }
 
+(* Greedy node-disjoint batch of at most [limit] edges, in the graph's
+   ascending edge order: the direct baseline's proposal. *)
+let disjoint_batch graph ~limit =
+  let used = Rgraph.Bitset.create (Rgraph.Digraph.Dense.universe graph) in
+  let free v = not (Rgraph.Bitset.mem used v) in
+  let rec go size = function
+    | (v, w) :: rest when size < limit ->
+      if free v && free w then begin
+        Rgraph.Bitset.set used v;
+        Rgraph.Bitset.set used w;
+        Game.State.Edge (v, w) :: go (size + 1) rest
+      end
+      else go size rest
+    | _ -> []
+  in
+  go 0 (Rgraph.Digraph.Dense.edges graph)
+
 (* Canonical serialization, not [Hashtbl.hash]: the polymorphic hash is no
    cross-host fingerprint, and divergence detection only needs equality of
    the final states. *)
@@ -69,8 +88,9 @@ let state_digest (state : Game.State.t) =
     state.Game.State.starred;
   Buffer.contents buf
 
-let run ?(ame_params = Params.default) ?channels_used ?(feedback_mode = Sequential)
-    ?vector_for ?(corrupted = []) ?(corruption = Full) ~cfg ~pairs ~messages ~adversary () =
+let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
+    ?(feedback_mode = Sequential) ?vector_for ?(corrupted = []) ?(corruption = Full) ~cfg ~pairs
+    ~messages ~adversary () =
   let forges = corruption = Forge_as_surrogate || corruption = Full in
   let lies = corruption = Lie_as_witness || corruption = Full in
   let channels = cfg.Radio.Config.channels in
@@ -110,13 +130,23 @@ let run ?(ame_params = Params.default) ?channels_used ?(feedback_mode = Sequenti
   let diverged = ref false in
   let moves_counter = ref 0 in
   let final_digests = Array.make n "" in
+  (* The proposal of a game state.  With t or fewer node-disjoint edges
+     left, the adversary can jam every direct move, so the direct play
+     stops there. *)
+  let proposal_of state =
+    match play with
+    | Game -> Game.Greedy.proposal state
+    | Direct ->
+      let batch = disjoint_batch state.Game.State.graph ~limit:channels_used in
+      if List.length batch <= budget then None else Some batch
+  in
   (* The referee step of a game state.  Tree feedback only fits full
      power-of-two proposals; a smaller tail proposal (still > t items)
      falls back to the sequential routine for that move.  The schedule is
      built without a scratch, so it owns its role table, which stays valid
      for every fiber of the move whatever is built meanwhile. *)
   let plan_of state surrogate_map =
-    match Game.Greedy.proposal state with
+    match proposal_of state with
     | None -> Done
     | Some proposal ->
       let tree_this_move = feedback_mode = Tree && List.length proposal = channels_used in

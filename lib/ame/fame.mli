@@ -5,7 +5,9 @@
     plus one communication-feedback invocation; greedy play plus the graph
     equivalence invariant give t-disruptability in O(|E| t^2 log n) rounds
     when C = t+1, and O(|E| log n) when C = 2t (Section 5.5, case 1) — the
-    same code runs both regimes, with proposal size = channels used.
+    same code runs both regimes, with proposal size = channels used.  The
+    same move driver also plays the direct-exchange baseline
+    ({!constructor-Direct}), which only changes where proposals come from.
 
     Every node simulates the referee, and nodes in the same game state
     compute the same proposal and schedule (Invariant 1).  The simulator
@@ -42,6 +44,19 @@ type outcome = {
   moves : int;  (** game moves simulated *)
 }
 
+type play =
+  | Game
+      (** the starred-edge removal game with greedy proposals: f-AME,
+          t-disruptable (default) *)
+  | Direct
+      (** the direct-exchange baseline of Section 5, without surrogates:
+          each move proposes a greedy node-disjoint batch of at most
+          [channels_used] undelivered pairs, in ascending order, so every
+          message is received from its own source.  The run stops once
+          the batch has t or fewer edges, since the adversary could then
+          jam every move.  Only 2t-disruptable: t disjoint triangles
+          strand a vertex cover of 2t (Experiment E12). *)
+
 type feedback_mode =
   | Sequential
       (** Figure 1's per-channel feedback: O(t^2 log n) per move at C = t+1,
@@ -59,6 +74,7 @@ type corruption =
 val run :
   ?ame_params:Params.t ->
   ?channels_used:int ->
+  ?play:play ->
   ?feedback_mode:feedback_mode ->
   ?vector_for:(int -> (int * string) list) ->
   ?corrupted:int list ->
@@ -74,6 +90,8 @@ val run :
 
     [channels_used] (default [cfg.channels]) is the game's proposal size;
     set it below [cfg.channels] to reproduce the larger-C regimes.
+    [play] (default [Game]) picks where each move's proposal comes from;
+    the rest of a move is the same code for both.
     [vector_for] overrides the vector payload a node broadcasts for an owner
     (the Section 5.6 optimization passes a constant-size digest); entries
     keyed [-1] are delivered to any destination.  [adversary] receives the
@@ -84,12 +102,12 @@ val run :
     but (a) forge the vector whenever they broadcast {e as surrogates} for
     another owner, and (b) invert their flag when serving {e as feedback
     witnesses}.  Attack (a) breaks f-AME's authentication — exactly why the
-    paper's Byzantine sketch eliminates surrogates (see {!Direct}, which is
-    immune because every message is received from its own source); attack
-    (b) makes witnesses of one channel contradict each other, so listeners
-    can disagree on the referee's response — the agreement failure behind
-    the paper leaving Byzantine t-disruptability open.  Experiment E13
-    measures both.
+    paper's Byzantine sketch eliminates surrogates (see
+    {!constructor-Direct}, immune because every message is received from
+    its own source); attack (b) makes witnesses of one channel contradict
+    each other, so listeners can disagree on the referee's response — the
+    agreement failure behind the paper leaving Byzantine t-disruptability
+    open.  Experiment E13 measures both.
 
     Raises [Invalid_argument] if [cfg.n] is too small for the witness
     schedule (see {!Params.nodes_required}). *)

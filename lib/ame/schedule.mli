@@ -34,10 +34,13 @@ type scratch
     consecutive builds cost O(proposal) instead of an O(n) allocation +
     clear each.  A build retires every index taken earlier from the same
     scratch, so share one only among builds whose lookups all happen
-    before the next build on it (each {!Direct} fiber builds and queries
-    between two suspensions).  A schedule queried long after its build,
+    before the next build on it.  A schedule queried long after its build,
     like f-AME's per-move schedule that every node in the same game state
-    reads, is built without a scratch and owns its table. *)
+    reads, is built without a scratch and owns its table.  No protocol
+    code shares one: the callers left are benchsuite's [ame_replay],
+    bench/'s [pop_schedule] and the [test_ame] index property, and the
+    ROADMAP removes the scratch with the next declared change to those
+    benchmarks. *)
 
 val make_scratch : unit -> scratch
 

@@ -30,25 +30,22 @@ let e13 ~quick ~jobs =
         let forging = fame_with Ame.Fame.Forge_as_surrogate in
         let lying = fame_with Ame.Fame.Lie_as_witness in
         let direct =
-          Ame.Direct.run ~cfg ~pairs ~messages:Common.default_messages
+          Ame.Fame.run ~play:Ame.Fame.Direct ~cfg ~pairs ~messages:Common.default_messages
             ~adversary:(Common.schedule_jam ~channels ~budget:t)
             ()
         in
-        let fame_row label (o : Ame.Fame.outcome) =
+        let row label (o : Ame.Fame.outcome) =
           [ label; string_of_int corrupt_count;
             string_of_int (List.length o.Ame.Fame.delivered);
             string_of_int (forged o.Ame.Fame.delivered);
             string_of_bool o.Ame.Fame.diverged ]
         in
-        ( [ fame_row "f-AME/forging-surrogates" forging;
-            fame_row "f-AME/lying-witnesses" lying;
-            [ "direct"; string_of_int corrupt_count;
-              string_of_int (List.length direct.Ame.Direct.delivered);
-              string_of_int (forged direct.Ame.Direct.delivered);
-              string_of_bool direct.Ame.Direct.diverged ] ],
+        ( [ row "f-AME/forging-surrogates" forging;
+            row "f-AME/lying-witnesses" lying;
+            row "direct" direct ],
           forging.Ame.Fame.engine.Radio.Engine.rounds_used
           + lying.Ame.Fame.engine.Radio.Engine.rounds_used
-          + direct.Ame.Direct.engine.Radio.Engine.rounds_used ))
+          + direct.Ame.Fame.engine.Radio.Engine.rounds_used ))
       corruption_levels
   in
   Common.result ~total_rounds:(List.fold_left (fun acc (_, r) -> acc + r) 0 outcomes)

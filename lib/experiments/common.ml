@@ -84,7 +84,7 @@ type fame_point = {
   diverged : bool;
 }
 
-let run_fame ?channels_used ?feedback_mode ?adversary ~seed ~n ~channels ~t ~pairs () =
+let run_fame ?channels_used ?play ?feedback_mode ?adversary ~seed ~n ~channels ~t ~pairs () =
   let cfg =
     Radio.Config.make ~seed ~n ~channels ~t ~max_rounds:Radio.Config.default_max_rounds ()
   in
@@ -92,7 +92,7 @@ let run_fame ?channels_used ?feedback_mode ?adversary ~seed ~n ~channels ~t ~pai
     Option.value adversary ~default:(schedule_jam ~channels ~budget:t)
   in
   let o =
-    Ame.Fame.run ?channels_used ?feedback_mode ~cfg ~pairs
+    Ame.Fame.run ?channels_used ?play ?feedback_mode ~cfg ~pairs
       ~messages:default_messages ~adversary ()
   in
   { rounds = o.Ame.Fame.engine.Radio.Engine.rounds_used;

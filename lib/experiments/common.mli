@@ -83,6 +83,7 @@ type fame_point = {
 
 val run_fame :
   ?channels_used:int ->
+  ?play:Ame.Fame.play ->
   ?feedback_mode:Ame.Fame.feedback_mode ->
   ?adversary:(Ame.Oracle.t -> Radio.Adversary.t) ->
   seed:int64 ->

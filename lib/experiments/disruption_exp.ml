@@ -5,37 +5,23 @@ let triangle_pairs ~t =
 
 let triple_of ~t v = if v < 3 * t then Some (v / 3) else None
 
-let fame_row ~name ~t ~pairs ~adversary ~seed =
+(* One protocol run as an E6/E12 row.  The bound column is what the play
+   guarantees: t with surrogates, 2t without (Section 5). *)
+let row ~play ~name ~t ~pairs ~adversary ~seed =
   let channels = t + 1 in
   let n =
     max (Common.fame_nodes_for ~t ~channels_used:channels ~channels)
       (2 + List.fold_left (fun acc (v, w) -> max acc (max v w)) 0 pairs)
   in
-  let p = Common.run_fame ~seed ~n ~channels ~t ~pairs ~adversary () in
-  ( [ "f-AME"; name; string_of_int t; string_of_int (List.length pairs);
+  let p = Common.run_fame ~play ~seed ~n ~channels ~t ~pairs ~adversary () in
+  let protocol, bound =
+    match play with Ame.Fame.Game -> ("f-AME", t) | Ame.Fame.Direct -> ("direct", 2 * t)
+  in
+  ( [ protocol; name; string_of_int t; string_of_int (List.length pairs);
       string_of_int p.Common.delivered; string_of_int p.Common.failed;
       (match p.Common.vc with Some v -> string_of_int v | None -> "-");
-      string_of_int t ],
+      string_of_int bound ],
     p.Common.rounds )
-
-let direct_row ~name ~t ~pairs ~adversary ~seed =
-  let channels = t + 1 in
-  let n =
-    max (Common.fame_nodes_for ~t ~channels_used:channels ~channels)
-      (2 + List.fold_left (fun acc (v, w) -> max acc (max v w)) 0 pairs)
-  in
-  let cfg =
-    Radio.Config.make ~seed ~n ~channels ~t ~max_rounds:Radio.Config.default_max_rounds ()
-  in
-  let o =
-    Ame.Direct.run ~cfg ~pairs ~messages:Common.default_messages ~adversary ()
-  in
-  ( [ "direct"; name; string_of_int t; string_of_int (List.length pairs);
-      string_of_int (List.length o.Ame.Direct.delivered);
-      string_of_int (List.length o.Ame.Direct.failed);
-      (match o.Ame.Direct.disruption_vc with Some v -> string_of_int v | None -> "-");
-      string_of_int (2 * t) ],
-    o.Ame.Direct.engine.Radio.Engine.rounds_used )
 
 let header = [ "protocol"; "adversary"; "t"; "|E|"; "delivered"; "failed"; "vc"; "bound" ]
 
@@ -55,16 +41,16 @@ let e6 ~quick ~jobs =
         let disjoint = Rgraph.Workload.disjoint_pairs ~n ~count:(4 * t) in
         let clustered = triangle_pairs ~t in
         [ (fun () ->
-            fame_row ~name:"schedule-jam" ~t ~pairs:disjoint
+            row ~play:Ame.Fame.Game ~name:"schedule-jam" ~t ~pairs:disjoint
               ~adversary:(Common.schedule_jam ~channels ~budget:t)
               ~seed:(Int64.of_int (100 + t)));
           (fun () ->
-            fame_row ~name:"random-jam" ~t ~pairs:disjoint
+            row ~play:Ame.Fame.Game ~name:"random-jam" ~t ~pairs:disjoint
               ~adversary:(fun _ ->
                 Common.random_jam ~seed:(Int64.of_int (200 + t)) ~channels ~budget:t)
               ~seed:(Int64.of_int (300 + t)));
           (fun () ->
-            fame_row ~name:"triangle" ~t ~pairs:clustered
+            row ~play:Ame.Fame.Game ~name:"triangle" ~t ~pairs:clustered
               ~adversary:(fun board ->
                 Ame.Attacks.triangle_jammer board ~channels ~budget:t
                   ~triple_of:(triple_of ~t))
@@ -87,8 +73,12 @@ let e12 ~quick ~jobs =
         let adversary board =
           Ame.Attacks.triangle_jammer board ~channels ~budget:t ~triple_of:(triple_of ~t)
         in
-        [ (fun () -> direct_row ~name:"triangle" ~t ~pairs ~adversary ~seed:(Int64.of_int (500 + t)));
-          (fun () -> fame_row ~name:"triangle" ~t ~pairs ~adversary ~seed:(Int64.of_int (600 + t))) ])
+        [ (fun () ->
+            row ~play:Ame.Fame.Direct ~name:"triangle" ~t ~pairs ~adversary
+              ~seed:(Int64.of_int (500 + t)));
+          (fun () ->
+            row ~play:Ame.Fame.Game ~name:"triangle" ~t ~pairs ~adversary
+              ~seed:(Int64.of_int (600 + t))) ])
       ts
   in
   let rows, total_rounds = run_rows ~jobs specs in

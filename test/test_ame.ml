@@ -7,7 +7,6 @@ module Schedule = Ame.Schedule
 module Feedback = Ame.Feedback
 module Tree_feedback = Ame.Tree_feedback
 module Fame = Ame.Fame
-module Direct = Ame.Direct
 module Naive = Ame.Naive
 module Gossip = Ame.Gossip
 module Compact = Ame.Compact
@@ -199,8 +198,9 @@ let schedule_invariants_on_random_proposals =
 let schedule_index_matches_scan =
   (* Property: the O(1) inverted index agrees with the linear-scan oracle
      for every node, across consecutive builds on one shared scratch (the
-     engine's usage pattern), including after the scratch regrows; and once
-     a later build has retired an index, its lookups raise. *)
+     benchmark replays' usage pattern), including after the scratch
+     regrows; and once a later build has retired an index, its lookups
+     raise. *)
   let gen =
     QCheck.Gen.(
       let* t = int_range 1 3 in
@@ -765,17 +765,23 @@ let fame_allocation_per_move () =
   (* Nodes in the same game state share one referee step, so a node-move
      costs the node's own radio and feedback work only: measured 157.0
      minor words, against 462.5 when every node rebuilt the proposal and
-     schedule itself. *)
+     schedule itself.  The direct play shares it the same way: 128.4,
+     against 342.5 when each fiber built its own batch and schedule. *)
   let n = 8_000 in
   let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:3L () in
-  let pairs = Workload.disjoint_pairs ~n ~count:4 in
-  let before = Gc.minor_words () in
-  let o = Fame.run ~cfg ~pairs ~messages ~adversary:null_adversary () in
-  let words = Gc.minor_words () -. before in
-  check Alcotest.bool "clean run" false o.Fame.diverged;
-  let per = words /. float_of_int (n * o.Fame.moves) in
-  if per > 220.0 then
-    Alcotest.failf "f-AME allocates %.1f minor words per node-move (%d moves)" per o.Fame.moves
+  let per_move ~name ~play ~count =
+    let pairs = Workload.disjoint_pairs ~n ~count in
+    let before = Gc.minor_words () in
+    let o = Fame.run ~play ~cfg ~pairs ~messages ~adversary:null_adversary () in
+    let words = Gc.minor_words () -. before in
+    check Alcotest.bool (name ^ ": clean run") false o.Fame.diverged;
+    let per = words /. float_of_int (n * o.Fame.moves) in
+    if per > 220.0 then
+      Alcotest.failf "%s allocates %.1f minor words per node-move (%d moves)" name per
+        o.Fame.moves
+  in
+  per_move ~name:"f-AME" ~play:Fame.Game ~count:4;
+  per_move ~name:"direct" ~play:Fame.Direct ~count:16
 
 (* -- tree feedback internals -- *)
 
@@ -808,17 +814,17 @@ let direct_delivers_without_adversary () =
   let t = 2 in
   let cfg = fame_cfg ~t ~seed:50L () in
   let pairs = Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8 in
-  let o = Direct.run ~cfg ~pairs ~messages ~adversary:null_adversary () in
-  check Alcotest.bool "at most t stranded" true (List.length o.Direct.failed <= t);
-  check Alcotest.bool "delivered the rest" true (List.length o.Direct.delivered >= 8 - t);
+  let o = Fame.run ~play:Fame.Direct ~cfg ~pairs ~messages ~adversary:null_adversary () in
+  check Alcotest.bool "at most t stranded" true (List.length o.Fame.failed <= t);
+  check Alcotest.bool "delivered the rest" true (List.length o.Fame.delivered >= 8 - t);
   List.iter
     (fun (pair, body) -> check Alcotest.string "payload" (messages pair) body)
-    o.Direct.delivered
+    o.Fame.delivered
 
 let direct_rejects_self_loop () =
   let cfg = fame_cfg () in
   Alcotest.check_raises "self-loop pair" (Invalid_argument "Digraph: self-loop") (fun () ->
-      ignore (Direct.run ~cfg ~pairs:[ (0, 1); (2, 2) ] ~messages ~adversary:null_adversary ()))
+      ignore (Fame.run ~play:Fame.Direct ~cfg ~pairs:[ (0, 1); (2, 2) ] ~messages ~adversary:null_adversary ()))
 
 let direct_triangle_lower_bound () =
   (* The Section 5 argument: t disjoint triangles, triangle-aware jamming,
@@ -830,29 +836,29 @@ let direct_triangle_lower_bound () =
       let pairs = List.concat_map Workload.complete_on triples in
       let cfg = fame_cfg ~t ~seed:(Int64.of_int (60 + t)) () in
       let o =
-        Direct.run ~cfg ~pairs ~messages
+        Fame.run ~play:Fame.Direct ~cfg ~pairs ~messages
           ~adversary:(fun board ->
             Attacks.triangle_jammer board ~channels:(t + 1) ~budget:t ~triple_of)
           ()
       in
-      match o.Direct.disruption_vc with
+      match o.Fame.disruption_vc with
       | Some vc -> check Alcotest.int (Printf.sprintf "t=%d cover is 2t" t) (2 * t) vc
       | None -> Alcotest.fail "vc computable")
     [ 1; 2 ]
 
 (* A direct-exchange outcome, hashed like [outcome_sha] except for
-   [max_payload]: that field is the largest frame a source sent, which
-   depends on how much of its vector m_v,* a source packs, not on what the
-   exchange delivers. *)
-let direct_sha (o : Direct.outcome) =
-  let r = o.Direct.engine in
+   [max_payload]: that field is the largest frame sent, and a direct
+   source's frame carries its whole vector m_v,*, so its size says
+   nothing about what the exchange delivers. *)
+let direct_sha (o : Fame.outcome) =
+  let r = o.Fame.engine in
   let s = r.Radio.Engine.stats in
   let b = Buffer.create 512 in
-  List.iter (fun ((v, w), body) -> Printf.bprintf b "d%d-%d=%s;" v w body) o.Direct.delivered;
-  List.iter (fun (v, w) -> Printf.bprintf b "f%d-%d;" v w) o.Direct.failed;
+  List.iter (fun ((v, w), body) -> Printf.bprintf b "d%d-%d=%s;" v w body) o.Fame.delivered;
+  List.iter (fun (v, w) -> Printf.bprintf b "f%d-%d;" v w) o.Fame.failed;
   Printf.bprintf b "vc=%s;diverged=%b;moves=%d;"
-    (match o.Direct.disruption_vc with Some vc -> string_of_int vc | None -> "-")
-    o.Direct.diverged o.Direct.moves;
+    (match o.Fame.disruption_vc with Some vc -> string_of_int vc | None -> "-")
+    o.Fame.diverged o.Fame.moves;
   Printf.bprintf b "rounds=%d;completed=%b;transcript=%d;" r.Radio.Engine.rounds_used
     r.Radio.Engine.completed (List.length r.Radio.Engine.transcript);
   Printf.bprintf b "stats=%d,%d,%d,%d,%d,%d,%d;" s.Radio.Transcript.Stats.rounds
@@ -876,40 +882,45 @@ let direct_outcome_pins () =
     List.concat_map
       (fun t ->
         let channels = t + 1 in
-        let n = max 24 (Experiments.Common.fame_nodes_for ~t ~channels_used:channels ~channels) in
+        let n =
+          max 24 (Experiments.Common.fame_nodes_for ~t ~channels_used:channels ~channels)
+        in
         let cfg =
           Radio.Config.make ~seed:(Int64.of_int (80 + t)) ~n ~channels ~t
             ~max_rounds:Radio.Config.default_max_rounds ()
         in
         let pairs = Workload.disjoint_pairs ~n ~count:12 in
         [ ( Printf.sprintf "schedule jam t=%d" t,
-            Direct.run ~cfg ~pairs ~messages
+            Fame.run ~play:Fame.Direct ~cfg ~pairs ~messages
               ~adversary:(Experiments.Common.schedule_jam ~channels ~budget:t)
               () );
           ( Printf.sprintf "random jam t=%d" t,
-            Direct.run ~cfg ~pairs ~messages
+            Fame.run ~play:Fame.Direct ~cfg ~pairs ~messages
               ~adversary:(fun _ ->
-                Experiments.Common.random_jam ~seed:(Int64.of_int (90 + t)) ~channels ~budget:t)
+                Experiments.Common.random_jam ~seed:(Int64.of_int (90 + t)) ~channels
+                  ~budget:t)
               () ) ])
       [ 1; 2; 3 ]
   in
   List.iter
     (fun (name, o) ->
-      check Alcotest.bool (name ^ ": several moves") true (o.Direct.moves >= 4))
+      check Alcotest.bool (name ^ ": several moves") true (o.Fame.moves >= 4))
     disjoint;
   (* E13's direct rows: two sources fan out to 20..25 at t = 1, n = 30. *)
   let byzantine_shape =
     List.map
       (fun k ->
         let pairs =
-          List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23; 24; 25 ]) [ 0; 1 ]
+          List.concat_map
+            (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23; 24; 25 ])
+            [ 0; 1 ]
         in
         let cfg =
           Radio.Config.make ~n:30 ~channels:2 ~t:1 ~seed:(Int64.of_int (7 + k))
             ~max_rounds:Radio.Config.default_max_rounds ()
         in
         ( Printf.sprintf "E13 shape seed %d" (7 + k),
-          Direct.run ~cfg ~pairs ~messages
+          Fame.run ~play:Fame.Direct ~cfg ~pairs ~messages
             ~adversary:(Experiments.Common.schedule_jam ~channels:2 ~budget:1)
             () ))
       [ 0; 2; 4; 8 ]
@@ -929,13 +940,15 @@ let direct_outcome_pins () =
             ~max_rounds:Radio.Config.default_max_rounds ()
         in
         let o =
-          Direct.run ~cfg ~pairs ~messages
-            ~adversary:(fun board -> Attacks.triangle_jammer board ~channels ~budget:t ~triple_of)
+          Fame.run ~play:Fame.Direct ~cfg ~pairs ~messages
+            ~adversary:(fun board ->
+              Attacks.triangle_jammer board ~channels ~budget:t ~triple_of)
             ()
         in
-        check Alcotest.int (Printf.sprintf "triangles t=%d: no move" t) 0 o.Direct.moves;
-        check Alcotest.(option int) (Printf.sprintf "triangles t=%d: cover 2t" t) (Some (2 * t))
-          o.Direct.disruption_vc;
+        check Alcotest.int (Printf.sprintf "triangles t=%d: no move" t) 0 o.Fame.moves;
+        check Alcotest.(option int)
+          (Printf.sprintf "triangles t=%d: cover 2t" t)
+          (Some (2 * t)) o.Fame.disruption_vc;
         (Printf.sprintf "E12 triangles t=%d" t, o))
       [ 1; 2; 3 ]
   in

@@ -95,11 +95,14 @@ let direct_immune_to_corrupt_relays () =
   let t = 1 in
   let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ] in
   let cfg = Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L ~max_rounds:Radio.Config.default_max_rounds () in
-  (* Direct has no surrogate mechanism at all: nothing to corrupt. *)
-  let o = Ame.Direct.run ~cfg ~pairs ~messages ~adversary:(fun _ -> Radio.Adversary.null) () in
+  (* The direct play has no surrogates at all: no relay to corrupt. *)
+  let o =
+    Ame.Fame.run ~play:Ame.Fame.Direct ~cfg ~pairs ~messages
+      ~adversary:(fun _ -> Radio.Adversary.null) ()
+  in
   List.iter
     (fun (pair, body) -> check Alcotest.string "authentic" (messages pair) body)
-    o.Ame.Direct.delivered
+    o.Ame.Fame.delivered
 
 (* -- unicast streams -- *)
 
