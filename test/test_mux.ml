@@ -326,6 +326,112 @@ let pig_spec_validation () =
     (fun () ->
       ignore (Mux.make ~key ~logical:5 ~phys:4 ~budget:1 ~ack_mode:Mux.Piggybacked ~rounds:10 ()))
 
+(* ------------------------------------------------------------------ *)
+(* Outcome pins.                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Every transport and ack mode, with outsiders, under the null adversary
+   and a jammer, at the default shape and at each extreme of the spec:
+   the smallest window and queue, one-round epochs with no grace, a grace
+   as long as the epoch, no offered load, empty bodies.  The pins are the
+   first 16 hex digits of [output_digest], which hashes every counter,
+   the latency histogram's percentiles and the engine's statistics. *)
+let pin_modes =
+  [ ("slotted", Mux.Acked, Mux.Slotted, 12);
+    ("piggybacked", Mux.Acked, Mux.Piggybacked, 12);
+    ("repeat g2", Mux.Repeat { reps = 3; group = 2 }, Mux.Slotted, 6);
+    ("repeat g5", Mux.Repeat { reps = 4; group = 5 }, Mux.Slotted, 4) ]
+
+let pin_spec (_, transport, ack_mode, logical) ?(window = 32) ?(queue_cap = 4)
+    ?(epoch_len = 4) ?(grace = 2) ?(rate = 1) ?(payload = 16) () =
+  Mux.make ~key ~logical ~phys:4 ~budget:1 ~transport ~ack_mode ~rounds:20 ~rate ~queue_cap
+    ~window ~epoch_len ~grace ~payload ~outsiders:2 ~seed:31L ()
+
+let pin_variants =
+  [ ("default", fun m -> pin_spec m ());
+    ("window 1 queue_cap 1", fun m -> pin_spec m ~window:1 ~queue_cap:1 ());
+    ("epoch_len 1 grace 0", fun m -> pin_spec m ~epoch_len:1 ~grace:0 ());
+    ("grace = epoch_len", fun m -> pin_spec m ~epoch_len:3 ~grace:3 ());
+    ("rate 0", fun m -> pin_spec m ~rate:0 ());
+    ("payload 0", fun m -> pin_spec m ~payload:0 ()) ]
+
+let pin_adversaries =
+  [ ("null", fun () -> null);
+    ( "jammer",
+      fun () -> Radio.Adversary.random_jammer (Prng.Rng.create 17L) ~channels:4 ~budget:1 ) ]
+
+let outcome_pins =
+  [ ("slotted default null", "8ac0530be0ab5093");
+    ("slotted default jammer", "e11604a1db858de5");
+    ("slotted window 1 queue_cap 1 null", "40ba320ef41645b7");
+    ("slotted window 1 queue_cap 1 jammer", "8f308efa288b670c");
+    ("slotted epoch_len 1 grace 0 null", "39ad27220b3a9fe9");
+    ("slotted epoch_len 1 grace 0 jammer", "41680561f19d1101");
+    ("slotted grace = epoch_len null", "dd6da5e1ac838724");
+    ("slotted grace = epoch_len jammer", "2fb5d150f03d732c");
+    ("slotted rate 0 null", "41065c6bba609b7b");
+    ("slotted rate 0 jammer", "eb089abccc814525");
+    ("slotted payload 0 null", "cc7304b67d46242b");
+    ("slotted payload 0 jammer", "c2a7e609d198ad6d");
+    ("piggybacked default null", "8102daf08637ddab");
+    ("piggybacked default jammer", "a8ecda6723c2242a");
+    ("piggybacked window 1 queue_cap 1 null", "37191fc4d2e0802f");
+    ("piggybacked window 1 queue_cap 1 jammer", "7b43811da6d12110");
+    ("piggybacked epoch_len 1 grace 0 null", "6e5123735ccdabec");
+    ("piggybacked epoch_len 1 grace 0 jammer", "0916107d46127c5a");
+    ("piggybacked grace = epoch_len null", "f3980f71fa2f7bdc");
+    ("piggybacked grace = epoch_len jammer", "6c1385487b6c9f40");
+    ("piggybacked rate 0 null", "bdf7127fef7880cd");
+    ("piggybacked rate 0 jammer", "4bf86b219ef4d958");
+    ("piggybacked payload 0 null", "173af28c20834eae");
+    ("piggybacked payload 0 jammer", "bb8762638f208208");
+    ("repeat g2 default null", "76653116db059c50");
+    ("repeat g2 default jammer", "38c5cb8126a632eb");
+    ("repeat g2 window 1 queue_cap 1 null", "c6629760d24bb44d");
+    ("repeat g2 window 1 queue_cap 1 jammer", "0f4b90ad33abfcd2");
+    ("repeat g2 epoch_len 1 grace 0 null", "871d651253f91e95");
+    ("repeat g2 epoch_len 1 grace 0 jammer", "ddd90b22ef16b7ff");
+    ("repeat g2 grace = epoch_len null", "11eb28046798e216");
+    ("repeat g2 grace = epoch_len jammer", "f091140d8081d13e");
+    ("repeat g2 rate 0 null", "19da6cccd287f504");
+    ("repeat g2 rate 0 jammer", "1f8a9269965e3cb4");
+    ("repeat g2 payload 0 null", "874def489ef145a2");
+    ("repeat g2 payload 0 jammer", "e89edba3815776d1");
+    ("repeat g5 default null", "6dd313342b5653c1");
+    ("repeat g5 default jammer", "e32509a21f75e074");
+    ("repeat g5 window 1 queue_cap 1 null", "f0eec0a235129b49");
+    ("repeat g5 window 1 queue_cap 1 jammer", "81e252ffc04586f8");
+    ("repeat g5 epoch_len 1 grace 0 null", "8829f450c5b51ca1");
+    ("repeat g5 epoch_len 1 grace 0 jammer", "8a58bf2121c72621");
+    ("repeat g5 grace = epoch_len null", "7cea3772281c54b8");
+    ("repeat g5 grace = epoch_len jammer", "6cf6090df929a2f2");
+    ("repeat g5 rate 0 null", "c282322ed50ef604");
+    ("repeat g5 rate 0 jammer", "862a2c035b161a64");
+    ("repeat g5 payload 0 null", "a69dc663f24c12bc");
+    ("repeat g5 payload 0 jammer", "f93f1a92b77a4749") ]
+
+let mux_outcome_pins () =
+  let got =
+    List.concat_map
+      (fun ((mode, _, _, _) as m) ->
+        List.concat_map
+          (fun (variant, spec) ->
+            List.map
+              (fun (adv, adversary) ->
+                let r = Mux.run (spec m) ~adversary:(adversary ()) in
+                ( Printf.sprintf "%s %s %s" mode variant adv,
+                  String.sub (Mux.output_digest r) 0 16 ))
+              pin_adversaries)
+          pin_variants)
+      pin_modes
+  in
+  check Alcotest.int "one pin per case" (List.length got) (List.length outcome_pins);
+  List.iter2
+    (fun (name, d) (pname, pd) ->
+      check Alcotest.string "case order" pname name;
+      check Alcotest.string name pd d)
+    got outcome_pins
+
 let () =
   Alcotest.run "mux"
     [ ( "window",
@@ -365,4 +471,5 @@ let () =
           Alcotest.test_case "pool sizes byte-identical" `Quick
             (jobs_byte_identical (pig_spec ~outsiders:2 ()));
           Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
-          Alcotest.test_case "spec validation" `Quick pig_spec_validation ] ) ]
+          Alcotest.test_case "spec validation" `Quick pig_spec_validation ] );
+      ("outcome", [ Alcotest.test_case "mux outcome pins" `Quick mux_outcome_pins ]) ]
