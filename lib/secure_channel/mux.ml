@@ -1,49 +1,59 @@
 (* Multiplexed secure-channel service (ROADMAP item 2).
 
    Thousands of logical channels share one simulated radio network.  All
-   protocol intelligence is central: once per emulated round, the first
-   fiber resumed runs [prepare], which processes everything heard in the
-   previous emulated round, runs the epoch / replay-window / backpressure
-   state machines, and batch-seals and batch-MACs every frame the round
-   will transmit.  Node fibers are thin actors — they read their slot plan
-   from the shared state and move bytes.  Fibers resume strictly
-   sequentially in node-id order within the engine's domain (the
-   determinism contract), so the central mutable state needs no
-   synchronization.
+   protocol intelligence is one step over the central [state]: at the
+   start of every phase of an emulated round, [step] judges what the
+   service nodes heard in the phase before (epoch, replay-window and
+   queue state machines) and fills the plan this phase sends from —
+   offered load, batch-sealed and batch-MACed frames, their physical
+   channels.  One thin engine body moves the bytes: each service node
+   reads its duties off the plan and stores what it hears in the one
+   heard buffer.  The first fiber resumed at a phase boundary runs the
+   step; fibers resume strictly sequentially in node-id order within the
+   engine's domain (the determinism contract), so the central mutable
+   state needs no synchronization.  {!Step} drives the same step with no
+   engine at all.
+
+   The transport and ack mode are data: [layout] fixes, in one place,
+   the service nodes per channel, the slots of a phase, the frame kind
+   each phase carries, the flush round, and which node sends or hears
+   which channel at which slot.
+
+   - Slotted acks: S data slots, a mid sync round, S ack slots, an end
+     sync round — 2S+2 real rounds, S = ceil(logical / phys).  Member 0
+     of channel c sends its data frame, member 1 acks it, so a message is
+     sent, delivered and acknowledged within one emulated round.
+   - Piggybacked acks: channels c and [c lxor 1] form a duplex pair served
+     by nodes c and [c lxor 1]; the cumulative ack rides inside the next
+     frame of the opposite direction — S data slots and the sync round.
+   - Repeat transport (the E9 broadcast shape): [group] members per
+     channel; the designated sender repeats the sealed head [reps] times
+     on a hopping channel while the rest listen — reps+1 real rounds, no
+     acks, the head is retired after its round.
+
+   Logical channel c of an acked mode occupies slot [c mod S] at position
+   [c / S]; a PRF-keyed offset per (emulated round, slot) rotates the
+   whole slot across the physical band, so co-scheduled channels never
+   collide with each other while the adversary cannot predict where any
+   one channel lands.  Each sync round guarantees that every listen of the
+   preceding phase has stored its result before the next step reads it.
 
    The crypto is the step's floor, and it is per-frame and independent:
    building and sealing a payload, decoding, opening and parsing a heard
    frame, MACing or verifying an ack.  [chunks] cuts each batch of that
    work into contiguous chunks — one per pool domain, none below [grain]
    bytes of work — which run through [Parallel.map_ordered] with a
-   {!Cipher.scratch} (or the {!Hmac} batch calls' own scratch) per chunk
-   and are concatenated back in order.
+   {!Cipher.scratch} (or an {!Hmac.scratch}) per chunk and are
+   concatenated back in order.
    Chunks read only immutable inputs: the spec, the frame descriptors
    gathered beforehand, and epoch keys, which [keys] derives (and caches
    by epoch parity) on the calling domain before the fan-out, since the
    group PRF is not domain-safe.  Every state change — windows, queues,
-   stats, latency, the round plan — is applied after the join, on the
-   calling domain, in the order the one-domain step used.  So the output
-   is byte-identical for every pool size, a one-domain scope included.
-
-   Emulated-round layout (Acked transport): S data slots, a mid sync
-   round, S ack slots, an end sync round — 2S+2 real rounds,
-   S = ceil(logical / phys).  Logical channel c occupies slot [c mod S] at
-   position [c / S]; a PRF-keyed offset per (emulated round, slot) rotates
-   the whole slot across the physical band, so co-scheduled channels never
-   collide with each other while the adversary cannot predict where any
-   one channel lands.  The central step is split in two: [prepare_data]
-   (round start: process last round's acks, enqueue offered load, seal
-   this round's data frames) and [prepare_acks] (after the mid sync:
-   process this round's received data, MAC this round's acks) — so a
-   message is sent, delivered, and acknowledged within one emulated round.
-   Each sync round guarantees that every listen of the preceding phase has
-   stored its result before the next central step reads it.
-
-   Repeat transport (the E9 broadcast shape): [group] members per logical
-   channel; the designated sender repeats the sealed head frame [reps]
-   times on a hopping channel while the rest listen — reps+1 real rounds
-   per emulated round, no acks, the head is retired after its round. *)
+   stats, latency, the plan — is applied after the join, on the calling
+   domain.  Each heard frame touches only its own channel's receiver
+   state and its partner's queue, so the order of judgement cannot change
+   the output, and the output is byte-identical for every pool size, a
+   one-domain scope included. *)
 
 module Cipher = Crypto.Cipher
 module Hmac = Crypto.Hmac
@@ -267,34 +277,52 @@ let make ~key ~logical ~phys ~budget ?(transport = Acked) ?(ack_mode = Slotted) 
   { key; logical; phys; budget; transport; ack_mode; rounds; rate; queue_cap; window;
     epoch_len; grace; payload; outsiders; seed }
 
-let service_nodes spec =
-  match (spec.transport, spec.ack_mode) with
-  | Acked, Slotted -> 2 * spec.logical
-  (* Duplex pairing: node c is both the sender of channel c and the
-     receiver of channel [c lxor 1], so one node per channel suffices. *)
-  | Acked, Piggybacked -> spec.logical
-  | Repeat { group; _ }, _ -> spec.logical * group
+(* ------------------------------------------------------------------ *)
+(* Layout: the transport and ack mode as data.                         *)
+(* ------------------------------------------------------------------ *)
 
-let node_count spec = service_nodes spec + spec.outsiders
+(* What the slots of one phase carry. *)
+type kind =
+  | Data  (* sealed queue heads, one receiver each, acked in the next phase *)
+  | Ack  (* MAC-only acks of the data phase's deliveries *)
+  | Pig  (* sealed duplex frames folding in the partner's cumulative ack *)
+  | Broadcast  (* sealed queue heads repeated to every member, retired after the round *)
 
-(* Data (and ack) slots per phase: with S = ceil(logical / phys), the at
-   most [phys] channels sharing a slot occupy distinct physical channels.
-   Piggybacked mode needs S >= 2 so a node's out-channel c and in-channel
-   [c lxor 1] (consecutive ids) always land in different slots. *)
-let slots spec =
+type layout = {
+  per_chan : int;  (* nodes per channel: node n is member [n mod per_chan] of [n / per_chan] *)
+  duplex : bool;  (* node n also hears channel [n lxor 1] *)
+  lanes : int;  (* slot groups per phase: channel c uses lane [c mod lanes] *)
+  hops : int;  (* consecutive slots per lane: a channel's sends per phase *)
+  phases : kind array;  (* per phase of an emulated round; each ends with a sync round *)
+  emulated : int;  (* emulated rounds on the air, the flush round included *)
+}
+
+(* With S = ceil(logical / phys), the at most [phys] channels sharing a
+   slot occupy distinct physical channels.  Piggybacked mode needs S >= 2
+   so a node's out-channel c and in-channel [c lxor 1] (consecutive ids)
+   always land in different slots; its one extra flush round lets the
+   final acks land. *)
+let layout spec =
+  let s = (spec.logical + spec.phys - 1) / spec.phys in
   match (spec.transport, spec.ack_mode) with
-  | Acked, Slotted -> (spec.logical + spec.phys - 1) / spec.phys
-  | Acked, Piggybacked -> max ((spec.logical + spec.phys - 1) / spec.phys) 2
-  | Repeat { reps; _ }, _ -> reps
+  | Acked, Slotted ->
+    { per_chan = 2; duplex = false; lanes = s; hops = 1; phases = [| Data; Ack |];
+      emulated = spec.rounds }
+  | Acked, Piggybacked ->
+    { per_chan = 1; duplex = true; lanes = max s 2; hops = 1; phases = [| Pig |];
+      emulated = spec.rounds + 1 }
+  | Repeat { reps; group }, _ ->
+    { per_chan = group; duplex = false; lanes = 1; hops = reps; phases = [| Broadcast |];
+      emulated = spec.rounds }
+
+let node_count spec = (spec.logical * (layout spec).per_chan) + spec.outsiders
 
 let real_rounds_per_emulated spec =
-  match (spec.transport, spec.ack_mode) with
-  | Acked, Slotted -> (2 * slots spec) + 2
-  (* No ack phase and no mid sync: S data slots + the end sync round.  The
-     cumulative ack rides inside the next data frame of the opposite
-     direction. *)
-  | Acked, Piggybacked -> slots spec + 1
-  | Repeat { reps; _ }, _ -> reps + 1
+  let ly = layout spec in
+  Array.length ly.phases * ((ly.lanes * ly.hops) + 1)
+
+(* The channel whose frames node [node] hears. *)
+let heard_chan ly node = if ly.duplex then node lxor 1 else node / ly.per_chan
 
 (* ------------------------------------------------------------------ *)
 (* Run statistics.                                                     *)
@@ -361,7 +389,7 @@ let latency_percentile result p =
 
 type state = {
   sp : spec;
-  s : int;  (* slots per phase *)
+  ly : layout;
   rpe : int;  (* real rounds per emulated round *)
   hop_prf : Prf.Keyed.t;
   group_prf : Prf.Keyed.t;
@@ -370,80 +398,60 @@ type state = {
   epoch_cache : epoch_keys option array;
   st : stats;
   lat : int array;
-  mutable prepared_data : int;  (* last round [prepare_data] ran for; -1 before start *)
-  mutable prepared_acks : int;  (* last round [prepare_acks] ran for; -1 before start *)
-  (* The round plan fibers execute, per logical channel. *)
-  data_blob : string array;  (* "" = nothing to send *)
-  ack_blob : string array;  (* "" = no ack pending *)
-  data_chan : int array;
-  ack_chan : int array;
-  (* What fibers heard last emulated round (stored at resume time). *)
-  heard_data : Radio.Frame.t option array;  (* Acked: receiver of channel c *)
-  heard_ack : Radio.Frame.t option array;  (* Acked: sender of channel c *)
-  heard_multi : string list array;  (* Repeat: per node, reverse arrival order *)
+  mutable stepped : int;  (* last step run, as e * phases + phase; -1 before start *)
+  (* The plan.  [frames] holds each phase's frame per channel at
+     [phase * logical + c] ("" = nothing to send) and doubles as the
+     frame cache, keyed by [built_seq] (-1 = empty) and [built_epoch]. *)
+  frames : string array;
+  built_seq : int array;
+  built_epoch : int array;
+  chans : int array;  (* this phase's physical channel per (channel, hop) *)
+  heard : Radio.Frame.t option array;  (* per (service node, hop), this phase *)
   (* Bounded per-channel send queues (flat ring buffers). *)
   q_seq : int array;
   q_enq : int array;
   q_head : int array;
   q_len : int array;
   next_seq : int array;
-  (* Sender side, per channel. *)
   sent_once : bool array;  (* head already transmitted at least once *)
-  seal_seq : int array;  (* cache identity of [data_blob]; -1 = empty *)
-  seal_epoch : int array;
-  (* Receiver side, per channel (Acked). *)
+  (* Receiver side: per channel, or per member under Repeat. *)
   windows : Window.t array;
-  ack_pend_seq : int array;  (* latest delivered seq, re-acked each round; -1 none *)
-  ack_built_seq : int array;  (* cache identity of [ack_blob]; -1 = empty *)
-  ack_built_epoch : int array;
-  (* Piggybacked-ack extras, per channel. *)
+  ack_pend_seq : int array;  (* slotted: latest delivered seq, re-acked each round; -1 none *)
+  (* Piggybacked extras, per channel. *)
   inflight : int array;  (* queue entries transmitted at least once *)
   cum_delivered : int array;  (* receiver: contiguous delivered prefix; -1 none *)
-  (* Repeat transport extras. *)
-  r_sender : int array;  (* member index transmitting this round's head *)
-  r_windows : Window.t array;  (* per node *)
-  r_chans : int array;  (* logical * reps hop assignments for this round *)
+  r_sender : int array;  (* Repeat: member transmitting this round's head; -1 none *)
 }
 
 let create_state spec =
-  let m = spec.logical in
-  let nodes = node_count spec in
-  let multi = match spec.transport with Acked -> 0 | Repeat _ -> nodes in
-  let reps = match spec.transport with Acked -> 0 | Repeat { reps; _ } -> reps in
+  let m = spec.logical and ly = layout spec in
+  let nodes = m * ly.per_chan and planned = m * Array.length ly.phases in
+  let receivers = match ly.phases with [| Broadcast |] -> nodes | _ -> m in
   { sp = spec;
-    s = slots spec;
+    ly;
     rpe = real_rounds_per_emulated spec;
     hop_prf = Prf.Keyed.create (Sha256.digest ("mux-hop|" ^ spec.key));
     group_prf = Prf.Keyed.create spec.key;
     epoch_cache = [| None; None |];
     st = create_stats ();
     lat = Array.make lat_buckets 0;
-    prepared_data = -1;
-    prepared_acks = -1;
-    data_blob = Array.make m "";
-    ack_blob = Array.make m "";
-    data_chan = Array.make m 0;
-    ack_chan = Array.make m 0;
-    heard_data = Array.make m None;
-    heard_ack = Array.make m None;
-    heard_multi = Array.make (max 1 multi) [];
+    stepped = -1;
+    frames = Array.make planned "";
+    built_seq = Array.make planned (-1);
+    built_epoch = Array.make planned (-1);
+    chans = Array.make (m * ly.hops) 0;
+    heard = Array.make (nodes * ly.hops) None;
     q_seq = Array.make (m * spec.queue_cap) 0;
     q_enq = Array.make (m * spec.queue_cap) 0;
     q_head = Array.make m 0;
     q_len = Array.make m 0;
     next_seq = Array.make m 0;
     sent_once = Array.make m false;
-    seal_seq = Array.make m (-1);
-    seal_epoch = Array.make m 0;
-    windows = Array.init m (fun _ -> Window.create ~width:spec.window);
+    windows = Array.init receivers (fun _ -> Window.create ~width:spec.window);
     ack_pend_seq = Array.make m (-1);
-    ack_built_seq = Array.make m (-1);
-    ack_built_epoch = Array.make m (-1);
     inflight = Array.make m 0;
     cum_delivered = Array.make m (-1);
-    r_sender = Array.make m 0;
-    r_windows = Array.init (max 1 multi) (fun _ -> Window.create ~width:spec.window);
-    r_chans = Array.make (max 1 (m * reps)) 0 }
+    r_sender = Array.make m (-1) }
 
 let keys t epoch =
   match t.epoch_cache.(epoch land 1) with
@@ -478,40 +486,14 @@ let q_pop t c =
   t.q_head.(c) <- (t.q_head.(c) + 1) mod t.sp.queue_cap;
   t.q_len.(c) <- t.q_len.(c) - 1;
   t.sent_once.(c) <- false;
-  t.seal_seq.(c) <- -1;
-  t.data_blob.(c) <- ""
+  t.built_seq.(c) <- -1;
+  t.frames.(c) <- ""
 
 let head_seq t c = t.q_seq.(q_slot t c 0)
 let head_enq t c = t.q_enq.(q_slot t c 0)
 
-(* Epoch-batched accumulation: collect items per distinct epoch (at most
-   two epochs are ever decodable), then drain each group in turn.  Items
-   within a group keep collection order; groups drain in first-seen order
-   — all deterministic. *)
-let add_item items epoch v =
-  match !items with
-  | (e0, l0) :: rest when e0 = epoch -> items := (e0, v :: l0) :: rest
-  | l -> (
-    match List.assoc_opt epoch l with
-    | Some prev ->
-      items := (epoch, v :: prev) :: List.filter (fun (e, _) -> e <> epoch) l
-    | None -> items := (epoch, [ v ]) :: l)
-
-let drain_items items ~apply =
-  List.iter
-    (fun (epoch, rev_list) -> apply epoch (Array.of_list (List.rev rev_list)))
-    (List.rev !items)
-
-let verdict_at t ~now ~frame_epoch =
-  epoch_verdict ~epoch_len:t.sp.epoch_len ~grace:t.sp.grace ~now ~frame_epoch
-
-let decodable t ~now ~frame_epoch = verdict_at t ~now ~frame_epoch <> Stale
-
-(* Queue [v] into its epoch's batch if that epoch still decodes at [now];
-   stale frames are counted and never opened. *)
-let admit t items ~now ~frame_epoch v =
-  if decodable t ~now ~frame_epoch then add_item items frame_epoch v
-  else t.st.stale_epoch <- t.st.stale_epoch + 1
+let decodable t ~now ~frame_epoch =
+  epoch_verdict ~epoch_len:t.sp.epoch_len ~grace:t.sp.grace ~now ~frame_epoch <> Stale
 
 let nonce_of ~chan ~seq =
   Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int seq)
@@ -558,271 +540,143 @@ let live_keys t ~now =
   in
   (keys t cur, prev)
 
+(* The live keys a frame claiming [frame_epoch] opens under in round
+   [now]; [None] when its epoch no longer (or does not yet) decode. *)
+let key_for sp (cur, prev) ~now ~frame_epoch =
+  match epoch_verdict ~epoch_len:sp.epoch_len ~grace:sp.grace ~now ~frame_epoch with
+  | Current -> Some cur
+  | Previous -> prev
+  | Stale -> None
+
 (* What the per-frame step makes of one heard data blob. *)
 type 'a heard =
-  | Garbled  (* not a well-formed data frame *)
+  | Bad  (* not a well-formed frame, MAC failure, or unparsable payload *)
   | Stale_frame  (* sealed under an epoch that no longer decodes: never opened *)
-  | Opened of int * 'a option  (* sealing epoch; [None] when the MAC fails *)
+  | Opened of 'a
 
 (* Decode, epoch-check, open and [parse] one [(key, blob)]: the pure
-   per-frame half of every receive step. *)
-let open_blob sp (cur, prev) ~now ~parse s (k, blob) =
+   per-frame half of every sealed-frame receive. *)
+let open_blob sp live ~now ~parse s (k, blob) =
   match decode_data blob with
-  | None -> Garbled
+  | None -> Bad
   | Some (frame_epoch, sealed) -> (
-    let keys =
-      match epoch_verdict ~epoch_len:sp.epoch_len ~grace:sp.grace ~now ~frame_epoch with
-      | Current -> Some cur
-      | Previous -> prev
-      | Stale -> None
-    in
-    match keys with
+    match key_for sp live ~now ~frame_epoch with
     | None -> Stale_frame
-    | Some ek ->
-      Opened (frame_epoch, Option.map (parse k) (Cipher.open_scratch ek.ck s sealed)))
+    | Some ek -> (
+      match Option.bind (Cipher.open_scratch ek.ck s sealed) (parse k) with
+      | Some x -> Opened x
+      | None -> Bad))
 
 (* Open every heard [(key, blob)] in round [now] — the per-frame work fans
-   out — then judge the results on this domain in the order the batched
-   one-domain step used: garbled frames are bad and stale ones rejected
-   in collection order, and the opened ones reach [deliver] grouped by
-   epoch in first-seen order, MAC failures counted bad. *)
+   out — then count the rejects and hand each authentic payload to
+   [deliver] on this domain. *)
 let open_heard t ~now ~parse ~deliver frames =
   let live = live_keys t ~now in
   let sp = t.sp in
-  let results =
-    chunks ~frame_bytes:(16 + sp.payload) frames
-    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-           let s = Cipher.scratch () in
-           Array.map (open_blob sp live ~now ~parse s) chunk)
-    |> Array.concat
-  in
-  let items = ref [] in
-  Array.iteri
-    (fun i (k, _) ->
-      match results.(i) with
-      | Garbled -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Stale_frame -> t.st.stale_epoch <- t.st.stale_epoch + 1
-      | Opened (epoch, parsed) -> add_item items epoch (k, parsed))
-    frames;
-  drain_items items ~apply:(fun _ batch ->
-      Array.iter
-        (fun (k, parsed) ->
-          match parsed with
-          | None -> t.st.bad_frames <- t.st.bad_frames + 1
-          | Some x -> deliver k x)
-        batch)
+  chunks ~frame_bytes:(16 + sp.payload) frames
+  |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+         let s = Cipher.scratch () in
+         Array.map (open_blob sp live ~now ~parse s) chunk)
+  |> Array.concat
+  |> Array.iteri (fun i -> function
+       | Bad -> t.st.bad_frames <- t.st.bad_frames + 1
+       | Stale_frame -> t.st.stale_epoch <- t.st.stale_epoch + 1
+       | Opened x -> deliver (fst frames.(i)) x)
+
+(* The sealed frames in the heard buffer, as (channel heard, blob) in
+   buffer order; a decodable non-sealed frame is spoofed traffic and bad
+   on sight. *)
+let sealed_heard t =
+  let frames = ref [] in
+  for i = Array.length t.heard - 1 downto 0 do
+    match t.heard.(i) with
+    | Some (Radio.Frame.Sealed blob) ->
+      frames := (heard_chan t.ly (i / t.ly.hops), blob) :: !frames
+    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1
+    | None -> ()
+  done;
+  Array.of_list !frames
 
 (* A data payload as the per-frame step parses it.  [body_ok]: the body is
    the generated stream's message for ([chan], [seq]). *)
 type data = { chan : int; seq : int; enq : int; body_ok : bool }
 
-let parse_data ~payload p =
+let parse_data ~payload _ p =
   match decode_payload p with
   | None -> None
   | Some (chan, seq, _epoch, enq, body) ->
     Some { chan; seq; enq; body_ok = String.equal body (gen_body ~payload ~chan ~seq) }
 
 (* ------------------------------------------------------------------ *)
-(* prepare: the once-per-emulated-round central step (Acked).          *)
+(* Receive paths, one per frame kind.                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* One successfully opened and parsed data payload for channel [c],
-   received in emulated round [arrival].  Returns the seq to (re-)ack, if
-   any. *)
-let deliver_parsed t c ~arrival d =
-  if d.chan <> c then begin
-    (* Valid MAC under the shared epoch key, but bound to another logical
-       channel: a splice attempt, not a delivery. *)
-    t.st.bad_frames <- t.st.bad_frames + 1;
-    None
-  end
-  else begin
-    match Window.check t.windows.(c) d.seq with
-    | Window.Duplicate ->
-      t.st.duplicates <- t.st.duplicates + 1;
-      Some d.seq (* the previous ack was lost: re-ack *)
-    | Window.Out_of_window ->
-      t.st.out_of_window <- t.st.out_of_window + 1;
-      None
-    | Window.Fresh ->
-      Window.note t.windows.(c) d.seq;
-      t.st.delivered <- t.st.delivered + 1;
-      note_latency t (arrival - d.enq);
-      if not d.body_ok then t.st.forged_accepts <- t.st.forged_accepts + 1;
-      Some d.seq
-  end
+(* Replay-window judgement of an authentic payload heard in round
+   [arrival] by the receiver owning window [w]: [true] when its seq is (or
+   already was) delivered there. *)
+let judge t w ~arrival d =
+  match Window.check w d.seq with
+  | Window.Duplicate ->
+    t.st.duplicates <- t.st.duplicates + 1;
+    true
+  | Window.Out_of_window ->
+    t.st.out_of_window <- t.st.out_of_window + 1;
+    false
+  | Window.Fresh ->
+    Window.note w d.seq;
+    t.st.delivered <- t.st.delivered + 1;
+    note_latency t (arrival - d.enq);
+    if not d.body_ok then t.st.forged_accepts <- t.st.forged_accepts + 1;
+    true
 
-(* The data frames heard in round [arrival] (both ack modes), by channel:
-   a decodable non-sealed frame on a slot is spoofed traffic and bad on
-   sight.  Clears the slots for the next round. *)
-let take_heard_data t =
-  let frames = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    (match t.heard_data.(c) with
-    | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> frames := (c, blob) :: !frames
-    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
-    t.heard_data.(c) <- None
-  done;
-  Array.of_list (List.rev !frames)
+(* A data frame with a valid MAC under the shared epoch key but bound to
+   another logical channel is a splice attempt, not a delivery.  A
+   duplicate is re-acked: the previous ack was lost. *)
+let receive_data t ~arrival =
+  open_heard t ~now:arrival ~parse:(parse_data ~payload:t.sp.payload)
+    ~deliver:(fun c d ->
+      if d.chan <> c then t.st.bad_frames <- t.st.bad_frames + 1
+      else if judge t t.windows.(c) ~arrival d then t.ack_pend_seq.(c) <- d.seq)
+    (sealed_heard t)
 
-let process_heard_data t ~arrival =
-  let payload = t.sp.payload in
-  open_heard t ~now:arrival
-    ~parse:(fun _ p -> parse_data ~payload p)
-    ~deliver:(fun c parsed ->
-      match parsed with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some d -> (
-        match deliver_parsed t c ~arrival d with
-        | Some seq -> t.ack_pend_seq.(c) <- seq
-        | None -> ()))
-    (take_heard_data t)
-
-let process_heard_acks t ~arrival =
-  let items = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    (match t.heard_ack.(c) with
-    | None -> ()
-    | Some (Radio.Frame.Sealed blob) -> (
-      match decode_ack blob with
-      | None -> t.st.bad_frames <- t.st.bad_frames + 1
-      | Some (c', seq, epoch, tag) ->
-        admit t items ~now:arrival ~frame_epoch:epoch (c, c', seq, tag))
-    | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1);
-    t.heard_ack.(c) <- None
-  done;
-  drain_items items ~apply:(fun epoch batch ->
-      let ak = (keys t epoch).ak in
-      let ok =
-        chunks ~frame_bytes:16 batch
-        |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-               Hmac.verify_batch ak
-                 ~tags:(Array.map (fun (_, _, _, tag) -> tag) chunk)
-                 (Array.map (fun (_, c', seq, _) -> ack_msg ~chan:c' ~seq ~epoch) chunk))
-        |> Array.concat
-      in
-      Array.iteri
-        (fun i (c, c', seq, _) ->
-          if not ok.(i) then t.st.bad_frames <- t.st.bad_frames + 1
-          else if c' <> c then t.st.bad_frames <- t.st.bad_frames + 1
-          else if t.q_len.(c) > 0 && head_seq t c = seq then begin
-            q_pop t c;
-            t.st.acked <- t.st.acked + 1
-          end)
-        batch)
-
-let offer_load t ~e =
-  for c = 0 to t.sp.logical - 1 do
-    for _ = 1 to t.sp.rate do
-      t.st.offered <- t.st.offered + 1;
-      if not (q_push t c ~enq:e) then t.st.shed <- t.st.shed + 1
-    done
-  done
-
-(* Seal each (channel, head seq, enqueue round) under [epoch] and cache the
-   result as the channel's data frame (slotted and Repeat transports):
-   payload, seal and framing fan out per frame; the cache is written after
-   the join. *)
-let seal_heads t ~epoch heads =
-  let ck = (keys t epoch).ck and payload = t.sp.payload in
-  let blobs =
-    chunks ~frame_bytes:(16 + payload) heads
+let receive_acks t ~arrival =
+  let live = live_keys t ~now:arrival in
+  let acks =
+    sealed_heard t
+    |> Array.to_list
+    |> List.filter_map (fun (c, blob) ->
+           match decode_ack blob with
+           | None ->
+             t.st.bad_frames <- t.st.bad_frames + 1;
+             None
+           | Some (c', seq, epoch, tag) -> (
+             match key_for t.sp live ~now:arrival ~frame_epoch:epoch with
+             | None ->
+               t.st.stale_epoch <- t.st.stale_epoch + 1;
+               None
+             | Some ek -> Some (c, c', seq, epoch, ek.ak, tag)))
+    |> Array.of_list
+  in
+  let ok =
+    chunks ~frame_bytes:16 acks
     |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-           let s = Cipher.scratch () in
+           let s = Hmac.scratch () and out = Bytes.create Sha256.digest_size in
            Array.map
-             (fun (c, seq, enq) ->
-               encode_payload ~chan:c ~seq ~epoch ~enq (gen_body ~payload ~chan:c ~seq)
-               |> Cipher.seal_scratch ck s ~nonce:(nonce_of ~chan:c ~seq)
-               |> encode_data ~epoch)
+             (fun (_, c', seq, epoch, ak, tag) ->
+               let msg = ack_msg ~chan:c' ~seq ~epoch in
+               Hmac.mac_feed_into ak s (fun ctx -> Sha256.update ctx msg) out ~pos:0;
+               Hmac.equal_ct ~expect:(Bytes.to_string out) ~tag)
              chunk)
     |> Array.concat
   in
   Array.iteri
-    (fun i (c, seq, _) ->
-      t.seal_seq.(c) <- seq;
-      t.seal_epoch.(c) <- epoch;
-      t.data_blob.(c) <- blobs.(i))
-    heads
-
-(* Build (or reuse) the sealed data frame for every busy channel.  A cached
-   frame survives as long as its sealing epoch is still decodable at the
-   receiver — which is exactly how the epoch grace window gets exercised:
-   a retransmission sealed just before a boundary rides the grace period
-   instead of being re-sealed the instant the epoch turns. *)
-let build_data_frames t ~e =
-  let heads = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    if t.q_len.(c) = 0 then begin
-      t.seal_seq.(c) <- -1;
-      t.data_blob.(c) <- ""
-    end
-    else begin
-      let seq = head_seq t c in
-      let reusable =
-        t.seal_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.seal_epoch.(c)
-      in
-      if not reusable then heads := (c, seq, head_enq t c) :: !heads;
-      if t.sent_once.(c) then t.st.retransmissions <- t.st.retransmissions + 1;
-      t.sent_once.(c) <- true
-    end
-  done;
-  seal_heads t
-    ~epoch:(epoch_of ~epoch_len:t.sp.epoch_len ~now:e)
-    (Array.of_list (List.rev !heads))
-
-(* Build (or reuse) the pending ack frame for every channel that has
-   delivered at least once.  Acks are re-sent every emulated round (the
-   slot is reserved anyway), which is what recovers from lost acks. *)
-let build_ack_frames t ~e =
-  let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let pending = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    let seq = t.ack_pend_seq.(c) in
-    if seq < 0 then t.ack_blob.(c) <- ""
-    else begin
-      let reusable =
-        t.ack_built_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.ack_built_epoch.(c)
-      in
-      if not reusable then pending := (c, seq) :: !pending
-    end
-  done;
-  let pending = Array.of_list (List.rev !pending) in
-  let ak = (keys t epoch).ak in
-  let blobs =
-    chunks ~frame_bytes:16 pending
-    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-           let tags =
-             Hmac.mac_batch ak (Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) chunk)
-           in
-           Array.mapi (fun i (c, seq) -> encode_ack ~chan:c ~seq ~epoch tags.(i)) chunk)
-    |> Array.concat
-  in
-  Array.iteri
-    (fun i (c, seq) ->
-      t.ack_built_seq.(c) <- seq;
-      t.ack_built_epoch.(c) <- epoch;
-      t.ack_blob.(c) <- blobs.(i))
-    pending
-
-(* PRF-keyed slot rotation: every channel of slot s lands on a distinct
-   physical channel, and the whole slot's placement is unpredictable.  The
-   offset depends only on the slot, so the PRF is drawn once per (slot,
-   phase) and fanned out — with thousands of channels over a few dozen
-   slots, drawing it per channel made this loop as expensive as sealing
-   the frames it was placing. *)
-let place_slots t ~e ~label chans =
-  let off =
-    Array.init t.s (fun s ->
-        Prf.Keyed.below t.hop_prf ~label ~counter:((e * t.s) + s) t.sp.phys)
-  in
-  for c = 0 to t.sp.logical - 1 do
-    chans.(c) <- ((c / t.s) + off.(c mod t.s)) mod t.sp.phys
-  done
-
-(* ------------------------------------------------------------------ *)
-(* prepare (Acked transport, piggybacked acks).                        *)
-(* ------------------------------------------------------------------ *)
+    (fun i (c, c', seq, _, _, _) ->
+      if not ok.(i) || c' <> c then t.st.bad_frames <- t.st.bad_frames + 1
+      else if t.q_len.(c) > 0 && head_seq t c = seq then begin
+        q_pop t c;
+        t.st.acked <- t.st.acked + 1
+      end)
+    acks
 
 (* Frames a sender may have in the air before its first retire: the ack
    for round e's frame rides the opposite direction's round e+1 frame and
@@ -847,45 +701,163 @@ let apply_cum_ack t c ~ack =
     t.st.acked <- t.st.acked + 1
   done
 
-(* An opened piggybacked payload heard on channel [c], as the per-frame
-   step parses it: malformed, a bare ack carrier (fixed size, bound to its
-   own channel), or a data frame with its carried ack. *)
-type pig =
-  | Pig_bad
-  | Pig_ack of int
-  | Pig_data of int * data
-
+(* An opened piggybacked payload heard on channel [c]: its carried ack,
+   and its data unless it is a bare (fixed-size) ack carrier.  Both kinds
+   must be bound to [c]: a frame sealed for another channel is a splice,
+   and its ack is never applied. *)
 let parse_pig ~payload c p =
   let len = String.length p in
-  if len < 16 then Pig_bad
+  if len < 16 || read_u32 p 4 <> c then None
   else begin
     let word = read_u32 p 0 in
     let ack = (word land lnot pig_ack_flag) - 1 in
-    if word land pig_ack_flag <> 0 then
-      if len <> 16 || read_u32 p 4 <> c then Pig_bad else Pig_ack ack
+    if word land pig_ack_flag <> 0 then if len <> 16 then None else Some (ack, None)
     else begin
-      let chan = read_u32 p 4 and seq = read_u32 p 8 and enq = read_u32 p 12 in
+      let seq = read_u32 p 8 and enq = read_u32 p 12 in
       let body = String.sub p 16 (len - 16) in
-      let body_ok = String.equal body (gen_body ~payload ~chan ~seq) in
-      Pig_data (ack, { chan; seq; enq; body_ok })
+      let body_ok = String.equal body (gen_body ~payload ~chan:c ~seq) in
+      Some (ack, Some { chan = c; seq; enq; body_ok })
     end
   end
 
 (* Fold the carried ack into the opposite direction's queue, then (for
    data frames) run the regular delivery judgement and advance the
    cumulative prefix. *)
-let deliver_pig t c ~arrival = function
-  | Pig_bad -> t.st.bad_frames <- t.st.bad_frames + 1
-  | Pig_ack ack -> apply_cum_ack t (c lxor 1) ~ack
-  | Pig_data (ack, d) ->
-    apply_cum_ack t (c lxor 1) ~ack;
-    (match deliver_parsed t c ~arrival d with Some _ | None -> ());
-    advance_cum t c
+let receive_pig t ~arrival =
+  open_heard t ~now:arrival ~parse:(parse_pig ~payload:t.sp.payload)
+    ~deliver:(fun c (ack, d) ->
+      apply_cum_ack t (c lxor 1) ~ack;
+      Option.iter
+        (fun d ->
+          ignore (judge t t.windows.(c) ~arrival d);
+          advance_cum t c)
+        d)
+    (sealed_heard t)
 
-let process_heard_pig t ~arrival =
-  let payload = t.sp.payload in
-  open_heard t ~now:arrival ~parse:(parse_pig ~payload) ~deliver:(deliver_pig t ~arrival)
-    (take_heard_data t)
+(* Open the distinct sealed blobs heard across all members once each,
+   then judge each member's first frame for its channel against its own
+   window.  The head was repeated [reps] times in round [arrival] and is
+   now retired — either every receiver has it (a full delivery) or the
+   adversary won the round for the missing ones.  The table is
+   lookup-only, so the Hashtbl introduces no iteration-order
+   nondeterminism. *)
+let receive_broadcast t ~arrival =
+  let opened : (string, data) Hashtbl.t = Hashtbl.create 64 in
+  let distinct =
+    Array.to_list (sealed_heard t)
+    |> List.map snd |> List.sort_uniq String.compare
+    |> List.map (fun b -> (b, b)) |> Array.of_list
+  in
+  open_heard t ~now:arrival ~parse:(parse_data ~payload:t.sp.payload)
+    ~deliver:(Hashtbl.replace opened) distinct;
+  let group = t.ly.per_chan and hops = t.ly.hops in
+  for c = 0 to t.sp.logical - 1 do
+    if t.q_len.(c) > 0 && t.sent_once.(c) then begin
+      let seq = head_seq t c in
+      let hits = ref 0 in
+      for node = c * group to ((c + 1) * group) - 1 do
+        let got = ref None in
+        for j = hops - 1 downto 0 do
+          match t.heard.((node * hops) + j) with
+          | Some (Radio.Frame.Sealed blob) -> (
+            match Hashtbl.find_opt opened blob with
+            | Some d when d.chan = c -> got := Some d
+            | Some _ | None -> ())
+          | Some _ | None -> ()
+        done;
+        match !got with
+        | Some d when node mod group <> t.r_sender.(c) ->
+          ignore (judge t t.windows.(node) ~arrival d);
+          (* the head is in this member's window *)
+          if Window.check t.windows.(node) seq = Window.Duplicate then incr hits
+        | Some _ | None -> ()
+      done;
+      if !hits = group - 1 then t.st.full_deliveries <- t.st.full_deliveries + 1;
+      t.st.messages_done <- t.st.messages_done + 1;
+      q_pop t c
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Plans, one per frame kind.                                          *)
+(* ------------------------------------------------------------------ *)
+
+let offer_load t ~e =
+  for c = 0 to t.sp.logical - 1 do
+    for _ = 1 to t.sp.rate do
+      t.st.offered <- t.st.offered + 1;
+      if not (q_push t c ~enq:e) then t.st.shed <- t.st.shed + 1
+    done
+  done
+
+(* Build (or reuse) the sealed head frame of every busy channel: payload,
+   seal and framing fan out per frame; the cache is written after the
+   join.  A cached frame survives as long as its sealing epoch is still
+   decodable at the receiver — which is exactly how the epoch grace
+   window gets exercised: a retransmission sealed just before a boundary
+   rides the grace period instead of being re-sealed the instant the
+   epoch turns. *)
+let build_data_frames t ~e =
+  let heads = ref [] in
+  for c = t.sp.logical - 1 downto 0 do
+    if t.q_len.(c) = 0 then begin
+      t.built_seq.(c) <- -1;
+      t.frames.(c) <- ""
+    end
+    else begin
+      let seq = head_seq t c in
+      if not (t.built_seq.(c) = seq && decodable t ~now:e ~frame_epoch:t.built_epoch.(c)) then
+        heads := (c, seq, head_enq t c) :: !heads;
+      if t.sent_once.(c) then t.st.retransmissions <- t.st.retransmissions + 1;
+      t.sent_once.(c) <- true
+    end
+  done;
+  let heads = Array.of_list !heads in
+  let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
+  let ck = (keys t epoch).ck and payload = t.sp.payload in
+  chunks ~frame_bytes:(16 + payload) heads
+  |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+         let s = Cipher.scratch () in
+         Array.map
+           (fun (c, seq, enq) ->
+             encode_payload ~chan:c ~seq ~epoch ~enq (gen_body ~payload ~chan:c ~seq)
+             |> Cipher.seal_scratch ck s ~nonce:(nonce_of ~chan:c ~seq)
+             |> encode_data ~epoch)
+           chunk)
+  |> Array.concat
+  |> Array.iteri (fun i blob ->
+         let c, seq, _ = heads.(i) in
+         t.built_seq.(c) <- seq;
+         t.built_epoch.(c) <- epoch;
+         t.frames.(c) <- blob)
+
+(* Build (or reuse) the pending ack frame for every channel that has
+   delivered at least once.  Acks are re-sent every emulated round (the
+   slot is reserved anyway), which is what recovers from lost acks. *)
+let build_ack_frames t ~e =
+  let m = t.sp.logical and epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
+  let pending = ref [] in
+  for c = m - 1 downto 0 do
+    let seq = t.ack_pend_seq.(c) in
+    if seq < 0 then t.frames.(m + c) <- ""
+    else if
+      not (t.built_seq.(m + c) = seq && decodable t ~now:e ~frame_epoch:t.built_epoch.(m + c))
+    then pending := (c, seq) :: !pending
+  done;
+  let pending = Array.of_list !pending in
+  let ak = (keys t epoch).ak in
+  chunks ~frame_bytes:16 pending
+  |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+         let tags =
+           Hmac.mac_batch ak (Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) chunk)
+         in
+         Array.mapi (fun i (c, seq) -> encode_ack ~chan:c ~seq ~epoch tags.(i)) chunk)
+  |> Array.concat
+  |> Array.iteri (fun i blob ->
+         let c, seq = pending.(i) in
+         t.built_seq.(m + c) <- seq;
+         t.built_epoch.(m + c) <- epoch;
+         t.frames.(m + c) <- blob)
 
 (* Build this round's frame per channel: the next unsent queue entry while
    the send window has room, the unacknowledged head otherwise, or a bare
@@ -895,8 +867,8 @@ let process_heard_pig t ~arrival =
 let build_pig_frames t ~e =
   let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
   let frames = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    t.data_blob.(c) <- "";
+  for c = t.sp.logical - 1 downto 0 do
+    t.frames.(c) <- "";
     let ack = t.cum_delivered.(c lxor 1) in
     if t.q_len.(c) > 0 then begin
       let fresh = t.inflight.(c) < t.q_len.(c) && t.inflight.(c) < pig_send_window in
@@ -907,252 +879,160 @@ let build_pig_frames t ~e =
     end
     else if t.inflight.(c lxor 1) > 0 && ack >= 0 then frames := (c, ack, None) :: !frames
   done;
-  let frames = Array.of_list (List.rev !frames) in
+  let frames = Array.of_list !frames in
   let ck = (keys t epoch).ck and payload = t.sp.payload in
-  let blobs =
-    chunks ~frame_bytes:(16 + payload) frames
-    |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-           let s = Cipher.scratch () in
-           Array.map
-             (fun (c, ack, k) ->
-               let nonce, msg =
-                 match k with
-                 | Some (seq, enq) ->
-                   ( pig_nonce ~tag:61 ~chan:c ~round:e,
-                     encode_pig_data ~ack ~chan:c ~seq ~enq (gen_body ~payload ~chan:c ~seq) )
-                 | None ->
-                   ( pig_nonce ~tag:62 ~chan:c ~round:e,
-                     encode_pig_ack ~ack ~chan:c ~epoch ~round:e )
-               in
-               encode_data ~epoch (Cipher.seal_scratch ck s ~nonce msg))
-             chunk)
-    |> Array.concat
+  chunks ~frame_bytes:(16 + payload) frames
+  |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
+         let s = Cipher.scratch () in
+         Array.map
+           (fun (c, ack, k) ->
+             let nonce, msg =
+               match k with
+               | Some (seq, enq) ->
+                 ( pig_nonce ~tag:61 ~chan:c ~round:e,
+                   encode_pig_data ~ack ~chan:c ~seq ~enq (gen_body ~payload ~chan:c ~seq) )
+               | None ->
+                 ( pig_nonce ~tag:62 ~chan:c ~round:e,
+                   encode_pig_ack ~ack ~chan:c ~epoch ~round:e )
+             in
+             encode_data ~epoch (Cipher.seal_scratch ck s ~nonce msg))
+           chunk)
+  |> Array.concat
+  |> Array.iteri (fun i blob ->
+         let c, _, _ = frames.(i) in
+         t.frames.(c) <- blob)
+
+(* PRF-keyed slot rotation: every channel of slot s lands on a distinct
+   physical channel, and the whole slot's placement is unpredictable.  The
+   offset depends only on the slot, so the PRF is drawn once per (slot,
+   phase) and fanned out — with thousands of channels over a few dozen
+   slots, drawing it per channel made this loop as expensive as sealing
+   the frames it was placing.  The data phases of both ack modes share one
+   PRF stream and counters, so a given (channel, emulated round) lands on
+   the same physical channel in both whenever the slot counts coincide. *)
+let place_slots t ~e ~label =
+  let s = t.ly.lanes in
+  let off =
+    Array.init s (fun i -> Prf.Keyed.below t.hop_prf ~label ~counter:((e * s) + i) t.sp.phys)
   in
-  Array.iteri (fun i (c, _, _) -> t.data_blob.(c) <- blobs.(i)) frames
-
-(* ------------------------------------------------------------------ *)
-(* prepare (Repeat transport).                                         *)
-(* ------------------------------------------------------------------ *)
-
-let process_heard_multi t ~arrival ~group =
-  (* Open the distinct sealed blobs heard across all members once each,
-     then judge each member's arrival list against the opened table.  The
-     table is lookup-only, so the Hashtbl introduces no iteration-order
-     nondeterminism. *)
-  let opened : (string, data option) Hashtbl.t = Hashtbl.create 64 in
-  let distinct = ref [] in
-  for node = 0 to (t.sp.logical * group) - 1 do
-    List.iter
-      (fun blob ->
-        if not (Hashtbl.mem opened blob) then begin
-          Hashtbl.add opened blob None;
-          distinct := (blob, blob) :: !distinct
-        end)
-      (List.rev t.heard_multi.(node))
-  done;
-  let payload = t.sp.payload in
-  open_heard t ~now:arrival
-    ~parse:(fun _ p -> parse_data ~payload p)
-    ~deliver:(Hashtbl.replace opened)
-    (Array.of_list (List.rev !distinct));
-  (* Per-node delivery, then per-channel head accounting: the head was
-     repeated [reps] times in round [arrival] and is now retired — either
-     every receiver has it (a full delivery) or the adversary won the round
-     for the missing ones. *)
   for c = 0 to t.sp.logical - 1 do
-    if t.q_len.(c) > 0 && t.sent_once.(c) then begin
-      let seq = head_seq t c in
-      let hits = ref 0 in
-      for m = 0 to group - 1 do
-        let node = (c * group) + m in
-        if m <> t.r_sender.(c) then begin
-          let got = ref false in
-          List.iter
-            (fun blob ->
-              if not !got then
-                match Hashtbl.find_opt opened blob with
-                | Some (Some d) when d.chan = c -> (
-                  got := true;
-                  match Window.check t.r_windows.(node) d.seq with
-                  | Window.Duplicate -> t.st.duplicates <- t.st.duplicates + 1
-                  | Window.Out_of_window -> t.st.out_of_window <- t.st.out_of_window + 1
-                  | Window.Fresh ->
-                    Window.note t.r_windows.(node) d.seq;
-                    t.st.delivered <- t.st.delivered + 1;
-                    note_latency t (arrival - d.enq);
-                    if not d.body_ok then t.st.forged_accepts <- t.st.forged_accepts + 1)
-                | Some _ | None -> ())
-            (List.rev t.heard_multi.(node));
-          if !got then
-            match Window.check t.r_windows.(node) seq with
-            | Window.Duplicate -> incr hits (* the head is in this node's window *)
-            | Window.Fresh | Window.Out_of_window -> ()
-        end
-      done;
-      if !hits = group - 1 then t.st.full_deliveries <- t.st.full_deliveries + 1;
-      t.st.messages_done <- t.st.messages_done + 1;
-      q_pop t c
-    end
-  done;
-  for node = 0 to (t.sp.logical * group) - 1 do
-    t.heard_multi.(node) <- []
+    t.chans.(c) <- ((c / s) + off.(c mod s)) mod t.sp.phys
   done
 
-let build_repeat_frames t ~e ~reps ~group =
-  let heads = ref [] in
-  for c = 0 to t.sp.logical - 1 do
-    if t.q_len.(c) = 0 then begin
-      t.seal_seq.(c) <- -1;
-      t.data_blob.(c) <- "";
-      t.sent_once.(c) <- false
-    end
-    else begin
-      let seq = head_seq t c in
-      heads := (c, seq, head_enq t c) :: !heads;
-      t.r_sender.(c) <- seq mod group;
-      t.sent_once.(c) <- true
-    end
-  done;
-  seal_heads t
-    ~epoch:(epoch_of ~epoch_len:t.sp.epoch_len ~now:e)
-    (Array.of_list (List.rev !heads));
-  for c = 0 to t.sp.logical - 1 do
+(* Repeat: the head's designated sender, and an independent PRF hop per
+   (channel, repetition). *)
+let place_broadcast t ~e =
+  let m = t.sp.logical and reps = t.ly.hops in
+  for c = 0 to m - 1 do
+    t.r_sender.(c) <- (if t.q_len.(c) > 0 then head_seq t c mod t.ly.per_chan else -1);
     for j = 0 to reps - 1 do
-      t.r_chans.((c * reps) + j) <-
+      t.chans.((c * reps) + j) <-
         Prf.Keyed.below t.hop_prf ~label:"mux-hop-r"
-          ~counter:((((e * reps) + j) * t.sp.logical) + c)
+          ~counter:((((e * reps) + j) * m) + c)
           t.sp.phys
     done
   done
 
 (* ------------------------------------------------------------------ *)
-(* The emulated-round driver.                                          *)
+(* The step.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Round start: retire heads acknowledged last round, take offered load,
-   seal this round's data frames, place the slots.  (Repeat transport does
-   everything here — it has no ack phase.) *)
-let prepare_data t ~e =
-  if e > 0 && e mod t.sp.epoch_len = 0 then t.st.rekeys <- t.st.rekeys + 1;
-  (match (t.sp.transport, t.sp.ack_mode) with
-  | Acked, Slotted ->
-    if e > 0 then process_heard_acks t ~arrival:(e - 1);
-    offer_load t ~e;
-    build_data_frames t ~e;
-    place_slots t ~e ~label:"mux-hop-data" t.data_chan;
-    place_slots t ~e ~label:"mux-hop-ack" t.ack_chan
-  | Acked, Piggybacked ->
-    if e > 0 then process_heard_pig t ~arrival:(e - 1);
-    (* Round [rounds] is the flush round: acks and retransmissions still
-       flow so the final deliveries get retired, but no new load enters. *)
-    if e < t.sp.rounds then offer_load t ~e;
-    build_pig_frames t ~e;
-    (* Same PRF stream and counters as the slotted data phase, so a given
-       (channel, emulated round) lands on the same physical channel in both
-       ack modes whenever the slot counts coincide. *)
-    place_slots t ~e ~label:"mux-hop-data" t.data_chan
-  | Repeat { reps; group }, _ ->
-    if e > 0 then process_heard_multi t ~arrival:(e - 1) ~group;
-    offer_load t ~e;
-    build_repeat_frames t ~e ~reps ~group);
-  t.prepared_data <- e
+(* Phase [phase] of emulated round [e]: judge what the service nodes heard
+   in the phase before (of round [e - 1] at phase 0), then — unless [e] is
+   past the last round on the air — take the round's offered load (never
+   in the flush round) and plan this phase's frames and channels.  The
+   step at [e = emulated], phase 0, only judges the final phase. *)
+let step t ~e ~phase =
+  let phases = Array.length t.ly.phases in
+  let arrival = if phase = 0 then e - 1 else e in
+  if arrival >= 0 then begin
+    (match t.ly.phases.((phase + phases - 1) mod phases) with
+    | Data -> receive_data t ~arrival
+    | Ack -> receive_acks t ~arrival
+    | Pig -> receive_pig t ~arrival
+    | Broadcast -> receive_broadcast t ~arrival);
+    Array.fill t.heard 0 (Array.length t.heard) None
+  end;
+  if e < t.ly.emulated then begin
+    if phase = 0 && e > 0 && e mod t.sp.epoch_len = 0 then t.st.rekeys <- t.st.rekeys + 1;
+    if phase = 0 && e < t.sp.rounds then offer_load t ~e;
+    match t.ly.phases.(phase) with
+    | Data ->
+      build_data_frames t ~e;
+      place_slots t ~e ~label:"mux-hop-data"
+    | Ack ->
+      build_ack_frames t ~e;
+      place_slots t ~e ~label:"mux-hop-ack"
+    | Pig ->
+      build_pig_frames t ~e;
+      place_slots t ~e ~label:"mux-hop-data"
+    | Broadcast ->
+      build_data_frames t ~e;
+      place_broadcast t ~e
+  end;
+  t.stepped <- (e * phases) + phase
 
-(* After the mid sync: every data listen of this round has stored its
-   result, so deliveries can be judged and this round's acks MACed now —
-   the ack a sender hears acknowledges the frame it sent this round. *)
-let prepare_acks t ~e =
-  process_heard_data t ~arrival:e;
-  build_ack_frames t ~e;
-  t.prepared_acks <- e
+(* The member of channel [c] transmitting in [phase]: the Repeat head's
+   designated sender (-1 when idle), otherwise member [phase] — the
+   sender of a data frame, the receiver of its ack. *)
+let sender t c ~phase =
+  match t.ly.phases.(phase) with Broadcast -> t.r_sender.(c) | Data | Ack | Pig -> phase
 
-(* Fibers resume in node-id order, so the first service fiber woken at each
-   phase boundary runs the central step before any fiber reads the plan. *)
-let ensure_prepared_data t ~e = if t.prepared_data < e then prepare_data t ~e
-let ensure_prepared_acks t ~e = if t.prepared_acks < e then prepare_acks t ~e
+module Step = struct
+  type t = state
 
-(* Drain what the final round's ack phase delivered (fibers have exited; no
-   frames left to build).  Data heard in the final round was already
-   processed by its own [prepare_acks]; Repeat processes everything here. *)
-let finalize t =
-  match (t.sp.transport, t.sp.ack_mode) with
-  | Acked, Slotted -> process_heard_acks t ~arrival:(t.sp.rounds - 1)
-  | Acked, Piggybacked -> process_heard_pig t ~arrival:t.sp.rounds
-  | Repeat { group; _ }, _ -> process_heard_multi t ~arrival:(t.sp.rounds - 1) ~group
+  let create = create_state
+  let step = step
 
-let acked_service_body t (ctx : Radio.Engine.ctx) =
-  let c = ctx.Radio.Engine.id / 2 in
-  let is_sender = ctx.Radio.Engine.id land 1 = 0 in
-  let s = c mod t.s in
-  for e = 0 to t.sp.rounds - 1 do
-    (* Data phase. *)
-    ensure_prepared_data t ~e;
-    Radio.Engine.idle_for s;
-    if is_sender then
-      if String.length t.data_blob.(c) > 0 then
-        Radio.Engine.transmit ~chan:t.data_chan.(c) (Radio.Frame.Sealed t.data_blob.(c))
-      else Radio.Engine.idle ()
-    else t.heard_data.(c) <- Radio.Engine.listen ~chan:t.data_chan.(c);
-    Radio.Engine.idle_for (t.s - 1 - s);
-    Radio.Engine.idle ();
-    (* Ack phase. *)
-    ensure_prepared_acks t ~e;
-    Radio.Engine.idle_for s;
-    if is_sender then t.heard_ack.(c) <- Radio.Engine.listen ~chan:t.ack_chan.(c)
-    else if String.length t.ack_blob.(c) > 0 then
-      Radio.Engine.transmit ~chan:t.ack_chan.(c) (Radio.Frame.Sealed t.ack_blob.(c))
-    else Radio.Engine.idle ();
-    Radio.Engine.idle_for (t.s - 1 - s);
-    Radio.Engine.idle ()
-  done
+  let planned t ~chan ~phase =
+    let member = sender t chan ~phase and frame = t.frames.((phase * t.sp.logical) + chan) in
+    if member < 0 || frame = "" then None else Some (member, frame)
 
-(* Piggybacked service body: node [c] sends on channel c and listens on
-   channel [c lxor 1]; consecutive channel ids occupy different slots
-   (S >= 2), so one node covers both duties within the S data slots of the
-   round.  One extra flush round (e = rounds) lets the final acks land. *)
-let pig_service_body t (ctx : Radio.Engine.ctx) =
-  let out_c = ctx.Radio.Engine.id in
-  let in_c = out_c lxor 1 in
-  let so = out_c mod t.s and si = in_c mod t.s in
-  let lo = min so si and hi = max so si in
-  let act slot =
-    if slot = so then begin
-      if String.length t.data_blob.(out_c) > 0 then
-        Radio.Engine.transmit ~chan:t.data_chan.(out_c)
-          (Radio.Frame.Sealed t.data_blob.(out_c))
-      else Radio.Engine.idle ()
-    end
-    else t.heard_data.(in_c) <- Radio.Engine.listen ~chan:t.data_chan.(in_c)
-  in
-  for e = 0 to t.sp.rounds do
-    ensure_prepared_data t ~e;
-    Radio.Engine.idle_for lo;
-    act lo;
-    Radio.Engine.idle_for (hi - lo - 1);
-    act hi;
-    Radio.Engine.idle_for (t.s - 1 - hi);
-    Radio.Engine.idle ()
-  done
+  let hear t ~node ~hop frame = t.heard.((node * t.ly.hops) + hop) <- frame
+  let stats t = t.st
+end
 
-let repeat_service_body t ~reps ~group (ctx : Radio.Engine.ctx) =
-  let node = ctx.Radio.Engine.id in
-  let c = node / group in
-  let m = node mod group in
-  for e = 0 to t.sp.rounds - 1 do
-    ensure_prepared_data t ~e;
-    let sending = t.sent_once.(c) && m = t.r_sender.(c) in
-    for j = 0 to reps - 1 do
-      let chan = t.r_chans.((c * reps) + j) in
-      if sending then
-        Radio.Engine.transmit ~chan (Radio.Frame.Sealed t.data_blob.(c))
-      else begin
-        match Radio.Engine.listen ~chan with
-        | Some (Radio.Frame.Sealed blob) ->
-          t.heard_multi.(node) <- blob :: t.heard_multi.(node)
-        | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1
-        | None -> ()
-      end
-    done;
-    Radio.Engine.idle ()
+(* ------------------------------------------------------------------ *)
+(* The engine edge.                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Hop [j] of channel [x]'s lane: transmit its planned frame when [sends],
+   else listen and store what is heard. *)
+let act t ~node ~phase ~sends x j =
+  let chan = t.chans.((x * t.ly.hops) + j) in
+  if sends then begin
+    let frame = t.frames.((phase * t.sp.logical) + x) in
+    if String.length frame > 0 then Radio.Engine.transmit ~chan (Radio.Frame.Sealed frame)
+    else Radio.Engine.idle ()
+  end
+  else t.heard.((node * t.ly.hops) + j) <- Radio.Engine.listen ~chan
+
+(* Every service node: per phase, run the step if no fiber has yet, then
+   serve its own channel's lane (sending if it is the phase's sender) and,
+   duplex, the heard channel's lane, in slot order; idle through the rest
+   and the sync round.  Nothing is allocated per phase, so no per-node
+   garbage stays live while the fibers are parked. *)
+let service_body t (ctx : Radio.Engine.ctx) =
+  let ly = t.ly and node = ctx.Radio.Engine.id in
+  let c = node / ly.per_chan and h = heard_chan ly node in
+  let lo = if h mod ly.lanes < c mod ly.lanes then h else c in
+  let hi = if lo = c then h else c in
+  for e = 0 to ly.emulated - 1 do
+    for phase = 0 to Array.length ly.phases - 1 do
+      if t.stepped < (e * Array.length ly.phases) + phase then step t ~e ~phase;
+      let sends = node mod ly.per_chan = sender t c ~phase in
+      let at = ref 0 in
+      for k = 0 to (if hi = lo then 0 else 1) do
+        let x = if k = 0 then lo else hi in
+        Radio.Engine.idle_for ((x mod ly.lanes * ly.hops) - !at);
+        for j = 0 to ly.hops - 1 do
+          act t ~node ~phase ~sends:(sends && x = c) x j
+        done;
+        at := (x mod ly.lanes * ly.hops) + ly.hops
+      done;
+      Radio.Engine.idle_for ((ly.lanes * ly.hops) - !at);
+      Radio.Engine.idle ()
+    done
   done
 
 (* Outsiders hold no key.  They snoop (and provably decode nothing) and
@@ -1194,29 +1074,23 @@ let outsider_body t (ctx : Radio.Engine.ctx) =
 
 let run spec ~adversary =
   let t = create_state spec in
-  let n = node_count spec in
-  (* Piggybacked mode runs one extra (flush) emulated round. *)
-  let emulated = spec.rounds + (match spec.ack_mode with Slotted -> 0 | Piggybacked -> 1) in
+  let ly = t.ly in
   let cfg =
     Radio.Config.make ~seed:spec.seed
-      ~max_rounds:((emulated * t.rpe) + 4)
-      ~track_channels:true ~n ~channels:spec.phys ~t:spec.budget ()
+      ~max_rounds:((ly.emulated * t.rpe) + 4)
+      ~track_channels:true ~n:(node_count spec) ~channels:spec.phys ~t:spec.budget ()
   in
-  let service = service_nodes spec in
   let body (ctx : Radio.Engine.ctx) =
-    if ctx.Radio.Engine.id >= service then outsider_body t ctx
-    else
-      match (spec.transport, spec.ack_mode) with
-      | Acked, Slotted -> acked_service_body t ctx
-      | Acked, Piggybacked -> pig_service_body t ctx
-      | Repeat { reps; group }, _ -> repeat_service_body t ~reps ~group ctx
+    if ctx.Radio.Engine.id >= spec.logical * ly.per_chan then outsider_body t ctx
+    else service_body t ctx
   in
-  (* The per-frame crypto of every prepare step fans out over this scope's
-     pool (or the enclosing one's: the outermost budget wins). *)
+  (* The per-frame crypto of every step fans out over this scope's pool
+     (or the enclosing one's: the outermost budget wins).  The last step
+     judges what the final phase delivered. *)
   let engine =
     Parallel.run ~jobs:(Parallel.default_jobs ()) (fun () ->
         let engine = Radio.Engine.run_nodes cfg ~adversary body in
-        finalize t;
+        step t ~e:ly.emulated ~phase:0;
         engine)
   in
   { spec; stats = t.st; engine; latency_hist = t.lat; emulated_rounds = spec.rounds;

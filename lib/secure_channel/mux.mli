@@ -8,18 +8,21 @@
     honoured only during a [grace] window; bounded per-channel send queues
     shed load when the radio cannot keep up.
 
-    All protocol work is centralized in a once-per-emulated-round prepare
-    step that seals, opens, MACs and verifies every frame of the round,
-    with each epoch's keys prepared once per run.  The per-frame part of
-    that work — building and sealing payloads, decoding, opening and
-    parsing heard frames, the slotted ack MACs and their verification —
-    fans out in contiguous chunks over the domain pool of the enclosing
+    All protocol work is one step per phase of an emulated round (see
+    {!Step}): it judges the frames the service nodes heard in the phase
+    before, then seals, MACs and places the frames this phase sends, with
+    each epoch's keys prepared once per run.  One engine body serves every
+    transport and ack mode, reading a per-mode layout (nodes per channel,
+    slots, phases, flush round).  The per-frame part of the step's work —
+    building and sealing payloads, decoding, opening and parsing heard
+    frames, the slotted ack MACs and their verification — fans out in
+    contiguous chunks over the domain pool of the enclosing
     [Parallel.run] scope (see {!run}), through the {!Crypto.Cipher} /
     {!Crypto.Hmac} scratch and batch entry points under shared read-only
     keys.  Everything else is serial: epoch keys are derived before the
-    fan-out, and every window, queue, counter, latency sample and round
-    plan is updated on the calling domain after the join, in channel
-    order.  Output is identical for every pool size. *)
+    fan-out, and every window, queue, counter, latency sample and plan
+    entry is updated on the calling domain after the join.  Output is
+    identical for every pool size. *)
 
 (** Pure sliding replay window over per-channel sequence numbers.  Exposed
     for property tests. *)
@@ -126,7 +129,8 @@ val make :
 val node_count : spec -> int
 (** Engine nodes the run needs: 2 per channel (Acked, Slotted), 1 per
     channel (Acked, Piggybacked) or [group] per channel (Repeat), plus
-    [outsiders]. *)
+    [outsiders].  Service node [n] is member [n mod k] of channel [n / k]
+    for those [k] per channel. *)
 
 val real_rounds_per_emulated : spec -> int
 
@@ -147,6 +151,39 @@ type stats = {
   mutable plaintext_leaks : int;  (** outsider decryptions that succeeded (0) *)
   mutable snooped : int;  (** sealed frames outsiders overheard *)
 }
+
+(** The service's step machine, drivable without the radio engine: the
+    same step that {!run}'s nodes drive.
+
+    An emulated round has one phase (piggybacked acks, Repeat) or two
+    (slotted acks: data, then acks).  [step t ~e ~phase] judges the frames
+    stored with {!hear} since the previous step, then plans this phase's
+    sends.  Call it for every phase of rounds [0 .. rounds - 1] in order
+    (piggybacked mode adds one flush round [rounds]), and once more at
+    phase 0 of the round after the last to judge the final phase.
+
+    Who sends and who hears: slotted member 0 sends channel [c]'s data
+    frame and member 1 hears it, then member 1 sends the ack and member 0
+    hears it; piggybacked node [c] sends channel [c] and hears channel
+    [c lxor 1]; under Repeat the designated member sends the head on every
+    hop and every other member of [c] hears it. *)
+module Step : sig
+  type t
+
+  val create : spec -> t
+
+  val step : t -> e:int -> phase:int -> unit
+
+  val planned : t -> chan:int -> phase:int -> (int * string) option
+  (** The member of [chan] transmitting in the current [phase], and its
+      frame; [None] when the channel is silent. *)
+
+  val hear : t -> node:int -> hop:int -> Radio.Frame.t option -> unit
+  (** Store what service node [node] heard on its [hop]-th listen of the
+      current phase ([hop] is 0 except under Repeat, [0 .. reps - 1]). *)
+
+  val stats : t -> stats
+end
 
 type result = {
   spec : spec;

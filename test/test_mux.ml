@@ -1,6 +1,8 @@
 (* Tests for the multiplexed secure-channel service: replay windows, epoch
    re-keying, backpressure, crypto-mode equivalence (batched vs per-message
-   byte identity), pool-size determinism, and both transports end-to-end. *)
+   byte identity), pool-size determinism, both transports end-to-end,
+   outcome pins, and the step driven without the engine (with a seeded
+   decoder fuzz). *)
 
 module Mux = Secure_channel.Mux
 
@@ -432,6 +434,248 @@ let mux_outcome_pins () =
       check Alcotest.string name pd d)
     got outcome_pins
 
+(* ------------------------------------------------------------------ *)
+(* The step, driven without the engine.                                *)
+(* ------------------------------------------------------------------ *)
+
+module Step = Mux.Step
+
+let step_spec ?(transport = Mux.Acked) ?(ack_mode = Mux.Slotted) ?(logical = 1)
+    ?(epoch_len = 16) ?(grace = 4) () =
+  Mux.make ~key ~logical ~phys:2 ~budget:1 ~transport ~ack_mode ~rounds:8 ~epoch_len ~grace
+    ()
+
+let phases spec =
+  match (spec.Mux.transport, spec.Mux.ack_mode) with Mux.Acked, Mux.Slotted -> 2 | _ -> 1
+
+(* The nodes that hear channel [c] when its member [member] transmits. *)
+let hearers spec c ~member =
+  match (spec.Mux.transport, spec.Mux.ack_mode) with
+  | Mux.Repeat { group; _ }, _ ->
+    let members = List.filter (fun m -> m <> member) (List.init group Fun.id) in
+    List.map (fun m -> (c * group) + m) members
+  | Mux.Acked, Mux.Piggybacked -> [ c lxor 1 ]
+  | Mux.Acked, Mux.Slotted -> [ (2 * c) + 1 - member ]
+
+(* The frame channel [chan] sends in [phase] (which must send one), and the
+   nodes that hear it. *)
+let planned spec t ~chan ~phase =
+  match Step.planned t ~chan ~phase with
+  | Some (member, frame) -> (frame, hearers spec chan ~member)
+  | None -> Alcotest.failf "channel %d sends nothing in phase %d" chan phase
+
+let hear_all t nodes frame =
+  List.iter (fun node -> Step.hear t ~node ~hop:0 (Some (Radio.Frame.Sealed frame))) nodes
+
+let step_slotted_round_trip () =
+  let spec = step_spec () in
+  let t = Step.create spec in
+  let s = Step.stats t in
+  Step.step t ~e:0 ~phase:0;
+  let data, receivers = planned spec t ~chan:0 ~phase:0 in
+  check Alcotest.(list int) "member 1 hears the data" [ 1 ] receivers;
+  hear_all t receivers data;
+  Step.step t ~e:0 ~phase:1;
+  check Alcotest.int "delivered" 1 s.Mux.delivered;
+  let ack, senders = planned spec t ~chan:0 ~phase:1 in
+  check Alcotest.(list int) "member 0 hears the ack" [ 0 ] senders;
+  hear_all t senders ack;
+  Step.step t ~e:1 ~phase:0;
+  check Alcotest.int "retired within the round" 1 s.Mux.acked;
+  check Alcotest.int "no retransmission" 0 s.Mux.retransmissions;
+  check Alcotest.bool "the next head is a new frame" true
+    (fst (planned spec t ~chan:0 ~phase:0) <> data)
+
+let step_pig_cumulative_ack () =
+  let spec = step_spec ~ack_mode:Mux.Piggybacked ~logical:2 () in
+  let t = Step.create spec in
+  let s = Step.stats t in
+  (* Channel 0's first two frames reach node 1; channel 1's frames are
+     lost until round 2, whose frame folds in the cumulative ack 1. *)
+  for e = 0 to 1 do
+    Step.step t ~e ~phase:0;
+    let frame, nodes = planned spec t ~chan:0 ~phase:0 in
+    hear_all t nodes frame
+  done;
+  Step.step t ~e:2 ~phase:0;
+  check Alcotest.int "both delivered" 2 s.Mux.delivered;
+  check Alcotest.int "nothing acked yet" 0 s.Mux.acked;
+  let frame, nodes = planned spec t ~chan:1 ~phase:0 in
+  hear_all t nodes frame;
+  Step.step t ~e:3 ~phase:0;
+  check Alcotest.int "one cumulative ack retires two heads" 2 s.Mux.acked
+
+let step_repeat_retires_head () =
+  let spec = step_spec ~transport:(Mux.Repeat { reps = 2; group = 3 }) () in
+  let t = Step.create spec in
+  let s = Step.stats t in
+  Step.step t ~e:0 ~phase:0;
+  let frame, nodes = planned spec t ~chan:0 ~phase:0 in
+  check Alcotest.(list int) "members 1 and 2 listen" [ 1; 2 ] nodes;
+  (* Each member hears the head on a different repetition. *)
+  List.iteri (fun hop node -> Step.hear t ~node ~hop (Some (Radio.Frame.Sealed frame))) nodes;
+  Step.step t ~e:1 ~phase:0;
+  check Alcotest.int "head retired" 1 s.Mux.messages_done;
+  check Alcotest.int "full delivery" 1 s.Mux.full_deliveries;
+  check Alcotest.int "both members delivered" 2 s.Mux.delivered;
+  (* Round 1: only one of the two listening members hears the head. *)
+  let frame, nodes = planned spec t ~chan:0 ~phase:0 in
+  hear_all t [ List.hd nodes ] frame;
+  Step.step t ~e:2 ~phase:0;
+  check Alcotest.int "retired anyway" 2 s.Mux.messages_done;
+  check Alcotest.int "not a full delivery" 1 s.Mux.full_deliveries;
+  check Alcotest.int "one more delivery" 3 s.Mux.delivered
+
+let step_replay_is_duplicate () =
+  let spec = step_spec () in
+  let t = Step.create spec in
+  let s = Step.stats t in
+  Step.step t ~e:0 ~phase:0;
+  let data, receivers = planned spec t ~chan:0 ~phase:0 in
+  hear_all t receivers data;
+  Step.step t ~e:0 ~phase:1;
+  Step.step t ~e:1 ~phase:0;
+  hear_all t receivers data;
+  Step.step t ~e:1 ~phase:1;
+  check Alcotest.int "delivered once" 1 s.Mux.delivered;
+  check Alcotest.int "replay is a duplicate" 1 s.Mux.duplicates;
+  check Alcotest.int "not a bad frame" 0 s.Mux.bad_frames
+
+let step_stale_epoch_unopened () =
+  let spec = step_spec ~epoch_len:1 ~grace:1 () in
+  let t = Step.create spec in
+  let s = Step.stats t in
+  Step.step t ~e:0 ~phase:0;
+  let data, receivers = planned spec t ~chan:0 ~phase:0 in
+  (* Corrupt the tag: opening the frame would count it bad. *)
+  let forged = Bytes.of_string data in
+  let last = Bytes.length forged - 1 in
+  Bytes.set forged last (Char.chr (Char.code (Bytes.get forged last) lxor 1));
+  Step.step t ~e:0 ~phase:1;
+  Step.step t ~e:1 ~phase:0;
+  Step.step t ~e:1 ~phase:1;
+  Step.step t ~e:2 ~phase:0;
+  hear_all t receivers data;
+  Step.step t ~e:2 ~phase:1;
+  Step.step t ~e:3 ~phase:0;
+  hear_all t receivers (Bytes.to_string forged);
+  Step.step t ~e:3 ~phase:1;
+  check Alcotest.int "two epochs back: stale" 2 s.Mux.stale_epoch;
+  check Alcotest.int "never opened" 0 s.Mux.bad_frames;
+  check Alcotest.int "never delivered" 0 s.Mux.delivered
+
+let step_pig_foreign_ack_ignored () =
+  let spec = step_spec ~ack_mode:Mux.Piggybacked ~logical:4 () in
+  let t = Step.create spec in
+  let s = Step.stats t in
+  (* Node 2 hears channel 3's first two frames, so channel 2's round-2
+     frame carries the cumulative ack 1 for channel 3. *)
+  for e = 0 to 1 do
+    Step.step t ~e ~phase:0;
+    let frame, nodes = planned spec t ~chan:3 ~phase:0 in
+    hear_all t nodes frame
+  done;
+  Step.step t ~e:2 ~phase:0;
+  let frame, _ = planned spec t ~chan:2 ~phase:0 in
+  (* Replayed into channel 0's slot, its ack would retire channel 1's two
+     in-flight heads. *)
+  hear_all t [ 1 ] frame;
+  Step.step t ~e:3 ~phase:0;
+  check Alcotest.int "no ack applied" 0 s.Mux.acked;
+  check Alcotest.int "counted as a splice" 1 s.Mux.bad_frames
+
+(* Seeded decoder fuzz through the step: one mutated frame heard on
+   channel 0 after [rounds] honest rounds.  Nothing may raise, nothing is
+   delivered, and each non-authentic frame is counted exactly once, as bad
+   or stale.  A valid frame of another channel is a splice: bad on an
+   acked channel, and under Repeat overheard traffic that is ignored. *)
+type mutation =
+  | Flip of int
+  | Truncate of int
+  | Epoch of int
+  | Splice
+  | Random_blob of string
+  | Unsealed
+
+let fuzz_modes =
+  [| step_spec ~logical:2 ();
+     step_spec ~ack_mode:Mux.Piggybacked ~logical:4 ();
+     step_spec ~transport:(Mux.Repeat { reps = 2; group = 2 }) ~logical:2 ();
+     step_spec ~transport:(Mux.Repeat { reps = 3; group = 5 }) ~logical:2 ~epoch_len:2 ~grace:1
+       () |]
+
+let mutation_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun i -> Flip i) nat;
+        map (fun i -> Truncate i) nat;
+        map (fun i -> Epoch i) (int_bound 0x3FFF_FFFF);
+        return Splice;
+        map (fun s -> Random_blob s) (string_size (int_bound 120));
+        return Unsealed ])
+
+let mutate ~ack frame = function
+  | Flip i ->
+    let b = Bytes.of_string frame in
+    let k = i mod (8 * Bytes.length b) in
+    Bytes.set b (k / 8) (Char.chr (Char.code (Bytes.get b (k / 8)) lxor (1 lsl (k mod 8))));
+    Some (Radio.Frame.Sealed (Bytes.to_string b))
+  | Truncate i -> Some (Radio.Frame.Sealed (String.sub frame 0 (i mod String.length frame)))
+  | Epoch d ->
+    (* The epoch field, moved to any other value. *)
+    let b = Bytes.of_string frame and pos = if ack then 9 else 0 in
+    let old = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFF_FFFF in
+    Bytes.set_int32_be b pos (Int32.of_int ((old + 1 + d) land 0xFFFF_FFFF));
+    Some (Radio.Frame.Sealed (Bytes.to_string b))
+  | Random_blob s -> Some (Radio.Frame.Sealed s)
+  | Unsealed -> Some (Radio.Frame.Plain { src = 0; dst = 1; body = frame })
+  | Splice -> None
+
+let step_decoder_fuzz =
+  QCheck.Test.make ~name:"mutated frames through the step" ~count:400
+    QCheck.(
+      make
+        Gen.(
+          quad (int_bound (Array.length fuzz_modes - 1)) (int_range 1 5) (int_bound 1)
+            mutation_gen))
+    (fun (mode, rounds, phase, mutation) ->
+      let spec = fuzz_modes.(mode) in
+      let phase = phase mod phases spec in
+      let t = Step.create spec in
+      let s = Step.stats t in
+      (* A perfect radio for [rounds] emulated rounds. *)
+      for e = 0 to rounds - 1 do
+        for p = 0 to phases spec - 1 do
+          Step.step t ~e ~phase:p;
+          for chan = 0 to spec.Mux.logical - 1 do
+            match Step.planned t ~chan ~phase:p with
+            | Some (member, frame) -> hear_all t (hearers spec chan ~member) frame
+            | None -> ()
+          done
+        done
+      done;
+      for p = 0 to phase do
+        Step.step t ~e:rounds ~phase:p
+      done;
+      let frame, nodes = planned spec t ~chan:0 ~phase in
+      let heard =
+        match mutate ~ack:(phase = 1) frame mutation with
+        | Some f -> f
+        | None -> Radio.Frame.Sealed (fst (planned spec t ~chan:1 ~phase))
+      in
+      let rejects () = s.Mux.bad_frames + s.Mux.stale_epoch in
+      let before = rejects () and delivered = s.Mux.delivered and acked = s.Mux.acked in
+      Step.hear t ~node:(List.hd nodes) ~hop:0 (Some heard);
+      if phase = 0 && phases spec = 2 then Step.step t ~e:rounds ~phase:1
+      else Step.step t ~e:(rounds + 1) ~phase:0;
+      let expect =
+        match (mutation, spec.Mux.transport) with Splice, Mux.Repeat _ -> 0 | _ -> 1
+      in
+      s.Mux.forged_accepts = 0
+      && s.Mux.delivered = delivered
+      && s.Mux.acked = acked
+      && rejects () - before = expect)
+
 let () =
   Alcotest.run "mux"
     [ ( "window",
@@ -472,4 +716,15 @@ let () =
             (jobs_byte_identical (pig_spec ~outsiders:2 ()));
           Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
           Alcotest.test_case "spec validation" `Quick pig_spec_validation ] );
-      ("outcome", [ Alcotest.test_case "mux outcome pins" `Quick mux_outcome_pins ]) ]
+      ("outcome", [ Alcotest.test_case "mux outcome pins" `Quick mux_outcome_pins ]);
+      ( "step",
+        [ Alcotest.test_case "slotted round trip" `Quick step_slotted_round_trip;
+          Alcotest.test_case "piggybacked cumulative ack" `Quick step_pig_cumulative_ack;
+          Alcotest.test_case "repeat retires the head" `Quick step_repeat_retires_head;
+          Alcotest.test_case "replay is a duplicate" `Quick step_replay_is_duplicate;
+          Alcotest.test_case "stale epoch never opened" `Quick step_stale_epoch_unopened;
+          Alcotest.test_case "piggybacked foreign ack ignored" `Quick
+            step_pig_foreign_ack_ignored;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 23 |])
+            step_decoder_fuzz ] ) ]
