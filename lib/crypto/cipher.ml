@@ -3,21 +3,6 @@ type sealed = { nonce : string; body : string; tag : string }
 let enc_key key = Sha256.digest ("cipher-enc|" ^ key)
 let mac_key key = Sha256.digest ("cipher-mac|" ^ key)
 
-let encode_nonce n =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_be b 0 n;
-  Bytes.unsafe_to_string b
-
-let xor_with a b =
-  assert (String.length a = String.length b);
-  let n = String.length a in
-  let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.unsafe_set out i
-      (Char.unsafe_chr (Char.code (String.unsafe_get a i) lxor Char.code (String.unsafe_get b i)))
-  done;
-  Bytes.unsafe_to_string out
-
 (* A prepared session key: both domain-separated subkeys derived once, the
    stream-cipher PRF and the MAC midstates precomputed.  Long-lived callers
    (the broadcast service, pairwise streams, the group-key dissemination)
@@ -26,79 +11,80 @@ type key = { enc : Prf.Keyed.t; mac : Hmac.key }
 
 let key raw = { enc = Prf.Keyed.create (enc_key raw); mac = Hmac.key (mac_key raw) }
 
-let tag_of k ~nonce body =
-  Hmac.mac_feed k.mac (fun ctx ->
-      Sha256.update ctx nonce;
-      Sha256.update ctx body)
-
-let seal_keyed k ~nonce plaintext =
-  let nonce = encode_nonce nonce in
-  let stream = Prf.Keyed.keystream k.enc ~nonce (String.length plaintext) in
-  let body = xor_with plaintext stream in
-  { nonce; body; tag = tag_of k ~nonce body }
-
-let open_keyed k { nonce; body; tag } =
-  if not (Hmac.equal_ct ~expect:(tag_of k ~nonce body) ~tag) then None
-  else
-    let stream = Prf.Keyed.keystream k.enc ~nonce (String.length body) in
-    Some (xor_with body stream)
-
-(* Reusable working state for the batch entry points: PRF and MAC scratch
-   plus a growable keystream buffer and a tag buffer, so sealing or opening
-   a whole epoch's worth of frames under one key allocates only the output
-   strings themselves. *)
+(* Reusable working state: PRF and MAC scratch, a growable keystream
+   buffer, a tag buffer, and the growable buffer {!open_into} leaves its
+   plaintext in, so sealing or opening a whole epoch's worth of frames
+   under one key allocates only what the caller keeps. *)
 type scratch = {
   prf : Prf.Keyed.scratch;
   hmac_s : Hmac.scratch;
   mutable ks : Bytes.t; (* keystream, grown geometrically *)
   tag_buf : Bytes.t; (* 32 bytes *)
+  mutable plain : Bytes.t; (* [open_into]'s plaintext, grown geometrically *)
 }
 
 let scratch () =
-  { prf = Prf.Keyed.scratch (); hmac_s = Hmac.scratch ();
-    ks = Bytes.create 256; tag_buf = Bytes.create Sha256.digest_size }
+  { prf = Prf.Keyed.scratch (); hmac_s = Hmac.scratch (); ks = Bytes.create 256;
+    tag_buf = Bytes.create Sha256.digest_size; plain = Bytes.create 64 }
 
-let ensure_ks s len =
-  if Bytes.length s.ks < len then s.ks <- Bytes.create (max len (2 * Bytes.length s.ks))
+let grow b len =
+  if Bytes.length b < len then Bytes.create (max len (2 * Bytes.length b)) else b
 
-let[@inline] xor_into src ks out len =
+(* The one keystream+MAC core.  Every entry point reads nonce and body as
+   slices ([s], offset, length) of strings — a frame on the wire, or a
+   caller's buffer viewed read-only for the length of the call — and
+   writes into bytes it owns or was handed. *)
+
+(* [dst.(dpos + i) <- src.(spos + i) xor keystream(nonce).(i)] for [i < len]. *)
+let crypt k s nonce ~noff ~nlen src ~spos dst ~dpos ~len =
+  s.ks <- grow s.ks len;
+  Prf.Keyed.keystream_into k.enc s.prf ~nonce ~nonce_off:noff ~nonce_len:nlen s.ks ~pos:0 ~len;
+  let ks = s.ks in
   for i = 0 to len - 1 do
-    Bytes.unsafe_set out i
+    Bytes.unsafe_set dst (dpos + i)
       (Char.unsafe_chr
-         (Char.code (String.unsafe_get src i) lxor Char.code (Bytes.unsafe_get ks i)))
+         (Char.code (String.unsafe_get src (spos + i)) lxor Char.code (Bytes.unsafe_get ks i)))
   done
 
-let tag_into k s ~nonce body =
+(* The tag over nonce || body, written at [pos] of [out]. *)
+let tag_into k s nonce ~noff ~nlen body ~boff ~blen out ~pos =
   Hmac.mac_feed_into k.mac s.hmac_s
     (fun ctx ->
-      Sha256.update ctx nonce;
-      Sha256.update ctx body)
-    s.tag_buf ~pos:0
+      Sha256.feed_string ctx nonce ~off:noff ~len:nlen;
+      Sha256.feed_string ctx body ~off:boff ~len:blen)
+    out ~pos
+
+(* Check the tag over nonce || body against the [tlen]-byte slice at
+   [toff] of [tag], then decrypt the body into [dst] at [dpos]. *)
+let verify_crypt k s nonce ~noff ~nlen body ~boff ~blen tag ~toff ~tlen dst ~dpos =
+  tag_into k s nonce ~noff ~nlen body ~boff ~blen s.tag_buf ~pos:0;
+  let ok = Hmac.equal_ct_sub ~expect:s.tag_buf tag ~pos:toff ~len:tlen in
+  if ok then crypt k s nonce ~noff ~nlen body ~spos:boff dst ~dpos ~len:blen;
+  ok
 
 let seal_scratch k s ~nonce plaintext =
-  let nonce = encode_nonce nonce in
+  let n = Bytes.create 8 in
+  Bytes.set_int64_be n 0 nonce;
+  let nonce = Bytes.unsafe_to_string n in
   let len = String.length plaintext in
-  ensure_ks s len;
-  Prf.Keyed.keystream_into k.enc s.prf ~nonce s.ks ~pos:0 ~len;
-  let body = Bytes.create len in
-  xor_into plaintext s.ks body len;
+  let body = Bytes.create len and tag = Bytes.create Sha256.digest_size in
+  crypt k s nonce ~noff:0 ~nlen:8 plaintext ~spos:0 body ~dpos:0 ~len;
   let body = Bytes.unsafe_to_string body in
-  tag_into k s ~nonce body;
-  { nonce; body; tag = Bytes.to_string s.tag_buf }
+  tag_into k s nonce ~noff:0 ~nlen:8 body ~boff:0 ~blen:len tag ~pos:0;
+  { nonce; body; tag = Bytes.unsafe_to_string tag }
 
 let open_scratch k s { nonce; body; tag } =
-  tag_into k s ~nonce body;
-  (* [tag_buf] is only read inside this comparison before the next frame
-     overwrites it, so the unsafe view never escapes. *)
-  if not (Hmac.equal_ct ~expect:(Bytes.unsafe_to_string s.tag_buf) ~tag) then None
-  else begin
-    let len = String.length body in
-    ensure_ks s len;
-    Prf.Keyed.keystream_into k.enc s.prf ~nonce s.ks ~pos:0 ~len;
-    let out = Bytes.create len in
-    xor_into body s.ks out len;
-    Some (Bytes.unsafe_to_string out)
-  end
+  let out = Bytes.create (String.length body) in
+  if
+    verify_crypt k s nonce ~noff:0 ~nlen:(String.length nonce) body ~boff:0
+      ~blen:(String.length body) tag ~toff:0 ~tlen:(String.length tag) out ~dpos:0
+  then Some (Bytes.unsafe_to_string out)
+  else None
+
+(* One-shot forms: a throwaway scratch per call, so they, like the scratch
+   forms, only read the key. *)
+let seal_keyed k ~nonce plaintext = seal_scratch k (scratch ()) ~nonce plaintext
+let open_keyed k sealed = open_scratch k (scratch ()) sealed
 
 let seal_batch k s ~nonces msgs =
   let n = Array.length msgs in
@@ -111,53 +97,75 @@ let seal ~key:raw ~nonce plaintext = seal_keyed (key raw) ~nonce plaintext
 
 let open_ ~key:raw sealed = open_keyed (key raw) sealed
 
-let encoded_size { nonce; body; tag } =
-  12 + String.length nonce + String.length body + String.length tag
+(* Wire encoding: three fields, each a big-endian u32 length and its
+   bytes — nonce, body, tag. *)
 
-(* Single-buffer encoding: the multiplexed service encodes one frame per
-   busy channel per emulated round, so the concat-chain formulation's
-   intermediate strings showed up in its prepare step. *)
-let encode_into { nonce; body; tag } out ~pos =
-  let field p s =
-    let len = String.length s in
-    Bytes.set_int32_be out p (Int32.of_int len);
-    Bytes.blit_string s 0 out (p + 4) len;
-    p + 4 + len
+let frame_size len = 12 + 8 + len + Sha256.digest_size
+
+let set_len out pos len = Bytes.set_int32_be out pos (Int32.of_int len)
+
+(* The end of the field starting at [p] of [s], or -1 when its length
+   prefix or bytes run past the end of [s] (or [p] is already -1). *)
+let field_end s p =
+  if p < 0 || p + 4 > String.length s then -1
+  else
+    let e = p + 4 + (Int32.to_int (String.get_int32_be s p) land 0xFFFF_FFFF) in
+    if e > String.length s then -1 else e
+
+(* The ends of the nonce and body fields of the encoding filling [s] from
+   [pos]; [t = -1] when it is malformed. *)
+let fields s ~pos =
+  let b = field_end s pos in
+  let t = field_end s b in
+  if field_end s t = String.length s then t else -1
+
+let framed s ~pos = fields s ~pos >= 0
+
+let seal_into k s ~nonce plain ~len out ~pos =
+  let body = pos + 16 in
+  set_len out pos 8;
+  Bytes.set_int64_be out (pos + 4) nonce;
+  set_len out (pos + 12) len;
+  (* Read-only views for the length of this call: the nonce is written
+     before and never after, the body before the tag reads it. *)
+  let wire = Bytes.unsafe_to_string out in
+  crypt k s wire ~noff:(pos + 4) ~nlen:8 (Bytes.unsafe_to_string plain) ~spos:0 out ~dpos:body
+    ~len;
+  set_len out (body + len) Sha256.digest_size;
+  tag_into k s wire ~noff:(pos + 4) ~nlen:8 wire ~boff:body ~blen:len out ~pos:(body + len + 4)
+
+let open_into k s blob ~pos =
+  let t = fields blob ~pos in
+  if t < 0 then -1
+  else begin
+    let b = field_end blob pos in
+    let blen = t - b - 4 in
+    s.plain <- grow s.plain blen;
+    if
+      verify_crypt k s blob ~noff:(pos + 4) ~nlen:(b - pos - 4) blob ~boff:(b + 4) ~blen blob
+        ~toff:(t + 4) ~tlen:(String.length blob - t - 4) s.plain ~dpos:0
+    then blen
+    else -1
+  end
+
+let plain s = s.plain
+
+let encode { nonce; body; tag } =
+  let out = Bytes.create (12 + String.length nonce + String.length body + String.length tag) in
+  let field p f =
+    set_len out p (String.length f);
+    Bytes.blit_string f 0 out (p + 4) (String.length f);
+    p + 4 + String.length f
   in
-  let p = field pos nonce in
-  let p = field p body in
-  ignore (field p tag : int)
-
-let encode sealed =
-  let out = Bytes.create (encoded_size sealed) in
-  encode_into sealed out ~pos:0;
+  ignore (field (field (field 0 nonce) body) tag : int);
   Bytes.unsafe_to_string out
 
-let decode_sub s ~pos =
-  let read_len pos =
-    if pos + 4 > String.length s then None
-    else
-      let v = ref 0 in
-      for i = 0 to 3 do
-        v := (!v lsl 8) lor Char.code s.[pos + i]
-      done;
-      Some (!v, pos + 4)
-  in
-  let read_field pos =
-    match read_len pos with
-    | None -> None
-    | Some (len, pos) ->
-      if len < 0 || pos + len > String.length s then None
-      else Some (String.sub s pos len, pos + len)
-  in
-  match read_field pos with
-  | None -> None
-  | Some (nonce, pos) ->
-    (match read_field pos with
-     | None -> None
-     | Some (body, pos) ->
-       (match read_field pos with
-        | Some (tag, pos) when pos = String.length s -> Some { nonce; body; tag }
-        | _ -> None))
-
-let decode s = decode_sub s ~pos:0
+let decode s =
+  let t = fields s ~pos:0 in
+  if t < 0 then None
+  else
+    let b = field_end s 0 in
+    Some
+      { nonce = String.sub s 4 (b - 4);
+        body = String.sub s (b + 4) (t - b - 4);
+        tag = String.sub s (t + 4) (String.length s - t - 4) }

@@ -16,12 +16,10 @@ type key
     {!seal_keyed}/{!open_keyed} are byte-identical to {!seal}/{!open_}
     under the same raw key.
 
-    {b Sharing across domains.}  One key may seal and open on several
-    domains at once through {!seal_scratch}, {!open_scratch},
-    {!seal_batch} and {!open_batch}, each domain with a {!type-scratch} of its
-    own: those read the key and write only the scratch.  {!seal_keyed} and
-    {!open_keyed} share the key's schedule scratch (see {!Hmac.key}), so
-    they must keep a given key on one domain. *)
+    {b Sharing across domains.}  Every entry point only reads the key and
+    writes its own {!type-scratch} (the one-shot forms make a throwaway
+    one), so one key may seal and open on several domains at once, each
+    domain with a scratch of its own. *)
 
 val key : string -> key
 
@@ -30,16 +28,19 @@ val seal_keyed : key -> nonce:int64 -> string -> sealed
 val open_keyed : key -> sealed -> string option
 
 type scratch
-(** Reusable working state (PRF/MAC scratch, keystream and tag buffers) for
-    the batch entry points.  One [scratch] serves any number of sequential
-    calls under any keys; per-domain, not reentrant.  Concurrent callers
-    sharing one {!type-key} each bring their own. *)
+(** Reusable working state (PRF/MAC scratch, keystream and tag buffers,
+    and the buffer {!open_into} leaves its plaintext in).  One [scratch]
+    serves any number of sequential calls under any keys; per-domain, not
+    reentrant.  Concurrent callers sharing one {!type-key} each bring their
+    own. *)
 
 val scratch : unit -> scratch
 
 val seal_scratch : key -> scratch -> nonce:int64 -> string -> sealed
 (** {!seal_keyed} with all working state drawn from the scratch: only the
-    output frame itself is allocated.  Byte-identical to {!seal_keyed}. *)
+    output frame itself is allocated.  Byte-identical to {!seal_keyed}.
+    Like {!open_scratch} and the in-place forms below, a thin wrapper over
+    the one keystream+MAC core. *)
 
 val open_scratch : key -> scratch -> sealed -> string option
 (** {!open_keyed} with all working state drawn from the scratch.
@@ -64,19 +65,46 @@ val open_ : key:string -> sealed -> string option
 (** [open_ ~key sealed] is [Some plaintext] iff the tag verifies. *)
 
 val encode : sealed -> string
-(** Flat wire encoding (length-prefixed fields). *)
-
-val encoded_size : sealed -> int
-(** [String.length (encode sealed)], without encoding. *)
-
-val encode_into : sealed -> Bytes.t -> pos:int -> unit
-(** Write {!encode}'s bytes at [pos] in a caller-owned buffer, so framing
-    layers can prepend their own headers without intermediate strings.
-    The buffer needs [encoded_size sealed] bytes from [pos]. *)
+(** Flat wire encoding (length-prefixed fields: nonce, body, tag). *)
 
 val decode : string -> sealed option
 (** Inverse of {!encode}; [None] on malformed input. *)
 
-val decode_sub : string -> pos:int -> sealed option
-(** {!decode} of the suffix starting at [pos], without copying it out
-    first.  The encoding must end exactly at the end of [s]. *)
+(** {1 In place}
+
+    The per-frame path of a long-lived service: seal straight into the
+    wire buffer, open straight from the frame.  Nonce, body and tag are
+    read as slices of the frame and never copied out; the only bytes
+    written are the caller's buffer and the scratch.  Byte-identical to
+    {!encode} of {!seal_scratch} and to {!decode} + {!open_scratch}.
+
+    Sharing: like every entry point they only read the key, so domains
+    may seal and open under one key at once, each with its own scratch
+    and writing its own output buffers; the frame an [open_into] reads
+    may be shared too. *)
+
+val frame_size : int -> int
+(** [frame_size len] is the length of {!encode}'s output for a sealed
+    [len]-byte plaintext. *)
+
+val seal_into :
+  key -> scratch -> nonce:int64 -> Bytes.t -> len:int -> Bytes.t -> pos:int -> unit
+(** [seal_into k s ~nonce plain ~len out ~pos] writes
+    [encode (seal_scratch k s ~nonce p)] at [pos] of [out], where [p] is
+    the first [len] bytes of [plain]; [out] needs [frame_size len] bytes
+    from [pos].  Allocates nothing per byte: only the two small feed
+    closures of the keystream and the tag. *)
+
+val framed : string -> pos:int -> bool
+(** The suffix of the string from [pos] is well-formed: [decode] of it
+    would be [Some _]. *)
+
+val open_into : key -> scratch -> string -> pos:int -> int
+(** [open_into k s blob ~pos] opens the encoding that fills [blob] from
+    [pos] to its end: the plaintext's length, with its bytes at the start
+    of [plain s], when [decode] + {!open_scratch} of that suffix would be
+    [Some _]; [-1] when it is malformed or the tag fails.  Never raises. *)
+
+val plain : scratch -> Bytes.t
+(** The buffer holding the last {!open_into}'s plaintext.  Valid until the
+    scratch's next call; read it after the call (the buffer may grow). *)

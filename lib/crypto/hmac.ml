@@ -85,14 +85,17 @@ let mac_hex ~key msg = Sha256.hex_of (mac ~key msg)
    accumulator as the byte comparison, and the loop always walks the full
    expected tag, so timing does not distinguish a wrong-length tag from a
    wrong-byte tag. *)
-let equal_ct ~expect ~tag =
-  let le = String.length expect and lt = String.length tag in
-  let diff = ref (le lxor lt) in
+let equal_ct_sub ~expect tag ~pos ~len =
+  let le = Bytes.length expect in
+  let diff = ref (le lxor len) in
   for i = 0 to le - 1 do
-    let t = if lt = 0 then 0xFF else Char.code (String.unsafe_get tag (i mod lt)) in
-    diff := !diff lor (Char.code (String.unsafe_get expect i) lxor t)
+    let t = if len = 0 then 0xFF else Char.code (String.unsafe_get tag (pos + (i mod len))) in
+    diff := !diff lor (Char.code (Bytes.unsafe_get expect i) lxor t)
   done;
   !diff = 0
+
+let equal_ct ~expect ~tag =
+  equal_ct_sub ~expect:(Bytes.unsafe_of_string expect) tag ~pos:0 ~len:(String.length tag)
 
 let verify_keyed k ~tag msg = equal_ct ~expect:(mac_keyed k msg) ~tag
 

@@ -77,3 +77,8 @@ val verify : key:string -> tag:string -> string -> bool
 val equal_ct : expect:string -> tag:string -> bool
 (** The underlying constant-time comparison (length folded in; always walks
     all of [expect]). *)
+
+val equal_ct_sub : expect:Bytes.t -> string -> pos:int -> len:int -> bool
+(** {!equal_ct} of a tag computed into a caller's buffer against the
+    [len]-byte slice at [pos] of a string — a tag read in place from a
+    frame on the wire.  Allocates nothing. *)

@@ -35,13 +35,13 @@ module Keyed = struct
     { hs = Hmac.scratch (); tail = Bytes.make 9 '\000';
       last = Bytes.create Sha256.digest_size }
 
-  let keystream_into t s ~nonce out ~pos ~len =
+  let keystream_into t s ~nonce ~nonce_off ~nonce_len out ~pos ~len =
     (* Block [i] is HMAC(key, "ks|" || nonce || 0x00 || i_be8), the label
        fed as two updates instead of being concatenated.  One [feed] serves
        every block: it reads the counter from [s.tail]. *)
     let feed ctx =
       Sha256.update ctx "ks|";
-      Sha256.update ctx nonce;
+      Sha256.feed_string ctx nonce ~off:nonce_off ~len:nonce_len;
       Sha256.update_bytes ctx s.tail ~pos:0 ~len:9
     in
     Bytes.set s.tail 0 '\000';
@@ -61,7 +61,8 @@ module Keyed = struct
 
   let keystream t ~nonce len =
     let out = Bytes.create len in
-    keystream_into t (scratch ()) ~nonce out ~pos:0 ~len;
+    let nonce_len = String.length nonce in
+    keystream_into t (scratch ()) ~nonce ~nonce_off:0 ~nonce_len out ~pos:0 ~len;
     Bytes.unsafe_to_string out
 end
 

@@ -39,11 +39,16 @@ module Keyed : sig
 
   val scratch : unit -> scratch
 
-  val keystream_into : t -> scratch -> nonce:string -> Bytes.t -> pos:int -> len:int -> unit
-  (** [keystream_into t s ~nonce out ~pos ~len] writes the same bytes
-      [keystream t ~nonce len] would return at [pos] of [out] — the batch
-      cipher path.  It allocates one small closure per call, whatever
-      [len]; every block's working state comes from [s]. *)
+  val keystream_into :
+    t -> scratch -> nonce:string -> nonce_off:int -> nonce_len:int -> Bytes.t -> pos:int ->
+    len:int -> unit
+  (** [keystream_into t s ~nonce ~nonce_off ~nonce_len out ~pos ~len]
+      writes the same bytes [keystream t ~nonce:n len] would return at
+      [pos] of [out], where [n] is the [nonce_len]-byte slice of [nonce]
+      at [nonce_off] — read in place, so a nonce inside a frame on the
+      wire is never copied out.  The cipher's one core.  It allocates one
+      small closure per call, whatever [len]; every block's working state
+      comes from [s]. *)
 end
 
 val bytes : key:string -> label:string -> counter:int -> string

@@ -8,11 +8,14 @@
    offered load, batch-sealed and batch-MACed frames, their physical
    channels.  One thin engine body moves the bytes: each service node
    reads its duties off the plan and stores what it hears in the one
-   heard buffer.  The first fiber resumed at a phase boundary runs the
-   step; fibers resume strictly sequentially in node-id order within the
-   engine's domain (the determinism contract), so the central mutable
-   state needs no synchronization.  {!Step} drives the same step with no
-   engine at all.
+   heard buffer.  A node suspends once per idle span — the rounds
+   between two of its actions, sync rounds included, are one [idle_for]
+   — and the first fiber to act in a phase runs its step there: node 0,
+   in the phase's first slot, right after the sync round.  Fibers resume
+   strictly sequentially in node-id order within the engine's domain (the
+   determinism contract), so the central mutable state needs no
+   synchronization.  {!Step} drives the same step with no engine at
+   all.
 
    The transport and ack mode are data: [layout] fixes, in one place,
    the service nodes per channel, the slots of a phase, the frame kind
@@ -39,12 +42,15 @@
    preceding phase has stored its result before the next step reads it.
 
    The crypto is the step's floor, and it is per-frame and independent:
-   building and sealing a payload, decoding, opening and parsing a heard
-   frame, MACing or verifying an ack.  [chunks] cuts each batch of that
-   work into contiguous chunks — one per pool domain, none below [grain]
-   bytes of work — which run through [Parallel.map_ordered] with a
-   {!Cipher.scratch} (or an {!Hmac.scratch}) per chunk and are
-   concatenated back in order.
+   building and sealing a payload, checking, opening and parsing a heard
+   frame, MACing or verifying an ack.  It allocates little beyond the
+   frames it sends: payloads are built in a per-chunk buffer and sealed
+   straight into the wire frame, heard frames are opened and checked in
+   place, and ack tags are MACed into and verified against the frame
+   bytes.  [chunks] cuts each batch of that work into contiguous chunks —
+   one per pool domain, none below [grain] bytes of work, none above
+   [max_chunk] items — which run through [Parallel.map_ordered] with a
+   scratch per chunk and are concatenated back in order.
    Chunks read only immutable inputs: the spec, the frame descriptors
    gathered beforehand, and epoch keys, which [keys] derives (and caches
    by epoch parity) on the calling domain before the fan-out, since the
@@ -125,65 +131,39 @@ type epoch_keys = { ek_epoch : int; ck : Cipher.key; ak : Hmac.key }
 let set_u32 b pos n = Bytes.set_int32_be b pos (Int32.of_int n)
 
 let read_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFF_FFFF
+let get_u32 b pos = Int32.to_int (Bytes.get_int32_be b pos) land 0xFFFF_FFFF
 
-(* [prefix], then each of [words] as a u32, then [tail], in one buffer. *)
-let pack prefix words tail =
-  let p = String.length prefix and w = 4 * Array.length words in
-  let out = Bytes.create (p + w + String.length tail) in
-  Bytes.blit_string prefix 0 out 0 p;
-  Array.iteri (fun i n -> set_u32 out (p + (4 * i)) n) words;
-  Bytes.blit_string tail 0 out (p + w) (String.length tail);
-  (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
-  Bytes.unsafe_to_string out
+(* Every sealed payload opens with four u32 words; a data payload's
+   generated body follows them.
 
-(* Authenticated payload of a data frame: channel id (epoch keys are shared
+   Slotted (and Repeat) data payload: channel id (epoch keys are shared
    by the whole group, so without the binding a valid frame could be
    spliced onto another logical channel), sequence number, sealing epoch,
-   enqueue round (for latency accounting). *)
-let encode_payload ~chan ~seq ~epoch ~enq body = pack "" [| chan; seq; epoch; enq |] body
-
-let decode_payload payload =
-  if String.length payload < 16 then None
-  else
-    Some
-      ( read_u32 payload 0,
-        read_u32 payload 4,
-        read_u32 payload 8,
-        read_u32 payload 12,
-        String.sub payload 16 (String.length payload - 16) )
+   enqueue round (for latency accounting), body. *)
+let put_words b w0 w1 w2 w3 =
+  set_u32 b 0 w0;
+  set_u32 b 4 w1;
+  set_u32 b 8 w2;
+  set_u32 b 12 w3
 
 (* Data frame on the air: clear epoch header (selects the trial key without
-   one MAC attempt per live epoch) + the sealed blob, framed in one
-   buffer and parsed in place. *)
-let encode_data ~epoch sealed =
-  let out = Bytes.create (4 + Cipher.encoded_size sealed) in
-  set_u32 out 0 epoch;
-  Cipher.encode_into sealed out ~pos:4;
-  (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
-  Bytes.unsafe_to_string out
+   one MAC attempt per live epoch), then the cipher's wire encoding of the
+   sealed payload — sealed into the frame and opened from it in place.
 
-let decode_data blob =
-  if String.length blob < 4 then None
-  else
-    match Cipher.decode_sub blob ~pos:4 with
-    | Some sealed -> Some (read_u32 blob 0, sealed)
-    | None -> None
-
-(* Ack frame: marker, channel, seq, epoch, 32-byte HMAC under the epoch's
-   ack subkey.  MAC-only — a bare sequence number needs no secrecy. *)
-let ack_msg ~chan ~seq ~epoch = pack "ack|" [| chan; seq; epoch |] ""
-
-let encode_ack ~chan ~seq ~epoch tag = pack "A" [| chan; seq; epoch |] tag
-
+   Ack frame: marker, channel, seq, epoch, 32-byte HMAC under the epoch's
+   ack subkey over "ack|" and those three words.  MAC-only — a bare
+   sequence number needs no secrecy. *)
 let decode_ack blob =
   if String.length blob <> 45 || blob.[0] <> 'A' then None
-  else Some (read_u32 blob 1, read_u32 blob 5, read_u32 blob 9, String.sub blob 13 32)
+  else Some (read_u32 blob 1, read_u32 blob 5, read_u32 blob 9)
 
 (* Piggybacked-mode sealed payloads.  The first word carries the cumulative
    ack for the opposite direction (stored as ack + 1 so -1, "nothing
    delivered yet", encodes cleanly) with the kind flag folded into its top
-   bit: flag clear is a data frame, flag set a bare ack carrier sent when
-   the sender's queue is empty but the partner still has unretired frames.
+   bit: flag clear is a data frame (then channel, seq, enqueue round,
+   body), flag set a bare ack carrier (then channel, epoch, round) sent
+   when the sender's queue is empty but the partner still has unretired
+   frames.
 
    The layout is sized to the keystream: {!Cipher} keystream blocks are 32
    bytes, and the slotted data payload (16-byte header + default 16-byte
@@ -198,11 +178,6 @@ let decode_ack blob =
    wire format byte-for-byte untouched. *)
 let pig_ack_flag = 1 lsl 31
 
-let encode_pig_data ~ack ~chan ~seq ~enq body = pack "" [| ack + 1; chan; seq; enq |] body
-
-let encode_pig_ack ~ack ~chan ~epoch ~round =
-  pack "" [| (ack + 1) lor pig_ack_flag; chan; epoch; round |] ""
-
 (* Piggybacked frames are re-sealed whenever the folded ack advances, so
    their nonces are keyed by (channel, emulated round) — unique per sealed
    blob — with tag bits keeping them disjoint from the slotted
@@ -212,15 +187,26 @@ let pig_nonce ~tag ~chan ~round =
     (Int64.shift_left 1L tag)
     (Int64.logor (Int64.shift_left (Int64.of_int chan) 32) (Int64.of_int round))
 
-(* Deterministic message stream: the body of message (channel, seq), padded
-   or truncated to the configured size.  Receivers regenerate it, so a
-   forged-but-authenticated delivery (impossible short of a MAC break) is
-   detected without storing the offered payloads. *)
-let gen_body ~payload ~chan ~seq =
-  let base = Printf.sprintf "m|%d|%d|" chan seq in
-  let b = String.length base in
-  if b >= payload then String.sub base 0 payload
-  else base ^ String.make (payload - b) 'x'
+(* Deterministic message stream: the body of message (channel, seq) is
+   "m|<chan>|<seq>|" padded with 'x' or truncated to [payload] bytes.
+   Receivers regenerate it, so a forged-but-authenticated delivery
+   (impossible short of a MAC break) is detected without storing the
+   offered payloads.  [gen_body_into] writes it at [pos] of [b], digit by
+   digit, allocating nothing. *)
+let put_char b ~stop p ch =
+  if p < stop then Bytes.set b p ch;
+  p + 1
+
+let rec put_digits b ~stop p n =
+  let p = if n >= 10 then put_digits b ~stop p (n / 10) else p in
+  put_char b ~stop p (Char.chr (48 + (n mod 10)))
+
+let gen_body_into b ~pos ~payload ~chan ~seq =
+  let stop = pos + payload in
+  let p = put_char b ~stop (put_char b ~stop pos 'm') '|' in
+  let p = put_char b ~stop (put_digits b ~stop p chan) '|' in
+  let p = put_char b ~stop (put_digits b ~stop p seq) '|' in
+  if p < stop then Bytes.fill b p (stop - p) 'x'
 
 (* ------------------------------------------------------------------ *)
 (* Specification.                                                      *)
@@ -511,23 +497,65 @@ let frame_overhead = 64
    chunk to another domain never costs more than the chunk itself. *)
 let grain = 16_384
 
-(* [chunks ~frame_bytes items] cuts a batch into at most
-   [Parallel.budget ()] contiguous chunks, none below [grain] bytes of
-   work, for a [Parallel.map_ordered] whose images [Array.concat] merges
-   back in order: byte-identical for every pool size.  The task closures
-   are pure — they read shared immutable values (the spec, prepared keys,
-   the frame descriptors), allocate their own scratch, and touch no run
-   state; callers derive epoch keys before the fan-out and apply results
-   after the join.  Each closure is written out at its [map_ordered] call,
-   where radio_race checks it. *)
+(* And into chunks of at most [Max_young_wosize] items, so every chunk's
+   result array is born on the minor heap.  A longer one is allocated in
+   the major heap, and [Array.map] first empties the minor heap when its
+   first element is young — a collection that stops every pool domain. *)
+let max_chunk = 256
+
+(* [chunks ~frame_bytes items] cuts a batch into contiguous chunks, at
+   most [Parallel.budget ()] of them (none below [grain] bytes of work)
+   unless [max_chunk] needs more, for a [Parallel.map_ordered] whose
+   images [Array.concat] merges back in order: byte-identical for every
+   pool size.  The task closures are pure — they read shared immutable
+   values (the spec, prepared keys, the frame descriptors), allocate their
+   own scratch, and touch no run state; callers derive epoch keys before
+   the fan-out and apply results after the join.  Each closure is written
+   out at its [map_ordered] call, where radio_race checks it. *)
 let chunks ~frame_bytes items =
   let n = Array.length items in
   if n = 0 then []
   else begin
     let work = n * (frame_overhead + frame_bytes) in
     let k = max 1 (min (min n (Parallel.budget ())) (work / grain)) in
+    let k = max k ((n + max_chunk - 1) / max_chunk) in
     List.init k (fun i -> Array.sub items (i * n / k) (((i + 1) * n / k) - (i * n / k)))
   end
+
+(* A chunk's working state: the cipher scratch (whose plaintext buffer
+   every open fills), and the payload buffer a seal is built in and an
+   opened body is checked against. *)
+type scratch = { cs : Cipher.scratch; pt : Bytes.t }
+
+let scratch sp = { cs = Cipher.scratch (); pt = Bytes.create (16 + sp.payload) }
+
+(* Seal the first [len] bytes of [s.pt] into a fresh data frame. *)
+let seal_frame ck s ~epoch ~nonce len =
+  let out = Bytes.create (4 + Cipher.frame_size len) in
+  set_u32 out 0 epoch;
+  Cipher.seal_into ck s.cs ~nonce s.pt ~len out ~pos:4;
+  (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
+  Bytes.unsafe_to_string out
+
+(* The slotted data payload of message ([chan], [seq]) in [s.pt]. *)
+let put_data sp s ~chan ~seq ~epoch ~enq =
+  put_words s.pt chan seq epoch enq;
+  gen_body_into s.pt ~pos:16 ~payload:sp.payload ~chan ~seq
+
+let rec same a b i stop =
+  i >= stop || (Char.equal (Bytes.get a i) (Bytes.get b i) && same a b (i + 1) stop)
+
+(* A data payload as the per-frame step parses it from the [len]-byte
+   plaintext [p].  [body_ok]: the body is the generated stream's message
+   for ([chan], [seq]), checked in place against [s.pt]. *)
+type data = { chan : int; seq : int; enq : int; body_ok : bool }
+
+let data sp s p ~len ~chan ~seq =
+  let payload = sp.payload in
+  let body_ok =
+    len = 16 + payload && (gen_body_into s.pt ~pos:16 ~payload ~chan ~seq; same p s.pt 16 len)
+  in
+  { chan; seq; enq = get_u32 p 12; body_ok }
 
 (* The keys a frame heard in round [now] may open under: the current
    epoch's, and the previous one's within grace.  Derived on the calling
@@ -554,18 +582,17 @@ type 'a heard =
   | Stale_frame  (* sealed under an epoch that no longer decodes: never opened *)
   | Opened of 'a
 
-(* Decode, epoch-check, open and [parse] one [(key, blob)]: the pure
-   per-frame half of every sealed-frame receive. *)
+(* Frame-check, epoch-check, open and [parse] one [(key, blob)] in place:
+   the pure per-frame half of every sealed-frame receive. *)
 let open_blob sp live ~now ~parse s (k, blob) =
-  match decode_data blob with
-  | None -> Bad
-  | Some (frame_epoch, sealed) -> (
-    match key_for sp live ~now ~frame_epoch with
+  if String.length blob < 4 || not (Cipher.framed blob ~pos:4) then Bad
+  else
+    match key_for sp live ~now ~frame_epoch:(read_u32 blob 0) with
     | None -> Stale_frame
     | Some ek -> (
-      match Option.bind (Cipher.open_scratch ek.ck s sealed) (parse k) with
-      | Some x -> Opened x
-      | None -> Bad))
+      let len = Cipher.open_into ek.ck s.cs blob ~pos:4 in
+      if len < 0 then Bad
+      else match parse sp s k (Cipher.plain s.cs) ~len with Some x -> Opened x | None -> Bad)
 
 (* Open every heard [(key, blob)] in round [now] — the per-frame work fans
    out — then count the rejects and hand each authentic payload to
@@ -575,7 +602,7 @@ let open_heard t ~now ~parse ~deliver frames =
   let sp = t.sp in
   chunks ~frame_bytes:(16 + sp.payload) frames
   |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-         let s = Cipher.scratch () in
+         let s = scratch sp in
          Array.map (open_blob sp live ~now ~parse s) chunk)
   |> Array.concat
   |> Array.iteri (fun i -> function
@@ -597,15 +624,8 @@ let sealed_heard t =
   done;
   Array.of_list !frames
 
-(* A data payload as the per-frame step parses it.  [body_ok]: the body is
-   the generated stream's message for ([chan], [seq]). *)
-type data = { chan : int; seq : int; enq : int; body_ok : bool }
-
-let parse_data ~payload _ p =
-  match decode_payload p with
-  | None -> None
-  | Some (chan, seq, _epoch, enq, body) ->
-    Some { chan; seq; enq; body_ok = String.equal body (gen_body ~payload ~chan ~seq) }
+let parse_data sp s _ p ~len =
+  if len < 16 then None else Some (data sp s p ~len ~chan:(get_u32 p 0) ~seq:(get_u32 p 4))
 
 (* ------------------------------------------------------------------ *)
 (* Receive paths, one per frame kind.                                  *)
@@ -633,7 +653,7 @@ let judge t w ~arrival d =
    another logical channel is a splice attempt, not a delivery.  A
    duplicate is re-acked: the previous ack was lost. *)
 let receive_data t ~arrival =
-  open_heard t ~now:arrival ~parse:(parse_data ~payload:t.sp.payload)
+  open_heard t ~now:arrival ~parse:parse_data
     ~deliver:(fun c d ->
       if d.chan <> c then t.st.bad_frames <- t.st.bad_frames + 1
       else if judge t t.windows.(c) ~arrival d then t.ack_pend_seq.(c) <- d.seq)
@@ -649,12 +669,12 @@ let receive_acks t ~arrival =
            | None ->
              t.st.bad_frames <- t.st.bad_frames + 1;
              None
-           | Some (c', seq, epoch, tag) -> (
+           | Some (c', seq, epoch) -> (
              match key_for t.sp live ~now:arrival ~frame_epoch:epoch with
              | None ->
                t.st.stale_epoch <- t.st.stale_epoch + 1;
                None
-             | Some ek -> Some (c, c', seq, epoch, ek.ak, tag)))
+             | Some ek -> Some (c, c', seq, ek.ak, blob)))
     |> Array.of_list
   in
   let ok =
@@ -662,15 +682,18 @@ let receive_acks t ~arrival =
     |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
            let s = Hmac.scratch () and out = Bytes.create Sha256.digest_size in
            Array.map
-             (fun (_, c', seq, epoch, ak, tag) ->
-               let msg = ack_msg ~chan:c' ~seq ~epoch in
-               Hmac.mac_feed_into ak s (fun ctx -> Sha256.update ctx msg) out ~pos:0;
-               Hmac.equal_ct ~expect:(Bytes.to_string out) ~tag)
+             (fun (_, _, _, ak, blob) ->
+               Hmac.mac_feed_into ak s
+                 (fun ctx ->
+                   Sha256.update ctx "ack|";
+                   Sha256.feed_string ctx blob ~off:1 ~len:12)
+                 out ~pos:0;
+               Hmac.equal_ct_sub ~expect:out blob ~pos:13 ~len:Sha256.digest_size)
              chunk)
     |> Array.concat
   in
   Array.iteri
-    (fun i (c, c', seq, _, _, _) ->
+    (fun i (c, c', seq, _, _) ->
       if not ok.(i) || c' <> c then t.st.bad_frames <- t.st.bad_frames + 1
       else if t.q_len.(c) > 0 && head_seq t c = seq then begin
         q_pop t c;
@@ -705,26 +728,20 @@ let apply_cum_ack t c ~ack =
    and its data unless it is a bare (fixed-size) ack carrier.  Both kinds
    must be bound to [c]: a frame sealed for another channel is a splice,
    and its ack is never applied. *)
-let parse_pig ~payload c p =
-  let len = String.length p in
-  if len < 16 || read_u32 p 4 <> c then None
+let parse_pig sp s c p ~len =
+  if len < 16 || get_u32 p 4 <> c then None
   else begin
-    let word = read_u32 p 0 in
+    let word = get_u32 p 0 in
     let ack = (word land lnot pig_ack_flag) - 1 in
     if word land pig_ack_flag <> 0 then if len <> 16 then None else Some (ack, None)
-    else begin
-      let seq = read_u32 p 8 and enq = read_u32 p 12 in
-      let body = String.sub p 16 (len - 16) in
-      let body_ok = String.equal body (gen_body ~payload ~chan:c ~seq) in
-      Some (ack, Some { chan = c; seq; enq; body_ok })
-    end
+    else Some (ack, Some (data sp s p ~len ~chan:c ~seq:(get_u32 p 8)))
   end
 
 (* Fold the carried ack into the opposite direction's queue, then (for
    data frames) run the regular delivery judgement and advance the
    cumulative prefix. *)
 let receive_pig t ~arrival =
-  open_heard t ~now:arrival ~parse:(parse_pig ~payload:t.sp.payload)
+  open_heard t ~now:arrival ~parse:parse_pig
     ~deliver:(fun c (ack, d) ->
       apply_cum_ack t (c lxor 1) ~ack;
       Option.iter
@@ -736,10 +753,11 @@ let receive_pig t ~arrival =
 
 (* Open the distinct sealed blobs heard across all members once each,
    then judge each member's first frame for its channel against its own
-   window.  The head was repeated [reps] times in round [arrival] and is
-   now retired — either every receiver has it (a full delivery) or the
-   adversary won the round for the missing ones.  The table is
-   lookup-only, so the Hashtbl introduces no iteration-order
+   window; every heard copy of a frame sealed for another channel is a
+   splice, counted bad.  The head was repeated [reps] times in round
+   [arrival] and is now retired — either every receiver has it (a full
+   delivery) or the adversary won the round for the missing ones.  The
+   table is lookup-only, so the Hashtbl introduces no iteration-order
    nondeterminism. *)
 let receive_broadcast t ~arrival =
   let opened : (string, data) Hashtbl.t = Hashtbl.create 64 in
@@ -748,30 +766,31 @@ let receive_broadcast t ~arrival =
     |> List.map snd |> List.sort_uniq String.compare
     |> List.map (fun b -> (b, b)) |> Array.of_list
   in
-  open_heard t ~now:arrival ~parse:(parse_data ~payload:t.sp.payload)
+  open_heard t ~now:arrival ~parse:parse_data
     ~deliver:(Hashtbl.replace opened) distinct;
   let group = t.ly.per_chan and hops = t.ly.hops in
   for c = 0 to t.sp.logical - 1 do
-    if t.q_len.(c) > 0 && t.sent_once.(c) then begin
-      let seq = head_seq t c in
-      let hits = ref 0 in
-      for node = c * group to ((c + 1) * group) - 1 do
-        let got = ref None in
-        for j = hops - 1 downto 0 do
-          match t.heard.((node * hops) + j) with
-          | Some (Radio.Frame.Sealed blob) -> (
-            match Hashtbl.find_opt opened blob with
-            | Some d when d.chan = c -> got := Some d
-            | Some _ | None -> ())
-          | Some _ | None -> ()
-        done;
-        match !got with
-        | Some d when node mod group <> t.r_sender.(c) ->
-          ignore (judge t t.windows.(node) ~arrival d);
-          (* the head is in this member's window *)
-          if Window.check t.windows.(node) seq = Window.Duplicate then incr hits
+    let busy = t.q_len.(c) > 0 && t.sent_once.(c) in
+    let hits = ref 0 in
+    for node = c * group to ((c + 1) * group) - 1 do
+      let got = ref None in
+      for j = hops - 1 downto 0 do
+        match t.heard.((node * hops) + j) with
+        | Some (Radio.Frame.Sealed blob) -> (
+          match Hashtbl.find_opt opened blob with
+          | Some d when d.chan = c -> got := Some d
+          | Some _ -> t.st.bad_frames <- t.st.bad_frames + 1 (* sealed for another channel *)
+          | None -> ())
         | Some _ | None -> ()
       done;
+      match !got with
+      | Some d when busy && node mod group <> t.r_sender.(c) ->
+        ignore (judge t t.windows.(node) ~arrival d);
+        (* the head is in this member's window *)
+        if Window.check t.windows.(node) (head_seq t c) = Window.Duplicate then incr hits
+      | Some _ | None -> ()
+    done;
+    if busy then begin
       if !hits = group - 1 then t.st.full_deliveries <- t.st.full_deliveries + 1;
       t.st.messages_done <- t.st.messages_done + 1;
       q_pop t c
@@ -814,15 +833,14 @@ let build_data_frames t ~e =
   done;
   let heads = Array.of_list !heads in
   let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
-  let ck = (keys t epoch).ck and payload = t.sp.payload in
-  chunks ~frame_bytes:(16 + payload) heads
+  let ck = (keys t epoch).ck and sp = t.sp in
+  chunks ~frame_bytes:(16 + sp.payload) heads
   |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-         let s = Cipher.scratch () in
+         let s = scratch sp in
          Array.map
            (fun (c, seq, enq) ->
-             encode_payload ~chan:c ~seq ~epoch ~enq (gen_body ~payload ~chan:c ~seq)
-             |> Cipher.seal_scratch ck s ~nonce:(nonce_of ~chan:c ~seq)
-             |> encode_data ~epoch)
+             put_data sp s ~chan:c ~seq ~epoch ~enq;
+             seal_frame ck s ~epoch ~nonce:(nonce_of ~chan:c ~seq) (16 + sp.payload))
            chunk)
   |> Array.concat
   |> Array.iteri (fun i blob ->
@@ -848,10 +866,22 @@ let build_ack_frames t ~e =
   let ak = (keys t epoch).ak in
   chunks ~frame_bytes:16 pending
   |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-         let tags =
-           Hmac.mac_batch ak (Array.map (fun (c, seq) -> ack_msg ~chan:c ~seq ~epoch) chunk)
-         in
-         Array.mapi (fun i (c, seq) -> encode_ack ~chan:c ~seq ~epoch tags.(i)) chunk)
+         let s = Hmac.scratch () in
+         Array.map
+           (fun (c, seq) ->
+             let out = Bytes.create 45 in
+             Bytes.set out 0 'A';
+             set_u32 out 1 c;
+             set_u32 out 5 seq;
+             set_u32 out 9 epoch;
+             Hmac.mac_feed_into ak s
+               (fun ctx ->
+                 Sha256.update ctx "ack|";
+                 Sha256.update_bytes ctx out ~pos:1 ~len:12)
+               out ~pos:13;
+             (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
+             Bytes.unsafe_to_string out)
+           chunk)
   |> Array.concat
   |> Array.iteri (fun i blob ->
          let c, seq = pending.(i) in
@@ -880,22 +910,22 @@ let build_pig_frames t ~e =
     else if t.inflight.(c lxor 1) > 0 && ack >= 0 then frames := (c, ack, None) :: !frames
   done;
   let frames = Array.of_list !frames in
-  let ck = (keys t epoch).ck and payload = t.sp.payload in
-  chunks ~frame_bytes:(16 + payload) frames
+  let ck = (keys t epoch).ck and sp = t.sp in
+  chunks ~frame_bytes:(16 + sp.payload) frames
   |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-         let s = Cipher.scratch () in
+         let s = scratch sp in
          Array.map
            (fun (c, ack, k) ->
-             let nonce, msg =
-               match k with
-               | Some (seq, enq) ->
-                 ( pig_nonce ~tag:61 ~chan:c ~round:e,
-                   encode_pig_data ~ack ~chan:c ~seq ~enq (gen_body ~payload ~chan:c ~seq) )
-               | None ->
-                 ( pig_nonce ~tag:62 ~chan:c ~round:e,
-                   encode_pig_ack ~ack ~chan:c ~epoch ~round:e )
-             in
-             encode_data ~epoch (Cipher.seal_scratch ck s ~nonce msg))
+             match k with
+             | Some (seq, enq) ->
+               put_words s.pt (ack + 1) c seq enq;
+               gen_body_into s.pt ~pos:16 ~payload:sp.payload ~chan:c ~seq;
+               seal_frame ck s ~epoch
+                 ~nonce:(pig_nonce ~tag:61 ~chan:c ~round:e)
+                 (16 + sp.payload)
+             | None ->
+               put_words s.pt ((ack + 1) lor pig_ack_flag) c epoch e;
+               seal_frame ck s ~epoch ~nonce:(pig_nonce ~tag:62 ~chan:c ~round:e) 16)
            chunk)
   |> Array.concat
   |> Array.iteri (fun i blob ->
@@ -1007,66 +1037,67 @@ let act t ~node ~phase ~sends x j =
   end
   else t.heard.((node * t.ly.hops) + j) <- Radio.Engine.listen ~chan
 
-(* Every service node: per phase, run the step if no fiber has yet, then
-   serve its own channel's lane (sending if it is the phase's sender) and,
-   duplex, the heard channel's lane, in slot order; idle through the rest
-   and the sync round.  Nothing is allocated per phase, so no per-node
-   garbage stays live while the fibers are parked. *)
+(* Every service node: per phase, serve its own channel's lane (sending if
+   it is the phase's sender) and, duplex, the heard channel's lane, in
+   slot order, running the phase's step first if no fiber has yet.  The
+   idle rounds between two actions — the rest of a phase, its sync round,
+   the next phase's slots before this node's lane — are taken in one
+   [idle_for] just before the next action, so a node resumes only to act.
+   Lane-0 nodes act in the first slot of every phase, so node 0 still
+   resumes right after the sync round and runs the step there.  Nothing is
+   allocated per phase, so no per-node garbage stays live while the fibers
+   are parked. *)
 let service_body t (ctx : Radio.Engine.ctx) =
   let ly = t.ly and node = ctx.Radio.Engine.id in
+  let phases = Array.length ly.phases in
   let c = node / ly.per_chan and h = heard_chan ly node in
   let lo = if h mod ly.lanes < c mod ly.lanes then h else c in
   let hi = if lo = c then h else c in
+  let owed = ref 0 in
   for e = 0 to ly.emulated - 1 do
-    for phase = 0 to Array.length ly.phases - 1 do
-      if t.stepped < (e * Array.length ly.phases) + phase then step t ~e ~phase;
-      let sends = node mod ly.per_chan = sender t c ~phase in
+    for phase = 0 to phases - 1 do
       let at = ref 0 in
       for k = 0 to (if hi = lo then 0 else 1) do
         let x = if k = 0 then lo else hi in
-        Radio.Engine.idle_for ((x mod ly.lanes * ly.hops) - !at);
+        Radio.Engine.idle_for (!owed + (x mod ly.lanes * ly.hops) - !at);
+        owed := 0;
+        if t.stepped < (e * phases) + phase then step t ~e ~phase;
+        let sends = x = c && node mod ly.per_chan = sender t c ~phase in
         for j = 0 to ly.hops - 1 do
-          act t ~node ~phase ~sends:(sends && x = c) x j
+          act t ~node ~phase ~sends x j
         done;
         at := (x mod ly.lanes * ly.hops) + ly.hops
       done;
-      Radio.Engine.idle_for ((ly.lanes * ly.hops) - !at);
-      Radio.Engine.idle ()
+      owed := !owed + (ly.lanes * ly.hops) - !at + 1
     done
-  done
+  done;
+  Radio.Engine.idle_for !owed
 
 (* Outsiders hold no key.  They snoop (and provably decode nothing) and
    periodically inject well-formed frames sealed under their own key —
    frames that pass every syntactic check and die on the MAC. *)
 let outsider_body t (ctx : Radio.Engine.ctx) =
   let wrong = Cipher.key (Printf.sprintf "outsider-%d" ctx.Radio.Engine.id) in
-  let scr = Cipher.scratch () in
+  let s = scratch t.sp in
   for e = 0 to t.sp.rounds - 1 do
     let epoch = epoch_of ~epoch_len:t.sp.epoch_len ~now:e in
     for r = 0 to t.rpe - 1 do
       if Prng.Rng.int ctx.Radio.Engine.rng 8 = 0 then begin
         let nonce = Int64.of_int (((e * t.rpe) + r) lxor ctx.Radio.Engine.id) in
-        let payload =
-          encode_payload
-            ~chan:(Prng.Rng.int ctx.Radio.Engine.rng t.sp.logical)
-            ~seq:e ~epoch ~enq:e
-            (gen_body ~payload:t.sp.payload ~chan:0 ~seq:e)
-        in
-        let blob = encode_data ~epoch (Cipher.seal_scratch wrong scr ~nonce payload) in
+        (* Channel 0's body under a random channel's header. *)
+        put_data t.sp s ~chan:0 ~seq:e ~epoch ~enq:e;
+        set_u32 s.pt 0 (Prng.Rng.int ctx.Radio.Engine.rng t.sp.logical);
+        let blob = seal_frame wrong s ~epoch ~nonce (16 + t.sp.payload) in
         Radio.Engine.transmit
           ~chan:(Prng.Rng.int ctx.Radio.Engine.rng t.sp.phys)
           (Radio.Frame.Sealed blob)
       end
       else begin
         match Radio.Engine.listen ~chan:(Prng.Rng.int ctx.Radio.Engine.rng t.sp.phys) with
-        | Some (Radio.Frame.Sealed blob) -> (
+        | Some (Radio.Frame.Sealed blob) ->
           t.st.snooped <- t.st.snooped + 1;
-          match decode_data blob with
-          | None -> ()
-          | Some (_, sealed) -> (
-            match Cipher.open_scratch wrong scr sealed with
-            | Some _ -> t.st.plaintext_leaks <- t.st.plaintext_leaks + 1
-            | None -> ()))
+          if String.length blob >= 4 && Cipher.open_into wrong s.cs blob ~pos:4 >= 0 then
+            t.st.plaintext_leaks <- t.st.plaintext_leaks + 1
         | Some _ | None -> ()
       end
     done

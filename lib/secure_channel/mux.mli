@@ -13,13 +13,19 @@
     before, then seals, MACs and places the frames this phase sends, with
     each epoch's keys prepared once per run.  One engine body serves every
     transport and ack mode, reading a per-mode layout (nodes per channel,
-    slots, phases, flush round).  The per-frame part of the step's work —
-    building and sealing payloads, decoding, opening and parsing heard
-    frames, the slotted ack MACs and their verification — fans out in
-    contiguous chunks over the domain pool of the enclosing
-    [Parallel.run] scope (see {!run}), through the {!Crypto.Cipher} /
-    {!Crypto.Hmac} scratch and batch entry points under shared read-only
-    keys.  Everything else is serial: epoch keys are derived before the
+    slots, phases, flush round).  Each service node suspends once per idle
+    span, resuming only to transmit or listen; the step runs at a phase's
+    first action, which node 0 takes in the phase's first slot.  The
+    per-frame part of the step's work — building and sealing payloads,
+    checking, opening and parsing heard frames, the slotted ack MACs and
+    their verification — fans out in contiguous chunks of at most 256
+    items over the domain pool of the enclosing [Parallel.run] scope (see
+    {!run}), through the {!Crypto.Cipher} in-place entry points and the
+    {!Crypto.Hmac} scratch ones under shared read-only keys.  Frames are
+    sealed straight into their wire buffers and opened in place, and a
+    chunk's result array stays small enough to be born on the minor heap,
+    so no chunk forces a minor collection, which would stop every pool
+    domain.  Everything else is serial: epoch keys are derived before the
     fan-out, and every window, queue, counter, latency sample and plan
     entry is updated on the calling domain after the join.  Output is
     identical for every pool size. *)
@@ -141,7 +147,9 @@ type stats = {
   mutable duplicates : int;  (** replay-window hits (lost-ack retransmits) *)
   mutable stale_epoch : int;  (** frames rejected unopened by epoch check *)
   mutable out_of_window : int;
-  mutable bad_frames : int;  (** malformed, MAC-rejected, or spliced frames *)
+  mutable bad_frames : int;
+      (** malformed, MAC-rejected, or spliced frames (sealed for another
+          channel; under Repeat, every heard copy) *)
   mutable shed : int;  (** offered messages dropped by backpressure *)
   mutable retransmissions : int;
   mutable rekeys : int;  (** epoch boundaries crossed *)
@@ -204,8 +212,9 @@ val run : spec -> adversary:Radio.Adversary.t -> result
     inside [Parallel.run ~jobs:(Parallel.default_jobs ())]: an enclosing
     scope's budget wins, so under [Parallel.run ~jobs:1] every chunk runs
     on the calling domain.  A prepare batch below a fixed work grain is a
-    single chunk.  Deterministic in [spec]: byte-identical stats and
-    {!render_stats} whatever the pool size. *)
+    single chunk, and no chunk holds more than 256 frames.  Deterministic
+    in [spec]: byte-identical stats and {!render_stats} whatever the pool
+    size. *)
 
 val render_stats : result -> string
 (** Canonical multi-line rendering of everything observable about the run

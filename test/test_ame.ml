@@ -20,7 +20,9 @@ let messages (v, w) = Printf.sprintf "m-%d-%d" v w
 
 let fame_cfg ?(t = 2) ?(seed = 1L) ?channels () =
   let channels = Option.value channels ~default:(t + 1) in
-  let n = Params.nodes_required Params.default ~channels_used:channels ~budget:t ~channels + 6 in
+  let n =
+    Params.nodes_required Params.default ~channels_used:channels ~budget:t ~channels + 6
+  in
   Radio.Config.make ~n ~channels ~t ~seed ~max_rounds:Radio.Config.default_max_rounds ()
 
 let null_adversary (_ : Oracle.t) = Radio.Adversary.null
@@ -57,7 +59,8 @@ let build_basic () =
   check Alcotest.int "edge source broadcasts" 1 sched.Schedule.broadcaster.(1);
   check (Alcotest.option Alcotest.int) "edge destination receives" (Some 2)
     sched.Schedule.receiver.(1);
-  check Alcotest.int "witnesses are C per channel" 3 (Array.length (Schedule.witness_sets sched).(0));
+  check Alcotest.int "witnesses are C per channel" 3
+    (Array.length (Schedule.witness_sets sched).(0));
   check Alcotest.int "watchers per channel" 9 (Array.length sched.Schedule.watchers.(0));
   (* All assigned nodes distinct. *)
   let assigned =
@@ -318,8 +321,9 @@ let feedback_64_groups () =
     Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null (fun (ctx : Radio.Engine.ctx) ->
         let id = ctx.id in
         outputs.(id) <-
-          Feedback.run ~scratch:(Feedback.make_scratch ~reps:2) ~my_id:id ~rng:ctx.rng ~channels
-            ~witnesses ~witness_size:channels ~my_flag:(id < k * channels && flagged (id / channels)))
+          Feedback.run ~scratch:(Feedback.make_scratch ~reps:2) ~my_id:id ~rng:ctx.rng
+            ~channels ~witnesses ~witness_size:channels
+            ~my_flag:(id < k * channels && flagged (id / channels)))
   in
   check Alcotest.int "rounds = k * reps" (k * 2) result.Radio.Engine.rounds_used;
   Array.iteri
@@ -516,7 +520,10 @@ let fame_wide_channels_faster () =
          ~channels:(2 * t))
     + 6
   in
-  let base = Radio.Config.make ~n ~channels:(t + 1) ~t ~seed:40L ~max_rounds:Radio.Config.default_max_rounds () in
+  let base =
+    Radio.Config.make ~n ~channels:(t + 1) ~t ~seed:40L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let pairs = Workload.disjoint_pairs ~n ~count:8 in
   let narrow =
     Fame.run ~cfg:base ~pairs ~messages
@@ -524,7 +531,10 @@ let fame_wide_channels_faster () =
         Attacks.schedule_jammer board ~channels:(t + 1) ~budget:t ~prefer:Attacks.Any)
       ()
   in
-  let wide_cfg = Radio.Config.make ~n ~channels:(2 * t) ~t ~seed:40L ~max_rounds:Radio.Config.default_max_rounds () in
+  let wide_cfg =
+    Radio.Config.make ~n ~channels:(2 * t) ~t ~seed:40L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let wide =
     Fame.run ~cfg:wide_cfg ~pairs ~messages
       ~adversary:(fun board ->
@@ -538,7 +548,10 @@ let fame_wide_channels_faster () =
 let fame_tree_mode_works () =
   let t = 2 in
   let channels = 2 * t * t in
-  let cfg = Radio.Config.make ~n:55 ~channels ~t ~seed:41L ~max_rounds:Radio.Config.default_max_rounds () in
+  let cfg =
+    Radio.Config.make ~n:55 ~channels ~t ~seed:41L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let pairs = Workload.disjoint_pairs ~n:55 ~count:8 in
   let o =
     Fame.run ~channels_used:4 ~feedback_mode:Fame.Tree ~cfg ~pairs ~messages
@@ -663,8 +676,13 @@ let jammed_low_beta ~t ~channels ~n ~beta ~seed =
 (* The E13 shape: sources 0 and 1 fan out to 20..25 at t = 1, and the
    corrupted nodes 2..5 are the first watchers, hence the surrogates. *)
 let byzantine corruption =
-  let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23; 24; 25 ]) [ 0; 1 ] in
-  let cfg = Radio.Config.make ~n:30 ~channels:2 ~t:1 ~seed:11L ~max_rounds:Radio.Config.default_max_rounds () in
+  let pairs =
+    List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23; 24; 25 ]) [ 0; 1 ]
+  in
+  let cfg =
+    Radio.Config.make ~n:30 ~channels:2 ~t:1 ~seed:11L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   Fame.run ~corrupted:[ 2; 3; 4; 5 ] ~corruption ~cfg ~pairs ~messages
     ~adversary:(Experiments.Common.schedule_jam ~channels:2 ~budget:1)
     ()
@@ -701,14 +719,18 @@ let fame_outcome_pins () =
   let pins =
     [ ( "sequential C=t+1",
         (let cfg = fame_cfg ~t:2 ~seed:2L () in
-         Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8) ~messages
+         Fame.run ~cfg
+           ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8)
+           ~messages
            ~adversary:(fun board ->
              Attacks.schedule_jammer board ~channels:3 ~budget:2 ~prefer:Attacks.Prefer_edges)
            ()),
         "6ddf0b537130be57dc0cf990d125be2211adaefacc1dd405ebe54a1f37199eb9" );
       ( "sequential C=2t",
         (let cfg = fame_cfg ~t:2 ~channels:4 ~seed:40L () in
-         Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8) ~messages
+         Fame.run ~cfg
+           ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:8)
+           ~messages
            ~adversary:(fun board ->
              Attacks.schedule_jammer board ~channels:4 ~budget:2 ~prefer:Attacks.Any)
            ()),
@@ -732,12 +754,16 @@ let fame_outcome_pins () =
         "2136f6580a9e5b5fecaa7886daffcb286e030568f2c4a458c0e1e09548858646" );
       ( "observing jammer",
         (let cfg = fame_cfg ~t:1 ~seed:5L () in
-         Fame.run ~cfg ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:5) ~messages
+         Fame.run ~cfg
+           ~pairs:(Workload.disjoint_pairs ~n:cfg.Radio.Config.n ~count:5)
+           ~messages
            ~adversary:(fun _ ->
              Radio.Adversary.reactive_jammer (Prng.Rng.create 6L) ~channels:2 ~budget:1)
            ()),
         "d26fe7b2b7a8c04b8d8c93f2c4065a5adb6c0d1a5fd493154996ccceb0d8c9e2" );
-      ("cut by max_rounds", cut, "9ff72f71c7a657f66754169122413a85b3ee72e498430068a6fe78ccfdc6eaf4");
+      ( "cut by max_rounds",
+        cut,
+        "9ff72f71c7a657f66754169122413a85b3ee72e498430068a6fe78ccfdc6eaf4" );
       (* Nodes end the game in different states with no other sign of
          trouble on the way: only the final-state digests flag it. *)
       ( "diverged at the final digests",
@@ -824,7 +850,9 @@ let direct_delivers_without_adversary () =
 let direct_rejects_self_loop () =
   let cfg = fame_cfg () in
   Alcotest.check_raises "self-loop pair" (Invalid_argument "Digraph: self-loop") (fun () ->
-      ignore (Fame.run ~play:Fame.Direct ~cfg ~pairs:[ (0, 1); (2, 2) ] ~messages ~adversary:null_adversary ()))
+      ignore
+        (Fame.run ~play:Fame.Direct ~cfg ~pairs:[ (0, 1); (2, 2) ] ~messages
+           ~adversary:null_adversary ()))
 
 let direct_triangle_lower_bound () =
   (* The Section 5 argument: t disjoint triangles, triangle-aware jamming,
@@ -1057,7 +1085,10 @@ let compact_hashes_separate () =
 
 let compact_end_to_end_under_spoof_flood () =
   let t = 1 in
-  let cfg = Radio.Config.make ~n:24 ~channels:2 ~t ~seed:95L ~max_rounds:Radio.Config.default_max_rounds () in
+  let cfg =
+    Radio.Config.make ~n:24 ~channels:2 ~t ~seed:95L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let sources = [ 0; 1; 2; 3 ] and dests = [ 10; 11; 12 ] in
   let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) dests) sources in
   let o =
@@ -1080,7 +1111,10 @@ let compact_frames_constant_size () =
   let run_fan k =
     let dests = List.init k (fun i -> 10 + i) in
     let pairs = List.map (fun w -> (0, w)) dests @ List.map (fun w -> (1, w)) dests in
-    let cfg = Radio.Config.make ~n:(16 + k) ~channels:2 ~t ~seed:96L ~max_rounds:Radio.Config.default_max_rounds () in
+    let cfg =
+      Radio.Config.make ~n:(16 + k) ~channels:2 ~t ~seed:96L
+        ~max_rounds:Radio.Config.default_max_rounds ()
+    in
     let o =
       Compact.run ~cfg ~pairs ~messages
         ~gossip_adversary:(fun _ -> Radio.Adversary.null)
@@ -1129,7 +1163,8 @@ let () =
       ( "schedule",
         [ Alcotest.test_case "basic build" `Quick build_basic;
           Alcotest.test_case "surrogate substitution" `Quick build_uses_surrogate;
-          Alcotest.test_case "missing surrogate diverges" `Quick build_divergence_on_missing_surrogate;
+          Alcotest.test_case "missing surrogate diverges" `Quick
+            build_divergence_on_missing_surrogate;
           Alcotest.test_case "node shortage diverges" `Quick build_divergence_when_nodes_short;
           Alcotest.test_case "deterministic" `Quick build_deterministic;
           Alcotest.test_case "role partition" `Quick roles_cover_everyone_once;
@@ -1143,11 +1178,13 @@ let () =
           Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes;
           Alcotest.test_case "64 witness groups" `Quick feedback_64_groups;
           Alcotest.test_case "scratch reused across runs" `Quick feedback_scratch_reuse;
-          Alcotest.test_case "steady-state allocation" `Quick feedback_steady_state_allocation ] );
+          Alcotest.test_case "steady-state allocation" `Quick
+            feedback_steady_state_allocation ] );
       ( "fame",
         [ Alcotest.test_case "clean delivery" `Quick fame_delivers_without_adversary;
           Alcotest.test_case "t-disruptability" `Slow fame_t_disruptable_under_jamming;
-          Alcotest.test_case "authentication under spoofing" `Quick fame_authentic_under_spoofing;
+          Alcotest.test_case "authentication under spoofing" `Quick
+            fame_authentic_under_spoofing;
           Alcotest.test_case "sender awareness" `Quick fame_sender_awareness;
           Alcotest.test_case "deterministic" `Quick fame_deterministic;
           Alcotest.test_case "argument validation" `Quick fame_validates_arguments;
@@ -1167,7 +1204,8 @@ let () =
           Alcotest.test_case "outcome pins" `Quick direct_outcome_pins;
           Alcotest.test_case "fame beats triangles" `Slow fame_beats_triangle_adversary ] );
       ( "naive",
-        [ Alcotest.test_case "genuine without adversary" `Quick naive_genuine_without_adversary;
+        [ Alcotest.test_case "genuine without adversary" `Quick
+            naive_genuine_without_adversary;
           Alcotest.test_case "fooled by simulation" `Quick naive_fooled_by_simulation ] );
       ( "gossip",
         [ Alcotest.test_case "completes cleanly" `Quick gossip_completes_cleanly;
@@ -1175,8 +1213,11 @@ let () =
       ( "compact",
         [ Alcotest.test_case "calendar layout" `Quick compact_calendar_layout;
           Alcotest.test_case "hash domains separate" `Quick compact_hashes_separate;
-          Alcotest.test_case "end-to-end under spoof flood" `Slow compact_end_to_end_under_spoof_flood;
+          Alcotest.test_case "end-to-end under spoof flood" `Slow
+            compact_end_to_end_under_spoof_flood;
           Alcotest.test_case "constant frame size" `Slow compact_frames_constant_size ] );
       ( "attacks",
-        [ Alcotest.test_case "triangle jammer selective" `Quick triangle_jammer_targets_only_triples;
-          Alcotest.test_case "schedule jammer preference" `Quick schedule_jammer_prefers_edges ] ) ]
+        [ Alcotest.test_case "triangle jammer selective" `Quick
+            triangle_jammer_targets_only_triples;
+          Alcotest.test_case "schedule jammer preference" `Quick
+            schedule_jammer_prefers_edges ] ) ]

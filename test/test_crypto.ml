@@ -439,7 +439,8 @@ let prf_keystream_into_constant_alloc () =
   let out = Bytes.create 4096 in
   let words len =
     minor_words_per_call (fun () ->
-        Prf.Keyed.keystream_into keyed s ~nonce:"01234567" out ~pos:0 ~len)
+        Prf.Keyed.keystream_into keyed s ~nonce:"01234567" ~nonce_off:0 ~nonce_len:8 out ~pos:0
+          ~len)
   in
   let short = words 32 and long = words 4096 in
   (* One [feed] closure per call, never one per block. *)
@@ -455,6 +456,118 @@ let cipher_seal_scratch_alloc () =
      closures; anything per block is a regression. *)
   if words > float_of_int (outputs + 16) then
     Alcotest.failf "seal_scratch allocates %.1f words for a %d-word 1040 B frame" words outputs
+
+(* The in-place path writes only the caller's frame buffer and the
+   scratch: its allocation is the keystream's and the tag's feed closures
+   (16 words), the same at 32 B as at 1 KiB. *)
+let cipher_in_place_alloc () =
+  let ck = Cipher.key "alloc-key" and s = Cipher.scratch () in
+  let words len =
+    let plain = Bytes.of_string (counting len) in
+    let out = Bytes.create (Cipher.frame_size len) in
+    let seal =
+      minor_words_per_call (fun () -> Cipher.seal_into ck s ~nonce:1L plain ~len out ~pos:0)
+    in
+    let blob = Bytes.to_string out in
+    (seal, minor_words_per_call (fun () -> ignore (Cipher.open_into ck s blob ~pos:0)))
+  in
+  let seal_short, open_short = words 32 and seal_long, open_long = words 1040 in
+  List.iter
+    (fun (what, short, long) ->
+      if short > 16. || Float.abs (long -. short) > 0.01 then
+        Alcotest.failf "%s allocates %.2f words at 32 B, %.2f at 1040 B" what short long)
+    [ ("seal_into", seal_short, seal_long); ("open_into", open_short, open_long) ]
+
+(* Blob mangles for the in-place open, on top of an honest frame. *)
+type mangle =
+  | Honest
+  | Garbage of string
+  | Truncate of int
+  | Flip of int
+  | Length of int * int  (** field 0..2 (nonce, body, tag) gets this length *)
+  | Splice_body
+  | Splice_tag
+  | Wrong_key
+
+let mangle_gen =
+  QCheck.Gen.(
+    oneof
+      [ return Honest;
+        map (fun g -> Garbage g) (string_size (int_bound 120));
+        map (fun i -> Truncate i) nat;
+        map (fun i -> Flip i) nat;
+        map2 (fun f v -> Length (f, v)) (int_bound 2)
+          (oneof [ int_bound 300; map (fun x -> x land 0xFFFF_FFFF) int ]);
+        return Splice_body;
+        return Splice_tag;
+        return Wrong_key ])
+
+let cipher_seal_into_equals_encode =
+  QCheck.Test.make ~name:"seal_into = encode (seal_scratch) at its offset" ~count:200
+    QCheck.(
+      quad
+        (string_of_size (Gen.int_range 0 60))
+        int64
+        (string_of_size (Gen.int_range 0 200))
+        (int_range 0 9))
+    (fun (key, nonce, plaintext, pos) ->
+      let ck = Cipher.key key and s = Cipher.scratch () in
+      let len = String.length plaintext in
+      let size = Cipher.frame_size len in
+      let out = Bytes.make (pos + size + 3) 'Z' in
+      (* Only the first [len] bytes of the plaintext buffer are sealed. *)
+      Cipher.seal_into ck s ~nonce (Bytes.of_string (plaintext ^ "tail")) ~len out ~pos;
+      let expect = Cipher.encode (Cipher.seal_scratch ck s ~nonce plaintext) in
+      String.length expect = size
+      && Bytes.sub_string out pos size = expect
+      && Bytes.sub_string out 0 pos = String.make pos 'Z'
+      && Bytes.sub_string out (pos + size) 3 = "ZZZ")
+
+let cipher_open_into_agrees =
+  QCheck.Test.make ~name:"open_into = decode + open_scratch on mangled frames" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          quad (string_size (int_bound 40)) (string_size (int_bound 100)) (int_bound 6)
+            mangle_gen))
+    (fun (key, plaintext, prefix, mangle) ->
+      let ck = Cipher.key key and s = Cipher.scratch () in
+      let sealed = Cipher.seal_scratch ck s ~nonce:7L plaintext in
+      let other = Cipher.seal_scratch ck s ~nonce:8L (plaintext ^ "!") in
+      let honest = Cipher.encode sealed in
+      let blob =
+        match mangle with
+        | Honest | Wrong_key -> honest
+        | Garbage g -> g
+        | Truncate i -> String.sub honest 0 (i mod String.length honest)
+        | Flip i ->
+          let b = Bytes.of_string honest and k = i mod (8 * String.length honest) in
+          let flipped = Char.code (Bytes.get b (k / 8)) lxor (1 lsl (k mod 8)) in
+          Bytes.set b (k / 8) (Char.chr flipped);
+          Bytes.to_string b
+        | Length (field, v) ->
+          let b = Bytes.of_string honest in
+          let at = [| 0; 12; 16 + String.length plaintext |].(field) in
+          Bytes.set_int32_be b at (Int32.of_int v);
+          Bytes.to_string b
+        | Splice_body -> Cipher.encode { sealed with Cipher.body = other.Cipher.body }
+        | Splice_tag -> Cipher.encode { sealed with Cipher.tag = other.Cipher.tag }
+      in
+      let k = match mangle with Wrong_key -> Cipher.key (key ^ "x") | _ -> ck in
+      let wire = String.make prefix '#' ^ blob in
+      let expect =
+        Option.bind (Cipher.decode blob) (Cipher.open_scratch k (Cipher.scratch ()))
+      in
+      let got =
+        match Cipher.open_into k s wire ~pos:prefix with
+        | n when n < 0 -> None
+        | n -> Some (Bytes.sub_string (Cipher.plain s) 0 n)
+      in
+      let decoded = Cipher.decode blob in
+      (* [decode] shares the parser: it must also give back exactly [blob]. *)
+      Option.fold ~none:true ~some:(fun d -> Cipher.encode d = blob) decoded
+      && Cipher.framed wire ~pos:prefix = Option.is_some decoded
+      && got = expect)
 
 (* -- batch entry points: byte-identical to the keyed per-message forms.
 
@@ -520,7 +633,9 @@ let prf_keystream_into_equals_keystream =
       let keyed = Prf.Keyed.create key in
       let scratch = Prf.Keyed.scratch () in
       let out = Bytes.make (pos + len) 'Z' in
-      Prf.Keyed.keystream_into keyed scratch ~nonce out ~pos ~len;
+      (* The nonce is read in place, as a slice of a wider frame. *)
+      Prf.Keyed.keystream_into keyed scratch ~nonce:("<<" ^ nonce ^ ">>>") ~nonce_off:2
+        ~nonce_len:(String.length nonce) out ~pos ~len;
       (* The CTR construction spelled out: block [i] is [Keyed.bytes] under
          the label ["ks|" ^ nonce] and counter [i]. *)
       let blocks =
@@ -672,10 +787,13 @@ let () =
           Alcotest.test_case "batch cross-frame tamper" `Quick
             cipher_batch_rejects_cross_frame_tamper;
           Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch;
-          Alcotest.test_case "seal vector" `Quick cipher_seal_vector ] );
+          Alcotest.test_case "seal vector" `Quick cipher_seal_vector;
+          qcheck cipher_seal_into_equals_encode;
+          qcheck cipher_open_into_agrees ] );
       ( "alloc",
         [ Alcotest.test_case "mac_feed_into allocation-free" `Quick hmac_mac_feed_into_no_alloc;
           Alcotest.test_case "keystream_into constant in length" `Quick
             prf_keystream_into_constant_alloc;
           Alcotest.test_case "seal_scratch allocates its outputs" `Quick
-            cipher_seal_scratch_alloc ] ) ]
+            cipher_seal_scratch_alloc;
+          Alcotest.test_case "in-place seal and open" `Quick cipher_in_place_alloc ] ) ]

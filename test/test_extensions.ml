@@ -54,7 +54,9 @@ let rekey_cheaper_than_setup () =
 let rekey_rejects_compromised_leader () =
   let cfg, prev = Lazy.force setup_once in
   try
-    ignore (Rekey.run ~cfg ~previous:prev ~compromised:[ 0 ] ~hop_adversary:Radio.Adversary.null ());
+    ignore
+      (Rekey.run ~cfg ~previous:prev ~compromised:[ 0 ]
+         ~hop_adversary:Radio.Adversary.null ());
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
@@ -62,8 +64,13 @@ let rekey_rejects_compromised_leader () =
 
 let corrupted_surrogates_poison_fame () =
   let t = 1 in
-  let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ] in
-  let cfg = Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L ~max_rounds:Radio.Config.default_max_rounds () in
+  let pairs =
+    List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ]
+  in
+  let cfg =
+    Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let o =
     Ame.Fame.run ~corrupted:[ 2; 3; 4; 5 ] ~corruption:Ame.Fame.Forge_as_surrogate ~cfg
       ~pairs ~messages
@@ -81,8 +88,13 @@ let lying_witnesses_break_agreement () =
      deliveries.  This is why the paper leaves Byzantine t-disruptability
      open. *)
   let t = 1 in
-  let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ] in
-  let cfg = Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L ~max_rounds:Radio.Config.default_max_rounds () in
+  let pairs =
+    List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ]
+  in
+  let cfg =
+    Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let o =
     Ame.Fame.run ~corrupted:[ 2; 3; 4; 5 ] ~corruption:Ame.Fame.Lie_as_witness ~cfg ~pairs
       ~messages
@@ -93,8 +105,13 @@ let lying_witnesses_break_agreement () =
 
 let direct_immune_to_corrupt_relays () =
   let t = 1 in
-  let pairs = List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ] in
-  let cfg = Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L ~max_rounds:Radio.Config.default_max_rounds () in
+  let pairs =
+    List.concat_map (fun v -> List.map (fun w -> (v, w)) [ 20; 21; 22; 23 ]) [ 0; 1 ]
+  in
+  let cfg =
+    Radio.Config.make ~n:30 ~channels:2 ~t ~seed:11L
+      ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   (* The direct play has no surrogates at all: no relay to corrupt. *)
   let o =
     Ame.Fame.run ~play:Ame.Fame.Direct ~cfg ~pairs ~messages
@@ -208,7 +225,9 @@ let secret_bits_partial_eavesdropping () =
 
 let secret_bits_jamming_slows_but_preserves () =
   let cfg = Radio.Config.make ~n:6 ~channels:4 ~t:1 ~seed:42L () in
-  let quiet = Ame.Secret_bits.run ~rounds:80 ~cfg ~sender:0 ~receiver:1 ~eavesdrop_channels:1 () in
+  let quiet =
+    Ame.Secret_bits.run ~rounds:80 ~cfg ~sender:0 ~receiver:1 ~eavesdrop_channels:1 ()
+  in
   let jammed =
     Ame.Secret_bits.run ~rounds:80 ~cfg ~sender:0 ~receiver:1 ~eavesdrop_channels:1
       ~jam_budget:1 ()
@@ -240,9 +259,13 @@ let energy_bounded_fame_stays_sound () =
   let t = 2 in
   let channels = t + 1 in
   let n =
-    Ame.Params.nodes_required Ame.Params.default ~channels_used:channels ~budget:t ~channels + 6
+    Ame.Params.nodes_required Ame.Params.default ~channels_used:channels ~budget:t
+      ~channels
+    + 6
   in
-  let cfg = Radio.Config.make ~n ~channels ~t ~seed:13L ~max_rounds:Radio.Config.default_max_rounds () in
+  let cfg =
+    Radio.Config.make ~n ~channels ~t ~seed:13L ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let pairs = Rgraph.Workload.disjoint_pairs ~n ~count:8 in
   let o =
     Ame.Fame.run ~cfg ~pairs ~messages
@@ -265,11 +288,15 @@ let () =
         [ Alcotest.test_case "excludes compromised" `Slow rekey_excludes_compromised;
           Alcotest.test_case "fresh key" `Slow rekey_produces_fresh_key;
           Alcotest.test_case "cheaper than setup" `Slow rekey_cheaper_than_setup;
-          Alcotest.test_case "rejects compromised leader" `Slow rekey_rejects_compromised_leader ] );
+          Alcotest.test_case "rejects compromised leader" `Slow
+            rekey_rejects_compromised_leader ] );
       ( "byzantine",
-        [ Alcotest.test_case "corrupt surrogates poison f-AME" `Quick corrupted_surrogates_poison_fame;
-          Alcotest.test_case "lying witnesses break agreement" `Quick lying_witnesses_break_agreement;
-          Alcotest.test_case "direct exchange immune" `Quick direct_immune_to_corrupt_relays ] );
+        [ Alcotest.test_case "corrupt surrogates poison f-AME" `Quick
+            corrupted_surrogates_poison_fame;
+          Alcotest.test_case "lying witnesses break agreement" `Quick
+            lying_witnesses_break_agreement;
+          Alcotest.test_case "direct exchange immune" `Quick
+            direct_immune_to_corrupt_relays ] );
       ( "unicast",
         [ Alcotest.test_case "concurrent delivery" `Quick unicast_delivers_concurrently;
           Alcotest.test_case "rejects overlapping endpoints" `Quick unicast_rejects_overlap;
@@ -278,8 +305,10 @@ let () =
       ( "secret-bits",
         [ Alcotest.test_case "keys match" `Quick secret_bits_keys_match;
           Alcotest.test_case "partial eavesdropping" `Quick secret_bits_partial_eavesdropping;
-          Alcotest.test_case "jamming tolerated" `Quick secret_bits_jamming_slows_but_preserves ] );
+          Alcotest.test_case "jamming tolerated" `Quick
+            secret_bits_jamming_slows_but_preserves ] );
       ( "energy",
         [ Alcotest.test_case "budget respected" `Quick energy_budget_respected;
           Alcotest.test_case "zero budget silent" `Quick energy_zero_is_silent;
-          Alcotest.test_case "fame sound under bounded energy" `Quick energy_bounded_fame_stays_sound ] ) ]
+          Alcotest.test_case "fame sound under bounded energy" `Quick
+            energy_bounded_fame_stays_sound ] ) ]

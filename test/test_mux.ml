@@ -587,8 +587,8 @@ let step_pig_foreign_ack_ignored () =
 (* Seeded decoder fuzz through the step: one mutated frame heard on
    channel 0 after [rounds] honest rounds.  Nothing may raise, nothing is
    delivered, and each non-authentic frame is counted exactly once, as bad
-   or stale.  A valid frame of another channel is a splice: bad on an
-   acked channel, and under Repeat overheard traffic that is ignored. *)
+   or stale.  A valid frame of another channel is a splice, bad under
+   every transport. *)
 type mutation =
   | Flip of int
   | Truncate of int
@@ -668,13 +668,83 @@ let step_decoder_fuzz =
       Step.hear t ~node:(List.hd nodes) ~hop:0 (Some heard);
       if phase = 0 && phases spec = 2 then Step.step t ~e:rounds ~phase:1
       else Step.step t ~e:(rounds + 1) ~phase:0;
-      let expect =
-        match (mutation, spec.Mux.transport) with Splice, Mux.Repeat _ -> 0 | _ -> 1
-      in
       s.Mux.forged_accepts = 0
       && s.Mux.delivered = delivered
       && s.Mux.acked = acked
-      && rejects () - before = expect)
+      && rejects () - before = 1)
+
+(* The step's allocation at 1,024 channels, engine-free.  A perfect radio
+   for three emulated rounds, then one step per phase of round 3, each
+   judging the 1,024 frames heard in the phase before and planning the
+   next 1,024.  Every step runs outside a [Parallel.run] scope, so on the
+   calling domain. *)
+let alloc_spec ack_mode =
+  Mux.make ~key ~logical:1024 ~phys:16 ~budget:1 ~ack_mode ~rounds:8 ()
+
+let deliver_planned spec t ~phase =
+  for chan = 0 to spec.Mux.logical - 1 do
+    match Step.planned t ~chan ~phase with
+    | Some (member, frame) -> hear_all t (hearers spec chan ~member) frame
+    | None -> ()
+  done
+
+let count_planned spec t ~phase =
+  let n = ref 0 in
+  for chan = 0 to spec.Mux.logical - 1 do
+    if Option.is_some (Step.planned t ~chan ~phase) then incr n
+  done;
+  !n
+
+(* Minor words per planned and judged frame, and the minor collections one
+   step took, for each phase of round 3.  The minor heap is enlarged (and
+   emptied) first, so no collection is due to a full heap: each one
+   counted is forced, by an array of more than [Max_young_wosize] (256)
+   items built from a young first element. *)
+let step_alloc ack_mode =
+  let spec = alloc_spec ack_mode in
+  let t = Step.create spec in
+  let phases = phases spec in
+  for e = 0 to 2 do
+    for p = 0 to phases - 1 do
+      Step.step t ~e ~phase:p;
+      deliver_planned spec t ~phase:p
+    done
+  done;
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 4 lsl 20 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set gc)
+    (fun () ->
+      List.init phases (fun p ->
+          Gc.full_major ();
+          let words = Gc.minor_words () and minors = (Gc.quick_stat ()).Gc.minor_collections in
+          Step.step t ~e:3 ~phase:p;
+          let words = Gc.minor_words () -. words
+          and minors = (Gc.quick_stat ()).Gc.minor_collections - minors in
+          let frames = spec.Mux.logical + count_planned spec t ~phase:p in
+          deliver_planned spec t ~phase:p;
+          (words /. float_of_int frames, minors)))
+
+(* At most [words_cap] minor words per planned and judged frame: the
+   frames themselves, the serial plan and judgement records, and two feed
+   closures per seal or open.  Sealing and opening through record-form
+   frames took 170 (piggybacked) and 104 / 119 (slotted data / ack step);
+   the in-place path takes 50, 41 and 31. *)
+let words_cap = 64.
+
+(* Minor collections one step may take: exactly its serial arrays of
+   1,024 young descriptors — the heard frames ([sealed_heard]) and the
+   plan ([heads], [frames], [pending]), plus the slotted ack judgement's
+   filtered list — so the per-chunk fan-out forces none.  Chunks as long
+   as the batch took 4, 4 and 6. *)
+let step_alloc_pinned ack_mode ~serial () =
+  List.iteri
+    (fun p ((words, minors), serial) ->
+      if words > words_cap then
+        Alcotest.failf "phase %d: %.1f minor words per frame (cap %.0f)" p words words_cap;
+      if minors > serial then
+        Alcotest.failf "phase %d: %d minor collections, %d of them serial" p minors serial)
+    (List.combine (step_alloc ack_mode) serial)
 
 let () =
   Alcotest.run "mux"
@@ -727,4 +797,9 @@ let () =
             step_pig_foreign_ack_ignored;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 23 |])
-            step_decoder_fuzz ] ) ]
+            step_decoder_fuzz;
+          Alcotest.test_case "piggybacked 1024: allocation pinned" `Quick
+            (step_alloc_pinned Mux.Piggybacked ~serial:[ 2 ]);
+          Alcotest.test_case "slotted 1024: allocation pinned" `Quick
+            (step_alloc_pinned Mux.Slotted ~serial:[ 3; 2 ]) ] ) ]
+
