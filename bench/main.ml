@@ -169,6 +169,23 @@ let micro_tests ~quick =
     Test.make ~name:"crypto/seal-64B"
       (Staged.stage (fun () -> ignore (Crypto.Cipher.seal ~key:"k" ~nonce:7L sha_input_small)))
   in
+  (* The mux's per-frame path: seal and open in place under a prepared key
+     and scratch, at svc-small's 32 B and svc-bulk's 1040 B payloads. *)
+  let ck = Crypto.Cipher.key "bench-key" and cs = Crypto.Cipher.scratch () in
+  let seal_into len =
+    let plain = Bytes.make len 'p' and out = Bytes.create (Crypto.Cipher.frame_size len) in
+    Test.make
+      ~name:(Printf.sprintf "crypto/seal-into-%dB" len)
+      (Staged.stage (fun () -> Crypto.Cipher.seal_into ck cs ~nonce:7L plain ~len out ~pos:0))
+  in
+  let open_into len =
+    let out = Bytes.create (Crypto.Cipher.frame_size len) in
+    Crypto.Cipher.seal_into ck cs ~nonce:7L (Bytes.make len 'p') ~len out ~pos:0;
+    let frame = Bytes.to_string out in
+    Test.make
+      ~name:(Printf.sprintf "crypto/open-into-%dB" len)
+      (Staged.stage (fun () -> ignore (Crypto.Cipher.open_into ck cs frame ~pos:0)))
+  in
   let vc =
     let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n:8) in
     Test.make ~name:"graph/min-vertex-cover-K8"
@@ -253,8 +270,10 @@ let micro_tests ~quick =
     Test.make ~name:"crypto/hmac-sha256-keyed"
       (Staged.stage (fun () -> ignore (Crypto.Hmac.mac_keyed handle sha_input_small)))
   in
-  [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac; hmac_keyed; dh; seal;
-    vc; greedy_move; game_full; engine_round; listen_series; fame_small; engine_small; engine_2t2; prf_naive; prf_keyed ]
+  [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac;
+    hmac_keyed; dh; seal; seal_into 32; seal_into 1040; open_into 1040; vc; greedy_move;
+    game_full; engine_round; listen_series; fame_small; engine_small; engine_2t2; prf_naive;
+    prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 
 type micro_row = {

@@ -9,16 +9,37 @@ let run ?(max_rounds = 200_000) ~cfg ~rumors ~adversary () =
   let channels = cfg.Radio.Config.channels in
   let n = cfg.Radio.Config.n in
   let budget = cfg.Radio.Config.t in
-  (* known.(i) maps owner -> rumor body as node i believes it. *)
-  let known = Array.init n (fun i -> let h = Hashtbl.create 16 in Hashtbl.replace h i (rumors i); h) in
-  let completion_round = ref None in
-  let complete () =
-    let enough = n - budget in
-    let with_enough =
-      Array.fold_left (fun acc h -> if Hashtbl.length h >= enough then acc + 1 else acc) 0 known
-    in
-    with_enough >= enough
+  (* known.(i).(owner) is the rumor body node i believes for [owner];
+     count.(i) how many it knows.  [with_enough] counts the nodes that know
+     at least [enough], kept as nodes learn, so the completion check is
+     O(1) (every node knows its own rumor, so with [enough <= 1] all
+     count from the start).  vector.(i) caches node i's transmitted vector
+     (owner-ascending); learning a rumor drops it. *)
+  let enough = n - budget in
+  let known =
+    Array.init n (fun i -> Array.init n (fun o -> if o = i then Some (rumors i) else None))
   in
+  let count = Array.make n 1 in
+  let with_enough = ref (if 1 >= enough then n else 0) in
+  let vector = Array.make n None in
+  let learn id owner body =
+    known.(id).(owner) <- Some body;
+    count.(id) <- count.(id) + 1;
+    if count.(id) = enough then incr with_enough;
+    vector.(id) <- None
+  in
+  let vector_of id =
+    match vector.(id) with
+    | Some v -> v
+    | None ->
+      let v = ref [] in
+      for o = n - 1 downto 0 do
+        match known.(id).(o) with Some body -> v := (o, body) :: !v | None -> ()
+      done;
+      vector.(id) <- Some !v;
+      !v
+  in
+  let completion_round = ref None in
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
     let r = ref 0 in
@@ -27,30 +48,35 @@ let run ?(max_rounds = 200_000) ~cfg ~rumors ~adversary () =
       let chan = Prng.Rng.int ctx.rng channels in
       if Prng.Rng.bool ctx.rng then begin
         Radio.Engine.transmit ~chan
-          (Radio.Frame.Vector { owner = id; entries = Det.bindings known.(id) })
+          (Radio.Frame.Vector { owner = id; entries = vector_of id })
       end
       else begin
         match Radio.Engine.listen ~chan with
         | Some (Radio.Frame.Vector { entries; _ }) ->
           List.iter
             (fun (owner, body) ->
-              if owner >= 0 && owner < n && not (Hashtbl.mem known.(id) owner) then
-                Hashtbl.replace known.(id) owner body)
+              if owner >= 0 && owner < n && Option.is_none known.(id).(owner) then
+                learn id owner body)
             entries
         | Some _ | None -> ()
       end;
       (* The last node to act each round evaluates the global completion
          predicate (simulation-level instrumentation, not protocol logic). *)
-      if id = n - 1 && Option.is_none !completion_round && complete () then
+      if id = n - 1 && Option.is_none !completion_round && !with_enough >= enough then
         completion_round := Some !r
     done
   in
   let engine = Radio.Engine.run_nodes cfg ~adversary node_body in
-  let coverage = Array.map Hashtbl.length known in
   let fake_rumors_accepted =
     Array.fold_left
-      (fun acc h ->
-        Det.fold (fun owner body acc -> if body <> rumors owner then acc + 1 else acc) h acc)
+      (fun acc row ->
+        let fakes = ref acc in
+        Array.iteri
+          (fun owner -> function
+            | Some body when body <> rumors owner -> incr fakes
+            | Some _ | None -> ())
+          row;
+        !fakes)
       0 known
   in
-  { engine; rounds_to_completion = !completion_round; coverage; fake_rumors_accepted }
+  { engine; rounds_to_completion = !completion_round; coverage = count; fake_rumors_accepted }

@@ -1,5 +1,9 @@
 type sealed = { nonce : string; body : string; tag : string }
 
+(* Every nonce is [nonce_len] bytes: the keystream is a PRF only on
+   inputs of one length under one key (see {!Prf.Keyed.keystream}). *)
+let nonce_len = 8
+
 let enc_key key = Sha256.digest ("cipher-enc|" ^ key)
 let mac_key key = Sha256.digest ("cipher-mac|" ^ key)
 
@@ -54,23 +58,27 @@ let tag_into k s nonce ~noff ~nlen body ~boff ~blen out ~pos =
       Sha256.feed_string ctx body ~off:boff ~len:blen)
     out ~pos
 
-(* Check the tag over nonce || body against the [tlen]-byte slice at
-   [toff] of [tag], then decrypt the body into [dst] at [dpos]. *)
+(* Reject a nonce of any other length before any work, then check the tag
+   over nonce || body against the [tlen]-byte slice at [toff] of [tag],
+   then decrypt the body into [dst] at [dpos]. *)
 let verify_crypt k s nonce ~noff ~nlen body ~boff ~blen tag ~toff ~tlen dst ~dpos =
-  tag_into k s nonce ~noff ~nlen body ~boff ~blen s.tag_buf ~pos:0;
-  let ok = Hmac.equal_ct_sub ~expect:s.tag_buf tag ~pos:toff ~len:tlen in
-  if ok then crypt k s nonce ~noff ~nlen body ~spos:boff dst ~dpos ~len:blen;
-  ok
+  nlen = nonce_len
+  && begin
+    tag_into k s nonce ~noff ~nlen body ~boff ~blen s.tag_buf ~pos:0;
+    let ok = Hmac.equal_ct_sub ~expect:s.tag_buf tag ~pos:toff ~len:tlen in
+    if ok then crypt k s nonce ~noff ~nlen body ~spos:boff dst ~dpos ~len:blen;
+    ok
+  end
 
 let seal_scratch k s ~nonce plaintext =
-  let n = Bytes.create 8 in
+  let n = Bytes.create nonce_len in
   Bytes.set_int64_be n 0 nonce;
   let nonce = Bytes.unsafe_to_string n in
   let len = String.length plaintext in
   let body = Bytes.create len and tag = Bytes.create Sha256.digest_size in
-  crypt k s nonce ~noff:0 ~nlen:8 plaintext ~spos:0 body ~dpos:0 ~len;
+  crypt k s nonce ~noff:0 ~nlen:nonce_len plaintext ~spos:0 body ~dpos:0 ~len;
   let body = Bytes.unsafe_to_string body in
-  tag_into k s nonce ~noff:0 ~nlen:8 body ~boff:0 ~blen:len tag ~pos:0;
+  tag_into k s nonce ~noff:0 ~nlen:nonce_len body ~boff:0 ~blen:len tag ~pos:0;
   { nonce; body; tag = Bytes.unsafe_to_string tag }
 
 let open_scratch k s { nonce; body; tag } =
@@ -100,7 +108,7 @@ let open_ ~key:raw sealed = open_keyed (key raw) sealed
 (* Wire encoding: three fields, each a big-endian u32 length and its
    bytes — nonce, body, tag. *)
 
-let frame_size len = 12 + 8 + len + Sha256.digest_size
+let frame_size len = 12 + nonce_len + len + Sha256.digest_size
 
 let set_len out pos len = Bytes.set_int32_be out pos (Int32.of_int len)
 
@@ -123,16 +131,17 @@ let framed s ~pos = fields s ~pos >= 0
 
 let seal_into k s ~nonce plain ~len out ~pos =
   let body = pos + 16 in
-  set_len out pos 8;
+  set_len out pos nonce_len;
   Bytes.set_int64_be out (pos + 4) nonce;
   set_len out (pos + 12) len;
   (* Read-only views for the length of this call: the nonce is written
      before and never after, the body before the tag reads it. *)
   let wire = Bytes.unsafe_to_string out in
-  crypt k s wire ~noff:(pos + 4) ~nlen:8 (Bytes.unsafe_to_string plain) ~spos:0 out ~dpos:body
-    ~len;
+  crypt k s wire ~noff:(pos + 4) ~nlen:nonce_len (Bytes.unsafe_to_string plain) ~spos:0 out
+    ~dpos:body ~len;
   set_len out (body + len) Sha256.digest_size;
-  tag_into k s wire ~noff:(pos + 4) ~nlen:8 wire ~boff:body ~blen:len out ~pos:(body + len + 4)
+  tag_into k s wire ~noff:(pos + 4) ~nlen:nonce_len wire ~boff:body ~blen:len out
+    ~pos:(body + len + 4)
 
 let open_into k s blob ~pos =
   let t = fields blob ~pos in

@@ -3,12 +3,18 @@
     Provides the "encrypt and sign" operations the paper assumes once shared
     secrets exist: secrecy against an eavesdropping adversary and
     authentication against spoofed frames.  Construction: a CTR-style stream
-    cipher keyed by HMAC-SHA256 (see {!Prf}), with an HMAC-SHA256 tag over
-    nonce and ciphertext.  Encryption and MAC keys are domain-separated
-    derivations of the session key. *)
+    cipher whose 32-byte block is HMAC-SHA256's inner hash — one SHA-256
+    compression (see {!Prf.Keyed.keystream}) — with an HMAC-SHA256 tag over
+    nonce and ciphertext (encrypt-then-MAC).  Encryption and MAC keys are
+    domain-separated derivations of the session key.  A seal or open of an
+    [n]-byte plaintext costs [ceil(n/32)] keystream compressions plus the
+    tag's. *)
 
 type sealed = { nonce : string; body : string; tag : string }
-(** A sealed frame: 8-byte nonce, ciphertext, 32-byte tag. *)
+(** A sealed frame: 8-byte nonce, ciphertext, 32-byte tag.  Every open path
+    rejects a frame whose nonce is not 8 bytes before any MAC or keystream
+    work, so under one key the keystream only ever sees one nonce length,
+    the precondition of its PRF argument. *)
 
 type key
 (** A prepared session key: both domain-separated subkeys derived and their
@@ -62,7 +68,8 @@ val seal : key:string -> nonce:int64 -> string -> sealed
     One-shot form of {!seal_keyed}: prepares a throwaway {!type-key}. *)
 
 val open_ : key:string -> sealed -> string option
-(** [open_ ~key sealed] is [Some plaintext] iff the tag verifies. *)
+(** [open_ ~key sealed] is [Some plaintext] iff the nonce is 8 bytes and
+    the tag verifies. *)
 
 val encode : sealed -> string
 (** Flat wire encoding (length-prefixed fields: nonce, body, tag). *)
@@ -103,7 +110,8 @@ val open_into : key -> scratch -> string -> pos:int -> int
 (** [open_into k s blob ~pos] opens the encoding that fills [blob] from
     [pos] to its end: the plaintext's length, with its bytes at the start
     of [plain s], when [decode] + {!open_scratch} of that suffix would be
-    [Some _]; [-1] when it is malformed or the tag fails.  Never raises. *)
+    [Some _]; [-1] when it is malformed, its nonce is not 8 bytes, or the
+    tag fails.  Never raises. *)
 
 val plain : scratch -> Bytes.t
 (** The buffer holding the last {!open_into}'s plaintext.  Valid until the

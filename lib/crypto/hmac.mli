@@ -4,12 +4,13 @@
     long-lived communication service.  Verified against the RFC 4231 test
     vectors in the test suite.
 
-    Hot callers (the PRF-driven channel hop, the cipher) MAC thousands of
-    short messages under one key; {!key} prepares that key once — hashing
-    the ipad and opad blocks into reusable SHA-256 midstates — and
-    {!mac_keyed} replays the midstates per message, halving the compression
-    count for short inputs.  The keyed and one-shot entry points produce
-    byte-identical tags. *)
+    Hot callers (the PRF-driven channel hop, the cipher's tag) MAC
+    thousands of short messages under one key; {!key} prepares that key
+    once — hashing the ipad and opad blocks into reusable SHA-256
+    midstates — and {!mac_keyed} replays the midstates per message, halving
+    the compression count for short inputs.  The keyed and one-shot entry
+    points produce byte-identical tags.  The cipher's keystream replays the
+    ipad midstate alone ({!inner_feed_into}). *)
 
 type key
 (** A prepared MAC key (precomputed ipad/opad midstates).  Immutable once
@@ -17,7 +18,8 @@ type key
 
     {b Sharing across domains.}  A key may be used from several domains at
     once only through the scratch and batch entry points —
-    {!mac_feed_into} with a scratch per domain, {!mac_batch},
+    {!mac_feed_into} and {!inner_feed_into} with a scratch or context per
+    domain, {!mac_batch},
     {!verify_batch} — which replay its midstates into their own contexts
     ({!Sha256.copy_into}) and never write the key.  {!mac_keyed},
     {!mac_feed} and {!verify_keyed} replay through {!Sha256.copy}, whose
@@ -50,6 +52,17 @@ val mac_feed_into : key -> scratch -> (Sha256.ctx -> unit) -> Bytes.t -> pos:int
 (** [mac_feed_into k s feed out ~pos] is {!mac_feed} writing the 32-byte
     tag at [pos] of [out], with all working state drawn from [s] — zero
     allocations per call.  Byte-identical to [mac_feed k feed]. *)
+
+val inner_feed_into : key -> Sha256.ctx -> (Sha256.ctx -> unit) -> Bytes.t -> pos:int -> unit
+(** [inner_feed_into k ctx feed out ~pos] writes HMAC's {e inner} hash —
+    SHA-256 of the ipad block followed by what [feed] pushes — at [pos] of
+    [out]: the ipad midstate replayed into [ctx] ({!Sha256.copy_into}), fed
+    and finalized.  One compression fewer than {!mac_feed_into}, and no
+    MAC: its output is a keyed cascade, pseudo-random only on a prefix-free
+    set of inputs (the cipher's keystream, whose inputs under one key all
+    have one length) and open to length extension, so it must never be
+    exposed as a tag.  Allocates nothing; like {!mac_feed_into} it only
+    reads the key. *)
 
 val mac_batch : key -> string array -> string array
 (** [mac_batch k msgs] tags every message under one key, amortizing the

@@ -25,19 +25,22 @@ module Keyed = struct
 
   let channel_hop t ~round ~channels = below t ~label:"channel-hop" ~counter:round channels
 
-  (* Reusable working state for {!keystream_into}: the HMAC scratch, the
-     9-byte 0x00+counter tail, and a spill buffer for the final partial
-     block.  Lets the batch cipher generate keystream with no per-block
+  (* Reusable working state for {!keystream_into}: one SHA-256 context,
+     the 9-byte 0x00+counter tail, and a spill buffer for the final
+     partial block.  Lets the cipher generate keystream with no per-block
      allocation. *)
-  type scratch = { hs : Hmac.scratch; tail : Bytes.t; last : Bytes.t }
+  type scratch = { ctx : Sha256.ctx; tail : Bytes.t; last : Bytes.t }
 
   let scratch () =
-    { hs = Hmac.scratch (); tail = Bytes.make 9 '\000';
+    { ctx = Sha256.init (); tail = Bytes.make 9 '\000';
       last = Bytes.create Sha256.digest_size }
 
   let keystream_into t s ~nonce ~nonce_off ~nonce_len out ~pos ~len =
-    (* Block [i] is HMAC(key, "ks|" || nonce || 0x00 || i_be8), the label
-       fed as two updates instead of being concatenated.  One [feed] serves
+    (* Block [i] is HMAC's inner hash, SHA-256(ipad || "ks|" || nonce ||
+       0x00 || i_be8), the label fed as two updates instead of being
+       concatenated: one compression per block, the ipad block's already
+       paid for by the handle.  Under one key every input has one length,
+       so the cascade is a PRF on them (see DESIGN.md).  One [feed] serves
        every block: it reads the counter from [s.tail]. *)
     let feed ctx =
       Sha256.update ctx "ks|";
@@ -50,9 +53,9 @@ module Keyed = struct
       Bytes.set_int64_be s.tail 1 (Int64.of_int !block);
       let take = min Sha256.digest_size (len - !off) in
       if take = Sha256.digest_size then
-        Hmac.mac_feed_into t.hmac s.hs feed out ~pos:(pos + !off)
+        Hmac.inner_feed_into t.hmac s.ctx feed out ~pos:(pos + !off)
       else begin
-        Hmac.mac_feed_into t.hmac s.hs feed s.last ~pos:0;
+        Hmac.inner_feed_into t.hmac s.ctx feed s.last ~pos:0;
         Bytes.blit s.last 0 out (pos + !off) take
       end;
       off := !off + take;

@@ -1,9 +1,13 @@
-(** Keyed pseudo-random function built on HMAC-SHA256.
+(** Keyed pseudo-random functions built on SHA-256.
 
     The paper uses shared secret keys as seeds for pseudo-random
     channel-hopping patterns (Sections 6 and 7).  This module provides the
     PRF those patterns are drawn from: deterministic for both parties holding
-    the key, unpredictable to the adversary.
+    the key, unpredictable to the adversary.  {!bytes} and everything built
+    on it ({!int64}, {!below}, {!channel_hop}) are HMAC-SHA256, on inputs of
+    any length.  The keystream ({!keystream}) is HMAC's inner hash alone —
+    one compression per 32-byte block — and is a PRF only while every nonce
+    under one key has one length.
 
     The protocols query the PRF with the {e same} key every round, so the
     hot entry point is {!Keyed}: prepare the key once (precomputing the HMAC
@@ -31,11 +35,21 @@ module Keyed : sig
   val channel_hop : t -> round:int -> channels:int -> int
 
   val keystream : t -> nonce:string -> int -> string
-  (** A fresh buffer filled by {!keystream_into} with a fresh scratch. *)
+  (** A fresh buffer filled by {!keystream_into} with a fresh scratch.
+      Block [i] (32 bytes) is SHA-256(ipad || "ks|" || nonce || 0x00 ||
+      i_be64), ipad the HMAC key block XOR 0x36: HMAC-SHA256's inner hash,
+      without the outer one.
+
+      {b Precondition: one nonce length per key.}  The construction is a
+      keyed cascade, pseudo-random on a prefix-free set of inputs; under
+      one key all inputs are then of one length, so none is a prefix of
+      another.  The cipher always passes 8-byte nonces, and its open paths
+      reject a frame with any other before touching the keystream.  The
+      bytes are a pad and never a tag: length extension does not apply. *)
 
   type scratch
-  (** Reusable working state for {!keystream_into}.  One per domain;
-      not reentrant. *)
+  (** Reusable working state for {!keystream_into} (one SHA-256 context
+      and two small buffers).  One per domain; not reentrant. *)
 
   val scratch : unit -> scratch
 
@@ -66,6 +80,7 @@ val channel_hop : key:string -> round:int -> channels:int -> int
     [below] with a fixed domain-separation label. *)
 
 val keystream : key:string -> nonce:string -> int -> string
-(** [keystream ~key ~nonce len]: exactly [len] bytes of CTR-mode PRF output
+(** [keystream ~key ~nonce len]: exactly [len] bytes of CTR-mode output
     (generated directly into the result, no over-allocation), used by
-    {!Cipher} as a stream cipher. *)
+    {!Cipher} as a stream cipher.  {!Keyed.keystream} under a throwaway
+    handle, with its precondition: one nonce length per key. *)

@@ -1062,6 +1062,58 @@ let gossip_accepts_fakes_under_spoofing () =
   let o = Gossip.run ~cfg ~rumors:(Printf.sprintf "r%d") ~adversary () in
   check Alcotest.bool "gossip is spoofable" true (o.Gossip.fake_rumors_accepted > 0)
 
+(* A gossip outcome hashed: completion and engine rounds, every [Stats]
+   field (the payload maximum reads the rumor vectors' size), the
+   per-node coverage and the fake count.  Pinned so the node-state
+   representation can change without moving a round. *)
+let gossip_sha (o : Gossip.outcome) =
+  let r = o.Gossip.engine in
+  let s = r.Radio.Engine.stats in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Crypto.Sha256.digest_hex
+    (Printf.sprintf
+       "done=%s;rounds=%d;completed=%b;stats=%d,%d,%d,%d,%d,%d,%d,%d;cov=%s;fake=%d"
+       (match o.Gossip.rounds_to_completion with Some r -> string_of_int r | None -> "-")
+       r.Radio.Engine.rounds_used r.Radio.Engine.completed s.Radio.Transcript.Stats.rounds
+       s.Radio.Transcript.Stats.honest_transmissions s.Radio.Transcript.Stats.deliveries
+       s.Radio.Transcript.Stats.spoofed_deliveries s.Radio.Transcript.Stats.collisions
+       s.Radio.Transcript.Stats.jammed_rounds s.Radio.Transcript.Stats.strikes
+       s.Radio.Transcript.Stats.max_payload (ints o.Gossip.coverage)
+       o.Gossip.fake_rumors_accepted)
+
+let gossip_outcome_pins () =
+  let spoofed ~n ~seed =
+    let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed () in
+    let adversary =
+      Radio.Adversary.spoofer (Prng.Rng.create (Int64.of_int (n * 13))) ~channels:2 ~budget:1
+        ~forge:(fun ~round chan ->
+          Radio.Frame.Vector
+            { owner = chan; entries = [ (round mod n, Printf.sprintf "FAKE-%d" round) ] })
+    in
+    Gossip.run ~cfg ~rumors:(Printf.sprintf "rumor-%d") ~adversary ()
+  in
+  let clean =
+    Gossip.run
+      ~cfg:(Radio.Config.make ~n:12 ~channels:2 ~t:1 ~seed:90L ())
+      ~rumors:(Printf.sprintf "r%d") ~adversary:Radio.Adversary.null ()
+  in
+  List.iter
+    (fun (name, o, sha) -> check Alcotest.string name sha (gossip_sha o))
+    [ ( "clean n=12",
+        clean,
+        "9bf430677774ae0ee218106a6564f9fe772c96c33c7295dbb0df726ae0b4cb9a" );
+      ( "spoofed n=20 (e10 quick)",
+        spoofed ~n:20 ~seed:20L,
+        "e1a93fa5c36bc925bd4b2a255c465dc41cf616cd4e06a6f77bcfbe0ed40e35d4" );
+      ( "spoofed n=28",
+        spoofed ~n:28 ~seed:28L,
+        "b958764b125a4387480e46a0bf985d7770705c1c9d21d58aee4734e3c768584a" );
+      ( "capped n=20",
+        Gossip.run ~max_rounds:40
+          ~cfg:(Radio.Config.make ~n:20 ~channels:2 ~t:1 ~seed:5L ())
+          ~rumors:(Printf.sprintf "r%d") ~adversary:Radio.Adversary.null (),
+        "636acc9999d6bb1ca63a58d874d4da88a8aa5be36901b5ba3d10bd1e20299647" ) ]
+
 (* -- compact (Section 5.6) -- *)
 
 let compact_calendar_layout () =
@@ -1209,7 +1261,8 @@ let () =
           Alcotest.test_case "fooled by simulation" `Quick naive_fooled_by_simulation ] );
       ( "gossip",
         [ Alcotest.test_case "completes cleanly" `Quick gossip_completes_cleanly;
-          Alcotest.test_case "spoofable" `Quick gossip_accepts_fakes_under_spoofing ] );
+          Alcotest.test_case "spoofable" `Quick gossip_accepts_fakes_under_spoofing;
+          Alcotest.test_case "outcome pins" `Quick gossip_outcome_pins ] );
       ( "compact",
         [ Alcotest.test_case "calendar layout" `Quick compact_calendar_layout;
           Alcotest.test_case "hash domains separate" `Quick compact_hashes_separate;

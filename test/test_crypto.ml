@@ -374,12 +374,20 @@ let cipher_keyed_equals_oneshot =
       && Cipher.open_keyed ck keyed = Cipher.open_ ~key keyed)
 
 (* -- PRF keystream and cipher known answers, generated with python3
-   hmac/hashlib: keystream block [i] is
-   HMAC-SHA256(key, "ks|" || nonce || 0x00 || i_be64), and a sealed frame
-   is that stream under SHA-256("cipher-enc|" || key) XORed into the
-   plaintext, tagged with HMAC-SHA256(SHA-256("cipher-mac|" || key),
-   nonce_be64 || body).  The keyed-vs-naive properties above compare two
-   routes through the same compression function; these do not. *)
+   hashlib/hmac: keystream block [i] is HMAC-SHA256's inner hash alone,
+   SHA-256(ipad || "ks|" || nonce || 0x00 || i_be64) with ipad the
+   zero-padded key XOR 0x36, and a sealed frame is that stream under
+   SHA-256("cipher-enc|" || key) XORed into the plaintext, tagged with
+   HMAC-SHA256(SHA-256("cipher-mac|" || key), nonce_be64 || body).  The
+   keystream pins come from
+
+     python3 -c 'import hashlib; k, n = b"prf-kat-key", (7).to_bytes(8, "big"); ks = b"".join(
+       hashlib.sha256(bytes(c ^ 0x36 for c in k.ljust(64, b"\0")) + b"ks|" + n + b"\0"
+       + i.to_bytes(8, "big")).digest() for i in range(33)); print(ks[:33].hex(),
+       hashlib.sha256(ks[:1040]).hexdigest())'
+
+   The keyed-vs-naive properties above compare two routes through the
+   same compression function; these do not. *)
 
 let prf_keystream_vectors () =
   let keyed = Prf.Keyed.create "prf-kat-key" in
@@ -389,12 +397,12 @@ let prf_keystream_vectors () =
     (fun (len, hex) ->
       check Alcotest.string (Printf.sprintf "length %d" len) hex (Sha256.hex_of (stream len)))
     [ (0, "");
-      (1, "a8");
-      (31, "a819a742d4dbedaa2030cd2749731444ae64ea2ce128a3528178d2fbc88a03");
-      (32, "a819a742d4dbedaa2030cd2749731444ae64ea2ce128a3528178d2fbc88a03e5");
-      (33, "a819a742d4dbedaa2030cd2749731444ae64ea2ce128a3528178d2fbc88a03e568") ];
+      (1, "4c");
+      (31, "4cc9ed88e3090b8bba9ba35d3a6ac628cb212c2c2eff6703ab7bf7627f7a76");
+      (32, "4cc9ed88e3090b8bba9ba35d3a6ac628cb212c2c2eff6703ab7bf7627f7a7640");
+      (33, "4cc9ed88e3090b8bba9ba35d3a6ac628cb212c2c2eff6703ab7bf7627f7a7640f1") ];
   check Alcotest.string "length 1040 (its SHA-256)"
-    "aeecedc89032b188c47db06fc1a0df0eddd63a567d3d26d9adcff39e685b96f9"
+    "b7bd236af0ac956ec0e2490d2c2d9199c74238e3c651f5730e2ebb465727f3be"
     (Sha256.digest_hex (stream 1040))
 
 let cipher_seal_vector () =
@@ -406,11 +414,37 @@ let cipher_seal_vector () =
   in
   check Alcotest.string "nonce" "8102030405060708" (Sha256.hex_of sealed.Cipher.nonce);
   check Alcotest.string "body"
-    "779d8aef47776248ca8d5117efe653ee77a582588d9e6e09c8b38f55a205e460bf"
+    "fde0f8b2d2b0d7a1db659c2d0fa0ad9be281aeedfca1ea685d0626b88c0d0ec9b1"
     (Sha256.hex_of sealed.Cipher.body);
   check Alcotest.string "tag"
-    "e8f56e52f74f95f6be391c5122212ba33425e3a2e322fa6e29f66d241af1a293"
+    "db626191a33f03cb219da30ec1c3be12e25380bd5dee8f0ada3f855147bf1c07"
     (Sha256.hex_of sealed.Cipher.tag)
+
+(* The hop PRF stays HMAC-SHA256 while the keystream is only its inner
+   hash: [Keyed.bytes] is HMAC(key, label || 0x00 || counter_be64),
+   [below] its first 8 bytes big-endian, shifted right by one, mod the
+   bound, and [channel_hop] is [below] under the label "channel-hop".
+   Pinned from
+
+     python3 -c 'import hmac; f=lambda l,c: hmac.new(b"prf-hop-key",
+       l+b"\0"+c.to_bytes(8,"big"),"sha256").digest(); print(f(b"hop-kat",5).hex(),
+       [(int.from_bytes(f(l,c)[:8],"big")>>1)%b for l,c,b in
+        [(b"hop-kat",5,1000),(b"hop-kat",6,7),(b"channel-hop",0,16),
+         (b"channel-hop",1,16),(b"channel-hop",2,1024),(b"channel-hop",1000000,1024)]])' *)
+let prf_hop_vectors () =
+  let keyed = Prf.Keyed.create "prf-hop-key" in
+  check Alcotest.string "bytes"
+    "19bf1dd4925bc12fe62d5968664190da6de95cccfe491877037077434d2e7ac2"
+    (Sha256.hex_of (Prf.Keyed.bytes keyed ~label:"hop-kat" ~counter:5));
+  check Alcotest.int "below 1000" 359 (Prf.Keyed.below keyed ~label:"hop-kat" ~counter:5 1000);
+  check Alcotest.int "below 7" 2 (Prf.Keyed.below keyed ~label:"hop-kat" ~counter:6 7);
+  List.iter
+    (fun (round, channels, expect) ->
+      check Alcotest.int
+        (Printf.sprintf "channel_hop round %d of %d" round channels)
+        expect
+        (Prf.Keyed.channel_hop keyed ~round ~channels))
+    [ (0, 16, 1); (1, 16, 7); (2, 1024, 974); (1_000_000, 1024, 797) ]
 
 (* -- steady-state allocation of the MAC, keystream and seal paths.
 
@@ -569,6 +603,33 @@ let cipher_open_into_agrees =
       && Cipher.framed wire ~pos:prefix = Option.is_some decoded
       && got = expect)
 
+(* A frame re-encoded with a 0-, 7-, 9- or 16-byte nonce, under a tag
+   recomputed for that nonce, so the MAC would accept it: every open path
+   must still reject it, on the nonce's length alone.  The re-tag is
+   checked against the honest frame's tag first, so the property cannot
+   pass vacuously on a tag that fails anyway. *)
+let cipher_rejects_odd_nonce =
+  QCheck.Test.make ~name:"every open rejects a nonce that is not 8 bytes" ~count:200
+    QCheck.(
+      triple
+        (string_of_size (Gen.int_range 0 40))
+        (string_of_size (Gen.int_range 0 100))
+        (oneofl [ 0; 7; 9; 16 ]))
+    (fun (key, plaintext, nlen) ->
+      let ck = Cipher.key key and s = Cipher.scratch () in
+      let sealed = Cipher.seal_scratch ck s ~nonce:7L plaintext in
+      let mac_key = Sha256.digest ("cipher-mac|" ^ key) in
+      let retag nonce = Hmac.mac ~key:mac_key (nonce ^ sealed.body) in
+      let nonce = String.init nlen (fun i -> if i < 8 then sealed.nonce.[i] else '\xab') in
+      let odd = { sealed with Cipher.nonce; tag = retag nonce } in
+      retag sealed.nonce = sealed.tag
+      && Cipher.open_scratch ck s odd = None
+      && Cipher.open_keyed ck odd = None
+      && Cipher.open_ ~key odd = None
+      && Cipher.open_batch ck s [| odd |] = [| None |]
+      && Cipher.open_into ck s (Cipher.encode odd) ~pos:0 = -1
+      && Cipher.open_scratch ck s sealed = Some plaintext)
+
 (* -- batch entry points: byte-identical to the keyed per-message forms.
 
    The mux service A/Bs batched against per-message crypto and asserts the
@@ -636,12 +697,20 @@ let prf_keystream_into_equals_keystream =
       (* The nonce is read in place, as a slice of a wider frame. *)
       Prf.Keyed.keystream_into keyed scratch ~nonce:("<<" ^ nonce ^ ">>>") ~nonce_off:2
         ~nonce_len:(String.length nonce) out ~pos ~len;
-      (* The CTR construction spelled out: block [i] is [Keyed.bytes] under
-         the label ["ks|" ^ nonce] and counter [i]. *)
+      (* The CTR construction spelled out through [Sha256] alone: block
+         [i] is the digest of the ipad block, "ks|", the nonce, 0x00 and
+         [i] big-endian. *)
+      let k = if String.length key > 64 then Sha256.digest key else key in
+      let ipad =
+        String.init 64 (fun j ->
+            Char.chr ((if j < String.length k then Char.code k.[j] else 0) lxor 0x36))
+      in
       let blocks =
         String.concat ""
           (List.init ((len + 31) / 32) (fun i ->
-               Prf.Keyed.bytes keyed ~label:("ks|" ^ nonce) ~counter:i))
+               let counter = Bytes.create 8 in
+               Bytes.set_int64_be counter 0 (Int64.of_int i);
+               Sha256.digest (ipad ^ "ks|" ^ nonce ^ "\000" ^ Bytes.to_string counter)))
       in
       Bytes.sub_string out pos len = Prf.Keyed.keystream keyed ~nonce len
       && Bytes.sub_string out pos len = String.sub blocks 0 len
@@ -773,7 +842,8 @@ let () =
           qcheck prf_keyed_equals_oneshot;
           qcheck prf_keyed_keystream_equals_oneshot;
           qcheck prf_keystream_into_equals_keystream;
-          Alcotest.test_case "keystream vectors" `Quick prf_keystream_vectors ] );
+          Alcotest.test_case "keystream vectors" `Quick prf_keystream_vectors;
+          Alcotest.test_case "hop vectors" `Quick prf_hop_vectors ] );
       ( "cipher",
         [ Alcotest.test_case "rejects tamper" `Quick cipher_rejects_tamper;
           Alcotest.test_case "hides plaintext" `Quick cipher_hides_plaintext;
@@ -789,7 +859,8 @@ let () =
           Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch;
           Alcotest.test_case "seal vector" `Quick cipher_seal_vector;
           qcheck cipher_seal_into_equals_encode;
-          qcheck cipher_open_into_agrees ] );
+          qcheck cipher_open_into_agrees;
+          qcheck cipher_rejects_odd_nonce ] );
       ( "alloc",
         [ Alcotest.test_case "mac_feed_into allocation-free" `Quick hmac_mac_feed_into_no_alloc;
           Alcotest.test_case "keystream_into constant in length" `Quick
