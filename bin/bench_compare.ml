@@ -35,7 +35,9 @@ let load ~role path =
      in a Sys_error reads like an I/O fault, but the usual cause is a bench
      run that never produced the document this role expects. *)
   if not (Sys.file_exists path) then
-    die "%s file %s does not exist (produce it with: dune exec bench/main.exe -- --bench-json %s)"
+    die
+      "%s file %s does not exist (produce it with: dune exec bench/main.exe -- --bench-json \
+       %s)"
       role path path;
   let contents =
     try In_channel.with_open_bin path In_channel.input_all
@@ -83,7 +85,8 @@ let load_history path =
     let doc = load ~role:"history" path in
     (match Option.bind (Json.member "schema" doc) Json.to_string_opt with
      | Some s when s = history_schema -> ()
-     | Some other -> die "%s: unsupported history schema %S (want %s)" path other history_schema
+     | Some other ->
+       die "%s: unsupported history schema %S (want %s)" path other history_schema
      | None -> die "%s: missing schema field" path);
     match Option.bind (Json.member "entries" doc) Json.to_list with
     | Some entries -> entries
@@ -180,7 +183,8 @@ let report_history_trend ~path ~cur_micro =
     in
     (match regressions with
      | [] ->
-       Printf.printf "trend: all micro-benchmarks within %.0f%% of the last history entry (%s)\n"
+       Printf.printf
+         "trend: all micro-benchmarks within %.0f%% of the last history entry (%s)\n"
          history_trend_threshold_pct when_
      | rs ->
        Printf.printf
@@ -234,7 +238,13 @@ let () =
   let base_det = assoc_rows ~key_field:"id" (rows "determinism" baseline) in
   let cur_det = assoc_rows ~key_field:"id" (rows "determinism" current) in
   let drift = ref 0 in
-  let complain fmt = Printf.ksprintf (fun msg -> incr drift; Printf.printf "DRIFT %s\n" msg) fmt in
+  let complain fmt =
+    Printf.ksprintf
+      (fun msg ->
+        incr drift;
+        Printf.printf "DRIFT %s\n" msg)
+      fmt
+  in
   List.iter
     (fun (id, base_row) ->
       match List.assoc_opt id cur_det with
@@ -246,7 +256,8 @@ let () =
             | Some b, Some c -> if b <> c then complain "%s: %s %s -> %s" id field b c
             | None, _ -> complain "%s: %s missing from %s" id field baseline_path
             | _, None -> complain "%s: %s missing from %s" id field current_path)
-          [ ("total_rounds", fun row -> Option.map string_of_int (int_field "total_rounds" row));
+          [ ( "total_rounds",
+              fun row -> Option.map string_of_int (int_field "total_rounds" row) );
             ("output_sha256", str_field "output_sha256") ])
     base_det;
   List.iter

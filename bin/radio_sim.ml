@@ -30,7 +30,8 @@ let seed_arg =
   Arg.(value & opt int64 1L & info [ "seed" ] ~docv:"SEED" ~doc:"Master random seed.")
 
 let t_arg =
-  Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Adversary budget (channels per round).")
+  Arg.(
+    value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Adversary budget (channels per round).")
 
 let n_arg =
   Arg.(value & opt int 0 & info [ "n" ] ~docv:"N" ~doc:"Node count (0 = smallest legal).")
@@ -43,7 +44,8 @@ let attack_arg =
         ~doc:(Printf.sprintf "Adversary strategy: %s." (String.concat ", " Core.attack_names)))
 
 let pairs_arg =
-  Arg.(value & opt int 6 & info [ "pairs" ] ~docv:"K" ~doc:"Number of disjoint exchange pairs.")
+  Arg.(
+    value & opt int 6 & info [ "pairs" ] ~docv:"K" ~doc:"Number of disjoint exchange pairs.")
 
 let jobs_arg =
   Arg.(
@@ -122,7 +124,9 @@ let service_cmd =
     Arg.(value & opt int 12 & info [ "rounds" ] ~docv:"R" ~doc:"Emulated rounds to run.")
   in
   let epoch_arg =
-    Arg.(value & opt int 4 & info [ "epoch-len" ] ~docv:"E" ~doc:"Emulated rounds per key epoch.")
+    Arg.(
+      value & opt int 4
+      & info [ "epoch-len" ] ~docv:"E" ~doc:"Emulated rounds per key epoch.")
   in
   let outsiders_arg =
     Arg.(
@@ -310,7 +314,8 @@ let trace_cmd =
     let n = resolve_n ~t 0 in
     let channels = t + 1 in
     let cfg =
-      Core.Radio.Config.make ~seed ~n ~channels ~t ~record_transcript:true ~track_channels:true ()
+      Core.Radio.Config.make ~seed ~n ~channels ~t ~record_transcript:true
+        ~track_channels:true ()
     in
     let pairs = Core.Rgraph.Workload.disjoint_pairs ~n ~count:(min pairs_count (n / 2)) in
     let o =
@@ -323,7 +328,8 @@ let trace_cmd =
     in
     let engine = o.Core.Ame.Fame.engine in
     let transcript = engine.Core.Radio.Engine.transcript in
-    Format.printf "f-AME trace: %d rounds total, showing %d@.@." (List.length transcript) shown;
+    Format.printf "f-AME trace: %d rounds total, showing %d@.@."
+      (List.length transcript) shown;
     Core.Radio.Trace.pp_rounds ~limit:shown Format.std_formatter transcript;
     Format.printf "@.channel utilization:@.";
     Option.iter

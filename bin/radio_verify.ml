@@ -18,7 +18,9 @@ let tier_arg =
     Arg.(
       value & flag
       & info [ "full" ]
-          ~doc:"Full tier: all graphs on <= 6 nodes, C <= 8, tree feedback at t = 2 (nightly).")
+          ~doc:
+            "Full tier: all graphs on <= 6 nodes, C <= 8, tree feedback at t = 2 \
+             (nightly).")
   in
   let pick quick full =
     match (quick, full) with

@@ -115,7 +115,11 @@ let run ?(ame_params = Params.default) ?gossip_beta ?(candidate_cap = 256) ~cfg 
         if v = id then begin
           (* My epoch: broadcast m_id,index with the reconstruction hash of
              the chain from index to the end. *)
-          let rec drop i = function [] -> [] | _ :: tl when i > 0 -> drop (i - 1) tl | l -> l in
+          let rec drop i = function
+            | [] -> []
+            | _ :: tl when i > 0 -> drop (i - 1) tl
+            | l -> l
+          in
           (match drop index my_bodies with
            | body :: _ as tail ->
              let frame =

@@ -28,7 +28,8 @@ type calendar = {
           length) *)
 }
 
-val make_calendar : ?gossip_beta:float -> pairs:(int * int) list -> budget:int -> n:int -> unit -> calendar
+val make_calendar :
+  ?gossip_beta:float -> pairs:(int * int) list -> budget:int -> n:int -> unit -> calendar
 (** Deterministic public schedule of the gossip phase (the adversary may
     read it; epoch boundaries are protocol-deterministic). *)
 

@@ -89,8 +89,8 @@ let state_digest (state : Game.State.t) =
   Buffer.contents buf
 
 let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
-    ?(feedback_mode = Sequential) ?vector_for ?(corrupted = []) ?(corruption = Full) ~cfg ~pairs
-    ~messages ~adversary () =
+    ?(feedback_mode = Sequential) ?vector_for ?(corrupted = []) ?(corruption = Full) ~cfg
+    ~pairs ~messages ~adversary () =
   let forges = corruption = Forge_as_surrogate || corruption = Full in
   let lies = corruption = Lie_as_witness || corruption = Full in
   let channels = cfg.Radio.Config.channels in
@@ -156,7 +156,8 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
          Schedule.build ~proposal ~surrogates ~n ~witness_size ~watchers_per_channel ()
        with
        | exception Schedule.Divergence _ -> Diverge
-       | sched -> Move { sched; entry = Schedule.oracle_entry sched; tree_this_move; witness_size })
+       | sched ->
+         Move { sched; entry = Schedule.oracle_entry sched; tree_this_move; witness_size })
   in
   let position state surrogate_map =
     { state; surrogate_map;
@@ -209,9 +210,6 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
   in
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
-    (* Made once per fiber, not per move: fibers stay parked across minor
-       collections, so per-move buffers would all be promoted. *)
-    let feedback_scratch = Feedback.make_scratch ~reps:sequential_reps in
     let known : (int, (int * string) list) Hashtbl.t = Hashtbl.create 16 in
     Hashtbl.replace known id (vector_for id);
     let rec play pos =
@@ -259,7 +257,7 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
             Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget ~reps:tree_reps
               ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
           else
-            Feedback.run ~scratch:feedback_scratch ~my_id:id ~rng:ctx.rng ~channels
+            Feedback.run ~reps:sequential_reps ~my_id:id ~rng:ctx.rng ~channels
               ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
         in
         (* Referee simulation: items on successful channels are chosen. *)

@@ -12,19 +12,8 @@
     This function is node-side code: it must be called inside an engine
     fiber, by all nodes in the same round, with identical [witnesses]. *)
 
-type scratch
-(** One node's listener buffer: the [reps] hop channels of a phase.  What
-    the hops hear is read straight from the engine (see
-    {!Radio.Engine.listen_series}), so no result buffer is kept.  A node
-    makes one when its fiber starts and passes it to every {!run} call, so
-    per-move feedback allocates no buffers. *)
-
-val make_scratch : reps:int -> scratch
-(** [make_scratch ~reps] is a scratch for [reps] listener rounds per
-    phase. *)
-
 val run :
-  scratch:scratch ->
+  reps:int ->
   my_id:int ->
   rng:Prng.Rng.t ->
   channels:int ->
@@ -32,9 +21,8 @@ val run :
   witness_size:int ->
   my_flag:bool ->
   int list
-(** [run ~scratch ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag]
-    runs one phase of [reps] rounds per witness set, [reps] being the size
-    [scratch] was made with: it consumes exactly
+(** [run ~reps ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag]
+    runs one phase of [reps] rounds per witness set: it consumes exactly
     [Array.length witnesses * reps] rounds and returns the set D of channel
     indices believed to have succeeded, sorted.  The witness set W[r] is
     the first [witness_size] entries of [witnesses.(r)] — callers hand the
@@ -43,14 +31,22 @@ val run :
     occupies every channel during its phase) and every [witnesses.(r)] must
     have at least that many entries.  [my_flag] is consulted only if
     [my_id] appears in some witness prefix (a node may witness at most one
-    channel).  [scratch] belongs to the calling node: it is overwritten,
-    and may be reused as soon as [run] returns.
+    channel).
 
-    Listener rounds are declared through {!Radio.Engine.listen_series} —
+    Listener rounds are declared through {!Radio.Engine.listen_random} —
     one suspension per feedback phase rather than one per round — which is
-    observationally identical (the random hop sequence is drawn from the
-    same per-node stream in the same order, by {!Prng.Rng.fill_int}) but
-    makes population-scale feedback cost one draw, one ring count and one
-    ring read per listener-round instead of a fiber resume. *)
+    observationally identical (the engine draws the random hops from the
+    same per-node stream in the same order) but makes population-scale
+    feedback cost one draw and one ring count per listener-round instead
+    of a fiber resume, with no per-node hop buffer.  The listener reads
+    what its hops heard only up to its first <true, r>: one read in a
+    phase whose first hop hits. *)
 
 val rounds_consumed : witnesses:int array array -> reps:int -> int
+
+(** {1 Exposed internals (tested directly)} *)
+
+val keep_listening : int -> int -> Radio.Frame.t option -> bool
+(** [keep_listening r] is phase [r]'s listener read, the [f] that {!run}
+    hands {!Radio.Engine.listen_random}: [false] (stop) at the first
+    <true, r>, [true] otherwise. *)

@@ -23,7 +23,8 @@ val fake_body : int * int -> string
 (** The adversary's substitute payload for a pair (distinct from any honest
     payload by construction). *)
 
-val simulating_adversary : Prng.Rng.t -> pairs:(int * int) list -> channels:int -> budget:int -> Radio.Adversary.t
+val simulating_adversary :
+  Prng.Rng.t -> pairs:(int * int) list -> channels:int -> budget:int -> Radio.Adversary.t
 (** For each of the first [budget] pairs, transmits the fake payload on an
     independently uniform channel each round (duplicate channel picks
     collapse to one strike, mirroring collisions among honest picks). *)

@@ -100,11 +100,11 @@ let run ~my_id ~rng ~channels ~budget ~reps ~witnesses ~witness_size ~my_flag =
        else absorb (Radio.Engine.listen ~chan:(Prng.Rng.int rng d_channels))
      done
    | None ->
-     (* Non-witnesses only listen: draw the whole hop sequence from the same
-        per-node stream, declare it as one listen-series, and absorb each
-        heard frame in round order — byte-identical to the per-round
-        loop. *)
-     let chans = Array.make d_reps 0 in
-     Prng.Rng.fill_int rng d_channels chans ~len:d_reps;
-     Radio.Engine.listen_series ~chans ~f:(fun _ frame -> absorb frame));
+     (* Non-witnesses only listen: one engine series of random hops from
+        the same per-node stream, absorbing every heard frame in round
+        order — byte-identical to the per-round loop. *)
+     ignore
+       (Radio.Engine.listen_random ~rng ~bound:d_channels ~len:d_reps ~f:(fun _ frame ->
+            absorb frame;
+            true)));
   List.filter_map (fun (c, flag) -> if flag then Some c else None) (Det.bindings known)

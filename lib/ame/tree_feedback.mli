@@ -38,10 +38,10 @@ val run :
     The witness group of channel c is the first [witness_size] entries of
     [witnesses.(c)] (the schedule's watcher-prefix, shared rather than
     copied); [witness_size] must equal [budget + 1].  Non-witnesses park
-    through the merge phase with one [idle_for] and declare their
-    dissemination hops as one {!Radio.Engine.listen_series}, absorbing
-    each heard flag set in its [f] — same rounds, same rng stream, one
-    suspension instead of thousands. *)
+    through the merge phase with one [idle_for] and listen through
+    dissemination as one {!Radio.Engine.listen_random}, whose [f] absorbs
+    every heard flag set and never stops the read — same rounds, same rng
+    stream, one suspension instead of thousands, and no hop buffer. *)
 
 (** {1 Exposed internals (tested directly)} *)
 

@@ -313,8 +313,12 @@ let build ~capped (units : Summary.t list) =
   let globals = Hashtbl.create 512 in
   List.iter
     (fun (u : Summary.t) ->
-      List.iter (fun (d : Summary.def) -> Hashtbl.replace defs d.Summary.d_key d) u.Summary.u_defs;
-      List.iter (fun (s : Summary.site) -> Hashtbl.replace sites s.Summary.s_key s) u.Summary.u_sites;
+      List.iter
+        (fun (d : Summary.def) -> Hashtbl.replace defs d.Summary.d_key d)
+        u.Summary.u_defs;
+      List.iter
+        (fun (s : Summary.site) -> Hashtbl.replace sites s.Summary.s_key s)
+        u.Summary.u_sites;
       List.iter (fun (k, o) -> Hashtbl.replace globals k o) u.Summary.u_globals)
     units;
   let def_order =

@@ -54,7 +54,9 @@ let run (opts : options) =
       | None -> Loader.source_text ~source_root:opts.source_root
     in
     let errors =
-      List.map (fun (e : Loader.error) -> (e.Loader.e_path, e.Loader.e_msg)) loaded.Loader.errors
+      List.map
+        (fun (e : Loader.error) -> (e.Loader.e_path, e.Loader.e_msg))
+        loaded.Loader.errors
     in
     let report =
       Report.make ~config:opts.config ~read_source ~errors

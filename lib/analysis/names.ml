@@ -54,7 +54,9 @@ let pp_loc fmt (l : loc) = Format.fprintf fmt "%s:%d:%d" l.file l.line l.col
 let split_mangled comp =
   let n = String.length comp in
   let out = ref [] and start = ref 0 in
-  let flush stop = if stop > !start then out := String.sub comp !start (stop - !start) :: !out in
+  let flush stop =
+    if stop > !start then out := String.sub comp !start (stop - !start) :: !out
+  in
   let i = ref 0 in
   while !i < n do
     if !i + 1 < n && comp.[!i] = '_' && comp.[!i + 1] = '_' then begin

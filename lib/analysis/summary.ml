@@ -499,7 +499,9 @@ and bind_vbs ctx vbs =
         match rhs_shape ctx vb.Typedtree.vb_expr with
         | Sfun -> bind ctx id (synth_fun ctx ~name:txt vb.Typedtree.vb_expr)
         | Salloc kind ->
-          let s = new_site ctx ~kind ~name:txt ~top:false vb.Typedtree.vb_expr.Typedtree.exp_loc in
+          let s =
+            new_site ctx ~kind ~name:txt ~top:false vb.Typedtree.vb_expr.Typedtree.exp_loc
+          in
           (current ctx).f_det <- true;
           bind ctx id (OSite s.s_key)
         | Sident | Sapply -> bind ctx id (origin_of ctx vb.Typedtree.vb_expr)

@@ -24,7 +24,10 @@ let attack_of_string = function
   | "sweep-jam" -> Ok Sweep_jam
   | "schedule-jam" -> Ok Schedule_jam
   | "spoof" -> Ok Spoof
-  | s -> Error (Printf.sprintf "unknown attack %S (choose from: %s)" s (String.concat ", " attack_names))
+  | s ->
+    Error
+      (Printf.sprintf "unknown attack %S (choose from: %s)" s
+         (String.concat ", " attack_names))
 
 let adversary_for ~attack ~channels ~budget ~seed board =
   let rng = Prng.Rng.create (Int64.logxor seed 0xADBEEFL) in
@@ -83,7 +86,9 @@ type group_key_report = {
 
 let establish_group_key ?(seed = 1L) ~t ~n ~attack () =
   let channels = t + 1 in
-  let cfg = Radio.Config.make ~seed ~n ~channels ~t ~max_rounds:Radio.Config.default_max_rounds () in
+  let cfg =
+    Radio.Config.make ~seed ~n ~channels ~t ~max_rounds:Radio.Config.default_max_rounds ()
+  in
   let outcome =
     Groupkey.Protocol.run ~cfg
       ~fame_adversary:(adversary_for ~attack ~channels ~budget:t ~seed)

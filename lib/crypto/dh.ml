@@ -36,7 +36,8 @@ let derive_key ?(info = "") shared =
   let b = Bytes.create 8 in
   for i = 0 to 7 do
     Bytes.set b i
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical shared (8 * (7 - i))) 0xFFL)))
+      (Char.chr
+         (Int64.to_int (Int64.logand (Int64.shift_right_logical shared (8 * (7 - i))) 0xFFL)))
   done;
   Sha256.digest ("dh-key-v1|" ^ info ^ "|" ^ Bytes.unsafe_to_string b)
 
@@ -52,6 +53,8 @@ let decode_public s =
   if String.length s <> 8 then None
   else begin
     let acc = ref 0L in
-    String.iter (fun c -> acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code c))) s;
+    String.iter
+      (fun c -> acc := Int64.logor (Int64.shift_left !acc 8) (Int64.of_int (Char.code c)))
+      s;
     if !acc < 0L then None else Some !acc
   end

@@ -12,8 +12,10 @@
    iteration in the tree; each carries a `radio-lint: allow` escape. *)
 
 let bindings t =
-  (* radio-lint: allow nondet-hashtbl-order — order erased by the sort *)
-  List.sort (fun (k1, _) (k2, _) -> compare k1 k2) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [])
+  List.sort
+    (fun (k1, _) (k2, _) -> compare k1 k2)
+    (* radio-lint: allow nondet-hashtbl-order — order erased by the sort *)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t [])
 
 let keys t =
   (* radio-lint: allow nondet-hashtbl-order — order erased by the sort *)

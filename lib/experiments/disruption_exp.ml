@@ -86,5 +86,6 @@ let e12 ~quick ~jobs =
     [ Common.Blank;
       Common.text "== E12 / ablation: surrogates on vs off under the triangle adversary ==";
       Common.text
-        "direct exchange (no surrogates) is cornered into vertex cover 2t; f-AME stays at <= t";
+        "direct exchange (no surrogates) is cornered into vertex cover 2t; f-AME stays at \
+         <= t";
       Common.Blank; Common.table ~header rows ]

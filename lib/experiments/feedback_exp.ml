@@ -25,8 +25,8 @@ let agreement_trial ~beta ~t ~n ~seed =
       !flag
     in
     outputs.(id) <-
-      Ame.Feedback.run ~scratch:(Ame.Feedback.make_scratch ~reps) ~my_id:id ~rng:ctx.rng
-        ~channels ~witnesses ~witness_size:channels ~my_flag
+      Ame.Feedback.run ~reps ~my_id:id ~rng:ctx.rng ~channels ~witnesses
+        ~witness_size:channels ~my_flag
   in
   let adversary =
     Radio.Adversary.random_jammer (Prng.Rng.create (Int64.add seed 17L)) ~channels ~budget:t
@@ -75,7 +75,8 @@ let e5 ~quick ~jobs =
     [ Common.Blank;
       Common.text "== E5 / Lemma 5: communication-feedback agreement and cost ==";
       Common.text
-        "per invocation: rounds = C * reps = Theta(t^2 log n); failures should vanish as beta grows";
+        "per invocation: rounds = C * reps = Theta(t^2 log n); failures should vanish as beta \
+         grows";
       Common.Blank;
       Common.table
         ~header:[ "t"; "n"; "beta"; "rounds"; "rounds/(t^2 lg n)"; "disagreements" ]

@@ -21,14 +21,17 @@ let e4 ~quick ~jobs =
                  string_of_int o.Game.Runner.moves; string_of_int o.Game.Runner.stars;
                  string_of_int o.Game.Runner.edges_removed; string_of_bool o.Game.Runner.won;
                  string_of_int (3 * edges);
-                 Printf.sprintf "%.2f" (float_of_int o.Game.Runner.moves /. float_of_int edges) ])
+                 Printf.sprintf "%.2f"
+                   (float_of_int o.Game.Runner.moves /. float_of_int edges) ])
              referees)
          sizes)
   in
   Common.result
-    [ Common.Blank; Common.text "== E4 / Theorem 4: greedy-removal finishes in O(|E|) moves ==";
+    [ Common.Blank;
+      Common.text "== E4 / Theorem 4: greedy-removal finishes in O(|E|) moves ==";
       Common.text
-        "bound column = |E| + 2|E| (edge removals + possible starrings); moves must stay below";
+        "bound column = |E| + 2|E| (edge removals + possible starrings); moves must stay \
+         below";
       Common.Blank;
       Common.table
         ~header:

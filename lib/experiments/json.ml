@@ -17,7 +17,8 @@ let escape s =
       | '\n' -> Buffer.add_string buf "\\n"
       | '\r' -> Buffer.add_string buf "\\r"
       | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
@@ -82,7 +83,8 @@ let of_string s =
     | None -> fail (Printf.sprintf "expected %c, found end of input" c)
   in
   let literal word value =
-    if !pos + String.length word <= len && String.sub s !pos (String.length word) = word then begin
+    if !pos + String.length word <= len && String.sub s !pos (String.length word) = word
+    then begin
       pos := !pos + String.length word;
       value
     end

@@ -17,11 +17,17 @@ let all =
     { id = "e10"; title = "Gossip baseline [13] vs f-AME"; run = Gossip_exp.e10 };
     { id = "e11"; title = "Section 5.6: constant message size"; run = Size_exp.e11 };
     { id = "e12"; title = "Ablation: surrogates on/off"; run = Disruption_exp.e12 };
-    { id = "e13"; title = "Section 8: corrupted surrogates (Byzantine sketch)"; run = Byzantine_exp.e13 };
+    { id = "e13";
+      title = "Section 8: corrupted surrogates (Byzantine sketch)";
+      run = Byzantine_exp.e13 };
     { id = "e14"; title = "Section 8: concurrent pairwise channels"; run = Unicast_exp.e14 };
     { id = "e15"; title = "Related work: energy-bounded adversary"; run = Energy_exp.e15 };
-    { id = "e16"; title = "whp claims over many seeds + transcript audit"; run = Robustness_exp.e16 };
-    { id = "e17"; title = "Section 8: secrets vs a t-channel eavesdropper"; run = Secrecy_exp.e17 } ]
+    { id = "e16";
+      title = "whp claims over many seeds + transcript audit";
+      run = Robustness_exp.e16 };
+    { id = "e17";
+      title = "Section 8: secrets vs a t-channel eavesdropper";
+      run = Secrecy_exp.e17 } ]
 
 let find id = List.find_opt (fun e -> e.id = id) all
 

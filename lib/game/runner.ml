@@ -9,7 +9,9 @@ type outcome = {
 exception Rule_violation of string
 
 let subset_of response proposal =
-  List.for_all (fun item -> List.exists (fun p -> State.item_compare item p = 0) proposal) response
+  List.for_all
+    (fun item -> List.exists (fun p -> State.item_compare item p = 0) proposal)
+    response
 
 let play ?max_moves st (referee : Referee.t) =
   let initial_edges = Rgraph.Digraph.Dense.edge_count st.State.graph in
@@ -19,7 +21,8 @@ let play ?max_moves st (referee : Referee.t) =
         ((10 * initial_edges) + (10 * Rgraph.Digraph.Dense.vertex_count st.State.graph) + 10)
   in
   let rec loop st moves =
-    if moves > limit then raise (Rule_violation "game exceeded move limit: non-termination bug");
+    if moves > limit then
+      raise (Rule_violation "game exceeded move limit: non-termination bug");
     match Greedy.proposal st with
     | None -> (st, moves)
     | Some proposal ->

@@ -143,11 +143,13 @@ module Dense = struct
     !acc
 
   let out_edges t v =
-    if has_outgoing t v then Bitset.fold (fun w acc -> (v, w) :: acc) t.out_rows.(v) [] |> List.rev
+    if has_outgoing t v then
+      Bitset.fold (fun w acc -> (v, w) :: acc) t.out_rows.(v) [] |> List.rev
     else []
 
   let in_edges t w =
-    if has_incoming t w then Bitset.fold (fun v acc -> (v, w) :: acc) t.in_rows.(w) [] |> List.rev
+    if has_incoming t w then
+      Bitset.fold (fun v acc -> (v, w) :: acc) t.in_rows.(w) [] |> List.rev
     else []
 
   let out_degree t v = if v >= 0 && v < t.n then Bitset.count t.out_rows.(v) else 0
@@ -155,7 +157,9 @@ module Dense = struct
   let equal a b =
     if a.m <> b.m then false
     else if a.n = b.n then
-      let rec rows v = v >= a.n || (Bitset.equal a.out_rows.(v) b.out_rows.(v) && rows (v + 1)) in
+      let rec rows v =
+        v >= a.n || (Bitset.equal a.out_rows.(v) b.out_rows.(v) && rows (v + 1))
+      in
       rows 0
     else
       (* Different universe capacities can still carry the same edge set. *)

@@ -12,9 +12,12 @@ let complete ~n =
   !acc
 
 let complete_on nodes =
-  List.concat_map (fun v -> List.filter_map (fun w -> if v <> w then Some (v, w) else None) nodes) nodes
+  List.concat_map
+    (fun v -> List.filter_map (fun w -> if v <> w then Some (v, w) else None) nodes)
+    nodes
 
-let star ~n ~hub = List.filter_map (fun w -> if w <> hub then Some (hub, w) else None) (List.init n Fun.id)
+let star ~n ~hub =
+  List.filter_map (fun w -> if w <> hub then Some (hub, w) else None) (List.init n Fun.id)
 
 let random_pairs rng ~n ~count =
   if count > n * (n - 1) then invalid_arg "Workload.random_pairs: too many pairs";

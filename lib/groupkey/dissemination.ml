@@ -23,7 +23,9 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~part2_reps ~part3
       leaders
   in
   let reporter_ids =
-    List.filter (fun i -> not (List.mem i excluded)) (List.init ((2 * t) + 1) (fun i -> t + 1 + i))
+    List.filter
+      (fun i -> not (List.mem i excluded))
+      (List.init ((2 * t) + 1) (fun i -> t + 1 + i))
   in
   let leader_keys_out = Array.make n [] in
   let reports_out = Array.make n [] in

@@ -38,7 +38,8 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ?(part2_beta = 4.0) ?(part
   (* Deterministic per-node DH key pairs and leader proposals. *)
   let master = Prng.Rng.create (Int64.logxor cfg.Radio.Config.seed 0x6B65795F67656EL) in
   let keypairs =
-    Array.init n (fun v -> Crypto.Dh.generate ?params:dh_params (Prng.Rng.split_at master (1000 + v)))
+    Array.init n (fun v ->
+        Crypto.Dh.generate ?params:dh_params (Prng.Rng.split_at master (1000 + v)))
   in
   let proposals =
     Array.init n (fun v -> random_key (Prng.Rng.split_at master (5000 + v)))
@@ -78,12 +79,17 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ?(part2_beta = 4.0) ?(part
   in
   (* Parts 2-3 run as a second synchronous execution. *)
   let part2_reps =
-    max 1 (int_of_float (ceil (part2_beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
+    max 1
+      (int_of_float
+         (ceil (part2_beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
   in
   let part3_reps =
     max 1
       (int_of_float
-         (ceil (part3_beta *. float_of_int ((t + 1) * (t + 1)) *. log2 (float_of_int (max n 4)))))
+         (ceil
+            (part3_beta
+            *. float_of_int ((t + 1) * (t + 1))
+            *. log2 (float_of_int (max n 4)))))
   in
   let diss =
     Dissemination.run
@@ -104,7 +110,8 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ?(part2_beta = 4.0) ?(part
   Array.iter
     (fun r ->
       match r.group_key with
-      | Some k -> Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
+      | Some k ->
+        Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
       | None -> ())
     nodes;
   let majority_key, majority_count =
@@ -118,7 +125,10 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ?(part2_beta = 4.0) ?(part
         | _ -> acc)
       0 nodes
   in
-  let none = Array.fold_left (fun acc r -> if r.group_key = None then acc + 1 else acc) 0 nodes in
+  let none =
+    Array.fold_left (fun acc r -> if r.group_key = None then acc + 1 else acc) 0 nodes
+  in
   { fame; engine; nodes; complete_leaders;
     agreed_key_holders = majority_count; wrong_key_holders = wrong; no_key_holders = none;
-    total_rounds = fame.Ame.Fame.engine.Radio.Engine.rounds_used + engine.Radio.Engine.rounds_used }
+    total_rounds =
+      fame.Ame.Fame.engine.Radio.Engine.rounds_used + engine.Radio.Engine.rounds_used }

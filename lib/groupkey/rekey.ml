@@ -42,12 +42,17 @@ let run ?(part2_beta = 4.0) ?(part3_beta = 4.0) ?(seed_salt = 0x4E657741L) ~cfg 
     List.filter (fun v -> List.length (pairwise v) >= survivors - 1 - t) leaders
   in
   let part2_reps =
-    max 1 (int_of_float (ceil (part2_beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
+    max 1
+      (int_of_float
+         (ceil (part2_beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
   in
   let part3_reps =
     max 1
       (int_of_float
-         (ceil (part3_beta *. float_of_int ((t + 1) * (t + 1)) *. log2 (float_of_int (max n 4)))))
+         (ceil
+            (part3_beta
+            *. float_of_int ((t + 1) * (t + 1))
+            *. log2 (float_of_int (max n 4)))))
   in
   let diss =
     Dissemination.run
@@ -63,7 +68,8 @@ let run ?(part2_beta = 4.0) ?(part3_beta = 4.0) ?(seed_salt = 0x4E657741L) ~cfg 
     (fun id k ->
       if not (List.mem id compromised) then
         match k with
-        | Some k -> Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
+        | Some k ->
+          Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
         | None -> ())
     group_key;
   let majority_key, majority_count =

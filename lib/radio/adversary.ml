@@ -43,7 +43,8 @@ let validate ~channels ~budget strikes =
 
 let no_observe (_ : Transcript.round_record) = ()
 
-let null = { name = "null"; act = (fun ~round:_ -> []); observe = no_observe; observes = false }
+let null =
+  { name = "null"; act = (fun ~round:_ -> []); observe = no_observe; observes = false }
 
 let distinct_random_channels rng ~channels ~count =
   let arr = Array.init channels Fun.id in
@@ -100,7 +101,9 @@ let reactive_jammer rng ~channels ~budget =
         (* Rank channels by last round's honest traffic; random tiebreak. *)
         let keyed =
           Array.to_list
-            (Array.mapi (fun chan hits -> (hits, Prng.Rng.int rng 1_000_000, chan)) last_traffic)
+            (Array.mapi
+               (fun chan hits -> (hits, Prng.Rng.int rng 1_000_000, chan))
+               last_traffic)
         in
         let ranked =
           List.sort

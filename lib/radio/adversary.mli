@@ -49,7 +49,8 @@ val targeted_jammer : channels:int -> channels_of_round:(int -> int list) -> bud
 (** Jams the (first [budget] of the) channels named by the oracle for the
     current round; falls back to channel 0.. when the oracle names fewer. *)
 
-val spoofer : Prng.Rng.t -> channels:int -> budget:int -> forge:(round:int -> int -> Frame.t) -> t
+val spoofer :
+  Prng.Rng.t -> channels:int -> budget:int -> forge:(round:int -> int -> Frame.t) -> t
 (** On each of [budget] random channels, transmits a forged frame produced
     by [forge ~round chan]. *)
 

@@ -11,12 +11,16 @@ let pp_violation fmt v =
 
 let check_record ~channels ~budget (r : Transcript.round_record) =
   let violations = ref [] in
-  let flag ?channel what = violations := { round = r.Transcript.round; channel; what } :: !violations in
+  let flag ?channel what =
+    violations := { round = r.Transcript.round; channel; what } :: !violations
+  in
   (* Adversary discipline. *)
   if List.length r.Transcript.strikes > budget then
-    flag (Printf.sprintf "%d strikes exceed budget %d" (List.length r.Transcript.strikes) budget);
+    flag
+      (Printf.sprintf "%d strikes exceed budget %d" (List.length r.Transcript.strikes) budget);
   let strike_channels = List.map fst r.Transcript.strikes in
-  if List.length (List.sort_uniq Int.compare strike_channels) <> List.length strike_channels then
+  if List.length (List.sort_uniq Int.compare strike_channels) <> List.length strike_channels
+  then
     flag "duplicate strike channels";
   List.iter
     (fun c -> if c < 0 || c >= channels then flag ~channel:c "strike outside channel range")

@@ -1,11 +1,15 @@
 type ctx = { id : int; rng : Prng.Rng.t; cfg : Config.t }
 
-(* A finished parked series, read in place from the core's history ring:
-   hop j heard [hist.(((row0 + j) mod depth) * channels + chans.(j))].  The
-   rows stay put until the fiber's next round action, which advances
+(* A finished parked series, read in place.  Hop j's channel is cell
+   [hop0 + j] of the core's hop store ([cell] bytes per cell), and what it
+   heard is [hist.(((row0 + j) mod depth) * channels + hop)] in the history
+   ring.  Both stay put until the fiber's next round action, which advances
    [clock] past [issued]; a read after that raises. *)
 type series_view = {
   hist : Frame.t option array;
+  hops : Bytes.t;
+  cell : int;
+  hop0 : int;
   row0 : int;
   depth : int;
   channels : int;
@@ -13,7 +17,23 @@ type series_view = {
   clock : int ref;
 }
 
-(* [Declined] answers an [EListenSeq] the engine will not run as one
+(* Hop store cells: 1, 2 or 4 little-endian bytes, the narrowest that holds
+   every channel index. *)
+let cell_bytes channels = if channels <= 0x100 then 1 else if channels <= 0x10000 then 2 else 4
+
+let[@inline] hop_get hops cell i =
+  match cell with
+  | 1 -> Bytes.get_uint8 hops i
+  | 2 -> Bytes.get_uint16_le hops (2 * i)
+  | _ -> Int32.to_int (Bytes.get_int32_le hops (4 * i))
+
+let[@inline] hop_set hops cell i hop =
+  match cell with
+  | 1 -> Bytes.set_uint8 hops i hop
+  | 2 -> Bytes.set_uint16_le hops (2 * i) hop
+  | _ -> Bytes.set_int32_le hops (4 * i) (Int32.of_int hop)
+
+(* [Declined] answers an [EListenRandom] the engine will not run as one
    suspension: the fiber then listens round by round itself.  [Heard]
    answers one it ran parked. *)
 type obs = Received of Frame.t | Nothing | Declined | Heard of series_view
@@ -27,7 +47,7 @@ type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t
 type _ Effect.t += EListen : int -> obs Effect.t
 type _ Effect.t += EIdle : obs Effect.t
 type _ Effect.t += EIdleFor : int -> obs Effect.t
-type _ Effect.t += EListenSeq : int array -> obs Effect.t
+type _ Effect.t += EListenRandom : Prng.Rng.t * int * int -> obs Effect.t
 type _ Effect.t += Round : int Effect.t
 
 let transmit ~chan frame =
@@ -48,20 +68,37 @@ let idle_for k =
     match Effect.perform (EIdleFor k) with
     | Received _ | Nothing | Declined | Heard _ -> ()
 
-let listen_series ~chans ~f =
-  let len = Array.length chans in
-  if len > 0 then
-    match Effect.perform (EListenSeq chans) with
-    | Heard v ->
-      let row = ref v.row0 in
-      for j = 0 to len - 1 do
-        if !(v.clock) <> v.issued then
-          invalid_arg "Engine.listen_series: series read after a round action";
-        f j (Array.get v.hist ((!row * v.channels) + Array.get chans j));
-        incr row;
-        if !row = v.depth then row := 0
-      done
-    | Received _ | Nothing | Declined -> Array.iteri (fun j chan -> f j (listen ~chan)) chans
+(* The parked read: [f] over the view's hops in round order, until it
+   returns false (then true: [f] stopped the read) or the hops run out. *)
+let rec read_heard v ~f ~len j row =
+  j < len
+  && begin
+    if !(v.clock) <> v.issued then
+      invalid_arg "Engine.listen_random: series read after a round action";
+    let hop = hop_get v.hops v.cell (v.hop0 + j) in
+    (not (f j (Array.get v.hist ((row * v.channels) + hop))))
+    || read_heard v ~f ~len (j + 1) (if row + 1 = v.depth then 0 else row + 1)
+  end
+
+(* The declined series: one [listen] per round.  Once [f] has stopped the
+   read the fiber keeps listening without it, so the call still spends
+   [len] rounds and [len] draws. *)
+let rec listen_declined ~rng ~bound ~len ~f j reading =
+  if j = len then not reading
+  else
+    let heard = listen ~chan:(Prng.Rng.int rng bound) in
+    listen_declined ~rng ~bound ~len ~f (j + 1) (reading && f j heard)
+
+let listen_random ~rng ~bound ~len ~f =
+  len > 0
+  &&
+  match Effect.perform (EListenRandom (rng, bound, len)) with
+  | Heard v -> read_heard v ~f ~len 0 v.row0
+  | Received _ | Nothing | Declined -> listen_declined ~rng ~bound ~len ~f 0 true
+
+let check_bound ~channels bound =
+  if bound < 1 || bound > channels then
+    invalid_arg (Printf.sprintf "Engine.listen_random: bound %d outside 1..%d" bound channels)
 
 let current_round () = Effect.perform Round
 
@@ -142,24 +179,32 @@ let run_core cfg ~adversary ~get_body =
   in
   let record_wanted = cfg.Config.record_transcript || adversary.Adversary.observes in
   (* Parked listen-series rings.  When nothing records per-listener
-     identities ([record_wanted] false), a [listen_series] fiber does not
-     ride the active list at all: its per-round listener counts are
-     pre-accumulated into [series_counts] (a round-ring of per-channel
-     ints) at declare time, delivered frames land in [series_hist] (same
-     geometry, shared [Some] per channel per round), and the fiber parks in
-     the wake queue until the round after its last listen, where it is
-     resumed once with a view of its history rows.  Rows are
-     addressed by [round mod series_depth]; a row is live for exactly one
-     round in each ring (counts: consumed and zeroed at its round's
-     resolution; history: written at its round's resolution, pre-zeroed
-     when the ring wraps back around), so depth >= the longest outstanding
-     series suffices.  The completed fiber reads its rows in place through
-     a [series_view]: they are next rewritten at a round's resolution, and
-     the fiber's own next round action comes first. *)
+     identities ([record_wanted] false), a [listen_random] fiber does not
+     ride the active list at all: the core draws its hops, its per-round
+     listener counts are pre-accumulated into [series_counts] (a round-ring
+     of per-channel ints) at declare time, delivered frames land in
+     [series_hist] (same geometry, shared [Some] per channel per round),
+     and the fiber parks in the wake queue until the round after its last
+     listen, where it is resumed once with a view of its history rows.
+     Rows are addressed by [round mod series_depth]; a row is live for
+     exactly one round in each ring (counts: consumed and zeroed at its
+     round's resolution; history: written at its round's resolution,
+     pre-zeroed when the ring wraps back around), so depth >= the longest
+     outstanding series suffices.  The completed fiber reads its rows in
+     place through a [series_view]: they are next rewritten at a round's
+     resolution, and the fiber's own next round action comes first. *)
   let series_depth = ref 0 in
   let series_counts = ref [||] in
   let series_hist : Frame.t option array ref = ref [||] in
   let series_outstanding = ref 0 in
+  (* The parked series' hops: node i's row is cells
+     [i * hop_width, (i + 1) * hop_width) of [hop_store], written at declare
+     time and read back through the view.  [hop_draw] is the one scratch
+     the core draws a series' hops into before booking them. *)
+  let cell = cell_bytes channels in
+  let hop_width = ref 0 in
+  let hop_store = ref Bytes.empty in
+  let hop_draw = ref [||] in
   (* Double-buffered sorted active lists. *)
   let cur = ref (Array.make (max n 1) 0) in
   let n_cur = ref 0 in
@@ -186,7 +231,8 @@ let run_core cfg ~adversary ~get_body =
   let running_i = ref 0 in
   let pending_chan = ref 0 in
   let pending_frame = ref dummy_frame in
-  let pending_chans = ref [||] in
+  let pending_rng = ref (Prng.Rng.create 0L) in
+  let pending_len = ref 0 in
   let some_transmit =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
@@ -262,25 +308,42 @@ let run_core cfg ~adversary ~get_body =
     series_hist := hist;
     series_depth := depth
   in
+  (* Widen the hop store to [needed] cells per node.  Rows keep their
+     cells: a parked node's row is live until its view is read, and copying
+     the dead rows too is harmless. *)
+  let hop_grow needed =
+    let old_width = !hop_width in
+    let width = max needed (2 * old_width) in
+    let store = Bytes.make (n * width * cell) '\000' in
+    let old_row = old_width * cell in
+    if old_row > 0 then
+      for i = 0 to n - 1 do
+        Bytes.blit !hop_store (i * old_row) store (i * width * cell) old_row
+      done;
+    hop_store := store;
+    hop_draw := Array.make width 0;
+    hop_width := width
+  in
   let some_listen_park =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
         let i = !running_i in
-        let chans = !pending_chans in
-        let len = Array.length chans in
-        (* Validate before touching the rings: a bad channel must not leave
-           partial counts behind. *)
-        for p = 0 to len - 1 do
-          validate_chan chans.(p)
-        done;
+        let len = !pending_len in
         if len > !series_depth then series_grow len;
+        if len > !hop_width then hop_grow len;
+        let hops = !hop_draw in
+        Prng.Rng.fill_int !pending_rng !pending_chan hops ~len;
         let r0 = !round_counter in
         let depth = !series_depth in
         let counts = !series_counts in
+        let store = !hop_store in
+        let hop0 = i * !hop_width in
         let row = ref (r0 mod depth) in
         for p = 0 to len - 1 do
-          let idx = (!row * channels) + chans.(p) in
+          let hop = Array.get hops p in
+          let idx = (!row * channels) + hop in
           Array.set counts idx (Array.get counts idx + 1);
+          hop_set store cell (hop0 + p) hop;
           incr row;
           if !row = depth then row := 0
         done;
@@ -328,14 +391,18 @@ let run_core cfg ~adversary ~get_body =
           | EIdleFor d ->
             pending_chan := d;
             some_sleep
-          | EListenSeq chans ->
+          | EListenRandom (rng, bound, len) ->
             (* The parked path skips the active list entirely but cannot
                name per-round listeners, so recording runs (transcript or
                observing adversary) decline the series and the fiber
-               listens round by round. *)
+               listens round by round.  Either way a bad bound raises
+               before any count is booked. *)
+            check_bound ~channels bound;
             if record_wanted then some_decline
             else begin
-              pending_chans := chans;
+              pending_rng := rng;
+              pending_chan := bound;
+              pending_len := len;
               some_listen_park
             end
           | Round -> some_round
@@ -438,8 +505,9 @@ let run_core cfg ~adversary ~get_body =
         let depth = !series_depth in
         Effect.Deep.continue k
           (Heard
-             { hist = !series_hist; row0 = ser_start.(i) mod depth; depth; channels;
-               issued = !round_counter; clock = round_counter }))
+             { hist = !series_hist; hops = !hop_store; cell; hop0 = i * !hop_width;
+               row0 = ser_start.(i) mod depth; depth; channels; issued = !round_counter;
+               clock = round_counter }))
     | code -> (
       match konts.(i) with
       | NoK -> ()

@@ -16,7 +16,7 @@
     One execution core runs every protocol ({!run} / {!run_nodes}).  It is
     sparse and event-driven: per-node state lives in flat struct-of-arrays
     slots, and a round costs work proportional to the number of {e active}
-    nodes (fibers parked by {!idle_for} or {!listen_series} sit in a wake
+    nodes (fibers parked by {!idle_for} or {!listen_random} sit in a wake
     queue until their round).  It runs on the calling domain; parallelism
     lives above it, across independent runs.  Its semantic oracle is a
     plain dense loop in the test-only [test/oracle] library, driven through
@@ -50,26 +50,35 @@ val idle_for : int -> unit
     the fiber in its wake queue, so the idle span costs zero per-round
     work. *)
 
-val listen_series : chans:int array -> f:(int -> Frame.t option -> unit) -> unit
-(** Listen for [Array.length chans] consecutive rounds, on [chans.(j)] in
-    the j-th round, calling [f j heard] with each round's observation, in
-    round order.  Observationally identical to
-    [Array.iteri (fun j c -> f j (listen ~chan:c)) chans] — same stats,
-    transcripts, and delivery semantics.  When nothing records
-    per-listener identities (transcript off, non-observing adversary) the
-    sparse core parks the fiber for the whole run: its listener counts are
-    booked ahead, and when the run ends the fiber resumes once and [f]
-    reads each heard frame straight from the core's history ring, so the
-    run costs no per-round resume and copies nothing.  Otherwise the
-    series runs as exactly that sequence of {!listen} calls, [f] following
-    each.  Use it when the channel sequence does not depend on what is
+val listen_random :
+  rng:Prng.Rng.t -> bound:int -> len:int -> f:(int -> Frame.t option -> bool) -> bool
+(** Listen for [len] consecutive rounds on random channels: hop j is the
+    j-th [Prng.Rng.int rng bound] draw.  [f j heard] gets each hop's
+    observation in round order and returns [true] to keep reading or
+    [false] to stop; the result is [true] when [f] stopped the read.
+    Stopping only ends the reading: the call always spends [len] rounds,
+    books every hop as a listener (same stats, transcripts and delivery
+    semantics as [len] {!listen} calls), and leaves [rng] as [len] draws
+    would.  Use it when the channel sequence does not depend on what is
     heard (e.g. the f-AME feedback listeners' random hops).
 
-    [f] must not modify [chans] and must not perform a round action: on
-    the parked path every [f] call runs after the last round of the
-    series, and a read of the next hop after [f] took a round action
-    raises [Invalid_argument] (the ring rows may have been reused).
-    Zero-length [chans] consumes no rounds and calls no [f]. *)
+    When nothing records per-listener identities (transcript off,
+    non-observing adversary) the sparse core parks the fiber for the whole
+    run: it draws the hops itself with one {!Prng.Rng.fill_int} into one
+    core-owned scratch, books the listener counts ahead, and keeps the hops
+    in a per-node store of 1-, 2- or 4-byte cells.  When the run ends the
+    fiber resumes once and [f] reads each heard frame straight from the
+    core's history ring, so the run costs no per-round resume, no per-hop
+    copy, and no hop buffer in the fiber.  Otherwise the fiber listens
+    round by round, and [f] is not called again once it has returned
+    [false].
+
+    [f] must not perform a round action: on the parked path every [f] call
+    runs after the last round of the series, and a read of the next hop
+    after [f] took a round action raises [Invalid_argument] (the ring rows
+    may have been reused).  Raises [Invalid_argument] (from the engine,
+    before any round is booked) unless [1 <= bound <= channels].
+    [len <= 0] consumes no rounds, draws nothing and calls no [f]. *)
 
 val current_round : unit -> int
 (** The engine's round counter.  Does not consume a round. *)
@@ -82,29 +91,30 @@ val current_round : unit -> int
     when the round resolves. *)
 
 type series_view
-(** A finished parked series' heard frames, read in place from the core's
-    history ring by {!listen_series}.  Valid until the fiber's next round
-    action. *)
+(** A finished parked series' hops and heard frames, read in place from the
+    core's hop store and history ring by {!listen_random}.  Valid until the
+    fiber's next round action. *)
 
 type obs =
   | Received of Frame.t  (** a listener's channel carried one decodable frame *)
   | Nothing  (** silence, collision, jam, or a non-listening action *)
   | Declined
-      (** the core will not run an {!EListenSeq} as one suspension: the
-          fiber then performs one {!EListen} per round itself *)
+      (** the core will not run an {!EListenRandom} as one suspension: the
+          fiber then draws and performs one {!EListen} per round itself *)
   | Heard of series_view
-      (** the core ran an {!EListenSeq} parked: the series' rounds are over
-          and the view holds what each hop heard *)
+      (** the core ran an {!EListenRandom} parked: the series' rounds are
+          over and the view holds each hop and what it heard *)
 
 type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t  (** {!transmit} *)
 type _ Effect.t += EListen : int -> obs Effect.t  (** {!listen} *)
 type _ Effect.t += EIdle : obs Effect.t  (** {!idle} *)
 type _ Effect.t += EIdleFor : int -> obs Effect.t  (** {!idle_for}, [k > 0] rounds *)
-type _ Effect.t += EListenSeq : int array -> obs Effect.t
-(** {!listen_series} with a nonempty channel run: the core either runs it
-    parked and answers [Heard] once its last round has resolved, or
-    answers [Declined] at once.  Only the sparse core builds views; the
-    test oracle always declines. *)
+type _ Effect.t += EListenRandom : Prng.Rng.t * int * int -> obs Effect.t
+(** {!listen_random} with [(rng, bound, len)], [len > 0]: the core checks
+    [bound], then either draws the [len] hops from [rng] and runs them
+    parked, answering [Heard] once the last round has resolved, or answers
+    [Declined] at once and leaves the draws to the fiber.  Only the sparse
+    core builds views; the test oracle always declines. *)
 type _ Effect.t += Round : int Effect.t  (** {!current_round}; consumes no round *)
 
 (** {1 Running} *)

@@ -71,7 +71,8 @@ module Stats = struct
 
   let pp fmt t =
     Format.fprintf fmt
-      "rounds=%d tx=%d delivered=%d spoofed=%d collisions=%d jammed_rounds=%d strikes=%d max_payload=%dB"
+      "rounds=%d tx=%d delivered=%d spoofed=%d collisions=%d jammed_rounds=%d strikes=%d \
+       max_payload=%dB"
       t.rounds t.honest_transmissions t.deliveries t.spoofed_deliveries t.collisions
       t.jammed_rounds t.strikes t.max_payload
 end

@@ -445,7 +445,9 @@ let keys t epoch =
   | Some _ | None ->
     let raw = Prf.Keyed.bytes t.group_prf ~label:"mux-epoch" ~counter:epoch in
     let k =
-      { ek_epoch = epoch; ck = Cipher.key raw; ak = Hmac.key (Sha256.digest ("mux-ack|" ^ raw)) }
+      { ek_epoch = epoch;
+        ck = Cipher.key raw;
+        ak = Hmac.key (Sha256.digest ("mux-ack|" ^ raw)) }
     in
     t.epoch_cache.(epoch land 1) <- Some k;
     k
@@ -1147,14 +1149,16 @@ let render_stats r =
     (ack_mode_name r.spec.ack_mode)
     r.spec.logical r.spec.phys r.spec.budget r.spec.rounds;
   Printf.bprintf b
-    "cfg rate=%d queue_cap=%d window=%d epoch_len=%d grace=%d payload=%d outsiders=%d seed=%Ld\n"
+    "cfg rate=%d queue_cap=%d window=%d epoch_len=%d grace=%d payload=%d outsiders=%d \
+     seed=%Ld\n"
     r.spec.rate r.spec.queue_cap r.spec.window r.spec.epoch_len r.spec.grace
     r.spec.payload r.spec.outsiders r.spec.seed;
   Printf.bprintf b
     "load offered=%d delivered=%d acked=%d shed=%d retransmissions=%d duplicates=%d\n"
     s.offered s.delivered s.acked s.shed s.retransmissions s.duplicates;
   Printf.bprintf b
-    "guard stale_epoch=%d out_of_window=%d bad_frames=%d forged_accepts=%d leaks=%d snooped=%d rekeys=%d\n"
+    "guard stale_epoch=%d out_of_window=%d bad_frames=%d forged_accepts=%d leaks=%d \
+     snooped=%d rekeys=%d\n"
     s.stale_epoch s.out_of_window s.bad_frames s.forged_accepts s.plaintext_leaks
     s.snooped s.rekeys;
   Printf.bprintf b "repeat messages_done=%d full_deliveries=%d\n" s.messages_done

@@ -109,7 +109,8 @@ let run_workload ~cfg ~key_holders ~spec ~sends ~adversary () =
       | None ->
         if holds_key then begin
           match recv spec with
-          | Some (sender, seq, msg) -> receptions.(id) <- (er, sender, seq, msg) :: receptions.(id)
+          | Some (sender, seq, msg) ->
+            receptions.(id) <- (er, sender, seq, msg) :: receptions.(id)
           | None -> ()
         end
         else

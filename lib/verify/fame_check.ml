@@ -110,7 +110,8 @@ let run_one regime ~n ~initial path =
   let viols = ref [] in
   let fail fmt =
     Printf.ksprintf
-      (fun msg -> viols := Printf.sprintf "%s: %s on %s" regime.name msg (pp_path path) :: !viols)
+      (fun msg ->
+        viols := Printf.sprintf "%s: %s on %s" regime.name msg (pp_path path) :: !viols)
       fmt
   in
   if outcome.Fame.diverged then fail "whp failure: nodes diverged";
@@ -126,7 +127,8 @@ let run_one regime ~n ~initial path =
     (fun (pair, body) ->
       let want = Experiments.Common.default_messages pair in
       if String.compare body want <> 0 then
-        fail "authentication: pair %s output %S, not the sent %S" (pp_pairs [ pair ]) body want)
+        fail "authentication: pair %s output %S, not the sent %S" (pp_pairs [ pair ]) body
+          want)
     outcome.Fame.delivered;
   if not (edge_lists_equal outcome.Fame.confirmed expected.Game_tree.delivered_edges) then
     fail "sender awareness: confirmed %s, delivered %s" (pp_pairs outcome.Fame.confirmed)

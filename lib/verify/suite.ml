@@ -10,7 +10,10 @@ let cap_violations vs =
   else List.filteri (fun i _ -> i < cap) vs @ [ Printf.sprintf "... and %d more" (n - cap) ]
 
 let disrupt_certificate (tier : Instances.tier) ~jobs =
-  let r = Disrupt.check ~max_nodes:tier.Instances.disrupt_nodes ~budgets:tier.Instances.disrupt_budgets ~jobs in
+  let r =
+    Disrupt.check ~max_nodes:tier.Instances.disrupt_nodes
+      ~budgets:tier.Instances.disrupt_budgets ~jobs
+  in
   let budgets = String.concat "," (List.map string_of_int tier.Instances.disrupt_budgets) in
   ( { Certificate.check = "disruptability-kernel-agreement";
       theorem = "Theorem 2";
@@ -66,7 +69,8 @@ let game_certificate (tier : Instances.tier) ~jobs =
                 r.Game_check.worst_moves))
              results;
       bound = "3|E| moves, tight: >= 1 instance needs >= |E|";
-      violations = cap_violations (List.concat_map (fun (_, _, r) -> r.Game_check.violations) results);
+      violations =
+        cap_violations (List.concat_map (fun (_, _, r) -> r.Game_check.violations) results);
       worst =
         (match worst with
          | None -> []
@@ -84,7 +88,8 @@ let game_certificate (tier : Instances.tier) ~jobs =
 let fame_certificate (tier : Instances.tier) ~jobs =
   let results =
     List.map
-      (fun regime -> (regime, Fame_check.check regime ~path_limit:tier.Instances.path_limit ~jobs))
+      (fun regime ->
+        (regime, Fame_check.check regime ~path_limit:tier.Instances.path_limit ~jobs))
       tier.Instances.regimes
   in
   let sum f = List.fold_left (fun acc (_, r) -> acc + f r) 0 results in
@@ -107,10 +112,12 @@ let fame_certificate (tier : Instances.tier) ~jobs =
         ( "engine_rounds", total_rounds )
         :: List.map
              (fun ((regime : Fame_check.regime), r) ->
-               (Printf.sprintf "strategies[%s]" regime.Fame_check.name, r.Fame_check.strategies))
+               ( Printf.sprintf "strategies[%s]" regime.Fame_check.name,
+                 r.Fame_check.strategies ))
              results;
       bound = "delivered/confirmed/failed = replay; cover <= t; rounds = feedback arithmetic";
-      violations = cap_violations (List.concat_map (fun (_, r) -> r.Fame_check.violations) results);
+      violations =
+        cap_violations (List.concat_map (fun (_, r) -> r.Fame_check.violations) results);
       worst =
         (match worst with
          | Some (regime, r) ->

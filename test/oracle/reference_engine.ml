@@ -77,10 +77,15 @@ let run (cfg : Config.t) ~adversary nodes =
           | Engine.EListen chan -> park (fun k -> Listen (chan, k))
           | Engine.EIdle -> park (fun k -> Idle k)
           | Engine.EIdleFor d -> park (fun k -> Sleep (d, k))
-          | Engine.EListenSeq _ ->
-            (* Always declined: the fiber then performs one [EListen] per
-               round, the definition the sparse core's parked series is
-               checked against. *)
+          | Engine.EListenRandom (_, bound, _) ->
+            (* Always declined, once the bound is checked: the fiber then
+               draws each hop and performs one [EListen] per round, the
+               definition the sparse core's parked series is checked
+               against. *)
+            if bound < 1 || bound > cfg.channels then
+              invalid_arg
+                (Printf.sprintf "Engine.listen_random: bound %d outside 1..%d" bound
+                   cfg.channels);
             Some (fun k -> Effect.Deep.continue k Engine.Declined)
           | Engine.Round -> Some (fun k -> Effect.Deep.continue k !round)
           | _ -> None) }

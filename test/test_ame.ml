@@ -321,8 +321,8 @@ let feedback_64_groups () =
     Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null (fun (ctx : Radio.Engine.ctx) ->
         let id = ctx.id in
         outputs.(id) <-
-          Feedback.run ~scratch:(Feedback.make_scratch ~reps:2) ~my_id:id ~rng:ctx.rng
-            ~channels ~witnesses ~witness_size:channels
+          Feedback.run ~reps:2 ~my_id:id ~rng:ctx.rng ~channels ~witnesses
+            ~witness_size:channels
             ~my_flag:(id < k * channels && flagged (id / channels)))
   in
   check Alcotest.int "rounds = k * reps" (k * 2) result.Radio.Engine.rounds_used;
@@ -330,24 +330,28 @@ let feedback_64_groups () =
     (fun id d -> check (Alcotest.list Alcotest.int) (Printf.sprintf "node %d" id) expected d)
     outputs
 
-(* Three consecutive feedback runs per node, each with its own flags, all
-   through one per-node scratch ([reuse]) or a fresh scratch per run.
-   Returns each node's (D, round at return) per run and the rounds used. *)
-let feedback_consecutive ~reuse ~adversary =
+(* Three consecutive feedback runs per node, each with its own flags.
+   Returns each node's (D, round at return) per run; [observe] wraps the
+   adversary as an observer, which makes the engine decline every
+   listener series, so each listener draws and hears its hops round by
+   round. *)
+let feedback_consecutive ~observe ~adversary =
   let channels = 2 and k = 3 and reps = 5 and runs = 3 in
   let n = (k * channels) + 6 in
   let cfg = Radio.Config.make ~seed:9L ~n ~channels ~t:1 () in
   let witnesses = Array.init k (fun r -> Array.init channels (fun i -> (r * channels) + i)) in
   let outputs = Array.make n [] in
+  let adversary =
+    let a = adversary () in
+    if observe then { a with Radio.Adversary.observes = true; observe = ignore } else a
+  in
   let result =
-    Radio.Engine.run_nodes cfg ~adversary:(adversary ()) (fun (ctx : Radio.Engine.ctx) ->
+    Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
         let id = ctx.id in
-        let shared = Feedback.make_scratch ~reps in
         for run = 0 to runs - 1 do
-          let scratch = if reuse then shared else Feedback.make_scratch ~reps in
           let my_flag = id < k * channels && ((id / channels) + run) mod 2 = 0 in
           let d =
-            Feedback.run ~scratch ~my_id:id ~rng:ctx.rng ~channels ~witnesses
+            Feedback.run ~reps ~my_id:id ~rng:ctx.rng ~channels ~witnesses
               ~witness_size:channels ~my_flag
           in
           outputs.(id) <- outputs.(id) @ [ (d, Radio.Engine.current_round ()) ]
@@ -357,35 +361,33 @@ let feedback_consecutive ~reuse ~adversary =
     result.Radio.Engine.rounds_used;
   outputs
 
-let feedback_scratch_reuse () =
-  (* Under the null adversary the listeners' series park in the engine and
-     are read back from its history ring; the observing reactive jammer
-     makes the engine decline them, so each listener hears its hops round
-     by round.  Either way the reused hop buffer gives the same D at the
-     same rounds as a fresh one. *)
+let feedback_parked_equals_declined () =
+  (* Without an observer the listeners' series park in the engine, which
+     draws their hops, and each listener stops reading at its first
+     <true, r>; with one, the engine declines them.  Either way every node
+     gets the same D at the same rounds, and the stream each node leaves
+     behind (its next run's hops) agrees too. *)
   List.iter
     (fun (name, adversary) ->
-      let fresh = feedback_consecutive ~reuse:false ~adversary in
-      let reused = feedback_consecutive ~reuse:true ~adversary in
+      let parked = feedback_consecutive ~observe:false ~adversary in
+      let declined = feedback_consecutive ~observe:true ~adversary in
       Array.iteri
         (fun id runs ->
           check
             (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.int) Alcotest.int))
-            (Printf.sprintf "%s: node %d" name id) runs reused.(id))
-        fresh)
+            (Printf.sprintf "%s: node %d" name id) runs declined.(id))
+        parked)
     [ ("null", fun () -> Radio.Adversary.null);
-      ( "reactive jammer",
-        fun () ->
-          let a = Radio.Adversary.reactive_jammer (Prng.Rng.create 4L) ~channels:2 ~budget:1 in
-          assert a.Radio.Adversary.observes;
-          a ) ]
+      ( "random jammer",
+        fun () -> Radio.Adversary.random_jammer (Prng.Rng.create 4L) ~channels:2 ~budget:1 ) ]
 
 let feedback_steady_state_allocation () =
-  (* One listener against silent witnesses (their fibers return at once):
-     after the first run, a run through the same scratch allocates a few
-     dozen words per phase whatever [reps] is, engine work on its behalf
-     included — no per-round word at all.  Measured: 82 words per run of
-     k = 2 phases. *)
+  (* One listener against silent witnesses (their fibers return at once),
+     so it reads all [reps] hops: after the first run, a run allocates a
+     few dozen words per phase whatever [reps] is, engine work on its
+     behalf included — no per-round word at all.  Measured: 82 words per
+     run of k = 2 phases with a per-node hop buffer; 88 with the engine
+     drawing the hops, whose view also names the hop store. *)
   let channels = 2 and k = 2 and reps = 200 and runs = 10 in
   let listener = k * channels in
   let cfg = Radio.Config.make ~seed:3L ~n:(listener + 1) ~channels ~t:1 () in
@@ -394,10 +396,9 @@ let feedback_steady_state_allocation () =
   let _ =
     Radio.Engine.run_nodes cfg ~adversary:Radio.Adversary.null (fun (ctx : Radio.Engine.ctx) ->
         if ctx.id = listener then begin
-          let scratch = Feedback.make_scratch ~reps in
           let feedback () =
             ignore
-              (Feedback.run ~scratch ~my_id:ctx.id ~rng:ctx.rng ~channels ~witnesses
+              (Feedback.run ~reps ~my_id:ctx.id ~rng:ctx.rng ~channels ~witnesses
                  ~witness_size:channels ~my_flag:false)
           in
           feedback ();
@@ -410,6 +411,49 @@ let feedback_steady_state_allocation () =
   in
   if !words > 96.0 then
     Alcotest.failf "a steady-state Feedback.run allocates %.1f words (reps = %d)" !words reps
+
+(* Phase r's listener reads, counted through a wrapper of [Feedback]'s own
+   read, against C witnesses sending [frame] on every channel for [reps]
+   rounds: (reads, stopped). *)
+let phase_reads ~adversary ~frame =
+  let channels = 2 and reps = 86 and r = 5 in
+  let cfg = Radio.Config.make ~seed:11L ~n:(channels + 1) ~channels ~t:1 () in
+  let reads = ref 0 and stopped = ref false in
+  let _ =
+    Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
+        if ctx.id < channels then
+          for _ = 1 to reps do
+            Radio.Engine.transmit ~chan:ctx.id frame
+          done
+        else
+          stopped :=
+            Radio.Engine.listen_random ~rng:ctx.rng ~bound:channels ~len:reps
+              ~f:(fun j heard ->
+                incr reads;
+                Feedback.keep_listening r j heard))
+  in
+  (!reads, !stopped)
+
+let feedback_one_read_per_hit () =
+  (* The answer of a phase is fixed by the first <true, r> a listener
+     hears, so that is the last hop it reads: with every channel carrying
+     <true, r>, one read; with <false> (or another phase's <true, r'>),
+     all 86. *)
+  let reads frame = phase_reads ~adversary:Radio.Adversary.null ~frame in
+  check (Alcotest.pair Alcotest.int Alcotest.bool) "successful phase" (1, true)
+    (reads (Radio.Frame.Feedback_true 5));
+  check (Alcotest.pair Alcotest.int Alcotest.bool) "failed phase" (86, false)
+    (reads Radio.Frame.Feedback_false);
+  check (Alcotest.pair Alcotest.int Alcotest.bool) "another phase's <true>" (86, false)
+    (reads (Radio.Frame.Feedback_true 4));
+  (* A jammer striking one channel per round only delays the hit. *)
+  let jammed, stopped =
+    phase_reads
+      ~adversary:(Radio.Adversary.random_jammer (Prng.Rng.create 2L) ~channels:2 ~budget:1)
+      ~frame:(Radio.Frame.Feedback_true 5)
+  in
+  check Alcotest.bool "jammed phase still stops" true stopped;
+  if jammed < 1 || jammed > 86 then Alcotest.failf "jammed phase read %d hops" jammed
 
 (* -- f-AME (Theorem 6) -- *)
 
@@ -808,6 +852,37 @@ let fame_allocation_per_move () =
   in
   per_move ~name:"f-AME" ~play:Fame.Game ~count:4;
   per_move ~name:"direct" ~play:Fame.Direct ~count:16
+
+let fame_promoted_per_listener_phase () =
+  (* Words promoted per listener per feedback phase on a 2,000-node run
+     (C = 2, t = 1, 4 disjoint pairs: 4 moves of 2 phases of 66 hops, with
+     1,998 listeners in each phase), all of the run's promotions counted.
+     Parked listeners outlive minor collections, so whatever a listener
+     holds across its series is promoted: measured 24.8 words when each
+     fiber kept a 66-int hop buffer for the run, 13.9 with the engine
+     drawing the hops into its own store.  The minor heap is set to the
+     default 256k words and emptied first, so the count is a fixed
+     function of the code. *)
+  let n = 2_000 in
+  let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:7L () in
+  let pairs = Workload.disjoint_pairs ~n ~count:4 in
+  let reps = Params.feedback_reps Params.default ~channels:2 ~budget:1 ~n in
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.minor_heap_size = 256 * 1024 };
+  Fun.protect
+    ~finally:(fun () -> Gc.set gc)
+    (fun () ->
+      ignore (Fame.run ~cfg ~pairs ~messages ~adversary:null_adversary ());
+      Gc.full_major ();
+      let before = (Gc.quick_stat ()).Gc.promoted_words in
+      let o = Fame.run ~cfg ~pairs ~messages ~adversary:null_adversary () in
+      let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+      check Alcotest.bool "clean run" false o.Fame.diverged;
+      let phases = (o.Fame.engine.Radio.Engine.rounds_used - o.Fame.moves) / reps in
+      check Alcotest.int "feedback phases" 8 phases;
+      let per = promoted /. float_of_int (phases * (n - 2)) in
+      if per > 16.0 then
+        Alcotest.failf "%.1f words promoted per listener per phase (cap 16)" per)
 
 (* -- tree feedback internals -- *)
 
@@ -1229,7 +1304,8 @@ let () =
           Alcotest.test_case "round cost" `Quick feedback_round_cost;
           Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes;
           Alcotest.test_case "64 witness groups" `Quick feedback_64_groups;
-          Alcotest.test_case "scratch reused across runs" `Quick feedback_scratch_reuse;
+          Alcotest.test_case "parked = declined runs" `Quick feedback_parked_equals_declined;
+          Alcotest.test_case "one read per successful phase" `Quick feedback_one_read_per_hit;
           Alcotest.test_case "steady-state allocation" `Quick
             feedback_steady_state_allocation ] );
       ( "fame",
@@ -1245,6 +1321,8 @@ let () =
           Alcotest.test_case "tree mode validation" `Quick fame_tree_mode_validation;
           Alcotest.test_case "outcome pins" `Quick fame_outcome_pins;
           Alcotest.test_case "allocation per node-move" `Quick fame_allocation_per_move;
+          Alcotest.test_case "promoted per listener phase" `Quick
+            fame_promoted_per_listener_phase;
           QCheck_alcotest.to_alcotest fame_invariants_on_random_workloads ] );
       ( "tree-feedback",
         [ Alcotest.test_case "pair index bijective" `Quick tree_pair_index_bijective;

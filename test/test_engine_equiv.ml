@@ -72,10 +72,13 @@ let node_body ~n ~channels ~steps (ctx : Engine.ctx) =
       (* Series lengths 0..6 cover the empty no-op, the one-round case, and
          multi-round runs; with record off and a non-observing adversary
          this is the parked fast path, otherwise the engine declines the
-         series and the fiber listens round by round. *)
+         series and the fiber listens round by round.  The hops come from
+         the node's own stream, so every later step checks that the series
+         left it as [len] draws would; [f] stops at a random hop. *)
       let len = Prng.Rng.int rng 7 in
-      let chans = Array.init len (fun _ -> Prng.Rng.int rng channels) in
-      Engine.listen_series ~chans ~f:(fun _ _ -> ())
+      let bound = 1 + Prng.Rng.int rng channels in
+      let stop = Prng.Rng.int rng 8 in
+      ignore (Engine.listen_random ~rng ~bound ~len ~f:(fun j _ -> j < stop))
     | _ -> Engine.idle_for (1 + Prng.Rng.int rng 5)
   done
 
@@ -216,14 +219,124 @@ let run_nodes_equals_run () =
   let b = Engine.run_nodes cfg ~adversary:(mk ()) body in
   check Alcotest.bool "identical" true (same_result a b)
 
-(* -- listen_series: parked vs declined vs reference ---------------------
+(* -- listen_random: parked vs declined vs reference ---------------------
 
    The random property above only compares engine-side observables; these
-   check the frames the listeners actually hear, through both cores and
-   both series paths (parked ring when nothing records; declined, i.e.
-   plain per-round listens, when the transcript or an observing adversary
-   needs identities), with mixed series lengths chosen to force the
-   round-ring to regrow while series are outstanding. *)
+   check what the listeners actually read, through both cores and both
+   series paths (parked when nothing records; declined, i.e. plain
+   per-round listens, when the transcript or an observing adversary needs
+   identities), with mixed series lengths chosen to force the round rings
+   and the hop store to regrow while series are outstanding. *)
+
+type series_params = {
+  listeners : int;
+  senders : int;
+  schannels : int;
+  st : int;
+  sseed : int;
+  adv : int;  (** a non-observing adversary: null, sweep, random jam, spoofer *)
+}
+
+let pp_series_params p =
+  Printf.sprintf "listeners=%d senders=%d C=%d t=%d seed=%d adv=%d" p.listeners p.senders
+    p.schannels p.st p.sseed p.adv
+
+let series_params_arb =
+  QCheck.make ~print:pp_series_params
+    QCheck.Gen.(
+      let* listeners = int_range 2 12 in
+      let* senders = int_range 0 4 in
+      let* schannels = int_range 2 5 in
+      let* st = int_range 0 (schannels - 1) in
+      let* sseed = int_range 1 1_000_000 in
+      let* adv = int_range 0 3 in
+      return { listeners; senders; schannels; st; sseed; adv })
+
+(* What one listener saw: every [f] call as (series, hop, heard), and per
+   series whether [f] stopped it, how many calls it got, the round the
+   call returned in and the node's next 64 bits — the stream after the
+   series. *)
+type listener_log = {
+  mutable calls : (int * int * Frame.t option) list;
+  mutable finals : (bool * int * int * int64) list;
+}
+
+let random_series_run p ~record ~observer run_core =
+  let n = p.senders + p.listeners in
+  let logs = Array.init n (fun _ -> { calls = []; finals = [] }) in
+  let cfg =
+    Config.make ~n ~channels:p.schannels ~t:p.st ~seed:(Int64.of_int p.sseed)
+      ~record_transcript:record ~track_channels:true ()
+  in
+  let adversary =
+    let a = make_adversary ~which:p.adv ~channels:p.schannels ~budget:p.st ~seed:p.sseed () in
+    assert (not a.Adversary.observes);
+    if observer then { a with Adversary.observes = true; observe = ignore } else a
+  in
+  let body (ctx : Engine.ctx) =
+    let rng = ctx.Engine.rng and id = ctx.Engine.id in
+    if id < p.senders then
+      for k = 1 to 60 do
+        if Prng.Rng.int rng 3 = 0 then Engine.idle ()
+        else
+          Engine.transmit ~chan:(Prng.Rng.int rng p.schannels)
+            (Frame.Plain { src = id; dst = -1; body = Printf.sprintf "%d.%d" id k })
+      done
+    else
+      let log = logs.(id) in
+      for series = 0 to 3 do
+        Engine.idle_for (Prng.Rng.int rng 4);
+        (* Mostly short series with the odd long one, so a long series is
+           declared while short ones are parked. *)
+        let len = if Prng.Rng.int rng 3 = 0 then Prng.Rng.int rng 41 else Prng.Rng.int rng 6 in
+        let bound = 1 + Prng.Rng.int rng p.schannels in
+        (* [stop] = len or len + 1 reads every hop. *)
+        let stop = Prng.Rng.int rng (len + 2) in
+        let got = ref 0 in
+        let stopped =
+          Engine.listen_random ~rng ~bound ~len ~f:(fun j heard ->
+              incr got;
+              log.calls <- (series, j, heard) :: log.calls;
+              j <> stop)
+        in
+        if stopped <> (stop < len) || !got <> min (stop + 1) len then
+          failwith
+            (Printf.sprintf "node %d series %d: len %d stop %d, stopped %b after %d calls" id
+               series len stop stopped !got);
+        log.finals <-
+          (stopped, !got, Engine.current_round (), Prng.Rng.bits64 rng) :: log.finals
+      done
+  in
+  let r = run_core cfg ~adversary (Array.make n body) in
+  (r, Array.map (fun l -> (l.calls, l.finals)) logs)
+
+let series_paths_agree =
+  QCheck.Test.make ~name:"parked = declined = reference" ~count:200
+    series_params_arb (fun p ->
+      let go ~record ?(observer = false) run_core =
+        random_series_run p ~record ~observer run_core
+      in
+      let ref_off, ref_off_log = go ~record:false Reference_engine.run in
+      let parked, parked_log = go ~record:false Engine.run in
+      let ref_on, ref_on_log = go ~record:true Reference_engine.run in
+      let recorded, recorded_log = go ~record:true Engine.run in
+      let observed, observed_log = go ~record:false ~observer:true Engine.run in
+      let fail what a b =
+        QCheck.Test.fail_reportf "%s on %s:@ %t" what (pp_series_params p) (fun fmt ->
+            explain_mismatch fmt a b)
+      in
+      if not (same_result ref_off parked) then fail "parked vs reference" ref_off parked
+      else if not (same_result ref_on recorded) then
+        fail "declined (recording) vs reference" ref_on recorded
+      else if not (same_result parked observed) then
+        fail "parked vs declined (observer)" parked observed
+      else if ref_off.Engine.stats <> ref_on.Engine.stats then
+        fail "recording changed the stats" ref_off ref_on
+      else
+        parked_log = ref_off_log
+        && recorded_log = ref_on_log
+        && observed_log = parked_log
+        && recorded_log = parked_log)
 
 let series_lengths = [| 3; 1; 40; 0; 7; 33 |]
 
@@ -254,15 +367,17 @@ let series_workload ~n ~channels ~record ~seed run_core =
       Engine.idle_for (id mod 4);
       Array.iter
         (fun len ->
-          let chans = Array.init len (fun j -> (id + j) mod channels) in
-          Engine.listen_series ~chans ~f:(fun j frame ->
-              let s =
-                match frame with
-                | Some (Frame.Plain { src; body; _ }) -> Printf.sprintf "%d@%d:%s" j src body
-                | Some _ -> "?"
-                | None -> Printf.sprintf "%d@-" j
-              in
-              heard.(id) <- s :: heard.(id)))
+          ignore
+            (Engine.listen_random ~rng:ctx.Engine.rng ~bound:channels ~len ~f:(fun j frame ->
+                 let s =
+                   match frame with
+                   | Some (Frame.Plain { src; body; _ }) ->
+                     Printf.sprintf "%d@%d:%s" j src body
+                   | Some _ -> "?"
+                   | None -> Printf.sprintf "%d@-" j
+                 in
+                 heard.(id) <- s :: heard.(id);
+                 true)))
         series_lengths
     end
   in
@@ -310,12 +425,40 @@ let series_heard_parity () =
     (same_result rb rf && hb = hf)
 
 let series_rejects_bad_arguments () =
-  let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
-  Alcotest.check_raises "invalid channel"
-    (Invalid_argument "Engine: action on invalid channel 9") (fun () ->
-      ignore
-        (Engine.run_nodes cfg ~adversary:Adversary.null (fun _ ->
-             Engine.listen_series ~chans:[| 0; 9 |] ~f:(fun _ _ -> ()))))
+  (* A bound outside 1..C raises when the series is declared, on both
+     cores and both paths, before the engine draws a hop: node 0's stream
+     is left untouched. *)
+  List.iter
+    (fun (label, record, run) ->
+      List.iter
+        (fun bound ->
+          let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L ~record_transcript:record () in
+          let rng = ref None in
+          Alcotest.check_raises
+            (Printf.sprintf "%s: bound %d" label bound)
+            (Invalid_argument
+               (Printf.sprintf "Engine.listen_random: bound %d outside 1..2" bound))
+            (fun () ->
+              ignore
+                (run cfg ~adversary:Adversary.null
+                   (Array.make 2 (fun (ctx : Engine.ctx) ->
+                        if ctx.Engine.id = 0 then begin
+                          rng := Some ctx.Engine.rng;
+                          ignore
+                            (Engine.listen_random ~rng:ctx.Engine.rng ~bound ~len:4
+                               ~f:(fun _ _ -> true))
+                        end))));
+          let fresh = Prng.Rng.split_at (Prng.Rng.create 3L) 1 in
+          match !rng with
+          | None -> Alcotest.fail "node 0 never ran"
+          | Some rng ->
+            check Alcotest.int64
+              (Printf.sprintf "%s: bound %d draws nothing" label bound)
+              (Prng.Rng.bits64 fresh) (Prng.Rng.bits64 rng))
+        [ 0; 3 ])
+    [ ("parked", false, Engine.run);
+      ("declined", true, Engine.run);
+      ("reference", false, Reference_engine.run) ]
 
 let series_stale_read_raises () =
   (* On the parked path [f] reads the history ring in place, so a round
@@ -325,41 +468,47 @@ let series_stale_read_raises () =
   let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
   let run f =
     Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
-        if ctx.Engine.id = 0 then Engine.listen_series ~chans:[| 0; 1; 0 |] ~f
+        if ctx.Engine.id = 0 then
+          ignore (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~len:3 ~f)
         else
           for _ = 1 to 5 do
             Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
           done)
   in
   Alcotest.check_raises "round action, then a read"
-    (Invalid_argument "Engine.listen_series: series read after a round action") (fun () ->
-      ignore (run (fun j _ -> if j = 0 then Engine.idle ())));
+    (Invalid_argument "Engine.listen_random: series read after a round action") (fun () ->
+      ignore
+        (run (fun j _ ->
+             if j = 0 then Engine.idle ();
+             true)));
   let rounds = ref [] in
   let r =
     run (fun j _ ->
         rounds := Engine.current_round () :: !rounds;
-        if j = 2 then Engine.idle ())
+        if j = 2 then Engine.idle ();
+        true)
   in
   check Alcotest.(list int) "current_round reads the resume round" [ 3; 3; 3 ] !rounds;
   check Alcotest.bool "completed" true r.Engine.completed
 
 let series_completion_allocation () =
   (* A parked series costs the same constant number of words whatever its
-     length: the fiber is resumed once with a view of the ring, and no
+     length: the engine draws the hops into its own scratch and store, the
+     fiber is resumed once with a view of them and of the ring, and no
      per-hop result is copied or boxed. *)
   let words ~len =
     let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
-    let chans = Array.init len (fun j -> j land 1) in
-    let f _ _ = () in
+    let f _ _ = true in
     let per_series = ref 0.0 in
     let _ =
       Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
+          let rng = ctx.Engine.rng in
           if ctx.Engine.id = 0 then begin
-            Engine.listen_series ~chans ~f;
+            ignore (Engine.listen_random ~rng ~bound:2 ~len ~f);
             let runs = 50 in
             let before = Gc.minor_words () in
             for _ = 1 to runs do
-              Engine.listen_series ~chans ~f
+              ignore (Engine.listen_random ~rng ~bound:2 ~len ~f)
             done;
             per_series := (Gc.minor_words () -. before) /. float_of_int runs
           end)
@@ -430,7 +579,8 @@ let () =
             channel_usage_totals_match_stats;
           Alcotest.test_case "usage absent when off" `Quick untracked_has_no_usage ] );
       ( "listen-series",
-        [ Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;
+        [ qcheck series_paths_agree;
+          Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;
           Alcotest.test_case "argument validation" `Quick series_rejects_bad_arguments;
           Alcotest.test_case "stale read raises" `Quick series_stale_read_raises;
           Alcotest.test_case "completion allocation constant" `Quick

@@ -210,6 +210,19 @@ let latency_percentiles_sane () =
   (* Null adversary: everything delivers the round it is sent. *)
   check Alcotest.int "null-adversary p99 latency" 0 p99
 
+let latency_p99_in_digest () =
+  (* The service's bench determinism row is [output_digest], which hashes
+     [render_stats]; a one-round shift of every delivery's latency moves
+     the p99 and must move the digest, so the row gates the p99 exactly. *)
+  let r = Mux.run (base_spec ~rounds:40 ~logical:4 ()) ~adversary:(jammer 13L 2) in
+  let p99 = Mux.latency_percentile r 0.99 in
+  check Alcotest.bool "has latency samples" true
+    (Array.exists (fun c -> c > 0) r.Mux.latency_hist);
+  let later = { r with Mux.latency_hist = Array.append [| 0 |] r.Mux.latency_hist } in
+  check Alcotest.int "shifted p99" (p99 + 1) (Mux.latency_percentile later 0.99);
+  check Alcotest.bool "digest moves with the p99" false
+    (String.equal (Mux.output_digest r) (Mux.output_digest later))
+
 let spec_validation () =
   Alcotest.check_raises "budget >= phys"
     (Invalid_argument "Mux.make: need 0 <= budget < phys") (fun () ->
@@ -761,6 +774,7 @@ let () =
           Alcotest.test_case "backpressure sheds" `Quick backpressure_sheds;
           Alcotest.test_case "outsiders blocked" `Quick outsiders_cannot_read_or_forge;
           Alcotest.test_case "latency sane" `Quick latency_percentiles_sane;
+          Alcotest.test_case "latency p99 in the digest" `Quick latency_p99_in_digest;
           Alcotest.test_case "spec validation" `Quick spec_validation ] );
       ( "determinism",
         [ Alcotest.test_case "pool sizes byte-identical" `Quick
