@@ -141,6 +141,23 @@ let sender_must_hold_key () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* Exact outcome of the Core entry point under a random jammer, round 1's
+   two senders colliding: receiver counts, repetitions and both flags. *)
+let open_channel_pinned () =
+  let r =
+    Core.open_channel ~seed:5L ~t:1 ~n:16 ~attack:Core.Random_jam
+      [ (0, 3, "alpha"); (1, 7, "beta"); (1, 9, "clash"); (2, 0, "gamma"); (4, 12, "delta") ]
+  in
+  check
+    Alcotest.(list (pair (pair int int) (pair string int)))
+    "deliveries"
+    [ ((0, 3), ("alpha", 15)); ((1, 7), ("beta", 0)); ((1, 9), ("clash", 0));
+      ((2, 0), ("gamma", 15)); ((4, 12), ("delta", 15)) ]
+    (List.map (fun (er, s, m, c) -> ((er, s), (m, c))) r.Core.deliveries);
+  check Alcotest.int "rounds per message" 32 r.Core.rounds_per_message;
+  check Alcotest.bool "secrecy" true r.Core.secrecy_ok;
+  check Alcotest.bool "authentication" true r.Core.authentication_ok
+
 let () =
   Alcotest.run "secure_channel"
     [ ( "spec",
@@ -152,4 +169,5 @@ let () =
           Alcotest.test_case "forged frames rejected" `Quick forged_frames_rejected;
           Alcotest.test_case "replay is not a forgery" `Quick replayed_ciphertext_rejected;
           Alcotest.test_case "concurrent broadcasts collide" `Quick concurrent_broadcasts_collide;
-          Alcotest.test_case "sender must hold key" `Quick sender_must_hold_key ] ) ]
+          Alcotest.test_case "sender must hold key" `Quick sender_must_hold_key;
+          Alcotest.test_case "open_channel pinned" `Quick open_channel_pinned ] ) ]

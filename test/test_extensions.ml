@@ -175,6 +175,28 @@ let unicast_hop_is_pair_private () =
   check Alcotest.bool "pairwise hops are domain-separated from the broadcast service's" true
     (differs s1 broadcast)
 
+(* Exact per-stream deliveries on two channels under a random jammer:
+   stream 2 loses two of its four payloads. *)
+let unicast_received_pinned () =
+  let cfg = Radio.Config.make ~n:16 ~channels:2 ~t:1 ~seed:5L () in
+  let streams =
+    List.init 4 (fun i ->
+        { Unicast.sender = 2 * i; receiver = (2 * i) + 1;
+          payloads = List.init 4 (fun j -> Printf.sprintf "s%d-m%d" i j) })
+  in
+  let o =
+    Unicast.run_streams ~cfg ~keys:pair_keys ~streams
+      ~adversary:(Radio.Adversary.random_jammer (Prng.Rng.create 2L) ~channels:2 ~budget:1)
+      ()
+  in
+  let all i = List.init 4 (fun j -> (j, Printf.sprintf "s%d-m%d" i j)) in
+  check
+    Alcotest.(list (list (pair int string)))
+    "received per stream"
+    [ all 0; all 1; [ (1, "s2-m1"); (2, "s2-m2") ]; all 3 ]
+    (List.map (fun (r : Unicast.stream_result) -> r.Unicast.received) o.Unicast.results);
+  check Alcotest.int "rounds" 128 o.Unicast.engine.Radio.Engine.rounds_used
+
 (* The quick tier runs a single E14 configuration, so the full-tier table
    is pinned here: it covers every (C, pairs) cell of the pairwise path. *)
 let unicast_e14_full_table () =
@@ -301,7 +323,8 @@ let () =
         [ Alcotest.test_case "concurrent delivery" `Quick unicast_delivers_concurrently;
           Alcotest.test_case "rejects overlapping endpoints" `Quick unicast_rejects_overlap;
           Alcotest.test_case "pair-private hopping" `Quick unicast_hop_is_pair_private;
-          Alcotest.test_case "full-tier e14 table" `Quick unicast_e14_full_table ] );
+          Alcotest.test_case "full-tier e14 table" `Quick unicast_e14_full_table;
+          Alcotest.test_case "received lists pinned" `Quick unicast_received_pinned ] );
       ( "secret-bits",
         [ Alcotest.test_case "keys match" `Quick secret_bits_keys_match;
           Alcotest.test_case "partial eavesdropping" `Quick secret_bits_partial_eavesdropping;

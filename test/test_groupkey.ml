@@ -148,6 +148,50 @@ let deterministic () =
   in
   check (Alcotest.pair Alcotest.int Alcotest.int) "identical reruns" (go ()) (go ())
 
+(* Every node's leader keys and group key, hashed: pins Part 2's frames
+   and hops bit for bit, not only the agreement counts. *)
+let digest_keys leader_keys group_key =
+  let b = Buffer.create 1024 in
+  Array.iteri
+    (fun i keys ->
+      Buffer.add_string b (Printf.sprintf "%d:" i);
+      List.iter
+        (fun (j, k) -> Buffer.add_string b (Printf.sprintf "%d=%s," j (Crypto.Sha256.hex_of k)))
+        keys;
+      Buffer.add_string b
+        (match group_key.(i) with Some k -> Crypto.Sha256.hex_of k | None -> "-");
+      Buffer.add_char b '\n')
+    leader_keys;
+  Crypto.Sha256.digest_hex (Buffer.contents b)
+
+(* Exact outcomes of a setup and a re-key under a random hop jammer. *)
+let pinned_under_hop_jammer () =
+  let t = 1 and n = 20 in
+  let cfg = Radio.Config.make ~n ~channels:(t + 1) ~t ~seed:7L ~max_rounds:50_000_000 () in
+  let hop () = Radio.Adversary.random_jammer (Prng.Rng.create 3L) ~channels:(t + 1) ~budget:t in
+  let o = Protocol.run ~cfg ~fame_adversary:null_fame ~hop_adversary:(hop ()) () in
+  check
+    Alcotest.(list int)
+    "setup agreed, wrong, none, rounds" [ 20; 0; 0; 4031 ]
+    [ o.Protocol.agreed_key_holders; o.Protocol.wrong_key_holders; o.Protocol.no_key_holders;
+      o.Protocol.total_rounds ];
+  check Alcotest.string "setup keys digest"
+    "7d8588917d4089502ea93e86a5afdc86ba877d5b3184e998471ded629f2a3e1c"
+    (digest_keys
+       (Array.map (fun (r : Protocol.node_result) -> r.Protocol.leader_keys) o.Protocol.nodes)
+       (Array.map (fun (r : Protocol.node_result) -> r.Protocol.group_key) o.Protocol.nodes));
+  let rk =
+    Groupkey.Rekey.run ~cfg ~previous:o ~compromised:[ 5; 11 ] ~hop_adversary:(hop ()) ()
+  in
+  check
+    Alcotest.(list int)
+    "re-key agreed, wrong, excluded with key, rounds" [ 18; 0; 0; 1400 ]
+    [ rk.Groupkey.Rekey.agreed_key_holders; rk.Groupkey.Rekey.wrong_key_holders;
+      rk.Groupkey.Rekey.excluded_with_key; rk.Groupkey.Rekey.rounds ];
+  check Alcotest.string "re-key keys digest"
+    "b9b50e2d957350ceb86eab3b94c89b1ab7540d651bc8bb12b1a46eb157bd30ef"
+    (digest_keys (Array.make n []) rk.Groupkey.Rekey.group_key)
+
 let () =
   Alcotest.run "groupkey"
     [ ( "protocol",
@@ -158,4 +202,5 @@ let () =
           Alcotest.test_case "jammed run meets guarantee" `Slow jammed_run_meets_guarantee;
           Alcotest.test_case "no key material leaks" `Slow adversary_never_sees_key_material;
           Alcotest.test_case "report replay is harmless" `Slow report_replay_attack_is_harmless;
-          Alcotest.test_case "deterministic" `Slow deterministic ] ) ]
+          Alcotest.test_case "deterministic" `Slow deterministic;
+          Alcotest.test_case "pinned under hop jammer" `Slow pinned_under_hop_jammer ] ) ]
