@@ -60,7 +60,7 @@ let () =
         (fun i -> rk.Core.Groupkey.Rekey.group_key.(i) = Some key)
         (List.init n Fun.id)
     in
-    let spec = Core.Secure_channel.Service.make_spec ~key ~cfg () in
+    let spec = Core.Secure_channel.Service.make_spec ~key ~cfg in
     let o =
       Core.Secure_channel.Service.run_workload ~cfg ~key_holders:holders ~spec
         ~sends:[ (0, 0, "post-rotation traffic") ]

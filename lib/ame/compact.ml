@@ -3,19 +3,15 @@ type calendar = {
   epochs : ((int * int) * int * int) array;
 }
 
-let log2 x = log x /. log 2.0
-
 let out_edges_of pairs v =
   List.sort Int.compare (List.filter_map (fun (x, w) -> if x = v then Some w else None) pairs)
 
 let owners_of pairs =
   List.sort_uniq Int.compare (List.map fst pairs)
 
-let make_calendar ?(gossip_beta = 3.0) ~pairs ~budget ~n () =
+let make_calendar ~pairs ~budget ~n =
   let t1 = float_of_int (budget + 1) in
-  let epoch_rounds =
-    max 1 (int_of_float (ceil (gossip_beta *. t1 *. t1 *. log2 (float_of_int (max n 4)))))
-  in
+  let epoch_rounds = Radio.Config.reps ~scale:(3.0 *. t1 *. t1) ~n in
   let epochs =
     List.concat_map
       (fun v ->
@@ -95,12 +91,12 @@ let reconstruct ~levels =
     !suffixes
   end
 
-let run ?(ame_params = Params.default) ?gossip_beta ?(candidate_cap = 256) ~cfg ~pairs
+let run ?(ame_params = Params.default) ?(candidate_cap = 256) ~cfg ~pairs
     ~messages ~gossip_adversary ~fame_adversary () =
   let channels = cfg.Radio.Config.channels in
   let budget = cfg.Radio.Config.t in
   let n = cfg.Radio.Config.n in
-  let cal = make_calendar ?gossip_beta ~pairs ~budget ~n () in
+  let cal = make_calendar ~pairs ~budget ~n in
   let total_rounds = Array.length cal.epochs * cal.epoch_rounds in
   (* Per-node candidate store: (owner, level) -> (body, hash) list. *)
   let cands = Array.init n (fun _ -> Hashtbl.create 64) in

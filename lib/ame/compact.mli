@@ -28,10 +28,10 @@ type calendar = {
           length) *)
 }
 
-val make_calendar :
-  ?gossip_beta:float -> pairs:(int * int) list -> budget:int -> n:int -> unit -> calendar
+val make_calendar : pairs:(int * int) list -> budget:int -> n:int -> calendar
 (** Deterministic public schedule of the gossip phase (the adversary may
-    read it; epoch boundaries are protocol-deterministic). *)
+    read it; epoch boundaries are protocol-deterministic).  Each epoch
+    lasts [ceil (3 (t+1)^2 log2 n)] rounds. *)
 
 val epoch_of_round : calendar -> int -> ((int * int) * int * int) option
 
@@ -54,7 +54,6 @@ type outcome = {
 
 val run :
   ?ame_params:Params.t ->
-  ?gossip_beta:float ->
   ?candidate_cap:int ->
   cfg:Radio.Config.t ->
   pairs:(int * int) list ->

@@ -5,15 +5,11 @@ type t = {
 
 let default = { beta_feedback = 3.0; watchers_factor = 3 }
 
-let log2 x = log x /. log 2.0
-
 let feedback_reps p ~channels ~budget ~n =
   let c = float_of_int channels and t = float_of_int budget in
-  let reps = p.beta_feedback *. (c /. (c -. t)) *. log2 (float_of_int (max n 4)) in
-  max 1 (int_of_float (ceil reps))
+  Radio.Config.reps ~scale:(p.beta_feedback *. (c /. (c -. t))) ~n
 
-let tree_reps p ~n =
-  max 1 (int_of_float (ceil (p.beta_feedback *. log2 (float_of_int (max n 4)))))
+let tree_reps p ~n = Radio.Config.reps ~scale:p.beta_feedback ~n
 
 let watchers_per_channel p ~budget ~channels =
   max channels (p.watchers_factor * (budget + 1))

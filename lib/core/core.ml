@@ -121,7 +121,7 @@ let open_channel ?(seed = 1L) ?key ~t ~n ~attack sends =
       let rng = Prng.Rng.create (Int64.logxor seed 0x6B6579L) in
       String.init 32 (fun _ -> Char.chr (Prng.Rng.int rng 256))
   in
-  let spec = Secure_channel.Service.make_spec ~key ~cfg () in
+  let spec = Secure_channel.Service.make_spec ~key ~cfg in
   let outcome =
     Secure_channel.Service.run_workload ~cfg ~key_holders:(List.init n Fun.id) ~spec ~sends
       ~adversary:(plain_adversary ~attack ~channels ~budget:t ~seed)

@@ -9,8 +9,8 @@ let mac_key key = Sha256.digest ("cipher-mac|" ^ key)
 
 (* A prepared session key: both domain-separated subkeys derived once, the
    stream-cipher PRF and the MAC midstates precomputed.  Long-lived callers
-   (the broadcast service, pairwise streams, the group-key dissemination)
-   seal and open under one key for thousands of rounds. *)
+   (the sealed-hop link and the mux) seal and open under one key for
+   thousands of rounds. *)
 type key = { enc : Prf.Keyed.t; mac : Hmac.key }
 
 let key raw = { enc = Prf.Keyed.create (enc_key raw); mac = Hmac.key (mac_key raw) }
@@ -70,7 +70,8 @@ let verify_crypt k s nonce ~noff ~nlen body ~boff ~blen tag ~toff ~tlen dst ~dpo
     ok
   end
 
-let seal_scratch k s ~nonce plaintext =
+(* The record-valued forms behind the one-shot and batch calls. *)
+let seal_frame k s ~nonce plaintext =
   let n = Bytes.create nonce_len in
   Bytes.set_int64_be n 0 nonce;
   let nonce = Bytes.unsafe_to_string n in
@@ -81,7 +82,7 @@ let seal_scratch k s ~nonce plaintext =
   tag_into k s nonce ~noff:0 ~nlen:nonce_len body ~boff:0 ~blen:len tag ~pos:0;
   { nonce; body; tag = Bytes.unsafe_to_string tag }
 
-let open_scratch k s { nonce; body; tag } =
+let open_frame k s { nonce; body; tag } =
   let out = Bytes.create (String.length body) in
   if
     verify_crypt k s nonce ~noff:0 ~nlen:(String.length nonce) body ~boff:0
@@ -89,21 +90,17 @@ let open_scratch k s { nonce; body; tag } =
   then Some (Bytes.unsafe_to_string out)
   else None
 
-(* One-shot forms: a throwaway scratch per call, so they, like the scratch
-   forms, only read the key. *)
-let seal_keyed k ~nonce plaintext = seal_scratch k (scratch ()) ~nonce plaintext
-let open_keyed k sealed = open_scratch k (scratch ()) sealed
-
 let seal_batch k s ~nonces msgs =
   let n = Array.length msgs in
   if Array.length nonces <> n then invalid_arg "Cipher.seal_batch: length mismatch";
-  Array.init n (fun i -> seal_scratch k s ~nonce:nonces.(i) msgs.(i))
+  Array.init n (fun i -> seal_frame k s ~nonce:nonces.(i) msgs.(i))
 
-let open_batch k s frames = Array.map (open_scratch k s) frames
+let open_batch k s frames = Array.map (open_frame k s) frames
 
-let seal ~key:raw ~nonce plaintext = seal_keyed (key raw) ~nonce plaintext
+(* One-shot forms: a throwaway key and scratch per call. *)
+let seal ~key:raw ~nonce plaintext = seal_frame (key raw) (scratch ()) ~nonce plaintext
 
-let open_ ~key:raw sealed = open_keyed (key raw) sealed
+let open_ ~key:raw sealed = open_frame (key raw) (scratch ()) sealed
 
 (* Wire encoding: three fields, each a big-endian u32 length and its
    bytes — nonce, body, tag. *)

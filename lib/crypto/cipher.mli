@@ -19,8 +19,8 @@ type sealed = { nonce : string; body : string; tag : string }
 type key
 (** A prepared session key: both domain-separated subkeys derived and their
     PRF/MAC midstates precomputed.  Build once per session with {!key};
-    {!seal_keyed}/{!open_keyed} are byte-identical to {!seal}/{!open_}
-    under the same raw key.
+    the in-place calls under [key raw] are byte-identical to the one-shot
+    {!seal}/{!open_} under [raw].
 
     {b Sharing across domains.}  Every entry point only reads the key and
     writes its own {!type-scratch} (the one-shot forms make a throwaway
@@ -28,10 +28,6 @@ type key
     domain with a scratch of its own. *)
 
 val key : string -> key
-
-val seal_keyed : key -> nonce:int64 -> string -> sealed
-
-val open_keyed : key -> sealed -> string option
 
 type scratch
 (** Reusable working state (PRF/MAC scratch, keystream and tag buffers,
@@ -42,30 +38,20 @@ type scratch
 
 val scratch : unit -> scratch
 
-val seal_scratch : key -> scratch -> nonce:int64 -> string -> sealed
-(** {!seal_keyed} with all working state drawn from the scratch: only the
-    output frame itself is allocated.  Byte-identical to {!seal_keyed}.
-    Like {!open_scratch} and the in-place forms below, a thin wrapper over
-    the one keystream+MAC core. *)
-
-val open_scratch : key -> scratch -> sealed -> string option
-(** {!open_keyed} with all working state drawn from the scratch.
-    Byte-identical to {!open_keyed}. *)
-
 val seal_batch : key -> scratch -> nonces:int64 array -> string array -> sealed array
 (** Seal every message under one key, amortizing key schedule, HMAC
-    midstate replay, and keystream buffers across the batch.  Element [i]
-    equals [seal_keyed k ~nonce:nonces.(i) msgs.(i)].  Raises
-    [Invalid_argument] on length mismatch. *)
+    midstate replay, and keystream buffers across the batch.  Under
+    [k = key raw], element [i] equals [seal ~key:raw ~nonce:nonces.(i)
+    msgs.(i)].  Raises [Invalid_argument] on length mismatch. *)
 
 val open_batch : key -> scratch -> sealed array -> string option array
-(** Open every frame under one key; element [i] equals
-    [open_keyed k frames.(i)]. *)
+(** Open every frame under one key; under [k = key raw], element [i]
+    equals [open_ ~key:raw frames.(i)]. *)
 
 val seal : key:string -> nonce:int64 -> string -> sealed
 (** [seal ~key ~nonce plaintext].  Nonces must not repeat under one key;
     callers use the round number, which the synchronous model makes unique.
-    One-shot form of {!seal_keyed}: prepares a throwaway {!type-key}. *)
+    One-shot form: prepares a throwaway {!type-key} and {!type-scratch}. *)
 
 val open_ : key:string -> sealed -> string option
 (** [open_ ~key sealed] is [Some plaintext] iff the nonce is 8 bytes and
@@ -82,8 +68,10 @@ val decode : string -> sealed option
     The per-frame path of a long-lived service: seal straight into the
     wire buffer, open straight from the frame.  Nonce, body and tag are
     read as slices of the frame and never copied out; the only bytes
-    written are the caller's buffer and the scratch.  Byte-identical to
-    {!encode} of {!seal_scratch} and to {!decode} + {!open_scratch}.
+    written are the caller's buffer and the scratch.  Under [key raw],
+    byte-identical to {!encode} of {!seal} and to {!decode} + {!open_}
+    under [raw].  The sealed-hop link and the mux seal and open only
+    here.
 
     Sharing: like every entry point they only read the key, so domains
     may seal and open under one key at once, each with its own scratch
@@ -97,9 +85,9 @@ val frame_size : int -> int
 val seal_into :
   key -> scratch -> nonce:int64 -> Bytes.t -> len:int -> Bytes.t -> pos:int -> unit
 (** [seal_into k s ~nonce plain ~len out ~pos] writes
-    [encode (seal_scratch k s ~nonce p)] at [pos] of [out], where [p] is
-    the first [len] bytes of [plain]; [out] needs [frame_size len] bytes
-    from [pos].  Allocates nothing per byte: only the two small feed
+    [encode (seal ~key:raw ~nonce p)] at [pos] of [out], where
+    [k = key raw] and [p] is the first [len] bytes of [plain]; [out] needs
+    [frame_size len] bytes from [pos].  Allocates nothing per byte: only the two small feed
     closures of the keystream and the tag. *)
 
 val framed : string -> pos:int -> bool
@@ -109,7 +97,7 @@ val framed : string -> pos:int -> bool
 val open_into : key -> scratch -> string -> pos:int -> int
 (** [open_into k s blob ~pos] opens the encoding that fills [blob] from
     [pos] to its end: the plaintext's length, with its bytes at the start
-    of [plain s], when [decode] + {!open_scratch} of that suffix would be
+    of [plain s], when [decode] + {!open_} of that suffix would be
     [Some _]; [-1] when it is malformed, its nonce is not 8 bytes, or the
     tag fails.  Never raises. *)
 

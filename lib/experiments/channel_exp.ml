@@ -13,11 +13,7 @@ let e9 ~quick ~jobs =
       (fun (t, n) ->
         let channels = t + 1 in
         let group = n - t in
-        let reps =
-          max 1
-            (int_of_float
-               (ceil (4.0 *. float_of_int (t + 1) *. Common.log2 (float_of_int (max n 4)))))
-        in
+        let reps = Radio.Config.reps ~scale:(4.0 *. float_of_int (t + 1)) ~n in
         let key = Crypto.Sha256.digest (Printf.sprintf "group-key-%d-%d" t n) in
         let spec =
           Mux.make ~key ~logical:1 ~phys:channels ~budget:t
@@ -31,7 +27,7 @@ let e9 ~quick ~jobs =
             ~adversary:(Common.random_jam ~seed:(Int64.of_int (n * 7)) ~channels ~budget:t)
         in
         let rpe = r.Mux.real_rounds_per_emulated in
-        let norm = float_of_int rpe /. (float_of_int t *. Common.log2 (float_of_int n)) in
+        let norm = float_of_int rpe /. (float_of_int t *. Radio.Config.log2 (float_of_int n)) in
         ( [ string_of_int t; string_of_int n; string_of_int rpe;
             Printf.sprintf "%.2f" norm;
             Printf.sprintf "%d/%d" r.Mux.stats.Mux.full_deliveries

@@ -1,4 +1,3 @@
-let log2 x = log x /. log 2.0
 
 (* -- structured results ------------------------------------------------ *)
 

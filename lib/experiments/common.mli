@@ -1,8 +1,6 @@
 (** Shared plumbing for the experiment harness: table rendering, parameter
     grids, adversary construction, and normalization helpers. *)
 
-val log2 : float -> float
-
 (** {1 Structured results}
 
     Experiments build a [result] — data, not prose — and rendering to the

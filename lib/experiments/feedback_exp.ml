@@ -61,7 +61,7 @@ let e5 ~quick ~jobs =
         let rounds_sum = List.fold_left (fun acc (_, r) -> acc + r) 0 outcomes in
         let norm =
           float_of_int rounds
-          /. (float_of_int (t * t) *. Common.log2 (float_of_int n))
+          /. (float_of_int (t * t) *. Radio.Config.log2 (float_of_int n))
         in
         ( [ string_of_int t; string_of_int n; Printf.sprintf "%.2f" beta;
             string_of_int rounds; Printf.sprintf "%.2f" norm;

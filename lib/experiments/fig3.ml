@@ -36,7 +36,7 @@ let total_rounds points = List.fold_left (fun acc p -> acc + p.rounds) 0 points
 
 let e1 ~quick ~jobs =
   let normalizer ~edges ~t ~n =
-    float_of_int edges *. float_of_int (t * t) *. Common.log2 (float_of_int n)
+    float_of_int edges *. float_of_int (t * t) *. Radio.Config.log2 (float_of_int n)
   in
   let sweeps =
     if quick then [ (1, 4); (1, 8); (2, 8) ]
@@ -56,7 +56,7 @@ let e1 ~quick ~jobs =
 let e2 ~quick ~jobs =
   let normalizer ~edges ~t ~n =
     ignore t;
-    float_of_int edges *. Common.log2 (float_of_int n)
+    float_of_int edges *. Radio.Config.log2 (float_of_int n)
   in
   let sweeps =
     if quick then [ (2, 8) ] else [ (2, 4); (2, 8); (2, 16); (3, 8); (3, 16); (4, 8) ]
@@ -85,7 +85,7 @@ let e2 ~quick ~jobs =
             row ~t ~channels ~channels_used:channels ~feedback_mode:Ame.Fame.Sequential
               ~edges ~seed:(Int64.of_int ((t * 2500) + channels))
               ~normalizer:(fun ~edges ~t:_ ~n ->
-                float_of_int edges *. Common.log2 (float_of_int n)))
+                float_of_int edges *. Radio.Config.log2 (float_of_int n)))
           [ t + 1; t + 2; 2 * t ]
       in
       [ Common.Blank; Common.textf "interpolation t = %d, |E| = %d, C from t+1 to 2t:" t edges;
@@ -95,7 +95,7 @@ let e2 ~quick ~jobs =
 
 let e3 ~quick ~jobs =
   let normalizer ~edges ~t ~n =
-    let l = Common.log2 (float_of_int n) in
+    let l = Radio.Config.log2 (float_of_int n) in
     float_of_int edges *. l *. l /. float_of_int t
   in
   let sweeps =

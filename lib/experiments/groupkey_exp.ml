@@ -19,7 +19,7 @@ let e8 ~quick ~jobs =
         in
         let norm =
           float_of_int o.Groupkey.Protocol.total_rounds
-          /. (float_of_int (n * t * t * t) *. Common.log2 (float_of_int n))
+          /. (float_of_int (n * t * t * t) *. Radio.Config.log2 (float_of_int n))
         in
         ( [ string_of_int t; string_of_int n;
             string_of_int o.Groupkey.Protocol.total_rounds; Printf.sprintf "%.2f" norm;

@@ -1,3 +1,5 @@
+module Service = Secure_channel.Service
+
 type outcome = {
   engine : Radio.Engine.result;
   leader_keys : (int * string) list array;
@@ -8,11 +10,14 @@ type outcome = {
 let keyed_compare (a, x) (b, y) =
   if a <> b then Int.compare a b else String.compare x y
 
-let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~part2_reps ~part3_reps
-    ~adversary () =
+let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
   let channels = cfg.Radio.Config.channels in
+  (* Theta(t log n) rounds per Part 2 epoch, Theta(t^2 log n) per Part 3
+     epoch. *)
+  let part2_reps = Radio.Config.reps ~scale:(4.0 *. float_of_int (t + 1)) ~n in
+  let part3_reps = Radio.Config.reps ~scale:(4.0 *. float_of_int ((t + 1) * (t + 1))) ~n in
   let leaders = List.init (t + 1) Fun.id in
   let part2_epochs =
     List.concat_map
@@ -44,38 +49,18 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~part2_reps ~part3
           else None
         in
         match pair_key with
-        | None ->
-          for _ = 1 to part2_reps do
-            Radio.Engine.idle ()
-          done
+        | None -> Radio.Engine.idle_for part2_reps
         | Some key ->
-          (* The pair key is fixed for the whole epoch: prepare the hop PRF
-             and cipher midstates once, not once per repetition. *)
-          let hop_prf = Crypto.Prf.Keyed.create key in
-          let ck = Crypto.Cipher.key key in
-          for _ = 1 to part2_reps do
-            let round = Radio.Engine.current_round () in
-            let chan = Crypto.Prf.Keyed.channel_hop hop_prf ~round ~channels in
-            if id = v then begin
-              let payload = if am_complete_leader then "K" ^ proposals id else "I" in
-              let sealed = Crypto.Cipher.seal_keyed ck ~nonce:(Int64.of_int round) payload in
-              Radio.Engine.transmit ~chan (Radio.Frame.Sealed (Crypto.Cipher.encode sealed))
-            end
-            else begin
-              match Radio.Engine.listen ~chan with
-              | Some (Radio.Frame.Sealed blob) ->
-                (match Crypto.Cipher.decode blob with
-                 | Some sealed ->
-                   (match Crypto.Cipher.open_keyed ck sealed with
-                    | Some payload when String.length payload > 0 && payload.[0] = 'K' ->
-                      let k = String.sub payload 1 (String.length payload - 1) in
-                      if not (List.mem_assoc v !my_leader_keys) then
-                        my_leader_keys := (v, k) :: !my_leader_keys
-                    | Some _ | None -> ())
-                 | None -> ())
-              | Some _ | None -> ()
-            end
-          done)
+          let link = Service.link ~label:"channel-hop" ~key ~channels ~reps:part2_reps in
+          if id = v then Service.send link (if am_complete_leader then "K" ^ proposals id else "I")
+          else
+            (* Keep the first complete leader's proposal. *)
+            Service.listen link (fun payload ->
+                let complete = String.length payload > 0 && payload.[0] = 'K' in
+                if complete then
+                  my_leader_keys :=
+                    (v, String.sub payload 1 (String.length payload - 1)) :: !my_leader_keys;
+                not complete))
       part2_epochs;
     (* Leaders know their own proposal. *)
     if am_complete_leader && not (List.mem_assoc id !my_leader_keys) then

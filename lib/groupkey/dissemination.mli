@@ -18,8 +18,6 @@ val run :
   proposals:(int -> string) ->
   complete_leaders:int list ->
   excluded:int list ->
-  part2_reps:int ->
-  part3_reps:int ->
   adversary:Radio.Adversary.t ->
   unit ->
   outcome

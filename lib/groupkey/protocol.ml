@@ -19,8 +19,6 @@ let leader_count ~t = t + 1
 
 let reporters ~t = List.init ((2 * t) + 1) (fun i -> t + 1 + i)
 
-let log2 x = log x /. log 2.0
-
 let bytes_of_int64 v =
   String.init 8 (fun i ->
       Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * (7 - i))) 0xFFL)))
@@ -30,8 +28,7 @@ let random_key rng =
 
 let pair_label v w = Printf.sprintf "%d|%d" (min v w) (max v w)
 
-let run ?(ame_params = Ame.Params.default) ?dh_params ?(part2_beta = 4.0) ?(part3_beta = 4.0)
-    ~cfg ~fame_adversary ~hop_adversary () =
+let run ?(ame_params = Ame.Params.default) ?dh_params ~cfg ~fame_adversary ~hop_adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
   let leaders = List.init (leader_count ~t) Fun.id in
@@ -78,25 +75,12 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ?(part2_beta = 4.0) ?(part
     List.filter (fun v -> List.length pairwise.(v) >= n - 1 - t) leaders
   in
   (* Parts 2-3 run as a second synchronous execution. *)
-  let part2_reps =
-    max 1
-      (int_of_float
-         (ceil (part2_beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
-  in
-  let part3_reps =
-    max 1
-      (int_of_float
-         (ceil
-            (part3_beta
-            *. float_of_int ((t + 1) * (t + 1))
-            *. log2 (float_of_int (max n 4)))))
-  in
   let diss =
     Dissemination.run
       ~cfg:{ cfg with Radio.Config.seed = Int64.add cfg.Radio.Config.seed 0x9E3779B9L }
       ~pairwise:(fun v -> pairwise.(v))
       ~proposals:(fun v -> proposals.(v))
-      ~complete_leaders ~excluded:[] ~part2_reps ~part3_reps ~adversary:hop_adversary ()
+      ~complete_leaders ~excluded:[] ~adversary:hop_adversary ()
   in
   let engine = diss.Dissemination.engine in
   let nodes =

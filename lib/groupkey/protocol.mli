@@ -49,8 +49,6 @@ val reporters : t:int -> int list
 val run :
   ?ame_params:Ame.Params.t ->
   ?dh_params:Crypto.Dh.params ->
-  ?part2_beta:float ->
-  ?part3_beta:float ->
   cfg:Radio.Config.t ->
   fame_adversary:(Ame.Oracle.t -> Radio.Adversary.t) ->
   hop_adversary:Radio.Adversary.t ->

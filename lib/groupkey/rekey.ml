@@ -7,10 +7,7 @@ type outcome = {
   rounds : int;
 }
 
-let log2 x = log x /. log 2.0
-
-let run ?(part2_beta = 4.0) ?(part3_beta = 4.0) ?(seed_salt = 0x4E657741L) ~cfg ~previous
-    ~compromised ~hop_adversary () =
+let run ?(seed_salt = 0x4E657741L) ~cfg ~previous ~compromised ~hop_adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
   let leaders = List.init (t + 1) Fun.id in
@@ -41,26 +38,12 @@ let run ?(part2_beta = 4.0) ?(part3_beta = 4.0) ?(seed_salt = 0x4E657741L) ~cfg 
     let survivors = n - List.length compromised in
     List.filter (fun v -> List.length (pairwise v) >= survivors - 1 - t) leaders
   in
-  let part2_reps =
-    max 1
-      (int_of_float
-         (ceil (part2_beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
-  in
-  let part3_reps =
-    max 1
-      (int_of_float
-         (ceil
-            (part3_beta
-            *. float_of_int ((t + 1) * (t + 1))
-            *. log2 (float_of_int (max n 4)))))
-  in
   let diss =
     Dissemination.run
       ~cfg:{ cfg with Radio.Config.seed = Int64.add cfg.Radio.Config.seed seed_salt }
       ~pairwise
       ~proposals:(fun v -> fresh_proposals.(v))
-      ~complete_leaders ~excluded:compromised ~part2_reps ~part3_reps
-      ~adversary:hop_adversary ()
+      ~complete_leaders ~excluded:compromised ~adversary:hop_adversary ()
   in
   let group_key = diss.Dissemination.group_key in
   let tally = Hashtbl.create 8 in

@@ -23,8 +23,6 @@ type outcome = {
 }
 
 val run :
-  ?part2_beta:float ->
-  ?part3_beta:float ->
   ?seed_salt:int64 ->
   cfg:Radio.Config.t ->
   previous:Protocol.outcome ->

@@ -11,7 +11,9 @@
 
    Escape hatches are comments of the form [(* radio-lint: allow <rule> *)]
    on the offending line or the line above; they are matched textually
-   because comments are not part of the parsetree.
+   because comments are not part of the parsetree.  An escape that ends up
+   suppressing nothing is itself a [stale-escape] finding, so a reflow
+   that moves one away from its target names the orphaned comment.
 
    Known limitation: identifier rules see syntactic paths, so an aliased
    module ([module H = Hashtbl]) or a functor-made table escapes them.
@@ -208,13 +210,15 @@ let escape_map source =
   |> List.mapi (fun i line -> (i + 1, escapes_on_line line))
   |> List.filter (fun (_, rules) -> rules <> [])
 
-let escaped escapes ~line ~rule =
-  let granted l =
-    match List.assoc_opt l escapes with
-    | Some rules -> List.mem rule rules
-    | None -> false
-  in
-  granted line || granted (line - 1)
+(* The line of the escape granting [rule] at [line]: the line itself,
+   else the line above. *)
+let escape_line escapes ~line ~rule =
+  List.find_opt
+    (fun l ->
+      match List.assoc_opt l escapes with
+      | Some rules -> List.mem rule rules
+      | None -> false)
+    [ line; line - 1 ]
 
 (* --- file collection ------------------------------------------------ *)
 
@@ -280,6 +284,7 @@ let interface_pass ~config files =
 type verdict =
   | Active
   | Suppressed of string
+  | Escaped of int  (** by the escape comment on this line *)
   | Dropped
 
 let classify ~config ~escapes v =
@@ -287,8 +292,27 @@ let classify ~config ~escapes v =
   if not cfg.Config.enabled then Dropped
   else if cfg.Config.scope <> [] && not (Config.path_in cfg.Config.scope v.file) then Dropped
   else if Config.path_in cfg.Config.allow v.file then Suppressed "allowlist"
-  else if escaped escapes ~line:v.line ~rule:v.rule then Suppressed "escape-comment"
-  else Active
+  else
+    match escape_line escapes ~line:v.line ~rule:v.rule with
+    | Some l -> Escaped l
+    | None -> Active
+
+(* One [stale-escape] per rule an escape comment grants that no
+   violation of the file used. *)
+let stale_escapes ~file ~escapes ~used =
+  List.concat_map
+    (fun (line, rules) ->
+      List.filter_map
+        (fun rule ->
+          if List.mem (line, rule) used then None
+          else
+            Some
+              { file; line; col = 0; rule = "stale-escape";
+                message =
+                  Printf.sprintf "allow %s suppresses nothing: %s" rule
+                    (summary_of "stale-escape") })
+        rules)
+    escapes
 
 let compare_violation a b =
   compare (a.file, a.line, a.col, a.rule) (b.file, b.line, b.col, b.rule)
@@ -296,12 +320,21 @@ let compare_violation a b =
 let run ~config roots =
   let files = collect_files roots in
   let active = ref [] and suppressed = ref [] and errors = ref [] in
+  (* The (line, rule) of the escape that quieted [v], if one did. *)
   let consider ~escapes v =
     match classify ~config ~escapes v with
-    | Active -> active := v :: !active
-    | Suppressed reason -> suppressed := (v, reason) :: !suppressed
-    | Dropped -> ()
+    | Active ->
+      active := v :: !active;
+      None
+    | Suppressed reason ->
+      suppressed := (v, reason) :: !suppressed;
+      None
+    | Escaped line ->
+      suppressed := (v, "escape-comment") :: !suppressed;
+      Some (line, v.rule)
+    | Dropped -> None
   in
+  let consider_all ~escapes vs = List.filter_map (consider ~escapes) vs in
   List.iter
     (fun file ->
       match read_file file with
@@ -309,7 +342,10 @@ let run ~config roots =
       | source -> (
         let escapes = escape_map source in
         match raw_file_violations ~file source with
-        | raw -> List.iter (consider ~escapes) raw
+        | raw ->
+          let used = consider_all ~escapes raw in
+          (* Escapes do not apply to their own findings. *)
+          ignore (consider_all ~escapes:[] (stale_escapes ~file ~escapes ~used) : _ list)
         | exception exn ->
           let msg =
             match Location.error_of_exn exn with
@@ -318,7 +354,7 @@ let run ~config roots =
           in
           errors := (file, "parse error: " ^ String.trim msg) :: !errors))
     files;
-  List.iter (consider ~escapes:[]) (interface_pass ~config files);
+  ignore (consider_all ~escapes:[] (interface_pass ~config files) : _ list);
   { active = List.sort compare_violation !active;
     suppressed =
       List.sort (fun (a, _) (b, _) -> compare_violation a b) !suppressed;

@@ -2,7 +2,9 @@
     the parsetree for rule hits, classifying each against the
     configuration (enabled / scope / allowlist) and
     [(* radio-lint: allow <rule> *)] escape comments on the offending
-    line or the line above.
+    line or the line above.  An escape comment that suppresses no
+    violation is itself an active [stale-escape] finding at its line (one
+    per rule it grants), which escapes cannot quiet.
 
     Identifier rules are syntactic: a module alias ([module H = Hashtbl])
     or functor-made table is not seen.  The lint run itself keeps the

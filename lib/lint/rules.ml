@@ -9,6 +9,7 @@ type family =
   | Global_state
   | Io
   | Interface
+  | Hygiene
 
 type t = {
   id : string;
@@ -22,6 +23,7 @@ let family_name = function
   | Global_state -> "global-state"
   | Io -> "side-channel-io"
   | Interface -> "public-surface"
+  | Hygiene -> "lint-hygiene"
 
 let all =
   [ { id = "nondet-random";
@@ -75,6 +77,11 @@ let all =
     { id = "iface-missing-mli";
       family = Interface;
       summary = "library module without an .mli leaves its public surface unchecked" };
+    { id = "stale-escape";
+      family = Hygiene;
+      summary =
+        "escape comment that suppresses no violation: a reflow detached it from its \
+         target, or the code it covered is gone; move it back or delete it" };
   ]
 
 let ids = List.map (fun r -> r.id) all

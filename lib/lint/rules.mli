@@ -7,6 +7,7 @@ type family =
   | Global_state  (** module-level mutable state *)
   | Io  (** printing from library code *)
   | Interface  (** public-surface hygiene (.mli coverage) *)
+  | Hygiene  (** the lint's own escape comments *)
 
 type t = {
   id : string;  (** stable rule id, e.g. ["nondet-random"] *)

@@ -100,7 +100,7 @@ let run t bound dst len =
         let r =
           if mask >= 0 then Int64.to_int v land mask else Int64.to_int (Int64.rem v bound64)
         in
-        (* radio-lint: allow partial-array-unsafe — i < len <= length dst (fill_below) *)
+        (* Unchecked: i < len <= length dst (fill_below). *)
         if store then Array.unsafe_set dst !i r;
         last := r;
         incr i

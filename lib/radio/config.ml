@@ -32,5 +32,11 @@ let make ?(seed = 1L) ?(max_rounds = 2_000_000) ?(record_transcript = false)
    simulator, so it is a separate check. *)
 let ample_nodes cfg = cfg.n > (3 * (cfg.t + 1) * (cfg.t + 1)) + (2 * (cfg.t + 1))
 
+let log2 x = log x /. log 2.0
+
+(* [scale] is the caller's own left-to-right float product (beta * (t+1),
+   beta * (t+1)^2, ...), so every repetition count keeps its bits. *)
+let reps ~scale ~n = max 1 (int_of_float (ceil (scale *. log2 (float_of_int (max n 4)))))
+
 let pp fmt cfg =
   Format.fprintf fmt "{n=%d; C=%d; t=%d; seed=%Ld}" cfg.n cfg.channels cfg.t cfg.seed

@@ -40,4 +40,13 @@ val ample_nodes : t -> bool
     required by f-AME's witness/surrogate scheduling but not by the raw
     simulator. *)
 
+val log2 : float -> float
+(** [log x /. log 2.0]. *)
+
+val reps : scale:float -> n:int -> int
+(** The Theta(log n) repetition rule every randomised phase shares:
+    [max 1 (ceil (scale * log2 (max n 4)))].  The caller folds its own
+    constants into [scale] — [beta * (t+1)] for a Section 6/7 hop epoch,
+    [beta * (C / (C - t))] for Figure 1's feedback, and so on. *)
+
 val pp : Format.formatter -> t -> unit

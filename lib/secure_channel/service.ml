@@ -1,7 +1,5 @@
-type spec = {
-  key : string;
+type link = {
   channels : int;
-  budget : int;
   reps : int;
   hop_label : string;
   hop_prf : Crypto.Prf.Keyed.t;
@@ -9,20 +7,40 @@ type spec = {
   scratch : Crypto.Cipher.scratch;
 }
 
-let log2 x = log x /. log 2.0
+let link ~label ~key ~channels ~reps =
+  { channels; reps; hop_label = label; hop_prf = Crypto.Prf.Keyed.create key;
+    cipher = Crypto.Cipher.key key; scratch = Crypto.Cipher.scratch () }
 
-let make_spec ?(beta = 4.0) ~key ~cfg () =
-  let t = cfg.Radio.Config.t in
-  let n = cfg.Radio.Config.n in
-  let reps =
-    max 1 (int_of_float (ceil (beta *. float_of_int (t + 1) *. log2 (float_of_int (max n 4)))))
-  in
-  { key; channels = cfg.Radio.Config.channels; budget = t; reps; hop_label = "channel-hop";
-    hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key;
-    scratch = Crypto.Cipher.scratch () }
+let hop link ~round =
+  Crypto.Prf.Keyed.below link.hop_prf ~label:link.hop_label ~counter:round link.channels
 
-let hop spec ~round =
-  Crypto.Prf.Keyed.below spec.hop_prf ~label:spec.hop_label ~counter:round spec.channels
+let send link payload =
+  let len = String.length payload in
+  let plain = Bytes.of_string payload and frame = Bytes.create (Crypto.Cipher.frame_size len) in
+  for _ = 1 to link.reps do
+    let round = Radio.Engine.current_round () in
+    Crypto.Cipher.seal_into link.cipher link.scratch ~nonce:(Int64.of_int round) plain ~len frame
+      ~pos:0;
+    Radio.Engine.transmit ~chan:(hop link ~round) (Radio.Frame.Sealed (Bytes.to_string frame))
+  done
+
+let listen link f =
+  let opening = ref true in
+  for _ = 1 to link.reps do
+    match Radio.Engine.listen ~chan:(hop link ~round:(Radio.Engine.current_round ())) with
+    | Some (Radio.Frame.Sealed blob) when !opening ->
+      let len = Crypto.Cipher.open_into link.cipher link.scratch blob ~pos:0 in
+      if len >= 0 then opening := f (Bytes.sub_string (Crypto.Cipher.plain link.scratch) 0 len)
+    | Some _ | None -> ()
+  done
+
+let idle link = Radio.Engine.idle_for link.reps
+
+let reps cfg =
+  Radio.Config.reps ~scale:(4.0 *. float_of_int (cfg.Radio.Config.t + 1)) ~n:cfg.Radio.Config.n
+
+let make_spec ~key ~cfg =
+  link ~label:"channel-hop" ~key ~channels:cfg.Radio.Config.channels ~reps:(reps cfg)
 
 let encode_payload ~sender ~seq msg =
   let len = String.length msg in
@@ -39,38 +57,14 @@ let decode_payload payload =
     Some (field 0, field 4, String.sub payload 8 (String.length payload - 8))
   end
 
-let broadcast spec ~sender ~seq msg =
-  for _ = 1 to spec.reps do
-    let round = Radio.Engine.current_round () in
-    let chan = hop spec ~round in
-    let payload = encode_payload ~sender ~seq msg in
-    let sealed =
-      Crypto.Cipher.seal_scratch spec.cipher spec.scratch ~nonce:(Int64.of_int round) payload
-    in
-    Radio.Engine.transmit ~chan (Radio.Frame.Sealed (Crypto.Cipher.encode sealed))
-  done
+let broadcast link ~sender ~seq msg = send link (encode_payload ~sender ~seq msg)
 
-let recv spec =
+let recv link =
   let got = ref None in
-  for _ = 1 to spec.reps do
-    let round = Radio.Engine.current_round () in
-    let chan = hop spec ~round in
-    match Radio.Engine.listen ~chan with
-    | Some (Radio.Frame.Sealed blob) when !got = None ->
-      (match Crypto.Cipher.decode blob with
-       | Some sealed ->
-         (match Crypto.Cipher.open_scratch spec.cipher spec.scratch sealed with
-          | Some payload -> got := decode_payload payload
-          | None -> ())
-       | None -> ())
-    | Some _ | None -> ()
-  done;
+  listen link (fun payload ->
+      got := decode_payload payload;
+      !got = None);
   !got
-
-let idle spec =
-  for _ = 1 to spec.reps do
-    Radio.Engine.idle ()
-  done
 
 type delivery = {
   emulated_round : int;

@@ -14,45 +14,69 @@
     holders broadcast in the same emulated round their frames collide and
     may both be lost. *)
 
-type spec = {
-  key : string;
+(** {1 The sealed-hop link}
+
+    The one send/receive path of Sections 6 and 7: a frame, encrypted and
+    MACed under K with the round as nonce, is repeated for [reps] rounds
+    on the channel PRF(K, label, round), while every key holder listens on
+    the same hops and keeps the first authentic copy.  Three callers share
+    it: this module's {!broadcast}/{!recv} (label ["channel-hop"]),
+    {!Unicast}'s pairwise streams (["unicast-hop"]), and
+    [Groupkey.Dissemination]'s Part 2 epochs (["channel-hop"] under each
+    (leader, node) pair key).  Frames are sealed and opened in place with
+    {!Crypto.Cipher.seal_into}/{!Crypto.Cipher.open_into}. *)
+
+type link = {
   channels : int;
-  budget : int;
   reps : int;  (** real rounds per emulated round *)
-  hop_label : string;
-      (** PRF label of the hopping pattern: ["channel-hop"] from
-          {!make_spec}; {!Unicast.make_spec} domain-separates pairwise hops
-          with its own label *)
-  hop_prf : Crypto.Prf.Keyed.t;
-      (** prepared hop PRF for [key] — built once in {!make_spec}, queried
-          every round *)
-  cipher : Crypto.Cipher.key;  (** prepared seal/open key for [key] *)
+  hop_label : string;  (** PRF label of the hopping pattern *)
+  hop_prf : Crypto.Prf.Keyed.t;  (** prepared hop PRF for the key, queried every round *)
+  cipher : Crypto.Cipher.key;  (** prepared seal/open key *)
   scratch : Crypto.Cipher.scratch;
-      (** shared seal/open working buffers — safe because node fibers run
-          strictly sequentially within the engine's domain *)
+      (** seal/open working buffers — one link may serve every node of a
+          run, because node fibers run strictly sequentially within the
+          engine's domain *)
 }
 
-val make_spec : ?beta:float -> key:string -> cfg:Radio.Config.t -> unit -> spec
-(** [reps = ceil(beta * (t+1) * log2 n)] — the Theta(t log n) knob; with
-    C >= 2t the hop channel avoids the jammer with probability >= 1/2 and
-    beta can shrink accordingly (same formula, smaller constant). *)
+val link : label:string -> key:string -> channels:int -> reps:int -> link
+(** Prepares the hop PRF and the cipher key for [key] once. *)
 
-val hop : spec -> round:int -> int
+val hop : link -> round:int -> int
 (** The meeting channel for absolute engine round [round]. *)
 
-(** {1 Node-side operations} — each consumes exactly [spec.reps] engine
+(** Each of the three operations below consumes exactly [link.reps] engine
     rounds, so all participants stay in lockstep. *)
 
-val broadcast : spec -> sender:int -> seq:int -> string -> unit
-(** Transmit [msg] in this emulated round (requires holding the key). *)
+val send : link -> string -> unit
+(** Every round r: seal the payload under nonce r and transmit it as a
+    [Sealed] frame on [hop link ~round:r]. *)
 
-val recv : spec -> (int * int * string) option
-(** Listen through this emulated round; [Some (sender, seq, msg)] on the
-    first authentic frame.  Spoofed or corrupted frames fail MAC
-    verification and are ignored. *)
+val listen : link -> (string -> bool) -> unit
+(** Every round r: listen on [hop link ~round:r]; each heard frame that
+    opens goes to [f], until [f] returns [false] — after that frames are
+    no longer opened, but listening lasts the [reps] rounds.  Spoofed or
+    corrupted frames fail MAC verification and never reach [f]. *)
 
-val idle : spec -> unit
-(** Sit out this emulated round (still consumes [spec.reps] rounds). *)
+val idle : link -> unit
+(** Sit the rounds out: one {!Radio.Engine.idle_for}. *)
+
+(** {1 The broadcast service} *)
+
+val reps : Radio.Config.t -> int
+(** [ceil(4 * (t+1) * log2 n)] — the Theta(t log n) repetitions of one
+    emulated round; with C >= 2t the hop channel avoids the jammer with
+    probability >= 1/2. *)
+
+val make_spec : key:string -> cfg:Radio.Config.t -> link
+(** The group's link: label ["channel-hop"], {!reps} repetitions. *)
+
+val broadcast : link -> sender:int -> seq:int -> string -> unit
+(** {!send} [msg] framed with its sender and sequence number (requires
+    holding the key). *)
+
+val recv : link -> (int * int * string) option
+(** {!listen} through one emulated round; [Some (sender, seq, msg)] from
+    the first authentic, well-framed payload. *)
 
 (** {1 Workload runner} *)
 
@@ -79,7 +103,7 @@ type outcome = {
 val run_workload :
   cfg:Radio.Config.t ->
   key_holders:int list ->
-  spec:spec ->
+  spec:link ->
   sends:(int * int * string) list ->
   adversary:Radio.Adversary.t ->
   unit ->

@@ -1,5 +1,6 @@
 let make_spec ~key ~cfg =
-  { (Service.make_spec ~key ~cfg ()) with Service.hop_label = "unicast-hop" }
+  Service.link ~label:"unicast-hop" ~key ~channels:cfg.Radio.Config.channels
+    ~reps:(Service.reps cfg)
 
 type stream = {
   sender : int;
@@ -40,27 +41,23 @@ let run_streams ~cfg ~keys ~streams ~adversary () =
     let id = ctx.id in
     match List.find_opt (fun s -> s.sender = id || s.receiver = id) streams with
     | Some stream when stream.sender = id ->
-      let spec = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
+      let link = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
       List.iteri
-        (fun seq payload -> Service.broadcast spec ~sender:id ~seq payload)
+        (fun seq payload -> Service.broadcast link ~sender:id ~seq payload)
         stream.payloads;
       (* Pad to the longest stream so all fibers stay in lockstep. *)
       for _ = List.length stream.payloads + 1 to emulated_rounds do
-        Service.idle spec
+        Service.idle link
       done
     | Some stream ->
-      let spec = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
+      let link = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
       let cell = Hashtbl.find received_cells (stream.sender, stream.receiver) in
       for _ = 1 to emulated_rounds do
-        match Service.recv spec with
+        match Service.recv link with
         | Some (_, seq, msg) when not (List.mem_assoc seq !cell) -> cell := (seq, msg) :: !cell
         | Some _ | None -> ()
       done
-    | None ->
-      let spec = make_spec ~key:"idle" ~cfg in
-      for _ = 1 to emulated_rounds do
-        Service.idle spec
-      done
+    | None -> Radio.Engine.idle_for (emulated_rounds * Service.reps cfg)
   in
   let engine = Radio.Engine.run_nodes cfg ~adversary node_body in
   let results =

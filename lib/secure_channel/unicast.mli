@@ -10,11 +10,13 @@
     so aggregate throughput grows with C until self-collisions bite —
     which experiment E14 measures. *)
 
-val make_spec : key:string -> cfg:Radio.Config.t -> Service.spec
-(** The broadcast service's spec under the pairwise secret [key], with the
-    hopping pattern domain-separated from the broadcast service's: both
-    endpoints meet on {!Service.hop}, the frames travel through
-    {!Service.broadcast} and {!Service.recv}. *)
+val make_spec : key:string -> cfg:Radio.Config.t -> Service.link
+(** The pair's sealed-hop link under the pairwise secret [key]: the
+    broadcast service's {!Service.reps}, with the hopping pattern
+    domain-separated from the broadcast service's by the label
+    ["unicast-hop"].  Both endpoints meet on {!Service.hop}; the frames
+    travel through {!Service.broadcast} and {!Service.recv}, and a sender
+    whose stream is shorter than the longest pads with {!Service.idle}. *)
 
 type stream = {
   sender : int;

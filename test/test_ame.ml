@@ -1193,7 +1193,7 @@ let gossip_outcome_pins () =
 
 let compact_calendar_layout () =
   let pairs = [ (0, 1); (0, 2); (3, 1) ] in
-  let cal = Compact.make_calendar ~pairs ~budget:1 ~n:20 () in
+  let cal = Compact.make_calendar ~pairs ~budget:1 ~n:20 in
   check Alcotest.int "one epoch per edge" 3 (Array.length cal.Compact.epochs);
   (match Compact.epoch_of_round cal 0 with
    | Some ((0, 1), 0, 2) -> ()

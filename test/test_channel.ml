@@ -10,7 +10,7 @@ let key = Crypto.Sha256.digest "test-group-key"
 
 let make ?(t = 2) ?(n = 16) ?(seed = 3L) () =
   let cfg = Radio.Config.make ~n ~channels:(t + 1) ~t ~seed ~record_transcript:true () in
-  (cfg, Service.make_spec ~key ~cfg ())
+  (cfg, Service.make_spec ~key ~cfg)
 
 let spec_shape () =
   let cfg, spec = make () in

@@ -362,17 +362,6 @@ let cipher_decode_garbage =
       | None -> true
       | Some sealed -> Cipher.encode sealed = junk)
 
-let cipher_keyed_equals_oneshot =
-  QCheck.Test.make ~name:"seal_keyed/open_keyed = seal/open_" ~count:300
-    QCheck.(triple (string_of_size (Gen.int_range 0 60)) int (string_of_size (Gen.int_range 0 200)))
-    (fun (key, nonce_bits, plaintext) ->
-      let nonce = Int64.of_int nonce_bits in
-      let ck = Cipher.key key in
-      let keyed = Cipher.seal_keyed ck ~nonce plaintext in
-      Cipher.encode keyed = Cipher.encode (Cipher.seal ~key ~nonce plaintext)
-      && Cipher.open_keyed ck keyed = Some plaintext
-      && Cipher.open_keyed ck keyed = Cipher.open_ ~key keyed)
-
 (* -- PRF keystream and cipher known answers, generated with python3
    hashlib/hmac: keystream block [i] is HMAC-SHA256's inner hash alone,
    SHA-256(ipad || "ks|" || nonce || 0x00 || i_be64) with ipad the
@@ -408,17 +397,24 @@ let prf_keystream_vectors () =
 let cipher_seal_vector () =
   (* The nonce has its top bit set, so the big-endian encoding of a
      negative [int64] is pinned too. *)
-  let sealed =
-    Cipher.seal ~key:"cipher-kat-key" ~nonce:0x8102030405060708L
-      "attack at dawn, 33 bytes of text!"
-  in
+  let nonce = 0x8102030405060708L and plain = "attack at dawn, 33 bytes of text!" in
+  let sealed = Cipher.seal ~key:"cipher-kat-key" ~nonce plain in
   check Alcotest.string "nonce" "8102030405060708" (Sha256.hex_of sealed.Cipher.nonce);
   check Alcotest.string "body"
     "fde0f8b2d2b0d7a1db659c2d0fa0ad9be281aeedfca1ea685d0626b88c0d0ec9b1"
     (Sha256.hex_of sealed.Cipher.body);
   check Alcotest.string "tag"
     "db626191a33f03cb219da30ec1c3be12e25380bd5dee8f0ada3f855147bf1c07"
-    (Sha256.hex_of sealed.Cipher.tag)
+    (Sha256.hex_of sealed.Cipher.tag);
+  (* The same answer through the in-place path, both ways. *)
+  let ck = Cipher.key "cipher-kat-key" and s = Cipher.scratch () in
+  let len = String.length plain in
+  let out = Bytes.create (Cipher.frame_size len) in
+  Cipher.seal_into ck s ~nonce (Bytes.of_string plain) ~len out ~pos:0;
+  let frame = Bytes.to_string out in
+  check Alcotest.string "seal_into frame" (Cipher.encode sealed) frame;
+  check Alcotest.int "open_into length" len (Cipher.open_into ck s frame ~pos:0);
+  check Alcotest.string "open_into plaintext" plain (Bytes.sub_string (Cipher.plain s) 0 len)
 
 (* The hop PRF stays HMAC-SHA256 while the keystream is only its inner
    hash: [Keyed.bytes] is HMAC(key, label || 0x00 || counter_be64),
@@ -481,16 +477,6 @@ let prf_keystream_into_constant_alloc () =
   if short > 8. || Float.abs (long -. short) > 0.01 then
     Alcotest.failf "keystream_into allocates %.3f words at 32 B, %.3f at 4096 B" short long
 
-let cipher_seal_scratch_alloc () =
-  let ck = Cipher.key "alloc-key" and s = Cipher.scratch () in
-  let plaintext = counting 1040 in
-  let outputs = Obj.reachable_words (Obj.repr (Cipher.seal_scratch ck s ~nonce:1L plaintext)) in
-  let words = minor_words_per_call (fun () -> ignore (Cipher.seal_scratch ck s ~nonce:1L plaintext)) in
-  (* The frame itself (record, nonce, body, tag) plus the two feed
-     closures; anything per block is a regression. *)
-  if words > float_of_int (outputs + 16) then
-    Alcotest.failf "seal_scratch allocates %.1f words for a %d-word 1040 B frame" words outputs
-
 (* The in-place path writes only the caller's frame buffer and the
    scratch: its allocation is the keystream's and the tag's feed closures
    (16 words), the same at 32 B as at 1 KiB. *)
@@ -537,7 +523,7 @@ let mangle_gen =
         return Wrong_key ])
 
 let cipher_seal_into_equals_encode =
-  QCheck.Test.make ~name:"seal_into = encode (seal_scratch) at its offset" ~count:200
+  QCheck.Test.make ~name:"seal_into = encode (seal) at its offset" ~count:200
     QCheck.(
       quad
         (string_of_size (Gen.int_range 0 60))
@@ -551,23 +537,23 @@ let cipher_seal_into_equals_encode =
       let out = Bytes.make (pos + size + 3) 'Z' in
       (* Only the first [len] bytes of the plaintext buffer are sealed. *)
       Cipher.seal_into ck s ~nonce (Bytes.of_string (plaintext ^ "tail")) ~len out ~pos;
-      let expect = Cipher.encode (Cipher.seal_scratch ck s ~nonce plaintext) in
+      let expect = Cipher.encode (Cipher.seal ~key ~nonce plaintext) in
       String.length expect = size
       && Bytes.sub_string out pos size = expect
       && Bytes.sub_string out 0 pos = String.make pos 'Z'
       && Bytes.sub_string out (pos + size) 3 = "ZZZ")
 
 let cipher_open_into_agrees =
-  QCheck.Test.make ~name:"open_into = decode + open_scratch on mangled frames" ~count:500
+  QCheck.Test.make ~name:"open_into = decode + open_ on mangled frames" ~count:500
     QCheck.(
       make
         Gen.(
           quad (string_size (int_bound 40)) (string_size (int_bound 100)) (int_bound 6)
             mangle_gen))
     (fun (key, plaintext, prefix, mangle) ->
-      let ck = Cipher.key key and s = Cipher.scratch () in
-      let sealed = Cipher.seal_scratch ck s ~nonce:7L plaintext in
-      let other = Cipher.seal_scratch ck s ~nonce:8L (plaintext ^ "!") in
+      let s = Cipher.scratch () in
+      let sealed = Cipher.seal ~key ~nonce:7L plaintext in
+      let other = Cipher.seal ~key ~nonce:8L (plaintext ^ "!") in
       let honest = Cipher.encode sealed in
       let blob =
         match mangle with
@@ -587,13 +573,11 @@ let cipher_open_into_agrees =
         | Splice_body -> Cipher.encode { sealed with Cipher.body = other.Cipher.body }
         | Splice_tag -> Cipher.encode { sealed with Cipher.tag = other.Cipher.tag }
       in
-      let k = match mangle with Wrong_key -> Cipher.key (key ^ "x") | _ -> ck in
+      let raw = match mangle with Wrong_key -> key ^ "x" | _ -> key in
       let wire = String.make prefix '#' ^ blob in
-      let expect =
-        Option.bind (Cipher.decode blob) (Cipher.open_scratch k (Cipher.scratch ()))
-      in
+      let expect = Option.bind (Cipher.decode blob) (Cipher.open_ ~key:raw) in
       let got =
-        match Cipher.open_into k s wire ~pos:prefix with
+        match Cipher.open_into (Cipher.key raw) s wire ~pos:prefix with
         | n when n < 0 -> None
         | n -> Some (Bytes.sub_string (Cipher.plain s) 0 n)
       in
@@ -617,20 +601,18 @@ let cipher_rejects_odd_nonce =
         (oneofl [ 0; 7; 9; 16 ]))
     (fun (key, plaintext, nlen) ->
       let ck = Cipher.key key and s = Cipher.scratch () in
-      let sealed = Cipher.seal_scratch ck s ~nonce:7L plaintext in
+      let sealed = Cipher.seal ~key ~nonce:7L plaintext in
       let mac_key = Sha256.digest ("cipher-mac|" ^ key) in
       let retag nonce = Hmac.mac ~key:mac_key (nonce ^ sealed.body) in
       let nonce = String.init nlen (fun i -> if i < 8 then sealed.nonce.[i] else '\xab') in
       let odd = { sealed with Cipher.nonce; tag = retag nonce } in
       retag sealed.nonce = sealed.tag
-      && Cipher.open_scratch ck s odd = None
-      && Cipher.open_keyed ck odd = None
       && Cipher.open_ ~key odd = None
       && Cipher.open_batch ck s [| odd |] = [| None |]
       && Cipher.open_into ck s (Cipher.encode odd) ~pos:0 = -1
-      && Cipher.open_scratch ck s sealed = Some plaintext)
+      && Cipher.open_ ~key sealed = Some plaintext)
 
-(* -- batch entry points: byte-identical to the keyed per-message forms.
+(* -- batch entry points: byte-identical to the one-shot per-message forms.
 
    The mux service A/Bs batched against per-message crypto and asserts the
    outputs are byte-identical; these properties are the foundation of that
@@ -717,8 +699,8 @@ let prf_keystream_into_equals_keystream =
       (* bytes before [pos] untouched *)
       && String.for_all (Char.equal 'Z') (Bytes.sub_string out 0 pos))
 
-let cipher_batch_equals_keyed =
-  QCheck.Test.make ~name:"seal_batch/open_batch = seal_keyed/open_keyed" ~count:200
+let cipher_batch_equals_oneshot =
+  QCheck.Test.make ~name:"seal_batch/open_batch = seal/open_" ~count:200
     batch_gen
     (fun (key, msgs) ->
       let ck = Cipher.key key in
@@ -726,7 +708,7 @@ let cipher_batch_equals_keyed =
       let arr = Array.of_list msgs in
       let nonces = Array.mapi (fun i _ -> Int64.of_int (i * 7)) arr in
       let batch = Cipher.seal_batch ck scratch ~nonces arr in
-      let singles = Array.mapi (fun i m -> Cipher.seal_keyed ck ~nonce:nonces.(i) m) arr in
+      let singles = Array.mapi (fun i m -> Cipher.seal ~key ~nonce:nonces.(i) m) arr in
       let same_bytes =
         Array.for_all2
           (fun a b -> String.equal (Cipher.encode a) (Cipher.encode b))
@@ -851,8 +833,7 @@ let () =
           qcheck cipher_rejects_wrong_key;
           qcheck cipher_wire_roundtrip;
           qcheck cipher_decode_garbage;
-          qcheck cipher_keyed_equals_oneshot;
-          qcheck cipher_batch_equals_keyed;
+          qcheck cipher_batch_equals_oneshot;
           qcheck cipher_shared_key_concurrent;
           Alcotest.test_case "batch cross-frame tamper" `Quick
             cipher_batch_rejects_cross_frame_tamper;
@@ -865,6 +846,4 @@ let () =
         [ Alcotest.test_case "mac_feed_into allocation-free" `Quick hmac_mac_feed_into_no_alloc;
           Alcotest.test_case "keystream_into constant in length" `Quick
             prf_keystream_into_constant_alloc;
-          Alcotest.test_case "seal_scratch allocates its outputs" `Quick
-            cipher_seal_scratch_alloc;
           Alcotest.test_case "in-place seal and open" `Quick cipher_in_place_alloc ] ) ]

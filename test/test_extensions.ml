@@ -165,7 +165,7 @@ let unicast_hop_is_pair_private () =
   let cfg = Radio.Config.make ~n:16 ~channels:4 ~t:1 ~seed:5L () in
   let s1 = Unicast.make_spec ~key:(pair_keys (0, 1)) ~cfg in
   let s2 = Unicast.make_spec ~key:(pair_keys (2, 3)) ~cfg in
-  let broadcast = Service.make_spec ~key:(pair_keys (0, 1)) ~cfg () in
+  let broadcast = Service.make_spec ~key:(pair_keys (0, 1)) ~cfg in
   let differs a b =
     List.exists
       (fun round -> Service.hop a ~round <> Service.hop b ~round)

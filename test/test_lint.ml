@@ -230,6 +230,33 @@ let test_iface () =
   | [ v ] -> Alcotest.(check string) "the orphan" (fx "iface/orphan.ml") v.Lint.Engine.file
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
+(* --- escape hygiene --------------------------------------------------- *)
+
+let test_stale_escape () =
+  let report = run [ "stale_escape.ml" ] in
+  check_no_errors report;
+  (* The detached escape is named at its own line, beside the print it
+     stopped covering; a two-rule escape is stale for the rule it did not
+     use; and an escape cannot quiet its own finding. *)
+  Alcotest.(check (list (pair string int)))
+    "stale escapes and the orphaned print"
+    [ ("stale-escape", 4); ("io-print", 6); ("stale-escape", 9); ("stale-escape", 11) ]
+    (List.map
+       (fun (v : Lint.Engine.violation) -> (v.rule, v.line))
+       report.Lint.Engine.active);
+  Alcotest.(check int) "the used grant suppresses" 1 (List.length report.Lint.Engine.suppressed);
+  let off = [ ("stale-escape", rule_cfg ~enabled:false ()) ] in
+  Alcotest.(check (list string))
+    "rule off" [ "io-print" ]
+    (active_rules (run ~rules:off [ "stale_escape.ml" ]))
+
+let test_escape_fixtures_not_stale () =
+  (* Every escape in the escaped fixtures covers a hit. *)
+  let report =
+    run [ "ok_nondet.ml"; "ok_domain.ml"; "ok_atomic.ml"; "ok_partial.ml"; "ok_io.ml" ]
+  in
+  Alcotest.(check (list string)) "no stale escapes" [] (active_rules report)
+
 (* --- engine plumbing ------------------------------------------------ *)
 
 let test_exit_semantics () =
@@ -278,6 +305,9 @@ let () =
           Alcotest.test_case "disable" `Quick test_io_disabled ] );
       ( "interface",
         [ Alcotest.test_case "missing mli" `Quick test_iface ] );
+      ( "escapes",
+        [ Alcotest.test_case "stale escape" `Quick test_stale_escape;
+          Alcotest.test_case "fixtures not stale" `Quick test_escape_fixtures_not_stale ] );
       ( "engine",
         [ Alcotest.test_case "exit semantics" `Quick test_exit_semantics;
           Alcotest.test_case "file collection" `Quick test_collect_files ] ) ]
