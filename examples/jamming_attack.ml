@@ -50,7 +50,9 @@ let () =
     (100.0 *. float_of_int !genuine /. float_of_int total);
   Printf.printf "  accepted nothing:             %d\n\n" !nothing;
   (* The same workload through f-AME: spoofs always collide. *)
-  let cfg = Core.Radio.Config.make ~seed:5L ~n ~channels:(t + 1) ~t ~record_transcript:true () in
+  let cfg =
+    Core.Radio.Config.make ~seed:5L ~n ~channels:(t + 1) ~t ~record_transcript:true ()
+  in
   let adversary _board =
     Core.Ame.Naive.simulating_adversary (Core.Prng.Rng.create 99L) ~pairs ~channels:(t + 1)
       ~budget:t
@@ -65,4 +67,5 @@ let () =
     (List.length pairs);
   Printf.printf "  fake payloads accepted: %d (guarantee: 0)\n" (List.length bad);
   Printf.printf "  spoofed frames that reached any listener: %d\n"
-    o.Core.Ame.Fame.engine.Core.Radio.Engine.stats.Core.Radio.Transcript.Stats.spoofed_deliveries
+    o.Core.Ame.Fame.engine.Core.Radio.Engine.stats
+      .Core.Radio.Transcript.Stats.spoofed_deliveries

@@ -25,7 +25,9 @@ let () =
   in
   (* Basic f-AME: the hub's vector rides in one frame. *)
   let basic = Core.Ame.Fame.run ~cfg ~pairs ~messages ~adversary:fame_adversary () in
-  Printf.printf "Basic f-AME:     delivered %d/%d, largest honest frame %4d bytes, %6d rounds\n"
+  Printf.printf
+    "Basic f-AME:     delivered %d/%d, largest honest frame %4d bytes, \
+     %6d rounds\n"
     (List.length basic.Core.Ame.Fame.delivered)
     (List.length pairs)
     basic.Core.Ame.Fame.engine.Core.Radio.Engine.stats.Core.Radio.Transcript.Stats.max_payload
@@ -38,7 +40,9 @@ let () =
           ~budget:t)
       ~fame_adversary ()
   in
-  Printf.printf "Optimized (5.6): delivered %d/%d, largest honest frame %4d bytes, %6d rounds\n"
+  Printf.printf
+    "Optimized (5.6): delivered %d/%d, largest honest frame %4d bytes, \
+     %6d rounds\n"
     (List.length compact.Core.Ame.Compact.delivered)
     (List.length pairs) compact.Core.Ame.Compact.max_honest_payload
     (compact.Core.Ame.Compact.gossip_engine.Core.Radio.Engine.rounds_used

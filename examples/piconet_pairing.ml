@@ -32,7 +32,8 @@ let () =
     Printf.printf "Secure channel: %d real rounds per message\n" ch.rounds_per_message;
     List.iter
       (fun (er, sender, msg, receivers) ->
-        Printf.printf "  [er %d] device %d: %-35S heard by %d devices\n" er sender msg receivers)
+        Printf.printf "  [er %d] device %d: %-35S heard by %d devices\n" er sender msg
+          receivers)
       ch.deliveries;
     Printf.printf "  secrecy (no plaintext on air): %b\n" ch.secrecy_ok;
     Printf.printf "  authentication (no forgeries): %b\n" ch.authentication_ok

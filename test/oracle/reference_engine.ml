@@ -71,7 +71,8 @@ let run (cfg : Config.t) ~adversary nodes =
     { Effect.Deep.retc = (fun () -> fibers.(i) <- Finished);
       exnc = (fun e -> fibers.(i) <- Finished; match e with Aborted -> () | e -> raise e);
       effc =
-        (fun (type a) (eff : a Effect.t) : ((a, unit) Effect.Deep.continuation -> unit) option ->
+        (fun (type a) (eff : a Effect.t)
+          : ((a, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
           | Engine.ETransmit (chan, frame) -> park (fun k -> Transmit (chan, frame, k))
           | Engine.EListen chan -> park (fun k -> Listen (chan, k))
@@ -155,7 +156,8 @@ let run (cfg : Config.t) ~adversary nodes =
       | Transmit (_, _, k) | Idle k -> resume k Engine.Nothing
       | Listen (chan, k) ->
         resume k (match heard chan with Some f -> Engine.Received f | None -> Engine.Nothing)
-      | Sleep (d, k) -> if d <= 1 then resume k Engine.Nothing else fibers.(i) <- Sleep (d - 1, k)
+      | Sleep (d, k) ->
+        if d <= 1 then resume k Engine.Nothing else fibers.(i) <- Sleep (d - 1, k)
     done
   done;
   let completed = not (waiting ()) in

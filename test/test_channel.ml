@@ -26,7 +26,8 @@ let hop_properties () =
     let c = Service.hop spec ~round in
     check Alcotest.bool "hop in range" true (c >= 0 && c < spec.Service.channels)
   done;
-  check Alcotest.int "hop deterministic" (Service.hop spec ~round:17) (Service.hop spec ~round:17);
+  check Alcotest.int "hop deterministic" (Service.hop spec ~round:17)
+    (Service.hop spec ~round:17);
   (* The pattern must actually hop: over 60 rounds all channels appear. *)
   let seen = Array.make spec.Service.channels false in
   for round = 0 to 59 do
@@ -168,6 +169,7 @@ let () =
           Alcotest.test_case "outsiders locked out" `Quick outsiders_locked_out;
           Alcotest.test_case "forged frames rejected" `Quick forged_frames_rejected;
           Alcotest.test_case "replay is not a forgery" `Quick replayed_ciphertext_rejected;
-          Alcotest.test_case "concurrent broadcasts collide" `Quick concurrent_broadcasts_collide;
+          Alcotest.test_case "concurrent broadcasts collide" `Quick
+            concurrent_broadcasts_collide;
           Alcotest.test_case "sender must hold key" `Quick sender_must_hold_key;
           Alcotest.test_case "open_channel pinned" `Quick open_channel_pinned ] ) ]

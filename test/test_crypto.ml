@@ -64,7 +64,8 @@ let counting n = String.init n (fun i -> Char.chr (i land 0xff))
 let sha_padding_boundaries () =
   List.iter
     (fun (n, hex) ->
-      check Alcotest.string (Printf.sprintf "length %d" n) hex (Sha256.digest_hex (counting n)))
+      check Alcotest.string (Printf.sprintf "length %d" n) hex
+        (Sha256.digest_hex (counting n)))
     [ (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
       (1, "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d");
       (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59");
@@ -843,7 +844,8 @@ let () =
           qcheck cipher_open_into_agrees;
           qcheck cipher_rejects_odd_nonce ] );
       ( "alloc",
-        [ Alcotest.test_case "mac_feed_into allocation-free" `Quick hmac_mac_feed_into_no_alloc;
+        [ Alcotest.test_case "mac_feed_into allocation-free" `Quick
+            hmac_mac_feed_into_no_alloc;
           Alcotest.test_case "keystream_into constant in length" `Quick
             prf_keystream_into_constant_alloc;
           Alcotest.test_case "in-place seal and open" `Quick cipher_in_place_alloc ] ) ]

@@ -353,10 +353,12 @@ let series_workload ~n ~channels ~record ~seed run_core =
            deliveries), plus an occasional third that collides. *)
         if k mod (n / 2) = id then
           Engine.transmit ~chan:(k mod channels)
-            (Frame.Plain { src = id; dst = (id + 1) mod n; body = Printf.sprintf "b%d.%d" id k })
+            (Frame.Plain
+               { src = id; dst = (id + 1) mod n; body = Printf.sprintf "b%d.%d" id k })
         else if (k + 1) mod (n / 2) = id then
           Engine.transmit ~chan:((k + 1) mod channels)
-            (Frame.Plain { src = id; dst = (id + 1) mod n; body = Printf.sprintf "c%d.%d" id k })
+            (Frame.Plain
+               { src = id; dst = (id + 1) mod n; body = Printf.sprintf "c%d.%d" id k })
         else if (k + 2) mod (n / 2) = id && k land 3 = 0 then
           Engine.transmit ~chan:(k mod channels)
             (Frame.Plain { src = id; dst = (id + 1) mod n; body = "clash" })

@@ -196,9 +196,12 @@ let () =
     [ ( "restrictions",
         [ Alcotest.test_case "restriction 1: size" `Quick restriction_1_size;
           Alcotest.test_case "restriction 1: membership" `Quick restriction_1_membership;
-          Alcotest.test_case "restriction 2: node uniqueness" `Quick restriction_2_unique_nodes;
-          Alcotest.test_case "restriction 3: destinations" `Quick restriction_3_distinct_destinations;
-          Alcotest.test_case "restriction 4: shared sources" `Quick restriction_4_shared_source;
+          Alcotest.test_case "restriction 2: node uniqueness" `Quick
+            restriction_2_unique_nodes;
+          Alcotest.test_case "restriction 3: destinations" `Quick
+            restriction_3_distinct_destinations;
+          Alcotest.test_case "restriction 4: shared sources" `Quick
+            restriction_4_shared_source;
           Alcotest.test_case "apply semantics" `Quick apply_semantics ] );
       ( "greedy",
         [ Alcotest.test_case "P1/P2 definitions" `Quick p1_p2_definitions;
@@ -206,7 +209,9 @@ let () =
           qcheck lemma3_termination_implies_cover ] );
       ( "runner",
         [ Alcotest.test_case "wins against all referees" `Quick runner_wins_all_referees;
-          Alcotest.test_case "cheating referee detected" `Quick runner_rejects_cheating_referee;
+          Alcotest.test_case "cheating referee detected" `Quick
+            runner_rejects_cheating_referee;
           Alcotest.test_case "empty response detected" `Quick runner_rejects_empty_response;
-          Alcotest.test_case "larger proposals finish faster" `Quick runner_stingy_faster_than_minimal;
+          Alcotest.test_case "larger proposals finish faster" `Quick
+            runner_stingy_faster_than_minimal;
           qcheck runner_move_bound ] ) ]

@@ -132,7 +132,8 @@ let dense_update_matches_sparse =
 
 let dense_remove_noop_is_physical () =
   let d = Dense.of_edges [ (0, 1); (1, 2) ] in
-  check Alcotest.bool "absent removal returns same value" true (Dense.remove_edge d (2, 0) == d)
+  check Alcotest.bool "absent removal returns same value" true
+    (Dense.remove_edge d (2, 0) == d)
 
 (* -- Vertex cover -- *)
 
@@ -184,7 +185,8 @@ let vc_known_graphs () =
   in
   List.iter
     (fun (name, edges, expected) ->
-      check Alcotest.int name expected (Vertex_cover.minimum_size_dense (Dense.of_edges edges)))
+      check Alcotest.int name expected
+        (Vertex_cover.minimum_size_dense (Dense.of_edges edges)))
     cases
 
 let vc_minimum_is_cover =
@@ -195,7 +197,8 @@ let vc_at_most_consistent =
   QCheck.Test.make ~name:"at_most agrees with minimum" ~count:150 arb_graph (fun edges ->
       let g = Dense.of_edges edges in
       let m = Vertex_cover.minimum_size_dense g in
-      Vertex_cover.at_most_dense g m && ((m = 0) || not (Vertex_cover.at_most_dense g (m - 1))))
+      Vertex_cover.at_most_dense g m
+      && (m = 0 || not (Vertex_cover.at_most_dense g (m - 1))))
 
 let vc_is_cover_negative () =
   let g = Ref.of_edges [ (0, 1); (2, 3) ] in
@@ -349,9 +352,12 @@ let () =
       ( "spanner",
         [ Alcotest.test_case "pair count" `Quick spanner_pair_count;
           Alcotest.test_case "leaders" `Quick spanner_leaders;
-          Alcotest.test_case "survives any single removal" `Quick spanner_survives_all_t_removals;
-          Alcotest.test_case "survives sampled t removals" `Quick spanner_survives_sampled_removals;
-          Alcotest.test_case "leaders are the cut" `Quick spanner_dies_when_all_leaders_and_cut ] );
+          Alcotest.test_case "survives any single removal" `Quick
+            spanner_survives_all_t_removals;
+          Alcotest.test_case "survives sampled t removals" `Quick
+            spanner_survives_sampled_removals;
+          Alcotest.test_case "leaders are the cut" `Quick
+            spanner_dies_when_all_leaders_and_cut ] );
       ( "workload",
         [ Alcotest.test_case "disjoint pairs" `Quick workload_disjoint;
           Alcotest.test_case "complete" `Quick workload_complete;

@@ -13,7 +13,8 @@ let run_once ?(seed = 7L) ?(t = 1) ?(n = 20) ~fame_attack ~hop_attack () =
 let null_fame (_ : Ame.Oracle.t) = Radio.Adversary.null
 
 let basics () =
-  check (Alcotest.list Alcotest.int) "reporters t=2" [ 3; 4; 5; 6; 7 ] (Protocol.reporters ~t:2);
+  check (Alcotest.list Alcotest.int) "reporters t=2" [ 3; 4; 5; 6; 7 ]
+    (Protocol.reporters ~t:2);
   check Alcotest.int "leader count" 3 (Protocol.leader_count ~t:2)
 
 let clean_run_everyone_agrees () =
@@ -156,7 +157,8 @@ let digest_keys leader_keys group_key =
     (fun i keys ->
       Buffer.add_string b (Printf.sprintf "%d:" i);
       List.iter
-        (fun (j, k) -> Buffer.add_string b (Printf.sprintf "%d=%s," j (Crypto.Sha256.hex_of k)))
+        (fun (j, k) ->
+          Buffer.add_string b (Printf.sprintf "%d=%s," j (Crypto.Sha256.hex_of k)))
         keys;
       Buffer.add_string b
         (match group_key.(i) with Some k -> Crypto.Sha256.hex_of k | None -> "-");
@@ -168,7 +170,9 @@ let digest_keys leader_keys group_key =
 let pinned_under_hop_jammer () =
   let t = 1 and n = 20 in
   let cfg = Radio.Config.make ~n ~channels:(t + 1) ~t ~seed:7L ~max_rounds:50_000_000 () in
-  let hop () = Radio.Adversary.random_jammer (Prng.Rng.create 3L) ~channels:(t + 1) ~budget:t in
+  let hop () =
+    Radio.Adversary.random_jammer (Prng.Rng.create 3L) ~channels:(t + 1) ~budget:t
+  in
   let o = Protocol.run ~cfg ~fame_adversary:null_fame ~hop_adversary:(hop ()) () in
   check
     Alcotest.(list int)
@@ -201,6 +205,7 @@ let () =
           Alcotest.test_case "adopts leader proposal" `Slow group_key_is_a_leader_proposal;
           Alcotest.test_case "jammed run meets guarantee" `Slow jammed_run_meets_guarantee;
           Alcotest.test_case "no key material leaks" `Slow adversary_never_sees_key_material;
-          Alcotest.test_case "report replay is harmless" `Slow report_replay_attack_is_harmless;
+          Alcotest.test_case "report replay is harmless" `Slow
+            report_replay_attack_is_harmless;
           Alcotest.test_case "deterministic" `Slow deterministic;
           Alcotest.test_case "pinned under hop jammer" `Slow pinned_under_hop_jammer ] ) ]

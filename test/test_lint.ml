@@ -192,7 +192,9 @@ let test_global_allowlisted () =
   let rules = [ ("global-mutable", rule_cfg ~allow:[ fx "ok_global.ml" ] ()) ] in
   let report = run ~rules [ "ok_global.ml" ] in
   Alcotest.(check (list string)) "no active violations" [] (active_rules report);
-  Alcotest.(check int) "registry hits suppressed" 2 (List.length report.Lint.Engine.suppressed);
+  Alcotest.(check int)
+    "registry hits suppressed" 2
+    (List.length report.Lint.Engine.suppressed);
   List.iter
     (fun (_, reason) -> Alcotest.(check string) "reason" "allowlist" reason)
     report.Lint.Engine.suppressed
@@ -244,7 +246,9 @@ let test_stale_escape () =
     (List.map
        (fun (v : Lint.Engine.violation) -> (v.rule, v.line))
        report.Lint.Engine.active);
-  Alcotest.(check int) "the used grant suppresses" 1 (List.length report.Lint.Engine.suppressed);
+  Alcotest.(check int)
+    "the used grant suppresses" 1
+    (List.length report.Lint.Engine.suppressed);
   let off = [ ("stale-escape", rule_cfg ~enabled:false ()) ] in
   Alcotest.(check (list string))
     "rule off" [ "io-print" ]

@@ -63,9 +63,11 @@ let window_duplicate_after_note () =
   | _ -> Alcotest.fail "seq 5 should now be out of window"
 
 let window_rejects_bad_width () =
-  Alcotest.check_raises "width 0" (Invalid_argument "Mux.Window.create: width must be in 1..62")
+  Alcotest.check_raises "width 0"
+    (Invalid_argument "Mux.Window.create: width must be in 1..62")
     (fun () -> ignore (Mux.Window.create ~width:0));
-  Alcotest.check_raises "width 63" (Invalid_argument "Mux.Window.create: width must be in 1..62")
+  Alcotest.check_raises "width 63"
+    (Invalid_argument "Mux.Window.create: width must be in 1..62")
     (fun () -> ignore (Mux.Window.create ~width:63))
 
 (* ------------------------------------------------------------------ *)
@@ -107,7 +109,8 @@ let epoch_boundary_cases () =
 
 let null = Radio.Adversary.null
 
-let jammer seed budget = Radio.Adversary.random_jammer (Prng.Rng.create seed) ~channels:8 ~budget
+let jammer seed budget =
+  Radio.Adversary.random_jammer (Prng.Rng.create seed) ~channels:8 ~budget
 
 let base_spec ?(transport = Mux.Acked) ?(rounds = 40) ?(logical = 24) ?(rate = 1)
     ?(queue_cap = 8) ?(outsiders = 0) () =
@@ -339,7 +342,8 @@ let pig_spec_validation () =
   Alcotest.check_raises "piggybacked needs even logical"
     (Invalid_argument "Mux.make: Piggybacked acks need an even number of logical channels")
     (fun () ->
-      ignore (Mux.make ~key ~logical:5 ~phys:4 ~budget:1 ~ack_mode:Mux.Piggybacked ~rounds:10 ()))
+      ignore
+        (Mux.make ~key ~logical:5 ~phys:4 ~budget:1 ~ack_mode:Mux.Piggybacked ~rounds:10 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Outcome pins.                                                       *)
@@ -790,7 +794,8 @@ let () =
                   ~outsiders:2 ~rounds:5 ()));
           Alcotest.test_case "repeat-20 stress at jobs 2" `Quick jobs_stress ] );
       ( "repeat",
-        [ Alcotest.test_case "full delivery under jamming" `Quick repeat_transport_full_delivery ] );
+        [ Alcotest.test_case "full delivery under jamming" `Quick
+            repeat_transport_full_delivery ] );
       ( "piggybacked",
         [ Alcotest.test_case "null drains and matches slotted" `Quick
             pig_null_drains_and_matches_slotted;

@@ -62,7 +62,8 @@ let pool_nested () =
      submitting task helps drain the queue instead of blocking a domain, so
      nesting can neither deadlock nor starve; both levels keep order. *)
   let expected =
-    List.map (fun outer -> List.map (fun i -> jittered_square ((10 * outer) + i)) [ 0; 1; 2; 3 ])
+    List.map
+      (fun outer -> List.map (fun i -> jittered_square ((10 * outer) + i)) [ 0; 1; 2; 3 ])
       (List.init 8 Fun.id)
   in
   Parallel.Pool.with_pool ~domains:3 (fun pool ->

@@ -366,13 +366,17 @@ let () =
         [ Alcotest.test_case "deterministic" `Quick rng_deterministic;
           Alcotest.test_case "split_at stable" `Quick rng_split_at_stable;
           Alcotest.test_case "split_at base-keyed" `Quick rng_split_does_not_disturb_split_at;
-          Alcotest.test_case "sample without replacement" `Quick rng_sample_without_replacement;
-          Alcotest.test_case "int matches rejection reference" `Quick rng_int_matches_reference;
+          Alcotest.test_case "sample without replacement" `Quick
+            rng_sample_without_replacement;
+          Alcotest.test_case "int matches rejection reference" `Quick
+            rng_int_matches_reference;
           Alcotest.test_case "fill_int matches rejection reference" `Quick
             rng_fill_int_matches_reference;
-          Alcotest.test_case "fill_int shares the stream state" `Quick rng_fill_int_shares_state;
+          Alcotest.test_case "fill_int shares the stream state" `Quick
+            rng_fill_int_shares_state;
           Alcotest.test_case "fill_int rejects a bad len" `Quick rng_fill_int_rejects_bad_len;
-          Alcotest.test_case "int and fill_int allocation-free" `Quick rng_draws_allocation_free;
+          Alcotest.test_case "int and fill_int allocation-free" `Quick
+            rng_draws_allocation_free;
           qcheck rng_int_bounds;
           qcheck rng_int_in_bounds;
           qcheck rng_float_range;

@@ -76,7 +76,8 @@ let listener_on_other_channel_hears_nothing () =
 let jam_blocks_delivery () =
   let cfg = base_cfg () in
   let jam_chan0 =
-    { Adversary.name = "jam0"; act = (fun ~round:_ -> [ { Adversary.chan = 0; spoof = None } ]);
+    { Adversary.name = "jam0";
+      act = (fun ~round:_ -> [ { Adversary.chan = 0; spoof = None } ]);
       observe = (fun _ -> ()); observes = false }
   in
   let received = ref (Some (plain 9 9 "sentinel")) in
@@ -236,7 +237,8 @@ let cheap_path_matches_record_path () =
     (s off).Transcript.Stats.collisions;
   check Alcotest.int "jammed" (s on).Transcript.Stats.jammed_rounds
     (s off).Transcript.Stats.jammed_rounds;
-  check Alcotest.int "strikes" (s on).Transcript.Stats.strikes (s off).Transcript.Stats.strikes;
+  check Alcotest.int "strikes" (s on).Transcript.Stats.strikes
+    (s off).Transcript.Stats.strikes;
   check Alcotest.int "max payload" (s on).Transcript.Stats.max_payload
     (s off).Transcript.Stats.max_payload;
   check Alcotest.int "rounds_used" on.Engine.rounds_used off.Engine.rounds_used;
@@ -266,7 +268,9 @@ let wrong_node_count_rejected () =
 (* -- adversary validation and strategies -- *)
 
 let validate_budget () =
-  let strikes = [ { Adversary.chan = 0; spoof = None }; { Adversary.chan = 1; spoof = None } ] in
+  let strikes =
+    [ { Adversary.chan = 0; spoof = None }; { Adversary.chan = 1; spoof = None } ]
+  in
   (* Over-budget strike lists are clamped from the end, not rejected: the
      model simply ignores transmissions beyond [t]. *)
   (match Adversary.validate ~channels:3 ~budget:1 strikes with
@@ -283,7 +287,9 @@ let validate_budget () =
     (List.length (Adversary.validate ~channels:3 ~budget:2 tail_invalid))
 
 let validate_duplicate_channel () =
-  let strikes = [ { Adversary.chan = 0; spoof = None }; { Adversary.chan = 0; spoof = None } ] in
+  let strikes =
+    [ { Adversary.chan = 0; spoof = None }; { Adversary.chan = 0; spoof = None } ]
+  in
   try
     ignore (Adversary.validate ~channels:3 ~budget:2 strikes);
     Alcotest.fail "expected duplicate rejection"
@@ -332,7 +338,8 @@ let stats_capture_scenario () =
     run_script cfg
       [| [ (fun () -> Engine.transmit ~chan:0 (plain 0 1 "first"));
            (fun () -> Engine.transmit ~chan:1 (plain 0 2 "second")) ];
-         [ (fun () -> ignore (Engine.listen ~chan:0)); (fun () -> ignore (Engine.listen ~chan:1)) ];
+         [ (fun () -> ignore (Engine.listen ~chan:0));
+           (fun () -> ignore (Engine.listen ~chan:1)) ];
          [ (fun () -> ignore (Engine.listen ~chan:0)); (fun () -> Engine.idle ()) ];
          [ (fun () -> Engine.idle ()); (fun () -> Engine.idle ()) ] |]
   in
@@ -437,10 +444,12 @@ let () =
       ( "semantics",
         [ Alcotest.test_case "single transmitter delivers" `Quick single_transmitter_delivers;
           Alcotest.test_case "two transmitters collide" `Quick two_transmitters_collide;
-          Alcotest.test_case "channel isolation" `Quick listener_on_other_channel_hears_nothing;
+          Alcotest.test_case "channel isolation" `Quick
+            listener_on_other_channel_hears_nothing;
           Alcotest.test_case "jam blocks" `Quick jam_blocks_delivery;
           Alcotest.test_case "spoof on empty channel" `Quick spoof_lands_on_empty_channel;
-          Alcotest.test_case "spoof on busy channel collides" `Quick spoof_collides_with_honest;
+          Alcotest.test_case "spoof on busy channel collides" `Quick
+            spoof_collides_with_honest;
           Alcotest.test_case "lone jam is silence" `Quick lone_jam_is_silence;
           Alcotest.test_case "no collision detection" `Quick transmitter_learns_nothing ] );
       ( "engine",
@@ -454,12 +463,15 @@ let () =
         [ Alcotest.test_case "budget validation" `Quick validate_budget;
           Alcotest.test_case "duplicate channels rejected" `Quick validate_duplicate_channel;
           Alcotest.test_case "strategies respect budget" `Quick strategies_respect_budget;
-          Alcotest.test_case "reactive follows traffic" `Quick reactive_jammer_follows_traffic ] );
+          Alcotest.test_case "reactive follows traffic" `Quick
+            reactive_jammer_follows_traffic ] );
       ( "transcript",
         [ Alcotest.test_case "stats capture scenario" `Quick stats_capture_scenario;
           Alcotest.test_case "spoof detection" `Quick spoof_detection_in_transcript ] );
       ( "auditor",
         [ Alcotest.test_case "engine runs audit clean" `Quick auditor_passes_engine_runs;
           Alcotest.test_case "forged outcome detected" `Quick auditor_detects_forged_outcome;
-          Alcotest.test_case "budget violation detected" `Quick auditor_detects_budget_violation;
-          Alcotest.test_case "spoofed delivery flagged" `Quick auditor_flags_spoofed_deliveries ] ) ]
+          Alcotest.test_case "budget violation detected" `Quick
+            auditor_detects_budget_violation;
+          Alcotest.test_case "spoofed delivery flagged" `Quick
+            auditor_flags_spoofed_deliveries ] ) ]

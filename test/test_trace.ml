@@ -12,7 +12,9 @@ let recorded_run () =
   in
   let jam =
     { Radio.Adversary.name = "jam0";
-      act = (fun ~round -> if round = 0 then [ { Radio.Adversary.chan = 1; spoof = None } ] else []);
+      act =
+        (fun ~round ->
+          if round = 0 then [ { Radio.Adversary.chan = 1; spoof = None } ] else []);
       observe = (fun _ -> ()); observes = false }
   in
   Radio.Engine.run cfg ~adversary:jam

@@ -103,7 +103,8 @@ let disrupt_parity_across_jobs () =
   check Alcotest.int "graphs" a.Verify.Disrupt.graphs b.Verify.Disrupt.graphs;
   check Alcotest.int "queries" a.Verify.Disrupt.queries b.Verify.Disrupt.queries;
   check Alcotest.int "subsets" a.Verify.Disrupt.subsets b.Verify.Disrupt.subsets;
-  check Alcotest.string "worst graph" a.Verify.Disrupt.worst_graph b.Verify.Disrupt.worst_graph;
+  check Alcotest.string "worst graph" a.Verify.Disrupt.worst_graph
+    b.Verify.Disrupt.worst_graph;
   check (Alcotest.list Alcotest.string) "violations" a.Verify.Disrupt.violations
     b.Verify.Disrupt.violations
 
@@ -115,7 +116,8 @@ let fame_parity_across_jobs () =
   in
   let run jobs = Verify.Fame_check.check regime ~path_limit:10_000 ~jobs in
   let a = run 1 and b = run 4 in
-  check Alcotest.int "strategies" a.Verify.Fame_check.strategies b.Verify.Fame_check.strategies;
+  check Alcotest.int "strategies" a.Verify.Fame_check.strategies
+    b.Verify.Fame_check.strategies;
   check Alcotest.int "runs" a.Verify.Fame_check.runs b.Verify.Fame_check.runs;
   check Alcotest.int "engine rounds" a.Verify.Fame_check.engine_rounds
     b.Verify.Fame_check.engine_rounds;
@@ -226,14 +228,18 @@ let map_fields f = function Json.Obj fields -> Json.Obj (f fields) | v -> v
 let edit_rows key f =
   map_fields
     (List.map (fun (k, v) ->
-         match v with Json.List rows when String.equal k key -> (k, Json.List (f rows)) | _ -> (k, v)))
+         match v with
+         | Json.List rows when String.equal k key -> (k, Json.List (f rows))
+         | _ -> (k, v)))
 
 let is_row id row = Json.member "id" row = Some (Json.String id)
 
 (* [edit_row id f doc] applies [f] to the determinism row [id]. *)
-let edit_row id f = edit_rows "determinism" (List.map (fun row -> if is_row id row then f row else row))
+let edit_row id f =
+  edit_rows "determinism" (List.map (fun row -> if is_row id row then f row else row))
 
-let set_field name value = map_fields (List.map (fun (k, v) -> (k, if String.equal k name then value else v)))
+let set_field name value =
+  map_fields (List.map (fun (k, v) -> (k, if String.equal k name then value else v)))
 
 (* Runs bench_compare on the baseline and [current]; exit code and output. *)
 let bench_compare ?(flags = "") current =
@@ -259,7 +265,8 @@ let bench_compare_case name ?flags ~expect ~says tamper =
 let zeros = String.make 64 '0'
 
 let bench_compare_gates =
-  [ bench_compare_case "baseline against itself exits 0" ~expect:0 ~says:"determinism: OK" Fun.id;
+  [ bench_compare_case "baseline against itself exits 0" ~expect:0 ~says:"determinism: OK"
+      Fun.id;
     bench_compare_case "changed output_sha256 exits 1" ~expect:1
       ~says:"DRIFT service/svc-jammed-slotted: output_sha256"
       (edit_row "service/svc-jammed-slotted" (set_field "output_sha256" (Json.String zeros)));
@@ -275,7 +282,8 @@ let bench_compare_gates =
       (edit_rows "jobs_sweep" (function
         | first :: rest -> set_field "output_sha256" (Json.String zeros) first :: rest
         | [] -> Alcotest.fail "the baseline has no jobs_sweep rows"));
-    bench_compare_case "unmatched --require-bench prefix exits 1" ~flags:"--require-bench no-such-family/"
+    bench_compare_case "unmatched --require-bench prefix exits 1"
+      ~flags:"--require-bench no-such-family/"
       ~expect:1 ~says:"MISSING" Fun.id ]
 
 let () =
