@@ -91,8 +91,10 @@ let reconstruct ~levels =
     !suffixes
   end
 
-let run ?(ame_params = Params.default) ?(candidate_cap = 256) ~cfg ~pairs
-    ~messages ~gossip_adversary ~fame_adversary () =
+(* Stored candidates per (owner, level): the bound against spoof floods. *)
+let candidate_cap = 256
+
+let run ~cfg ~pairs ~messages ~gossip_adversary ~fame_adversary () =
   let channels = cfg.Radio.Config.channels in
   let budget = cfg.Radio.Config.t in
   let n = cfg.Radio.Config.n in
@@ -147,7 +149,7 @@ let run ?(ame_params = Params.default) ?(candidate_cap = 256) ~cfg ~pairs
     vector_signature (List.map (fun w -> messages (v, w)) (out_edges_of pairs v))
   in
   let fame =
-    Fame.run ~ame_params ~cfg ~pairs
+    Fame.run ~cfg ~pairs
       ~messages:(fun (v, _) -> signature_of v)
       ~vector_for:(fun v -> [ (-1, signature_of v) ])
       ~adversary:fame_adversary ()

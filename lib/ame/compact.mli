@@ -53,8 +53,6 @@ type outcome = {
 }
 
 val run :
-  ?ame_params:Params.t ->
-  ?candidate_cap:int ->
   cfg:Radio.Config.t ->
   pairs:(int * int) list ->
   messages:(int * int -> string) ->
@@ -62,8 +60,8 @@ val run :
   fame_adversary:(Oracle.t -> Radio.Adversary.t) ->
   unit ->
   outcome
-(** [candidate_cap] (default 256) bounds stored candidates per (owner,
-    level) against spoof floods. *)
+(** Stores at most 256 candidates per (owner, level) against spoof
+    floods. *)
 
 val chain_spoofer :
   Prng.Rng.t -> calendar -> channels:int -> budget:int -> Radio.Adversary.t

@@ -87,8 +87,8 @@ val seal_into :
 (** [seal_into k s ~nonce plain ~len out ~pos] writes
     [encode (seal ~key:raw ~nonce p)] at [pos] of [out], where
     [k = key raw] and [p] is the first [len] bytes of [plain]; [out] needs
-    [frame_size len] bytes from [pos].  Allocates nothing per byte: only the two small feed
-    closures of the keystream and the tag. *)
+    [frame_size len] bytes from [pos].  Allocates nothing per byte: only
+    the two small feed closures of the keystream and the tag. *)
 
 val framed : string -> pos:int -> bool
 (** The suffix of the string from [pos] is well-formed: [decode] of it

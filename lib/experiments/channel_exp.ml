@@ -27,7 +27,9 @@ let e9 ~quick ~jobs =
             ~adversary:(Common.random_jam ~seed:(Int64.of_int (n * 7)) ~channels ~budget:t)
         in
         let rpe = r.Mux.real_rounds_per_emulated in
-        let norm = float_of_int rpe /. (float_of_int t *. Radio.Config.log2 (float_of_int n)) in
+        let norm =
+          float_of_int rpe /. (float_of_int t *. Radio.Config.log2 (float_of_int n))
+        in
         ( [ string_of_int t; string_of_int n; string_of_int rpe;
             Printf.sprintf "%.2f" norm;
             Printf.sprintf "%d/%d" r.Mux.stats.Mux.full_deliveries

@@ -1,4 +1,3 @@
-
 (* -- structured results ------------------------------------------------ *)
 
 type block =

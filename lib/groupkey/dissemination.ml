@@ -14,9 +14,9 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
   let channels = cfg.Radio.Config.channels in
-  (* Theta(t log n) rounds per Part 2 epoch, Theta(t^2 log n) per Part 3
-     epoch. *)
-  let part2_reps = Radio.Config.reps ~scale:(4.0 *. float_of_int (t + 1)) ~n in
+  (* A Part 2 epoch is one sealed-hop emulated round; a Part 3 epoch is
+     Theta(t^2 log n) rounds. *)
+  let part2_reps = Service.reps cfg in
   let part3_reps = Radio.Config.reps ~scale:(4.0 *. float_of_int ((t + 1) * (t + 1))) ~n in
   let leaders = List.init (t + 1) Fun.id in
   let part2_epochs =
@@ -52,7 +52,8 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~adversary () =
         | None -> Radio.Engine.idle_for part2_reps
         | Some key ->
           let link = Service.link ~label:"channel-hop" ~key ~channels ~reps:part2_reps in
-          if id = v then Service.send link (if am_complete_leader then "K" ^ proposals id else "I")
+          if id = v then
+            Service.send link (if am_complete_leader then "K" ^ proposals id else "I")
           else
             (* Keep the first complete leader's proposal. *)
             Service.listen link (fun payload ->

@@ -28,7 +28,7 @@ let random_key rng =
 
 let pair_label v w = Printf.sprintf "%d|%d" (min v w) (max v w)
 
-let run ?(ame_params = Ame.Params.default) ?dh_params ~cfg ~fame_adversary ~hop_adversary () =
+let run ~cfg ~fame_adversary ~hop_adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
   let leaders = List.init (leader_count ~t) Fun.id in
@@ -36,7 +36,7 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ~cfg ~fame_adversary ~hop_
   let master = Prng.Rng.create (Int64.logxor cfg.Radio.Config.seed 0x6B65795F67656EL) in
   let keypairs =
     Array.init n (fun v ->
-        Crypto.Dh.generate ?params:dh_params (Prng.Rng.split_at master (1000 + v)))
+        Crypto.Dh.generate (Prng.Rng.split_at master (1000 + v)))
   in
   let proposals =
     Array.init n (fun v -> random_key (Prng.Rng.split_at master (5000 + v)))
@@ -45,7 +45,7 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ~cfg ~fame_adversary ~hop_
   let pairs = Rgraph.Spanner.pairs ~n ~t in
   let messages (v, _) = Crypto.Dh.encode_public keypairs.(v).Crypto.Dh.public in
   let fame =
-    Ame.Fame.run ~ame_params ~cfg ~pairs ~messages ~adversary:fame_adversary ()
+    Ame.Fame.run ~cfg ~pairs ~messages ~adversary:fame_adversary ()
   in
   (* Derive each node's pairwise keys from its own part-1 observations:
      v uses the pair with w iff it received w's public key (edge (w, v)
@@ -56,9 +56,9 @@ let run ?(ame_params = Ame.Params.default) ?dh_params ~cfg ~fame_adversary ~hop_
     (fun ((w, v), body) ->
       if List.mem (v, w) confirmed then
         match Crypto.Dh.decode_public body with
-        | Some pub when Crypto.Dh.valid_public ?params:dh_params pub ->
+        | Some pub when Crypto.Dh.valid_public pub ->
           let shared =
-            Crypto.Dh.shared_secret ?params:dh_params ~secret:keypairs.(v).Crypto.Dh.secret pub
+            Crypto.Dh.shared_secret ~secret:keypairs.(v).Crypto.Dh.secret pub
           in
           let key = Crypto.Dh.derive_key ~info:(pair_label v w) shared in
           pairwise.(v) <- (w, key) :: pairwise.(v)

@@ -47,8 +47,6 @@ val reporters : t:int -> int list
 (** The 2t+1 designated reporters of Part 3 (smallest non-leader ids). *)
 
 val run :
-  ?ame_params:Ame.Params.t ->
-  ?dh_params:Crypto.Dh.params ->
   cfg:Radio.Config.t ->
   fame_adversary:(Ame.Oracle.t -> Radio.Adversary.t) ->
   hop_adversary:Radio.Adversary.t ->

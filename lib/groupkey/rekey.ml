@@ -7,7 +7,10 @@ type outcome = {
   rounds : int;
 }
 
-let run ?(seed_salt = 0x4E657741L) ~cfg ~previous ~compromised ~hop_adversary () =
+(* Salts the re-key's proposals and its run seed apart from the setup's. *)
+let seed_salt = 0x4E657741L
+
+let run ~cfg ~previous ~compromised ~hop_adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
   let leaders = List.init (t + 1) Fun.id in

@@ -23,7 +23,6 @@ type outcome = {
 }
 
 val run :
-  ?seed_salt:int64 ->
   cfg:Radio.Config.t ->
   previous:Protocol.outcome ->
   compromised:int list ->

@@ -16,11 +16,12 @@ let hop link ~round =
 
 let send link payload =
   let len = String.length payload in
-  let plain = Bytes.of_string payload and frame = Bytes.create (Crypto.Cipher.frame_size len) in
+  let plain = Bytes.of_string payload in
+  let frame = Bytes.create (Crypto.Cipher.frame_size len) in
   for _ = 1 to link.reps do
     let round = Radio.Engine.current_round () in
-    Crypto.Cipher.seal_into link.cipher link.scratch ~nonce:(Int64.of_int round) plain ~len frame
-      ~pos:0;
+    Crypto.Cipher.seal_into link.cipher link.scratch ~nonce:(Int64.of_int round) plain ~len
+      frame ~pos:0;
     Radio.Engine.transmit ~chan:(hop link ~round) (Radio.Frame.Sealed (Bytes.to_string frame))
   done
 

@@ -52,9 +52,10 @@ val send : link -> string -> unit
     [Sealed] frame on [hop link ~round:r]. *)
 
 val listen : link -> (string -> bool) -> unit
-(** Every round r: listen on [hop link ~round:r]; each heard frame that
-    opens goes to [f], until [f] returns [false] — after that frames are
-    no longer opened, but listening lasts the [reps] rounds.  Spoofed or
+(** [listen link f]: every round r, listen on [hop link ~round:r]; the
+    payload of each heard frame that opens goes to [f], until [f] returns
+    [false] — after that frames are no longer opened, but listening lasts
+    the [reps] rounds.  Spoofed or
     corrupted frames fail MAC verification and never reach [f]. *)
 
 val idle : link -> unit

@@ -834,12 +834,12 @@ let () =
           qcheck cipher_rejects_wrong_key;
           qcheck cipher_wire_roundtrip;
           qcheck cipher_decode_garbage;
+          Alcotest.test_case "seal vector" `Quick cipher_seal_vector;
           qcheck cipher_batch_equals_oneshot;
           qcheck cipher_shared_key_concurrent;
           Alcotest.test_case "batch cross-frame tamper" `Quick
             cipher_batch_rejects_cross_frame_tamper;
           Alcotest.test_case "batch length mismatch" `Quick batch_length_mismatch;
-          Alcotest.test_case "seal vector" `Quick cipher_seal_vector;
           qcheck cipher_seal_into_equals_encode;
           qcheck cipher_open_into_agrees;
           qcheck cipher_rejects_odd_nonce ] );

@@ -254,13 +254,6 @@ let test_stale_escape () =
     "rule off" [ "io-print" ]
     (active_rules (run ~rules:off [ "stale_escape.ml" ]))
 
-let test_escape_fixtures_not_stale () =
-  (* Every escape in the escaped fixtures covers a hit. *)
-  let report =
-    run [ "ok_nondet.ml"; "ok_domain.ml"; "ok_atomic.ml"; "ok_partial.ml"; "ok_io.ml" ]
-  in
-  Alcotest.(check (list string)) "no stale escapes" [] (active_rules report)
-
 (* --- engine plumbing ------------------------------------------------ *)
 
 let test_exit_semantics () =
@@ -310,8 +303,7 @@ let () =
       ( "interface",
         [ Alcotest.test_case "missing mli" `Quick test_iface ] );
       ( "escapes",
-        [ Alcotest.test_case "stale escape" `Quick test_stale_escape;
-          Alcotest.test_case "fixtures not stale" `Quick test_escape_fixtures_not_stale ] );
+        [ Alcotest.test_case "stale escape" `Quick test_stale_escape ] );
       ( "engine",
         [ Alcotest.test_case "exit semantics" `Quick test_exit_semantics;
           Alcotest.test_case "file collection" `Quick test_collect_files ] ) ]
