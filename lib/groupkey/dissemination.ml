@@ -51,7 +51,7 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~adversary () =
         match pair_key with
         | None -> Radio.Engine.idle_for part2_reps
         | Some key ->
-          let link = Service.link ~label:"channel-hop" ~key ~channels ~reps:part2_reps in
+          let link = Service.link ~label:"channel-hop" ~key ~cfg in
           if id = v then
             Service.send link (if am_complete_leader then "K" ^ proposals id else "I")
           else

@@ -287,24 +287,30 @@ type verdict =
   | Escaped of int  (** by the escape comment on this line *)
   | Dropped
 
+(* Whether [rule] is checked in [file] at all: enabled and in scope. *)
+let applies ~config ~file rule =
+  let cfg = Config.rule_cfg config rule in
+  cfg.Config.enabled && (cfg.Config.scope = [] || Config.path_in cfg.Config.scope file)
+
 let classify ~config ~escapes v =
-  let cfg = Config.rule_cfg config v.rule in
-  if not cfg.Config.enabled then Dropped
-  else if cfg.Config.scope <> [] && not (Config.path_in cfg.Config.scope v.file) then Dropped
-  else if Config.path_in cfg.Config.allow v.file then Suppressed "allowlist"
+  if not (applies ~config ~file:v.file v.rule) then Dropped
+  else if Config.path_in (Config.rule_cfg config v.rule).Config.allow v.file then
+    Suppressed "allowlist"
   else
     match escape_line escapes ~line:v.line ~rule:v.rule with
     | Some l -> Escaped l
     | None -> Active
 
 (* One [stale-escape] per rule an escape comment grants that no
-   violation of the file used. *)
-let stale_escapes ~file ~escapes ~used =
+   violation of the file used.  A grant for a rule that is disabled or
+   out of scope here is not stale: it covers its site again once the
+   rule applies. *)
+let stale_escapes ~config ~file ~escapes ~used =
   List.concat_map
     (fun (line, rules) ->
       List.filter_map
         (fun rule ->
-          if List.mem (line, rule) used then None
+          if List.mem (line, rule) used || not (applies ~config ~file rule) then None
           else
             Some
               { file; line; col = 0; rule = "stale-escape";
@@ -345,7 +351,8 @@ let run ~config roots =
         | raw ->
           let used = consider_all ~escapes raw in
           (* Escapes do not apply to their own findings. *)
-          ignore (consider_all ~escapes:[] (stale_escapes ~file ~escapes ~used) : _ list)
+          let stale = stale_escapes ~config ~file ~escapes ~used in
+          ignore (consider_all ~escapes:[] stale : _ list)
         | exception exn ->
           let msg =
             match Location.error_of_exn exn with

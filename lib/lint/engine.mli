@@ -4,7 +4,9 @@
     [(* radio-lint: allow <rule> *)] escape comments on the offending
     line or the line above.  An escape comment that suppresses no
     violation is itself an active [stale-escape] finding at its line (one
-    per rule it grants), which escapes cannot quiet.
+    per rule it grants), which escapes cannot quiet.  A grant for a rule
+    that is disabled or out of scope for the file is not stale: relaxing
+    a rule adds no finding.
 
     Identifier rules are syntactic: a module alias ([module H = Hashtbl])
     or functor-made table is not seen.  The lint run itself keeps the

@@ -7,9 +7,13 @@ type link = {
   scratch : Crypto.Cipher.scratch;
 }
 
-let link ~label ~key ~channels ~reps =
-  { channels; reps; hop_label = label; hop_prf = Crypto.Prf.Keyed.create key;
-    cipher = Crypto.Cipher.key key; scratch = Crypto.Cipher.scratch () }
+let reps cfg =
+  Radio.Config.reps ~scale:(4.0 *. float_of_int (cfg.Radio.Config.t + 1)) ~n:cfg.Radio.Config.n
+
+let link ~label ~key ~cfg =
+  { channels = cfg.Radio.Config.channels; reps = reps cfg; hop_label = label;
+    hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key;
+    scratch = Crypto.Cipher.scratch () }
 
 let hop link ~round =
   Crypto.Prf.Keyed.below link.hop_prf ~label:link.hop_label ~counter:round link.channels
@@ -35,13 +39,7 @@ let listen link f =
     | Some _ | None -> ()
   done
 
-let idle link = Radio.Engine.idle_for link.reps
-
-let reps cfg =
-  Radio.Config.reps ~scale:(4.0 *. float_of_int (cfg.Radio.Config.t + 1)) ~n:cfg.Radio.Config.n
-
-let make_spec ~key ~cfg =
-  link ~label:"channel-hop" ~key ~channels:cfg.Radio.Config.channels ~reps:(reps cfg)
+let make_spec ~key ~cfg = link ~label:"channel-hop" ~key ~cfg
 
 let encode_payload ~sender ~seq msg =
   let len = String.length msg in

@@ -38,14 +38,21 @@ type link = {
           engine's domain *)
 }
 
-val link : label:string -> key:string -> channels:int -> reps:int -> link
-(** Prepares the hop PRF and the cipher key for [key] once. *)
+val reps : Radio.Config.t -> int
+(** [ceil(4 * (t+1) * log2 n)] — the Theta(t log n) repetitions of one
+    emulated round; with C >= 2t the hop channel avoids the jammer with
+    probability >= 1/2. *)
+
+val link : label:string -> key:string -> cfg:Radio.Config.t -> link
+(** The link under [key] over [cfg]'s channels, {!reps} rounds per
+    emulated round; prepares the hop PRF and the cipher key once. *)
 
 val hop : link -> round:int -> int
 (** The meeting channel for absolute engine round [round]. *)
 
-(** Each of the three operations below consumes exactly [link.reps] engine
-    rounds, so all participants stay in lockstep. *)
+(** Each of the two operations below consumes exactly [link.reps] engine
+    rounds; a participant with nothing to send or hear sits them out with
+    {!Radio.Engine.idle_for}, so all participants stay in lockstep. *)
 
 val send : link -> string -> unit
 (** Every round r: seal the payload under nonce r and transmit it as a
@@ -58,18 +65,10 @@ val listen : link -> (string -> bool) -> unit
     the [reps] rounds.  Spoofed or
     corrupted frames fail MAC verification and never reach [f]. *)
 
-val idle : link -> unit
-(** Sit the rounds out: one {!Radio.Engine.idle_for}. *)
-
 (** {1 The broadcast service} *)
 
-val reps : Radio.Config.t -> int
-(** [ceil(4 * (t+1) * log2 n)] — the Theta(t log n) repetitions of one
-    emulated round; with C >= 2t the hop channel avoids the jammer with
-    probability >= 1/2. *)
-
 val make_spec : key:string -> cfg:Radio.Config.t -> link
-(** The group's link: label ["channel-hop"], {!reps} repetitions. *)
+(** The group's link: label ["channel-hop"]. *)
 
 val broadcast : link -> sender:int -> seq:int -> string -> unit
 (** {!send} [msg] framed with its sender and sequence number (requires

@@ -1,6 +1,4 @@
-let make_spec ~key ~cfg =
-  Service.link ~label:"unicast-hop" ~key ~channels:cfg.Radio.Config.channels
-    ~reps:(Service.reps cfg)
+let make_spec ~key ~cfg = Service.link ~label:"unicast-hop" ~key ~cfg
 
 type stream = {
   sender : int;
@@ -46,9 +44,7 @@ let run_streams ~cfg ~keys ~streams ~adversary () =
         (fun seq payload -> Service.broadcast link ~sender:id ~seq payload)
         stream.payloads;
       (* Pad to the longest stream so all fibers stay in lockstep. *)
-      for _ = List.length stream.payloads + 1 to emulated_rounds do
-        Service.idle link
-      done
+      Radio.Engine.idle_for ((emulated_rounds - List.length stream.payloads) * link.reps)
     | Some stream ->
       let link = make_spec ~key:(keys (stream.sender, stream.receiver)) ~cfg in
       let cell = Hashtbl.find received_cells (stream.sender, stream.receiver) in

@@ -15,8 +15,7 @@ val make_spec : key:string -> cfg:Radio.Config.t -> Service.link
     broadcast service's {!Service.reps}, with the hopping pattern
     domain-separated from the broadcast service's by the label
     ["unicast-hop"].  Both endpoints meet on {!Service.hop}; the frames
-    travel through {!Service.broadcast} and {!Service.recv}, and a sender
-    whose stream is shorter than the longest pads with {!Service.idle}. *)
+    travel through {!Service.broadcast} and {!Service.recv}. *)
 
 type stream = {
   sender : int;

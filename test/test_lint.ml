@@ -252,7 +252,16 @@ let test_stale_escape () =
   let off = [ ("stale-escape", rule_cfg ~enabled:false ()) ] in
   Alcotest.(check (list string))
     "rule off" [ "io-print" ]
-    (active_rules (run ~rules:off [ "stale_escape.ml" ]))
+    (active_rules (run ~rules:off [ "stale_escape.ml" ]));
+  (* Relaxing a rule leaves its escapes alone: they are not stale. *)
+  let io_off = [ ("io-print", rule_cfg ~enabled:false ()) ] in
+  Alcotest.(check (list string))
+    "io-print disabled" []
+    (active_rules (run ~rules:io_off [ "ok_io.ml" ]));
+  let io_elsewhere = [ ("io-print", rule_cfg ~scope:[ "fixtures/lint/iface" ] ()) ] in
+  Alcotest.(check (list string))
+    "io-print out of scope" []
+    (active_rules (run ~rules:io_elsewhere [ "ok_io.ml" ]))
 
 (* --- engine plumbing ------------------------------------------------ *)
 
