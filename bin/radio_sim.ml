@@ -163,9 +163,14 @@ let service_cmd =
             ~budget:t
         else Core.Radio.Adversary.null
       in
-      (* The per-frame crypto fans out over --jobs domains. *)
+      (* The per-frame crypto fans out over --jobs domains.  Its work
+         counters are summed over them, so the crypto line is as
+         jobs-independent as the stats above it. *)
+      let module Counters = Core.Crypto.Counters in
+      let before = Counters.snapshot () in
       let r = Parallel.run ~jobs (fun () -> Mux.run spec ~adversary) in
       print_string (Mux.render_stats r);
+      print_endline (Counters.render (Counters.diff (Counters.snapshot ()) before));
       `Ok ()
   in
   Cmd.v

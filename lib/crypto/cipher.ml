@@ -64,6 +64,7 @@ let tag_into k s nonce ~noff ~nlen body ~boff ~blen out ~pos =
 let verify_crypt k s nonce ~noff ~nlen body ~boff ~blen tag ~toff ~tlen dst ~dpos =
   nlen = nonce_len
   && begin
+    Counters.open_ ();
     tag_into k s nonce ~noff ~nlen body ~boff ~blen s.tag_buf ~pos:0;
     let ok = Hmac.equal_ct_sub ~expect:s.tag_buf tag ~pos:toff ~len:tlen in
     if ok then crypt k s nonce ~noff ~nlen body ~spos:boff dst ~dpos ~len:blen;
@@ -72,6 +73,7 @@ let verify_crypt k s nonce ~noff ~nlen body ~boff ~blen tag ~toff ~tlen dst ~dpo
 
 (* The record-valued forms behind the one-shot and batch calls. *)
 let seal_frame k s ~nonce plaintext =
+  Counters.seal ();
   let n = Bytes.create nonce_len in
   Bytes.set_int64_be n 0 nonce;
   let nonce = Bytes.unsafe_to_string n in
@@ -127,6 +129,7 @@ let fields s ~pos =
 let framed s ~pos = fields s ~pos >= 0
 
 let seal_into k s ~nonce plain ~len out ~pos =
+  Counters.seal ();
   let body = pos + 16 in
   set_len out pos nonce_len;
   Bytes.set_int64_be out (pos + 4) nonce;

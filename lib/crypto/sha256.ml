@@ -92,6 +92,7 @@ let compress ctx block pos =
   (* The innermost loops of every hash/MAC/PRF call: indices are bounded by
      construction (w and k have 64 entries, h has 8), so unchecked accesses
      are safe and measurably faster. *)
+  Counters.sha256_compression ();
   let w = ctx.w in
   for i = 0 to 15 do
     Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (pos + (i * 4))) land mask32)

@@ -763,6 +763,31 @@ let step_alloc_pinned ack_mode ~serial () =
         Alcotest.failf "phase %d: %d minor collections, %d of them serial" p minors serial)
     (List.combine (step_alloc ack_mode) serial)
 
+(* Crypto work per op on the benchmark's svc-small and svc-bulk shapes
+   (benchsuite/workload.ml, full scale, seed 1): the same spec, drawn from
+   the same seed, run once under a null adversary.  The counters are
+   summed over every domain, so the totals must not depend on the pool. *)
+let bench_shape ~logical ~payload =
+  let rng = Prng.Rng.create 1L in
+  let draw () = Prng.Rng.bits64 rng in
+  let key = Printf.sprintf "benchsuite-%Lx" (draw ()) in
+  Mux.make ~key ~logical ~phys:16 ~budget:4 ~ack_mode:Mux.Piggybacked ~rounds:24 ~rate:1
+    ~queue_cap:8 ~window:32 ~epoch_len:2 ~grace:1 ~payload ~seed:(draw ()) ()
+
+let counters_per_op spec ~jobs =
+  let before = Crypto.Counters.snapshot () in
+  ignore (Parallel.run ~jobs (fun () -> Mux.run spec ~adversary:null) : Mux.result);
+  Crypto.Counters.diff (Crypto.Counters.snapshot ()) before
+
+let counters_pinned spec expect () =
+  List.iter
+    (fun jobs ->
+      check Alcotest.string
+        (Printf.sprintf "counters per op at jobs=%d" jobs)
+        expect
+        (Crypto.Counters.render (counters_per_op spec ~jobs)))
+    [ 1; 2 ]
+
 let () =
   Alcotest.run "mux"
     [ ( "window",
@@ -806,6 +831,13 @@ let () =
           Alcotest.test_case "outsiders blocked" `Quick pig_outsiders_blocked;
           Alcotest.test_case "spec validation" `Quick pig_spec_validation ] );
       ("outcome", [ Alcotest.test_case "mux outcome pins" `Quick mux_outcome_pins ]);
+      ( "counters",
+        [ Alcotest.test_case "svc-small shape per op" `Quick
+            (counters_pinned (bench_shape ~logical:1024 ~payload:16)
+               "crypto: sha256=156948 chacha20=0 poly1305=0 seal=25600 open=25600 tag=0");
+          Alcotest.test_case "svc-bulk shape per op" `Quick
+            (counters_pinned (bench_shape ~logical:64 ~payload:1024)
+               "crypto: sha256=163548 chacha20=0 poly1305=0 seal=1600 open=1600 tag=0") ] );
       ( "step",
         [ Alcotest.test_case "slotted round trip" `Quick step_slotted_round_trip;
           Alcotest.test_case "piggybacked cumulative ack" `Quick step_pig_cumulative_ack;
