@@ -1,73 +1,118 @@
 type sealed = { nonce : string; body : string; tag : string }
 
-(* Every nonce is [nonce_len] bytes: the keystream is a PRF only on
-   inputs of one length under one key (see {!Prf.Keyed.keystream}). *)
+(* Every nonce is [nonce_len] bytes: ChaCha20's nonce words, and the AAD
+   of the tag. *)
 let nonce_len = 8
+let tag_len = 32
 
 let enc_key key = Sha256.digest ("cipher-enc|" ^ key)
 let mac_key key = Sha256.digest ("cipher-mac|" ^ key)
 
-(* A prepared session key: both domain-separated subkeys derived once, the
-   stream-cipher PRF and the MAC midstates precomputed.  Long-lived callers
-   (the sealed-hop link and the mux) seal and open under one key for
-   thousands of rounds. *)
-type key = { enc : Prf.Keyed.t; mac : Hmac.key }
+(* A prepared session key: the ChaCha20 key words, and the two lanes'
+   long-term Poly1305 [r]s, the halves of the MAC subkey, clamped once.
+   Long-lived callers (the sealed-hop link and the mux) seal and open
+   under one key for thousands of rounds. *)
+type key = { enc : Chacha20.key; r1 : Poly1305.r; r2 : Poly1305.r }
 
-let key raw = { enc = Prf.Keyed.create (enc_key raw); mac = Hmac.key (mac_key raw) }
+let key raw =
+  let m = mac_key raw in
+  { enc = Chacha20.key (enc_key raw); r1 = Poly1305.r m ~off:0; r2 = Poly1305.r m ~off:16 }
 
-(* Reusable working state: PRF and MAC scratch, a growable keystream
-   buffer, a tag buffer, and the growable buffer {!open_into} leaves its
-   plaintext in, so sealing or opening a whole epoch's worth of frames
-   under one key allocates only what the caller keeps. *)
+(* Reusable working state: block 0 (the lanes' pads, then the first 32
+   keystream bytes) and the later keystream block, the Poly1305
+   accumulator, a 16-byte buffer for the padded blocks of the MAC input,
+   an 8-byte one for an [int64] nonce, the tag buffer, and the growable
+   buffer {!open_into} leaves its plaintext in: sealing or opening a whole
+   epoch's worth of frames under one key allocates only what the caller
+   keeps. *)
 type scratch = {
-  prf : Prf.Keyed.scratch;
-  hmac_s : Hmac.scratch;
-  mutable ks : Bytes.t; (* keystream, grown geometrically *)
-  tag_buf : Bytes.t; (* 32 bytes *)
-  mutable plain : Bytes.t; (* [open_into]'s plaintext, grown geometrically *)
+  b0 : int array;
+  ks : int array;
+  h : Poly1305.state;
+  last : Bytes.t;
+  nonce_buf : Bytes.t;
+  tag_buf : Bytes.t;
+  mutable plain : Bytes.t;
 }
 
 let scratch () =
-  { prf = Prf.Keyed.scratch (); hmac_s = Hmac.scratch (); ks = Bytes.create 256;
-    tag_buf = Bytes.create Sha256.digest_size; plain = Bytes.create 64 }
+  { b0 = Array.make 16 0; ks = Array.make 16 0; h = Poly1305.state ();
+    last = Bytes.create 16; nonce_buf = Bytes.create nonce_len; tag_buf = Bytes.create tag_len;
+    plain = Bytes.create 64 }
 
 let grow b len =
   if Bytes.length b < len then Bytes.create (max len (2 * Bytes.length b)) else b
 
-(* The one keystream+MAC core.  Every entry point reads nonce and body as
-   slices ([s], offset, length) of strings — a frame on the wire, or a
-   caller's buffer viewed read-only for the length of the call — and
-   writes into bytes it owns or was handed. *)
+(* The one cipher core.  Every entry point reads nonce and body as slices
+   ([s], offset, length) of strings — a frame on the wire, or a caller's
+   buffer viewed read-only for the length of the call — and writes into
+   bytes it owns or was handed.  Each first draws block 0 under the
+   nonce into [s.b0] ([block0]); the tag and the keystream then read it. *)
 
-(* [dst.(dpos + i) <- src.(spos + i) xor keystream(nonce).(i)] for [i < len]. *)
-let crypt k s nonce ~noff ~nlen src ~spos dst ~dpos ~len =
-  s.ks <- grow s.ks len;
-  Prf.Keyed.keystream_into k.enc s.prf ~nonce ~nonce_off:noff ~nonce_len:nlen s.ks ~pos:0 ~len;
-  let ks = s.ks in
-  for i = 0 to len - 1 do
-    Bytes.unsafe_set dst (dpos + i)
-      (Char.unsafe_chr
-         (Char.code (String.unsafe_get src (spos + i)) lxor Char.code (Bytes.unsafe_get ks i)))
+let block0 k s nonce ~noff = Chacha20.block k.enc ~nonce ~off:noff ~counter:0 s.b0
+
+(* [dst.(dpos + i) <- src.(spos + i) xor keystream.(i)] for [i < len]:
+   the keystream is block 0's last 32 bytes, then blocks 1, 2, ... *)
+let crypt k s nonce ~noff src ~spos dst ~dpos ~len =
+  let first = Int.min len 32 in
+  Chacha20.xor_into s.b0 ~word:8 src ~spos dst ~dpos ~len:first;
+  let off = ref first and counter = ref 1 in
+  while !off < len do
+    Chacha20.block k.enc ~nonce ~off:noff ~counter:!counter s.ks;
+    let take = Int.min 64 (len - !off) in
+    Chacha20.xor_into s.ks ~word:0 src ~spos:(spos + !off) dst ~dpos:(dpos + !off) ~len:take;
+    off := !off + take;
+    incr counter
   done
 
-(* The tag over nonce || body, written at [pos] of [out]. *)
-let tag_into k s nonce ~noff ~nlen body ~boff ~blen out ~pos =
-  Hmac.mac_feed_into k.mac s.hmac_s
-    (fun ctx ->
-      Sha256.feed_string ctx nonce ~off:noff ~len:nlen;
-      Sha256.feed_string ctx body ~off:boff ~len:blen)
-    out ~pos
+(* One lane: Poly1305 under [r] of RFC 8439's AEAD input with the nonce
+   as AAD — nonce, 8 zero bytes, body, zeros to a 16-byte boundary,
+   le64 8, le64 [blen] — its pad the four words of block 0 from [word]. *)
+let lane r s nonce ~noff body ~boff ~blen ~word out ~pos =
+  let h = s.h and last = s.last in
+  let last_s = Bytes.unsafe_to_string last in
+  Poly1305.reset h;
+  Bytes.blit_string nonce noff last 0 nonce_len;
+  Bytes.fill last nonce_len (16 - nonce_len) '\000';
+  Poly1305.block r h last_s ~off:0;
+  let whole = blen / 16 in
+  for i = 0 to whole - 1 do
+    Poly1305.block r h body ~off:(boff + (16 * i))
+  done;
+  let rest = blen - (16 * whole) in
+  if rest > 0 then begin
+    Bytes.blit_string body (boff + (16 * whole)) last 0 rest;
+    Bytes.fill last rest (16 - rest) '\000';
+    Poly1305.block r h last_s ~off:0
+  end;
+  Bytes.set_int64_le last 0 (Int64.of_int nonce_len);
+  Bytes.set_int64_le last 8 (Int64.of_int blen);
+  Poly1305.block r h last_s ~off:0;
+  Poly1305.finish h ~pad:s.b0 ~word out ~pos
 
-(* Reject a nonce of any other length before any work, then check the tag
-   over nonce || body against the [tlen]-byte slice at [toff] of [tag],
+(* The 32-byte tag over nonce and body, written at [pos] of [out]: lane 1
+   under [r1] with block 0's bytes 0–15 as pad, lane 2 under [r2] with
+   bytes 16–31.  [block0] must have run under this nonce. *)
+let tag_into k s nonce ~noff body ~boff ~blen out ~pos =
+  Counters.poly1305 (2 * (2 + ((blen + 15) / 16)));
+  lane k.r1 s nonce ~noff body ~boff ~blen ~word:0 out ~pos;
+  lane k.r2 s nonce ~noff body ~boff ~blen ~word:4 out ~pos:(pos + 16)
+
+(* Check the tag over nonce || body against the [tlen]-byte slice at
+   [toff] of [tag]; [block0] must have run under this nonce. *)
+let tag_matches k s nonce ~noff body ~boff ~blen tag ~toff ~tlen =
+  tag_into k s nonce ~noff body ~boff ~blen s.tag_buf ~pos:0;
+  Hmac.equal_ct_sub ~expect:s.tag_buf tag ~pos:toff ~len:tlen
+
+(* Reject a nonce of any other length before any work, then check the tag,
    then decrypt the body into [dst] at [dpos]. *)
 let verify_crypt k s nonce ~noff ~nlen body ~boff ~blen tag ~toff ~tlen dst ~dpos =
   nlen = nonce_len
   && begin
     Counters.open_ ();
-    tag_into k s nonce ~noff ~nlen body ~boff ~blen s.tag_buf ~pos:0;
-    let ok = Hmac.equal_ct_sub ~expect:s.tag_buf tag ~pos:toff ~len:tlen in
-    if ok then crypt k s nonce ~noff ~nlen body ~spos:boff dst ~dpos ~len:blen;
+    block0 k s nonce ~noff;
+    let ok = tag_matches k s nonce ~noff body ~boff ~blen tag ~toff ~tlen in
+    if ok then crypt k s nonce ~noff body ~spos:boff dst ~dpos ~len:blen;
     ok
   end
 
@@ -78,10 +123,11 @@ let seal_frame k s ~nonce plaintext =
   Bytes.set_int64_be n 0 nonce;
   let nonce = Bytes.unsafe_to_string n in
   let len = String.length plaintext in
-  let body = Bytes.create len and tag = Bytes.create Sha256.digest_size in
-  crypt k s nonce ~noff:0 ~nlen:nonce_len plaintext ~spos:0 body ~dpos:0 ~len;
+  let body = Bytes.create len and tag = Bytes.create tag_len in
+  block0 k s nonce ~noff:0;
+  crypt k s nonce ~noff:0 plaintext ~spos:0 body ~dpos:0 ~len;
   let body = Bytes.unsafe_to_string body in
-  tag_into k s nonce ~noff:0 ~nlen:nonce_len body ~boff:0 ~blen:len tag ~pos:0;
+  tag_into k s nonce ~noff:0 body ~boff:0 ~blen:len tag ~pos:0;
   { nonce; body; tag = Bytes.unsafe_to_string tag }
 
 let open_frame k s { nonce; body; tag } =
@@ -107,7 +153,7 @@ let open_ ~key:raw sealed = open_frame (key raw) (scratch ()) sealed
 (* Wire encoding: three fields, each a big-endian u32 length and its
    bytes — nonce, body, tag. *)
 
-let frame_size len = 12 + nonce_len + len + Sha256.digest_size
+let frame_size len = 12 + nonce_len + len + tag_len
 
 let set_len out pos len = Bytes.set_int32_be out pos (Int32.of_int len)
 
@@ -128,6 +174,11 @@ let fields s ~pos =
 
 let framed s ~pos = fields s ~pos >= 0
 
+let frame_nonce s ~pos =
+  if fields s ~pos >= 0 && field_end s pos = pos + 4 + nonce_len then
+    Some (String.get_int64_be s (pos + 4))
+  else None
+
 let seal_into k s ~nonce plain ~len out ~pos =
   Counters.seal ();
   let body = pos + 16 in
@@ -137,11 +188,10 @@ let seal_into k s ~nonce plain ~len out ~pos =
   (* Read-only views for the length of this call: the nonce is written
      before and never after, the body before the tag reads it. *)
   let wire = Bytes.unsafe_to_string out in
-  crypt k s wire ~noff:(pos + 4) ~nlen:nonce_len (Bytes.unsafe_to_string plain) ~spos:0 out
-    ~dpos:body ~len;
-  set_len out (body + len) Sha256.digest_size;
-  tag_into k s wire ~noff:(pos + 4) ~nlen:nonce_len wire ~boff:body ~blen:len out
-    ~pos:(body + len + 4)
+  block0 k s wire ~noff:(pos + 4);
+  crypt k s wire ~noff:(pos + 4) (Bytes.unsafe_to_string plain) ~spos:0 out ~dpos:body ~len;
+  set_len out (body + len) tag_len;
+  tag_into k s wire ~noff:(pos + 4) wire ~boff:body ~blen:len out ~pos:(body + len + 4)
 
 let open_into k s blob ~pos =
   let t = fields blob ~pos in
@@ -158,6 +208,26 @@ let open_into k s blob ~pos =
   end
 
 let plain s = s.plain
+
+(* Tag only: the tag a seal under [nonce] would give a ciphertext equal to
+   the slice, its one ChaCha20 block spent on the pads. *)
+let tag_nonce k s nonce =
+  Counters.tag ();
+  Bytes.set_int64_be s.nonce_buf 0 nonce;
+  let n = Bytes.unsafe_to_string s.nonce_buf in
+  block0 k s n ~noff:0;
+  n
+
+let mac_into k s ~nonce data ~off ~len out ~pos =
+  let n = tag_nonce k s nonce in
+  (* A read-only view for the length of this call: the tag lands outside
+     the slice. *)
+  tag_into k s n ~noff:0 (Bytes.unsafe_to_string data) ~boff:off ~blen:len out ~pos
+
+let mac_ok k s ~nonce data ~off ~len ~tag =
+  let n = tag_nonce k s nonce in
+  tag_matches k s n ~noff:0 data ~boff:off ~blen:len data ~toff:tag
+    ~tlen:(String.length data - tag)
 
 let encode { nonce; body; tag } =
   let out = Bytes.create (12 + String.length nonce + String.length body + String.length tag) in

@@ -2,23 +2,32 @@
 
     Provides the "encrypt and sign" operations the paper assumes once shared
     secrets exist: secrecy against an eavesdropping adversary and
-    authentication against spoofed frames.  Construction: a CTR-style stream
-    cipher whose 32-byte block is HMAC-SHA256's inner hash — one SHA-256
-    compression (see {!Prf.Keyed.keystream}) — with an HMAC-SHA256 tag over
-    nonce and ciphertext (encrypt-then-MAC).  Encryption and MAC keys are
-    domain-separated derivations of the session key.  A seal or open of an
-    [n]-byte plaintext costs [ceil(n/32)] keystream compressions plus the
-    tag's. *)
+    authentication against spoofed frames.  Construction: ChaCha20
+    ({!Chacha20}, 64-bit nonce and block counter) under the encryption
+    subkey, and a 32-byte tag of two Poly1305 lanes ({!Poly1305}) over
+    RFC 8439's AEAD input with the nonce as AAD.  Each lane's [r] is a
+    clamped half of the MAC subkey; its pad [s] is 16 bytes of ChaCha20
+    block 0 under the frame's nonce, whose other 32 bytes start the
+    keystream — Poly1305-AES (Bernstein, FSE 2005) with ChaCha20 as the
+    pad PRF.  Encryption and MAC subkeys are domain-separated SHA-256
+    derivations of the session key.  A seal or open of an [n]-byte
+    plaintext costs [ceil((n + 32) / 64)] ChaCha20 blocks plus two
+    Poly1305 lanes of [ceil(n / 16) + 2] blocks each.
+
+    {b Nonces.}  A nonce must never seal two different plaintexts under
+    one key: the keystream would repeat, and two tags under one pad give
+    away the lane's long-term [r].  DESIGN.md lists the rule each sealing
+    site meets. *)
 
 type sealed = { nonce : string; body : string; tag : string }
 (** A sealed frame: 8-byte nonce, ciphertext, 32-byte tag.  Every open path
     rejects a frame whose nonce is not 8 bytes before any MAC or keystream
-    work, so under one key the keystream only ever sees one nonce length,
-    the precondition of its PRF argument. *)
+    work. *)
 
 type key
-(** A prepared session key: both domain-separated subkeys derived and their
-    PRF/MAC midstates precomputed.  Build once per session with {!key};
+(** A prepared session key: both domain-separated subkeys derived, the
+    ChaCha20 key words read and both lanes' [r] clamped into limbs.
+    Build once per session with {!key};
     the in-place calls under [key raw] are byte-identical to the one-shot
     {!seal}/{!open_} under [raw].
 
@@ -30,8 +39,9 @@ type key
 val key : string -> key
 
 type scratch
-(** Reusable working state (PRF/MAC scratch, keystream and tag buffers,
-    and the buffer {!open_into} leaves its plaintext in).  One [scratch]
+(** Reusable working state (keystream blocks, the Poly1305 accumulator,
+    small pad and tag buffers, and the buffer {!open_into} leaves its
+    plaintext in).  One [scratch]
     serves any number of sequential calls under any keys; per-domain, not
     reentrant.  Concurrent callers sharing one {!type-key} each bring their
     own. *)
@@ -39,8 +49,7 @@ type scratch
 val scratch : unit -> scratch
 
 val seal_batch : key -> scratch -> nonces:int64 array -> string array -> sealed array
-(** Seal every message under one key, amortizing key schedule, HMAC
-    midstate replay, and keystream buffers across the batch.  Under
+(** Seal every message under one key and scratch.  Under
     [k = key raw], element [i] equals [seal ~key:raw ~nonce:nonces.(i)
     msgs.(i)].  Raises [Invalid_argument] on length mismatch. *)
 
@@ -49,8 +58,7 @@ val open_batch : key -> scratch -> sealed array -> string option array
     equals [open_ ~key:raw frames.(i)]. *)
 
 val seal : key:string -> nonce:int64 -> string -> sealed
-(** [seal ~key ~nonce plaintext].  Nonces must not repeat under one key;
-    callers use the round number, which the synchronous model makes unique.
+(** [seal ~key ~nonce plaintext].  Nonces must not repeat under one key.
     One-shot form: prepares a throwaway {!type-key} and {!type-scratch}. *)
 
 val open_ : key:string -> sealed -> string option
@@ -87,20 +95,44 @@ val seal_into :
 (** [seal_into k s ~nonce plain ~len out ~pos] writes
     [encode (seal ~key:raw ~nonce p)] at [pos] of [out], where
     [k = key raw] and [p] is the first [len] bytes of [plain]; [out] needs
-    [frame_size len] bytes from [pos].  Allocates nothing per byte: only
-    the two small feed closures of the keystream and the tag. *)
+    [frame_size len] bytes from [pos].  Allocates nothing. *)
 
 val framed : string -> pos:int -> bool
 (** The suffix of the string from [pos] is well-formed: [decode] of it
     would be [Some _]. *)
+
+val frame_nonce : string -> pos:int -> int64 option
+(** The nonce of the encoding filling the string from [pos], when it is
+    well-formed ({!framed}) and its nonce is 8 bytes. *)
 
 val open_into : key -> scratch -> string -> pos:int -> int
 (** [open_into k s blob ~pos] opens the encoding that fills [blob] from
     [pos] to its end: the plaintext's length, with its bytes at the start
     of [plain s], when [decode] + {!open_} of that suffix would be
     [Some _]; [-1] when it is malformed, its nonce is not 8 bytes, or the
-    tag fails.  Never raises. *)
+    tag fails.  Never raises; allocates nothing once [plain s] is large
+    enough. *)
 
 val plain : scratch -> Bytes.t
 (** The buffer holding the last {!open_into}'s plaintext.  Valid until the
     scratch's next call; read it after the call (the buffer may grow). *)
+
+(** {1 Tag only}
+
+    The tag of a frame that needs no secrecy (the mux's slotted acks): the
+    tag {!seal_into} would give under [nonce] to a ciphertext equal to the
+    slice, sent in the clear.  One ChaCha20 block (for the pads) and two
+    lanes.  The nonce rule is the seal's: under one key, one nonce tags
+    one slice. *)
+
+val mac_into :
+  key -> scratch -> nonce:int64 -> Bytes.t -> off:int -> len:int -> Bytes.t -> pos:int -> unit
+(** [mac_into k s ~nonce data ~off ~len out ~pos] writes the 32-byte tag
+    of the [len]-byte slice of [data] at [off] to [pos] of [out]; [out]
+    may be [data] itself, with the tag outside the slice.  Allocates
+    nothing. *)
+
+val mac_ok : key -> scratch -> nonce:int64 -> string -> off:int -> len:int -> tag:int -> bool
+(** [mac_ok k s ~nonce data ~off ~len ~tag]: the rest of [data] from
+    [tag] is the slice's tag, compared in constant time (a rest of the
+    wrong length fails on the same path). *)

@@ -49,16 +49,10 @@ let scratch () =
   { s_inner = Sha256.init (); s_outer = Sha256.init ();
     s_digest = Bytes.create Sha256.digest_size }
 
-(* The inner hash alone: SHA-256 continued from the ipad midstate over
-   what [feed] pushes, replayed in [ctx].  HMAC's first half, and the
-   cipher's keystream block. *)
-let inner_feed_into { inner; _ } ctx feed out ~pos =
-  Sha256.copy_into inner ~into:ctx;
-  feed ctx;
-  Sha256.finalize_into ctx out ~pos
-
 let mac_feed_into k s feed out ~pos =
-  inner_feed_into k s.s_inner feed s.s_digest ~pos:0;
+  Sha256.copy_into k.inner ~into:s.s_inner;
+  feed s.s_inner;
+  Sha256.finalize_into s.s_inner s.s_digest ~pos:0;
   Sha256.copy_into k.outer ~into:s.s_outer;
   Sha256.update_bytes s.s_outer s.s_digest ~pos:0 ~len:Sha256.digest_size;
   Sha256.finalize_into s.s_outer out ~pos

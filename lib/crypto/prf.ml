@@ -24,49 +24,6 @@ module Keyed = struct
     Int64.to_int (Int64.rem (int64 t ~label ~counter) (Int64.of_int bound))
 
   let channel_hop t ~round ~channels = below t ~label:"channel-hop" ~counter:round channels
-
-  (* Reusable working state for {!keystream_into}: one SHA-256 context,
-     the 9-byte 0x00+counter tail, and a spill buffer for the final
-     partial block.  Lets the cipher generate keystream with no per-block
-     allocation. *)
-  type scratch = { ctx : Sha256.ctx; tail : Bytes.t; last : Bytes.t }
-
-  let scratch () =
-    { ctx = Sha256.init (); tail = Bytes.make 9 '\000';
-      last = Bytes.create Sha256.digest_size }
-
-  let keystream_into t s ~nonce ~nonce_off ~nonce_len out ~pos ~len =
-    (* Block [i] is HMAC's inner hash, SHA-256(ipad || "ks|" || nonce ||
-       0x00 || i_be8), the label fed as two updates instead of being
-       concatenated: one compression per block, the ipad block's already
-       paid for by the handle.  Under one key every input has one length,
-       so the cascade is a PRF on them (see DESIGN.md).  One [feed] serves
-       every block: it reads the counter from [s.tail]. *)
-    let feed ctx =
-      Sha256.update ctx "ks|";
-      Sha256.feed_string ctx nonce ~off:nonce_off ~len:nonce_len;
-      Sha256.update_bytes ctx s.tail ~pos:0 ~len:9
-    in
-    Bytes.set s.tail 0 '\000';
-    let off = ref 0 and block = ref 0 in
-    while !off < len do
-      Bytes.set_int64_be s.tail 1 (Int64.of_int !block);
-      let take = min Sha256.digest_size (len - !off) in
-      if take = Sha256.digest_size then
-        Hmac.inner_feed_into t.hmac s.ctx feed out ~pos:(pos + !off)
-      else begin
-        Hmac.inner_feed_into t.hmac s.ctx feed s.last ~pos:0;
-        Bytes.blit s.last 0 out (pos + !off) take
-      end;
-      off := !off + take;
-      incr block
-    done
-
-  let keystream t ~nonce len =
-    let out = Bytes.create len in
-    let nonce_len = String.length nonce in
-    keystream_into t (scratch ()) ~nonce ~nonce_off:0 ~nonce_len out ~pos:0 ~len;
-    Bytes.unsafe_to_string out
 end
 
 let bytes ~key ~label ~counter = Keyed.bytes (Keyed.create key) ~label ~counter
@@ -77,4 +34,3 @@ let below ~key ~label ~counter bound = Keyed.below (Keyed.create key) ~label ~co
 
 let channel_hop ~key ~round ~channels = Keyed.channel_hop (Keyed.create key) ~round ~channels
 
-let keystream ~key ~nonce len = Keyed.keystream (Keyed.create key) ~nonce len

@@ -118,9 +118,10 @@ let epoch_of ~epoch_len ~now = now / epoch_len
 (* Epoch keys.                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Prepared cipher and ack-MAC keys of one epoch, derived by PRF from the
-   group key and the epoch counter (see [keys]). *)
-type epoch_keys = { ek_epoch : int; ck : Cipher.key; ak : Hmac.key }
+(* Prepared cipher and ack keys of one epoch, derived by PRF from the
+   group key and the epoch counter (see [keys]).  Acks are tagged under a
+   key of their own, so their nonces need not avoid the data frames'. *)
+type epoch_keys = { ek_epoch : int; ck : Cipher.key; ak : Cipher.key }
 
 (* ------------------------------------------------------------------ *)
 (* Wire formats.                                                       *)
@@ -150,9 +151,14 @@ let put_words b w0 w1 w2 w3 =
    one MAC attempt per live epoch), then the cipher's wire encoding of the
    sealed payload — sealed into the frame and opened from it in place.
 
-   Ack frame: marker, channel, seq, epoch, 32-byte HMAC under the epoch's
-   ack subkey over "ack|" and those three words.  MAC-only — a bare
-   sequence number needs no secrecy. *)
+   Ack frame: marker, channel, seq, epoch, and the 32-byte {!Cipher} tag
+   of those three words under the epoch's ack key, with nonce
+   [nonce_of ~chan ~seq] ({!Cipher.mac_into}: one ChaCha20 block for the
+   pads, two Poly1305 lanes).  Tag-only — a bare sequence number needs no
+   secrecy.  The nonce is injective in (channel, seq), and the three
+   words are fixed by it and by the key's epoch, so one nonce never tags
+   two different acks, and an ack re-sent from the frame cache is the
+   same 45 bytes. *)
 let decode_ack blob =
   if String.length blob <> 45 || blob.[0] <> 'A' then None
   else Some (read_u32 blob 1, read_u32 blob 5, read_u32 blob 9)
@@ -165,11 +171,12 @@ let decode_ack blob =
    when the sender's queue is empty but the partner still has unretired
    frames.
 
-   The layout is sized to the keystream: {!Cipher} keystream blocks are 32
-   bytes, and the slotted data payload (16-byte header + default 16-byte
-   body) fills exactly one.  A naive kind byte + ack word + full slotted
-   header would spill the piggybacked payload into a second block and
-   nearly double the stream-cipher work of every frame, so the sealing
+   The layout is sized to the keystream: a {!Cipher} seal's first 32
+   keystream bytes are the rest of ChaCha20 block 0 (whose first 32 are
+   the tag's pads), and the slotted data payload (16-byte header + default
+   16-byte body) fills exactly those.  A naive kind byte + ack word + full
+   slotted header would spill the piggybacked payload into block 1 and
+   double the stream-cipher work of every frame, so the sealing
    epoch — redundant inside the payload, because the clear epoch header
    selects the (epoch-derived) key and any tampering with it fails
    authentication outright — is dropped and the kind flag costs no bytes.
@@ -447,7 +454,7 @@ let keys t epoch =
     let k =
       { ek_epoch = epoch;
         ck = Cipher.key raw;
-        ak = Hmac.key (Sha256.digest ("mux-ack|" ^ raw)) }
+        ak = Cipher.key (Sha256.digest ("mux-ack|" ^ raw)) }
     in
     t.epoch_cache.(epoch land 1) <- Some k;
     k
@@ -490,13 +497,13 @@ let nonce_of ~chan ~seq =
 (* Per-frame crypto fan-out.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Work of one frame in bytes: what it hashes, plus a fixed allowance for
-   the compressions every tag pays whatever the frame's size. *)
+(* Work of one frame in bytes: what it encrypts and tags, plus a fixed
+   allowance for the work every seal or tag pays whatever the frame's size
+   (ChaCha20 block 0 and the lanes' nonce and length blocks). *)
 let frame_overhead = 64
 
-(* A batch splits only into chunks of at least this much work — about
-   half a millisecond of SHA-256 at small-frame rates — so handing a
-   chunk to another domain never costs more than the chunk itself. *)
+(* A batch splits only into chunks of at least this much work, so handing
+   a chunk to another domain never costs more than the chunk itself. *)
 let grain = 16_384
 
 (* And into chunks of at most [Max_young_wosize] items, so every chunk's
@@ -682,15 +689,10 @@ let receive_acks t ~arrival =
   let ok =
     chunks ~frame_bytes:16 acks
     |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-           let s = Hmac.scratch () and out = Bytes.create Sha256.digest_size in
+           let s = Cipher.scratch () in
            Array.map
-             (fun (_, _, _, ak, blob) ->
-               Hmac.mac_feed_into ak s
-                 (fun ctx ->
-                   Sha256.update ctx "ack|";
-                   Sha256.feed_string ctx blob ~off:1 ~len:12)
-                 out ~pos:0;
-               Hmac.equal_ct_sub ~expect:out blob ~pos:13 ~len:Sha256.digest_size)
+             (fun (_, c', seq, ak, blob) ->
+               Cipher.mac_ok ak s ~nonce:(nonce_of ~chan:c' ~seq) blob ~off:1 ~len:12 ~tag:13)
              chunk)
     |> Array.concat
   in
@@ -868,7 +870,7 @@ let build_ack_frames t ~e =
   let ak = (keys t epoch).ak in
   chunks ~frame_bytes:16 pending
   |> Parallel.map_ordered ~jobs:(Parallel.budget ()) (fun chunk ->
-         let s = Hmac.scratch () in
+         let s = Cipher.scratch () in
          Array.map
            (fun (c, seq) ->
              let out = Bytes.create 45 in
@@ -876,11 +878,8 @@ let build_ack_frames t ~e =
              set_u32 out 1 c;
              set_u32 out 5 seq;
              set_u32 out 9 epoch;
-             Hmac.mac_feed_into ak s
-               (fun ctx ->
-                 Sha256.update ctx "ack|";
-                 Sha256.update_bytes ctx out ~pos:1 ~len:12)
-               out ~pos:13;
+             Cipher.mac_into ak s ~nonce:(nonce_of ~chan:c ~seq) out ~off:1 ~len:12 out
+               ~pos:13;
              (* radio-lint: allow partial-array-unsafe — freshly built, uniquely owned *)
              Bytes.unsafe_to_string out)
            chunk)
