@@ -53,7 +53,8 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~adversary () =
         | Some key ->
           let link = Service.link ~label:"channel-hop" ~key ~cfg in
           if id = v then
-            Service.send link (if am_complete_leader then "K" ^ proposals id else "I")
+            Service.send link ~sender:id
+              (if am_complete_leader then "K" ^ proposals id else "I")
           else
             (* Keep the first complete leader's proposal. *)
             Service.listen link (fun payload ->

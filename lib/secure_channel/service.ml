@@ -18,22 +18,39 @@ let link ~label ~key ~cfg =
 let hop link ~round =
   Crypto.Prf.Keyed.below link.hop_prf ~label:link.hop_label ~counter:round link.channels
 
-let send link payload =
+(* The nonce of a frame sealed by [sender] in engine round [round]: the
+   round in the high word, the sender in the low one.  Rounds are unique,
+   and within a round two key holders that both transmit are told apart,
+   so no (key, nonce) ever seals two different payloads. *)
+let nonce ~round ~sender =
+  Int64.logor
+    (Int64.shift_left (Int64.of_int (round land 0xFFFF_FFFF)) 32)
+    (Int64.of_int (sender land 0xFFFF_FFFF))
+
+let send link ~sender payload =
   let len = String.length payload in
   let plain = Bytes.of_string payload in
   let frame = Bytes.create (Crypto.Cipher.frame_size len) in
   for _ = 1 to link.reps do
     let round = Radio.Engine.current_round () in
-    Crypto.Cipher.seal_into link.cipher link.scratch ~nonce:(Int64.of_int round) plain ~len
+    Crypto.Cipher.seal_into link.cipher link.scratch ~nonce:(nonce ~round ~sender) plain ~len
       frame ~pos:0;
     Radio.Engine.transmit ~chan:(hop link ~round) (Radio.Frame.Sealed (Bytes.to_string frame))
   done
 
+(* A frame is opened only if its nonce names the round it is heard in:
+   an authentic frame replayed from an earlier round is dropped unopened. *)
+let fresh blob ~round =
+  match Crypto.Cipher.frame_nonce blob ~pos:0 with
+  | Some n -> Int64.shift_right_logical n 32 = Int64.of_int (round land 0xFFFF_FFFF)
+  | None -> false
+
 let listen link f =
   let opening = ref true in
   for _ = 1 to link.reps do
-    match Radio.Engine.listen ~chan:(hop link ~round:(Radio.Engine.current_round ())) with
-    | Some (Radio.Frame.Sealed blob) when !opening ->
+    let round = Radio.Engine.current_round () in
+    match Radio.Engine.listen ~chan:(hop link ~round) with
+    | Some (Radio.Frame.Sealed blob) when !opening && fresh blob ~round ->
       let len = Crypto.Cipher.open_into link.cipher link.scratch blob ~pos:0 in
       if len >= 0 then opening := f (Bytes.sub_string (Crypto.Cipher.plain link.scratch) 0 len)
     | Some _ | None -> ()
@@ -56,7 +73,7 @@ let decode_payload payload =
     Some (field 0, field 4, String.sub payload 8 (String.length payload - 8))
   end
 
-let broadcast link ~sender ~seq msg = send link (encode_payload ~sender ~seq msg)
+let broadcast link ~sender ~seq msg = send link ~sender (encode_payload ~sender ~seq msg)
 
 let recv link =
   let got = ref None in

@@ -17,7 +17,7 @@
 (** {1 The sealed-hop link}
 
     The one send/receive path of Sections 6 and 7: a frame, encrypted and
-    MACed under K with the round as nonce, is repeated for [reps] rounds
+    MACed under K with nonce (round, sender), is repeated for [reps] rounds
     on the channel PRF(K, label, round), while every key holder listens on
     the same hops and keeps the first authentic copy.  Three callers share
     it: this module's {!broadcast}/{!recv} (label ["channel-hop"]),
@@ -54,16 +54,21 @@ val hop : link -> round:int -> int
     rounds; a participant with nothing to send or hear sits them out with
     {!Radio.Engine.idle_for}, so all participants stay in lockstep. *)
 
-val send : link -> string -> unit
-(** Every round r: seal the payload under nonce r and transmit it as a
-    [Sealed] frame on [hop link ~round:r]. *)
+val send : link -> sender:int -> string -> unit
+(** Every round r: seal the payload under the nonce [r] (high 32 bits) ‖
+    [sender] (low 32 bits) and transmit it as a [Sealed] frame on
+    [hop link ~round:r].  Rounds never repeat, and two key holders that
+    transmit in one round (a collision) seal under different nonces, so
+    no (key, nonce) pair ever seals two different payloads. *)
 
 val listen : link -> (string -> bool) -> unit
 (** [listen link f]: every round r, listen on [hop link ~round:r]; the
     payload of each heard frame that opens goes to [f], until [f] returns
     [false] — after that frames are no longer opened, but listening lasts
-    the [reps] rounds.  Spoofed or
-    corrupted frames fail MAC verification and never reach [f]. *)
+    the [reps] rounds.  Only a frame whose nonce's round half is r is
+    opened, so a frame replayed from an earlier round never reaches [f];
+    spoofed or corrupted frames fail MAC verification and never reach
+    [f] either. *)
 
 (** {1 The broadcast service} *)
 

@@ -3,6 +3,7 @@
    semantics. *)
 
 module Service = Secure_channel.Service
+module Mux = Secure_channel.Mux
 
 let check = Alcotest.check
 
@@ -85,37 +86,52 @@ let forged_frames_rejected () =
   let d = List.hd o.Service.deliveries in
   check Alcotest.bool "real message still lands" true (List.length d.Service.received_by > 0)
 
-let replayed_ciphertext_rejected () =
-  (* A replay from a previous emulated round carries an old nonce; honest
-     receivers key the stream by the round, so a replayed frame decrypts
-     under the wrong keystream position... but MAC still verifies (the MAC
-     covers nonce + body).  The receiver therefore *does* decrypt it back to
-     the original payload: replay within the service reproduces an old
-     authentic message, attributed to its true sender and seq, which
-     run_workload counts via forged_accepts = 0 only when (seq, sender,
-     msg) matches a genuine send.  This test pins that behaviour down. *)
-  let cfg, spec = make () in
-  let holders = List.init 16 Fun.id in
-  let sends = [ (0, 1, "original") ] in
+(* An adversary that replays the first [Sealed] frame it overhears on
+   channel 0, every round after. *)
+let replayer () =
   let captured = ref None in
-  let adversary =
-    { Radio.Adversary.name = "replayer";
-      act =
-        (fun ~round:_ ->
-          match !captured with
-          | Some frame -> [ { Radio.Adversary.chan = 0; spoof = Some frame } ]
-          | None -> []);
-      observe =
-        (fun record ->
-          List.iter
-            (fun (_, _, frame) ->
-              match frame with Radio.Frame.Sealed _ -> captured := Some frame | _ -> ())
-            record.Radio.Transcript.honest_tx);
-      observes = true }
+  { Radio.Adversary.name = "replayer";
+    act =
+      (fun ~round:_ ->
+        match !captured with
+        | Some frame -> [ { Radio.Adversary.chan = 0; spoof = Some frame } ]
+        | None -> []);
+    observe =
+      (fun record ->
+        List.iter
+          (fun (_, _, frame) ->
+            match (frame, !captured) with
+            | Radio.Frame.Sealed _, None -> captured := Some frame
+            | _ -> ())
+          record.Radio.Transcript.honest_tx);
+    observes = true }
+
+let replayed_ciphertext_rejected () =
+  (* Node 1 broadcasts in emulated round 0; everyone then listens for three
+     more emulated rounds while the replayer repeats round 0's first frame.
+     Each copy is authentic but carries round 0's nonce, so [listen] drops
+     it unopened: nothing is received after round 0.  When the link opened
+     any authentic frame, [recv] returned "original" again in later
+     rounds. *)
+  let cfg, spec = make () in
+  let first = ref 0 and late = ref 0 in
+  let body (ctx : Radio.Engine.ctx) =
+    for er = 0 to 3 do
+      if er = 0 && ctx.Radio.Engine.id = 1 then
+        Service.broadcast spec ~sender:1 ~seq:0 "original"
+      else
+        match Service.recv spec with
+        | Some _ -> incr (if er = 0 then first else late)
+        | None -> ()
+    done
   in
-  let o = Service.run_workload ~cfg ~key_holders:holders ~spec ~sends ~adversary () in
-  (* A replayed authentic frame is not a forgery: it decodes to the original
-     (sender, seq, msg) triple which matches a genuine send. *)
+  ignore (Radio.Engine.run_nodes cfg ~adversary:(replayer ()) body : Radio.Engine.result);
+  check Alcotest.bool "round 0 is heard" true (!first > 0);
+  check Alcotest.int "replays received" 0 !late;
+  let o =
+    Service.run_workload ~cfg ~key_holders:(List.init 16 Fun.id) ~spec
+      ~sends:[ (0, 1, "original") ] ~adversary:(replayer ()) ()
+  in
   check Alcotest.int "replay does not forge new content" 0 o.Service.forged_accepts
 
 let concurrent_broadcasts_collide () =
@@ -159,6 +175,107 @@ let open_channel_pinned () =
   check Alcotest.bool "secrecy" true r.Core.secrecy_ok;
   check Alcotest.bool "authentication" true r.Core.authentication_ok
 
+(* -- nonce discipline ------------------------------------------------- *)
+
+(* Wrap [a] to record every honest [Sealed] blob, with its sender. *)
+let recording (a : Radio.Adversary.t) =
+  let seen = ref [] in
+  let observe record =
+    a.Radio.Adversary.observe record;
+    List.iter
+      (fun (node, _, frame) ->
+        match frame with Radio.Frame.Sealed blob -> seen := (node, blob) :: !seen | _ -> ())
+      record.Radio.Transcript.honest_tx
+  in
+  ({ a with Radio.Adversary.observe; observes = true }, seen)
+
+(* No two distinct blobs share a (key, nonce), as [key_of] names them
+   ([None] skips a blob), and some blob was checked. *)
+let unique_nonces ~key_of blobs =
+  let by_nonce = Hashtbl.create 1024 in
+  let checked = ref 0 in
+  List.iter
+    (fun (node, blob) ->
+      match key_of node blob with
+      | None -> ()
+      | Some (key, nonce) -> (
+        incr checked;
+        match Hashtbl.find_opt by_nonce (key, nonce) with
+        | Some other when not (String.equal other blob) ->
+          Alcotest.failf "two blobs under key %s, nonce %Lx" key nonce
+        | Some _ -> ()
+        | None -> Hashtbl.add by_nonce (key, nonce) blob))
+    blobs;
+  check Alcotest.bool "sealed frames seen" true (!checked > 0)
+
+(* The sealed-hop runs below take every frame as sealed under one key, a
+   stronger check than per key: Service's group key, Unicast's and Part
+   2's pair keys alike. *)
+let link_key _ blob =
+  Option.map (fun n -> ("link", n)) (Crypto.Cipher.frame_nonce blob ~pos:0)
+
+let nonces_service_collision () =
+  (* Two key holders broadcast in emulated round 0, as in
+     [concurrent_broadcasts_collide]. *)
+  let cfg, spec = make () in
+  let adversary, seen = recording Radio.Adversary.null in
+  ignore
+    (Service.run_workload ~cfg ~key_holders:(List.init 16 Fun.id) ~spec
+       ~sends:[ (0, 1, "left"); (0, 2, "right"); (1, 3, "next") ]
+       ~adversary ()
+      : Service.outcome);
+  unique_nonces ~key_of:link_key !seen
+
+let nonces_unicast () =
+  let cfg = Radio.Config.make ~n:16 ~channels:4 ~t:1 ~seed:5L () in
+  let keys (v, w) = Crypto.Sha256.digest (Printf.sprintf "k-%d-%d" (min v w) (max v w)) in
+  let streams =
+    List.init 3 (fun i ->
+        { Secure_channel.Unicast.sender = 2 * i; receiver = (2 * i) + 1;
+          payloads = [ "a"; "b"; Printf.sprintf "c%d" i ] })
+  in
+  let adversary, seen = recording Radio.Adversary.null in
+  ignore
+    (Secure_channel.Unicast.run_streams ~cfg ~keys ~streams ~adversary ()
+      : Secure_channel.Unicast.outcome);
+  unique_nonces ~key_of:link_key !seen
+
+let nonces_groupkey_part2 () =
+  let cfg = Radio.Config.make ~n:20 ~channels:2 ~t:1 ~seed:7L ~max_rounds:50_000_000 () in
+  let hop_adversary, seen = recording Radio.Adversary.null in
+  ignore
+    (Groupkey.Protocol.run ~cfg
+       ~fame_adversary:(fun _ -> Radio.Adversary.null)
+       ~hop_adversary ()
+      : Groupkey.Protocol.outcome);
+  unique_nonces ~key_of:link_key !seen
+
+(* Mux frames: a data frame is sealed under its clear epoch header's key,
+   with the cipher frame's nonce; an ack is tagged under the epoch's ack
+   key with nonce (channel, seq), its bytes 1-8.  Outsiders seal under
+   keys of their own and are skipped. *)
+let mux_key spec node blob =
+  if node >= Mux.node_count spec - spec.Mux.outsiders then None
+  else
+    match Crypto.Cipher.frame_nonce blob ~pos:4 with
+    | Some n -> Some (Printf.sprintf "data/%ld" (String.get_int32_be blob 0), n)
+    | None ->
+      if String.length blob = 45 && blob.[0] = 'A' then
+        Some
+          (Printf.sprintf "ack/%ld" (String.get_int32_be blob 9), String.get_int64_be blob 1)
+      else None
+
+let nonces_mux ?(transport = Mux.Acked) ?(ack_mode = Mux.Slotted) () () =
+  let spec =
+    Mux.make ~key ~logical:24 ~phys:8 ~budget:2 ~transport ~ack_mode ~rounds:24 ~epoch_len:4
+      ~grace:1 ~outsiders:2 ()
+  in
+  let adversary, seen =
+    recording (Radio.Adversary.random_jammer (Prng.Rng.create 4L) ~channels:8 ~budget:2)
+  in
+  ignore (Mux.run spec ~adversary : Mux.result);
+  unique_nonces ~key_of:(mux_key spec) !seen
+
 let () =
   Alcotest.run "secure_channel"
     [ ( "spec",
@@ -172,4 +289,13 @@ let () =
           Alcotest.test_case "concurrent broadcasts collide" `Quick
             concurrent_broadcasts_collide;
           Alcotest.test_case "sender must hold key" `Quick sender_must_hold_key;
-          Alcotest.test_case "open_channel pinned" `Quick open_channel_pinned ] ) ]
+          Alcotest.test_case "open_channel pinned" `Quick open_channel_pinned ] );
+      ( "nonces",
+        [ Alcotest.test_case "mux slotted" `Quick (nonces_mux ());
+          Alcotest.test_case "mux piggybacked" `Quick
+            (nonces_mux ~ack_mode:Mux.Piggybacked ());
+          Alcotest.test_case "mux repeat" `Quick
+            (nonces_mux ~transport:(Mux.Repeat { reps = 3; group = 3 }) ());
+          Alcotest.test_case "service with a colliding pair" `Quick nonces_service_collision;
+          Alcotest.test_case "unicast" `Quick nonces_unicast;
+          Alcotest.test_case "group-key part 2" `Quick nonces_groupkey_part2 ] ) ]
