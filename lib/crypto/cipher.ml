@@ -225,9 +225,12 @@ let mac_into k s ~nonce data ~off ~len out ~pos =
   tag_into k s n ~noff:0 (Bytes.unsafe_to_string data) ~boff:off ~blen:len out ~pos
 
 let mac_ok k s ~nonce data ~off ~len ~tag =
-  let n = tag_nonce k s nonce in
-  tag_matches k s n ~noff:0 data ~boff:off ~blen:len data ~toff:tag
-    ~tlen:(String.length data - tag)
+  off >= 0 && len >= 0 && off + len <= tag && tag <= String.length data
+  && begin
+    let n = tag_nonce k s nonce in
+    tag_matches k s n ~noff:0 data ~boff:off ~blen:len data ~toff:tag
+      ~tlen:(String.length data - tag)
+  end
 
 let encode { nonce; body; tag } =
   let out = Bytes.create (12 + String.length nonce + String.length body + String.length tag) in

@@ -26,10 +26,9 @@ type sealed = { nonce : string; body : string; tag : string }
 
 type key
 (** A prepared session key: both domain-separated subkeys derived, the
-    ChaCha20 key words read and both lanes' [r] clamped into limbs.
-    Build once per session with {!key};
-    the in-place calls under [key raw] are byte-identical to the one-shot
-    {!seal}/{!open_} under [raw].
+    ChaCha20 key words read and both lanes' [r] clamped into limbs.  Build
+    once per session with {!key}; the in-place calls under [key raw] are
+    byte-identical to the one-shot {!seal}/{!open_} under [raw].
 
     {b Sharing across domains.}  Every entry point only reads the key and
     writes its own {!type-scratch} (the one-shot forms make a throwaway
@@ -40,11 +39,10 @@ val key : string -> key
 
 type scratch
 (** Reusable working state (keystream blocks, the Poly1305 accumulator,
-    small pad and tag buffers, and the buffer {!open_into} leaves its
-    plaintext in).  One [scratch]
-    serves any number of sequential calls under any keys; per-domain, not
-    reentrant.  Concurrent callers sharing one {!type-key} each bring their
-    own. *)
+    small nonce and tag buffers, and the buffer {!open_into} leaves its
+    plaintext in).  One [scratch] serves any number of sequential calls
+    under any keys; per-domain, not reentrant.  Concurrent callers sharing
+    one {!type-key} each bring their own. *)
 
 val scratch : unit -> scratch
 
@@ -123,7 +121,7 @@ val plain : scratch -> Bytes.t
     tag {!seal_into} would give under [nonce] to a ciphertext equal to the
     slice, sent in the clear.  One ChaCha20 block (for the pads) and two
     lanes.  The nonce rule is the seal's: under one key, one nonce tags
-    one slice. *)
+    one slice, and a nonce that tags never also seals. *)
 
 val mac_into :
   key -> scratch -> nonce:int64 -> Bytes.t -> off:int -> len:int -> Bytes.t -> pos:int -> unit
@@ -135,4 +133,5 @@ val mac_into :
 val mac_ok : key -> scratch -> nonce:int64 -> string -> off:int -> len:int -> tag:int -> bool
 (** [mac_ok k s ~nonce data ~off ~len ~tag]: the rest of [data] from
     [tag] is the slice's tag, compared in constant time (a rest of the
-    wrong length fails on the same path). *)
+    wrong length fails on the same path).  [false], never an exception,
+    when the slice does not end by [tag] or [tag] is past the end. *)

@@ -1,6 +1,8 @@
 (* Tests for the cryptographic substrate.  SHA-256 and HMAC are checked
-   against the published NIST / RFC 4231 vectors; the arithmetic, DH, PRF,
-   and cipher layers are checked for their algebraic contracts. *)
+   against the published NIST / RFC 4231 vectors, ChaCha20, Poly1305 and
+   the cipher against known answers from python3 [cryptography]; the
+   arithmetic, DH, PRF, and cipher layers are checked for their algebraic
+   contracts. *)
 
 module Sha256 = Crypto.Sha256
 module Hmac = Crypto.Hmac
@@ -497,7 +499,9 @@ let cipher_mac_vector () =
   check Alcotest.bool "mac_ok rejects another nonce" false
     (Cipher.mac_ok ck s ~nonce:(Int64.succ nonce) blob ~off:1 ~len:12 ~tag:13);
   check Alcotest.bool "mac_ok rejects a short tag" false
-    (Cipher.mac_ok ck s ~nonce (String.sub blob 0 44) ~off:1 ~len:12 ~tag:13)
+    (Cipher.mac_ok ck s ~nonce (String.sub blob 0 44) ~off:1 ~len:12 ~tag:13);
+  check Alcotest.bool "mac_ok rejects a blob cut inside the slice" false
+    (Cipher.mac_ok ck s ~nonce (String.sub blob 0 9) ~off:1 ~len:12 ~tag:13)
 
 (* The construction spelled out from the parts — ChaCha20 block 0 for the
    pads, the one-shot [Poly1305.mac] per lane over RFC 8439's AEAD input
