@@ -233,6 +233,32 @@ let runner_json_has_metrics () =
     check Alcotest.bool "rounds metric" true (mem {|"total_rounds":|});
     check Alcotest.bool "table data" true (mem {|"header":|})
 
+(* [Cache.Tally] sums every domain's block, the blocks of domains that
+   have exited included, so the totals of one piece of work do not depend
+   on the pool that ran it. *)
+let tally_jobs_invariant () =
+  let t = Cache.Tally.create 2 in
+  let work jobs =
+    let before = Cache.Tally.totals t in
+    ignore
+      (Parallel.run ~jobs (fun () ->
+           Parallel.map_ordered ~jobs
+             (fun i ->
+               Cache.Tally.add t 0 1;
+               Cache.Tally.add t 1 i)
+             (List.init 64 Fun.id))
+        : unit list);
+    Array.map2 ( - ) (Cache.Tally.totals t) before
+  in
+  List.iter
+    (fun jobs ->
+      check Alcotest.(array int) (Printf.sprintf "totals at jobs=%d" jobs) [| 64; 2016 |]
+        (work jobs))
+    [ 1; 2; 4 ];
+  let spawned = List.init 3 (fun i -> Domain.spawn (fun () -> Cache.Tally.add t 0 (i + 1))) in
+  List.iter Domain.join spawned;
+  check Alcotest.(array int) "exited domains folded in" [| 198; 6048 |] (Cache.Tally.totals t)
+
 let () =
   Alcotest.run "parallel"
     [ ( "pool",
@@ -248,7 +274,8 @@ let () =
           Alcotest.test_case "serial exception" `Quick map_ordered_serial_exception ] );
       ( "scope",
         [ Alcotest.test_case "serial scope wins" `Quick serial_scope_wins;
-          Alcotest.test_case "transient scope shared" `Quick transient_scope_shared ] );
+          Alcotest.test_case "transient scope shared" `Quick transient_scope_shared;
+          Alcotest.test_case "tally totals jobs-invariant" `Quick tally_jobs_invariant ] );
       ( "replicates",
         [ Alcotest.test_case "ordered trials" `Quick replicates_values;
           Alcotest.test_case "earliest failure" `Quick replicates_earliest_failure ] );
