@@ -42,7 +42,9 @@ type scratch
 (** Reusable working state (two contexts + inner-digest buffer) for the
     batch entry points below.  One [scratch] serves any number of
     sequential MACs under any keys; it must not be shared across domains
-    or used reentrantly. *)
+    or used reentrantly.  Since the cipher's tag and the mux's acks moved
+    to Poly1305, {!mac_batch} and {!verify_batch} are its only callers
+    in the library; it goes with them. *)
 
 val scratch : unit -> scratch
 

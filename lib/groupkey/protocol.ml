@@ -28,6 +28,9 @@ let random_key rng =
 
 let pair_label v w = Printf.sprintf "%d|%d" (min v w) (max v w)
 
+let dissemination_cfg cfg =
+  { cfg with Radio.Config.seed = Int64.add cfg.Radio.Config.seed 0x9E3779B9L }
+
 let run ~cfg ~fame_adversary ~hop_adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
@@ -76,8 +79,7 @@ let run ~cfg ~fame_adversary ~hop_adversary () =
   in
   (* Parts 2-3 run as a second synchronous execution. *)
   let diss =
-    Dissemination.run
-      ~cfg:{ cfg with Radio.Config.seed = Int64.add cfg.Radio.Config.seed 0x9E3779B9L }
+    Dissemination.run ~cfg:(dissemination_cfg cfg)
       ~pairwise:(fun v -> pairwise.(v))
       ~proposals:(fun v -> proposals.(v))
       ~complete_leaders ~excluded:[] ~adversary:hop_adversary ()

@@ -46,6 +46,12 @@ val leader_count : t:int -> int
 val reporters : t:int -> int list
 (** The 2t+1 designated reporters of Part 3 (smallest non-leader ids). *)
 
+val dissemination_cfg : Radio.Config.t -> Radio.Config.t
+(** The configuration Parts 2-3 run under: [cfg] with its seed salted.
+    The sealed-hop links' cipher keys are bound to that seed, so they
+    differ from a re-key's under the same pair keys
+    ({!Rekey.dissemination_cfg}). *)
+
 val run :
   cfg:Radio.Config.t ->
   fame_adversary:(Ame.Oracle.t -> Radio.Adversary.t) ->

@@ -10,6 +10,9 @@ type outcome = {
 (* Salts the re-key's proposals and its run seed apart from the setup's. *)
 let seed_salt = 0x4E657741L
 
+let dissemination_cfg cfg =
+  { cfg with Radio.Config.seed = Int64.add cfg.Radio.Config.seed seed_salt }
+
 let run ~cfg ~previous ~compromised ~hop_adversary () =
   let n = cfg.Radio.Config.n in
   let t = cfg.Radio.Config.t in
@@ -42,8 +45,7 @@ let run ~cfg ~previous ~compromised ~hop_adversary () =
     List.filter (fun v -> List.length (pairwise v) >= survivors - 1 - t) leaders
   in
   let diss =
-    Dissemination.run
-      ~cfg:{ cfg with Radio.Config.seed = Int64.add cfg.Radio.Config.seed seed_salt }
+    Dissemination.run ~cfg:(dissemination_cfg cfg)
       ~pairwise
       ~proposals:(fun v -> fresh_proposals.(v))
       ~complete_leaders ~excluded:compromised ~adversary:hop_adversary ()

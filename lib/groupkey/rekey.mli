@@ -22,6 +22,15 @@ type outcome = {
   rounds : int;
 }
 
+val dissemination_cfg : Radio.Config.t -> Radio.Config.t
+(** The configuration the re-key's Parts 2-3 run under: [cfg] with its
+    seed salted apart from {!Protocol.dissemination_cfg}'s.  The re-key
+    reuses the setup's pair keys, and its rounds restart at 0; the
+    sealed-hop links bind their cipher keys to this seed, so no (pair
+    key, round, sender) nonce seals the setup's and the re-key's
+    proposals under one cipher key.  Two re-keys from one setup need
+    different [cfg] seeds for the same reason. *)
+
 val run :
   cfg:Radio.Config.t ->
   previous:Protocol.outcome ->

@@ -10,16 +10,29 @@ type link = {
 let reps cfg =
   Radio.Config.reps ~scale:(4.0 *. float_of_int (cfg.Radio.Config.t + 1)) ~n:cfg.Radio.Config.n
 
+(* The cipher key of a link: K bound to the run's seed and the link's
+   label.  Nonces are unique only within one engine run (rounds restart
+   at 0), and one key may serve several runs (setup and re-key share the
+   pair keys) or several links in one run (a unicast and a broadcast link
+   under one key); each (seed, label, K) seals under a key of its own.
+   The hop PRF stays under K, so every hop and round is unchanged. *)
+let cipher_key ~label ~key ~seed =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 seed;
+  Crypto.Cipher.key (Crypto.Sha256.digest (Bytes.to_string b ^ label ^ "|" ^ key))
+
 let link ~label ~key ~cfg =
   { channels = cfg.Radio.Config.channels; reps = reps cfg; hop_label = label;
-    hop_prf = Crypto.Prf.Keyed.create key; cipher = Crypto.Cipher.key key;
+    hop_prf = Crypto.Prf.Keyed.create key;
+    cipher = cipher_key ~label ~key ~seed:cfg.Radio.Config.seed;
     scratch = Crypto.Cipher.scratch () }
 
 let hop link ~round =
   Crypto.Prf.Keyed.below link.hop_prf ~label:link.hop_label ~counter:round link.channels
 
 (* The nonce of a frame sealed by [sender] in engine round [round]: the
-   round in the high word, the sender in the low one.  Rounds are unique,
+   round in the high word, the sender in the low one.  Rounds do not
+   repeat within a run, the cipher key is the run's own ([cipher_key]),
    and within a round two key holders that both transmit are told apart,
    so no (key, nonce) ever seals two different payloads. *)
 let nonce ~round ~sender =

@@ -17,7 +17,8 @@
 (** {1 The sealed-hop link}
 
     The one send/receive path of Sections 6 and 7: a frame, encrypted and
-    MACed under K with nonce (round, sender), is repeated for [reps] rounds
+    MACed with nonce (round, sender) under a cipher key bound to K, the
+    run's seed and the label, is repeated for [reps] rounds
     on the channel PRF(K, label, round), while every key holder listens on
     the same hops and keeps the first authentic copy.  Three callers share
     it: this module's {!broadcast}/{!recv} (label ["channel-hop"]),
@@ -31,7 +32,9 @@ type link = {
   reps : int;  (** real rounds per emulated round *)
   hop_label : string;  (** PRF label of the hopping pattern *)
   hop_prf : Crypto.Prf.Keyed.t;  (** prepared hop PRF for the key, queried every round *)
-  cipher : Crypto.Cipher.key;  (** prepared seal/open key *)
+  cipher : Crypto.Cipher.key;
+      (** prepared seal/open key: SHA-256(seed ‖ label ‖ "|" ‖ K), seed
+          the config's as 8 big-endian bytes *)
   scratch : Crypto.Cipher.scratch;
       (** seal/open working buffers — one link may serve every node of a
           run, because node fibers run strictly sequentially within the
@@ -45,7 +48,13 @@ val reps : Radio.Config.t -> int
 
 val link : label:string -> key:string -> cfg:Radio.Config.t -> link
 (** The link under [key] over [cfg]'s channels, {!reps} rounds per
-    emulated round; prepares the hop PRF and the cipher key once. *)
+    emulated round; prepares the hop PRF and the cipher key once.  The
+    hops are drawn under [key] alone; the cipher key is bound to [key],
+    [label] and [cfg.seed], because nonces are unique only within one
+    engine run (its rounds start at 0) and one key may serve several runs
+    (a re-key reuses the setup's pair keys) or several labels in one run.
+    So two runs that use one key must differ in seed: the group-key setup
+    and re-key runs salt their seeds apart. *)
 
 val hop : link -> round:int -> int
 (** The meeting channel for absolute engine round [round]. *)
@@ -57,9 +66,11 @@ val hop : link -> round:int -> int
 val send : link -> sender:int -> string -> unit
 (** Every round r: seal the payload under the nonce [r] (high 32 bits) ‖
     [sender] (low 32 bits) and transmit it as a [Sealed] frame on
-    [hop link ~round:r].  Rounds never repeat, and two key holders that
-    transmit in one round (a collision) seal under different nonces, so
-    no (key, nonce) pair ever seals two different payloads. *)
+    [hop link ~round:r].  Rounds do not repeat within one engine run,
+    another run under the same key seals under another cipher key (see
+    {!link}), and two key holders that transmit in one round (a
+    collision) seal under different nonces, so no (key, nonce) pair ever
+    seals two different payloads. *)
 
 val listen : link -> (string -> bool) -> unit
 (** [listen link f]: every round r, listen on [hop link ~round:r]; the
@@ -67,8 +78,9 @@ val listen : link -> (string -> bool) -> unit
     [false] — after that frames are no longer opened, but listening lasts
     the [reps] rounds.  Only a frame whose nonce's round half is r is
     opened, so a frame replayed from an earlier round never reaches [f];
-    spoofed or corrupted frames fail MAC verification and never reach
-    [f] either. *)
+    spoofed or corrupted frames, and frames replayed from another run
+    under the same key, fail MAC verification and never reach [f]
+    either. *)
 
 (** {1 The broadcast service} *)
 

@@ -250,6 +250,59 @@ let nonces_groupkey_part2 () =
       : Groupkey.Protocol.outcome);
   unique_nonces ~key_of:link_key !seen
 
+(* Setup and re-key share the pair keys, and each run's rounds start at
+   0, so leader 0's epochs toward nodes below the compromised 5 fall on
+   the same rounds in both runs.  Every Part 2 blob of either run is
+   named by the key it truly opens under: the sender's pair links under
+   both runs' configurations are tried in turn, and a link is named by a
+   probe sealed under its cipher key, so links with one cipher key share
+   a name whichever run built them. *)
+let nonces_setup_then_rekey () =
+  let cfg = Radio.Config.make ~n:20 ~channels:2 ~t:1 ~seed:7L ~max_rounds:50_000_000 () in
+  let setup_adversary, setup_seen = recording Radio.Adversary.null in
+  let setup =
+    Groupkey.Protocol.run ~cfg
+      ~fame_adversary:(fun _ -> Radio.Adversary.null)
+      ~hop_adversary:setup_adversary ()
+  in
+  let rekey_adversary, rekey_seen = recording Radio.Adversary.null in
+  ignore
+    (Groupkey.Rekey.run ~cfg ~previous:setup ~compromised:[ 5 ] ~hop_adversary:rekey_adversary
+       ()
+      : Groupkey.Rekey.outcome);
+  let probe (link : Service.link) =
+    let out = Bytes.create (Crypto.Cipher.frame_size 5) in
+    Crypto.Cipher.seal_into link.Service.cipher link.Service.scratch ~nonce:0L
+      (Bytes.of_string "probe") ~len:5 out ~pos:0;
+    Crypto.Sha256.hex_of (Bytes.to_string out)
+  in
+  let links =
+    Array.map
+      (fun node ->
+        List.concat_map
+          (fun run_cfg ->
+            List.map
+              (fun (_, key) ->
+                let link = Service.link ~label:"channel-hop" ~key ~cfg:run_cfg in
+                (probe link, link))
+              node.Groupkey.Protocol.pairwise)
+          [ Groupkey.Protocol.dissemination_cfg cfg; Groupkey.Rekey.dissemination_cfg cfg ])
+      setup.Groupkey.Protocol.nodes
+  in
+  let key_of node blob =
+    match
+      List.find_opt
+        (fun (_, (link : Service.link)) ->
+          Crypto.Cipher.open_into link.Service.cipher link.Service.scratch blob ~pos:0 >= 0)
+        links.(node)
+    with
+    | Some (name, _) ->
+      Option.map (fun n -> (name, n)) (Crypto.Cipher.frame_nonce blob ~pos:0)
+    | None -> Alcotest.failf "node %d sent a blob no pair link opens" node
+  in
+  check Alcotest.bool "the re-key seals" true (!rekey_seen <> []);
+  unique_nonces ~key_of (!setup_seen @ !rekey_seen)
+
 (* Mux frames: a data frame is sealed under its clear epoch header's key,
    with the cipher frame's nonce; an ack is tagged under the epoch's ack
    key with nonce (channel, seq), its bytes 1-8.  Outsiders seal under
@@ -298,4 +351,5 @@ let () =
             (nonces_mux ~transport:(Mux.Repeat { reps = 3; group = 3 }) ());
           Alcotest.test_case "service with a colliding pair" `Quick nonces_service_collision;
           Alcotest.test_case "unicast" `Quick nonces_unicast;
-          Alcotest.test_case "group-key part 2" `Quick nonces_groupkey_part2 ] ) ]
+          Alcotest.test_case "group-key part 2" `Quick nonces_groupkey_part2;
+          Alcotest.test_case "setup then re-key" `Quick nonces_setup_then_rekey ] ) ]
