@@ -11,10 +11,9 @@
 
    --jobs N          worker domains for the parallel experiment runner
    --jobs-sweep L    re-run the experiments at each worker count in the
-                     comma-separated list L, reporting wall clock per count
-                     (output must stay byte-identical; see bench_compare)
+                     comma-separated list L, reporting wall clock per count;
+                     exits 1 unless the output is byte-identical across them
    --json P          write structured results + per-experiment wall-clock to P
-   --bench-json P    write the radio-bench/v1 document bench_compare reads
 
    Each experiment table regenerates one exhibit of the paper (Figure 3's
    three rows, plus the theorem-level claims); see EXPERIMENTS.md for the
@@ -281,58 +280,26 @@ let micro_tests ~quick =
     prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 
-type micro_row = {
-  bench_name : string;
-  ns_per_run : float;
-  minor_words_per_run : float;
-  major_words_per_run : float;
-  promoted_words_per_run : float;
-}
-
-(* A plain-timed row: no allocation figures. *)
-let micro_row name ns =
-  { bench_name = name; ns_per_run = ns; minor_words_per_run = 0.0; major_words_per_run = 0.0;
-    promoted_words_per_run = 0.0 }
-
-(* Runs the Bechamel suite, printing the human table, and returns the rows
-   for the structured --bench-json emitter. *)
+(* Runs the Bechamel suite and prints one time-per-run line per bench. *)
 let run_micro ~quick =
   print_endline "\n== Micro-benchmarks (Bechamel, monotonic clock) ==\n";
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let clock = Toolkit.Instance.monotonic_clock in
-  let minor = Toolkit.Instance.minor_allocated in
-  let major = Toolkit.Instance.major_allocated in
-  let promoted = Toolkit.Instance.promoted in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~kde:(Some 1000) () in
-  let estimate analyzed name =
-    match Hashtbl.find_opt analyzed name with
-    | Some ols_result -> (
-      match Analyze.OLS.estimates ols_result with
-      | Some (est :: _) -> est
-      | Some [] | None -> nan)
-    | None -> nan
-  in
-  List.concat_map
+  List.iter
     (fun test ->
-      let results = Benchmark.all cfg [ clock; minor; major; promoted ] test in
-      let by_time = Analyze.all ols clock results in
-      let by_minor = Analyze.all ols minor results in
-      let by_major = Analyze.all ols major results in
-      let by_promoted = Analyze.all ols promoted results in
-      let rows = ref [] in
+      let by_time = Analyze.all ols clock (Benchmark.all cfg [ clock ] test) in
       Det.iter
-        (fun name _ ->
-          let ns = estimate by_time name in
+        (fun name ols_result ->
+          let ns =
+            match Analyze.OLS.estimates ols_result with
+            | Some (est :: _) -> est
+            | Some [] | None -> nan
+          in
           if ns > 1_000_000.0 then Printf.printf "  %-28s %10.2f ms/run\n" name (ns /. 1e6)
           else if ns > 1_000.0 then Printf.printf "  %-28s %10.2f us/run\n" name (ns /. 1e3)
-          else Printf.printf "  %-28s %10.2f ns/run\n" name ns;
-          rows :=
-            { bench_name = name; ns_per_run = ns; minor_words_per_run = estimate by_minor name;
-              major_words_per_run = estimate by_major name;
-              promoted_words_per_run = estimate by_promoted name }
-            :: !rows)
-        by_time;
-      List.rev !rows)
+          else Printf.printf "  %-28s %10.2f ns/run\n" name ns)
+        by_time)
     (micro_tests ~quick)
 
 (* -- population-scale benches (plain timed, not Bechamel) --
@@ -340,18 +307,15 @@ let run_micro ~quick =
    The n = 10^5..10^6 families: each row is a full engine (or f-AME) run
    timed wall-clock, repeated [pop_runs] times, reporting the median —
    Bechamel's repeat-until-quota protocol would either truncate to one
-   unstable sample or burn minutes per row.  Rows are emitted into the
-   radio-bench/v1 `micro` section with ns_per_run normalized to a single
-   simulated round, so `ops_per_sec` reads as rounds/sec and bench_compare
-   tracks the family like any other (timing is reported, never gated).
+   unstable sample or burn minutes per row.  Each row reports rounds/sec
+   over the median run (timing is reported, never gated).
 
    The dense rows reproduce Figure 3's three channel regimes (C = t+1, 2t,
    2t^2 at t = 8) as busy DGGN epochs at population scale; the sparse row
    is the engine's reason to exist at n = 10^5 (a handful of active pairs,
    everyone else parked in the wake queue); the fame row is the paper's
    protocol end-to-end.  `--huge` (the nightly leg) adds the n = 10^6
-   members, single-run — at that scale one execution is minutes, and the
-   nightly trend across days substitutes for within-run repeats. *)
+   members, single-run — at that scale one execution is minutes. *)
 
 let pop_runs = 3
 
@@ -374,8 +338,8 @@ let pop_engine_sparse ~n ~rounds () =
 (* One iteration = one [Schedule.build] over a busy 16-channel proposal plus
    a full [role_of] + [witness_channel] sweep across all n nodes — the
    protocol's per-move query pattern, dominated by the inverted role index.
-   Returns the total query count, so ns_per_run normalizes to one indexed
-   role query (the build amortized in) and ops_per_sec reads as queries/sec. *)
+   Returns the total query count, so the rounds/sec column reads as indexed
+   role queries/sec (the build amortized in). *)
 let pop_schedule ~n ~iters () =
   let channels = 16 in
   let proposal = List.init channels (fun i -> Game.State.Edge (2 * i, (2 * i) + 1)) in
@@ -436,15 +400,14 @@ let run_population ~huge =
   print_endline "\n== Population-scale benches (plain timed, median of runs) ==\n";
   Printf.printf "  %-36s %6s %10s %12s  %s\n" "bench" "runs" "median s" "rounds/sec"
     "runs (s)";
-  List.map
+  List.iter
     (fun (name, runs, work) ->
       let samples = List.init runs (fun _ -> Parallel.Clock.time work) in
       let rounds = fst (List.hd samples) in
       let med = Bench.median (List.map snd samples) in
       let rps = float_of_int rounds /. med in
       Printf.printf "  %-36s %6d %10.3f %12.0f  [%s]\n%!" name runs med rps
-        (String.concat "; " (List.map (fun (_, s) -> Printf.sprintf "%.3f" s) samples));
-      micro_row name (med *. 1e9 /. float_of_int rounds))
+        (String.concat "; " (List.map (fun (_, s) -> Printf.sprintf "%.3f" s) samples)))
     (population_rows ~huge)
 
 (* -- service throughput benches (plain timed, medians of alternating runs) --
@@ -454,25 +417,17 @@ let run_population ~huge =
    of the multiplexed secure channel.  The two modes of a workload run
    [service_runs] times in strict alternation (S,P,S,P,...) so slow drift
    in machine load cancels out of the comparison; the reported figure is
-   the median.  ns_per_run is wall-clock per *delivered message*, so
-   `ops_per_sec` in the radio-bench document reads as messages/sec.
+   the median, reported as delivered messages per second.
 
    Every run passes the benchmark's own checks ([Checks.svc]) and
-   reproduces the first run's digest, or the harness exits 1.  The digest
-   plus the engine round count become a `service/<workload>-<mode>`
-   determinism row that bench_compare gates on; the one for the workload's
-   own ack mode is the digest `benchsuite/main.exe --workload W --seed 1
-   --setup-only` prints.  The digest hashes [Mux.render_stats], whose
-   latency line carries the p50 and p99 delivery latency in emulated
-   rounds, so the row gates the p99 exactly; the table prints it beside
-   the throughput. *)
+   reproduces the first run's digest, or the harness exits 1.  The exact
+   engine round count and digest of each cell are pinned in tier-1
+   (test/test_mux.ml, "service pins"); the table prints the p99 delivery
+   latency in emulated rounds beside the throughput. *)
 
 let service_runs = 3
 (* Slotted first: the piggyback ratio divides by its throughput. *)
 let ack_modes = [ ("slotted", Mux.Slotted); ("piggyback", Mux.Piggybacked) ]
-
-(* One determinism row of the radio-bench document: exact, and gated. *)
-type det_row = { det_id : string; det_rounds : int; det_sha : string }
 
 let mux_result = function
   | Workload.Svc_out r -> r
@@ -519,7 +474,7 @@ let run_service () =
         cells
     in
     let slotted_mps = match measured with (_, _, _, mps) :: _ -> mps | [] -> nan in
-    List.map
+    List.iter
       (fun (name, res, wall, mps) ->
         let r = mux_result res in
         let p99 = Mux.latency_percentile r 0.99 in
@@ -532,19 +487,15 @@ let run_service () =
         in
         Printf.printf "  %-22s %9d %8d %7d %9.3f %9.0f %6s %4d\n%!" name
           r.Mux.stats.Mux.delivered r.Mux.stats.Mux.offered (Workload.rounds res) wall mps
-          pig_x p99;
-        ( micro_row ("service/msgs-per-sec-" ^ name) (1e9 /. mps),
-          { det_id = "service/" ^ name; det_rounds = Workload.rounds res;
-            det_sha = Workload.digest res } ))
+          pig_x p99)
       measured
   in
-  List.concat_map
+  List.iter
     (fun (w : Workload.t) ->
       match w.Workload.kind with
       | Workload.Svc s -> service_workload w s
-      | Workload.Fame _ | Workload.Sweep -> [])
+      | Workload.Fame _ | Workload.Sweep -> ())
     (Workload.all Workload.Full)
-  |> List.split
 
 let render_outcome (o : Experiments.Runner.outcome) =
   Format.printf "@.### %s: %s@." o.experiment.Experiments.Registry.id
@@ -565,100 +516,33 @@ let timing_summary outcomes =
     (List.fold_left (fun acc (o : Experiments.Runner.outcome) -> acc +. o.wall_s) 0.0 outcomes)
 
 (* --jobs-sweep: re-run the selected experiments once per requested worker
-   count and record wall clock.  The digest over the concatenated rendered
-   tables must be identical across entries — bench_compare refuses a
-   document whose sweep rows disagree. *)
-type sweep_row = { sweep_jobs : int; sweep_wall_s : float; sweep_sha : string }
-
-let run_jobs_sweep ~quick ~experiments jobs_list =
-  List.map
-    (fun jobs ->
-      let outcomes, wall_s =
-        Parallel.Clock.time (fun () -> Experiments.Runner.run_many ~quick ~jobs experiments)
-      in
-      let buf = Buffer.create 4096 in
-      List.iter
-        (fun (o : Experiments.Runner.outcome) ->
-          Buffer.add_string buf (Format.asprintf "%a" Experiments.Runner.render o))
-        outcomes;
-      { sweep_jobs = jobs; sweep_wall_s = wall_s;
-        sweep_sha = Crypto.Sha256.digest_hex (Buffer.contents buf) })
-    jobs_list
-
-let jobs_sweep_report rows =
+   count and report wall clock.  The digest over the concatenated rendered
+   tables must be identical across counts, or the harness exits 1. *)
+let jobs_sweep ~quick ~experiments jobs_list =
   print_newline ();
   print_endline "== --jobs sweep (wall-clock per worker count) ==";
-  List.iter
-    (fun r ->
-      Printf.printf "  jobs=%-3d %8.2fs  output sha256 %s...\n" r.sweep_jobs r.sweep_wall_s
-        (String.sub r.sweep_sha 0 12))
-    rows;
-  match rows with
-  | [] -> ()
-  | first :: rest ->
-    if List.for_all (fun r -> r.sweep_sha = first.sweep_sha) rest then
-      print_endline "  output: byte-identical across all worker counts"
-    else print_endline "  WARNING: output differs across worker counts (nondeterminism!)"
-
-let experiment_det (o : Experiments.Runner.outcome) =
-  { det_id = o.experiment.Experiments.Registry.id;
-    det_rounds = o.result.Experiments.Common.total_rounds;
-    det_sha = Crypto.Sha256.digest_hex (Format.asprintf "%a" Experiments.Runner.render o) }
-
-(* The radio-bench/v1 document: micro-benchmark estimates plus a determinism
-   fingerprint (rendered-output hash and round count) per experiment and
-   service cell.  The fingerprint fields are exact — bench_compare gates on
-   them — while the timing fields are environment-dependent and only ever
-   reported. *)
-let bench_json ~quick ~micro_rows ~sweep_rows ~det =
-  let open Experiments in
-  Json.Obj
-    [ ("schema", Json.String "radio-bench/v1");
-      ("quick", Json.Bool quick);
-      ( "micro",
-        Json.List
-          (List.map
-             (fun row ->
-               Json.Obj
-                 [ ("name", Json.String row.bench_name);
-                   ("ns_per_run", Json.Float row.ns_per_run);
-                   ( "ops_per_sec",
-                     Json.Float
-                       (if row.ns_per_run > 0.0 then 1e9 /. row.ns_per_run else nan) );
-                   ("minor_words_per_run", Json.Float row.minor_words_per_run);
-                   ("major_words_per_run", Json.Float row.major_words_per_run);
-                   ("promoted_words_per_run", Json.Float row.promoted_words_per_run) ])
-             micro_rows) );
-      ( "jobs_sweep",
-        Json.List
-          (List.map
-             (fun r ->
-               Json.Obj
-                 [ ("jobs", Json.Int r.sweep_jobs);
-                   ("wall_s", Json.Float r.sweep_wall_s);
-                   ("output_sha256", Json.String r.sweep_sha) ])
-             sweep_rows) );
-      ( "determinism",
-        Json.List
-          (List.map
-             (fun d ->
-               Json.Obj
-                 [ ("id", Json.String d.det_id);
-                   ("total_rounds", Json.Int d.det_rounds);
-                   ("output_sha256", Json.String d.det_sha) ])
-             det) ) ]
-
-let write_bench_json ~path ~quick ~micro_rows ~sweep_rows ~det =
-  match
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc
-          (Experiments.Json.to_string (bench_json ~quick ~micro_rows ~sweep_rows ~det));
-        output_char oc '\n')
-  with
-  | () -> Printf.printf "benchmark document written to %s\n" path
-  | exception Sys_error msg ->
-    Printf.eprintf "cannot write --bench-json results: %s\n" msg;
+  let shas =
+    List.map
+      (fun jobs ->
+        let outcomes, wall_s =
+          Parallel.Clock.time (fun () -> Experiments.Runner.run_many ~quick ~jobs experiments)
+        in
+        let sha =
+          Crypto.Sha256.digest_hex
+            (String.concat ""
+               (List.map (Format.asprintf "%a" Experiments.Runner.render) outcomes))
+        in
+        Printf.printf "  jobs=%-3d %8.2fs  output sha256 %s...\n%!" jobs wall_s
+          (String.sub sha 0 12);
+        sha)
+      jobs_list
+  in
+  if List.for_all (String.equal (List.hd shas)) shas then
+    print_endline "  output: byte-identical across all worker counts"
+  else begin
+    print_endline "  FAIL: output differs across worker counts (nondeterminism!)";
     exit 1
+  end
 
 type cli = {
   quick : bool;
@@ -669,15 +553,13 @@ type cli = {
   jobs : int;
   jobs_sweep : int list;
   json : string option;
-  bench_json : string option;
   ids : string list;
 }
 
 let usage () =
   Printf.eprintf
     "usage: main.exe [quick] [micro] [service] \
-     [population [--huge]] [ID...] [--jobs N] [--jobs-sweep N,N,...] [--json PATH] \
-     [--bench-json PATH]\n\
+     [population [--huge]] [ID...] [--jobs N] [--jobs-sweep N,N,...] [--json PATH]\n\
      available: %s, micro, service, population\n"
     (String.concat ", " Experiments.Registry.ids);
   exit 1
@@ -708,7 +590,6 @@ let parse_args args =
        | _ -> usage ())
     | "--jobs-sweep" :: spec :: rest -> go { acc with jobs_sweep = parse_jobs_sweep spec } rest
     | "--json" :: path :: rest -> go { acc with json = Some path } rest
-    | "--bench-json" :: path :: rest -> go { acc with bench_json = Some path } rest
     | id :: rest ->
       if Experiments.Registry.find id = None then usage ()
       else go { acc with ids = acc.ids @ [ id ] } rest
@@ -716,64 +597,37 @@ let parse_args args =
   go
     { quick = false; micro = false; population = false; huge = false; service = false;
       jobs = Parallel.default_jobs (); jobs_sweep = [];
-      json = None; bench_json = None; ids = [] }
+      json = None; ids = [] }
     args
 
-let () =
-  let cli = parse_args (List.tl (Array.to_list Sys.argv)) in
-  (* `population` is its own mode: the big-n plain-timed families, no
-     experiment tables, no Bechamel micro suite. *)
-  if cli.population then begin
-    let micro_rows = run_population ~huge:cli.huge in
-    Option.iter
-      (fun path -> write_bench_json ~path ~quick:false ~micro_rows ~sweep_rows:[] ~det:[])
-      cli.bench_json
-  end
-  else begin
-  (* Bare `main.exe` (or just `quick`) keeps the historical behavior: every
-     experiment table, then the micro-benchmarks.  `micro` alone skips the
-     tables; explicit ids skip micro unless it is also requested. *)
-  let run_experiments = cli.ids <> [] || not cli.micro in
-  let run_micro_too = cli.micro || cli.ids = [] in
+(* Bare `main.exe` (or just `quick`) keeps the historical behavior: every
+   experiment table, then the micro-benchmarks.  `micro` alone skips the
+   tables; explicit ids skip micro unless it is also requested. *)
+let run_suite cli =
   let experiments =
     match cli.ids with
     | [] -> Experiments.Registry.all
     | ids -> List.filter_map Experiments.Registry.find ids
   in
-  let outcomes =
-    if not run_experiments then []
-    else begin
-      let outcomes =
-        Experiments.Runner.run_many ~quick:cli.quick ~jobs:cli.jobs experiments
-      in
-      List.iter render_outcome outcomes;
-      timing_summary outcomes;
-      (match cli.json with
-       | Some path -> (
-         match
-           Experiments.Runner.write_json ~path ~quick:cli.quick ~jobs:cli.jobs outcomes
-         with
-         | () -> Printf.printf "structured results written to %s\n" path
-         | exception Sys_error msg ->
-           Printf.eprintf "cannot write --json results: %s\n" msg;
-           exit 1)
-       | None -> ());
-      outcomes
-    end
-  in
-  let sweep_rows =
-    if cli.jobs_sweep = [] then []
-    else begin
-      let rows = run_jobs_sweep ~quick:cli.quick ~experiments cli.jobs_sweep in
-      jobs_sweep_report rows;
-      rows
-    end
-  in
-  let micro_rows = if run_micro_too then run_micro ~quick:cli.quick else [] in
-  let service_micro, service_det = if cli.service then run_service () else ([], []) in
-  Option.iter
-    (fun path ->
-      write_bench_json ~path ~quick:cli.quick ~micro_rows:(micro_rows @ service_micro)
-        ~sweep_rows ~det:(List.map experiment_det outcomes @ service_det))
-    cli.bench_json
-  end
+  if cli.ids <> [] || not cli.micro then begin
+    let outcomes = Experiments.Runner.run_many ~quick:cli.quick ~jobs:cli.jobs experiments in
+    List.iter render_outcome outcomes;
+    timing_summary outcomes;
+    Option.iter
+      (fun path ->
+        match Experiments.Runner.write_json ~path ~quick:cli.quick ~jobs:cli.jobs outcomes with
+        | () -> Printf.printf "structured results written to %s\n" path
+        | exception Sys_error msg ->
+          Printf.eprintf "cannot write --json results: %s\n" msg;
+          exit 1)
+      cli.json
+  end;
+  if cli.jobs_sweep <> [] then jobs_sweep ~quick:cli.quick ~experiments cli.jobs_sweep;
+  if cli.micro || cli.ids = [] then run_micro ~quick:cli.quick;
+  if cli.service then run_service ()
+
+(* `population` is its own mode: the big-n plain-timed families, no
+   experiment tables, no Bechamel micro suite. *)
+let () =
+  let cli = parse_args (List.tl (Array.to_list Sys.argv)) in
+  if cli.population then run_population ~huge:cli.huge else run_suite cli

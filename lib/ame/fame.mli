@@ -111,7 +111,3 @@ val run :
 
     Raises [Invalid_argument] if [cfg.n] is too small for the witness
     schedule (see {!Params.nodes_required}). *)
-
-val default_vector :
-  messages:(int * int -> string) -> pairs:(int * int) list -> int -> (int * string) list
-(** The unoptimized vector m_v,*: all of v's outgoing payloads. *)

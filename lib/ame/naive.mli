@@ -19,10 +19,6 @@ type outcome = {
   nothing : int;
 }
 
-val fake_body : int * int -> string
-(** The adversary's substitute payload for a pair (distinct from any honest
-    payload by construction). *)
-
 val simulating_adversary :
   Prng.Rng.t -> pairs:(int * int) list -> channels:int -> budget:int -> Radio.Adversary.t
 (** For each of the first [budget] pairs, transmits the fake payload on an

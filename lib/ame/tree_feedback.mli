@@ -49,6 +49,3 @@ val pair_index : level:int -> int -> int
 (** [pair_index ~level lower] ranks the level-[level] hypercube pair whose
     lower endpoint is [lower] (bit [level] of [lower] must be 0): deletes
     bit [level].  Pair p talks over channel block [p*t .. p*t + t - 1]. *)
-
-val levels_of : int -> int
-(** log2 of the group count. *)

@@ -48,8 +48,6 @@ val callee_def : t -> string -> Summary.def option
 val effects : t -> string -> (target * witness) list
 (** The writes-effect of a definition, in first-derived order. *)
 
-val taint_of : t -> string -> Names.taint
-
 val write_chain : t -> string -> target -> (string * Names.loc * string) list
 (** Reconstruct the derivation of one effect target as presentation
     steps [(definition, location, action)], ending at the direct write. *)

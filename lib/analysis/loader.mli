@@ -29,8 +29,4 @@ val source_text : source_root:string -> string -> string option
     generated wrappers sometimes carry one extra leading path component,
     [source_root/<rel minus its first component>]. *)
 
-val load_one : string -> (Summary.t option, string) result
-(** Load and summarize one cmt.  [Ok None] for non-implementation
-    artifacts (interfaces, packs). *)
-
 val load : build_dir:string -> roots:string list -> jobs:int -> t

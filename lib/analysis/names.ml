@@ -76,9 +76,7 @@ let rec flatten_path = function
   | Path.Papply (p, _) -> flatten_path p
   | Path.Pextra_ty (p, _) -> flatten_path p
 
-let normalize_components comps = List.concat_map split_mangled comps
-
-let normalize p = normalize_components (flatten_path p)
+let normalize p = List.concat_map split_mangled (flatten_path p)
 
 let key_of_components comps = String.concat "." comps
 

@@ -38,12 +38,8 @@ val pp_loc : Format.formatter -> loc -> unit
 
 (** {1 Canonical paths} *)
 
-val flatten_path : Path.t -> string list
-
 val normalize : Path.t -> string list
 (** Flatten and split each component on the "__" mangling separator. *)
-
-val normalize_components : string list -> string list
 
 val key_of_components : string list -> string
 

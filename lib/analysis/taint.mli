@@ -4,8 +4,4 @@
     (files inside the race-taint allowlist — their taint is an audited
     contract). *)
 
-val anchor_prefixes : string list
-(** Definition-key prefixes anchoring reachability
-    (["Experiments.Runner."], ["Experiments.Registry."]). *)
-
 val check : Callgraph.t -> capped:(Summary.def -> bool) -> Report.finding list

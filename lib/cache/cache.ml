@@ -6,7 +6,7 @@
    one worker's progress into another's.  Because a memo may only cache a
    *pure* function of its key, a hit returns exactly what a fresh solve
    would, so simulated output is byte-identical whether the cache is hot,
-   cold, shared, or disabled — the property `bench_compare` gates on.
+   cold, shared, or disabled, as the pinned experiment hashes check.
 
    The only cross-domain state is monotonically-increasing [Atomic]
    hit/miss counters (observability only; never branched on by simulated

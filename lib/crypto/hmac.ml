@@ -97,8 +97,6 @@ let equal_ct_sub ~expect tag ~pos ~len =
 let equal_ct ~expect ~tag =
   equal_ct_sub ~expect:(Bytes.unsafe_of_string expect) tag ~pos:0 ~len:(String.length tag)
 
-let verify_keyed k ~tag msg = equal_ct ~expect:(mac_keyed k msg) ~tag
-
 let verify_batch k ~tags msgs =
   let n = Array.length msgs in
   if Array.length tags <> n then invalid_arg "Hmac.verify_batch: length mismatch";
@@ -110,4 +108,4 @@ let verify_batch k ~tags msgs =
          frame overwrites it, so the unsafe view never escapes. *)
       equal_ct ~expect:(Bytes.unsafe_to_string out) ~tag:tags.(i))
 
-let verify ~key:raw ~tag msg = verify_keyed (key raw) ~tag msg
+let verify ~key:raw ~tag msg = equal_ct ~expect:(mac_keyed (key raw) msg) ~tag

@@ -19,11 +19,11 @@ type key
     once only through the scratch and batch entry points —
     {!mac_feed_into} with a scratch per domain, {!mac_batch},
     {!verify_batch} — which replay its midstates into their own contexts
-    ({!Sha256.copy_into}) and never write the key.  {!mac_keyed},
-    {!mac_feed} and {!verify_keyed} replay through {!Sha256.copy}, whose
-    copies share the key's message-schedule scratch: they, and every
-    caller built on them ({!Prf.Keyed.bytes} and its relatives), must keep
-    a given key on one domain. *)
+    ({!Sha256.copy_into}) and never write the key.  {!mac_keyed} and
+    {!mac_feed} replay through {!Sha256.copy}, whose copies share the
+    key's message-schedule scratch: they, and every caller built on them
+    ({!Prf.Keyed.bytes} and its relatives), must keep a given key on one
+    domain. *)
 
 val key : string -> key
 (** Prepare a raw key string.  Keys longer than the 64-byte block are
@@ -60,7 +60,7 @@ val mac_batch : key -> string array -> string array
 
 val verify_batch : key -> tags:string array -> string array -> bool array
 (** [verify_batch k ~tags msgs] checks [tags.(i)] against [msgs.(i)] for
-    each [i] (constant-time per element, as {!verify_keyed}).  Raises
+    each [i] (constant-time per element, as {!verify}).  Raises
     [Invalid_argument] on length mismatch. *)
 
 val mac : key:string -> string -> string
@@ -68,19 +68,12 @@ val mac : key:string -> string -> string
 
 val mac_hex : key:string -> string -> string
 
-val verify_keyed : key -> tag:string -> string -> bool
+val verify : key:string -> tag:string -> string -> bool
 (** Constant-time acceptance of [tag] for the message: the tag-length check
     is folded into the byte-comparison accumulator, so a wrong-length tag
     and a wrong-byte tag are rejected on the same timing path. *)
 
-val verify : key:string -> tag:string -> string -> bool
-(** One-shot {!verify_keyed}. *)
-
-val equal_ct : expect:string -> tag:string -> bool
-(** The underlying constant-time comparison (length folded in; always walks
-    all of [expect]). *)
-
 val equal_ct_sub : expect:Bytes.t -> string -> pos:int -> len:int -> bool
-(** {!equal_ct} of a tag computed into a caller's buffer against the
-    [len]-byte slice at [pos] of a string — a tag read in place from a
-    frame on the wire.  Allocates nothing. *)
+(** {!verify}'s constant-time comparison, of a tag computed into a
+    caller's buffer against the [len]-byte slice at [pos] of a string — a
+    tag read in place from a frame on the wire.  Allocates nothing. *)

@@ -5,9 +5,6 @@
     signed 64-bit integer.  This is the number-theoretic substrate for the
     Diffie-Hellman key exchange of Section 6. *)
 
-val add_mod : int64 -> int64 -> int64 -> int64
-(** [add_mod a b p] = (a + b) mod p. *)
-
 val mul_mod : int64 -> int64 -> int64 -> int64
 (** [mul_mod a b p] = (a * b) mod p, computed by binary shift-and-add so no
     intermediate exceeds 2^62. *)

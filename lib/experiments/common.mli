@@ -35,9 +35,6 @@ val render : Format.formatter -> result -> unit
 
 val render_to_string : result -> string
 
-val fmt_table : Format.formatter -> header:string list -> string list list -> unit
-(** Render rows as an aligned ASCII table. *)
-
 (** {1 Replicate fan-out}
 
     Experiments run their independent units of work — seed-indexed trials,

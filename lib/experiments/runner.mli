@@ -25,8 +25,6 @@ val run_many : quick:bool -> jobs:int -> Registry.experiment list -> outcome lis
 val render : Format.formatter -> outcome -> unit
 (** Render the outcome's tables/notes; prints nothing about timing. *)
 
-val json_of_outcome : outcome -> Json.t
-
 val json_of_outcomes : quick:bool -> jobs:int -> outcome list -> Json.t
 (** The [radio-experiments/v1] document: run parameters, per-experiment
     wall-clock and round metrics, tables as data. *)

@@ -11,11 +11,9 @@ type t = int array
 
 let bits_per_word = 63
 
-let words_for n =
+let create n =
   if n < 0 then invalid_arg "Bitset: negative capacity";
-  (n + bits_per_word - 1) / bits_per_word
-
-let create n = Array.make (words_for n) 0
+  Array.make ((n + bits_per_word - 1) / bits_per_word) 0
 
 let capacity s = Array.length s * bits_per_word
 

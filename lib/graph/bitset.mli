@@ -12,9 +12,6 @@ type t
 
 val bits_per_word : int
 
-val words_for : int -> int
-(** Words needed for a capacity (ceil(n/63)); raises on negative. *)
-
 val create : int -> t
 (** [create n]: all-clear set able to hold indices [0 .. n-1]. *)
 

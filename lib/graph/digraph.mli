@@ -75,8 +75,6 @@ module Dense : sig
 
   val has_outgoing : t -> int -> bool
 
-  val has_incoming : t -> int -> bool
-
   val out_row : t -> int -> Bitset.t
   (** The successor bitset of a node — the live row, not a copy: callers
       must treat it as read-only.  Raises on out-of-range ids. *)

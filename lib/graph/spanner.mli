@@ -19,7 +19,3 @@ val survives_removal : n:int -> t:int -> removed:int list -> bool
     spanner on the remaining nodes connected?  Bitset BFS over the dense
     spanner; used by tests to validate the (t+1)-connectivity claim by
     exhaustive/sampled removal. *)
-
-val connected_after : Digraph.Dense.t -> alive:Bitset.t -> bool
-(** Is the undirected restriction of the graph to [alive] connected?
-    (Vacuously true when [alive] is empty.) *)

@@ -12,8 +12,6 @@ type rule_cfg = {
       (** path prefixes the rule applies to; [[]] means every linted file *)
 }
 
-val default_rule : rule_cfg
-
 type t = {
   roots : string list;  (** directories walked when the CLI gets no roots *)
   rules : (string * rule_cfg) list;
@@ -22,7 +20,8 @@ type t = {
 val default : t
 
 val rule_cfg : t -> string -> rule_cfg
-(** Configured entry for a rule id, or {!default_rule}. *)
+(** Configured entry for a rule id, or the default: enabled, no allow
+    list, every file in scope. *)
 
 val prefix_matches : string -> string -> bool
 (** [prefix_matches path prefix]: [prefix] names [path] itself or one of

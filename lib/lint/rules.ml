@@ -86,8 +86,6 @@ let all =
 
 let ids = List.map (fun r -> r.id) all
 
-let race_ids = [ "race-escape"; "race-taint" ]
-
-let config_ids = ids @ race_ids
+let config_ids = ids @ [ "race-escape"; "race-taint" ]
 
 let find id = List.find_opt (fun r -> r.id = id) all

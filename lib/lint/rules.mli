@@ -21,12 +21,9 @@ val all : t list
 
 val ids : string list
 
-val race_ids : string list
-(** Rule ids owned by the typed analyzer ([radio_race]); they share
-    [lint.toml] (scope/allow sections) but have no syntactic detector
-    here. *)
-
 val config_ids : string list
-(** Every id the configuration file may mention: {!ids} @ {!race_ids}. *)
+(** Every id the configuration file may mention: {!ids}, then the ids
+    owned by the typed analyzer ([radio_race]), which share [lint.toml]
+    (scope/allow sections) but have no syntactic detector here. *)
 
 val find : string -> t option

@@ -7,13 +7,11 @@
     utilization needs no transcript: the engine counts it in
     {!Transcript.Channel_usage} when [Config.track_channels] is on. *)
 
-val pp_round : Format.formatter -> Transcript.round_record -> unit
-(** One round as a compact multi-line block: per-channel outcome, honest
-    transmitters, strikes, listeners. *)
-
 val pp_rounds :
   ?limit:int -> Format.formatter -> Transcript.round_record list -> unit
-(** Render the first [limit] (default 50) rounds. *)
+(** Render the first [limit] (default 50) rounds, each as a compact
+    multi-line block: per-channel outcome, honest transmitters, strikes,
+    listeners. *)
 
 val to_csv : Transcript.round_record list -> string
 (** One row per (round, channel): round, channel, outcome kind, origin,

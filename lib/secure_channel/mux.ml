@@ -119,8 +119,8 @@ let epoch_of ~epoch_len ~now = now / epoch_len
 (* ------------------------------------------------------------------ *)
 
 (* Prepared cipher and ack keys of one epoch, derived by PRF from the
-   group key and the epoch counter (see [keys]).  Acks are tagged under a
-   key of their own, so their nonces need not avoid the data frames'. *)
+   run's seed, group key and epoch counter (see [keys]).  Acks are tagged
+   under a key of their own, so their nonces need not avoid the data frames'. *)
 type epoch_keys = { ek_epoch : int; ck : Cipher.key; ak : Cipher.key }
 
 (* ------------------------------------------------------------------ *)
@@ -416,6 +416,14 @@ type state = {
   r_sender : int array;  (* Repeat: member transmitting this round's head; -1 none *)
 }
 
+(* The group PRF's key: the run's seed as 8 big-endian bytes, then the
+   group key, so every run has epoch keys of its own.  Nonces repeat
+   across runs, with other payloads (see DESIGN.md, the nonce rule). *)
+let epoch_prf_key spec =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 spec.seed;
+  Bytes.to_string b ^ spec.key
+
 let create_state spec =
   let m = spec.logical and ly = layout spec in
   let nodes = m * ly.per_chan and planned = m * Array.length ly.phases in
@@ -424,7 +432,7 @@ let create_state spec =
     ly;
     rpe = real_rounds_per_emulated spec;
     hop_prf = Prf.Keyed.create (Sha256.digest ("mux-hop|" ^ spec.key));
-    group_prf = Prf.Keyed.create spec.key;
+    group_prf = Prf.Keyed.create (epoch_prf_key spec);
     epoch_cache = [| None; None |];
     st = create_stats ();
     lat = Array.make lat_buckets 0;

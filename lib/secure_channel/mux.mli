@@ -4,9 +4,9 @@
     Each logical channel carries a sustained message stream with per-channel
     sequence numbers and a replay window; the group key is rolled forward
     every [epoch_len] emulated rounds (epoch keys derived by PRF from the
-    group key and the epoch counter), with frames from the previous epoch
-    honoured only during a [grace] window; bounded per-channel send queues
-    shed load when the radio cannot keep up.
+    group key, the run's seed and the epoch counter), with frames from the
+    previous epoch honoured only during a [grace] window; bounded
+    per-channel send queues shed load when the radio cannot keep up.
 
     All protocol work is one step per phase of an emulated round (see
     {!Step}): it judges the frames the service nodes heard in the phase
@@ -63,8 +63,6 @@ val epoch_verdict :
     rejected without a decryption attempt.  Pure; exposed for property
     tests. *)
 
-val epoch_of : epoch_len:int -> now:int -> int
-
 type transport =
   | Acked
       (** One sender/receiver pair per logical channel; slotted data and
@@ -107,7 +105,7 @@ type spec = {
   grace : int;  (** rounds the previous epoch stays decodable *)
   payload : int;  (** message body bytes *)
   outsiders : int;  (** keyless nodes that snoop and forge *)
-  seed : int64;
+  seed : int64;  (** engine seed; also salts the epoch keys, so runs under one key differ *)
 }
 
 val make :

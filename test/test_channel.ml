@@ -329,6 +329,38 @@ let nonces_mux ?(transport = Mux.Acked) ?(ack_mode = Mux.Slotted) () () =
   ignore (Mux.run spec ~adversary : Mux.result);
   unique_nonces ~key_of:(mux_key spec) !seen
 
+(* Two runs under one group key and two seeds (and jammers): a slotted
+   nonce is the message's (channel, seq), a piggybacked one its (channel,
+   emulated round), and with a two-frame queue the jammers shed different
+   offers, so the payload behind one nonce differs between the runs (its
+   enqueue round, seq or carried ack).  One epoch key shared by the runs
+   would seal both under that nonce.  A data blob's key is named by its
+   keystream: every payload layout's second word is the channel, fixed by
+   the nonce, so its ciphertext is the same in both runs exactly when the
+   keystream is. *)
+let nonces_mux_two_runs ack_mode () =
+  let seen =
+    List.concat_map
+      (fun seed ->
+        let spec =
+          Mux.make ~key ~logical:24 ~phys:8 ~budget:2 ~ack_mode ~rounds:24 ~queue_cap:2
+            ~epoch_len:4 ~grace:1 ~seed ()
+        in
+        let adversary, seen =
+          recording
+            (Radio.Adversary.random_jammer (Prng.Rng.create seed) ~channels:8 ~budget:2)
+        in
+        ignore (Mux.run spec ~adversary : Mux.result);
+        !seen)
+      [ 4L; 5L ]
+  in
+  let keystream _ blob =
+    match Crypto.Cipher.frame_nonce blob ~pos:4 with
+    | Some n -> Some (Crypto.Sha256.hex_of (String.sub blob 24 4), n)
+    | None -> None
+  in
+  unique_nonces ~key_of:keystream seen
+
 let () =
   Alcotest.run "secure_channel"
     [ ( "spec",
@@ -352,4 +384,8 @@ let () =
           Alcotest.test_case "service with a colliding pair" `Quick nonces_service_collision;
           Alcotest.test_case "unicast" `Quick nonces_unicast;
           Alcotest.test_case "group-key part 2" `Quick nonces_groupkey_part2;
-          Alcotest.test_case "setup then re-key" `Quick nonces_setup_then_rekey ] ) ]
+          Alcotest.test_case "setup then re-key" `Quick nonces_setup_then_rekey;
+          Alcotest.test_case "mux slotted runs under one key" `Quick
+            (nonces_mux_two_runs Mux.Slotted);
+          Alcotest.test_case "mux piggybacked runs under one key" `Quick
+            (nonces_mux_two_runs Mux.Piggybacked) ] ) ]

@@ -786,6 +786,49 @@ let counters_per_op spec ~jobs =
   ignore (Parallel.run ~jobs (fun () -> Mux.run spec ~adversary:null) : Mux.result);
   Crypto.Counters.diff (Crypto.Counters.snapshot ()) before
 
+(* The benchmark's three service workloads (Full scale, seed 1) under both
+   ack modes: the engine rounds one op uses and its [Workload.digest], which
+   hashes [Mux.render_stats] (delivery latency p50 and p99 included). *)
+let service_cells =
+  [ ( "svc-small",
+      Mux.Slotted,
+      3120,
+      "6b2fa9dcf1f3f0de3b651216751533c010bfd55d176b902aaaa6002db2fa73d1" );
+    ( "svc-small",
+      Mux.Piggybacked,
+      1625,
+      "87a61d52c08dd8220bf57c4a673c9ba401f3b40bac841707012f7c4d2086c322" );
+    ( "svc-bulk",
+      Mux.Slotted,
+      240,
+      "42fb2eaf9b4a66f854d117005d21b1a8886bb46c6e27b7ed84907ccdee912da3" );
+    ( "svc-bulk",
+      Mux.Piggybacked,
+      125,
+      "568225acc7a3d6cdc06436dcf9f129548bad33e409cf7d1dfc16c8e678aac559" );
+    ( "svc-jammed",
+      Mux.Slotted,
+      3120,
+      "8bcb2fdad28be67e72f9f8f713ae8b7ec5e5aab1ab5884c9b0c1b881ab76a460" );
+    ( "svc-jammed",
+      Mux.Piggybacked,
+      1625,
+      "1617f9d5a9ac7196f65c67a5fda555badb2229599f0c43e385bc27bf65dc3224" ) ]
+
+let service_pins () =
+  let module W = Benchsuite.Workload in
+  List.iter
+    (fun (name, ack_mode, rounds, digest) ->
+      let w = Option.get (W.find W.Full name) in
+      let cell =
+        match w.W.kind with
+        | W.Svc s -> { w with W.kind = W.Svc { s with W.ack_mode = Some ack_mode } }
+        | W.Fame _ | W.Sweep -> Alcotest.failf "%s is not a service workload" name
+      in
+      let res = W.run (W.inputs cell ~seed:1) in
+      check Alcotest.(pair int string) name (rounds, digest) (W.rounds res, W.digest res))
+    service_cells
+
 let counters_pinned spec expect () =
   List.iter
     (fun jobs ->
@@ -846,7 +889,8 @@ let () =
           Alcotest.test_case "svc-bulk shape per op" `Quick
             (counters_pinned (bench_shape ~logical:64 ~payload:1024)
                ("crypto: sha256=296 chacha20=54400 poly1305=428800 seal=1600 open=1600 "
-              ^ "tag=0")) ] );
+              ^ "tag=0"));
+          Alcotest.test_case "service pins" `Quick service_pins ] );
       ( "step",
         [ Alcotest.test_case "slotted round trip" `Quick step_slotted_round_trip;
           Alcotest.test_case "piggybacked cumulative ack" `Quick step_pig_cumulative_ack;

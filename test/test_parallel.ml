@@ -197,6 +197,22 @@ let e8_full_tier_jobs_parity () =
     let parallel = render ~jobs:2 in
     check Alcotest.string "e8 full tier byte-identical at jobs=2" (render ~jobs:1) parallel
 
+(* The simulated rounds of every quick experiment, which its rendered
+   tables do not print (their hashes are pinned by the benchmark's
+   paper-quick workload).  They sum to that workload's rounds per op. *)
+let quick_rounds =
+  [ ("e1", 3368); ("e2", 987); ("e3", 763); ("e4", 0); ("e5", 1470); ("e6", 5738);
+    ("e7", 2265); ("e8", 5515); ("e9", 216); ("e10", 3298); ("e11", 2720); ("e12", 1510);
+    ("e13", 1159); ("e14", 128); ("e15", 1661); ("e16", 2420); ("e17", 300) ]
+
+let quick_total_rounds () =
+  let outcomes = Experiments.Runner.run_many ~quick:true ~jobs:2 Experiments.Registry.all in
+  let rounds (o : Experiments.Runner.outcome) =
+    (o.experiment.Experiments.Registry.id, o.result.Experiments.Common.total_rounds)
+  in
+  let got = List.map rounds outcomes in
+  check Alcotest.(list (pair string int)) "total_rounds" quick_rounds got
+
 (* -- JSON emitter -- *)
 
 let json_escaping () =
@@ -281,7 +297,8 @@ let () =
           Alcotest.test_case "earliest failure" `Quick replicates_earliest_failure ] );
       ( "determinism",
         [ Alcotest.test_case "e8 full tier jobs-invariant" `Quick e8_full_tier_jobs_parity;
-          Alcotest.test_case "experiments jobs-invariant" `Slow experiment_determinism ] );
+          Alcotest.test_case "experiments jobs-invariant" `Slow experiment_determinism;
+          Alcotest.test_case "quick total_rounds pinned" `Quick quick_total_rounds ] );
       ( "json",
         [ Alcotest.test_case "escaping" `Quick json_escaping;
           Alcotest.test_case "document" `Quick json_document;
