@@ -5,7 +5,9 @@
    - unit tests for the minimax game-tree walker and its replay oracle;
    - jobs-parity: every check merges identically for any worker count;
    - the pinned-certificate regression: the quick tier's radio-verify/v1
-     document must match the checked-in fixture field for field. *)
+     document must match the checked-in fixture field for field;
+   - radio_verify's exit codes: CLI misuse exits 124, before any check
+     runs, so CI never reads it as a failed certificate (exit 1). *)
 
 module Json = Experiments.Json
 
@@ -187,6 +189,30 @@ let pinned_quick_certificates () =
        bin/radio_verify.exe -- --quick --json test/fixtures/verify-quick.json)"
       diff
 
+(* -- radio_verify exit codes -- *)
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.equal (String.sub hay i ln) needle || go (i + 1)) in
+  go 0
+
+let conflicting_tiers_exit_124 () =
+  let out = Filename.temp_file "radio_verify" ".out" in
+  let err = Filename.temp_file "radio_verify" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/radio_verify.exe --quick --full >%s 2>%s" (Filename.quote out)
+         (Filename.quote err))
+  in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let stdout = read out and stderr = read err in
+  Sys.remove out;
+  Sys.remove err;
+  check Alcotest.int "exit code" 124 code;
+  check Alcotest.string "no report on stdout" "" stdout;
+  if not (contains stderr "mutually exclusive") then
+    Alcotest.failf "stderr should name the conflict, got: %s" stderr
+
 let () =
   Alcotest.run "verify"
     [ ( "disrupt",
@@ -205,4 +231,6 @@ let () =
             fame_exhaustive_smallest_regime;
           Alcotest.test_case "jobs parity" `Quick fame_parity_across_jobs ] );
       ( "suite",
-        [ Alcotest.test_case "pinned quick certificates" `Slow pinned_quick_certificates ] ) ]
+        [ Alcotest.test_case "pinned quick certificates" `Slow pinned_quick_certificates ] );
+      ( "verify_binary",
+        [ Alcotest.test_case "--quick --full exits 124" `Quick conflicting_tiers_exit_124 ] ) ]
