@@ -258,16 +258,11 @@ let micro_tests ~quick =
   let engine_2t2 =
     engine_bench ~name:"engine/rounds-per-sec-2t2" ~n:64 ~channels:128 ~t:8
   in
-  let prf_naive =
-    Test.make ~name:"crypto/prf-channel-hop-naive"
-      (Staged.stage (fun () ->
-           ignore (Crypto.Prf.channel_hop ~key:"shared-hop-key" ~round:12345 ~channels:128)))
-  in
   let prf_keyed =
     let handle = Crypto.Prf.Keyed.create "shared-hop-key" in
     Test.make ~name:"crypto/prf-channel-hop-keyed"
       (Staged.stage (fun () ->
-           ignore (Crypto.Prf.Keyed.channel_hop handle ~round:12345 ~channels:128)))
+           ignore (Crypto.Prf.Keyed.below handle ~label:"channel-hop" ~counter:12345 128)))
   in
   let hmac_keyed =
     let handle = Crypto.Hmac.key "key" in
@@ -276,8 +271,7 @@ let micro_tests ~quick =
   in
   [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac;
     hmac_keyed; dh; seal; seal_into 32; seal_into 1040; open_into 1040; vc; greedy_move;
-    game_full; engine_round; parked_series; fame_small; engine_small; engine_2t2; prf_naive;
-    prf_keyed ]
+    game_full; engine_round; parked_series; fame_small; engine_small; engine_2t2; prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 
 (* Runs the Bechamel suite and prints one time-per-run line per bench. *)

@@ -318,10 +318,7 @@ let trace_cmd =
   let run seed t pairs_count shown csv =
     let n = resolve_n ~t 0 in
     let channels = t + 1 in
-    let cfg =
-      Core.Radio.Config.make ~seed ~n ~channels ~t ~record_transcript:true
-        ~track_channels:true ()
-    in
+    let cfg = Core.Radio.Config.make ~seed ~n ~channels ~t ~record_transcript:true () in
     let pairs = Core.Rgraph.Workload.disjoint_pairs ~n ~count:(min pairs_count (n / 2)) in
     let o =
       Core.Ame.Fame.run ~cfg ~pairs
@@ -337,8 +334,7 @@ let trace_cmd =
       (List.length transcript) shown;
     Core.Radio.Trace.pp_rounds ~limit:shown Format.std_formatter transcript;
     Format.printf "@.channel utilization:@.";
-    Option.iter
-      (Core.Radio.Transcript.Channel_usage.pp Format.std_formatter)
+    Core.Radio.Transcript.Channel_usage.pp Format.std_formatter
       engine.Core.Radio.Engine.channel_usage;
     match csv with
     | Some path ->

@@ -30,7 +30,7 @@ let schedule_jammer board ~channels ~budget ~prefer =
               entry.Oracle.kinds
           in
           take budget (List.map (fun (chan, _) -> jam chan) ranked));
-    observe = (fun _ -> ()); observes = false }
+    observe = None }
 
 let triangle_jammer board ~channels ~budget ~triple_of =
   ignore channels;
@@ -50,4 +50,4 @@ let triangle_jammer board ~channels ~budget ~triple_of =
           in
           let targets = List.filter intra entry.Oracle.kinds in
           take budget (List.map (fun (chan, _) -> jam chan) targets));
-    observe = (fun _ -> ()); observes = false }
+    observe = None }

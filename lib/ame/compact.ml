@@ -58,7 +58,7 @@ let chain_spoofer rng cal ~channels ~budget =
                   Some
                     (Radio.Frame.Chain
                        { owner = v; index; body; recon_hash = hash_chain [ body ] }) }));
-    observe = (fun _ -> ()); observes = false }
+    observe = None }
 
 type outcome = {
   gossip_engine : Radio.Engine.result;

@@ -27,7 +27,7 @@ let simulating_adversary rng ~pairs ~channels ~budget =
                 spoof = Some (Radio.Frame.Plain { src = v; dst = w; body = fake_body pair }) }
               :: acc)
           [] targets);
-    observe = (fun _ -> ()); observes = false }
+    observe = None }
 
 let run ~rounds ~cfg ~pairs ~messages ~adversary () =
   let channels = cfg.Radio.Config.channels in

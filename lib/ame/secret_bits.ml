@@ -84,7 +84,7 @@ let run ~rounds ~cfg ~sender ~receiver ~eavesdrop_channels ?(jam_budget = 0) () 
           else
             List.filteri (fun i _ -> i < jam_budget) watched
             |> List.map (fun chan -> { Radio.Adversary.chan; spoof = None }));
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let engine = Radio.Engine.run_nodes cfg ~adversary node_body in
   (* Public reconciliation: the receiver's round indices select the agreed

@@ -40,12 +40,10 @@ type t = {
 
 let escape_marker = "radio-race: allow"
 
-let contains_sub line sub =
-  let n = String.length line and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
-  m > 0 && go 0
-
-let escapes_rule line rule = contains_sub line (escape_marker ^ " " ^ rule)
+(* Every rule id after the marker is granted, as in radio_lint. *)
+let escapes_rule line rule =
+  List.mem rule
+    (Lint.Engine.escapes_on_line ~marker:escape_marker ~ids:Lint.Rules.race_ids line)
 
 (* --- classification --------------------------------------------------- *)
 

@@ -25,8 +25,6 @@ type 'v t = {
 
 let enabled_flag = Atomic.make true
 
-let enabled () = Atomic.get enabled_flag
-
 let with_disabled f =
   let prev = Atomic.get enabled_flag in
   Atomic.set enabled_flag false;

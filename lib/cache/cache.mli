@@ -40,15 +40,11 @@ val clear : 'v t -> unit
 val stats : 'v t -> stats
 (** Cumulative hit/miss totals across all domains. *)
 
-val enabled : unit -> bool
-(** The global switch shared by every memo (reads are a single
-    [Atomic.get]).  Turning it off never changes any memoized result, only
-    whether solves repeat. *)
-
 val with_disabled : (unit -> 'a) -> 'a
-(** [with_disabled f] runs [f] with the switch off, restoring the
-    previous state afterwards (even on exceptions).  Intended for tests
-    and A/B measurement. *)
+(** [with_disabled f] runs [f] with the global switch that every memo
+    shares turned off, restoring the previous state afterwards (even on
+    exceptions).  Turning it off never changes any memoized result, only
+    whether solves repeat.  Intended for tests and A/B measurement. *)
 
 (** Canonical digest keys: append ints, get a 16-byte key string built
     from two independent 63-bit mixing lanes.  Deterministic across runs,

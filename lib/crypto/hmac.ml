@@ -79,8 +79,6 @@ let mac ~key:raw msg =
   Sha256.update octx inner_digest;
   Sha256.finalize octx
 
-let mac_hex ~key msg = Sha256.hex_of (mac ~key msg)
-
 (* Constant-time acceptance: the length check is folded into the same
    accumulator as the byte comparison, and the loop always walks the full
    expected tag, so timing does not distinguish a wrong-length tag from a
@@ -107,5 +105,3 @@ let verify_batch k ~tags msgs =
       (* [out] is only read inside this [equal_ct] call before the next
          frame overwrites it, so the unsafe view never escapes. *)
       equal_ct ~expect:(Bytes.unsafe_to_string out) ~tag:tags.(i))
-
-let verify ~key:raw ~tag msg = equal_ct ~expect:(mac_keyed (key raw) msg) ~tag

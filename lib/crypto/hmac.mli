@@ -60,20 +60,15 @@ val mac_batch : key -> string array -> string array
 
 val verify_batch : key -> tags:string array -> string array -> bool array
 (** [verify_batch k ~tags msgs] checks [tags.(i)] against [msgs.(i)] for
-    each [i] (constant-time per element, as {!verify}).  Raises
+    each [i] (constant-time per element, as {!equal_ct_sub}).  Raises
     [Invalid_argument] on length mismatch. *)
 
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte raw HMAC-SHA256 tag. *)
 
-val mac_hex : key:string -> string -> string
-
-val verify : key:string -> tag:string -> string -> bool
-(** Constant-time acceptance of [tag] for the message: the tag-length check
-    is folded into the byte-comparison accumulator, so a wrong-length tag
-    and a wrong-byte tag are rejected on the same timing path. *)
-
 val equal_ct_sub : expect:Bytes.t -> string -> pos:int -> len:int -> bool
-(** {!verify}'s constant-time comparison, of a tag computed into a
-    caller's buffer against the [len]-byte slice at [pos] of a string — a
-    tag read in place from a frame on the wire.  Allocates nothing. *)
+(** Constant-time comparison of a tag computed into a caller's buffer
+    against the [len]-byte slice at [pos] of a string — a tag read in
+    place from a frame on the wire.  The length check is folded into the
+    byte-comparison accumulator, so a wrong-length tag and a wrong-byte
+    tag are rejected on the same timing path.  Allocates nothing. *)

@@ -55,10 +55,6 @@ let sweep ~jobs f xs = Parallel.map_ordered ~jobs f xs
 
 let replicates ~jobs ~trials f = sweep ~jobs f (List.init trials (fun i -> i + 1))
 
-let mean = function
-  | [] -> nan
-  | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
-
 let fame_nodes_for ~t ~channels_used ~channels =
   let required =
     Ame.Params.nodes_required Ame.Params.default ~channels_used ~budget:t ~channels

@@ -56,8 +56,6 @@ val replicates : jobs:int -> trials:int -> (int -> 'a) -> 'a list
     trial order.  Exceptions propagate from the earliest-submitted failing
     trial. *)
 
-val mean : float list -> float
-
 val fame_nodes_for : t:int -> channels_used:int -> channels:int -> int
 (** A node count comfortably above {!Ame.Params.nodes_required}. *)
 

@@ -15,8 +15,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset: negative capacity";
   Array.make ((n + bits_per_word - 1) / bits_per_word) 0
 
-let capacity s = Array.length s * bits_per_word
-
 (* Per-word popcount, split into two halves so every mask constant fits in
    a 63-bit literal. *)
 let popcount_word x =

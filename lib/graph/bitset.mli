@@ -15,9 +15,6 @@ val bits_per_word : int
 val create : int -> t
 (** [create n]: all-clear set able to hold indices [0 .. n-1]. *)
 
-val capacity : t -> int
-(** Largest representable index + 1 (rounded up to a word boundary). *)
-
 val mem : t -> int -> bool
 (** Total: out-of-range (including negative) indices are simply absent. *)
 

@@ -25,15 +25,6 @@ module Dense = struct
 
   let edge_count t = t.m
 
-  let is_empty t = t.m = 0
-
-  let create ~n =
-    if n < 0 then invalid_arg "Digraph.Dense.create: negative universe";
-    (* All rows share one zero bitset: updates are copy-on-write, so the
-       shared row is never mutated. *)
-    let zero = Bitset.create n in
-    { n; out_rows = Array.make n zero; in_rows = Array.make n zero; m = 0 }
-
   let check_universe t (v, w) =
     check (v, w);
     if v >= t.n || w >= t.n then
@@ -164,13 +155,6 @@ module Dense = struct
     else
       (* Different universe capacities can still carry the same edge set. *)
       edges a = edges b
-
-  let pp fmt t =
-    Format.fprintf fmt "{";
-    List.iteri
-      (fun i (v, w) -> Format.fprintf fmt "%s(%d,%d)" (if i = 0 then "" else "; ") v w)
-      (edges t);
-    Format.fprintf fmt "}"
 
   (* Canonical digest of the undirected view (the object vertex-cover
      queries depend on), mixing the universe size and every or-ed

@@ -33,9 +33,6 @@ val check : edge -> unit
 module Dense : sig
   type t
 
-  val create : n:int -> t
-  (** Empty graph on universe [0..n-1]. *)
-
   val universe : t -> int
   (** The universe size [n] fixed at creation. *)
 
@@ -59,8 +56,6 @@ module Dense : sig
 
   val edge_count : t -> int
 
-  val is_empty : t -> bool
-
   val vertices : t -> int list
 
   val vertex_count : t -> int
@@ -83,8 +78,6 @@ module Dense : sig
 
   val equal : t -> t -> bool
   (** Same edge set (universe capacities may differ). *)
-
-  val pp : Format.formatter -> t -> unit
 
   val undirected_key : ?extra:int -> t -> string
   (** Canonical digest of the undirected view plus an optional query

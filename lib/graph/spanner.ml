@@ -11,8 +11,6 @@ let pairs ~n ~t =
   done;
   !acc
 
-let dense ~n ~t = Digraph.Dense.of_edges ~n (pairs ~n ~t)
-
 (* Connectivity of the undirected survivor graph by bitset BFS: the
    frontier's out|in rows are or-ed into the visited word set, so each BFS
    round costs O(frontier * words) instead of list appends per edge. *)
@@ -59,7 +57,7 @@ let connected_after g ~alive =
     all 0
 
 let survives_removal ~n ~t ~removed =
-  let g = dense ~n ~t in
+  let g = Digraph.Dense.of_edges ~n (pairs ~n ~t) in
   let alive = Bitset.create n in
   for v = 0 to n - 1 do
     Bitset.set alive v

@@ -11,9 +11,6 @@ val leaders : t:int -> int list
 val pairs : n:int -> t:int -> (int * int) list
 (** All ordered pairs (v, w), v <> w, with v or w a leader; sorted. *)
 
-val dense : n:int -> t:int -> Digraph.Dense.t
-(** The spanner as a graph on universe [0..n-1]. *)
-
 val survives_removal : n:int -> t:int -> removed:int list -> bool
 (** After deleting [removed] (any set of at most t nodes), is the undirected
     spanner on the remaining nodes connected?  Bitset BFS over the dense

@@ -17,8 +17,6 @@ type t = {
   rules : (string * rule_cfg) list;
 }
 
-val default : t
-
 val rule_cfg : t -> string -> rule_cfg
 (** Configured entry for a rule id, or the default: enabled, no allow
     list, every file in scope. *)

@@ -181,18 +181,18 @@ let find_sub hay needle =
 (* Rule ids granted on a source line: every [a-z0-9-] token after the
    marker that names a known rule.  Free-form justification text around
    the ids is ignored. *)
-let escapes_on_line line =
-  match find_sub line escape_marker with
+let escapes_on_line ~marker ~ids line =
+  match find_sub line marker with
   | None -> []
   | Some i ->
-    let rest = String.sub line (i + String.length escape_marker)
-                 (String.length line - i - String.length escape_marker) in
+    let from = i + String.length marker in
+    let rest = String.sub line from (String.length line - from) in
     let tokens = ref [] in
     let buf = Buffer.create 16 in
     let flush () =
       if Buffer.length buf > 0 then begin
         let t = Buffer.contents buf in
-        if List.mem t Rules.ids then tokens := t :: !tokens;
+        if List.mem t ids then tokens := t :: !tokens;
         Buffer.clear buf
       end
     in
@@ -207,7 +207,8 @@ let escapes_on_line line =
 
 let escape_map source =
   String.split_on_char '\n' source
-  |> List.mapi (fun i line -> (i + 1, escapes_on_line line))
+  |> List.mapi (fun i line ->
+         (i + 1, escapes_on_line ~marker:escape_marker ~ids:Rules.ids line))
   |> List.filter (fun (_, rules) -> rules <> [])
 
 (* The line of the escape granting [rule] at [line]: the line itself,

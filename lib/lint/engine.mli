@@ -40,6 +40,13 @@ val collect_files : string list -> string list
     as-is), skipping hidden and [_build]-style directories; sorted and
     deduplicated. *)
 
+val escapes_on_line : marker:string -> ids:string list -> string -> string list
+(** The rule ids an escape comment grants on one source line: every
+    [a-z0-9-] token after the first [marker] that is one of [ids], in
+    order; free-form text around them is ignored.  [[]] when the line has
+    no [marker].  radio_lint scans ["radio-lint: allow"] with the lint
+    rule ids, radio_race ["radio-race: allow"] with {!Rules.race_ids}. *)
+
 val run : config:Config.t -> string list -> report
 (** Lint every [.ml] under [roots] (directories or single files).  The
     interface rule ([iface-missing-mli]) checks for a sibling [.mli] on

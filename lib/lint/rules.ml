@@ -86,6 +86,8 @@ let all =
 
 let ids = List.map (fun r -> r.id) all
 
-let config_ids = ids @ [ "race-escape"; "race-taint" ]
+let race_ids = [ "race-escape"; "race-taint" ]
+
+let config_ids = ids @ race_ids
 
 let find id = List.find_opt (fun r -> r.id = id) all

@@ -21,9 +21,13 @@ val all : t list
 
 val ids : string list
 
-val config_ids : string list
-(** Every id the configuration file may mention: {!ids}, then the ids
-    owned by the typed analyzer ([radio_race]), which share [lint.toml]
+val race_ids : string list
+(** The ids owned by the typed analyzer ([radio_race]):
+    ["race-escape"] and ["race-taint"].  They share [lint.toml]
     (scope/allow sections) but have no syntactic detector here. *)
+
+val config_ids : string list
+(** Every id the configuration file may mention: {!ids}, then
+    {!race_ids}. *)
 
 val find : string -> t option

@@ -8,8 +8,3 @@ let time f =
   let t0 = now_s () in
   let y = f () in
   (y, now_s () -. t0)
-
-let utc_iso8601 () =
-  let tm = Unix.gmtime (now_s ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min tm.Unix.tm_sec

@@ -3,8 +3,3 @@ val now_s : unit -> float
 
 val time : (unit -> 'a) -> 'a * float
 (** [time f] is [(f (), elapsed-wall-clock-seconds)]. *)
-
-val utc_iso8601 : unit -> string
-(** The current UTC wall-clock time as ["YYYY-MM-DDThh:mm:ssZ"], for
-    timestamping observability artifacts (e.g. benchmark history entries).
-    Never feeds back into simulation state. *)

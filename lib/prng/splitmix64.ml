@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = seed }
 
-let copy t = { state = t.state }
-
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
@@ -14,12 +12,3 @@ let mix z =
 let next t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
-
-let next_in t bound =
-  assert (bound > 0);
-  (* Rejection-free for our purposes: 63 uniform bits modulo bound.  The
-     modulo bias is < bound / 2^63, negligible for simulation bounds.  The
-     modulo happens in Int64: converting 63 uniform bits to a native int
-     first would wrap to negative values. *)
-  let v = Int64.shift_right_logical (next t) 1 in
-  Int64.to_int (Int64.rem v (Int64.of_int bound))

@@ -2,8 +2,9 @@
 
     This is the generator from Steele, Lea & Flood, "Fast Splittable
     Pseudorandom Number Generators" (OOPSLA 2014), in the common public-domain
-    formulation.  It passes BigCrush when used as specified and is primarily
-    used here to seed and split the higher-quality {!Xoshiro} streams. *)
+    formulation.  It passes BigCrush when used as specified.  Here it only
+    seeds the higher-quality {!Xoshiro} streams, and its finalizer {!mix}
+    derives the seeds of {!Rng.split_at}'s children. *)
 
 type t
 (** Mutable generator state. *)
@@ -12,14 +13,8 @@ val create : int64 -> t
 (** [create seed] makes a generator whose output sequence is a pure function
     of [seed]. *)
 
-val copy : t -> t
-(** Independent copy sharing no state with the original. *)
-
 val next : t -> int64
 (** Next 64-bit output; advances the state. *)
-
-val next_in : t -> int -> int
-(** [next_in g bound] is uniform in [\[0, bound)]. Requires [bound > 0]. *)
 
 val mix : int64 -> int64
 (** The stateless finalizer used by [next]; useful as a cheap 64-bit hash for

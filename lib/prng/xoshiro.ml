@@ -43,12 +43,6 @@ let create seed =
   set_state t s0 s1 s2 s3;
   t
 
-let copy t =
-  { s0h = t.s0h; s0l = t.s0l;
-    s1h = t.s1h; s1l = t.s1l;
-    s2h = t.s2h; s2l = t.s2l;
-    s3h = t.s3h; s3l = t.s3l }
-
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -122,8 +116,8 @@ let fill_below t bound arr ~len =
   if len < 0 || len > Array.length arr then invalid_arg "Xoshiro.fill_below: bad len";
   ignore (run t bound arr len)
 
-(* [next], [bool] and [float] read the output the coming step produces,
-   which depends on s1 alone, then take that step. *)
+(* [next] and [bool] read the output the coming step produces, which
+   depends on s1 alone, then take that step. *)
 let[@inline] coming t = scramble (word t.s1h t.s1l)
 
 let advance t = ignore (run t 0 [||] 1)
@@ -137,29 +131,3 @@ let bool t =
   let out = coming t in
   advance t;
   Int64.to_int out land 1 = 1
-
-let float t =
-  (* 53 uniform bits mapped to [0,1). *)
-  let out = coming t in
-  advance t;
-  float_of_int (Int64.to_int (Int64.shift_right_logical out 11)) /. 9007199254740992.0
-
-let jump_table =
-  [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL; 0x39ABDC4529B1661CL |]
-
-(* Cold path; accumulates over the boxed representation for clarity. *)
-let jump t =
-  let s0 = ref 0L and s1 = ref 0L and s2 = ref 0L and s3 = ref 0L in
-  Array.iter
-    (fun jump_word ->
-      for b = 0 to 63 do
-        if Int64.(logand jump_word (shift_left 1L b)) <> 0L then begin
-          s0 := Int64.logxor !s0 (word t.s0h t.s0l);
-          s1 := Int64.logxor !s1 (word t.s1h t.s1l);
-          s2 := Int64.logxor !s2 (word t.s2h t.s2l);
-          s3 := Int64.logxor !s3 (word t.s3h t.s3l)
-        end;
-        advance t
-      done)
-    jump_table;
-  set_state t !s0 !s1 !s2 !s3

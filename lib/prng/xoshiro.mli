@@ -8,16 +8,11 @@ type t
 val create : int64 -> t
 (** [create seed] derives the 256-bit state from [seed] with SplitMix64. *)
 
-val copy : t -> t
-
 val next : t -> int64
 (** Next 64-bit output. *)
 
 val bool : t -> bool
 (** The low bit of the next output.  Allocates nothing. *)
-
-val float : t -> float
-(** The top 53 bits of the next output, scaled into [\[0, 1)]. *)
 
 val below : t -> int -> int
 (** [below t bound] is uniform in [\[0, bound)], for any [bound > 0]: the
@@ -41,7 +36,3 @@ val accepts : bound:int -> int64 -> bool
     [\[0, 2^63)]) is below [limit = (2^63 - 1) - ((2^63 - 1) mod bound)],
     i.e. kept by {!below}.  Exposed so its boundary, which random draws
     practically never reach, can be tested directly. *)
-
-val jump : t -> unit
-(** Advance the state by 2^128 steps; used to create non-overlapping
-    subsequences from a common seed. *)

@@ -3,8 +3,7 @@ type strike = { chan : int; spoof : Frame.t option }
 type t = {
   name : string;
   act : round:int -> strike list;
-  observe : Transcript.round_record -> unit;
-  observes : bool;
+  observe : (Transcript.round_record -> unit) option;
 }
 
 let validate_nonempty ~channels ~budget strikes =
@@ -41,10 +40,7 @@ let validate ~channels ~budget strikes =
     []
   | _ :: _ -> validate_nonempty ~channels ~budget strikes
 
-let no_observe (_ : Transcript.round_record) = ()
-
-let null =
-  { name = "null"; act = (fun ~round:_ -> []); observe = no_observe; observes = false }
+let null = { name = "null"; act = (fun ~round:_ -> []); observe = None }
 
 let distinct_random_channels rng ~channels ~count =
   let arr = Array.init channels Fun.id in
@@ -57,32 +53,14 @@ let random_jammer rng ~channels ~budget =
       (fun ~round:_ ->
         List.map (fun chan -> { chan; spoof = None })
           (distinct_random_channels rng ~channels ~count:budget));
-    observe = no_observe;
-    observes = false }
+    observe = None }
 
 let sweep_jammer ~channels ~budget =
   { name = "sweep-jammer";
     act =
       (fun ~round ->
         List.init budget (fun i -> { chan = (round + i) mod channels; spoof = None }));
-    observe = no_observe;
-    observes = false }
-
-let targeted_jammer ~channels ~channels_of_round ~budget =
-  { name = "targeted-jammer";
-    act =
-      (fun ~round ->
-        let module S = Set.Make (Int) in
-        let named = S.elements (S.of_list (channels_of_round round)) in
-        let primary = List.filteri (fun i _ -> i < budget) named in
-        let rec pad acc next =
-          if List.length acc >= budget || next >= channels then List.rev acc
-          else if List.exists (fun s -> s.chan = next) acc then pad acc (next + 1)
-          else pad ({ chan = next; spoof = None } :: acc) (next + 1)
-        in
-        pad (List.rev_map (fun chan -> { chan; spoof = None }) primary) 0);
-    observe = no_observe;
-    observes = false }
+    observe = None }
 
 let spoofer rng ~channels ~budget ~forge =
   { name = "spoofer";
@@ -90,8 +68,7 @@ let spoofer rng ~channels ~budget ~forge =
       (fun ~round ->
         List.map (fun chan -> { chan; spoof = Some (forge ~round chan) })
           (distinct_random_channels rng ~channels ~count:budget));
-    observe = no_observe;
-    observes = false }
+    observe = None }
 
 let reactive_jammer rng ~channels ~budget =
   let last_traffic = Array.make channels 0 in
@@ -120,12 +97,12 @@ let reactive_jammer rng ~channels ~budget =
         List.filteri (fun i _ -> i < budget) ranked
         |> List.map (fun (_, _, chan) -> { chan; spoof = None }));
     observe =
-      (fun record ->
-        Array.fill last_traffic 0 channels 0;
-        List.iter
-          (fun (_, chan, _) -> last_traffic.(chan) <- last_traffic.(chan) + 1)
-          record.Transcript.honest_tx);
-    observes = true }
+      Some
+        (fun record ->
+          Array.fill last_traffic 0 channels 0;
+          List.iter
+            (fun (_, chan, _) -> last_traffic.(chan) <- last_traffic.(chan) + 1)
+            record.Transcript.honest_tx) }
 
 let energy_bounded ~total inner =
   let remaining = ref total in
@@ -138,5 +115,4 @@ let energy_bounded ~total inner =
           remaining := !remaining - List.length strikes;
           strikes
         end);
-    observe = inner.observe;
-    observes = inner.observes }
+    observe = inner.observe }

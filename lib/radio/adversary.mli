@@ -19,13 +19,10 @@ type strike = { chan : int; spoof : Frame.t option }
 type t = {
   name : string;
   act : round:int -> strike list;
-  observe : Transcript.round_record -> unit;
-  observes : bool;
-      (** Declares whether [observe] actually consumes round records.  When
-          false (and transcript recording is off) the engine takes a cheap
-          path that skips materializing per-round records entirely, and
-          [observe] is never called — so a strategy whose [observe] has side
-          effects MUST set [observes = true]. *)
+  observe : (Transcript.round_record -> unit) option;
+      (** [Some f] gets every completed round's record.  [None] (and
+          transcript recording off) lets the engine take a cheap path that
+          skips materializing per-round records entirely. *)
 }
 
 val validate : channels:int -> budget:int -> strike list -> strike list
@@ -44,10 +41,6 @@ val random_jammer : Prng.Rng.t -> channels:int -> budget:int -> t
 
 val sweep_jammer : channels:int -> budget:int -> t
 (** Deterministic round-robin over channel windows. *)
-
-val targeted_jammer : channels:int -> channels_of_round:(int -> int list) -> budget:int -> t
-(** Jams the (first [budget] of the) channels named by the oracle for the
-    current round; falls back to channel 0.. when the oracle names fewer. *)
 
 val spoofer :
   Prng.Rng.t -> channels:int -> budget:int -> forge:(round:int -> int -> Frame.t) -> t

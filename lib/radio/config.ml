@@ -12,7 +12,6 @@ type t = {
   seed : int64;
   max_rounds : int;
   record_transcript : bool;
-  track_channels : bool;
 }
 
 (* Generous ceiling for experiment-scale runs: far above any honest
@@ -20,23 +19,15 @@ type t = {
    Shared by the experiment harness and the test suite. *)
 let default_max_rounds = 20_000_000
 
-let make ?(seed = 1L) ?(max_rounds = 2_000_000) ?(record_transcript = false)
-    ?(track_channels = false) ~n ~channels ~t () =
+let make ?(seed = 1L) ?(max_rounds = 2_000_000) ?(record_transcript = false) ~n ~channels ~t
+    () =
   if channels < 2 then invalid_arg "Config.make: need at least 2 channels";
   if t < 0 || t >= channels then invalid_arg "Config.make: need 0 <= t < channels";
   if n < 2 then invalid_arg "Config.make: need at least 2 nodes";
-  { n; channels; t; seed; max_rounds; record_transcript; track_channels }
-
-(* The paper's standing assumption (Section 4): n > 3(t+1)^2 + 2(t+1),
-   required by f-AME's witness/surrogate scheduling but not by the raw
-   simulator, so it is a separate check. *)
-let ample_nodes cfg = cfg.n > (3 * (cfg.t + 1) * (cfg.t + 1)) + (2 * (cfg.t + 1))
+  { n; channels; t; seed; max_rounds; record_transcript }
 
 let log2 x = log x /. log 2.0
 
 (* [scale] is the caller's own left-to-right float product (beta * (t+1),
    beta * (t+1)^2, ...), so every repetition count keeps its bits. *)
 let reps ~scale ~n = max 1 (int_of_float (ceil (scale *. log2 (float_of_int (max n 4)))))
-
-let pp fmt cfg =
-  Format.fprintf fmt "{n=%d; C=%d; t=%d; seed=%Ld}" cfg.n cfg.channels cfg.t cfg.seed

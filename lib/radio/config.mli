@@ -12,9 +12,6 @@ type t = {
   seed : int64;
   max_rounds : int;
   record_transcript : bool;
-  track_channels : bool;
-      (** accumulate per-physical-channel delivery/collision/jam counters
-          (see {!Transcript.Channel_usage}); cheap, but off by default *)
 }
 
 val default_max_rounds : int
@@ -26,7 +23,6 @@ val make :
   ?seed:int64 ->
   ?max_rounds:int ->
   ?record_transcript:bool ->
-  ?track_channels:bool ->
   n:int ->
   channels:int ->
   t:int ->
@@ -34,11 +30,6 @@ val make :
   t
 (** Validates [channels >= 2], [0 <= t < channels], [n >= 2]; raises
     [Invalid_argument] otherwise. *)
-
-val ample_nodes : t -> bool
-(** The paper's standing assumption (Section 4): n > 3(t+1)^2 + 2(t+1),
-    required by f-AME's witness/surrogate scheduling but not by the raw
-    simulator. *)
 
 val log2 : float -> float
 (** [log x /. log 2.0]. *)
@@ -48,5 +39,3 @@ val reps : scale:float -> n:int -> int
     [max 1 (ceil (scale * log2 (max n 4)))].  The caller folds its own
     constants into [scale] — [beta * (t+1)] for a Section 6/7 hop epoch,
     [beta * (C / (C - t))] for Figure 1's feedback, and so on. *)
-
-val pp : Format.formatter -> t -> unit

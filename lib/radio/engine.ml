@@ -109,7 +109,7 @@ type result = {
   transcript : Transcript.round_record list;
   completed : bool;
   rounds_used : int;
-  channel_usage : Transcript.Channel_usage.t option;
+  channel_usage : Transcript.Channel_usage.t;
 }
 
 (* Placeholder occupying [first_frame] slots whose [first_sender] is -1; the
@@ -177,7 +177,9 @@ let run_core cfg ~adversary ~get_body =
     if chan < 0 || chan >= channels then
       invalid_arg (Printf.sprintf "Engine: action on invalid channel %d" chan)
   in
-  let record_wanted = cfg.Config.record_transcript || adversary.Adversary.observes in
+  let record_wanted =
+    cfg.Config.record_transcript || Option.is_some adversary.Adversary.observe
+  in
   (* Parked listen-series rings.  When nothing records per-listener
      identities ([record_wanted] false), a [listen_random] fiber does not
      ride the active list at all: the core draws its hops, its per-round
@@ -418,10 +420,7 @@ let run_core cfg ~adversary ~get_body =
   done;
   started := true;
   let stats = Transcript.Stats.create () in
-  let usage =
-    if cfg.Config.track_channels then Some (Transcript.Channel_usage.create channels)
-    else None
-  in
+  let usage = Transcript.Channel_usage.create channels in
   let transcript = ref [] in
   let tx_count = Array.make channels 0 in
   let first_sender = Array.make channels (-1) in
@@ -650,9 +649,7 @@ let run_core cfg ~adversary ~get_body =
           Array.get listeners_on chan
           + (if series_base >= 0 then Array.get !series_counts (series_base + chan) else 0)
         in
-        (match usage with
-         | Some u -> Transcript.Channel_usage.note u chan outcome ~hearers
-         | None -> ());
+        Transcript.Channel_usage.note usage chan outcome ~hearers;
         (match outcome with
          | Transcript.Empty -> ()
          | Transcript.Delivered { origin; frame } ->
@@ -690,7 +687,7 @@ let run_core cfg ~adversary ~get_body =
             outcomes }
         in
         if cfg.Config.record_transcript then transcript := record :: !transcript;
-        if adversary.Adversary.observes then adversary.Adversary.observe record
+        match adversary.Adversary.observe with Some observe -> observe record | None -> ()
       end;
       incr round_counter;
       (* 4. Resume actives and wakers in node-id order, then clear the

@@ -124,8 +124,7 @@ type result = {
   transcript : Transcript.round_record list;  (** empty unless recording is on *)
   completed : bool;  (** false if [max_rounds] was exhausted first *)
   rounds_used : int;
-  channel_usage : Transcript.Channel_usage.t option;
-      (** per-physical-channel counters; [Some] iff [Config.track_channels] *)
+  channel_usage : Transcript.Channel_usage.t;  (** per-physical-channel counters *)
 }
 
 val run : Config.t -> adversary:Adversary.t -> (ctx -> unit) array -> result

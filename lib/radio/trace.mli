@@ -5,7 +5,7 @@
     human-readable logs and CSV for external analysis — the debugging
     surface for protocol work on top of the simulator.  Per-channel
     utilization needs no transcript: the engine counts it in
-    {!Transcript.Channel_usage} when [Config.track_channels] is on. *)
+    {!Transcript.Channel_usage} on every run. *)
 
 val pp_rounds :
   ?limit:int -> Format.formatter -> Transcript.round_record list -> unit

@@ -4,9 +4,9 @@
     receive each record after the round completes (the paper grants the
     adversary full knowledge of all completed rounds, including random
     choices); tests use records to verify authenticity and disruption
-    claims.  The engine folds every round into {!Stats} (and, when
-    [Config.track_channels] is on, {!Channel_usage}) as it resolves it, so
-    the aggregates need no recording. *)
+    claims.  The engine folds every round into {!Stats} and
+    {!Channel_usage} as it resolves it, so the aggregates need no
+    recording. *)
 
 type origin = Honest of int | Adversarial
 
@@ -34,10 +34,10 @@ module Channel_usage : sig
     collisions : int array;  (** collision outcomes per physical channel *)
     jammed : int array;  (** jammed collisions per physical channel *)
   }
-  (** Per-physical-channel accounting, accumulated by the engine when
-      [Config.track_channels] is on.  Arrays are indexed by channel; the
-      counts match {!Stats} semantics exactly (deliveries count receptions,
-      a jammed channel contributes to both [collisions] and [jammed]). *)
+  (** Per-physical-channel accounting, accumulated by the engine on every
+      run.  Arrays are indexed by channel; the counts match {!Stats}
+      semantics exactly (deliveries count receptions, a jammed channel
+      contributes to both [collisions] and [jammed]). *)
 
   val create : int -> t
   (** [create channels]: all-zero counters. *)

@@ -1118,7 +1118,7 @@ let run spec ~adversary =
   let cfg =
     Radio.Config.make ~seed:spec.seed
       ~max_rounds:((ly.emulated * t.rpe) + 4)
-      ~track_channels:true ~n:(node_count spec) ~channels:spec.phys ~t:spec.budget ()
+      ~n:(node_count spec) ~channels:spec.phys ~t:spec.budget ()
   in
   let body (ctx : Radio.Engine.ctx) =
     if ctx.Radio.Engine.id >= spec.logical * ly.per_chan then outsider_body t ctx
@@ -1178,16 +1178,14 @@ let render_stats r =
     r.engine.Radio.Engine.completed;
   Printf.bprintf b "engine %s\n"
     (Format.asprintf "%a" Radio.Transcript.Stats.pp r.engine.Radio.Engine.stats);
-  (match r.engine.Radio.Engine.channel_usage with
-  | None -> Buffer.add_string b "usage none\n"
-  | Some u ->
-    let d = u.Radio.Transcript.Channel_usage.deliveries in
-    let mn = Array.fold_left min max_int d and mx = Array.fold_left max 0 d in
-    let total = Array.fold_left ( + ) 0 d in
-    let coll = Array.fold_left ( + ) 0 u.Radio.Transcript.Channel_usage.collisions in
-    let jam = Array.fold_left ( + ) 0 u.Radio.Transcript.Channel_usage.jammed in
-    Printf.bprintf b "usage phys=%d deliveries=%d min=%d max=%d collisions=%d jammed=%d\n"
-      (Array.length d) total mn mx coll jam);
+  let u = r.engine.Radio.Engine.channel_usage in
+  let d = u.Radio.Transcript.Channel_usage.deliveries in
+  let mn = Array.fold_left min max_int d and mx = Array.fold_left max 0 d in
+  let total = Array.fold_left ( + ) 0 d in
+  let coll = Array.fold_left ( + ) 0 u.Radio.Transcript.Channel_usage.collisions in
+  let jam = Array.fold_left ( + ) 0 u.Radio.Transcript.Channel_usage.jammed in
+  Printf.bprintf b "usage phys=%d deliveries=%d min=%d max=%d collisions=%d jammed=%d\n"
+    (Array.length d) total mn mx coll jam;
   Buffer.contents b
 
 let output_digest r = Sha256.digest_hex (render_stats r)

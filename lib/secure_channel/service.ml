@@ -117,10 +117,21 @@ let run_workload ~cfg ~key_holders ~spec ~sends ~adversary () =
     1 + List.fold_left (fun acc (er, _, _) -> max acc er) 0 sends
   in
   List.iter
-    (fun (_, sender, _) ->
+    (fun (er, sender, _) ->
       if not (List.mem sender key_holders) then
-        invalid_arg "Service.run_workload: sender lacks the group key")
+        invalid_arg "Service.run_workload: sender lacks the group key";
+      if er < 0 then invalid_arg "Service.run_workload: negative emulated round")
     sends;
+  (* A node body sends once per emulated round: a second send in the same
+     slot would never go on air, yet [deliveries] would list it as lost. *)
+  let by_slot (r1, s1, _) (r2, s2, _) =
+    let c = Int.compare r1 r2 in
+    if c <> 0 then c else Int.compare s1 s2
+  in
+  let sorted = List.sort_uniq by_slot sends in
+  if List.compare_lengths sorted sends <> 0 then
+    invalid_arg "Service.run_workload: two sends by one sender in one round";
+  let sends = sorted in
   (* receptions.(node) collects (emulated_round, sender, seq, msg). *)
   let receptions = Array.make n [] in
   let node_body (ctx : Radio.Engine.ctx) =
@@ -158,14 +169,7 @@ let run_workload ~cfg ~key_holders ~spec ~sends ~adversary () =
             (List.init n Fun.id)
         in
         { emulated_round = er; sender; message = msg; received_by })
-      (List.sort
-         (fun (r1, s1, m1) (r2, s2, m2) ->
-           let c = Int.compare r1 r2 in
-           if c <> 0 then c
-           else
-             let c = Int.compare s1 s2 in
-             if c <> 0 then c else String.compare m1 m2)
-         sends)
+      sends
   in
   let forged_accepts =
     Array.fold_left

@@ -127,4 +127,6 @@ val run_workload :
   outcome
 (** [sends] lists (emulated_round, sender, message); rounds not mentioned
     are listen-only.  [key_holders] are the nodes possessing K (typically
-    all but t).  Requires senders to hold the key. *)
+    all but t).  Raises [Invalid_argument] unless every sender holds the
+    key, every round is non-negative and no sender appears twice in one
+    round (two different senders may share a round). *)

@@ -62,8 +62,7 @@ let scripted board ~budget ~jam_feedback path =
           incr move;
           List.map jam jams
         | None -> if jam_feedback then List.init budget jam else []);
-    observe = (fun _ -> ());
-    observes = false }
+    observe = None }
 
 (* Exact round-count prediction: each move costs 1 message round plus the
    feedback rounds its proposal size dictates (Fame falls back to

@@ -138,7 +138,7 @@ let run (cfg : Config.t) ~adversary nodes =
     let record = { Transcript.round = !round; honest_tx; listeners; strikes; outcomes } in
     absorb stats usage record;
     if cfg.record_transcript then transcript := record :: !transcript;
-    if adversary.Adversary.observes then adversary.Adversary.observe record;
+    Option.iter (fun observe -> observe record) adversary.Adversary.observe;
     incr round;
     (* 4. Resume the fibers with what they heard, in node order. *)
     let heard chan =
@@ -168,4 +168,4 @@ let run (cfg : Config.t) ~adversary nodes =
         Effect.Deep.discontinue k Aborted)
     fibers;
   { Engine.stats; transcript = List.rev !transcript; completed; rounds_used = !round;
-    channel_usage = (if cfg.track_channels then Some usage else None) }
+    channel_usage = usage }

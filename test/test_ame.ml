@@ -343,7 +343,7 @@ let feedback_consecutive ~observe ~adversary =
   let outputs = Array.make n [] in
   let adversary =
     let a = adversary () in
-    if observe then { a with Radio.Adversary.observes = true; observe = ignore } else a
+    if observe then { a with Radio.Adversary.observe = Some ignore } else a
   in
   let result =
     Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
@@ -691,14 +691,12 @@ let outcome_sha (o : Fame.outcome) =
     s.Radio.Transcript.Stats.spoofed_deliveries s.Radio.Transcript.Stats.collisions
     s.Radio.Transcript.Stats.jammed_rounds s.Radio.Transcript.Stats.strikes
     s.Radio.Transcript.Stats.max_payload;
-  (match r.Radio.Engine.channel_usage with
-   | None -> Buffer.add_string b "usage=-"
-   | Some u ->
-     let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
-     Printf.bprintf b "usage=%s/%s/%s"
-       (ints u.Radio.Transcript.Channel_usage.deliveries)
-       (ints u.Radio.Transcript.Channel_usage.collisions)
-       (ints u.Radio.Transcript.Channel_usage.jammed));
+  let u = r.Radio.Engine.channel_usage in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.bprintf b "usage=%s/%s/%s"
+    (ints u.Radio.Transcript.Channel_usage.deliveries)
+    (ints u.Radio.Transcript.Channel_usage.collisions)
+    (ints u.Radio.Transcript.Channel_usage.jammed);
   Crypto.Sha256.digest_hex (Buffer.contents b)
 
 (* A low-beta feedback under a random jammer: too few repetitions, so
@@ -769,7 +767,7 @@ let fame_outcome_pins () =
            ~adversary:(fun board ->
              Attacks.schedule_jammer board ~channels:3 ~budget:2 ~prefer:Attacks.Prefer_edges)
            ()),
-        "6ddf0b537130be57dc0cf990d125be2211adaefacc1dd405ebe54a1f37199eb9" );
+        "7de5890d46657665c56ae1827c3e95ae74a645f652b68e65dbde3597aa002542" );
       ( "sequential C=2t",
         (let cfg = fame_cfg ~t:2 ~channels:4 ~seed:40L () in
          Fame.run ~cfg
@@ -778,7 +776,7 @@ let fame_outcome_pins () =
            ~adversary:(fun board ->
              Attacks.schedule_jammer board ~channels:4 ~budget:2 ~prefer:Attacks.Any)
            ()),
-        "470662cdc2eb3c2a9c010ecf2173657be28a3bad7cae9483df77c401d9ec51e5" );
+        "f10fbf4448cfbf95723ad34ad299aba6aaadf5bc8c2c47338822810805617460" );
       ( "tree C=2t^2",
         (let cfg =
            Radio.Config.make ~n:55 ~channels:8 ~t:2 ~seed:41L
@@ -789,13 +787,13 @@ let fame_outcome_pins () =
            ~adversary:(fun board ->
              Attacks.schedule_jammer board ~channels:8 ~budget:2 ~prefer:Attacks.Prefer_edges)
            ()),
-        "9480ea7db2c8eb33200c90aab10962995570eb4132d4a2b56ebf51006410ba6c" );
+        "f30cc4c8d2f0ee5a4798fb4efa01e3d3d698cbe80e5dea9cec386d894a9d41fd" );
       ( "forge as surrogate",
         forging,
-        "af6e99cf1e215aa297bb63d3b95ac66a3b61094729ef1ec5ac8ac65e84ad21ee" );
+        "900fb6ba436f457d9e13cc52216ce26996f3594aa805ff1273457da089a9b044" );
       ( "lie as witness",
         byzantine Fame.Lie_as_witness,
-        "2136f6580a9e5b5fecaa7886daffcb286e030568f2c4a458c0e1e09548858646" );
+        "bb4b7c1b16990a4bb26e2e607c0f2de35f3564a29bdb200b25cfe89d6c2df7ea" );
       ( "observing jammer",
         (let cfg = fame_cfg ~t:1 ~seed:5L () in
          Fame.run ~cfg
@@ -804,30 +802,30 @@ let fame_outcome_pins () =
            ~adversary:(fun _ ->
              Radio.Adversary.reactive_jammer (Prng.Rng.create 6L) ~channels:2 ~budget:1)
            ()),
-        "d26fe7b2b7a8c04b8d8c93f2c4065a5adb6c0d1a5fd493154996ccceb0d8c9e2" );
+        "c4dd322c114fbe82d2fdba1dfc3e99070ec3b9b05c51ad1239348af2de0a69a6" );
       ( "cut by max_rounds",
         cut,
-        "9ff72f71c7a657f66754169122413a85b3ee72e498430068a6fe78ccfdc6eaf4" );
+        "4c095d8559fdf148a519899a8ab0001a54ffe319431ab4be6a22f04a5b30b0da" );
       (* Nodes end the game in different states with no other sign of
          trouble on the way: only the final-state digests flag it. *)
       ( "diverged at the final digests",
         jammed_low_beta ~t:1 ~channels:3 ~n:40 ~beta:0.6 ~seed:6,
-        "1424476b9670eef46f928bd42e033c5611db3f4720cb8e3079334037792a9c02" ) ]
+        "f1ea378e2a46c0a56d5f5a4ec0c4eba840a467e02528caf990546d09189afefe" ) ]
     @ List.map2
         (fun (name, o) sha -> (name, o, sha))
         (narrow @ wide)
-        [ "ff103540d673015d843f4c266fdd5d553d39c20b1dea6e23d972da973388f029";
-          "9039cf292ae4d1f65b35d253dd50001e0d6d0a082cc9494c4f9671c418f1b1ed";
-          "ba6536e8bf8d426616c6f9c6d7f80d4755eb418cdd25d0d2e71186b9ee069f76";
-          "f88770c8d02e36bbd7bbb48710453805d6d4ac30ddb22dd5593e94ee50ce327b";
-          "ca40f58240ca1e2923a8ff1761f398b92d48a6846a5771b8f261d4a16f81afff";
-          "a720ea5b108c7fc18380f57779a6e4d060b6db0a76681736477a267941a71382";
-          "5a9ba9e0fbf3986dee20e2743a00d54ad029cee55fb7838a6a49dd56284c50a5";
-          "ac0688de7d4ed6b8ca8b149717e8237092f00ed85e52fba66e5b20264515326e";
-          "da3a176f716e67bb4133f320834b9ed14ec5b4e8e0241a4c73ef301e1b083d4d";
-          "86960ac6974a75d911d01cec9b969b971892be100520b0684947699604c81003";
-          "48be27ee183fb0d54707616688a6804f8d7741de9c1a823c0f41c0fda70abeff";
-          "5a3659b8d0913a2ae340bc82ca66c4977f408f2772feeb58e558d7f36bdfebfb" ]
+        [ "1c6e6290e66c0b69f2856c77a40f18e3138b6b6ba874f77efae001f0ebc12f22";
+          "93e865ce94e60e812bceb6ca675e27a5400efceb25dfe3e51246dbeeece17477";
+          "ab337c679f2a99558b7eaab1e595a07f3f348a014ca60c8e9bbaff013a3186e7";
+          "8de0b380ccda22cfde3d35a9c3a300db6f70fb5db849c7a453eafaa086114a9d";
+          "60abbbd10bd4af4614852996127f0f8a2c1f23c627c563711abd4af6edb602f6";
+          "d16d8e543da82587c185cfc5c93005c2a0deafd228ee75ad4bfa38dd7eba3a81";
+          "c24eca23039dd1d080719929611156591380611745c815dd7e190e31d9c9e290";
+          "b7c1334efeb82ed7538be9afe4c8a7eb12d08b6c336538d30f02b3b4bbdf568a";
+          "792cfecb61e8fed4acbf0be2d0b6b85da0ebcc63d104e1fe2e3d6b1d7f5d40cf";
+          "4aede93c23a98709709ccd23a7924534dfe01cb99d13883d46c7e5d8194c6fe6";
+          "22cec72e5555602255c2d3abd5a87c8c1e975396425214f58735a2484112fc63";
+          "1722153cc0e2dbad8aaba9fb249c243fa327bcaa577dcf9ccafb2d1b145c008f" ]
   in
   List.iter (fun (name, o, sha) -> check Alcotest.string name sha (outcome_sha o)) pins
 
@@ -968,14 +966,12 @@ let direct_sha (o : Fame.outcome) =
     s.Radio.Transcript.Stats.honest_transmissions s.Radio.Transcript.Stats.deliveries
     s.Radio.Transcript.Stats.spoofed_deliveries s.Radio.Transcript.Stats.collisions
     s.Radio.Transcript.Stats.jammed_rounds s.Radio.Transcript.Stats.strikes;
-  (match r.Radio.Engine.channel_usage with
-   | None -> Buffer.add_string b "usage=-"
-   | Some u ->
-     let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
-     Printf.bprintf b "usage=%s/%s/%s"
-       (ints u.Radio.Transcript.Channel_usage.deliveries)
-       (ints u.Radio.Transcript.Channel_usage.collisions)
-       (ints u.Radio.Transcript.Channel_usage.jammed));
+  let u = r.Radio.Engine.channel_usage in
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.bprintf b "usage=%s/%s/%s"
+    (ints u.Radio.Transcript.Channel_usage.deliveries)
+    (ints u.Radio.Transcript.Channel_usage.collisions)
+    (ints u.Radio.Transcript.Channel_usage.jammed);
   Crypto.Sha256.digest_hex (Buffer.contents b)
 
 let direct_outcome_pins () =
@@ -1056,19 +1052,19 @@ let direct_outcome_pins () =
       [ 1; 2; 3 ]
   in
   let pins =
-    [ "a877ddfb132d58ca3f4231aef93c16016996df8b92c0e6afa1ce091b169816c3";
-      "4e289533cf516674eac8ad6e161a4ee36769da41c518e914c3a1a20ade8e2d14";
-      "7f5fe422c8814f7ea18b4b717a90a21f03ab409c92c9ff0da705faabe1377f8f";
-      "f4f4d3e45e29ad734f581d42cad45ffb83c2840f0fa86de080eeab9582c739c4";
-      "9f95c043c09b3d9e5b6212f1ddbf888e4e8fb80ab3d8afdbd9a917dd59f4266c";
-      "393d3e9900dac94f07c0f3082a1caec6e878970a2839f93c6e4e03200f626e83";
-      "fc4970c6b74b6ab849978870731c3db905b5e1973667f10dce1c8489cb72b2b6";
-      "f4853fd48d2990bfcf3949ba6254bbff986f421c0a8f76e2cdcc28bd6077eff9";
-      "06812e52240d7c0b2c1a84575bb44f838ab7461cb018cfb61fd402afb51b477d";
-      "d1ed5aa2dab67a2f93266924e85142973cee0fc026d335f8f228428ec3a74d6d";
-      "4dac12de2b30556239dba8c51faa8063809d244ad5d27f702c2c2153693432c1";
-      "29726569dc8b12f892fd7420f7e0cf8605f056bc88766bf4702e4786f95d330b";
-      "a4bd531ff9507cbeeb61f3534c7d0ad36d6d31913e779a67a7b34cc139510429" ]
+    [ "6f4603bcec035d1bd82a3f4b3060dd26a1c5bbb4fd3dd79d0921b830ec2cdbc1";
+      "29dbd21ded8f497cae9a48454bcad23530f6c684f91a6e2677c113cab7c1d14e";
+      "9f2fd24be7961670d491d01697444c8afc8fe02dc6d371d38d479527a2cb7676";
+      "e05a453dad69c74841e0e436f9e4e271bbbeadba0318fe8f552640cce8516b1a";
+      "777a992d302032f7003fcba1c33fee950a1ed9e2cd881ffae7b91e0b6b65ce55";
+      "74673d1ac638fcbe89eb759fb592639101922fbb0c98a164e94ae557b97f1af1";
+      "7f6e5f66289c385a9a8319e4ff0ebea720eb5cebbaf880860fcb2a7ad76d91e3";
+      "8b494fa0ac0f406c49a37e70db4700b02264128a72adc8afbcf58866ee0190a3";
+      "0ee1d7c86cb741abbd194b9972236137a6aaab7c844b08e95a8ec44e5297910f";
+      "fc90e40c40c95e9b4527c22b083ad857d03b89cb7e1bffbaac43a011a705ac75";
+      "a6c22812cb41d27ff0465ac767cd0f62e562b1ee9e3025b801209bebc727d8a1";
+      "bed76ffe7347331ab1c96ba41de289f0c7030befd3d21c0dbaa5c65d9d9df69d";
+      "5b43eba01f76ee73518b2e39a1837eef378f1b9b2cf582aca9e40fd7ffac1516" ]
   in
   List.iter2
     (fun (name, o) sha -> check Alcotest.string name sha (direct_sha o))

@@ -97,14 +97,14 @@ let replayer () =
         | Some frame -> [ { Radio.Adversary.chan = 0; spoof = Some frame } ]
         | None -> []);
     observe =
-      (fun record ->
-        List.iter
-          (fun (_, _, frame) ->
-            match (frame, !captured) with
-            | Radio.Frame.Sealed _, None -> captured := Some frame
-            | _ -> ())
-          record.Radio.Transcript.honest_tx);
-    observes = true }
+      Some
+        (fun record ->
+          List.iter
+            (fun (_, _, frame) ->
+              match (frame, !captured) with
+              | Radio.Frame.Sealed _, None -> captured := Some frame
+              | _ -> ())
+            record.Radio.Transcript.honest_tx) }
 
 let replayed_ciphertext_rejected () =
   (* Node 1 broadcasts in emulated round 0; everyone then listens for three
@@ -158,6 +158,26 @@ let sender_must_hold_key () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* A node body sends once per emulated round and never before round 0, so
+   a second send in one slot, or a send at a negative round, would never
+   go on air: both are rejected rather than reported as lost deliveries. *)
+let unsendable_sends_rejected () =
+  let cfg, spec = make () in
+  let holders = List.init 16 Fun.id in
+  let rejected sends =
+    match
+      Service.run_workload ~cfg ~key_holders:holders ~spec ~sends
+        ~adversary:Radio.Adversary.null ()
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  check Alcotest.bool "two sends by node 1 in round 0" true
+    (rejected [ (0, 1, "first"); (1, 2, "other"); (0, 1, "second") ]);
+  check Alcotest.bool "a send at round -1" true (rejected [ (-1, 1, "early"); (0, 2, "x") ]);
+  check Alcotest.bool "two senders in one round stay legal" false
+    (rejected [ (0, 1, "left"); (0, 2, "right") ])
+
 (* Exact outcome of the Core entry point under a random jammer, round 1's
    two senders colliding: receiver counts, repetitions and both flags. *)
 let open_channel_pinned () =
@@ -181,13 +201,13 @@ let open_channel_pinned () =
 let recording (a : Radio.Adversary.t) =
   let seen = ref [] in
   let observe record =
-    a.Radio.Adversary.observe record;
+    Option.iter (fun inner -> inner record) a.Radio.Adversary.observe;
     List.iter
       (fun (node, _, frame) ->
         match frame with Radio.Frame.Sealed blob -> seen := (node, blob) :: !seen | _ -> ())
       record.Radio.Transcript.honest_tx
   in
-  ({ a with Radio.Adversary.observe; observes = true }, seen)
+  ({ a with Radio.Adversary.observe = Some observe }, seen)
 
 (* No two distinct blobs share a (key, nonce), as [key_of] names them
    ([None] skips a blob), and some blob was checked. *)
@@ -374,6 +394,7 @@ let () =
           Alcotest.test_case "concurrent broadcasts collide" `Quick
             concurrent_broadcasts_collide;
           Alcotest.test_case "sender must hold key" `Quick sender_must_hold_key;
+          Alcotest.test_case "unsendable sends rejected" `Quick unsendable_sends_rejected;
           Alcotest.test_case "open_channel pinned" `Quick open_channel_pinned ] );
       ( "nonces",
         [ Alcotest.test_case "mux slotted" `Quick (nonces_mux ());

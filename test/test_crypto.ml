@@ -94,12 +94,12 @@ let sha_every_short_length () =
 let hmac_case1 () =
   check Alcotest.string "rfc4231 case 1"
     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"
-    (Hmac.mac_hex ~key:(String.make 20 '\x0b') "Hi There")
+    (Sha256.hex_of (Hmac.mac ~key:(String.make 20 '\x0b') "Hi There"))
 
 let hmac_case2 () =
   check Alcotest.string "rfc4231 case 2"
     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
-    (Hmac.mac_hex ~key:"Jefe" "what do ya want for nothing?")
+    (Sha256.hex_of (Hmac.mac ~key:"Jefe" "what do ya want for nothing?"))
 
 let hmac_long_key () =
   (* Keys longer than one block are pre-hashed; just assert stability and
@@ -107,10 +107,17 @@ let hmac_long_key () =
   let tag = Hmac.mac ~key:(String.make 131 '\xaa') "Test Using Larger Than Block-Size Key" in
   check Alcotest.int "tag size" 32 (String.length tag)
 
+(* Tag acceptance as the library checks a tag: the expected tag against
+   the received one with {!Hmac.equal_ct_sub}, the constant-time compare
+   under the cipher's tag check and {!Hmac.verify_batch}. *)
+let verify ~key ~tag msg =
+  Hmac.equal_ct_sub ~expect:(Bytes.of_string (Hmac.mac ~key msg)) tag ~pos:0
+    ~len:(String.length tag)
+
 let hmac_verify_roundtrip =
   QCheck.Test.make ~name:"verify accepts correct tags" ~count:200
     QCheck.(pair string string)
-    (fun (key, msg) -> Hmac.verify ~key ~tag:(Hmac.mac ~key msg) msg)
+    (fun (key, msg) -> verify ~key ~tag:(Hmac.mac ~key msg) msg)
 
 let hmac_verify_rejects_tamper =
   QCheck.Test.make ~name:"verify rejects flipped bit" ~count:200
@@ -118,7 +125,7 @@ let hmac_verify_rejects_tamper =
     (fun (key, msg) ->
       let tag = Bytes.of_string (Hmac.mac ~key msg) in
       Bytes.set tag 0 (Char.chr (Char.code (Bytes.get tag 0) lxor 1));
-      not (Hmac.verify ~key ~tag:(Bytes.to_string tag) msg))
+      not (verify ~key ~tag:(Bytes.to_string tag) msg))
 
 (* -- modular arithmetic -- *)
 
@@ -223,18 +230,22 @@ let dh_derive_key_separates () =
 
 let prf_deterministic () =
   check Alcotest.string "same inputs same output"
-    (Sha256.hex_of (Prf.bytes ~key:"k" ~label:"l" ~counter:3))
-    (Sha256.hex_of (Prf.bytes ~key:"k" ~label:"l" ~counter:3))
+    (Sha256.hex_of (Prf.Keyed.bytes (Prf.Keyed.create "k") ~label:"l" ~counter:3))
+    (Sha256.hex_of (Prf.Keyed.bytes (Prf.Keyed.create "k") ~label:"l" ~counter:3))
 
 let prf_label_separation () =
+  let k = Prf.Keyed.create "k" in
   check Alcotest.bool "labels separate" true
-    (Prf.bytes ~key:"k" ~label:"a" ~counter:0 <> Prf.bytes ~key:"k" ~label:"b" ~counter:0)
+    (Prf.Keyed.bytes k ~label:"a" ~counter:0 <> Prf.Keyed.bytes k ~label:"b" ~counter:0)
 
+(* A channel hop: [below] under the hop label with the round as counter,
+   as [Service.hop] and the mux draw it. *)
 let prf_channel_hop_range =
+  let k = Prf.Keyed.create "shared" in
   QCheck.Test.make ~name:"channel_hop in range" ~count:500
     QCheck.(pair (int_range 0 10000) (int_range 1 64))
     (fun (round, channels) ->
-      let c = Prf.channel_hop ~key:"shared" ~round ~channels in
+      let c = Prf.Keyed.below k ~label:"channel-hop" ~counter:round channels in
       c >= 0 && c < channels)
 
 (* -- keyed fast paths: byte-identical to the one-shot forms.
@@ -279,12 +290,15 @@ let hmac_verify_wrong_length =
       let tag = Hmac.mac ~key:"k" msg in
       let truncated = String.sub tag 0 (min cut (String.length tag)) in
       let extended = tag ^ "\000" in
-      (not (Hmac.verify ~key:"k" ~tag:extended msg))
+      (not (verify ~key:"k" ~tag:extended msg))
       && (String.length truncated = String.length tag
-          || not (Hmac.verify ~key:"k" ~tag:truncated msg)))
+          || not (verify ~key:"k" ~tag:truncated msg)))
 
+(* The PRF's definition, built naively: one-shot HMAC over the
+   concatenated message, the top 63 bits of its first 8 bytes mod the
+   bound. *)
 let prf_keyed_equals_oneshot =
-  QCheck.Test.make ~name:"Keyed.bytes = bytes" ~count:300
+  QCheck.Test.make ~name:"Keyed = one-shot HMAC" ~count:300
     QCheck.(
       quad
         (string_of_size (Gen.int_range 0 100))
@@ -292,12 +306,13 @@ let prf_keyed_equals_oneshot =
         (int_range 0 1_000_000) (int_range 1 1024))
     (fun (key, label, counter, channels) ->
       let keyed = Prf.Keyed.create key in
-      Prf.Keyed.bytes keyed ~label ~counter = Prf.bytes ~key ~label ~counter
-      && Prf.Keyed.int64 keyed ~label ~counter = Prf.int64 ~key ~label ~counter
+      let be8 = Bytes.create 8 in
+      Bytes.set_int64_be be8 0 (Int64.of_int counter);
+      let oneshot = Hmac.mac ~key (label ^ "\000" ^ Bytes.to_string be8) in
+      let v = Int64.shift_right_logical (String.get_int64_be oneshot 0) 1 in
+      Prf.Keyed.bytes keyed ~label ~counter = oneshot
       && Prf.Keyed.below keyed ~label ~counter channels
-         = Prf.below ~key ~label ~counter channels
-      && Prf.Keyed.channel_hop keyed ~round:counter ~channels
-         = Prf.channel_hop ~key ~round:counter ~channels)
+         = Int64.to_int (Int64.rem v (Int64.of_int channels)))
 
 (* -- authenticated cipher -- *)
 
@@ -546,7 +561,7 @@ let cipher_matches_reference =
 
 (* The hop PRF is HMAC-SHA256: [Keyed.bytes] is HMAC(key, label || 0x00 || counter_be64),
    [below] its first 8 bytes big-endian, shifted right by one, mod the
-   bound, and [channel_hop] is [below] under the label "channel-hop".
+   bound; a channel hop is [below] under the label "channel-hop".
    Pinned from
 
      python3 -c 'import hmac; f=lambda l,c: hmac.new(b"prf-hop-key",
@@ -566,7 +581,7 @@ let prf_hop_vectors () =
       check Alcotest.int
         (Printf.sprintf "channel_hop round %d of %d" round channels)
         expect
-        (Prf.Keyed.channel_hop keyed ~round ~channels))
+        (Prf.Keyed.below keyed ~label:"channel-hop" ~counter:round channels))
     [ (0, 16, 1); (1, 16, 7); (2, 1024, 974); (1_000_000, 1024, 797) ]
 
 (* -- steady-state allocation of the MAC, seal and open paths.

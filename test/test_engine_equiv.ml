@@ -105,14 +105,13 @@ type params = {
   seed : int;
   steps : int;
   record : bool;
-  track : bool;  (** per-channel usage accounting on *)
   which : int;  (** adversary choice *)
   abort : bool;  (** run with a tiny [max_rounds] to exercise the abort path *)
 }
 
 let pp_params p =
-  Printf.sprintf "n=%d C=%d t=%d seed=%d steps=%d record=%b track=%b adv=%d abort=%b" p.n
-    p.channels p.t p.seed p.steps p.record p.track p.which p.abort
+  Printf.sprintf "n=%d C=%d t=%d seed=%d steps=%d record=%b adv=%d abort=%b" p.n p.channels
+    p.t p.seed p.steps p.record p.which p.abort
 
 let params_gen =
   QCheck.Gen.(
@@ -122,17 +121,16 @@ let params_gen =
     let* seed = int_range 1 1_000_000 in
     let* steps = int_range 0 25 in
     let* record = bool in
-    let* track = bool in
     let* which = int_range 0 5 in
     let* abort = bool in
-    return { n; channels; t; seed; steps; record; track; which; abort })
+    return { n; channels; t; seed; steps; record; which; abort })
 
 let params_arb = QCheck.make ~print:pp_params params_gen
 
 let config_of p =
   let max_rounds = if p.abort then 4 else 2_000_000 in
   Config.make ~n:p.n ~channels:p.channels ~t:p.t ~seed:(Int64.of_int p.seed) ~max_rounds
-    ~record_transcript:p.record ~track_channels:p.track ()
+    ~record_transcript:p.record ()
 
 let run_with core p =
   let cfg = config_of p in
@@ -159,8 +157,8 @@ let sparse_equals_reference =
 (* -- deterministic spot checks -- *)
 
 let base_params =
-  { n = 24; channels = 4; t = 2; seed = 7; steps = 18; record = true; track = false;
-    which = 3; abort = false }
+  { n = 24; channels = 4; t = 2; seed = 7; steps = 18; record = true; which = 3;
+    abort = false }
 
 let idle_parking_parity () =
   (* Pure idle_for spans: the sparse core fast-forwards over parked rounds
@@ -266,12 +264,12 @@ let random_series_run p ~record ~observer run_core =
   let logs = Array.init n (fun _ -> { calls = []; finals = [] }) in
   let cfg =
     Config.make ~n ~channels:p.schannels ~t:p.st ~seed:(Int64.of_int p.sseed)
-      ~record_transcript:record ~track_channels:true ()
+      ~record_transcript:record ()
   in
   let adversary =
     let a = make_adversary ~which:p.adv ~channels:p.schannels ~budget:p.st ~seed:p.sseed () in
-    assert (not a.Adversary.observes);
-    if observer then { a with Adversary.observes = true; observe = ignore } else a
+    assert (Option.is_none a.Adversary.observe);
+    if observer then { a with Adversary.observe = Some ignore } else a
   in
   let body (ctx : Engine.ctx) =
     let rng = ctx.Engine.rng and id = ctx.Engine.id in
@@ -343,7 +341,7 @@ let series_lengths = [| 3; 1; 40; 0; 7; 33 |]
 let series_workload ~n ~channels ~record ~seed run_core =
   let heard = Array.make n [] in
   let cfg =
-    Config.make ~n ~channels ~t:0 ~seed ~record_transcript:record ~track_channels:true ()
+    Config.make ~n ~channels ~t:0 ~seed ~record_transcript:record ()
   in
   let body (ctx : Engine.ctx) =
     let id = ctx.Engine.id in
@@ -412,8 +410,7 @@ let series_heard_parity () =
     let adversary =
       { Adversary.null with
         Adversary.name = "observer";
-        observes = true;
-        observe = (fun record -> seen := record.Transcript.listeners :: !seen) }
+        observe = Some (fun record -> seen := record.Transcript.listeners :: !seen) }
     in
     let r, heard = go ~record:false ~adversary run in
     (r, heard, !seen)
@@ -526,24 +523,18 @@ let channel_usage_totals_match_stats () =
   (* The per-channel counters are a refinement of the global stats: summed
      over channels they must reproduce deliveries and collisions exactly,
      on both cores. *)
-  let p = { base_params with track = true; which = 1 } in
+  let p = { base_params with which = 1 } in
   let check_core label run =
     let r = run p in
-    match r.Engine.channel_usage with
-    | None -> Alcotest.failf "%s: track_channels on but no usage" label
-    | Some u ->
-      let sum = Array.fold_left ( + ) 0 in
-      check Alcotest.int (label ^ " deliveries") r.Engine.stats.Transcript.Stats.deliveries
-        (sum u.Transcript.Channel_usage.deliveries);
-      check Alcotest.int (label ^ " collisions") r.Engine.stats.Transcript.Stats.collisions
-        (sum u.Transcript.Channel_usage.collisions)
+    let u = r.Engine.channel_usage in
+    let sum = Array.fold_left ( + ) 0 in
+    check Alcotest.int (label ^ " deliveries") r.Engine.stats.Transcript.Stats.deliveries
+      (sum u.Transcript.Channel_usage.deliveries);
+    check Alcotest.int (label ^ " collisions") r.Engine.stats.Transcript.Stats.collisions
+      (sum u.Transcript.Channel_usage.collisions)
   in
   check_core "sparse" (run_with `Sparse);
   check_core "reference" (run_with `Reference)
-
-let untracked_has_no_usage () =
-  let r = run_with `Sparse { base_params with track = false } in
-  check Alcotest.bool "no usage when off" true (r.Engine.channel_usage = None)
 
 (* -- Adversary.validate: the null path must never allocate -- *)
 
@@ -578,8 +569,7 @@ let () =
           Alcotest.test_case "staggered wakes parity" `Quick staggered_wakes_parity;
           Alcotest.test_case "run_nodes = run" `Quick run_nodes_equals_run;
           Alcotest.test_case "channel usage totals = stats" `Quick
-            channel_usage_totals_match_stats;
-          Alcotest.test_case "usage absent when off" `Quick untracked_has_no_usage ] );
+            channel_usage_totals_match_stats ] );
       ( "listen-series",
         [ qcheck series_paths_agree;
           Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;

@@ -127,15 +127,15 @@ let report_replay_attack_is_harmless () =
                   Some (Radio.Frame.Report { reporter = !forged_id; leader; key_hash }) } ]
           | _ -> []);
       observe =
-        (fun record ->
-          Array.iter
-            (fun outcome ->
-              match outcome with
-              | Radio.Transcript.Delivered { frame = Radio.Frame.Report _ as f; _ } ->
-                heard := f :: !heard
-              | _ -> ())
-            record.Radio.Transcript.outcomes);
-      observes = true }
+        Some
+          (fun record ->
+            Array.iter
+              (fun outcome ->
+                match outcome with
+                | Radio.Transcript.Delivered { frame = Radio.Frame.Report _ as f; _ } ->
+                  heard := f :: !heard
+                | _ -> ())
+              record.Radio.Transcript.outcomes) }
   in
   let o = run_once ~seed:99L ~t ~n ~fame_attack:null_fame ~hop_attack:replayer () in
   check Alcotest.bool "agreement survives replay" true

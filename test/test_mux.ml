@@ -253,8 +253,7 @@ let early_jammer ~real_rounds ~budget =
         if round < real_rounds then
           List.init budget (fun i -> { Radio.Adversary.chan = i; spoof = None })
         else []);
-    observe = (fun _ -> ());
-    observes = false }
+    observe = None }
 
 (* The parity set: every counter both ack modes must agree on for a fully
    drained run.  Duplicates, retransmissions, and latency are mechanism

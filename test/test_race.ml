@@ -113,6 +113,36 @@ let test_allow_comment_flip () =
   | [ { Report.c_status = Active; _ } ] -> ()
   | cs -> Alcotest.failf "allow_ok after comment removal: %d findings" (List.length cs)
 
+let test_multi_rule_escape () =
+  (* One escape may name several rules, as in radio_lint: every id after
+     the marker is granted, not only the first. *)
+  let victim = "test/fixtures/race/allow_ok/race_allow_ok.ml" in
+  let escape rules = "(* " ^ Report.escape_marker ^ " " ^ rules ^ " *)" in
+  let rewrote = ref false in
+  let rewrite line =
+    if line = escape "race-escape" then begin
+      rewrote := true;
+      escape "race-taint race-escape"
+    end
+    else line
+  in
+  let read_source file =
+    let text = Analysis.Loader.source_text ~source_root:"." file in
+    if file = victim then
+      Option.map
+        (fun t -> String.concat "\n" (List.map rewrite (String.split_on_char '\n' t)))
+        text
+    else text
+  in
+  let o = run_exn (fixture_options ~read_source ()) in
+  Alcotest.(check bool) "fixture escape rewritten" true !rewrote;
+  match classified_for o.Driver.o_report ~file:victim with
+  | [ { Report.c_status = Suppressed reason; _ } ] ->
+    Alcotest.(check string) "suppression reason" "escape-comment" reason
+  | [ { Report.c_status = Active; _ } ] ->
+    Alcotest.fail "race-escape, named second, not granted"
+  | cs -> Alcotest.failf "allow_ok with a two-rule escape: %d findings" (List.length cs)
+
 let head_options ?read_source () =
   { Driver.build_dir = "..";
     source_root = "..";
@@ -270,6 +300,7 @@ let () =
     [ ( "fixtures",
         [ Alcotest.test_case "findings and suppression" `Quick test_fixture_findings;
           Alcotest.test_case "allow-comment flip" `Quick test_allow_comment_flip;
+          Alcotest.test_case "multi-rule escape" `Quick test_multi_rule_escape;
           Alcotest.test_case "pinned race-quick.json" `Quick test_pinned_quick_json;
           Alcotest.test_case "jobs byte-parity" `Quick test_jobs_parity
         ] );

@@ -28,11 +28,7 @@ let config_validation () =
       ignore (Config.make ~n:4 ~channels:2 ~t:2 ()));
   Alcotest.check_raises "one channel"
     (Invalid_argument "Config.make: need at least 2 channels") (fun () ->
-      ignore (Config.make ~n:4 ~channels:1 ~t:0 ()));
-  check Alcotest.bool "ample nodes" true
-    (Config.ample_nodes (Config.make ~n:40 ~channels:3 ~t:2 ()));
-  check Alcotest.bool "not ample" false
-    (Config.ample_nodes (Config.make ~n:20 ~channels:3 ~t:2 ()))
+      ignore (Config.make ~n:4 ~channels:1 ~t:0 ()))
 
 (* -- delivery semantics -- *)
 
@@ -78,7 +74,7 @@ let jam_blocks_delivery () =
   let jam_chan0 =
     { Adversary.name = "jam0";
       act = (fun ~round:_ -> [ { Adversary.chan = 0; spoof = None } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let received = ref (Some (plain 9 9 "sentinel")) in
   ignore
@@ -94,7 +90,7 @@ let spoof_lands_on_empty_channel () =
   let spoof =
     { Adversary.name = "spoof";
       act = (fun ~round:_ -> [ { Adversary.chan = 1; spoof = Some (plain 7 1 "fake") } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let received = ref None in
   ignore
@@ -112,7 +108,7 @@ let spoof_collides_with_honest () =
   let spoof =
     { Adversary.name = "spoof";
       act = (fun ~round:_ -> [ { Adversary.chan = 0; spoof = Some (plain 7 1 "fake") } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let received = ref (Some (plain 9 9 "sentinel")) in
   ignore
@@ -127,7 +123,7 @@ let lone_jam_is_silence () =
   let cfg = base_cfg ~record:true () in
   let jam =
     { Adversary.name = "jam"; act = (fun ~round:_ -> [ { Adversary.chan = 0; spoof = None } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let received = ref (Some (plain 9 9 "sentinel")) in
   let result =
@@ -148,7 +144,7 @@ let transmitter_learns_nothing () =
      the sender's perspective via stats only. *)
   let jam =
     { Adversary.name = "jam"; act = (fun ~round:_ -> [ { Adversary.chan = 0; spoof = None } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let run adversary =
     let cfg = base_cfg () in
@@ -301,7 +297,6 @@ let strategies_respect_budget () =
     [ Adversary.null;
       Adversary.random_jammer (Prng.Rng.create 2L) ~channels ~budget;
       Adversary.sweep_jammer ~channels ~budget;
-      Adversary.targeted_jammer ~channels ~channels_of_round:(fun r -> [ r mod 4 ]) ~budget;
       Adversary.reactive_jammer (Prng.Rng.create 3L) ~channels ~budget;
       Adversary.spoofer (Prng.Rng.create 4L) ~channels ~budget
         ~forge:(fun ~round chan -> plain chan 0 (string_of_int round)) ]
@@ -320,12 +315,15 @@ let reactive_jammer_follows_traffic () =
   let adversary = Adversary.reactive_jammer (Prng.Rng.create 6L) ~channels ~budget:1 in
   (* Feed an observation where channel 2 is the busiest, then expect the
      next strike there. *)
-  adversary.Adversary.observe
-    { Transcript.round = 0;
-      honest_tx = [ (0, 2, plain 0 1 "a"); (1, 2, plain 1 0 "b"); (2, 0, plain 2 1 "c") ];
-      listeners = [];
-      strikes = [];
-      outcomes = [| Transcript.Empty; Transcript.Empty; Transcript.Empty |] };
+  (match adversary.Adversary.observe with
+   | Some observe ->
+     observe
+       { Transcript.round = 0;
+         honest_tx = [ (0, 2, plain 0 1 "a"); (1, 2, plain 1 0 "b"); (2, 0, plain 2 1 "c") ];
+         listeners = [];
+         strikes = [];
+         outcomes = [| Transcript.Empty; Transcript.Empty; Transcript.Empty |] }
+   | None -> Alcotest.fail "the reactive jammer must observe");
   match adversary.Adversary.act ~round:1 with
   | [ { Adversary.chan; _ } ] -> check Alcotest.int "targets busiest" 2 chan
   | _ -> Alcotest.fail "expected one strike"
@@ -356,7 +354,7 @@ let spoof_detection_in_transcript () =
   let spoof =
     { Adversary.name = "spoof";
       act = (fun ~round:_ -> [ { Adversary.chan = 1; spoof = Some (plain 9 1 "fake") } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let result =
     Engine.run cfg ~adversary:spoof
@@ -421,7 +419,7 @@ let auditor_flags_spoofed_deliveries () =
   let spoof =
     { Adversary.name = "spoof";
       act = (fun ~round:_ -> [ { Adversary.chan = 1; spoof = Some (plain 9 1 "fake") } ]);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   let result =
     Engine.run cfg ~adversary:spoof

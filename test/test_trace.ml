@@ -6,16 +6,13 @@ module Trace = Radio.Trace
 let check = Alcotest.check
 
 let recorded_run () =
-  let cfg =
-    Radio.Config.make ~n:4 ~channels:2 ~t:1 ~seed:3L ~record_transcript:true
-      ~track_channels:true ()
-  in
+  let cfg = Radio.Config.make ~n:4 ~channels:2 ~t:1 ~seed:3L ~record_transcript:true () in
   let jam =
     { Radio.Adversary.name = "jam0";
       act =
         (fun ~round ->
           if round = 0 then [ { Radio.Adversary.chan = 1; spoof = None } ] else []);
-      observe = (fun _ -> ()); observes = false }
+      observe = None }
   in
   Radio.Engine.run cfg ~adversary:jam
     [| (fun _ ->
@@ -48,17 +45,15 @@ let trace_csv_shape () =
 
 let trace_utilization () =
   let result = recorded_run () in
-  match result.Radio.Engine.channel_usage with
-  | None -> Alcotest.fail "track_channels on but no usage"
-  | Some u ->
-    let per_channel = Alcotest.(array int) in
-    check per_channel "ch0 carried the frame to one listener" [| 1; 0 |]
-      u.Radio.Transcript.Channel_usage.deliveries;
-    check per_channel "ch1 jammed once" [| 0; 1 |] u.Radio.Transcript.Channel_usage.jammed;
-    check per_channel "the jam is ch1's only collision" [| 0; 1 |]
-      u.Radio.Transcript.Channel_usage.collisions;
-    check Alcotest.int "no spoofs" 0
-      result.Radio.Engine.stats.Radio.Transcript.Stats.spoofed_deliveries
+  let u = result.Radio.Engine.channel_usage in
+  let per_channel = Alcotest.(array int) in
+  check per_channel "ch0 carried the frame to one listener" [| 1; 0 |]
+    u.Radio.Transcript.Channel_usage.deliveries;
+  check per_channel "ch1 jammed once" [| 0; 1 |] u.Radio.Transcript.Channel_usage.jammed;
+  check per_channel "the jam is ch1's only collision" [| 0; 1 |]
+    u.Radio.Transcript.Channel_usage.collisions;
+  check Alcotest.int "no spoofs" 0
+    result.Radio.Engine.stats.Radio.Transcript.Stats.spoofed_deliveries
 
 let () =
   Alcotest.run "trace"
