@@ -187,6 +187,16 @@ let micro_tests ~quick =
       ~name:(Printf.sprintf "crypto/open-into-%dB" len)
       (Staged.stage (fun () -> ignore (Crypto.Cipher.open_into ck cs frame ~pos:0)))
   in
+  (* svc-jammed's slotted-ack check: the tag over an ack's 12 clear bytes,
+     checked in place. *)
+  let mac_ok =
+    let frame = Bytes.make (12 + 32) 'a' in
+    Crypto.Cipher.mac_into ck cs ~nonce:7L frame ~off:0 ~len:12 frame ~pos:12;
+    let blob = Bytes.to_string frame in
+    Test.make ~name:"crypto/mac-ok-12B"
+      (Staged.stage (fun () ->
+           ignore (Crypto.Cipher.mac_ok ck cs ~nonce:7L blob ~off:0 ~len:12 ~tag:12)))
+  in
   let vc =
     let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n:8) in
     Test.make ~name:"graph/min-vertex-cover-K8"
@@ -270,7 +280,8 @@ let micro_tests ~quick =
       (Staged.stage (fun () -> ignore (Crypto.Hmac.mac_keyed handle sha_input_small)))
   in
   [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac;
-    hmac_keyed; dh; seal; seal_into 32; seal_into 1040; open_into 1040; vc; greedy_move;
+    hmac_keyed; dh; seal; seal_into 32; seal_into 1040; open_into 32; open_into 1040; mac_ok;
+    vc; greedy_move;
     game_full; engine_round; parked_series; fame_small; engine_small; engine_2t2; prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 

@@ -6,8 +6,10 @@
     nonce's first: block [c] under RFC nonce [n0 ‖ n1 ‖ n2] is block
     [c + 2^32 n0] under the nonce [n1 ‖ n2] here.
 
-    The stream cipher of {!Cipher}.  Words are 32-bit values held in
-    native ints (a 64-bit host), so a block allocates nothing. *)
+    The stream cipher of {!Cipher}.  The block's state words are 32-bit
+    values in unboxed [Int64] locals, so a block allocates nothing and its
+    adds, xors and rotations pay no tag fix-ups; its output words are
+    native ints (a 64-bit host). *)
 
 type key
 (** A 32-byte key, read into its eight words once. *)
@@ -25,5 +27,5 @@ val xor_into :
   int array -> word:int -> string -> spos:int -> Bytes.t -> dpos:int -> len:int -> unit
 (** [xor_into w ~word src ~spos dst ~dpos ~len]:
     [dst.(dpos + i) <- src.(spos + i) xor b.(4 * word + i)] for [i < len],
-    where [b] is the block whose words {!block} wrote to [w].  Requires
-    [4 * word + len <= 64]. *)
+    where [b] is the block whose words {!block} wrote to [w], eight bytes
+    per step.  Requires [4 * word + len <= 64]. *)

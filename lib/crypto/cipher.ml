@@ -19,8 +19,8 @@ let key raw =
   { enc = Chacha20.key (enc_key raw); r1 = Poly1305.r m ~off:0; r2 = Poly1305.r m ~off:16 }
 
 (* Reusable working state: block 0 (the lanes' pads, then the first 32
-   keystream bytes) and the later keystream block, the Poly1305
-   accumulator, a 16-byte buffer for the padded blocks of the MAC input,
+   keystream bytes) and the later keystream block, both Poly1305 lanes'
+   accumulators, a 16-byte buffer for the padded blocks of the MAC input,
    an 8-byte one for an [int64] nonce, the tag buffer, and the growable
    buffer {!open_into} leaves its plaintext in: sealing or opening a whole
    epoch's worth of frames under one key allocates only what the caller
@@ -65,38 +65,33 @@ let crypt k s nonce ~noff src ~spos dst ~dpos ~len =
     incr counter
   done
 
-(* One lane: Poly1305 under [r] of RFC 8439's AEAD input with the nonce
-   as AAD — nonce, 8 zero bytes, body, zeros to a 16-byte boundary,
-   le64 8, le64 [blen] — its pad the four words of block 0 from [word]. *)
-let lane r s nonce ~noff body ~boff ~blen ~word out ~pos =
+(* The 32-byte tag over nonce and body, written at [pos] of [out]: two
+   Poly1305 lanes of RFC 8439's AEAD input with the nonce as AAD — nonce,
+   8 zero bytes, body, zeros to a 16-byte boundary, le64 8, le64 [blen] —
+   absorbed in one pass, lane 1 under [r1] with block 0's bytes 0–15 as
+   pad, lane 2 under [r2] with bytes 16–31.  [block0] must have run under
+   this nonce. *)
+let tag_into k s nonce ~noff body ~boff ~blen out ~pos =
+  Counters.poly1305 (2 * (2 + ((blen + 15) / 16)));
   let h = s.h and last = s.last in
   let last_s = Bytes.unsafe_to_string last in
   Poly1305.reset h;
   Bytes.blit_string nonce noff last 0 nonce_len;
   Bytes.fill last nonce_len (16 - nonce_len) '\000';
-  Poly1305.block r h last_s ~off:0;
+  Poly1305.absorb k.r1 k.r2 h last_s ~off:0 ~blocks:1;
   let whole = blen / 16 in
-  for i = 0 to whole - 1 do
-    Poly1305.block r h body ~off:(boff + (16 * i))
-  done;
+  Poly1305.absorb k.r1 k.r2 h body ~off:boff ~blocks:whole;
   let rest = blen - (16 * whole) in
   if rest > 0 then begin
     Bytes.blit_string body (boff + (16 * whole)) last 0 rest;
     Bytes.fill last rest (16 - rest) '\000';
-    Poly1305.block r h last_s ~off:0
+    Poly1305.absorb k.r1 k.r2 h last_s ~off:0 ~blocks:1
   end;
   Bytes.set_int64_le last 0 (Int64.of_int nonce_len);
   Bytes.set_int64_le last 8 (Int64.of_int blen);
-  Poly1305.block r h last_s ~off:0;
-  Poly1305.finish h ~pad:s.b0 ~word out ~pos
-
-(* The 32-byte tag over nonce and body, written at [pos] of [out]: lane 1
-   under [r1] with block 0's bytes 0–15 as pad, lane 2 under [r2] with
-   bytes 16–31.  [block0] must have run under this nonce. *)
-let tag_into k s nonce ~noff body ~boff ~blen out ~pos =
-  Counters.poly1305 (2 * (2 + ((blen + 15) / 16)));
-  lane k.r1 s nonce ~noff body ~boff ~blen ~word:0 out ~pos;
-  lane k.r2 s nonce ~noff body ~boff ~blen ~word:4 out ~pos:(pos + 16)
+  Poly1305.absorb k.r1 k.r2 h last_s ~off:0 ~blocks:1;
+  Poly1305.finish h ~lane:0 ~pad:s.b0 ~word:0 out ~pos;
+  Poly1305.finish h ~lane:1 ~pad:s.b0 ~word:4 out ~pos:(pos + 16)
 
 (* Check the tag over nonce || body against the [tlen]-byte slice at
    [toff] of [tag]; [block0] must have run under this nonce. *)

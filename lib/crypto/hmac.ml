@@ -82,12 +82,18 @@ let mac ~key:raw msg =
 (* Constant-time acceptance: the length check is folded into the same
    accumulator as the byte comparison, and the loop always walks the full
    expected tag, so timing does not distinguish a wrong-length tag from a
-   wrong-byte tag. *)
+   wrong-byte tag.  Lengths are public: only a tag shorter than [expect]
+   wraps its reads (an empty one reads as 0xFF), and the common full-length
+   compare takes no division per byte. *)
 let equal_ct_sub ~expect tag ~pos ~len =
   let le = Bytes.length expect in
   let diff = ref (le lxor len) in
   for i = 0 to le - 1 do
-    let t = if len = 0 then 0xFF else Char.code (String.unsafe_get tag (pos + (i mod len))) in
+    let t =
+      if len >= le then Char.code (String.unsafe_get tag (pos + i))
+      else if len = 0 then 0xFF
+      else Char.code (String.unsafe_get tag (pos + (i mod len)))
+    in
     diff := !diff lor (Char.code (Bytes.unsafe_get expect i) lxor t)
   done;
   !diff = 0

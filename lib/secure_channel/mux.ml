@@ -559,8 +559,12 @@ let put_data sp s ~chan ~seq ~epoch ~enq =
   put_words s.pt chan seq epoch enq;
   gen_body_into s.pt ~pos:16 ~payload:sp.payload ~chan ~seq
 
+(* [a] and [b] agree on bytes [i, stop): eight bytes per step, then the
+   tail one at a time. *)
 let rec same a b i stop =
-  i >= stop || (Char.equal (Bytes.get a i) (Bytes.get b i) && same a b (i + 1) stop)
+  if i + 8 <= stop then
+    Int64.equal (Bytes.get_int64_le a i) (Bytes.get_int64_le b i) && same a b (i + 8) stop
+  else i >= stop || (Char.equal (Bytes.get a i) (Bytes.get b i) && same a b (i + 1) stop)
 
 (* A data payload as the per-frame step parses it from the [len]-byte
    plaintext [p].  [body_ok]: the body is the generated stream's message

@@ -121,10 +121,11 @@ let hmac_verify_roundtrip =
 
 let hmac_verify_rejects_tamper =
   QCheck.Test.make ~name:"verify rejects flipped bit" ~count:200
-    QCheck.(pair string (string_of_size (Gen.int_range 1 100)))
-    (fun (key, msg) ->
+    QCheck.(triple string (string_of_size (Gen.int_range 1 100)) (int_range 0 255))
+    (fun (key, msg, bit) ->
       let tag = Bytes.of_string (Hmac.mac ~key msg) in
-      Bytes.set tag 0 (Char.chr (Char.code (Bytes.get tag 0) lxor 1));
+      let i = bit / 8 in
+      Bytes.set tag i (Char.chr (Char.code (Bytes.get tag i) lxor (1 lsl (bit land 7))));
       not (verify ~key ~tag:(Bytes.to_string tag) msg))
 
 (* -- modular arithmetic -- *)
@@ -290,7 +291,11 @@ let hmac_verify_wrong_length =
       let tag = Hmac.mac ~key:"k" msg in
       let truncated = String.sub tag 0 (min cut (String.length tag)) in
       let extended = tag ^ "\000" in
+      (* One byte too long, its first 32 bytes the tag: only the length
+         tells it apart. *)
+      let echoed = tag ^ String.sub tag 0 1 in
       (not (verify ~key:"k" ~tag:extended msg))
+      && (not (verify ~key:"k" ~tag:echoed msg))
       && (String.length truncated = String.length tag
           || not (verify ~key:"k" ~tag:truncated msg)))
 
@@ -440,13 +445,46 @@ let chacha20_xor_into =
 let poly1305_vectors () =
   let key = unhex "85d6be7857556d337f4452fe42d506a80103808afb0db2fd4abff6af4149f51b" in
   check Alcotest.string "rfc8439 2.5.2" "a8061dc1305136c6c22b8baf0c0127a9"
-    (hex (Poly1305.mac ~key "Cryptographic Forum Research Group"));
+    (hex (Poly1305_ref.mac ~key "Cryptographic Forum Research Group"));
   check Alcotest.string "lengths 0..48 (SHA-256 of the tags)"
     "c615aee9eef4aa1dd88ebb653313547ca7c62abcc78b5e6546a5b05cea11877b"
     (Sha256.digest_hex
-       (String.concat "" (List.init 49 (fun n -> Poly1305.mac ~key (counting n)))));
+       (String.concat "" (List.init 49 (fun n -> Poly1305_ref.mac ~key (counting n)))));
   check Alcotest.string "all-ones key, 64 x ff" "900fe32bc15fa8d7bca8efe4c7e37eb1"
-    (hex (Poly1305.mac ~key:(String.make 32 '\xff') (String.make 64 '\xff')))
+    (hex (Poly1305_ref.mac ~key:(String.make 32 '\xff') (String.make 64 '\xff')))
+
+(* The shipped two-lane kernel against the oracle: random [r ‖ s] key
+   pairs (or all-ones ones, the largest limbs), whole-block messages of
+   0-12 blocks (random or all ones), read at an odd offset and absorbed in
+   two calls split at any block, on a state reset after earlier work. *)
+let poly1305_fused_matches_oracle =
+  let key = QCheck.Gen.(oneof [ string_size (return 32); return (String.make 32 '\xff') ]) in
+  let msg =
+    QCheck.Gen.(
+      int_range 0 12 >>= fun blocks ->
+      oneof [ string_size (return (16 * blocks)); return (String.make (16 * blocks) '\xff') ])
+  in
+  QCheck.Test.make ~name:"fused absorb = two oracle lanes" ~count:300
+    (QCheck.make QCheck.Gen.(quad key key msg (int_range 0 12)))
+    (fun (ka, kb, msg, split) ->
+      let blocks = String.length msg / 16 in
+      let split = min split blocks in
+      let src = "xyz" ^ msg in
+      let ra = Poly1305.r ka ~off:0 and rb = Poly1305.r kb ~off:0 in
+      let h = Poly1305.state () in
+      Poly1305.absorb ra rb h (String.make 16 '\xff') ~off:0 ~blocks:1;
+      Poly1305.reset h;
+      Poly1305.absorb ra rb h src ~off:3 ~blocks:split;
+      Poly1305.absorb ra rb h src ~off:(3 + (16 * split)) ~blocks:(blocks - split);
+      let pad =
+        Array.init 8 (fun i ->
+            let k = if i < 4 then ka else kb in
+            Int32.to_int (String.get_int32_le k (16 + (4 * (i land 3)))) land 0xFFFF_FFFF)
+      in
+      let out = Bytes.create 32 in
+      Poly1305.finish h ~lane:0 ~pad ~word:0 out ~pos:0;
+      Poly1305.finish h ~lane:1 ~pad ~word:4 out ~pos:16;
+      Bytes.to_string out = Poly1305_ref.mac ~key:ka msg ^ Poly1305_ref.mac ~key:kb msg)
 
 (* Whole seals under "cipher-kat-key" and nonce 0x8102030405060708 (top
    bit set, so the big-endian encoding of a negative [int64] is pinned
@@ -519,9 +557,9 @@ let cipher_mac_vector () =
     (Cipher.mac_ok ck s ~nonce (String.sub blob 0 9) ~off:1 ~len:12 ~tag:13)
 
 (* The construction spelled out from the parts — ChaCha20 block 0 for the
-   pads, the one-shot [Poly1305.mac] per lane over RFC 8439's AEAD input
-   with the nonce as AAD — for a nonce of any length (zero-padded to 8
-   bytes for the block).  Only 8-byte nonces are ever sealed. *)
+   pads, the oracle's one-shot [Poly1305_ref.mac] per lane over RFC 8439's
+   AEAD input with the nonce as AAD — for a nonce of any length
+   (zero-padded to 8 bytes for the block).  Only 8-byte nonces are ever sealed. *)
 let reference_tag ~key nonce body =
   let enc = Chacha20.key (Sha256.digest ("cipher-enc|" ^ key)) in
   let mac = Sha256.digest ("cipher-mac|" ^ key) in
@@ -533,7 +571,7 @@ let reference_tag ~key nonce body =
   Bytes.set_int64_le lengths 8 (Int64.of_int (String.length body));
   let data = nonce ^ pad16 nonce ^ body ^ pad16 body ^ Bytes.to_string lengths in
   let lane i =
-    Poly1305.mac ~key:(String.sub mac (16 * i) 16 ^ String.sub pads (16 * i) 16) data
+    Poly1305_ref.mac ~key:(String.sub mac (16 * i) 16 ^ String.sub pads (16 * i) 16) data
   in
   lane 0 ^ lane 1
 
@@ -543,7 +581,7 @@ let cipher_matches_reference =
       triple
         (string_of_size (Gen.int_range 0 40))
         int64
-        (string_of_size (Gen.int_range 0 300)))
+        (string_of_size (Gen.int_range 0 1100)))
     (fun (key, nonce, plain) ->
       let sealed = Cipher.seal ~key ~nonce plain in
       let enc = Chacha20.key (Sha256.digest ("cipher-enc|" ^ key)) in
@@ -607,7 +645,9 @@ let hmac_mac_feed_into_no_alloc () =
   if words > 0.01 then Alcotest.failf "Hmac.mac_feed_into allocates %.3f words/call" words
 
 (* The in-place path writes only the caller's frame buffer and the
-   scratch: nothing is allocated, at 32 B as at 1 KiB. *)
+   scratch: nothing is allocated, at 32 B as at 1 KiB.  The same holds for
+   the tag-only path the slotted acks take, tag written and checked in
+   place. *)
 let cipher_in_place_alloc () =
   let ck = Cipher.key "alloc-key" and s = Cipher.scratch () in
   let words len =
@@ -617,14 +657,22 @@ let cipher_in_place_alloc () =
       minor_words_per_call (fun () -> Cipher.seal_into ck s ~nonce:1L plain ~len out ~pos:0)
     in
     let blob = Bytes.to_string out in
-    (seal, minor_words_per_call (fun () -> ignore (Cipher.open_into ck s blob ~pos:0)))
+    let open_ = minor_words_per_call (fun () -> ignore (Cipher.open_into ck s blob ~pos:0)) in
+    let frame = Bytes.of_string (counting (len + 32)) in
+    let mac =
+      minor_words_per_call (fun () ->
+          Cipher.mac_into ck s ~nonce:1L frame ~off:0 ~len frame ~pos:len)
+    in
+    let tagged = Bytes.to_string frame in
+    let ok () = ignore (Cipher.mac_ok ck s ~nonce:1L tagged ~off:0 ~len ~tag:len) in
+    [ ("seal_into", seal); ("open_into", open_); ("mac_into", mac);
+      ("mac_ok", minor_words_per_call ok) ]
   in
-  let seal_short, open_short = words 32 and seal_long, open_long = words 1040 in
-  List.iter
-    (fun (what, short, long) ->
+  List.iter2
+    (fun (what, short) (_, long) ->
       if short > 0.01 || long > 0.01 then
         Alcotest.failf "%s allocates %.2f words at 32 B, %.2f at 1040 B" what short long)
-    [ ("seal_into", seal_short, seal_long); ("open_into", open_short, open_long) ]
+    (words 32) (words 1040)
 
 (* Blob mangles for the in-place open, on top of an honest frame. *)
 type mangle =
@@ -919,7 +967,9 @@ let () =
       ( "chacha20",
         [ Alcotest.test_case "known answers" `Quick chacha20_vectors;
           qcheck chacha20_xor_into ] );
-      ("poly1305", [ Alcotest.test_case "known answers" `Quick poly1305_vectors ]);
+      ( "poly1305",
+        [ Alcotest.test_case "known answers" `Quick poly1305_vectors;
+          qcheck poly1305_fused_matches_oracle ] );
       ( "cipher",
         [ Alcotest.test_case "rejects tamper" `Quick cipher_rejects_tamper;
           Alcotest.test_case "hides plaintext" `Quick cipher_hides_plaintext;

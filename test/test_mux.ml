@@ -502,6 +502,39 @@ let step_slotted_round_trip () =
   check Alcotest.bool "the next head is a new frame" true
     (fst (planned spec t ~chan:0 ~phase:0) <> data)
 
+(* An insider forgery: a data frame sealed under the right epoch key and
+   nonce whose body is not the generated message for its (channel, seq).
+   Its tag holds, so only the step's body check can tell: with each body
+   byte flipped in turn, the delivery is counted as a forged accept.  The
+   epoch key is spelled out from its parts (DESIGN.md, the nonce rule):
+   HMAC(seed ‖ K, "mux-epoch" ‖ epoch). *)
+let step_body_check_catches_insider () =
+  let spec = step_spec () in
+  let seed = Bytes.create 8 in
+  Bytes.set_int64_be seed 0 spec.Mux.seed;
+  let prf = Crypto.Prf.Keyed.create (Bytes.to_string seed ^ key) in
+  let ck = Crypto.Cipher.key (Crypto.Prf.Keyed.bytes prf ~label:"mux-epoch" ~counter:0) in
+  let cs = Crypto.Cipher.scratch () in
+  for i = 0 to spec.Mux.payload - 1 do
+    let t = Step.create spec in
+    Step.step t ~e:0 ~phase:0;
+    let data, receivers = planned spec t ~chan:0 ~phase:0 in
+    let len = Crypto.Cipher.open_into ck cs data ~pos:4 in
+    check Alcotest.int "the honest frame opens under the epoch key" (16 + spec.Mux.payload)
+      len;
+    let plain = Bytes.sub (Crypto.Cipher.plain cs) 0 len in
+    Bytes.set plain (16 + i) (Char.chr (Char.code (Bytes.get plain (16 + i)) lxor 1));
+    let forged = Bytes.of_string data in
+    (match Crypto.Cipher.frame_nonce data ~pos:4 with
+     | Some nonce -> Crypto.Cipher.seal_into ck cs ~nonce plain ~len forged ~pos:4
+     | None -> Alcotest.fail "the honest frame has no nonce");
+    hear_all t receivers (Bytes.to_string forged);
+    Step.step t ~e:0 ~phase:1;
+    check Alcotest.int
+      (Printf.sprintf "body byte %d flipped: a forged accept" i)
+      1 (Step.stats t).Mux.forged_accepts
+  done
+
 let step_pig_cumulative_ack () =
   let spec = step_spec ~ack_mode:Mux.Piggybacked ~logical:2 () in
   let t = Step.create spec in
@@ -898,6 +931,7 @@ let () =
           Alcotest.test_case "stale epoch never opened" `Quick step_stale_epoch_unopened;
           Alcotest.test_case "piggybacked foreign ack ignored" `Quick
             step_pig_foreign_ack_ignored;
+          Alcotest.test_case "insider body caught" `Quick step_body_check_catches_insider;
           QCheck_alcotest.to_alcotest ~speed_level:`Quick
             ~rand:(Random.State.make [| 23 |])
             step_decoder_fuzz;
