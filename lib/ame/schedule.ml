@@ -192,9 +192,6 @@ let witness_channel t id =
     end
   else invalid_arg "Schedule.witness_channel: stale index (a later build reused the scratch)"
 
-let witness_sets t =
-  Array.map (fun ws -> Array.sub ws 0 t.witness_size) t.watchers
-
 let oracle_entry t =
   (* Both lists in one backward loop — iterative, so proposals of any size
      (k >= 1e5) cannot overflow the stack. *)

@@ -90,10 +90,5 @@ val witness_channel : t -> int -> int option
 (** The channel this node is a feedback witness for, if any.  O(1), and
     raises [Invalid_argument] on a stale index, like {!role_of}. *)
 
-val witness_sets : t -> int array array
-(** Materialized copies of the witness prefixes (fresh arrays), for tests
-    and diagnostics; protocol code should index the shared
-    [watchers]/[witness_size] prefix instead. *)
-
 val oracle_entry : t -> Oracle.entry
 (** Iterative (stack-safe at any proposal size). *)

@@ -4,8 +4,9 @@
    writing an allocation site from outside the closure, a captured
    binding of an enclosing frame, or an unresolved top-level value means
    every task mutates the same store concurrently — a race the ordered
-   merge cannot repair.  Per-domain DLS state and sites owned by the
-   sanctioned runtime (the race-escape allowlist) are exempt. *)
+   merge cannot repair.  Per-domain DLS state, sites owned by the
+   sanctioned runtime (the race-escape allowlist), and writes made inside
+   it (a chain whose last step lies in an allowlisted file) are exempt. *)
 
 let chain_tail_loc (chain : Report.step list) fallback =
   match List.rev chain with [] -> fallback | last :: _ -> last.Report.st_loc
@@ -15,16 +16,22 @@ let steps_of t key tg =
     (fun (st_def, st_loc, st_action) -> { Report.st_def; st_loc; st_action })
     (Callgraph.write_chain t key tg)
 
-let finding_of t ~entry_fn ~entry_loc ~closure_key tg =
+let finding_of t ~allowed ~entry_fn ~entry_loc ~closure_key tg =
   let chain = steps_of t closure_key tg in
+  (* A write made inside an allowlisted file is that file's audited one. *)
+  let audited =
+    match List.rev chain with last :: _ -> allowed last.Report.st_loc.Names.file | [] -> false
+  in
   let mk loc message =
-    Some
-      { Report.f_rule = "race-escape";
-        f_loc = loc;
-        f_def = closure_key;
-        f_entry = Some (entry_fn, entry_loc);
-        f_message = message;
-        f_chain = chain }
+    if audited then None
+    else
+      Some
+        { Report.f_rule = "race-escape";
+          f_loc = loc;
+          f_def = closure_key;
+          f_entry = Some (entry_fn, entry_loc);
+          f_message = message;
+          f_chain = chain }
   in
   match tg with
   | Callgraph.TParam _ -> None
@@ -95,7 +102,7 @@ let check t ~allowed =
                   in
                   if local || site_allowed t ~allowed tg then None
                   else
-                    finding_of t ~entry_fn:e.Summary.e_fn ~entry_loc:e.Summary.e_loc
+                    finding_of t ~allowed ~entry_fn:e.Summary.e_fn ~entry_loc:e.Summary.e_loc
                       ~closure_key tg)
                 (Callgraph.effects t closure_key))
           | Callgraph.RSite _ | Callgraph.RUnknown -> [])

@@ -543,6 +543,16 @@ and build_fun ctx ~key ~name (e : Typedtree.expression) =
           walk_expr ctx c.Typedtree.c_rhs)
         cases;
       frame.f_returns <- OOther
+    | Typedtree.Texp_let (Asttypes.Nonrecursive, [ vb ], body)
+      when List.exists
+             (fun (a : Parsetree.attribute) -> a.Parsetree.attr_name.Location.txt = "#default")
+             e.Typedtree.exp_attributes ->
+      (* [?(x = d)]: the default's [let x = match *opt* with ...] wraps the
+         rest of the chain.  Its pieces are the optional parameter's; walk
+         [d] and keep flattening. *)
+      walk_expr ctx vb.Typedtree.vb_expr;
+      List.iter (fun id -> bind ctx id (OParam (i - 1))) (pat_vars vb.Typedtree.vb_pat);
+      flatten body i
     | body_expr ->
       ignore body_expr;
       walk_expr ctx e;

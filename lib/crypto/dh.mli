@@ -20,7 +20,8 @@ val default_params : params
 (** The 61-bit safe-prime group [make_params ~bits:61 ~seed:0x5EC0DE2008L],
     shared by all nodes (group parameters are public in the paper's
     model).  A plain constant: safe to read from any number of domains at
-    once, with no start-up cost. *)
+    once, with no start-up cost.  Public so the tests can check it against
+    {!make_params}. *)
 
 val make_params : bits:int -> seed:int64 -> params
 (** Deterministic group generation: the safe prime

@@ -27,16 +27,6 @@ let pow_mod b e p =
   done;
   !acc
 
-let inv_mod a p =
-  (* Extended Euclid on (a, p); coefficients tracked only for a. *)
-  let rec go old_r r old_s s =
-    if r = 0L then (old_r, old_s)
-    else go r (Int64.rem old_r r) s (Int64.sub old_s (Int64.mul (Int64.div old_r r) s))
-  in
-  let g, x = go (Int64.rem a p) p 1L 0L in
-  if g <> 1L then invalid_arg "Modarith.inv_mod: not invertible"
-  else Int64.rem (Int64.add (Int64.rem x p) p) p
-
 let witnesses = [ 2L; 3L; 5L; 7L; 11L; 13L; 17L; 19L; 23L; 29L; 31L; 37L ]
 
 let is_probable_prime n =

@@ -12,10 +12,6 @@ val mul_mod : int64 -> int64 -> int64 -> int64
 val pow_mod : int64 -> int64 -> int64 -> int64
 (** [pow_mod b e p] = b^e mod p, square-and-multiply.  Requires [e >= 0]. *)
 
-val inv_mod : int64 -> int64 -> int64
-(** Modular inverse by extended Euclid.  Raises [Invalid_argument] if the
-    inverse does not exist. *)
-
 val is_probable_prime : int64 -> bool
 (** Miller-Rabin with the first twelve primes as witnesses, which is known to
     be a deterministic test for all integers below 3.3 * 10^24; the answer is

@@ -33,7 +33,8 @@ val update_bytes : ctx -> Bytes.t -> pos:int -> len:int -> unit
 
 val feed_string : ctx -> string -> off:int -> len:int -> unit
 (** Absorb [len] bytes of [s] starting at [off], without copying the slice
-    out first. *)
+    out first.  {!update} is its whole-string case; public so the
+    windowed feed is tested directly. *)
 
 val finalize : ctx -> string
 (** The 32-byte raw digest.  The padding is written in place into the

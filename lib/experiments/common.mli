@@ -34,6 +34,8 @@ val render : Format.formatter -> result -> unit
     tables, exactly as the pre-structured experiments printed them. *)
 
 val render_to_string : result -> string
+(** {!render} into a string.  A test seam: the suites compare rendered
+    experiment output without a formatter of their own. *)
 
 (** {1 Replicate fan-out}
 

@@ -12,4 +12,4 @@ val e5 : quick:bool -> jobs:int -> Common.result
 val agreement_trial :
   beta:float -> t:int -> n:int -> seed:int64 -> bool * int
 (** One standalone invocation; returns (all nodes agreed with ground truth,
-    rounds consumed).  Exposed for tests and benches. *)
+    rounds consumed).  A test seam: {!e5} reports only rates over many. *)

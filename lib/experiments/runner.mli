@@ -27,6 +27,7 @@ val render : Format.formatter -> outcome -> unit
 
 val json_of_outcomes : quick:bool -> jobs:int -> outcome list -> Json.t
 (** The [radio-experiments/v1] document: run parameters, per-experiment
-    wall-clock and round metrics, tables as data. *)
+    wall-clock and round metrics, tables as data.  Public as a test seam:
+    the CLI only ever writes it to a file. *)
 
 val write_json : path:string -> quick:bool -> jobs:int -> outcome list -> unit

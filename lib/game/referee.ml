@@ -15,10 +15,6 @@ let minimal_first =
         | [] -> invalid_arg "Referee: empty proposal"
         | x :: _ -> [ x ]) }
 
-let stingy ~min_return =
-  { name = Printf.sprintf "stingy-%d" min_return;
-    choose = (fun _ proposal -> take (max 1 min_return) proposal) }
-
 let random rng ~min_return =
   { name = Printf.sprintf "random-%d" min_return;
     choose =

@@ -18,10 +18,6 @@ val minimal_first : t
 (** Returns exactly the smallest item: the deterministic worst case for the
     move-count bound of Theorem 4. *)
 
-val stingy : min_return:int -> t
-(** Returns the first [min_return] items: models the C >= 2t referee that
-    must concede proposal_size - t items per move. *)
-
 val random : Prng.Rng.t -> min_return:int -> t
 (** Returns a uniformly random subset of size exactly [min_return]. *)
 

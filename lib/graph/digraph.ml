@@ -25,26 +25,7 @@ module Dense = struct
 
   let edge_count t = t.m
 
-  let check_universe t (v, w) =
-    check (v, w);
-    if v >= t.n || w >= t.n then
-      invalid_arg
-        (Printf.sprintf "Digraph.Dense: edge (%d,%d) outside universe 0..%d" v w (t.n - 1))
-
   let mem_edge t (v, w) = v >= 0 && v < t.n && Bitset.mem t.out_rows.(v) w
-
-  let add_edge t ((v, w) as e) =
-    check_universe t e;
-    if mem_edge t e then t
-    else begin
-      let out_rows = Array.copy t.out_rows and in_rows = Array.copy t.in_rows in
-      let ov = Bitset.copy out_rows.(v) and iw = Bitset.copy in_rows.(w) in
-      Bitset.set ov w;
-      Bitset.set iw v;
-      out_rows.(v) <- ov;
-      in_rows.(w) <- iw;
-      { t with out_rows; in_rows; m = t.m + 1 }
-    end
 
   let remove_edge t ((v, w) as e) =
     if not (mem_edge t e) then t
@@ -132,18 +113,6 @@ module Dense = struct
       if not (Bitset.is_empty t.out_rows.(v)) then acc := v :: !acc
     done;
     !acc
-
-  let out_edges t v =
-    if has_outgoing t v then
-      Bitset.fold (fun w acc -> (v, w) :: acc) t.out_rows.(v) [] |> List.rev
-    else []
-
-  let in_edges t w =
-    if has_incoming t w then
-      Bitset.fold (fun v acc -> (v, w) :: acc) t.in_rows.(w) [] |> List.rev
-    else []
-
-  let out_degree t v = if v >= 0 && v < t.n then Bitset.count t.out_rows.(v) else 0
 
   let equal a b =
     if a.m <> b.m then false

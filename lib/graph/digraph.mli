@@ -25,9 +25,9 @@ val check : edge -> unit
 
     Rows are {!Bitset.t} per node (out- and in-adjacency), so membership
     is O(1), degree is a popcount, and neighborhood scans are word-wide.
-    Values are immutable: [add_edge]/[remove_edge] copy the two affected
-    rows and the row spines, sharing everything else, which keeps
-    per-game-move updates allocation-light.  All iteration is in
+    Values are immutable: [remove_edge] copies the two affected rows and
+    the row spines, sharing everything else, which keeps per-game-move
+    updates allocation-light.  All iteration is in
     ascending (source, destination) order, so every deterministic
     transcript sees edges in {!edge_compare} order. *)
 module Dense : sig
@@ -40,8 +40,6 @@ module Dense : sig
   (** Universe defaults to [1 + max endpoint] (0 for the empty list).
       Duplicates collapse; self-loops, negative ids, and ids outside an
       explicit universe raise [Invalid_argument]. *)
-
-  val add_edge : t -> edge -> t
 
   val remove_edge : t -> edge -> t
   (** Physically returns [t] when the edge is absent (callers rely on
@@ -61,12 +59,6 @@ module Dense : sig
   val vertex_count : t -> int
 
   val sources : t -> int list
-
-  val out_edges : t -> int -> edge list
-
-  val in_edges : t -> int -> edge list
-
-  val out_degree : t -> int -> int
 
   val has_outgoing : t -> int -> bool
 

@@ -48,4 +48,5 @@ val minimum_dense : Digraph.Dense.t -> int list
 val minimum_size_dense : Digraph.Dense.t -> int
 
 val cache_stats : unit -> (string * Cache.stats) list
-(** Hit/miss totals of the two memo caches, for benchmarks and tests. *)
+(** Hit/miss totals of the two memo caches.  Kept as a test seam: the
+    only view of whether a repeat query reached the memo. *)

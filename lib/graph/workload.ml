@@ -34,11 +34,3 @@ let random_pairs rng ~n ~count =
       if v = w then fill acc else fill (S.add (v, w) acc)
   in
   fill S.empty
-
-let bidirectional pairs =
-  let module S = Set.Make (struct
-    type t = int * int
-
-    let compare = Digraph.edge_compare
-  end) in
-  S.elements (List.fold_left (fun acc (v, w) -> S.add (v, w) (S.add (w, v) acc)) S.empty pairs)

@@ -21,7 +21,3 @@ val star : n:int -> hub:int -> (int * int) list
 val random_pairs : Prng.Rng.t -> n:int -> count:int -> (int * int) list
 (** [count] distinct ordered pairs drawn uniformly. Requires
     [count <= n * (n-1)]. *)
-
-val bidirectional : (int * int) list -> (int * int) list
-(** Close a pair set under reversal (needed for key exchange, where both
-    directions must carry a message). *)

@@ -40,9 +40,6 @@ type outcome = {
   total_rounds : int;
 }
 
-val leader_count : t:int -> int
-(** t + 1. *)
-
 val reporters : t:int -> int list
 (** The 2t+1 designated reporters of Part 3 (smallest non-leader ids). *)
 

@@ -21,12 +21,10 @@ val rule_cfg : t -> string -> rule_cfg
 (** Configured entry for a rule id, or the default: enabled, no allow
     list, every file in scope. *)
 
-val prefix_matches : string -> string -> bool
-(** [prefix_matches path prefix]: [prefix] names [path] itself or one of
-    its ancestor directories ("lib/prng" matches "lib/prng/rng.ml" but not
-    "lib/prng_x/evil.ml"). *)
-
 val path_in : string list -> string -> bool
+(** [path_in prefixes path]: some prefix names [path] itself or one of its
+    ancestor directories ("lib/prng" holds "lib/prng/rng.ml" but not
+    "lib/prng_x/evil.ml"). *)
 
 val parse_string : ?known:string list -> string -> (t, string) result
 (** Parse configuration text.  [known] is the set of accepted rule ids

@@ -38,7 +38,8 @@ val pp_violation : Format.formatter -> violation -> unit
 val collect_files : string list -> string list
 (** Recursively gather [.ml] files under the given roots (files are taken
     as-is), skipping hidden and [_build]-style directories; sorted and
-    deduplicated. *)
+    deduplicated.  Public as a test seam: {!run}'s report does not list
+    the files it read. *)
 
 val escapes_on_line : marker:string -> ids:string list -> string -> string list
 (** The rule ids an escape comment grants on one source line: every

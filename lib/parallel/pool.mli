@@ -31,7 +31,8 @@ val size : t -> int
 
 val shutdown : t -> unit
 (** Drain the queue, join every worker, and make further submission an
-    error.  Idempotent. *)
+    error.  Idempotent.  Every {!create} needs it; [lib/] itself only uses
+    {!with_pool}. *)
 
 val with_pool : domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] runs [f] on a fresh pool and shuts it down

@@ -33,10 +33,8 @@ let[@inline] hop_set hops cell i hop =
   | 2 -> Bytes.set_uint16_le hops (2 * i) hop
   | _ -> Bytes.set_int32_le hops (4 * i) (Int32.of_int hop)
 
-(* [Declined] answers an [EListenRandom] the engine will not run as one
-   suspension: the fiber then listens round by round itself.  [Heard]
-   answers one it ran parked. *)
-type obs = Received of Frame.t | Nothing | Declined | Heard of series_view
+(* [Heard] answers an [EListenRandom] once its last round has resolved. *)
+type obs = Received of Frame.t | Nothing | Heard of series_view
 
 (* One effect constructor per action keeps the perform path lean: [EIdle] is
    a constant (no allocation at all), [EListen]/[ETransmit] are a single
@@ -52,21 +50,21 @@ type _ Effect.t += Round : int Effect.t
 
 let transmit ~chan frame =
   match Effect.perform (ETransmit (chan, frame)) with
-  | Received _ | Nothing | Declined | Heard _ -> ()
+  | Received _ | Nothing | Heard _ -> ()
 
 let listen ~chan =
   match Effect.perform (EListen chan) with
   | Received frame -> Some frame
-  | Nothing | Declined | Heard _ -> None
+  | Nothing | Heard _ -> None
 
 let idle () =
   match Effect.perform EIdle with
-  | Received _ | Nothing | Declined | Heard _ -> ()
+  | Received _ | Nothing | Heard _ -> ()
 
 let idle_for k =
   if k > 0 then
     match Effect.perform (EIdleFor k) with
-    | Received _ | Nothing | Declined | Heard _ -> ()
+    | Received _ | Nothing | Heard _ -> ()
 
 (* The parked read: [f] over the view's hops in round order, until it
    returns false (then true: [f] stopped the read) or the hops run out. *)
@@ -80,21 +78,21 @@ let rec read_heard v ~f ~len j row =
     || read_heard v ~f ~len (j + 1) (if row + 1 = v.depth then 0 else row + 1)
   end
 
-(* The declined series: one [listen] per round.  Once [f] has stopped the
-   read the fiber keeps listening without it, so the call still spends
-   [len] rounds and [len] draws. *)
-let rec listen_declined ~rng ~bound ~len ~f j reading =
-  if j = len then not reading
-  else
-    let heard = listen ~chan:(Prng.Rng.int rng bound) in
-    listen_declined ~rng ~bound ~len ~f (j + 1) (reading && f j heard)
-
 let listen_random ~rng ~bound ~len ~f =
   len > 0
   &&
   match Effect.perform (EListenRandom (rng, bound, len)) with
   | Heard v -> read_heard v ~f ~len 0 v.row0
-  | Received _ | Nothing | Declined -> listen_declined ~rng ~bound ~len ~f 0 true
+  | Received _ | Nothing -> invalid_arg "Engine.listen_random: no view from the core"
+
+(* A series some other core ran round by round, [heard.(j)] being hop j's
+   frame: all-zero one-byte hops over a one-channel ring of [len] rows make
+   [read_heard] read [heard] in order. *)
+let heard_view ~clock heard =
+  let len = Array.length heard in
+  Heard
+    { hist = heard; hops = Bytes.make len '\000'; cell = 1; hop0 = 0; row0 = 0;
+      depth = max len 1; channels = 1; issued = !clock; clock }
 
 let check_bound ~channels bound =
   if bound < 1 || bound > channels then
@@ -180,9 +178,8 @@ let run_core cfg ~adversary ~get_body =
   let record_wanted =
     cfg.Config.record_transcript || Option.is_some adversary.Adversary.observe
   in
-  (* Parked listen-series rings.  When nothing records per-listener
-     identities ([record_wanted] false), a [listen_random] fiber does not
-     ride the active list at all: the core draws its hops, its per-round
+  (* Parked listen-series rings.  A [listen_random] fiber does not ride the
+     active list at all: the core draws its hops, its per-round
      listener counts are pre-accumulated into [series_counts] (a round-ring
      of per-channel ints) at declare time, delivered frames land in
      [series_hist] (same geometry, shared [Some] per channel per round),
@@ -279,9 +276,6 @@ let run_core cfg ~adversary ~get_body =
           in
           Hashtbl.replace wake wake_round (i :: prev)
         end)
-  in
-  let some_decline =
-    Some (fun (k : (obs, unit) Effect.Deep.continuation) -> Effect.Deep.continue k Declined)
   in
   (* Regrow the series rings to hold [needed] rounds, re-homing live rows
      under the new modulus.  At regrow time (a declare, so [round_counter]
@@ -394,19 +388,12 @@ let run_core cfg ~adversary ~get_body =
             pending_chan := d;
             some_sleep
           | EListenRandom (rng, bound, len) ->
-            (* The parked path skips the active list entirely but cannot
-               name per-round listeners, so recording runs (transcript or
-               observing adversary) decline the series and the fiber
-               listens round by round.  Either way a bad bound raises
-               before any count is booked. *)
+            (* A bad bound raises before any count is booked. *)
             check_bound ~channels bound;
-            if record_wanted then some_decline
-            else begin
-              pending_rng := rng;
-              pending_chan := bound;
-              pending_len := len;
-              some_listen_park
-            end
+            pending_rng := rng;
+            pending_chan := bound;
+            pending_len := len;
+            some_listen_park
           | Round -> some_round
           | _ -> None) }
   in
@@ -449,7 +436,7 @@ let run_core cfg ~adversary ~get_body =
      skipped rounds: no recording, and the adversary is the stateless null
      strategy (physical equality — [Adversary.t] is a record of closures). *)
   let fast_forward_ok = (not record_wanted) && adversary == Adversary.null in
-  let honest_tx = ref [] and listeners = ref [] in
+  let honest_tx = ref [] in
   let tx_total = ref 0 in
   let strike_count = ref 0 in
   let apply_strike s =
@@ -483,10 +470,23 @@ let run_core cfg ~adversary ~get_body =
         let chan = chan_of.(i) in
         validate_chan chan;
         touch chan;
-        Array.set listeners_on chan (Array.get listeners_on chan + 1);
-        if record_wanted then listeners := (i, chan) :: !listeners
+        Array.set listeners_on chan (Array.get listeners_on chan + 1)
       | _ -> ()
     done
+  in
+  (* A recorded round's listeners in ascending id: each active one on its
+     declared channel, each parked series on its hop for this round. *)
+  let round_listeners round =
+    let acc = ref [] in
+    for i = n - 1 downto 0 do
+      match Bytes.get st i with
+      | 'l' -> acc := (i, chan_of.(i)) :: !acc
+      | 'p' ->
+        let hop = hop_get !hop_store cell ((i * !hop_width) + round - ser_start.(i)) in
+        acc := (i, hop) :: !acc
+      | _ -> ()
+    done;
+    !acc
   in
   let[@inline] resume_one i =
     match Bytes.get st i with
@@ -579,7 +579,6 @@ let run_core cfg ~adversary ~get_body =
     else begin
       (* 1. Harvest declared actions over the active list. *)
       honest_tx := [];
-      listeners := [];
       tx_total := 0;
       harvest ();
       (* 2. Adversary commits its strikes without seeing this round's
@@ -682,7 +681,7 @@ let run_core cfg ~adversary ~get_body =
         let record =
           { Transcript.round;
             honest_tx = List.rev !honest_tx;
-            listeners = List.rev !listeners;
+            listeners = round_listeners round;
             strikes = List.map (fun s -> (s.Adversary.chan, s.Adversary.spoof)) strikes;
             outcomes }
         in

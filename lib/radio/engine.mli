@@ -62,21 +62,19 @@ val listen_random :
     would.  Use it when the channel sequence does not depend on what is
     heard (e.g. the f-AME feedback listeners' random hops).
 
-    When nothing records per-listener identities (transcript off,
-    non-observing adversary) the sparse core parks the fiber for the whole
-    run: it draws the hops itself with one {!Prng.Rng.fill_int} into one
-    core-owned scratch, books the listener counts ahead, and keeps the hops
-    in a per-node store of 1-, 2- or 4-byte cells.  When the run ends the
+    The sparse core parks the fiber for the whole run, whatever the run
+    records: it draws the hops itself with one {!Prng.Rng.fill_int} into
+    one core-owned scratch, books the listener counts ahead, and keeps the
+    hops in a per-node store of 1-, 2- or 4-byte cells, from which a
+    recorded round reads the series' listener.  When the run ends the
     fiber resumes once and [f] reads each heard frame straight from the
     core's history ring, so the run costs no per-round resume, no per-hop
-    copy, and no hop buffer in the fiber.  Otherwise the fiber listens
-    round by round, and [f] is not called again once it has returned
-    [false].
+    copy, and no hop buffer in the fiber.
 
-    [f] must not perform a round action: on the parked path every [f] call
-    runs after the last round of the series, and a read of the next hop
-    after [f] took a round action raises [Invalid_argument] (the ring rows
-    may have been reused).  Raises [Invalid_argument] (from the engine,
+    [f] must not perform a round action: every [f] call runs after the
+    last round of the series, and a read of the next hop after [f] took a
+    round action raises [Invalid_argument] (the ring rows may have been
+    reused).  Raises [Invalid_argument] (from the engine,
     before any round is booked) unless [1 <= bound <= channels].
     [len <= 0] consumes no rounds, draws nothing and calls no [f]. *)
 
@@ -91,19 +89,16 @@ val current_round : unit -> int
     when the round resolves. *)
 
 type series_view
-(** A finished parked series' hops and heard frames, read in place from the
+(** A finished series' hops and heard frames, read in place from the
     core's hop store and history ring by {!listen_random}.  Valid until the
     fiber's next round action. *)
 
 type obs =
   | Received of Frame.t  (** a listener's channel carried one decodable frame *)
   | Nothing  (** silence, collision, jam, or a non-listening action *)
-  | Declined
-      (** the core will not run an {!EListenRandom} as one suspension: the
-          fiber then draws and performs one {!EListen} per round itself *)
   | Heard of series_view
-      (** the core ran an {!EListenRandom} parked: the series' rounds are
-          over and the view holds each hop and what it heard *)
+      (** an {!EListenRandom}'s rounds are over: the view holds each hop and
+          what it heard *)
 
 type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t  (** {!transmit} *)
 type _ Effect.t += EListen : int -> obs Effect.t  (** {!listen} *)
@@ -111,11 +106,16 @@ type _ Effect.t += EIdle : obs Effect.t  (** {!idle} *)
 type _ Effect.t += EIdleFor : int -> obs Effect.t  (** {!idle_for}, [k > 0] rounds *)
 type _ Effect.t += EListenRandom : Prng.Rng.t * int * int -> obs Effect.t
 (** {!listen_random} with [(rng, bound, len)], [len > 0]: the core checks
-    [bound], then either draws the [len] hops from [rng] and runs them
-    parked, answering [Heard] once the last round has resolved, or answers
-    [Declined] at once and leaves the draws to the fiber.  Only the sparse
-    core builds views; the test oracle always declines. *)
+    [bound], draws the [len] hops from [rng], listens on hop j in the
+    series' j-th round, and answers [Heard] once the last round has
+    resolved. *)
 type _ Effect.t += Round : int Effect.t  (** {!current_round}; consumes no round *)
+
+val heard_view : clock:int ref -> Frame.t option array -> obs
+(** [heard_view ~clock heard] is the [Heard] answer of a core that ran the
+    series round by round, [heard.(j)] being hop j's frame.  The test
+    oracle's seam: [clock] is that core's round counter, read now, so a
+    read after a round action raises as it does in the sparse core. *)
 
 (** {1 Running} *)
 

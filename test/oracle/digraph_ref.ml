@@ -30,12 +30,6 @@ let vertices t =
 
 let sources t = List.sort_uniq Int.compare (Edge_set.fold (fun (v, _) acc -> v :: acc) t [])
 
-let out_edges t v = edges (Edge_set.filter (fun (x, _) -> x = v) t)
-
-let in_edges t w = edges (Edge_set.filter (fun (_, y) -> y = w) t)
-
-let out_degree t v = List.length (out_edges t v)
-
 let has_outgoing t v = Edge_set.exists (fun (x, _) -> x = v) t
 
 let is_cover t cover = Edge_set.for_all (fun (v, w) -> List.mem v cover || List.mem w cover) t

@@ -16,6 +16,14 @@ type fiber =
   | Listen of int * k
   | Idle of k
   | Sleep of int * k  (** idle rounds left, this one included *)
+  | Series of {
+      rng : Prng.Rng.t;
+      bound : int;
+      heard : Frame.t option array;
+      j : int;
+      chan : int;
+      k : k;
+    }  (** a [listen_random] series, on hop [j]'s channel [chan] this round *)
 
 exception Aborted
 
@@ -78,16 +86,17 @@ let run (cfg : Config.t) ~adversary nodes =
           | Engine.EListen chan -> park (fun k -> Listen (chan, k))
           | Engine.EIdle -> park (fun k -> Idle k)
           | Engine.EIdleFor d -> park (fun k -> Sleep (d, k))
-          | Engine.EListenRandom (_, bound, _) ->
-            (* Always declined, once the bound is checked: the fiber then
-               draws each hop and performs one [EListen] per round, the
+          | Engine.EListenRandom (rng, bound, len) ->
+            (* One [Rng.int rng bound] draw and one listen per round, the
                definition the sparse core's parked series is checked
-               against. *)
+               against; [heard] collects what each hop heard. *)
             if bound < 1 || bound > cfg.channels then
               invalid_arg
                 (Printf.sprintf "Engine.listen_random: bound %d outside 1..%d" bound
                    cfg.channels);
-            Some (fun k -> Effect.Deep.continue k Engine.Declined)
+            let heard = Array.make len None in
+            let chan = Prng.Rng.int rng bound in
+            park (fun k -> Series { rng; bound; heard; j = 0; chan; k })
           | Engine.Round -> Some (fun k -> Effect.Deep.continue k !round)
           | _ -> None) }
   in
@@ -114,7 +123,9 @@ let run (cfg : Config.t) ~adversary nodes =
     in
     let listeners =
       List.filter_map
-        (function i, Listen (chan, _) -> Some (i, chan) | _ -> None)
+        (function
+          | i, Listen (chan, _) | i, Series { chan; _ } -> Some (i, chan)
+          | _ -> None)
         declared
     in
     List.iter (fun (_, chan, _) -> check_chan chan) honest_tx;
@@ -158,13 +169,18 @@ let run (cfg : Config.t) ~adversary nodes =
         resume k (match heard chan with Some f -> Engine.Received f | None -> Engine.Nothing)
       | Sleep (d, k) ->
         if d <= 1 then resume k Engine.Nothing else fibers.(i) <- Sleep (d - 1, k)
+      | Series s ->
+        s.heard.(s.j) <- heard s.chan;
+        if s.j + 1 = Array.length s.heard then
+          resume s.k (Engine.heard_view ~clock:round s.heard)
+        else fibers.(i) <- Series { s with j = s.j + 1; chan = Prng.Rng.int s.rng s.bound }
     done
   done;
   let completed = not (waiting ()) in
   Array.iter
     (function
       | Finished -> ()
-      | Transmit (_, _, k) | Listen (_, k) | Idle k | Sleep (_, k) ->
+      | Transmit (_, _, k) | Listen (_, k) | Idle k | Sleep (_, k) | Series { k; _ } ->
         Effect.Deep.discontinue k Aborted)
     fibers;
   { Engine.stats; transcript = List.rev !transcript; completed; rounds_used = !round;

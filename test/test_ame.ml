@@ -60,7 +60,10 @@ let build_basic () =
   check (Alcotest.option Alcotest.int) "edge destination receives" (Some 2)
     sched.Schedule.receiver.(1);
   check Alcotest.int "witnesses are C per channel" 3
-    (Array.length (Schedule.witness_sets sched).(0));
+    (List.length
+       (List.filter
+          (fun id -> Schedule.witness_channel sched id = Some 0)
+          (List.init 40 Fun.id)));
   check Alcotest.int "watchers per channel" 9 (Array.length sched.Schedule.watchers.(0));
   (* All assigned nodes distinct. *)
   let assigned =
@@ -193,8 +196,16 @@ let schedule_invariants_on_random_proposals =
                  | Game.State.Edge (v, w) ->
                    sched.Schedule.owner.(c) = v && sched.Schedule.receiver.(c) = Some w))
         in
+        (* Every witness set has t + 1 members, read through the role
+           index. *)
         let witnesses_full =
-          Array.for_all (fun ws -> Array.length ws = t + 1) (Schedule.witness_sets sched)
+          let members = Array.make k 0 in
+          for id = 0 to 119 do
+            match Schedule.witness_channel sched id with
+            | Some c -> members.(c) <- members.(c) + 1
+            | None -> ()
+          done;
+          Array.for_all (fun m -> m = t + 1) members
         in
         no_double_booking && owners_right && witnesses_full)
 
@@ -330,56 +341,106 @@ let feedback_64_groups () =
     (fun id d -> check (Alcotest.list Alcotest.int) (Printf.sprintf "node %d" id) expected d)
     outputs
 
-(* Three consecutive feedback runs per node, each with its own flags.
-   Returns each node's (D, round at return) per run; [observe] wraps the
-   adversary as an observer, which makes the engine decline every
-   listener series, so each listener draws and hears its hops round by
-   round. *)
-let feedback_consecutive ~observe ~adversary =
-  let channels = 2 and k = 3 and reps = 5 and runs = 3 in
+(* Three consecutive feedback runs per node on the core [run], each with
+   its own flags, through {!Feedback} or (with [tree]) {!Tree_feedback}.
+   Returns each node's (D, round at return) per run and the engine result;
+   [observe] wraps the adversary as an observer and [record] keeps the
+   transcript, neither of which may change what any node hears. *)
+let feedback_consecutive ?(tree = false) ?(record = false) ~run ~observe ~adversary () =
+  let channels = 2 and reps = 5 and runs = 3 in
+  (* Tree feedback merges a power-of-two number of witness groups. *)
+  let k = if tree then 2 else 3 in
   let n = (k * channels) + 6 in
-  let cfg = Radio.Config.make ~seed:9L ~n ~channels ~t:1 () in
+  let cfg = Radio.Config.make ~seed:9L ~n ~channels ~t:1 ~record_transcript:record () in
   let witnesses = Array.init k (fun r -> Array.init channels (fun i -> (r * channels) + i)) in
   let outputs = Array.make n [] in
   let adversary =
     let a = adversary () in
     if observe then { a with Radio.Adversary.observe = Some ignore } else a
   in
-  let result =
-    Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
-        let id = ctx.id in
-        for run = 0 to runs - 1 do
-          let my_flag = id < k * channels && ((id / channels) + run) mod 2 = 0 in
-          let d =
-            Feedback.run ~reps ~my_id:id ~rng:ctx.rng ~channels ~witnesses
-              ~witness_size:channels ~my_flag
-          in
-          outputs.(id) <- outputs.(id) @ [ (d, Radio.Engine.current_round ()) ]
-        done)
+  let body (ctx : Radio.Engine.ctx) =
+    let id = ctx.id in
+    for run = 0 to runs - 1 do
+      let my_flag = id < k * channels && ((id / channels) + run) mod 2 = 0 in
+      let d =
+        if tree then
+          Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget:1 ~reps ~witnesses
+            ~witness_size:channels ~my_flag
+        else
+          Feedback.run ~reps ~my_id:id ~rng:ctx.rng ~channels ~witnesses
+            ~witness_size:channels ~my_flag
+      in
+      outputs.(id) <- outputs.(id) @ [ (d, Radio.Engine.current_round ()) ]
+    done
   in
-  check Alcotest.int "rounds = runs * k * reps" (runs * k * reps)
+  let result = run cfg ~adversary (Array.make n body) in
+  let per_run = if tree then Tree_feedback.rounds_consumed ~groups:k ~reps else k * reps in
+  check Alcotest.int "rounds = runs * rounds per run" (runs * per_run)
     result.Radio.Engine.rounds_used;
-  outputs
+  (outputs, result)
 
-let feedback_parked_equals_declined () =
-  (* Without an observer the listeners' series park in the engine, which
-     draws their hops, and each listener stops reading at its first
-     <true, r>; with one, the engine declines them.  Either way every node
-     gets the same D at the same rounds, and the stream each node leaves
-     behind (its next run's hops) agrees too. *)
+let feedback_adversaries =
+  [ ("null", fun () -> Radio.Adversary.null);
+    ( "random jammer",
+      fun () -> Radio.Adversary.random_jammer (Prng.Rng.create 4L) ~channels:2 ~budget:1 ) ]
+
+let check_same_outputs label a b =
+  Array.iteri
+    (fun id runs ->
+      check
+        (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.int) Alcotest.int))
+        (Printf.sprintf "%s: node %d" label id) runs b.(id))
+    a
+
+let feedback_parked_equals_reference () =
+  (* The engine parks the listeners' series and draws their hops; each
+     listener stops reading at its first <true, r>.  The reference core
+     draws and hears each hop round by round.  Every node gets the same D
+     at the same rounds on both, with or without an observer, and the
+     stream each node leaves behind (its next run's hops) agrees too. *)
   List.iter
     (fun (name, adversary) ->
-      let parked = feedback_consecutive ~observe:false ~adversary in
-      let declined = feedback_consecutive ~observe:true ~adversary in
-      Array.iteri
-        (fun id runs ->
+      let reference, _ =
+        feedback_consecutive ~run:Reference_engine.run ~observe:false ~adversary ()
+      in
+      List.iter
+        (fun observe ->
+          let parked, _ = feedback_consecutive ~run:Radio.Engine.run ~observe ~adversary () in
+          check_same_outputs
+            (Printf.sprintf "%s, observer %b" name observe)
+            reference parked)
+        [ false; true ])
+    feedback_adversaries
+
+let feedback_recorded_matches_reference () =
+  (* A recorded run parks its series too: its transcript names each parked
+     listener on its hop, read back from the hop store, so both feedback
+     modes audit clean and record the reference core's listener lists. *)
+  List.iter
+    (fun (name, adversary) ->
+      List.iter
+        (fun tree ->
+          let label = Printf.sprintf "%s, %s" name (if tree then "tree" else "sequential") in
+          let go run =
+            feedback_consecutive ~tree ~record:true ~run ~observe:false ~adversary ()
+          in
+          let ref_out, reference = go Reference_engine.run in
+          let out, parked = go Radio.Engine.run in
+          check_same_outputs label ref_out out;
+          let listeners (r : Radio.Engine.result) =
+            List.map (fun (rr : Radio.Transcript.round_record) -> rr.listeners) r.transcript
+          in
+          check Alcotest.bool (label ^ ": listeners recorded") true
+            (List.exists (( <> ) []) (listeners parked));
           check
-            (Alcotest.list (Alcotest.pair (Alcotest.list Alcotest.int) Alcotest.int))
-            (Printf.sprintf "%s: node %d" name id) runs declined.(id))
-        parked)
-    [ ("null", fun () -> Radio.Adversary.null);
-      ( "random jammer",
-        fun () -> Radio.Adversary.random_jammer (Prng.Rng.create 4L) ~channels:2 ~budget:1 ) ]
+            Alcotest.(list (list (pair int int)))
+            (label ^ ": listener lists") (listeners reference) (listeners parked);
+          check Alcotest.bool (label ^ ": transcripts equal") true
+            (reference.transcript = parked.transcript);
+          check Alcotest.int (label ^ ": audit clean") 0
+            (List.length (Radio.Auditor.audit ~channels:2 ~budget:1 parked.transcript)))
+        [ false; true ])
+    feedback_adversaries
 
 let feedback_steady_state_allocation () =
   (* One listener against silent witnesses (their fibers return at once),
@@ -698,6 +759,52 @@ let outcome_sha (o : Fame.outcome) =
     (ints u.Radio.Transcript.Channel_usage.collisions)
     (ints u.Radio.Transcript.Channel_usage.jammed);
   Crypto.Sha256.digest_hex (Buffer.contents b)
+
+(* A recorded f-AME run, sequential and tree feedback, under the schedule
+   jammer: it audits clean, recording changes nothing the unrecorded run
+   reports, and its listener lists hash to the pins below.  Those were
+   taken when a recorded run heard every series round by round, as the
+   reference core does; the parked series now name their listeners from
+   the hop store. *)
+let fame_recorded_run_audits_clean () =
+  List.iter
+    (fun (label, (cfg : Radio.Config.t), feedback_mode, channels_used, pairs, pin) ->
+      let go record =
+        Fame.run ~channels_used ~feedback_mode ~cfg:{ cfg with record_transcript = record }
+          ~pairs ~messages
+          ~adversary:(fun board ->
+            Attacks.schedule_jammer board ~channels:cfg.channels ~budget:cfg.t
+              ~prefer:Attacks.Prefer_edges)
+          ()
+      in
+      let plain = go false and recorded = go true in
+      let transcript = recorded.Fame.engine.Radio.Engine.transcript in
+      check Alcotest.int (label ^ ": audit clean") 0
+        (List.length (Radio.Auditor.audit ~channels:cfg.channels ~budget:cfg.t transcript));
+      check Alcotest.string (label ^ ": same outcome")
+        (outcome_sha plain)
+        (outcome_sha { recorded with engine = { recorded.engine with transcript = [] } });
+      let b = Buffer.create 4096 in
+      List.iter
+        (fun (r : Radio.Transcript.round_record) ->
+          List.iter (fun (i, c) -> Printf.bprintf b "%d:%d," i c) r.listeners;
+          Buffer.add_char b ';')
+        transcript;
+      check Alcotest.string (label ^ ": listener lists") pin
+        (Crypto.Sha256.digest_hex (Buffer.contents b)))
+    [ ( "sequential",
+        fame_cfg ~t:1 ~seed:5L (),
+        Fame.Sequential,
+        2,
+        Workload.disjoint_pairs ~n:(fame_cfg ~t:1 ()).n ~count:5,
+        "268187022317ef916c113d3bb1531fbe7ea1c03b39c277a4e0950673f5883ed9" );
+      ( "tree",
+        Radio.Config.make ~n:55 ~channels:8 ~t:2 ~seed:41L
+          ~max_rounds:Radio.Config.default_max_rounds (),
+        Fame.Tree,
+        4,
+        Workload.disjoint_pairs ~n:55 ~count:8,
+        "b9e90e0178296c34a16ed416839f0f51a272d057d5ca1b9d9ff7b6fb1aec288b" ) ]
 
 (* A low-beta feedback under a random jammer: too few repetitions, so
    listeners disagree on D often enough that some runs diverge.  At
@@ -1300,7 +1407,9 @@ let () =
           Alcotest.test_case "round cost" `Quick feedback_round_cost;
           Alcotest.test_case "starved feedback fails" `Quick feedback_starved_fails_sometimes;
           Alcotest.test_case "64 witness groups" `Quick feedback_64_groups;
-          Alcotest.test_case "parked = declined runs" `Quick feedback_parked_equals_declined;
+          Alcotest.test_case "parked = reference runs" `Quick feedback_parked_equals_reference;
+          Alcotest.test_case "recorded run = reference" `Quick
+            feedback_recorded_matches_reference;
           Alcotest.test_case "one read per successful phase" `Quick feedback_one_read_per_hit;
           Alcotest.test_case "steady-state allocation" `Quick
             feedback_steady_state_allocation ] );
@@ -1316,6 +1425,7 @@ let () =
           Alcotest.test_case "tree mode end-to-end" `Slow fame_tree_mode_works;
           Alcotest.test_case "tree mode validation" `Quick fame_tree_mode_validation;
           Alcotest.test_case "outcome pins" `Quick fame_outcome_pins;
+          Alcotest.test_case "recorded run audits clean" `Quick fame_recorded_run_audits_clean;
           Alcotest.test_case "allocation per node-move" `Quick fame_allocation_per_move;
           Alcotest.test_case "promoted per listener phase" `Quick
             fame_promoted_per_listener_phase;

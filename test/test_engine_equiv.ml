@@ -70,11 +70,10 @@ let node_body ~n ~channels ~steps (ctx : Engine.ctx) =
     | 4 -> Engine.idle ()
     | 5 ->
       (* Series lengths 0..6 cover the empty no-op, the one-round case, and
-         multi-round runs; with record off and a non-observing adversary
-         this is the parked fast path, otherwise the engine declines the
-         series and the fiber listens round by round.  The hops come from
-         the node's own stream, so every later step checks that the series
-         left it as [len] draws would; [f] stops at a random hop. *)
+         multi-round runs, parked by the sparse core and heard round by
+         round by the reference.  The hops come from the node's own
+         stream, so every later step checks that the series left it as
+         [len] draws would; [f] stops at a random hop. *)
       let len = Prng.Rng.int rng 7 in
       let bound = 1 + Prng.Rng.int rng channels in
       let stop = Prng.Rng.int rng 8 in
@@ -217,14 +216,15 @@ let run_nodes_equals_run () =
   let b = Engine.run_nodes cfg ~adversary:(mk ()) body in
   check Alcotest.bool "identical" true (same_result a b)
 
-(* -- listen_random: parked vs declined vs reference ---------------------
+(* -- listen_random: parked vs reference ------------------------------------
 
    The random property above only compares engine-side observables; these
-   check what the listeners actually read, through both cores and both
-   series paths (parked when nothing records; declined, i.e. plain
-   per-round listens, when the transcript or an observing adversary needs
-   identities), with mixed series lengths chosen to force the round rings
-   and the hop store to regrow while series are outstanding. *)
+   check what the listeners actually read, through both cores, with
+   recording off, with it on and with an observing adversary (the sparse
+   core parks every series and names its listeners from the hop store;
+   the reference listens round by round), with mixed series lengths chosen
+   to force the round rings and the hop store to regrow while series are
+   outstanding. *)
 
 type series_params = {
   listeners : int;
@@ -262,6 +262,7 @@ type listener_log = {
 let random_series_run p ~record ~observer run_core =
   let n = p.senders + p.listeners in
   let logs = Array.init n (fun _ -> { calls = []; finals = [] }) in
+  let seen = ref [] in
   let cfg =
     Config.make ~n ~channels:p.schannels ~t:p.st ~seed:(Int64.of_int p.sseed)
       ~record_transcript:record ()
@@ -269,7 +270,10 @@ let random_series_run p ~record ~observer run_core =
   let adversary =
     let a = make_adversary ~which:p.adv ~channels:p.schannels ~budget:p.st ~seed:p.sseed () in
     assert (Option.is_none a.Adversary.observe);
-    if observer then { a with Adversary.observe = Some ignore } else a
+    if observer then
+      { a with
+        Adversary.observe = Some (fun r -> seen := r.Transcript.listeners :: !seen) }
+    else a
   in
   let body (ctx : Engine.ctx) =
     let rng = ctx.Engine.rng and id = ctx.Engine.id in
@@ -306,35 +310,37 @@ let random_series_run p ~record ~observer run_core =
       done
   in
   let r = run_core cfg ~adversary (Array.make n body) in
-  (r, Array.map (fun l -> (l.calls, l.finals)) logs)
+  (r, Array.map (fun l -> (l.calls, l.finals)) logs, !seen)
 
 let series_paths_agree =
-  QCheck.Test.make ~name:"parked = declined = reference" ~count:200
-    series_params_arb (fun p ->
-      let go ~record ?(observer = false) run_core =
-        random_series_run p ~record ~observer run_core
-      in
-      let ref_off, ref_off_log = go ~record:false Reference_engine.run in
-      let parked, parked_log = go ~record:false Engine.run in
-      let ref_on, ref_on_log = go ~record:true Reference_engine.run in
-      let recorded, recorded_log = go ~record:true Engine.run in
-      let observed, observed_log = go ~record:false ~observer:true Engine.run in
+  QCheck.Test.make ~name:"parked = reference" ~count:200 series_params_arb (fun p ->
       let fail what a b =
         QCheck.Test.fail_reportf "%s on %s:@ %t" what (pp_series_params p) (fun fmt ->
             explain_mismatch fmt a b)
       in
-      if not (same_result ref_off parked) then fail "parked vs reference" ref_off parked
-      else if not (same_result ref_on recorded) then
-        fail "declined (recording) vs reference" ref_on recorded
-      else if not (same_result parked observed) then
-        fail "parked vs declined (observer)" parked observed
-      else if ref_off.Engine.stats <> ref_on.Engine.stats then
-        fail "recording changed the stats" ref_off ref_on
-      else
-        parked_log = ref_off_log
-        && recorded_log = ref_on_log
-        && observed_log = parked_log
-        && recorded_log = parked_log)
+      let runs =
+        List.map
+          (fun (label, record, observer) ->
+            let reference, ref_log, ref_seen =
+              random_series_run p ~record ~observer Reference_engine.run
+            in
+            let parked, log, seen = random_series_run p ~record ~observer Engine.run in
+            if not (same_result reference parked) then
+              fail (label ^ ": parked vs reference") reference parked;
+            if seen <> ref_seen then
+              QCheck.Test.fail_reportf "%s: observed listeners differ on %s" label
+                (pp_series_params p);
+            (reference, ref_log, log))
+          [ ("recording off", false, false);
+            ("recording on", true, false);
+            ("observer", false, true) ]
+      in
+      let off, _, off_log = List.hd runs in
+      List.iter
+        (fun (r, _, _) ->
+          if r.Engine.stats <> off.Engine.stats then fail "recording changed the stats" off r)
+        runs;
+      List.for_all (fun (_, ref_log, log) -> log = ref_log && log = off_log) runs)
 
 let series_lengths = [| 3; 1; 40; 0; 7; 33 |]
 
@@ -396,15 +402,16 @@ let series_heard_parity () =
   check Alcotest.bool "parked: heard frames identical" true (ha = hb);
   check Alcotest.bool "listeners heard something" true
     (Array.exists (List.exists (fun s -> not (String.ends_with ~suffix:"@-" s))) hb);
-  (* Declined series, recording on: must hear exactly the same frames. *)
+  (* Parked series, recording on: must hear exactly the same frames. *)
   let rc, hc = go ~record:true Reference_engine.run in
   let rd, hd = go ~record:true Engine.run in
   check Alcotest.bool "recorded: engine observables identical" true (same_result rc rd);
   check Alcotest.bool "recorded: heard frames identical" true (hc = hd);
   check Alcotest.bool "recorded path hears what the parked path hears" true (hb = hd);
-  (* Declined series, recording off but an observing adversary.  It never
-     strikes, so the heard frames must match the parked run; it keeps the
-     per-round listener identities, which both cores must show it alike. *)
+  (* Parked series, recording off but an observing adversary.  It never
+     strikes, so the heard frames must match the unobserved run; it keeps
+     the per-round listener identities, which both cores must show it
+     alike. *)
   let observed run =
     let seen = ref [] in
     let adversary =
@@ -425,8 +432,8 @@ let series_heard_parity () =
 
 let series_rejects_bad_arguments () =
   (* A bound outside 1..C raises when the series is declared, on both
-     cores and both paths, before the engine draws a hop: node 0's stream
-     is left untouched. *)
+     cores and with recording on or off, before the core draws a hop:
+     node 0's stream is left untouched. *)
   List.iter
     (fun (label, record, run) ->
       List.iter
@@ -456,39 +463,49 @@ let series_rejects_bad_arguments () =
               (Prng.Rng.bits64 fresh) (Prng.Rng.bits64 rng))
         [ 0; 3 ])
     [ ("parked", false, Engine.run);
-      ("declined", true, Engine.run);
+      ("parked, recording", true, Engine.run);
       ("reference", false, Reference_engine.run) ]
 
 let series_stale_read_raises () =
-  (* On the parked path [f] reads the history ring in place, so a round
-     action inside [f] invalidates the rest of the series: the next read
-     raises.  [current_round] is not a round action, and a round action in
-     the last hop's [f] is followed by no read. *)
-  let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
-  let run f =
-    Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
-        if ctx.Engine.id = 0 then
-          ignore (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~len:3 ~f)
-        else
-          for _ = 1 to 5 do
-            Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
-          done)
-  in
-  Alcotest.check_raises "round action, then a read"
-    (Invalid_argument "Engine.listen_random: series read after a round action") (fun () ->
-      ignore
-        (run (fun j _ ->
-             if j = 0 then Engine.idle ();
-             true)));
-  let rounds = ref [] in
-  let r =
-    run (fun j _ ->
-        rounds := Engine.current_round () :: !rounds;
-        if j = 2 then Engine.idle ();
-        true)
-  in
-  check Alcotest.(list int) "current_round reads the resume round" [ 3; 3; 3 ] !rounds;
-  check Alcotest.bool "completed" true r.Engine.completed
+  (* [f] reads the series' view in place, so a round action inside [f]
+     invalidates the rest of the series: the next read raises, on both
+     cores and whether or not the run records.  [current_round] is not a
+     round action, and a round action in the last hop's [f] is followed by
+     no read. *)
+  List.iter
+    (fun (label, record, run_core) ->
+      let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L ~record_transcript:record () in
+      let run f =
+        run_core cfg ~adversary:Adversary.null
+          (Array.make 2 (fun (ctx : Engine.ctx) ->
+               if ctx.Engine.id = 0 then
+                 ignore (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~len:3 ~f)
+               else
+                 for _ = 1 to 5 do
+                   Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
+                 done))
+      in
+      Alcotest.check_raises (label ^ ": round action, then a read")
+        (Invalid_argument "Engine.listen_random: series read after a round action")
+        (fun () ->
+          ignore
+            (run (fun j _ ->
+                 if j = 0 then Engine.idle ();
+                 true)));
+      let rounds = ref [] in
+      let r =
+        run (fun j _ ->
+            rounds := Engine.current_round () :: !rounds;
+            if j = 2 then Engine.idle ();
+            true)
+      in
+      check Alcotest.(list int) (label ^ ": current_round reads the resume round") [ 3; 3; 3 ]
+        !rounds;
+      check Alcotest.bool (label ^ ": completed") true r.Engine.completed)
+    [ ("parked", false, Engine.run);
+      ("parked, recording", true, Engine.run);
+      ("reference", false, Reference_engine.run);
+      ("reference, recording", true, Reference_engine.run) ]
 
 let series_completion_allocation () =
   (* A parked series costs the same constant number of words whatever its

@@ -13,6 +13,12 @@ module Workload = Rgraph.Workload
 let check = Alcotest.check
 let qcheck = QCheck_alcotest.to_alcotest
 
+(* Returns the first [min_return] items: models the C >= 2t referee that
+   must concede proposal_size - t items per move. *)
+let stingy ~min_return =
+  { Referee.name = Printf.sprintf "stingy-%d" min_return;
+    choose = (fun _ proposal -> List.filteri (fun i _ -> i < max 1 min_return) proposal) }
+
 let graph_gen =
   QCheck.Gen.(
     let* n = int_range 3 9 in
@@ -150,7 +156,7 @@ let runner_wins_all_referees () =
       let o = Runner.play (State.create_dense g ~t:2) referee in
       check Alcotest.bool (referee.Referee.name ^ " wins") true o.Runner.won)
     [ Referee.generous; Referee.minimal_first; Referee.spiteful ~min_return:1;
-      Referee.stingy ~min_return:2; Referee.random (Prng.Rng.create 9L) ~min_return:1 ]
+      stingy ~min_return:2; Referee.random (Prng.Rng.create 9L) ~min_return:1 ]
 
 let runner_move_bound =
   QCheck.Test.make ~name:"moves bounded by |E| + stars (Theorem 4)" ~count:100 arb_graph
@@ -186,7 +192,7 @@ let runner_stingy_faster_than_minimal () =
     Runner.play (State.create_dense ~proposal_size:4 g ~t:2) Referee.minimal_first
   in
   let stingy =
-    Runner.play (State.create_dense ~proposal_size:4 g ~t:2) (Referee.stingy ~min_return:2)
+    Runner.play (State.create_dense ~proposal_size:4 g ~t:2) (stingy ~min_return:2)
   in
   check Alcotest.bool "stingy-2 at most half the moves (+1)" true
     (stingy.Runner.moves <= (minimal.Runner.moves / 2) + 1)

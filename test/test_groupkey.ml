@@ -14,15 +14,16 @@ let null_fame (_ : Ame.Oracle.t) = Radio.Adversary.null
 
 let basics () =
   check (Alcotest.list Alcotest.int) "reporters t=2" [ 3; 4; 5; 6; 7 ]
-    (Protocol.reporters ~t:2);
-  check Alcotest.int "leader count" 3 (Protocol.leader_count ~t:2)
+    (Protocol.reporters ~t:2)
 
 let clean_run_everyone_agrees () =
   let o = run_once ~fame_attack:null_fame ~hop_attack:Radio.Adversary.null () in
   check Alcotest.int "everyone agrees" 20 o.Protocol.agreed_key_holders;
   check Alcotest.int "nobody wrong" 0 o.Protocol.wrong_key_holders;
   check Alcotest.int "nobody ignorant" 0 o.Protocol.no_key_holders;
-  check Alcotest.bool "leader 0 complete" true (List.mem 0 o.Protocol.complete_leaders)
+  check Alcotest.bool "leader 0 complete" true (List.mem 0 o.Protocol.complete_leaders);
+  check (Alcotest.list Alcotest.int) "t + 1 leaders, all complete" [ 0; 1 ]
+    (List.sort Int.compare o.Protocol.complete_leaders)
 
 let pairwise_keys_symmetric () =
   let o = run_once ~fame_attack:null_fame ~hop_attack:Radio.Adversary.null () in

@@ -73,7 +73,7 @@ let test_config_repo () =
     Alcotest.(check (list string)) "roots" [ "lib"; "bin"; "bench" ] cfg.Lint.Config.roots
 
 let test_prefix_semantics () =
-  let m = Lint.Config.prefix_matches in
+  let m path prefix = Lint.Config.path_in [ prefix ] path in
   Alcotest.(check bool) "dir prefix" true (m "lib/prng/rng.ml" "lib/prng");
   Alcotest.(check bool) "trailing slash" true (m "lib/prng/rng.ml" "lib/prng/");
   Alcotest.(check bool) "exact file" true (m "lib/parallel/clock.ml" "lib/parallel/clock.ml");
