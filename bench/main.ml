@@ -223,10 +223,6 @@ let micro_tests ~quick =
   let parked_series =
     let listeners = 2_000 and channels = 2 and hops = 86 in
     let heard = ref 0 in
-    let count _ frame =
-      if Option.is_some frame then incr heard;
-      true
-    in
     Test.make ~name:"radio/listen-series-86"
       (Staged.stage (fun () ->
            let cfg =
@@ -242,9 +238,13 @@ let micro_tests ~quick =
                         (Radio.Frame.Plain { src = id; dst = -1; body = "x" })
                     done
                   else
-                    ignore
-                      (Radio.Engine.listen_random ~rng:ctx.Radio.Engine.rng ~bound:channels
-                         ~len:hops ~f:count)))))
+                    let v =
+                      Radio.Engine.listen_random ~rng:ctx.Radio.Engine.rng ~bound:channels
+                        ~wait:0 ~len:hops
+                    in
+                    for j = 0 to hops - 1 do
+                      if Option.is_some (Radio.Engine.heard v j) then incr heard
+                    done))))
   in
   let fame_small = fame_bench ~name:"ame/fame-4-pairs-t1" ~n:25 in
   let prng =

@@ -16,6 +16,14 @@ let extract_entry entries ~dst =
   | Some body -> Some body
   | None -> List.assoc_opt (-1) entries
 
+let rec find_vector v = function
+  | [] -> None
+  | (u, entries) :: rest -> if Int.equal u v then Some entries else find_vector v rest
+
+let rec drop_vector v = function
+  | [] -> []
+  | ((u, _) as held) :: rest -> if Int.equal u v then rest else held :: drop_vector v rest
+
 type play = Game | Direct
 
 type feedback_mode = Sequential | Tree
@@ -210,8 +218,10 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
   in
   let node_body (ctx : Radio.Engine.ctx) =
     let id = ctx.id in
-    let known : (int, (int * string) list) Hashtbl.t = Hashtbl.create 16 in
-    Hashtbl.replace known id (vector_for id);
+    (* The vectors this node holds, by owner: its own, and one per move at
+       most as a watcher, so a short association list beats a hash table
+       that every one of n fibers would keep for the whole run. *)
+    let known = ref [ (id, vector_for id) ] in
     let rec play pos =
       match Lazy.force pos.plan with
       | Done -> pos
@@ -221,44 +231,49 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
       | Move { sched; entry; tree_this_move; witness_size } ->
         Oracle.post board ~round:(Radio.Engine.current_round ()) entry;
         let my_role = Schedule.role_of sched id in
-        (* Message-transmission phase: one round. *)
-        let my_recv = ref None in
-        (match my_role with
-         | Schedule.Broadcast { channel; owner } ->
-           (match Hashtbl.find_opt known owner with
-            | Some entries ->
-              (* A corrupted node acting as a surrogate forges the owner's
-                 vector: the receiver cannot tell (the channel is the
-                 scheduled one), which is the Byzantine attack of E13. *)
-              let entries =
-                if forges && owner <> id && List.mem id corrupted then
-                  List.map (fun (dst, _) -> (dst, Printf.sprintf "FORGED-by-%d" id)) entries
-                else entries
-              in
-              Radio.Engine.transmit ~chan:channel (Radio.Frame.Vector { owner; entries })
-            | None ->
-              (* Scheduled as surrogate without the vector: a divergence. *)
-              diverged := true;
-              Radio.Engine.idle ())
-         | Schedule.Receive { channel; _ } -> my_recv := Radio.Engine.listen ~chan:channel
-         | Schedule.Watch { channel } -> my_recv := Radio.Engine.listen ~chan:channel
-         | Schedule.Off -> Radio.Engine.idle ());
+        (* Message-transmission phase: one round.  An off-schedule node
+           does not idle through it here: the round is the [wait] of its
+           feedback listener series, so the node suspends once per move. *)
+        let my_recv =
+          match my_role with
+          | Schedule.Broadcast { channel; owner } ->
+            (match find_vector owner !known with
+             | Some entries ->
+               (* A corrupted node acting as a surrogate forges the owner's
+                  vector: the receiver cannot tell (the channel is the
+                  scheduled one), which is the Byzantine attack of E13. *)
+               let entries =
+                 if forges && owner <> id && List.mem id corrupted then
+                   List.map (fun (dst, _) -> (dst, Printf.sprintf "FORGED-by-%d" id)) entries
+                 else entries
+               in
+               Radio.Engine.transmit ~chan:channel (Radio.Frame.Vector { owner; entries })
+             | None ->
+               (* Scheduled as surrogate without the vector: a divergence. *)
+               diverged := true;
+               Radio.Engine.idle ());
+            None
+          | Schedule.Receive { channel; _ } | Schedule.Watch { channel } ->
+            Radio.Engine.listen ~chan:channel
+          | Schedule.Off -> None
+        in
+        let wait = match my_role with Schedule.Off -> 1 | _ -> 0 in
         (* Feedback phase.  A corrupted witness lies about its channel's
            outcome — the second Byzantine attack of E13: unlike the
            surrogate forgery, this one attacks agreement itself, since
            honest witnesses of the same channel contradict the liar and
            different listeners may believe different reporters. *)
         let my_flag =
-          let real = Option.is_some !my_recv in
+          let real = Option.is_some my_recv in
           if lies && List.mem id corrupted then not real else real
         in
         let d =
           if tree_this_move then
             Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget ~reps:tree_reps
-              ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
+              ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag ~wait
           else
             Feedback.run ~reps:sequential_reps ~my_id:id ~rng:ctx.rng ~channels
-              ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag
+              ~witnesses:sched.Schedule.watchers ~witness_size ~my_flag ~wait
         in
         (* Referee simulation: items on successful channels are chosen. *)
         let successes = List.filter (fun c -> c < Array.length sched.Schedule.items) d in
@@ -275,14 +290,14 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
               (fun c ->
                 match sched.Schedule.items.(c) with
                 | Game.State.Node v ->
-                  (match (my_role, !my_recv) with
+                  (match (my_role, my_recv) with
                    | Schedule.Watch { channel }, Some (Radio.Frame.Vector { owner; entries })
                      when channel = c && owner = v ->
-                     Hashtbl.replace known v entries
+                     known := (v, entries) :: drop_vector v !known
                    | _ -> ())
                 | Game.State.Edge (v, w) ->
                   if id = w then begin
-                    match !my_recv with
+                    match my_recv with
                     | Some (Radio.Frame.Vector { owner; entries }) when owner = v ->
                       (match extract_entry entries ~dst:w with
                        | Some body -> Hashtbl.replace delivered_cells (v, w) body

@@ -20,33 +20,41 @@ val run :
   witnesses:int array array ->
   witness_size:int ->
   my_flag:bool ->
+  wait:int ->
   int list
-(** [run ~reps ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag]
-    runs one phase of [reps] rounds per witness set: it consumes exactly
-    [Array.length witnesses * reps] rounds and returns the set D of channel
-    indices believed to have succeeded, sorted.  The witness set W[r] is
-    the first [witness_size] entries of [witnesses.(r)] — callers hand the
-    schedule's full watcher arrays and a prefix length instead of copied
-    sub-arrays.  [witness_size] must equal [channels] (each witness set
-    occupies every channel during its phase) and every [witnesses.(r)] must
-    have at least that many entries.  [my_flag] is consulted only if
+(** [run ~reps ~my_id ~rng ~channels ~witnesses ~witness_size ~my_flag
+    ~wait] idles [wait] rounds, then runs one phase of [reps] rounds per
+    witness set: it consumes exactly [wait + Array.length witnesses * reps]
+    rounds and returns the set D of channel indices believed to have
+    succeeded, sorted.  [wait] folds a caller's idle rounds just before
+    feedback (f-AME's off-schedule message round) into the listener
+    series.  The witness set W[r] is the first [witness_size] entries of
+    [witnesses.(r)] — callers hand the schedule's full watcher arrays and
+    a prefix length instead of copied sub-arrays.  [witness_size] must
+    equal [channels] (each witness set occupies every channel during its
+    phase) and every [witnesses.(r)] must have at least that many entries;
+    both are checked before any round.  [my_flag] is consulted only if
     [my_id] appears in some witness prefix (a node may witness at most one
     channel).
 
-    Listener rounds are declared through {!Radio.Engine.listen_random} —
-    one suspension per feedback phase rather than one per round — which is
-    observationally identical (the engine draws the random hops from the
-    same per-node stream in the same order) but makes population-scale
-    feedback cost one draw and one ring count per listener-round instead
-    of a fiber resume, with no per-node hop buffer.  The listener reads
-    what its hops heard only up to its first <true, r>: one read in a
-    phase whose first hop hits. *)
+    Listener rounds are declared through {!Radio.Engine.listen_random}:
+    each run of consecutive phases in which the node does not witness is
+    one series, so a node that witnesses nothing — almost every node at
+    population scale — suspends once per node-move, its [wait] included.
+    That is observationally identical (the engine draws the random hops
+    from the same per-node stream in the same order) but makes
+    population-scale feedback cost one draw and one ring count per
+    listener-round instead of a fiber resume, with no per-node hop buffer.
+    The listener reads each phase's hops only up to its first <true, r>:
+    one read in a phase whose first hop hits. *)
 
 val rounds_consumed : witnesses:int array array -> reps:int -> int
+(** Rounds of a call with [wait = 0]. *)
 
 (** {1 Exposed internals (tested directly)} *)
 
-val keep_listening : int -> int -> Radio.Frame.t option -> bool
-(** [keep_listening r] is phase [r]'s listener read, the [f] that {!run}
-    hands {!Radio.Engine.listen_random}: [false] (stop) at the first
-    <true, r>, [true] otherwise. *)
+val first_true : Radio.Engine.series_view -> int -> first:int -> len:int -> int
+(** [first_true v r ~first ~len] is phase [r]'s listener read over hops
+    [first .. first + len - 1] of a finished series: the offset of the
+    first <true, r> among them, or [len] when none is there.  It reads no
+    hop after that one. *)

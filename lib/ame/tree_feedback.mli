@@ -32,16 +32,19 @@ val run :
   witnesses:int array array ->
   witness_size:int ->
   my_flag:bool ->
+  wait:int ->
   int list
 (** Same contract as {!Feedback.run}: call from every node in the same
-    round; returns the believed-successful proposal channels, sorted.
-    The witness group of channel c is the first [witness_size] entries of
+    round; it idles [wait] rounds, then runs [rounds_consumed] rounds and
+    returns the believed-successful proposal channels, sorted.  The
+    witness group of channel c is the first [witness_size] entries of
     [witnesses.(c)] (the schedule's watcher-prefix, shared rather than
-    copied); [witness_size] must equal [budget + 1].  Non-witnesses park
-    through the merge phase with one [idle_for] and listen through
-    dissemination as one {!Radio.Engine.listen_random}, whose [f] absorbs
-    every heard flag set and never stops the read — same rounds, same rng
-    stream, one suspension instead of thousands, and no hop buffer. *)
+    copied); [witness_size] must equal [budget + 1].  A non-witness spends
+    [wait], the merge phase and dissemination in one
+    {!Radio.Engine.listen_random} whose [wait] covers the idle rounds, and
+    then absorbs every heard flag set from its view — same rounds, same
+    rng stream, one suspension per node-move instead of thousands, and no
+    hop buffer or closure held across it. *)
 
 (** {1 Exposed internals (tested directly)} *)
 

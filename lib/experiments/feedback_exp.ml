@@ -26,7 +26,7 @@ let agreement_trial ~beta ~t ~n ~seed =
     in
     outputs.(id) <-
       Ame.Feedback.run ~reps ~my_id:id ~rng:ctx.rng ~channels ~witnesses
-        ~witness_size:channels ~my_flag
+        ~witness_size:channels ~my_flag ~wait:0
   in
   let adversary =
     Radio.Adversary.random_jammer (Prng.Rng.create (Int64.add seed 17L)) ~channels ~budget:t

@@ -2,9 +2,10 @@ type ctx = { id : int; rng : Prng.Rng.t; cfg : Config.t }
 
 (* A finished parked series, read in place.  Hop j's channel is cell
    [hop0 + j] of the core's hop store ([cell] bytes per cell), and what it
-   heard is [hist.(((row0 + j) mod depth) * channels + hop)] in the history
-   ring.  Both stay put until the fiber's next round action, which advances
-   [clock] past [issued]; a read after that raises. *)
+   heard is [hist.(row * channels + hop)] in the history ring, [row] being
+   [row0 + j] wrapped at [depth].  Both stay put until the fiber's next
+   round action, which advances [clock] past [issued]; a read after that
+   raises. *)
 type series_view = {
   hist : Frame.t option array;
   hops : Bytes.t;
@@ -13,6 +14,7 @@ type series_view = {
   row0 : int;
   depth : int;
   channels : int;
+  len : int;
   issued : int;
   clock : int ref;
 }
@@ -45,7 +47,7 @@ type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t
 type _ Effect.t += EListen : int -> obs Effect.t
 type _ Effect.t += EIdle : obs Effect.t
 type _ Effect.t += EIdleFor : int -> obs Effect.t
-type _ Effect.t += EListenRandom : Prng.Rng.t * int * int -> obs Effect.t
+type _ Effect.t += EListenRandom : Prng.Rng.t * int * int * int -> obs Effect.t
 type _ Effect.t += Round : int Effect.t
 
 let transmit ~chan frame =
@@ -66,33 +68,37 @@ let idle_for k =
     match Effect.perform (EIdleFor k) with
     | Received _ | Nothing | Heard _ -> ()
 
-(* The parked read: [f] over the view's hops in round order, until it
-   returns false (then true: [f] stopped the read) or the hops run out. *)
-let rec read_heard v ~f ~len j row =
-  j < len
-  && begin
-    if !(v.clock) <> v.issued then
-      invalid_arg "Engine.listen_random: series read after a round action";
-    let hop = hop_get v.hops v.cell (v.hop0 + j) in
-    (not (f j (Array.get v.hist ((row * v.channels) + hop))))
-    || read_heard v ~f ~len (j + 1) (if row + 1 = v.depth then 0 else row + 1)
-  end
+(* The view of a series without hops: every read is out of range. *)
+let empty_view =
+  { hist = [||]; hops = Bytes.empty; cell = 1; hop0 = 0; row0 = 0; depth = 1; channels = 1;
+    len = 0; issued = 0; clock = ref 0 }
 
-let listen_random ~rng ~bound ~len ~f =
-  len > 0
-  &&
-  match Effect.perform (EListenRandom (rng, bound, len)) with
-  | Heard v -> read_heard v ~f ~len 0 v.row0
-  | Received _ | Nothing -> invalid_arg "Engine.listen_random: no view from the core"
+let listen_random ~rng ~bound ~wait ~len =
+  if len <= 0 then begin
+    idle_for wait;
+    empty_view
+  end
+  else
+    match Effect.perform (EListenRandom (rng, bound, max wait 0, len)) with
+    | Heard v -> v
+    | Received _ | Nothing -> invalid_arg "Engine.listen_random: no view from the core"
+
+let heard v j =
+  if !(v.clock) <> v.issued then
+    invalid_arg "Engine.heard: series read after a round action";
+  if j < 0 || j >= v.len then invalid_arg "Engine.heard: hop outside the series";
+  let row = v.row0 + j in
+  let row = if row >= v.depth then row - v.depth else row in
+  Array.get v.hist ((row * v.channels) + hop_get v.hops v.cell (v.hop0 + j))
 
 (* A series some other core ran round by round, [heard.(j)] being hop j's
    frame: all-zero one-byte hops over a one-channel ring of [len] rows make
-   [read_heard] read [heard] in order. *)
+   [heard] read [heard.(j)] for hop j. *)
 let heard_view ~clock heard =
   let len = Array.length heard in
   Heard
     { hist = heard; hops = Bytes.make len '\000'; cell = 1; hop0 = 0; row0 = 0;
-      depth = max len 1; channels = 1; issued = !clock; clock }
+      depth = max len 1; channels = 1; len; issued = !clock; clock }
 
 let check_bound ~channels bound =
   if bound < 1 || bound > channels then
@@ -114,20 +120,25 @@ type result = {
    sentinel is the sender index, so the dummy is never read. *)
 let dummy_frame = Frame.Plain { src = -1; dst = -1; body = "" }
 
-(* A wake bucket's ids, ascending.  Parks from one resume pass (which runs
-   in ascending id order) cons a descending list, so filling the array
-   back to front sorts it; only a bucket filled across passes needs the
-   sort. *)
-let wake_order ids =
-  let len = List.length ids in
-  let a = Array.make len 0 in
-  let rec fill p sorted = function
-    | [] -> sorted
-    | id :: rest ->
-      Array.set a p id;
-      fill (p - 1) (sorted && (p = len - 1 || id < Array.get a (p + 1))) rest
-  in
-  if not (fill (len - 1) true ids) then Array.sort Int.compare a;
+(* A wake bucket's ids, ascending: the chain from [head] through [next]
+   (-1 ends it).  Parks from one resume pass (which runs in ascending id
+   order) chain newest first, descending, so filling the array back to
+   front sorts it; only a bucket filled across passes needs the sort. *)
+let rec chain_length next len i =
+  if i < 0 then len else chain_length next (len + 1) (Array.get next i)
+
+let rec chain_fill next a p sorted i =
+  if i < 0 then sorted
+  else begin
+    Array.set a p i;
+    chain_fill next a (p - 1)
+      (sorted && (p = Array.length a - 1 || i < Array.get a (p + 1)))
+      (Array.get next i)
+  end
+
+let wake_order next head =
+  let a = Array.make (chain_length next 0 head) 0 in
+  if not (chain_fill next a (Array.length a - 1) true head) then Array.sort Int.compare a;
   a
 
 (* Suspended-continuation slot: a two-constructor variant, so each
@@ -169,8 +180,13 @@ let run_core cfg ~adversary ~get_body =
   let chan_of = Array.make n 0 in
   let frame_of = Array.make n dummy_frame in
   let konts = Array.make n NoK in
-  (* Parked listen-series state: the series' first round. *)
+  (* Parked listen-series state: the series' first listening round (after
+     its [wait]). *)
   let ser_start = Array.make n 0 in
+  (* Work counters, added to [Counters] once the run ends. *)
+  let n_transmit = ref 0 and n_listen = ref 0 and n_idle = ref 0 and n_sleep = ref 0 in
+  let n_series = ref 0 and n_resume = ref 0 and n_hops = ref 0 and n_wake = ref 0 in
+  let n_resolved = ref 0 and n_skipped = ref 0 in
   let validate_chan chan =
     if chan < 0 || chan >= channels then
       invalid_arg (Printf.sprintf "Engine: action on invalid channel %d" chan)
@@ -181,16 +197,17 @@ let run_core cfg ~adversary ~get_body =
   (* Parked listen-series rings.  A [listen_random] fiber does not ride the
      active list at all: the core draws its hops, its per-round
      listener counts are pre-accumulated into [series_counts] (a round-ring
-     of per-channel ints) at declare time, delivered frames land in
-     [series_hist] (same geometry, shared [Some] per channel per round),
-     and the fiber parks in the wake queue until the round after its last
-     listen, where it is resumed once with a view of its history rows.
+     of per-channel ints) at declare time, from the first round after its
+     [wait] idle rounds; delivered frames land in [series_hist] (same
+     geometry, shared [Some] per channel per round), and the fiber parks
+     in the wake queue until the round after its last listen, where it is
+     resumed once with a view of its history rows.
      Rows are addressed by [round mod series_depth]; a row is live for
      exactly one round in each ring (counts: consumed and zeroed at its
      round's resolution; history: written at its round's resolution,
      pre-zeroed when the ring wraps back around), so depth >= the longest
-     outstanding series suffices.  The completed fiber reads its rows in
-     place through a [series_view]: they are next rewritten at a round's
+     outstanding [wait + len] suffices.  The completed fiber reads its rows
+     in place through a [series_view]: they are next rewritten at a round's
      resolution, and the fiber's own next round action comes first. *)
   let series_depth = ref 0 in
   let series_counts = ref [||] in
@@ -211,9 +228,18 @@ let run_core cfg ~adversary ~get_body =
   let n_nxt = ref 0 in
   let started = ref false in
   let live = ref 0 in
-  (* Wake queue: absolute round -> parked node ids (newest first; put in
-     ascending order when popped, see [wake_order]). *)
-  let wake : (int, int list) Hashtbl.t = Hashtbl.create 64 in
+  (* Wake queue: absolute round -> the newest node id parked until then,
+     each parked node linking the one parked before it in [wake_next], so
+     a park conses nothing that lives until its wake (put in ascending
+     order when popped, see [wake_order]). *)
+  let wake : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let wake_next = Array.make n (-1) in
+  let park_until wake_round i =
+    incr n_wake;
+    wake_next.(i) <-
+      (match Hashtbl.find wake wake_round with j -> j | exception Not_found -> -1);
+    Hashtbl.replace wake wake_round i
+  in
   let push i =
     if !started then begin
       (!nxt).(!n_nxt) <- i;
@@ -231,11 +257,13 @@ let run_core cfg ~adversary ~get_body =
   let pending_chan = ref 0 in
   let pending_frame = ref dummy_frame in
   let pending_rng = ref (Prng.Rng.create 0L) in
+  let pending_wait = ref 0 in
   let pending_len = ref 0 in
   let some_transmit =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
         let i = !running_i in
+        incr n_transmit;
         Bytes.set st i 't';
         chan_of.(i) <- !pending_chan;
         frame_of.(i) <- !pending_frame;
@@ -246,6 +274,7 @@ let run_core cfg ~adversary ~get_body =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
         let i = !running_i in
+        incr n_listen;
         Bytes.set st i 'l';
         chan_of.(i) <- !pending_chan;
         konts.(i) <- K k;
@@ -255,6 +284,7 @@ let run_core cfg ~adversary ~get_body =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
         let i = !running_i in
+        incr n_idle;
         Bytes.set st i 'w';
         konts.(i) <- K k;
         push i)
@@ -263,23 +293,19 @@ let run_core cfg ~adversary ~get_body =
     Some
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
         let i = !running_i in
+        incr n_sleep;
         Bytes.set st i 'w';
         konts.(i) <- K k;
         let d = !pending_chan in
         if d = 1 then push i
-        else begin
+        else
           (* Wake at the end of round [declare + d - 1]; [round_counter]
              already names the fiber's next round at suspension time. *)
-          let wake_round = !round_counter + d - 1 in
-          let prev =
-            match Hashtbl.find_opt wake wake_round with Some ids -> ids | None -> []
-          in
-          Hashtbl.replace wake wake_round (i :: prev)
-        end)
+          park_until (!round_counter + d - 1) i)
   in
   (* Regrow the series rings to hold [needed] rounds, re-homing live rows
      under the new modulus.  At regrow time (a declare, so [round_counter]
-     is the new series' first round rc) live count rows sit in
+     is the new series' declare round rc) live count rows sit in
      [rc, rc + old_depth - 1] and live history rows in
      [rc - old_depth, rc - 1]; dead rows are all zero / [None], so copying
      each window wholesale is harmless, and each window's size <= old_depth
@@ -325,11 +351,15 @@ let run_core cfg ~adversary ~get_body =
       (fun (k : (obs, unit) Effect.Deep.continuation) ->
         let i = !running_i in
         let len = !pending_len in
-        if len > !series_depth then series_grow len;
+        let span = !pending_wait + len in
+        if span > !series_depth then series_grow span;
         if len > !hop_width then hop_grow len;
         let hops = !hop_draw in
         Prng.Rng.fill_int !pending_rng !pending_chan hops ~len;
-        let r0 = !round_counter in
+        incr n_series;
+        n_hops := !n_hops + len;
+        (* Hop 0 listens [wait] rounds after the declare round. *)
+        let r0 = !round_counter + !pending_wait in
         let depth = !series_depth in
         let counts = !series_counts in
         let store = !hop_store in
@@ -347,11 +377,7 @@ let run_core cfg ~adversary ~get_body =
         ser_start.(i) <- r0;
         konts.(i) <- K k;
         incr series_outstanding;
-        let wake_round = r0 + len - 1 in
-        let prev =
-          match Hashtbl.find_opt wake wake_round with Some ids -> ids | None -> []
-        in
-        Hashtbl.replace wake wake_round (i :: prev))
+        park_until (r0 + len - 1) i)
   in
   let some_round =
     Some
@@ -387,11 +413,12 @@ let run_core cfg ~adversary ~get_body =
           | EIdleFor d ->
             pending_chan := d;
             some_sleep
-          | EListenRandom (rng, bound, len) ->
+          | EListenRandom (rng, bound, wait, len) ->
             (* A bad bound raises before any count is booked. *)
             check_bound ~channels bound;
             pending_rng := rng;
             pending_chan := bound;
+            pending_wait := wait;
             pending_len := len;
             some_listen_park
           | Round -> some_round
@@ -475,15 +502,16 @@ let run_core cfg ~adversary ~get_body =
     done
   in
   (* A recorded round's listeners in ascending id: each active one on its
-     declared channel, each parked series on its hop for this round. *)
+     declared channel, each parked series that has started on its hop for
+     this round. *)
   let round_listeners round =
     let acc = ref [] in
     for i = n - 1 downto 0 do
       match Bytes.get st i with
       | 'l' -> acc := (i, chan_of.(i)) :: !acc
       | 'p' ->
-        let hop = hop_get !hop_store cell ((i * !hop_width) + round - ser_start.(i)) in
-        acc := (i, hop) :: !acc
+        let p = round - ser_start.(i) in
+        if p >= 0 then acc := (i, hop_get !hop_store cell ((i * !hop_width) + p)) :: !acc
       | _ -> ()
     done;
     !acc
@@ -501,12 +529,14 @@ let run_core cfg ~adversary ~get_body =
       | K k ->
         konts.(i) <- NoK;
         running_i := i;
+        incr n_resume;
         let depth = !series_depth in
+        let r0 = ser_start.(i) in
         Effect.Deep.continue k
           (Heard
              { hist = !series_hist; hops = !hop_store; cell; hop0 = i * !hop_width;
-               row0 = ser_start.(i) mod depth; depth; channels; issued = !round_counter;
-               clock = round_counter }))
+               row0 = r0 mod depth; depth; channels; len = !round_counter - r0;
+               issued = !round_counter; clock = round_counter }))
     | code -> (
       match konts.(i) with
       | NoK -> ()
@@ -523,6 +553,7 @@ let run_core cfg ~adversary ~get_body =
           | _ -> Nothing
         in
         running_i := i;
+        incr n_resume;
         Effect.Deep.continue k obs)
   in
   (* Resume the active list merged with this round's wakers, in ascending
@@ -531,9 +562,9 @@ let run_core cfg ~adversary ~get_body =
     let wakers =
       match Hashtbl.find_opt wake round with
       | None -> [||]
-      | Some ids ->
+      | Some head ->
         Hashtbl.remove wake round;
-        wake_order ids
+        wake_order wake_next head
     in
     let ca = !cur and cn = !n_cur in
     let wn = Array.length wakers in
@@ -572,6 +603,7 @@ let run_core cfg ~adversary ~get_body =
       let last = if m < 0 then max_rounds - 1 else min m (max_rounds - 1) in
       stats.Transcript.Stats.rounds <-
         stats.Transcript.Stats.rounds + (last - round + 1);
+      n_skipped := !n_skipped + (last - round + 1);
       round_counter := last + 1;
       resume_round last;
       swap_active ()
@@ -672,6 +704,7 @@ let run_core cfg ~adversary ~get_body =
         Array.set spoof_on chan None
       done;
       stats.Transcript.Stats.rounds <- stats.Transcript.Stats.rounds + 1;
+      incr n_resolved;
       stats.Transcript.Stats.honest_transmissions <-
         stats.Transcript.Stats.honest_transmissions + !tx_total;
       stats.Transcript.Stats.strikes <- stats.Transcript.Stats.strikes + !strike_count;
@@ -709,6 +742,10 @@ let run_core cfg ~adversary ~get_body =
         running_i := i;
         (try Effect.Deep.discontinue k Aborted with Aborted -> ())
     done;
+  Counters.add_run
+    { Counters.transmits = !n_transmit; listens = !n_listen; idles = !n_idle;
+      sleeps = !n_sleep; series = !n_series; resumes = !n_resume; hops = !n_hops;
+      wake_pushes = !n_wake; rounds_resolved = !n_resolved; rounds_skipped = !n_skipped };
   { stats; transcript = List.rev !transcript; completed; rounds_used = !round_counter;
     channel_usage = usage }
 

@@ -22,7 +22,9 @@
     plain dense loop in the test-only [test/oracle] library, driven through
     the {{!section-protocol} action protocol} below; the equivalence suite
     checks that both produce identical stats, transcripts, channel usage
-    and round counts for the same configuration. *)
+    and round counts for the same configuration.  Each run adds its work
+    (suspensions by action, resumes, parked series and hops, wake-queue
+    pushes, resolved and fast-forwarded rounds) to {!Counters}. *)
 
 type ctx = {
   id : int;  (** this node's index in 0..n-1 *)
@@ -50,33 +52,43 @@ val idle_for : int -> unit
     the fiber in its wake queue, so the idle span costs zero per-round
     work. *)
 
-val listen_random :
-  rng:Prng.Rng.t -> bound:int -> len:int -> f:(int -> Frame.t option -> bool) -> bool
-(** Listen for [len] consecutive rounds on random channels: hop j is the
-    j-th [Prng.Rng.int rng bound] draw.  [f j heard] gets each hop's
-    observation in round order and returns [true] to keep reading or
-    [false] to stop; the result is [true] when [f] stopped the read.
-    Stopping only ends the reading: the call always spends [len] rounds,
-    books every hop as a listener (same stats, transcripts and delivery
-    semantics as [len] {!listen} calls), and leaves [rng] as [len] draws
-    would.  Use it when the channel sequence does not depend on what is
-    heard (e.g. the f-AME feedback listeners' random hops).
+type series_view
+(** A finished {!listen_random} series' hops and what each heard, read in
+    place from the core's hop store and history ring with {!heard}.  Valid
+    until the fiber's next round action. *)
 
-    The sparse core parks the fiber for the whole run, whatever the run
+val listen_random : rng:Prng.Rng.t -> bound:int -> wait:int -> len:int -> series_view
+(** Idle for [wait] rounds, then listen for [len] consecutive rounds on
+    random channels: hop j is the j-th [Prng.Rng.int rng bound] draw.  The
+    call spends [wait + len] rounds in one suspension, books every hop as
+    a listener (same stats, transcripts and delivery semantics as
+    [idle_for wait] followed by [len] {!listen} calls), leaves [rng] as
+    [len] draws would, and returns the series' view: read hop j's
+    observation with {!heard}.  Use it when the channel sequence does not
+    depend on what is heard (e.g. the f-AME feedback listeners' random
+    hops), and fold the idle rounds before it into [wait].
+
+    The sparse core parks the fiber for the whole span, whatever the run
     records: it draws the hops itself with one {!Prng.Rng.fill_int} into
-    one core-owned scratch, books the listener counts ahead, and keeps the
-    hops in a per-node store of 1-, 2- or 4-byte cells, from which a
-    recorded round reads the series' listener.  When the run ends the
-    fiber resumes once and [f] reads each heard frame straight from the
-    core's history ring, so the run costs no per-round resume, no per-hop
-    copy, and no hop buffer in the fiber.
+    one core-owned scratch, books the listener counts from round
+    [declare + wait] on, and keeps the hops in a per-node store of 1-, 2-
+    or 4-byte cells, from which a recorded round reads the listener of a
+    series that has started.  When the series ends the fiber resumes once,
+    and {!heard} reads each heard frame straight from the core's history
+    ring, so the span costs no per-round resume, no per-hop copy, and no
+    hop buffer or closure in the fiber.
 
-    [f] must not perform a round action: every [f] call runs after the
-    last round of the series, and a read of the next hop after [f] took a
-    round action raises [Invalid_argument] (the ring rows may have been
-    reused).  Raises [Invalid_argument] (from the engine,
-    before any round is booked) unless [1 <= bound <= channels].
-    [len <= 0] consumes no rounds, draws nothing and calls no [f]. *)
+    Raises [Invalid_argument] (from the engine, before any round is
+    booked) unless [1 <= bound <= channels].  [len <= 0] is
+    [idle_for wait]: it draws nothing and its view has no hops.  A
+    negative [wait] counts as 0. *)
+
+val heard : series_view -> int -> Frame.t option
+(** [heard v j] is what hop [j] of the series heard: [Some frame] if a
+    single transmitter was decodable on its channel that round, [None]
+    otherwise.  Raises [Invalid_argument] unless [0 <= j < len], and once
+    the fiber has taken a round action since the series ended (the ring
+    rows may have been reused).  {!current_round} is not a round action. *)
 
 val current_round : unit -> int
 (** The engine's round counter.  Does not consume a round. *)
@@ -87,11 +99,6 @@ val current_round : unit -> int
     core (the test oracle) can run the same node bodies.  Each round
     action performs exactly one of these; a core answers with an {!obs}
     when the round resolves. *)
-
-type series_view
-(** A finished series' hops and heard frames, read in place from the
-    core's hop store and history ring by {!listen_random}.  Valid until the
-    fiber's next round action. *)
 
 type obs =
   | Received of Frame.t  (** a listener's channel carried one decodable frame *)
@@ -104,11 +111,11 @@ type _ Effect.t += ETransmit : int * Frame.t -> obs Effect.t  (** {!transmit} *)
 type _ Effect.t += EListen : int -> obs Effect.t  (** {!listen} *)
 type _ Effect.t += EIdle : obs Effect.t  (** {!idle} *)
 type _ Effect.t += EIdleFor : int -> obs Effect.t  (** {!idle_for}, [k > 0] rounds *)
-type _ Effect.t += EListenRandom : Prng.Rng.t * int * int -> obs Effect.t
-(** {!listen_random} with [(rng, bound, len)], [len > 0]: the core checks
-    [bound], draws the [len] hops from [rng], listens on hop j in the
-    series' j-th round, and answers [Heard] once the last round has
-    resolved. *)
+type _ Effect.t += EListenRandom : Prng.Rng.t * int * int * int -> obs Effect.t
+(** {!listen_random} with [(rng, bound, wait, len)], [wait >= 0] and
+    [len > 0]: the core checks [bound], draws the [len] hops from [rng],
+    idles [wait] rounds, listens on hop j in the series' j-th round after
+    them, and answers [Heard] once the last round has resolved. *)
 type _ Effect.t += Round : int Effect.t  (** {!current_round}; consumes no round *)
 
 val heard_view : clock:int ref -> Frame.t option array -> obs

@@ -19,11 +19,14 @@ type fiber =
   | Series of {
       rng : Prng.Rng.t;
       bound : int;
+      wait : int;  (** idle rounds left before hop 0 *)
       heard : Frame.t option array;
       j : int;
       chan : int;
       k : k;
-    }  (** a [listen_random] series, on hop [j]'s channel [chan] this round *)
+    }
+      (** a [listen_random] series: idle while [wait > 0], else on hop [j]'s
+          channel [chan] this round *)
 
 exception Aborted
 
@@ -86,17 +89,18 @@ let run (cfg : Config.t) ~adversary nodes =
           | Engine.EListen chan -> park (fun k -> Listen (chan, k))
           | Engine.EIdle -> park (fun k -> Idle k)
           | Engine.EIdleFor d -> park (fun k -> Sleep (d, k))
-          | Engine.EListenRandom (rng, bound, len) ->
-            (* One [Rng.int rng bound] draw and one listen per round, the
-               definition the sparse core's parked series is checked
-               against; [heard] collects what each hop heard. *)
+          | Engine.EListenRandom (rng, bound, wait, len) ->
+            (* [wait] idle rounds, then one [Rng.int rng bound] draw and
+               one listen per round, the definition the sparse core's
+               parked series is checked against; [heard] collects what
+               each hop heard. *)
             if bound < 1 || bound > cfg.channels then
               invalid_arg
                 (Printf.sprintf "Engine.listen_random: bound %d outside 1..%d" bound
                    cfg.channels);
             let heard = Array.make len None in
             let chan = Prng.Rng.int rng bound in
-            park (fun k -> Series { rng; bound; heard; j = 0; chan; k })
+            park (fun k -> Series { rng; bound; wait; heard; j = 0; chan; k })
           | Engine.Round -> Some (fun k -> Effect.Deep.continue k !round)
           | _ -> None) }
   in
@@ -124,7 +128,7 @@ let run (cfg : Config.t) ~adversary nodes =
     let listeners =
       List.filter_map
         (function
-          | i, Listen (chan, _) | i, Series { chan; _ } -> Some (i, chan)
+          | i, Listen (chan, _) | i, Series { chan; wait = 0; _ } -> Some (i, chan)
           | _ -> None)
         declared
     in
@@ -169,6 +173,7 @@ let run (cfg : Config.t) ~adversary nodes =
         resume k (match heard chan with Some f -> Engine.Received f | None -> Engine.Nothing)
       | Sleep (d, k) ->
         if d <= 1 then resume k Engine.Nothing else fibers.(i) <- Sleep (d - 1, k)
+      | Series s when s.wait > 0 -> fibers.(i) <- Series { s with wait = s.wait - 1 }
       | Series s ->
         s.heard.(s.j) <- heard s.chan;
         if s.j + 1 = Array.length s.heard then

@@ -334,7 +334,8 @@ let feedback_64_groups () =
         outputs.(id) <-
           Feedback.run ~reps:2 ~my_id:id ~rng:ctx.rng ~channels ~witnesses
             ~witness_size:channels
-            ~my_flag:(id < k * channels && flagged (id / channels)))
+            ~my_flag:(id < k * channels && flagged (id / channels))
+            ~wait:0)
   in
   check Alcotest.int "rounds = k * reps" (k * 2) result.Radio.Engine.rounds_used;
   Array.iteri
@@ -342,10 +343,11 @@ let feedback_64_groups () =
     outputs
 
 (* Three consecutive feedback runs per node on the core [run], each with
-   its own flags, through {!Feedback} or (with [tree]) {!Tree_feedback}.
-   Returns each node's (D, round at return) per run and the engine result;
-   [observe] wraps the adversary as an observer and [record] keeps the
-   transcript, neither of which may change what any node hears. *)
+   its own flags, through {!Feedback} or (with [tree]) {!Tree_feedback};
+   run [i] first waits [i] rounds.  Returns each node's (D, round at
+   return) per run and the engine result; [observe] wraps the adversary
+   as an observer and [record] keeps the transcript, neither of which may
+   change what any node hears. *)
 let feedback_consecutive ?(tree = false) ?(record = false) ~run ~observe ~adversary () =
   let channels = 2 and reps = 5 and runs = 3 in
   (* Tree feedback merges a power-of-two number of witness groups. *)
@@ -365,17 +367,18 @@ let feedback_consecutive ?(tree = false) ?(record = false) ~run ~observe ~advers
       let d =
         if tree then
           Tree_feedback.run ~my_id:id ~rng:ctx.rng ~channels ~budget:1 ~reps ~witnesses
-            ~witness_size:channels ~my_flag
+            ~witness_size:channels ~my_flag ~wait:run
         else
           Feedback.run ~reps ~my_id:id ~rng:ctx.rng ~channels ~witnesses
-            ~witness_size:channels ~my_flag
+            ~witness_size:channels ~my_flag ~wait:run
       in
       outputs.(id) <- outputs.(id) @ [ (d, Radio.Engine.current_round ()) ]
     done
   in
   let result = run cfg ~adversary (Array.make n body) in
   let per_run = if tree then Tree_feedback.rounds_consumed ~groups:k ~reps else k * reps in
-  check Alcotest.int "rounds = runs * rounds per run" (runs * per_run)
+  check Alcotest.int "rounds = runs * rounds per run + waits"
+    ((runs * per_run) + (runs * (runs - 1) / 2))
     result.Radio.Engine.rounds_used;
   (outputs, result)
 
@@ -448,7 +451,8 @@ let feedback_steady_state_allocation () =
      few dozen words per phase whatever [reps] is, engine work on its
      behalf included — no per-round word at all.  Measured: 82 words per
      run of k = 2 phases with a per-node hop buffer; 88 with the engine
-     drawing the hops, whose view also names the hop store. *)
+     drawing the hops, whose view also names the hop store; 31 with both
+     phases in one series and a wake queue without conses. *)
   let channels = 2 and k = 2 and reps = 200 and runs = 10 in
   let listener = k * channels in
   let cfg = Radio.Config.make ~seed:3L ~n:(listener + 1) ~channels ~t:1 () in
@@ -460,7 +464,7 @@ let feedback_steady_state_allocation () =
           let feedback () =
             ignore
               (Feedback.run ~reps ~my_id:ctx.id ~rng:ctx.rng ~channels ~witnesses
-                 ~witness_size:channels ~my_flag:false)
+                 ~witness_size:channels ~my_flag:false ~wait:0)
           in
           feedback ();
           let before = Gc.minor_words () in
@@ -473,9 +477,10 @@ let feedback_steady_state_allocation () =
   if !words > 96.0 then
     Alcotest.failf "a steady-state Feedback.run allocates %.1f words (reps = %d)" !words reps
 
-(* Phase r's listener reads, counted through a wrapper of [Feedback]'s own
-   read, against C witnesses sending [frame] on every channel for [reps]
-   rounds: (reads, stopped). *)
+(* Phase r's listener reads through [Feedback]'s own read, against C
+   witnesses sending [frame] on every channel for [reps] rounds: (reads,
+   stopped).  The read stops at the hop it returns, so it read that many
+   hops plus the one it stopped at. *)
 let phase_reads ~adversary ~frame =
   let channels = 2 and reps = 86 and r = 5 in
   let cfg = Radio.Config.make ~seed:11L ~n:(channels + 1) ~channels ~t:1 () in
@@ -487,11 +492,10 @@ let phase_reads ~adversary ~frame =
             Radio.Engine.transmit ~chan:ctx.id frame
           done
         else
-          stopped :=
-            Radio.Engine.listen_random ~rng:ctx.rng ~bound:channels ~len:reps
-              ~f:(fun j heard ->
-                incr reads;
-                Feedback.keep_listening r j heard))
+          let v = Radio.Engine.listen_random ~rng:ctx.rng ~bound:channels ~wait:0 ~len:reps in
+          let at = Feedback.first_true v r ~first:0 ~len:reps in
+          stopped := at < reps;
+          reads := min (at + 1) reps)
   in
   (!reads, !stopped)
 
@@ -940,8 +944,9 @@ let fame_allocation_per_move () =
   (* Nodes in the same game state share one referee step, so a node-move
      costs the node's own radio and feedback work only: measured 157.0
      minor words, against 462.5 when every node rebuilt the proposal and
-     schedule itself.  The direct play shares it the same way: 128.4,
-     against 342.5 when each fiber built its own batch and schedule. *)
+     schedule itself, and 95.3 with one feedback series per node-move.
+     The direct play shares it the same way: 128.4, against 342.5 when
+     each fiber built its own batch and schedule, and 79.1 now. *)
   let n = 8_000 in
   let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:3L () in
   let per_move ~name ~play ~count =
@@ -965,7 +970,9 @@ let fame_promoted_per_listener_phase () =
      Parked listeners outlive minor collections, so whatever a listener
      holds across its series is promoted: measured 24.8 words when each
      fiber kept a 66-int hop buffer for the run, 13.9 with the engine
-     drawing the hops into its own store.  The minor heap is set to the
+     drawing the hops into its own store, 7.6 with one series per
+     node-move, a wake queue without conses and an association list for
+     each node's known vectors.  The minor heap is set to the
      default 256k words and emptied first, so the count is a fixed
      function of the code. *)
   let n = 2_000 in
@@ -988,6 +995,43 @@ let fame_promoted_per_listener_phase () =
       let per = promoted /. float_of_int (phases * (n - 2)) in
       if per > 16.0 then
         Alcotest.failf "%.1f words promoted per listener per phase (cap 16)" per)
+
+let fame_engine_counters () =
+  (* The engine's work on the n = 2,000 run above, counted by
+     [Radio.Counters]: every node parks one feedback series per move (a
+     witness of one phase listens through the other), the message round's
+     off-schedule nodes included, so suspensions per node-move are
+     9116 / 8000 = 1.14.  Measured 25,040 suspensions (7,940 message-round
+     idles and 15,984 series, 3.13 per node-move) when an off-schedule
+     node idled through the message round and parked one series per
+     feedback phase.  The counters are sums over domains, so running the
+     same two seeds at [--jobs] 1 and 2 gives the same totals. *)
+  let n = 2_000 in
+  let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:7L () in
+  let pairs = Workload.disjoint_pairs ~n ~count:4 in
+  let counted f =
+    let before = Radio.Counters.snapshot () in
+    f ();
+    Radio.Counters.diff (Radio.Counters.snapshot ()) before
+  in
+  let run cfg () =
+    let o = Fame.run ~cfg ~pairs ~messages ~adversary:null_adversary () in
+    check Alcotest.bool "clean run" false o.Fame.diverged
+  in
+  check Alcotest.string "counters"
+    "engine: suspend=9116 (transmit=1064 listen=52 idle=0 sleep=0 series=8000) resume=9116 \
+     hops=1054944 wake=8000 rounds=532 skipped=0"
+    (Radio.Counters.render (counted (run cfg)));
+  let seeds jobs () =
+    ignore
+      (Parallel.map_ordered ~jobs
+         (fun seed -> run { cfg with Radio.Config.seed } ())
+         [ 7L; 8L ]
+        : unit list)
+  in
+  check Alcotest.string "jobs 1 = jobs 2"
+    (Radio.Counters.render (counted (seeds 1)))
+    (Radio.Counters.render (counted (seeds 2)))
 
 (* -- tree feedback internals -- *)
 
@@ -1429,6 +1473,7 @@ let () =
           Alcotest.test_case "allocation per node-move" `Quick fame_allocation_per_move;
           Alcotest.test_case "promoted per listener phase" `Quick
             fame_promoted_per_listener_phase;
+          Alcotest.test_case "engine work counters" `Quick fame_engine_counters;
           QCheck_alcotest.to_alcotest fame_invariants_on_random_workloads ] );
       ( "tree-feedback",
         [ Alcotest.test_case "pair index bijective" `Quick tree_pair_index_bijective;

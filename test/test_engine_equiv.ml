@@ -69,15 +69,20 @@ let node_body ~n ~channels ~steps (ctx : Engine.ctx) =
     | 2 | 3 -> ignore (Engine.listen ~chan:(Prng.Rng.int rng channels))
     | 4 -> Engine.idle ()
     | 5 ->
-      (* Series lengths 0..6 cover the empty no-op, the one-round case, and
-         multi-round runs, parked by the sparse core and heard round by
-         round by the reference.  The hops come from the node's own
-         stream, so every later step checks that the series left it as
-         [len] draws would; [f] stops at a random hop. *)
+      (* Series lengths 0..6 cover the wait-only series, the one-round
+         case, and multi-round runs, after 0..3 idle rounds, parked by the
+         sparse core and heard round by round by the reference.  The hops
+         come from the node's own stream, so every later step checks that
+         the series left it as [len] draws would; the read stops at a
+         random hop. *)
+      let wait = Prng.Rng.int rng 4 in
       let len = Prng.Rng.int rng 7 in
       let bound = 1 + Prng.Rng.int rng channels in
       let stop = Prng.Rng.int rng 8 in
-      ignore (Engine.listen_random ~rng ~bound ~len ~f:(fun j _ -> j < stop))
+      let v = Engine.listen_random ~rng ~bound ~wait ~len in
+      for j = 0 to min stop len - 1 do
+        ignore (Engine.heard v j)
+      done
     | _ -> Engine.idle_for (1 + Prng.Rng.int rng 5)
   done
 
@@ -250,13 +255,12 @@ let series_params_arb =
       let* adv = int_range 0 3 in
       return { listeners; senders; schannels; st; sseed; adv })
 
-(* What one listener saw: every [f] call as (series, hop, heard), and per
-   series whether [f] stopped it, how many calls it got, the round the
-   call returned in and the node's next 64 bits — the stream after the
-   series. *)
+(* What one listener saw: every hop it read as (series, hop, heard), and
+   per series how many hops it read, the round the series returned in and
+   the node's next 64 bits — the stream after the series. *)
 type listener_log = {
   mutable calls : (int * int * Frame.t option) list;
-  mutable finals : (bool * int * int * int64) list;
+  mutable finals : (int * int * int64) list;
 }
 
 let random_series_run p ~record ~observer run_core =
@@ -289,24 +293,19 @@ let random_series_run p ~record ~observer run_core =
       for series = 0 to 3 do
         Engine.idle_for (Prng.Rng.int rng 4);
         (* Mostly short series with the odd long one, so a long series is
-           declared while short ones are parked. *)
+           declared while short ones are parked, each after 0..3 rounds
+           of its own wait (a wait-only series included). *)
+        let wait = Prng.Rng.int rng 4 in
         let len = if Prng.Rng.int rng 3 = 0 then Prng.Rng.int rng 41 else Prng.Rng.int rng 6 in
         let bound = 1 + Prng.Rng.int rng p.schannels in
-        (* [stop] = len or len + 1 reads every hop. *)
+        (* Read hops 0..stop: [stop] >= len - 1 reads every hop. *)
         let stop = Prng.Rng.int rng (len + 2) in
-        let got = ref 0 in
-        let stopped =
-          Engine.listen_random ~rng ~bound ~len ~f:(fun j heard ->
-              incr got;
-              log.calls <- (series, j, heard) :: log.calls;
-              j <> stop)
-        in
-        if stopped <> (stop < len) || !got <> min (stop + 1) len then
-          failwith
-            (Printf.sprintf "node %d series %d: len %d stop %d, stopped %b after %d calls" id
-               series len stop stopped !got);
-        log.finals <-
-          (stopped, !got, Engine.current_round (), Prng.Rng.bits64 rng) :: log.finals
+        let v = Engine.listen_random ~rng ~bound ~wait ~len in
+        let got = min (stop + 1) len in
+        for j = 0 to got - 1 do
+          log.calls <- (series, j, Engine.heard v j) :: log.calls
+        done;
+        log.finals <- (got, Engine.current_round (), Prng.Rng.bits64 rng) :: log.finals
       done
   in
   let r = run_core cfg ~adversary (Array.make n body) in
@@ -368,24 +367,25 @@ let series_workload ~n ~channels ~record ~seed run_core =
             (Frame.Plain { src = id; dst = (id + 1) mod n; body = "clash" })
         else Engine.idle ()
       done
-    else begin
-      (* Staggered starts so outstanding series overlap at varying offsets. *)
-      Engine.idle_for (id mod 4);
+    else
+      (* Staggered starts so outstanding series overlap at varying offsets:
+         each series first waits 0..3 rounds, drawn from the node's stream
+         (a wait before the 0-hop series is a plain idle span). *)
+      let rng = ctx.Engine.rng in
       Array.iter
         (fun len ->
-          ignore
-            (Engine.listen_random ~rng:ctx.Engine.rng ~bound:channels ~len ~f:(fun j frame ->
-                 let s =
-                   match frame with
-                   | Some (Frame.Plain { src; body; _ }) ->
-                     Printf.sprintf "%d@%d:%s" j src body
-                   | Some _ -> "?"
-                   | None -> Printf.sprintf "%d@-" j
-                 in
-                 heard.(id) <- s :: heard.(id);
-                 true)))
+          let wait = Prng.Rng.int rng 4 in
+          let v = Engine.listen_random ~rng ~bound:channels ~wait ~len in
+          for j = 0 to len - 1 do
+            let s =
+              match Engine.heard v j with
+              | Some (Frame.Plain { src; body; _ }) -> Printf.sprintf "%d@%d:%s" j src body
+              | Some _ -> "?"
+              | None -> Printf.sprintf "%d@-" j
+            in
+            heard.(id) <- s :: heard.(id)
+          done)
         series_lengths
-    end
   in
   let r = run_core cfg (Array.init n (fun _ -> body)) in
   (r, heard)
@@ -451,8 +451,8 @@ let series_rejects_bad_arguments () =
                         if ctx.Engine.id = 0 then begin
                           rng := Some ctx.Engine.rng;
                           ignore
-                            (Engine.listen_random ~rng:ctx.Engine.rng ~bound ~len:4
-                               ~f:(fun _ _ -> true))
+                            (Engine.listen_random ~rng:ctx.Engine.rng ~bound ~wait:2
+                               ~len:4)
                         end))));
           let fresh = Prng.Rng.split_at (Prng.Rng.create 3L) 1 in
           match !rng with
@@ -467,39 +467,43 @@ let series_rejects_bad_arguments () =
       ("reference", false, Reference_engine.run) ]
 
 let series_stale_read_raises () =
-  (* [f] reads the series' view in place, so a round action inside [f]
-     invalidates the rest of the series: the next read raises, on both
+  (* [Engine.heard] reads the series' view in place, so a round action
+     after the series invalidates the view: the next read raises, on both
      cores and whether or not the run records.  [current_round] is not a
-     round action, and a round action in the last hop's [f] is followed by
-     no read. *)
+     round action, and a hop outside the series raises too. *)
   List.iter
     (fun (label, record, run_core) ->
       let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L ~record_transcript:record () in
-      let run f =
+      let run read =
         run_core cfg ~adversary:Adversary.null
           (Array.make 2 (fun (ctx : Engine.ctx) ->
                if ctx.Engine.id = 0 then
-                 ignore (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~len:3 ~f)
+                 read (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~wait:1 ~len:3)
                else
-                 for _ = 1 to 5 do
+                 for _ = 1 to 6 do
                    Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
                  done))
       in
       Alcotest.check_raises (label ^ ": round action, then a read")
-        (Invalid_argument "Engine.listen_random: series read after a round action")
-        (fun () ->
+        (Invalid_argument "Engine.heard: series read after a round action") (fun () ->
           ignore
-            (run (fun j _ ->
-                 if j = 0 then Engine.idle ();
-                 true)));
+            (run (fun v ->
+                 ignore (Engine.heard v 0);
+                 Engine.idle ();
+                 ignore (Engine.heard v 1))));
+      Alcotest.check_raises (label ^ ": hop outside the series")
+        (Invalid_argument "Engine.heard: hop outside the series") (fun () ->
+          ignore (run (fun v -> ignore (Engine.heard v 3))));
       let rounds = ref [] in
       let r =
-        run (fun j _ ->
-            rounds := Engine.current_round () :: !rounds;
-            if j = 2 then Engine.idle ();
-            true)
+        run (fun v ->
+            for j = 0 to 2 do
+              ignore (Engine.heard v j);
+              rounds := Engine.current_round () :: !rounds
+            done;
+            Engine.idle ())
       in
-      check Alcotest.(list int) (label ^ ": current_round reads the resume round") [ 3; 3; 3 ]
+      check Alcotest.(list int) (label ^ ": current_round reads the resume round") [ 4; 4; 4 ]
         !rounds;
       check Alcotest.bool (label ^ ": completed") true r.Engine.completed)
     [ ("parked", false, Engine.run);
@@ -507,24 +511,84 @@ let series_stale_read_raises () =
       ("reference", false, Reference_engine.run);
       ("reference, recording", true, Reference_engine.run) ]
 
+let series_wait_only_is_idle_for () =
+  (* [wait > 0] with [len = 0] is [idle_for wait]: same rounds, same
+     engine observables, no draw from the stream and a view without hops.
+     With hops, a series' [wait] is an [idle_for] before a series without
+     one.  Checked on both cores, with recording off and on: every node
+     ends by sending its next stream draw, so a stray draw shows. *)
+  let channels = 3 and n = 8 in
+  let body ~folded (ctx : Engine.ctx) =
+    let id = ctx.Engine.id and rng = ctx.Engine.rng in
+    if id < 2 then
+      for k = 1 to 30 do
+        Engine.transmit ~chan:((id + k) mod channels)
+          (Frame.Plain { src = id; dst = -1; body = Printf.sprintf "%d.%d" id k })
+      done
+    else begin
+      let wait = id - 1 and len = if id land 1 = 0 then 0 else 5 in
+      let v =
+        if folded then Engine.listen_random ~rng ~bound:channels ~wait ~len
+        else begin
+          Engine.idle_for wait;
+          Engine.listen_random ~rng ~bound:channels ~wait:0 ~len
+        end
+      in
+      if len = 0 then
+        Alcotest.check_raises "no hops"
+          (Invalid_argument "Engine.heard: hop outside the series")
+          (fun () -> ignore (Engine.heard v 0));
+      let heard = List.init len (Engine.heard v) in
+      let body =
+        Printf.sprintf "%Ld/%d" (Prng.Rng.bits64 rng)
+          (List.length (List.filter Option.is_some heard))
+      in
+      Engine.transmit ~chan:(id mod channels) (Frame.Plain { src = id; dst = -1; body })
+    end
+  in
+  List.iter
+    (fun record ->
+      let cfg = Config.make ~n ~channels ~t:1 ~seed:4L ~record_transcript:record () in
+      let runs =
+        List.concat_map
+          (fun (core, run) ->
+            List.map
+              (fun folded ->
+                ( Printf.sprintf "%s, record %b, folded %b" core record folded,
+                  run cfg ~adversary:Adversary.null (Array.make n (body ~folded)) ))
+              [ true; false ])
+          [ ("parked", Engine.run); ("reference", Reference_engine.run) ]
+      in
+      let _, first = List.hd runs in
+      List.iter
+        (fun (label, r) ->
+          check Alcotest.bool (label ^ ": identical") true (same_result first r))
+        runs)
+    [ false; true ]
+
 let series_completion_allocation () =
   (* A parked series costs the same constant number of words whatever its
      length: the engine draws the hops into its own scratch and store, the
-     fiber is resumed once with a view of them and of the ring, and no
-     per-hop result is copied or boxed. *)
+     fiber is resumed once with a view of them and of the ring, and reading
+     every hop back through the view copies and boxes nothing. *)
   let words ~len =
     let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
-    let f _ _ = true in
     let per_series = ref 0.0 in
+    let series rng =
+      let v = Engine.listen_random ~rng ~bound:2 ~wait:1 ~len in
+      for j = 0 to len - 1 do
+        ignore (Engine.heard v j)
+      done
+    in
     let _ =
       Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
           let rng = ctx.Engine.rng in
           if ctx.Engine.id = 0 then begin
-            ignore (Engine.listen_random ~rng ~bound:2 ~len ~f);
+            series rng;
             let runs = 50 in
             let before = Gc.minor_words () in
             for _ = 1 to runs do
-              ignore (Engine.listen_random ~rng ~bound:2 ~len ~f)
+              series rng
             done;
             per_series := (Gc.minor_words () -. before) /. float_of_int runs
           end)
@@ -592,6 +656,7 @@ let () =
           Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;
           Alcotest.test_case "argument validation" `Quick series_rejects_bad_arguments;
           Alcotest.test_case "stale read raises" `Quick series_stale_read_raises;
+          Alcotest.test_case "wait-only series = idle_for" `Quick series_wait_only_is_idle_for;
           Alcotest.test_case "completion allocation constant" `Quick
             series_completion_allocation ] );
       ( "adversary-validate",
