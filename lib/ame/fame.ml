@@ -16,14 +16,6 @@ let extract_entry entries ~dst =
   | Some body -> Some body
   | None -> List.assoc_opt (-1) entries
 
-let rec find_vector v = function
-  | [] -> None
-  | (u, entries) :: rest -> if Int.equal u v then Some entries else find_vector v rest
-
-let rec drop_vector v = function
-  | [] -> []
-  | ((u, _) as held) :: rest -> if Int.equal u v then rest else held :: drop_vector v rest
-
 type play = Game | Direct
 
 type feedback_mode = Sequential | Tree
@@ -237,7 +229,7 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
         let my_recv =
           match my_role with
           | Schedule.Broadcast { channel; owner } ->
-            (match find_vector owner !known with
+            (match List.assoc_opt owner !known with
              | Some entries ->
                (* A corrupted node acting as a surrogate forges the owner's
                   vector: the receiver cannot tell (the channel is the
@@ -293,7 +285,7 @@ let run ?(ame_params = Params.default) ?channels_used ?(play = Game)
                   (match (my_role, my_recv) with
                    | Schedule.Watch { channel }, Some (Radio.Frame.Vector { owner; entries })
                      when channel = c && owner = v ->
-                     known := (v, entries) :: drop_vector v !known
+                     known := (v, entries) :: List.remove_assoc v !known
                    | _ -> ())
                 | Game.State.Edge (v, w) ->
                   if id = w then begin

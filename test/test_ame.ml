@@ -479,12 +479,14 @@ let feedback_steady_state_allocation () =
 
 (* Phase r's listener reads through [Feedback]'s own read, against C
    witnesses sending [frame] on every channel for [reps] rounds: (reads,
-   stopped).  The read stops at the hop it returns, so it read that many
-   hops plus the one it stopped at. *)
+   stopped).  [reads] is the shortest prefix of the heard series over which
+   [Feedback.first_true] answers as it did on the engine's view: a view of
+   that prefix raises on any hop past its end, so that is one past the last
+   hop the read touched. *)
 let phase_reads ~adversary ~frame =
   let channels = 2 and reps = 86 and r = 5 in
   let cfg = Radio.Config.make ~seed:11L ~n:(channels + 1) ~channels ~t:1 () in
-  let reads = ref 0 and stopped = ref false in
+  let heard = ref [||] and at = ref (-1) in
   let _ =
     Radio.Engine.run_nodes cfg ~adversary (fun (ctx : Radio.Engine.ctx) ->
         if ctx.id < channels then
@@ -493,11 +495,19 @@ let phase_reads ~adversary ~frame =
           done
         else
           let v = Radio.Engine.listen_random ~rng:ctx.rng ~bound:channels ~wait:0 ~len:reps in
-          let at = Feedback.first_true v r ~first:0 ~len:reps in
-          stopped := at < reps;
-          reads := min (at + 1) reps)
+          at := Feedback.first_true v r ~first:0 ~len:reps;
+          heard := Array.init reps (Radio.Engine.heard v))
   in
-  (!reads, !stopped)
+  let clock = ref 0 in
+  let answers k =
+    match Radio.Engine.heard_view ~clock (Array.sub !heard 0 k) with
+    | Radio.Engine.Heard v ->
+      (try Feedback.first_true v r ~first:0 ~len:reps = !at with Invalid_argument _ -> false)
+    | Radio.Engine.Received _ | Radio.Engine.Nothing -> assert false
+  in
+  let rec shortest k = if k >= reps || answers k then k else shortest (k + 1) in
+  if not (answers reps) then Alcotest.fail "first_true answers differently off the engine";
+  (shortest 0, !at < reps)
 
 let feedback_one_read_per_hit () =
   (* The answer of a phase is fixed by the first <true, r> a listener
