@@ -70,14 +70,18 @@ let exchange_cmd =
     let pairs_count = min pairs_count (n / 2) in
     let pairs = Core.Rgraph.Workload.disjoint_pairs ~n ~count:pairs_count in
     let triples = List.map (fun (v, w) -> (v, w, Printf.sprintf "msg-%d-%d" v w)) pairs in
+    let module Counters = Core.Radio.Counters in
+    let before = Counters.snapshot () in
     let r = Core.exchange ~seed ~t ~n ~attack triples in
+    let engine = Counters.diff (Counters.snapshot ()) before in
     Printf.printf "f-AME: n=%d t=%d C=%d |E|=%d\n" n t (t + 1) pairs_count;
     Printf.printf "rounds=%d delivered=%d failed=%d authentic=%b diverged=%b\n" r.rounds
       (List.length r.delivered) (List.length r.failed) r.authentic r.diverged;
     (match r.disruption_cover with
      | Some c -> Printf.printf "disruption vertex cover = %d (bound t = %d)\n" c t
      | None -> ());
-    List.iter (fun ((v, w), body) -> Printf.printf "  %d -> %d : %S\n" v w body) r.delivered
+    List.iter (fun ((v, w), body) -> Printf.printf "  %d -> %d : %S\n" v w body) r.delivered;
+    print_endline (Counters.render engine)
   in
   Cmd.v (Cmd.info "exchange" ~doc:"Run f-AME on a disjoint-pairs workload.")
     Term.(const run $ seed_arg $ t_arg $ n_arg $ attack_arg $ pairs_arg)
@@ -163,14 +167,16 @@ let service_cmd =
             ~budget:t
         else Core.Radio.Adversary.null
       in
-      (* The per-frame crypto fans out over --jobs domains.  Its work
-         counters are summed over them, so the crypto line is as
-         jobs-independent as the stats above it. *)
-      let module Counters = Core.Crypto.Counters in
-      let before = Counters.snapshot () in
+      (* The per-frame crypto fans out over --jobs domains.  The crypto
+         and engine work counters are summed over them, so both lines are
+         as jobs-independent as the stats above them. *)
+      let module Crypto = Core.Crypto.Counters in
+      let module Engine = Core.Radio.Counters in
+      let crypto = Crypto.snapshot () and engine = Engine.snapshot () in
       let r = Parallel.run ~jobs (fun () -> Mux.run spec ~adversary) in
       print_string (Mux.render_stats r);
-      print_endline (Counters.render (Counters.diff (Counters.snapshot ()) before));
+      print_endline (Crypto.render (Crypto.diff (Crypto.snapshot ()) crypto));
+      print_endline (Engine.render (Engine.diff (Engine.snapshot ()) engine));
       `Ok ()
   in
   Cmd.v

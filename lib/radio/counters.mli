@@ -15,6 +15,10 @@ type t = {
   resumes : int;  (** continuations resumed with a round's answer *)
   hops : int;  (** listener rounds booked by parked series *)
   wake_pushes : int;  (** fibers put in the wake queue *)
+  wake_runs : int;
+      (** ascending runs in the wake buckets popped: one per resume pass that
+          filled a bucket, fewer where a pass's ids all follow the last pass's *)
+  harvested : int;  (** active-list entries scanned by the rounds' harvests *)
   rounds_resolved : int;  (** rounds harvested and resolved one by one *)
   rounds_skipped : int;  (** all-idle rounds fast-forwarded in one step *)
 }
@@ -31,7 +35,7 @@ val diff : t -> t -> t
 val render : t -> string
 (** One line, no newline: [engine: suspend=... (transmit=... listen=...
     idle=... sleep=... series=...) resume=... hops=... wake=...
-    rounds=... skipped=...]. *)
+    wake_runs=... rounds=... skipped=... harvested=...]. *)
 
 val add_run : t -> unit
 (** Adds one run's counts to the calling domain's block; called by the

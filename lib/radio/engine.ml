@@ -29,12 +29,6 @@ let[@inline] hop_get hops cell i =
   | 2 -> Bytes.get_uint16_le hops (2 * i)
   | _ -> Int32.to_int (Bytes.get_int32_le hops (4 * i))
 
-let[@inline] hop_set hops cell i hop =
-  match cell with
-  | 1 -> Bytes.set_uint8 hops i hop
-  | 2 -> Bytes.set_uint16_le hops (2 * i) hop
-  | _ -> Bytes.set_int32_le hops (4 * i) (Int32.of_int hop)
-
 (* [Heard] answers an [EListenRandom] once its last round has resolved. *)
 type obs = Received of Frame.t | Nothing | Heard of series_view
 
@@ -122,24 +116,88 @@ let dummy_frame = Frame.Plain { src = -1; dst = -1; body = "" }
 
 (* A wake bucket's ids, ascending: the chain from [head] through [next]
    (-1 ends it).  Parks from one resume pass (which runs in ascending id
-   order) chain newest first, descending, so filling the array back to
-   front sorts it; only a bucket filled across passes needs the sort. *)
+   order) chain newest first, descending, so filling a buffer back to front
+   leaves one ascending run per pass, oldest pass first.  [chain_fill]
+   returns the number of runs (maximal ascending stretches); a bucket of
+   more than one run is merged, pass by pass, between two buffers. *)
 let rec chain_length next len i =
   if i < 0 then len else chain_length next (len + 1) (Array.get next i)
 
-let rec chain_fill next a p sorted i =
-  if i < 0 then sorted
+let rec chain_fill next (a : int array) last p runs i =
+  if i < 0 then runs
   else begin
     Array.set a p i;
-    chain_fill next a (p - 1)
-      (sorted && (p = Array.length a - 1 || i < Array.get a (p + 1)))
-      (Array.get next i)
+    let runs = if p < last && i > Array.get a (p + 1) then runs + 1 else runs in
+    chain_fill next a last (p - 1) runs (Array.get next i)
   end
 
-let wake_order next head =
-  let a = Array.make (chain_length next 0 head) 0 in
-  if not (chain_fill next a (Array.length a - 1) true head) then Array.sort Int.compare a;
-  a
+(* One past the end of the ascending run that starts at [p] in [a.(0..len-1)]. *)
+let rec run_end (a : int array) len p =
+  if p + 1 < len && Array.get a p < Array.get a (p + 1) then run_end a len (p + 1) else p + 1
+
+(* The ascending [src.(lo..mid-1)] and [src.(mid..hi-1)] merged into
+   [dst.(lo..hi-1)]. *)
+let merge_into (src : int array) dst lo mid hi =
+  let i = ref lo and j = ref mid and k = ref lo in
+  while !i < mid && !j < hi do
+    let x = Array.get src !i and y = Array.get src !j in
+    if x < y then begin
+      Array.set dst !k x;
+      incr i
+    end
+    else begin
+      Array.set dst !k y;
+      incr j
+    end;
+    incr k
+  done;
+  Array.blit src !i dst !k (mid - !i);
+  Array.blit src !j dst (!k + mid - !i) (hi - !j)
+
+(* One natural merge pass: each adjacent pair of runs in [src.(lo..len-1)]
+   merged into [dst], an odd last run copied.  Returns [runs] plus the runs
+   it found in [src]; two or fewer leave [dst] sorted. *)
+let rec merge_pass src dst len lo runs =
+  if lo >= len then runs
+  else
+    let mid = run_end src len lo in
+    let hi = if mid < len then run_end src len mid else len in
+    merge_into src dst lo mid hi;
+    merge_pass src dst len hi (if hi > mid then runs + 2 else runs + 1)
+
+(* [src.(0..len-1)] sorted by merge passes back and forth between [src] and
+   [dst]; returns the buffer that holds the result. *)
+let rec merge_runs src dst len =
+  if merge_pass src dst len 0 0 <= 2 then dst else merge_runs dst src len
+
+(* Book hops [p0, p1) of a parked series whose hop [p0] listens in ring row
+   [row]: one more listener on each hop's channel in [counts], and the hop
+   in store cell [hop0 + p].  The rows must not wrap (the caller splits the
+   series where the ring does); one loop per cell width. *)
+let book_hops ~counts ~channels ~store ~cell ~hop0 hops p0 p1 row =
+  let base = (row - p0) * channels in
+  match cell with
+  | 1 ->
+    for p = p0 to p1 - 1 do
+      let hop = Array.get hops p in
+      let idx = base + (p * channels) + hop in
+      Array.set counts idx (Array.get counts idx + 1);
+      Bytes.set_uint8 store (hop0 + p) hop
+    done
+  | 2 ->
+    for p = p0 to p1 - 1 do
+      let hop = Array.get hops p in
+      let idx = base + (p * channels) + hop in
+      Array.set counts idx (Array.get counts idx + 1);
+      Bytes.set_uint16_le store (2 * (hop0 + p)) hop
+    done
+  | _ ->
+    for p = p0 to p1 - 1 do
+      let hop = Array.get hops p in
+      let idx = base + (p * channels) + hop in
+      Array.set counts idx (Array.get counts idx + 1);
+      Bytes.set_int32_le store (4 * (hop0 + p)) (Int32.of_int hop)
+    done
 
 (* Suspended-continuation slot: a two-constructor variant, so each
    suspension allocates one two-word block beside the runtime continuation
@@ -186,7 +244,7 @@ let run_core cfg ~adversary ~get_body =
   (* Work counters, added to [Counters] once the run ends. *)
   let n_transmit = ref 0 and n_listen = ref 0 and n_idle = ref 0 and n_sleep = ref 0 in
   let n_series = ref 0 and n_resume = ref 0 and n_hops = ref 0 and n_wake = ref 0 in
-  let n_resolved = ref 0 and n_skipped = ref 0 in
+  let n_resolved = ref 0 and n_skipped = ref 0 and n_runs = ref 0 and n_harvested = ref 0 in
   let validate_chan chan =
     if chan < 0 || chan >= channels then
       invalid_arg (Printf.sprintf "Engine: action on invalid channel %d" chan)
@@ -231,9 +289,17 @@ let run_core cfg ~adversary ~get_body =
   (* Wake queue: absolute round -> the newest node id parked until then,
      each parked node linking the one parked before it in [wake_next], so
      a park conses nothing that lives until its wake (put in ascending
-     order when popped, see [wake_order]). *)
+     order when popped, see [wake_order]).  A bucket holds each node at
+     most once, so it fits the two order buffers the run reuses. *)
   let wake : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let wake_next = Array.make n (-1) in
+  let wake_buf = Array.make n 0 and merge_buf = Array.make n 0 in
+  let wake_order head =
+    let len = chain_length wake_next 0 head in
+    let runs = chain_fill wake_next wake_buf (len - 1) (len - 1) 1 head in
+    n_runs := !n_runs + runs;
+    ((if runs = 1 then wake_buf else merge_runs wake_buf merge_buf len), len)
+  in
   let park_until wake_round i =
     incr n_wake;
     wake_next.(i) <-
@@ -358,21 +424,14 @@ let run_core cfg ~adversary ~get_body =
         Prng.Rng.fill_int !pending_rng !pending_chan hops ~len;
         incr n_series;
         n_hops := !n_hops + len;
-        (* Hop 0 listens [wait] rounds after the declare round. *)
+        (* Hop 0 listens [wait] rounds after the declare round; [len <=
+           depth], so the rows wrap at most once, after hop [first - 1]. *)
         let r0 = !round_counter + !pending_wait in
-        let depth = !series_depth in
-        let counts = !series_counts in
-        let store = !hop_store in
-        let hop0 = i * !hop_width in
-        let row = ref (r0 mod depth) in
-        for p = 0 to len - 1 do
-          let hop = Array.get hops p in
-          let idx = (!row * channels) + hop in
-          Array.set counts idx (Array.get counts idx + 1);
-          hop_set store cell (hop0 + p) hop;
-          incr row;
-          if !row = depth then row := 0
-        done;
+        let row = r0 mod !series_depth in
+        let first = min len (!series_depth - row) in
+        let counts = !series_counts and store = !hop_store and hop0 = i * !hop_width in
+        book_hops ~counts ~channels ~store ~cell ~hop0 hops 0 first row;
+        if first < len then book_hops ~counts ~channels ~store ~cell ~hop0 hops first len 0;
         Bytes.set st i 'p';
         ser_start.(i) <- r0;
         konts.(i) <- K k;
@@ -424,10 +483,9 @@ let run_core cfg ~adversary ~get_body =
           | Round -> some_round
           | _ -> None) }
   in
+  let root_rng = Prng.Rng.create cfg.Config.seed in
   for i = 0 to n - 1 do
-    let ctx =
-      { id = i; rng = Prng.Rng.split_at (Prng.Rng.create cfg.Config.seed) (i + 1); cfg }
-    in
+    let ctx = { id = i; rng = Prng.Rng.split_at root_rng (i + 1); cfg } in
     incr live;
     running_i := i;
     Effect.Deep.match_with (get_body i) ctx handler
@@ -474,6 +532,7 @@ let run_core cfg ~adversary ~get_body =
   in
   let harvest () =
     let arr = !cur in
+    n_harvested := !n_harvested + !n_cur;
     for j = 0 to !n_cur - 1 do
       let i = arr.(j) in
       match Bytes.get st i with
@@ -559,15 +618,14 @@ let run_core cfg ~adversary ~get_body =
   (* Resume the active list merged with this round's wakers, in ascending
      node-id order (the order is observable: node bodies may share state). *)
   let resume_round round =
-    let wakers =
+    let wakers, wn =
       match Hashtbl.find_opt wake round with
-      | None -> [||]
+      | None -> ([||], 0)
       | Some head ->
         Hashtbl.remove wake round;
-        wake_order wake_next head
+        wake_order head
     in
     let ca = !cur and cn = !n_cur in
-    let wn = Array.length wakers in
     let ci = ref 0 and wi = ref 0 in
     while !ci < cn || !wi < wn do
       let i =
@@ -745,7 +803,8 @@ let run_core cfg ~adversary ~get_body =
   Counters.add_run
     { Counters.transmits = !n_transmit; listens = !n_listen; idles = !n_idle;
       sleeps = !n_sleep; series = !n_series; resumes = !n_resume; hops = !n_hops;
-      wake_pushes = !n_wake; rounds_resolved = !n_resolved; rounds_skipped = !n_skipped };
+      wake_pushes = !n_wake; wake_runs = !n_runs; harvested = !n_harvested;
+      rounds_resolved = !n_resolved; rounds_skipped = !n_skipped };
   { stats; transcript = List.rev !transcript; completed; rounds_used = !round_counter;
     channel_usage = usage }
 

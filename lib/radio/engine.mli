@@ -22,9 +22,13 @@
     plain dense loop in the test-only [test/oracle] library, driven through
     the {{!section-protocol} action protocol} below; the equivalence suite
     checks that both produce identical stats, transcripts, channel usage
-    and round counts for the same configuration.  Each run adds its work
-    (suspensions by action, resumes, parked series and hops, wake-queue
-    pushes, resolved and fast-forwarded rounds) to {!Counters}. *)
+    and round counts for the same configuration.  A wake-queue bucket
+    resumes in node-id order: the core merges the ascending runs that
+    the resume passes which filled it left, rather than sorting it.  Each
+    run adds its work (suspensions by action, resumes, parked series and
+    hops, wake-queue pushes and the runs merged as buckets pop,
+    active-list entries harvested, resolved and fast-forwarded rounds)
+    to {!Counters}. *)
 
 type ctx = {
   id : int;  (** this node's index in 0..n-1 *)

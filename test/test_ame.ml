@@ -1014,8 +1014,14 @@ let fame_engine_counters () =
      9116 / 8000 = 1.14.  Measured 25,040 suspensions (7,940 message-round
      idles and 15,984 series, 3.13 per node-move) when an off-schedule
      node idled through the message round and parked one series per
-     feedback phase.  The counters are sums over domains, so running the
-     same two seeds at [--jobs] 1 and 2 gives the same totals. *)
+     feedback phase.  Each move pops two wake buckets: 2 nodes in one run,
+     and 1,998 filled by three resume passes (the message round's
+     off-schedule nodes, then the watchers and receivers, then the phase-0
+     witnesses), three ascending runs for the engine to merge; 16 runs
+     over the 4 moves.  The harvests scan 1,116 active-list entries over
+     the 532 resolved rounds.  The counters are sums over domains, so
+     running the same two seeds at [--jobs] 1 and 2 gives the same
+     totals. *)
   let n = 2_000 in
   let cfg = Radio.Config.make ~n ~channels:2 ~t:1 ~seed:7L () in
   let pairs = Workload.disjoint_pairs ~n ~count:4 in
@@ -1030,7 +1036,7 @@ let fame_engine_counters () =
   in
   check Alcotest.string "counters"
     "engine: suspend=9116 (transmit=1064 listen=52 idle=0 sleep=0 series=8000) resume=9116 \
-     hops=1054944 wake=8000 rounds=532 skipped=0"
+     hops=1054944 wake=8000 wake_runs=16 rounds=532 skipped=0 harvested=1116"
     (Radio.Counters.render (counted (run cfg)));
   let seeds jobs () =
     ignore

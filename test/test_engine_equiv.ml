@@ -212,6 +212,66 @@ let staggered_wakes_parity () =
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.bool "has transcript" true (a.Engine.transcript <> [])
 
+(* Node i parks from the resume pass of round [wake_passes.(i) - 1] (0: at
+   fiber start) until the end of [wake_round]; node 6 transmits every round
+   and stays on the active list.  The wake bucket is then filled by five
+   passes, {10, 11}, {2, 5, 9}, {3, 7}, {1, 4, 8} and {0}: a pass whose ids
+   are all above the rest, interleaved passes, and a last one-id run below
+   every other id, five ascending runs for the engine to merge.  Nodes 4
+   and 7 park as listen-series, the others by [idle_for]. *)
+let wake_round = 9
+
+let wake_passes = [| 4; 3; 1; 2; 3; 1; -1; 2; 3; 1; 0; 0 |]
+
+let wake_merge_body log (ctx : Engine.ctx) =
+  let id = ctx.Engine.id in
+  let note () = log := (Engine.current_round (), id) :: !log in
+  let k = wake_passes.(id) in
+  if k < 0 then
+    for r = 0 to wake_round + 1 do
+      Engine.transmit ~chan:(r mod 2) (Frame.Plain { src = id; dst = -1; body = "t" });
+      note ()
+    done
+  else begin
+    for _ = 1 to k do
+      Engine.idle ()
+    done;
+    let span = wake_round - k + 1 in
+    if id = 4 || id = 7 then
+      ignore (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~wait:(span - 5) ~len:5)
+    else Engine.idle_for span;
+    note ();
+    ignore (Engine.listen ~chan:0);
+    note ()
+  end
+
+let wake_bucket_merged () =
+  (* A wake bucket filled across resume passes resumes in ascending id
+     order, merged with the active list, exactly as the reference core
+     steps it; with recording off and on. *)
+  let n = Array.length wake_passes in
+  List.iter
+    (fun record ->
+      let cfg = Config.make ~n ~channels:2 ~t:0 ~seed:11L ~record_transcript:record () in
+      let go run =
+        let log = ref [] in
+        let before = Radio.Counters.snapshot () in
+        let r = run cfg ~adversary:Adversary.null (Array.make n (wake_merge_body log)) in
+        (r, List.rev !log, Radio.Counters.diff (Radio.Counters.snapshot ()) before)
+      in
+      let label = Printf.sprintf "record %b: " record in
+      let ra, la, _ = go Reference_engine.run in
+      let rb, lb, counted = go Engine.run in
+      check Alcotest.bool (label ^ "engine observables identical") true (same_result ra rb);
+      check Alcotest.(list (pair int int)) (label ^ "resume order = reference") la lb;
+      check
+        Alcotest.(list int)
+        (label ^ "the bucket resumes ascending")
+        (List.init n Fun.id)
+        (List.filter_map (fun (r, i) -> if r = wake_round + 1 then Some i else None) lb);
+      check Alcotest.int (label ^ "runs merged") 5 counted.Radio.Counters.wake_runs)
+    [ false; true ]
+
 let run_nodes_equals_run () =
   let p = { base_params with record = true } in
   let cfg = config_of p in
@@ -648,6 +708,7 @@ let () =
           Alcotest.test_case "idle parking parity" `Quick idle_parking_parity;
           Alcotest.test_case "abort with parked fibers" `Quick abort_with_parked_fibers;
           Alcotest.test_case "staggered wakes parity" `Quick staggered_wakes_parity;
+          Alcotest.test_case "wake bucket merged across passes" `Quick wake_bucket_merged;
           Alcotest.test_case "run_nodes = run" `Quick run_nodes_equals_run;
           Alcotest.test_case "channel usage totals = stats" `Quick
             channel_usage_totals_match_stats ] );
