@@ -108,13 +108,10 @@ let fame_scaling ~quick =
     (scaling_ns ~quick)
 
 (* K-scaling families for the bitset graph/game kernel.  [graph/vc-n-scaling]
-   runs the exact minimum-vertex-cover solver on the complete graph K_n with
-   the memo cache disabled, so the branch-and-bound kernel itself is measured
-   rather than a digest lookup ([graph/min-vertex-cover-K8] keeps the cache on
-   and so tracks the end-to-end memoized path).  [game/full-play] plays the
-   starred-edge removal game to completion on K_n; the K8 member is the
-   long-standing [game/full-play-K8] benchmark above.  K in {32, 64} only
-   runs outside quick mode. *)
+   runs the exact minimum-vertex-cover solver on the complete graph K_n.
+   [game/full-play] plays the starred-edge removal game to completion on
+   K_n; the K8 member is the long-standing [game/full-play-K8] benchmark
+   above.  K in {32, 64} only runs outside quick mode. *)
 let kernel_ks ~quick = if quick then [ 8; 16 ] else [ 8; 16; 32; 64 ]
 
 let vc_scaling ~quick =
@@ -122,9 +119,7 @@ let vc_scaling ~quick =
     (fun n ->
       let g = Rgraph.Digraph.Dense.of_edges ~n (Rgraph.Workload.complete ~n) in
       Test.make ~name:(Printf.sprintf "graph/vc-n-scaling-K%d" n)
-        (Staged.stage (fun () ->
-             ignore
-               (Cache.with_disabled (fun () -> Rgraph.Vertex_cover.minimum_size_dense g)))))
+        (Staged.stage (fun () -> ignore (Rgraph.Vertex_cover.minimum_size_dense g))))
     (kernel_ks ~quick)
 
 let game_full_play ~name ~n =
@@ -196,11 +191,6 @@ let micro_tests ~quick =
     Test.make ~name:"crypto/mac-ok-12B"
       (Staged.stage (fun () ->
            ignore (Crypto.Cipher.mac_ok ck cs ~nonce:7L blob ~off:0 ~len:12 ~tag:12)))
-  in
-  let vc =
-    let g = Rgraph.Digraph.Dense.of_edges (Rgraph.Workload.complete ~n:8) in
-    Test.make ~name:"graph/min-vertex-cover-K8"
-      (Staged.stage (fun () -> ignore (Rgraph.Vertex_cover.minimum_dense g)))
   in
   let engine_round =
     Test.make ~name:"radio/1000-round-run"
@@ -281,7 +271,7 @@ let micro_tests ~quick =
   in
   [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac;
     hmac_keyed; dh; seal; seal_into 32; seal_into 1040; open_into 32; open_into 1040; mac_ok;
-    vc; greedy_move;
+    greedy_move;
     game_full; engine_round; parked_series; fame_small; engine_small; engine_2t2; prf_keyed ]
   @ vc_scaling ~quick @ game_scaling ~quick @ engine_scaling ~quick @ fame_scaling ~quick
 

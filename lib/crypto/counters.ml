@@ -1,4 +1,4 @@
-(* One [Cache.Tally] field per counter, in the order of [t]'s fields. *)
+(* One [Parallel.Tally] field per counter, in the order of [t]'s fields. *)
 
 type t = {
   sha256_compressions : int;
@@ -9,17 +9,17 @@ type t = {
   tags : int;
 }
 
-let tally = Cache.Tally.create 6
+let tally = Parallel.Tally.create 6
 
-let sha256_compression () = Cache.Tally.add tally 0 1
-let chacha20_block () = Cache.Tally.add tally 1 1
-let poly1305 k = Cache.Tally.add tally 2 k
-let seal () = Cache.Tally.add tally 3 1
-let open_ () = Cache.Tally.add tally 4 1
-let tag () = Cache.Tally.add tally 5 1
+let sha256_compression () = Parallel.Tally.add tally 0 1
+let chacha20_block () = Parallel.Tally.add tally 1 1
+let poly1305 k = Parallel.Tally.add tally 2 k
+let seal () = Parallel.Tally.add tally 3 1
+let open_ () = Parallel.Tally.add tally 4 1
+let tag () = Parallel.Tally.add tally 5 1
 
 let snapshot () =
-  let a = Cache.Tally.totals tally in
+  let a = Parallel.Tally.totals tally in
   { sha256_compressions = a.(0); chacha20_blocks = a.(1); poly1305_blocks = a.(2);
     seals = a.(3); opens = a.(4); tags = a.(5) }
 

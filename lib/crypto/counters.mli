@@ -1,4 +1,4 @@
-(** Deterministic crypto work counters, on a {!Cache.Tally}: every domain
+(** Deterministic crypto work counters, on a {!Parallel.Tally}: every domain
     counts into a block of its own, and the totals are sums over the
     blocks, so the same run gives the same totals at every [--jobs].
 
@@ -15,7 +15,7 @@ type t = {
 }
 
 val snapshot : unit -> t
-(** The totals so far over every domain ({!Cache.Tally.totals}). *)
+(** The totals so far over every domain ({!Parallel.Tally.totals}). *)
 
 val diff : t -> t -> t
 (** [diff later earlier], field by field. *)

@@ -10,8 +10,8 @@
     forced to return at least [proposal_size - t] items.
 
     The graph is a bitset {!Rgraph.Digraph.Dense}: membership tests during
-    proposal validation are O(1), the win check hits the memoized
-    vertex-cover solver, and [apply] copies only the two adjacency rows an
+    proposal validation are O(1), the win check is one exact
+    vertex-cover solve, and [apply] copies only the two adjacency rows an
     edge removal touches. *)
 
 type item = Node of int | Edge of (int * int)
@@ -55,7 +55,7 @@ val apply : t -> item list -> t
     re-validated here). *)
 
 val won : t -> bool
-(** Vertex cover of the remaining graph is at most [budget] (memoized). *)
+(** Vertex cover of the remaining graph is at most [budget]. *)
 
 val item_compare : item -> item -> int
 (** Total order used for deterministic proposal construction. *)

@@ -52,7 +52,7 @@ val bit_index : int -> int
 (** Index of the single set bit of the argument. *)
 
 val word : t -> int -> int
-(** Raw word access for hot loops ([Digraph.Dense], the VC solver). *)
+(** Raw word access for hot loops ({!Spanner}, the VC solver). *)
 
 val set_word : t -> int -> int -> unit
 

@@ -124,19 +124,4 @@ module Dense = struct
     else
       (* Different universe capacities can still carry the same edge set. *)
       edges a = edges b
-
-  (* Canonical digest of the undirected view (the object vertex-cover
-     queries depend on), mixing the universe size and every or-ed
-     adjacency word in node order.  Used as the memo-cache key. *)
-  let undirected_key ?(extra = -1) t =
-    let b = Cache.Key.create () in
-    Cache.Key.add_int b t.n;
-    Cache.Key.add_int b extra;
-    for v = 0 to t.n - 1 do
-      let ov = t.out_rows.(v) and iv = t.in_rows.(v) in
-      for w = 0 to Bitset.words ov - 1 do
-        Cache.Key.add_int b (Bitset.word ov w lor Bitset.word iv w)
-      done
-    done;
-    Cache.Key.finish b
 end

@@ -70,10 +70,4 @@ module Dense : sig
 
   val equal : t -> t -> bool
   (** Same edge set (universe capacities may differ). *)
-
-  val undirected_key : ?extra:int -> t -> string
-  (** Canonical digest of the undirected view plus an optional query
-      parameter, for memo-cache keys: graphs with equal universes and
-      equal undirected adjacency collide, all others differ with
-      overwhelming probability. *)
 end

@@ -16,13 +16,8 @@
 
    Branch state is copied per branch node (rows + degrees), so there is
    no undo bookkeeping; at the n <= a-few-hundred scales the experiments
-   decide, the copies are two small arrays.
-
-   Results are memoized in a pool-safe [Cache] keyed on the canonical
-   undirected digest, so repeated queries — the same game position across
-   replicate trials, bench iterations, or [Parallel.Pool] workers — hit
-   instead of re-solving.  Both solver and digest are pure functions of
-   the graph, so cached and fresh answers are identical by construction. *)
+   decide, the copies are two small arrays.  Every query solves afresh:
+   the solver keeps no state between calls. *)
 
 type scratch = {
   n : int;
@@ -184,24 +179,8 @@ let minimum_scratch s =
     try_size lb
   end
 
-(* -- memoized entry points -------------------------------------------- *)
+let at_most_dense g k = at_most_scratch (scratch_of_dense g) k
 
-let at_most_memo : bool Cache.t = Cache.create "vertex-cover/at-most"
-
-let minimum_memo : int list Cache.t = Cache.create "vertex-cover/minimum"
-
-let at_most_dense g k =
-  Cache.find_or_compute at_most_memo
-    ~key:(Digraph.Dense.undirected_key ~extra:k g)
-    (fun () -> at_most_scratch (scratch_of_dense g) k)
-
-let minimum_dense g =
-  Cache.find_or_compute minimum_memo
-    ~key:(Digraph.Dense.undirected_key g)
-    (fun () -> minimum_scratch (scratch_of_dense g))
+let minimum_dense g = minimum_scratch (scratch_of_dense g)
 
 let minimum_size_dense g = List.length (minimum_dense g)
-
-let cache_stats () =
-  [ (Cache.name at_most_memo, Cache.stats at_most_memo);
-    (Cache.name minimum_memo, Cache.stats minimum_memo) ]

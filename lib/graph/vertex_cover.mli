@@ -1,9 +1,12 @@
 (** Exact minimum vertex cover on the undirected view of a digraph.
 
-    The referee's win condition ([Game.State.won]) and the f-AME
-    disruptability check both reduce to "does the failure graph admit a
-    vertex cover of size <= budget?", so this solver sits on the hot path
-    of every game move and every adversary evaluation.
+    Two exact searches in the paper reduce to it: the referee's win
+    condition ([Game.State.won], Theorem 4's removal game) and the f-AME
+    t-disruptability check (Theorem 2) both ask "does the failure graph
+    admit a vertex cover of size <= budget?".  A game play or an f-AME run
+    asks once, at its end, and the verifier once per enumerated instance
+    or terminal position, so every query solves directly: there is no
+    memo.
 
     {2 Algorithm and complexity contract}
 
@@ -26,16 +29,7 @@
     O(n·w) when the [m > k * max_degree] early-exit fires — the common
     case for over-budget dense rounds.  [minimum_dense] iteratively deepens
     k starting from the matching lower bound, so it never explores budgets
-    below the provable optimum.
-
-    {2 Memoization}
-
-    Every entry point memoizes on {!Digraph.Dense.undirected_key} in a
-    pool-safe {!Cache}: repeated queries on the same position — across
-    game replays, replicate trials, bench iterations, and [Parallel.Pool]
-    workers — hit instead of re-solving.  The solver is a pure function of
-    the graph, so cached answers are byte-identical to fresh ones and the
-    cache never perturbs deterministic transcripts. *)
+    below the provable optimum. *)
 
 val at_most_dense : Digraph.Dense.t -> int -> bool
 (** [at_most_dense g k]: does [g] (viewed undirected) have a vertex cover
@@ -46,7 +40,3 @@ val minimum_dense : Digraph.Dense.t -> int list
     graphs always yield the identical cover. *)
 
 val minimum_size_dense : Digraph.Dense.t -> int
-
-val cache_stats : unit -> (string * Cache.stats) list
-(** Hit/miss totals of the two memo caches.  Kept as a test seam: the
-    only view of whether a repeat query reached the memo. *)

@@ -123,3 +123,14 @@ let run ~cfg ~pairwise ~proposals ~complete_leaders ~excluded ~adversary () =
       leaders
   in
   { engine; leader_keys = leader_keys_out; group_key = Array.init n adopt }
+
+let majority ?(skip = fun _ -> false) group_key =
+  let tally = Hashtbl.create 8 in
+  Array.iteri
+    (fun id k ->
+      match k with
+      | Some k when not (skip id) ->
+        Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
+      | _ -> ())
+    group_key;
+  Det.fold (fun k c (bk, bc) -> if c > bc then (Some k, c) else (bk, bc)) tally (None, 0)

@@ -25,3 +25,8 @@ val run :
     is leader v's fresh group-key proposal; [excluded] nodes (compromised
     devices during a re-key) are skipped: leaders never run epochs toward
     them and they are dropped from reporter duty. *)
+
+val majority : ?skip:(int -> bool) -> string option array -> string option * int
+(** [majority group_key] is the key most nodes hold and how many hold it,
+    ignoring the nodes [skip] names (default none) and nodes without a
+    key; ties go to the smallest key.  [(None, 0)] when no node counts. *)

@@ -91,18 +91,7 @@ let run ~cfg ~fame_adversary ~hop_adversary () =
           leader_keys = diss.Dissemination.leader_keys.(id);
           group_key = diss.Dissemination.group_key.(id) })
   in
-  (* Majority key statistics. *)
-  let tally = Hashtbl.create 8 in
-  Array.iter
-    (fun r ->
-      match r.group_key with
-      | Some k ->
-        Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
-      | None -> ())
-    nodes;
-  let majority_key, majority_count =
-    Det.fold (fun k c (bk, bc) -> if c > bc then (Some k, c) else (bk, bc)) tally (None, 0)
-  in
+  let majority_key, majority_count = Dissemination.majority diss.Dissemination.group_key in
   let wrong =
     Array.fold_left
       (fun acc r ->

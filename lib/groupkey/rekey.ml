@@ -51,17 +51,8 @@ let run ~cfg ~previous ~compromised ~hop_adversary () =
       ~complete_leaders ~excluded:compromised ~adversary:hop_adversary ()
   in
   let group_key = diss.Dissemination.group_key in
-  let tally = Hashtbl.create 8 in
-  Array.iteri
-    (fun id k ->
-      if not (List.mem id compromised) then
-        match k with
-        | Some k ->
-          Hashtbl.replace tally k (1 + Option.value (Hashtbl.find_opt tally k) ~default:0)
-        | None -> ())
-    group_key;
   let majority_key, majority_count =
-    Det.fold (fun k c (bk, bc) -> if c > bc then (Some k, c) else (bk, bc)) tally (None, 0)
+    Dissemination.majority ~skip:(fun id -> List.mem id compromised) group_key
   in
   let wrong =
     let count = ref 0 in

@@ -50,7 +50,7 @@ let all =
       family = Nondet;
       summary =
         "Atomic cells outside the parallel runtime invite cross-domain coordination that \
-         the deterministic merge cannot see; only lib/parallel and lib/cache may own them" };
+         the deterministic merge cannot see; only lib/parallel may own them" };
     { id = "nondet-poly-compare";
       family = Nondet;
       summary =

@@ -15,6 +15,7 @@
 
 module Pool = Pool
 module Clock = Clock
+module Tally = Tally
 
 let default_jobs () = Domain.recommended_domain_count ()
 

@@ -16,6 +16,7 @@
 
 module Pool = Pool
 module Clock = Clock
+module Tally = Tally
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)

@@ -1,4 +1,4 @@
-(* One [Cache.Tally] field per counter, in the order of [t]'s fields. *)
+(* One [Parallel.Tally] field per counter, in the order of [t]'s fields. *)
 
 type t = {
   transmits : int;
@@ -15,7 +15,7 @@ type t = {
   rounds_skipped : int;
 }
 
-let tally = Cache.Tally.create 12
+let tally = Parallel.Tally.create 12
 
 let to_array c =
   [| c.transmits; c.listens; c.idles; c.sleeps; c.series; c.resumes; c.hops; c.wake_pushes;
@@ -28,11 +28,11 @@ let of_array a =
 
 let suspensions c = c.transmits + c.listens + c.idles + c.sleeps + c.series
 
-let snapshot () = of_array (Cache.Tally.totals tally)
+let snapshot () = of_array (Parallel.Tally.totals tally)
 
 let diff a b = of_array (Array.map2 ( - ) (to_array a) (to_array b))
 
-let add_run c = Array.iteri (fun i k -> Cache.Tally.add tally i k) (to_array c)
+let add_run c = Array.iteri (fun i k -> Parallel.Tally.add tally i k) (to_array c)
 
 let render c =
   Printf.sprintf

@@ -1,8 +1,8 @@
-(** Deterministic engine work counters, on a {!Cache.Tally}: every domain
+(** Deterministic engine work counters, on a {!Parallel.Tally}: every domain
     counts into a block of its own, and the totals are sums over the
     blocks, so the same runs give the same totals at every [--jobs].
 
-    {!Engine.run} counts in local ints and adds them here once per run.
+    {!Engine.run_nodes} counts in local ints and adds them here once per run.
     The counters are kept out of {!Transcript.Stats} and out of every
     rendered digest; they measure the engine's work, never steer it. *)
 
@@ -27,7 +27,7 @@ val suspensions : t -> int
 (** Suspensions of every action kind. *)
 
 val snapshot : unit -> t
-(** The totals so far over every domain ({!Cache.Tally.totals}). *)
+(** The totals so far over every domain ({!Parallel.Tally.totals}). *)
 
 val diff : t -> t -> t
 (** [diff later earlier], field by field. *)

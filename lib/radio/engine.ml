@@ -228,7 +228,7 @@ type kont = NoK | K of (obs, unit) Effect.Deep.continuation
    Determinism: fibers are started, resumed, and aborted in strictly
    ascending node-id order, and every run is a pure function of the
    configuration seed. *)
-let run_core cfg ~adversary ~get_body =
+let run_nodes cfg ~adversary body =
   let n = cfg.Config.n in
   let channels = cfg.Config.channels in
   let max_rounds = cfg.Config.max_rounds in
@@ -488,7 +488,7 @@ let run_core cfg ~adversary ~get_body =
     let ctx = { id = i; rng = Prng.Rng.split_at root_rng (i + 1); cfg } in
     incr live;
     running_i := i;
-    Effect.Deep.match_with (get_body i) ctx handler
+    Effect.Deep.match_with body ctx handler
   done;
   started := true;
   let stats = Transcript.Stats.create () in
@@ -807,14 +807,3 @@ let run_core cfg ~adversary ~get_body =
       rounds_resolved = !n_resolved; rounds_skipped = !n_skipped };
   { stats; transcript = List.rev !transcript; completed; rounds_used = !round_counter;
     channel_usage = usage }
-
-let run cfg ~adversary nodes =
-  let n = cfg.Config.n in
-  if Array.length nodes <> n then
-    invalid_arg "Engine.run: node array length must equal cfg.n";
-  run_core cfg ~adversary ~get_body:(fun i -> Array.get nodes i)
-
-let run_nodes cfg ~adversary body =
-  (* One shared body closure, indexed by [ctx.id] — no n-length array of
-     identical closures. *)
-  run_core cfg ~adversary ~get_body:(fun _ -> body)

@@ -13,7 +13,7 @@
     steps all fibers in node-id order, making every run a deterministic
     function of the configuration seed.
 
-    One execution core runs every protocol ({!run} / {!run_nodes}).  It is
+    One execution core runs every protocol ({!run_nodes}).  It is
     sparse and event-driven: per-node state lives in flat struct-of-arrays
     slots, and a round costs work proportional to the number of {e active}
     nodes (fibers parked by {!idle_for} or {!listen_random} sit in a wake
@@ -138,14 +138,12 @@ type result = {
   channel_usage : Transcript.Channel_usage.t;  (** per-physical-channel counters *)
 }
 
-val run : Config.t -> adversary:Adversary.t -> (ctx -> unit) array -> result
-(** [run cfg ~adversary nodes] starts one fiber per node (the array must
-    have length [cfg.n]) and drives rounds until every fiber returns.
-    Raises [Invalid_argument] on malformed node actions (bad channel).
+val run_nodes : Config.t -> adversary:Adversary.t -> (ctx -> unit) -> result
+(** [run_nodes cfg ~adversary body] starts one fiber per node, each
+    running [body] on its own {!ctx} (it branches on [ctx.id]), and drives
+    rounds until every fiber returns.  The body closure is shared: node
+    state is indexed by [ctx.id], so no n-length array of closures is
+    built.  Raises [Invalid_argument] on malformed node actions (bad
+    channel).
     Everything runs on the calling domain, so the result never depends on
     the [--jobs] setting of an enclosing [Parallel.run]. *)
-
-val run_nodes : Config.t -> adversary:Adversary.t -> (ctx -> unit) -> result
-(** Convenience: the same body for every node (it can branch on [ctx.id]).
-    The body closure is shared — node state is indexed by [ctx.id], so no
-    n-length array of identical closures is built. *)

@@ -2,9 +2,9 @@
 
     A pair set is within the paper's disruption threshold when its failure
     graph admits a vertex cover of size <= t.  The optimized kernel
-    ({!Rgraph.Vertex_cover}: FPT branch-and-bound on bitset adjacency,
-    memoized) decides this on every game move and every experiment row —
-    so this module re-decides it the dumbest possible way, by enumerating
+    ({!Rgraph.Vertex_cover}: FPT branch-and-bound on bitset adjacency)
+    decides this at the end of every game play and every f-AME run — so
+    this module re-decides it the dumbest possible way, by enumerating
     {e all} node subsets of size <= t, and demands bit-for-bit agreement
     across {e every} graph on a bounded node count.  An optimization that
     ever disagrees with the subset walk fails the certificate suite. *)

@@ -3,9 +3,10 @@
    The greedy player is deterministic, so the game tree branches only on
    the referee's response.  Distinct response orders can reach the same
    position (star v then w, or w then v), so the tree is really a DAG:
-   positions are memoized on a canonical digest and each is expanded
-   once.  [strategies] still counts tree leaves (every complete referee
-   strategy), which the f-AME strike enumeration must reproduce exactly. *)
+   each [explore] memoizes positions on a canonical digest in a table of
+   its own and expands each once.  [strategies] still counts tree leaves
+   (every complete referee strategy), which the f-AME strike enumeration
+   must reproduce exactly. *)
 
 module State = Game.State
 
@@ -15,25 +16,39 @@ type value = {
   best : State.item list;  (* a response attaining [moves] *)
 }
 
-(* Pool-safe memo on the canonical position digest.  Capacity is far above
-   any reachable-position count of the tiny instances this module is for;
-   overflow would only cost re-solves, never change results. *)
-let memo : value Cache.t = Cache.create ~capacity:(1 lsl 20) "verify/game-minimax"
+(* Canonical position digest: two independent 63-bit mixing lanes
+   (splitmix-style xorshift-multiply) over the position's ints.
+   Collisions between distinct positions are negligible (~2^-126 per
+   pair); an exact key, the position spelled out as a string, makes
+   [radio_verify --quick] 2.5x slower. *)
+let mix h x =
+  let h = h lxor x in
+  let h = h * 0x2545F4914F6CDD1D in
+  let h = h lxor (h lsr 29) in
+  let h = h * 0x1B03738712FAD5C9 in
+  h lxor (h lsr 32)
+
+type lanes = { mutable h1 : int; mutable h2 : int; mutable len : int }
+
+let add_int b x =
+  b.h1 <- mix b.h1 x;
+  b.h2 <- mix b.h2 (x lxor 0x27D4EB2F165667C5);
+  b.len <- b.len + 1
 
 let digest (st : State.t) =
-  let b = Cache.Key.create () in
-  Cache.Key.add_int b (Rgraph.Digraph.Dense.universe st.State.graph);
-  Cache.Key.add_int b st.State.budget;
-  Cache.Key.add_int b st.State.min_proposal;
-  Cache.Key.add_int b st.State.max_proposal;
-  List.iter (Cache.Key.add_int b) st.State.starred;
-  Cache.Key.add_int b (-1);
+  let b = { h1 = 0x517CC1B727220A5; h2 = 0x2C62272E07BB0142; len = 0 } in
+  add_int b (Rgraph.Digraph.Dense.universe st.State.graph);
+  add_int b st.State.budget;
+  add_int b st.State.min_proposal;
+  add_int b st.State.max_proposal;
+  List.iter (add_int b) st.State.starred;
+  add_int b (-1);
   Rgraph.Digraph.Dense.iter_edges
     (fun (v, w) ->
-      Cache.Key.add_int b v;
-      Cache.Key.add_int b w)
+      add_int b v;
+      add_int b w)
     st.State.graph;
-  Cache.Key.finish b
+  (mix b.h1 b.len, mix b.h2 (b.len lxor 0x165667B19E3779F9))
 
 let pp_items items =
   String.concat "+" (List.map (fun i -> Format.asprintf "%a" State.pp_item i) items)
@@ -67,43 +82,50 @@ type result = {
 }
 
 let explore root =
-  (* Fresh memo per instance: the counters below must be a function of the
-     instance, not of what else ran on this worker domain. *)
-  Cache.clear memo;
+  (* The memo lives for this call only: the counters below must be a
+     function of the instance, not of what else ran before it. *)
+  let memo : (int * int, value) Hashtbl.t = Hashtbl.create 256 in
   let states = ref 0 and choices = ref 0 and violations = ref [] in
   let violation msg st = violations := (msg ^ " at " ^ describe st) :: !violations in
   let rec value st =
-    Cache.find_or_compute memo ~key:(digest st) (fun () ->
-      incr states;
-      match Game.Greedy.proposal st with
-      | None ->
-        (* Lemma 3: greedy terminates only in won positions. *)
-        if not (State.won st) then violation "terminal position not won" st;
-        { moves = 0; leaves = 1; best = [] }
-      | Some proposal ->
-        (match State.check_proposal st proposal with
-         | Ok () -> ()
-         | Error msg -> violation ("greedy proposal illegal: " ^ msg) st);
-        let arr = Array.of_list proposal in
-        let len = Array.length arr in
-        let keep = min_keep st len in
-        let worst = ref (-1) and best = ref [] and leaves = ref 0 in
-        for mask = 1 to (1 lsl len) - 1 do
-          if Rgraph.Bitset.popcount_word mask >= keep then begin
-            incr choices;
-            let response = items_of_mask arr mask in
-            let v = value (State.apply st response) in
-            leaves := !leaves + v.leaves;
-            if v.moves + 1 > !worst then begin
-              worst := v.moves + 1;
-              best := response
-            end
+    let key = digest st in
+    match Hashtbl.find_opt memo key with
+    | Some v -> v
+    | None ->
+      let v = expand st in
+      Hashtbl.replace memo key v;
+      v
+  and expand st =
+    incr states;
+    match Game.Greedy.proposal st with
+    | None ->
+      (* Lemma 3: greedy terminates only in won positions. *)
+      if not (State.won st) then violation "terminal position not won" st;
+      { moves = 0; leaves = 1; best = [] }
+    | Some proposal ->
+      (match State.check_proposal st proposal with
+       | Ok () -> ()
+       | Error msg -> violation ("greedy proposal illegal: " ^ msg) st);
+      let arr = Array.of_list proposal in
+      let len = Array.length arr in
+      let keep = min_keep st len in
+      let worst = ref (-1) and best = ref [] and leaves = ref 0 in
+      for mask = 1 to (1 lsl len) - 1 do
+        if Rgraph.Bitset.popcount_word mask >= keep then begin
+          incr choices;
+          let response = items_of_mask arr mask in
+          let v = value (State.apply st response) in
+          leaves := !leaves + v.leaves;
+          if v.moves + 1 > !worst then begin
+            worst := v.moves + 1;
+            best := response
           end
-        done;
-        { moves = !worst; leaves = !leaves; best = !best })
+        end
+      done;
+      { moves = !worst; leaves = !leaves; best = !best }
   in
   let v = value root in
-  (* Reconstruct one worst-case play from the (still hot) memo. *)
+  (* Reconstruct one worst-case play from the memo. *)
   let path = ref [] in
   let st = ref root in
   let steps = ref v.moves in

@@ -13,10 +13,10 @@
     least |P| - t items (the adversary can disrupt at most t channels).
 
     States are memoized on a canonical digest (universe, budget, proposal
-    bounds, starred set, directed edge set) in a pool-safe {!Cache}; the
-    memo is cleared at the start of every [explore] so the reported
-    counters are a deterministic function of the instance alone, not of
-    which worker domain previously walked which instance. *)
+    bounds, starred set, directed edge set) in a table that each
+    [explore] call creates and drops, so the reported counters are a
+    deterministic function of the instance alone, not of which instances
+    the calling domain walked before. *)
 
 type result = {
   worst_moves : int;  (** minimax move count: no referee does better *)

@@ -1,5 +1,5 @@
 (* Lint fixture: Atomic cells created or mutated outside the parallel
-   runtime (lib/parallel, lib/cache). *)
+   runtime (lib/parallel). *)
 
 let hits = Atomic.make 0
 

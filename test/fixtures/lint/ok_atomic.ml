@@ -1,6 +1,6 @@
 (* Lint fixture: the same Atomic primitives, each quieted by an escape
-   comment — the shape lib/parallel and lib/cache would need if they were
-   not allowlisted.  Atomic.get is a plain read and never fires. *)
+   comment — the shape lib/parallel would need if it were not
+   allowlisted.  Atomic.get is a plain read and never fires. *)
 
 (* radio-lint: allow nondet-atomic *)
 let hits = Atomic.make 0

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Mutation check: each test/mutants/*.patch plants one known engine bug,
+# Mutation check: each test/mutants/*.patch plants one known bug,
 # and the test its header names must fail on it.  A patch starts with
 #
 #   Mutant: <the bug, in one line>

@@ -1,5 +1,5 @@
 (* The dense reference engine: the plain round loop that the sparse core
-   ([Radio.Engine.run]) is checked against.  It implements the Section 3
+   ([Radio.Engine.run_nodes]) is checked against.  It implements the Section 3
    round directly: every round scans all n fibers in node order, builds the
    round record from scratch, resolves every channel from that record, and
    folds the stats and channel usage out of it.  Nothing carries over
@@ -71,10 +71,8 @@ let absorb (s : Transcript.Stats.t) (u : Transcript.Channel_usage.t)
     r.outcomes;
   if !jammed_round then s.jammed_rounds <- s.jammed_rounds + 1
 
-let run (cfg : Config.t) ~adversary nodes =
+let run (cfg : Config.t) ~adversary body =
   let n = cfg.n and channels = cfg.channels in
-  if Array.length nodes <> n then
-    invalid_arg "Reference_engine.run: node array length must equal cfg.n";
   let fibers = Array.make n Finished in
   let round = ref 0 in
   let handler i =
@@ -104,11 +102,10 @@ let run (cfg : Config.t) ~adversary nodes =
           | Engine.Round -> Some (fun k -> Effect.Deep.continue k !round)
           | _ -> None) }
   in
-  Array.iteri
-    (fun i body ->
-      let rng = Prng.Rng.split_at (Prng.Rng.create cfg.seed) (i + 1) in
-      Effect.Deep.match_with body { Engine.id = i; rng; cfg } (handler i))
-    nodes;
+  for i = 0 to n - 1 do
+    let rng = Prng.Rng.split_at (Prng.Rng.create cfg.seed) (i + 1) in
+    Effect.Deep.match_with body { Engine.id = i; rng; cfg } (handler i)
+  done;
   let stats = Transcript.Stats.create () in
   let usage = Transcript.Channel_usage.create channels in
   let transcript = ref [] in

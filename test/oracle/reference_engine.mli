@@ -6,6 +6,7 @@
 val run :
   Radio.Config.t ->
   adversary:Radio.Adversary.t ->
-  (Radio.Engine.ctx -> unit) array ->
+  (Radio.Engine.ctx -> unit) ->
   Radio.Engine.result
-(** Drop-in for {!Radio.Engine.run}. *)
+(** Drop-in for {!Radio.Engine.run_nodes}: the same body for every node,
+    branching on [ctx.id]. *)

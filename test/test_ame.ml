@@ -375,7 +375,7 @@ let feedback_consecutive ?(tree = false) ?(record = false) ~run ~observe ~advers
       outputs.(id) <- outputs.(id) @ [ (d, Radio.Engine.current_round ()) ]
     done
   in
-  let result = run cfg ~adversary (Array.make n body) in
+  let result = run cfg ~adversary body in
   let per_run = if tree then Tree_feedback.rounds_consumed ~groups:k ~reps else k * reps in
   check Alcotest.int "rounds = runs * rounds per run + waits"
     ((runs * per_run) + (runs * (runs - 1) / 2))
@@ -408,7 +408,9 @@ let feedback_parked_equals_reference () =
       in
       List.iter
         (fun observe ->
-          let parked, _ = feedback_consecutive ~run:Radio.Engine.run ~observe ~adversary () in
+          let parked, _ =
+            feedback_consecutive ~run:Radio.Engine.run_nodes ~observe ~adversary ()
+          in
           check_same_outputs
             (Printf.sprintf "%s, observer %b" name observe)
             reference parked)
@@ -428,7 +430,7 @@ let feedback_recorded_matches_reference () =
             feedback_consecutive ~tree ~record:true ~run ~observe:false ~adversary ()
           in
           let ref_out, reference = go Reference_engine.run in
-          let out, parked = go Radio.Engine.run in
+          let out, parked = go Radio.Engine.run_nodes in
           check_same_outputs label ref_out out;
           let listeners (r : Radio.Engine.result) =
             List.map (fun (rr : Radio.Transcript.round_record) -> rr.listeners) r.transcript

@@ -1,6 +1,6 @@
 (* Sparse-vs-reference engine equivalence.
 
-   The sparse event-driven core (Engine.run) must be observationally
+   The sparse event-driven core (Engine.run_nodes) must be observationally
    identical to the plain dense loop in the test oracle library
    (Reference_engine.run): same stats, same transcript records, same
    channel usage, same round counts, same completion flag, for every
@@ -141,10 +141,10 @@ let run_with core p =
   let adversary =
     make_adversary ~which:p.which ~channels:p.channels ~budget:p.t ~seed:p.seed ()
   in
-  let nodes = Array.init p.n (fun _ -> node_body ~n:p.n ~channels:p.channels ~steps:p.steps) in
+  let body = node_body ~n:p.n ~channels:p.channels ~steps:p.steps in
   match core with
-  | `Reference -> Reference_engine.run cfg ~adversary nodes
-  | `Sparse -> Engine.run cfg ~adversary nodes
+  | `Reference -> Reference_engine.run cfg ~adversary body
+  | `Sparse -> Engine.run_nodes cfg ~adversary body
 
 let fail_unequal p a b =
   QCheck.Test.fail_reportf "divergence on %s:@ %t" (pp_params p) (fun fmt ->
@@ -170,12 +170,9 @@ let idle_parking_parity () =
      results must still be identical. *)
   let p = { base_params with record = false; which = 0; steps = 0 } in
   let cfg = config_of p in
-  let nodes =
-    Array.init p.n (fun _ (ctx : Engine.ctx) ->
-        Engine.idle_for (5000 + (100 * (ctx.Engine.id mod 7))))
-  in
-  let a = Reference_engine.run cfg ~adversary:Adversary.null nodes in
-  let b = Engine.run cfg ~adversary:Adversary.null nodes in
+  let body (ctx : Engine.ctx) = Engine.idle_for (5000 + (100 * (ctx.Engine.id mod 7))) in
+  let a = Reference_engine.run cfg ~adversary:Adversary.null body in
+  let b = Engine.run_nodes cfg ~adversary:Adversary.null body in
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.int "rounds" 5600 a.Engine.rounds_used;
   check Alcotest.bool "completed" true a.Engine.completed
@@ -184,9 +181,9 @@ let abort_with_parked_fibers () =
   (* max_rounds expires while fibers sleep in the wake queue: both cores
      must abort at the same round with the same stats. *)
   let cfg = Config.make ~n:6 ~channels:2 ~t:1 ~seed:9L ~max_rounds:100 () in
-  let nodes = Array.init 6 (fun _ (_ : Engine.ctx) -> Engine.idle_for 10_000) in
-  let a = Reference_engine.run cfg ~adversary:Adversary.null nodes in
-  let b = Engine.run cfg ~adversary:Adversary.null nodes in
+  let body _ = Engine.idle_for 10_000 in
+  let a = Reference_engine.run cfg ~adversary:Adversary.null body in
+  let b = Engine.run_nodes cfg ~adversary:Adversary.null body in
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.bool "aborted" false a.Engine.completed;
   check Alcotest.int "rounds" 100 a.Engine.rounds_used
@@ -207,7 +204,7 @@ let staggered_wakes_parity () =
     done
   in
   let mk () = make_adversary ~which:p.which ~channels:p.channels ~budget:p.t ~seed:p.seed () in
-  let a = Reference_engine.run cfg ~adversary:(mk ()) (Array.make p.n body) in
+  let a = Reference_engine.run cfg ~adversary:(mk ()) body in
   let b = Engine.run_nodes cfg ~adversary:(mk ()) body in
   check Alcotest.bool "identical" true (same_result a b);
   check Alcotest.bool "has transcript" true (a.Engine.transcript <> [])
@@ -256,12 +253,12 @@ let wake_bucket_merged () =
       let go run =
         let log = ref [] in
         let before = Radio.Counters.snapshot () in
-        let r = run cfg ~adversary:Adversary.null (Array.make n (wake_merge_body log)) in
+        let r = run cfg ~adversary:Adversary.null (wake_merge_body log) in
         (r, List.rev !log, Radio.Counters.diff (Radio.Counters.snapshot ()) before)
       in
       let label = Printf.sprintf "record %b: " record in
       let ra, la, _ = go Reference_engine.run in
-      let rb, lb, counted = go Engine.run in
+      let rb, lb, counted = go Engine.run_nodes in
       check Alcotest.bool (label ^ "engine observables identical") true (same_result ra rb);
       check Alcotest.(list (pair int int)) (label ^ "resume order = reference") la lb;
       check
@@ -271,15 +268,6 @@ let wake_bucket_merged () =
         (List.filter_map (fun (r, i) -> if r = wake_round + 1 then Some i else None) lb);
       check Alcotest.int (label ^ "runs merged") 5 counted.Radio.Counters.wake_runs)
     [ false; true ]
-
-let run_nodes_equals_run () =
-  let p = { base_params with record = true } in
-  let cfg = config_of p in
-  let body = node_body ~n:p.n ~channels:p.channels ~steps:p.steps in
-  let mk () = make_adversary ~which:p.which ~channels:p.channels ~budget:p.t ~seed:p.seed () in
-  let a = Engine.run cfg ~adversary:(mk ()) (Array.init p.n (fun _ -> body)) in
-  let b = Engine.run_nodes cfg ~adversary:(mk ()) body in
-  check Alcotest.bool "identical" true (same_result a b)
 
 (* -- listen_random: parked vs reference ------------------------------------
 
@@ -368,7 +356,7 @@ let random_series_run p ~record ~observer run_core =
         log.finals <- (got, Engine.current_round (), Prng.Rng.bits64 rng) :: log.finals
       done
   in
-  let r = run_core cfg ~adversary (Array.make n body) in
+  let r = run_core cfg ~adversary body in
   (r, Array.map (fun l -> (l.calls, l.finals)) logs, !seen)
 
 let series_paths_agree =
@@ -383,7 +371,7 @@ let series_paths_agree =
             let reference, ref_log, ref_seen =
               random_series_run p ~record ~observer Reference_engine.run
             in
-            let parked, log, seen = random_series_run p ~record ~observer Engine.run in
+            let parked, log, seen = random_series_run p ~record ~observer Engine.run_nodes in
             if not (same_result reference parked) then
               fail (label ^ ": parked vs reference") reference parked;
             if seen <> ref_seen then
@@ -447,24 +435,24 @@ let series_workload ~n ~channels ~record ~seed run_core =
           done)
         series_lengths
   in
-  let r = run_core cfg (Array.init n (fun _ -> body)) in
+  let r = run_core cfg body in
   (r, heard)
 
 let series_heard_parity () =
   let n = 12 and channels = 3 and seed = 5L in
   let go ~record ?(adversary = Adversary.null) run =
-    series_workload ~n ~channels ~record ~seed (fun cfg nodes -> run cfg ~adversary nodes)
+    series_workload ~n ~channels ~record ~seed (fun cfg body -> run cfg ~adversary body)
   in
   (* Parked fast path (record off, non-observing adversary) vs reference. *)
   let ra, ha = go ~record:false Reference_engine.run in
-  let rb, hb = go ~record:false Engine.run in
+  let rb, hb = go ~record:false Engine.run_nodes in
   check Alcotest.bool "parked: engine observables identical" true (same_result ra rb);
   check Alcotest.bool "parked: heard frames identical" true (ha = hb);
   check Alcotest.bool "listeners heard something" true
     (Array.exists (List.exists (fun s -> not (String.ends_with ~suffix:"@-" s))) hb);
   (* Parked series, recording on: must hear exactly the same frames. *)
   let rc, hc = go ~record:true Reference_engine.run in
-  let rd, hd = go ~record:true Engine.run in
+  let rd, hd = go ~record:true Engine.run_nodes in
   check Alcotest.bool "recorded: engine observables identical" true (same_result rc rd);
   check Alcotest.bool "recorded: heard frames identical" true (hc = hd);
   check Alcotest.bool "recorded path hears what the parked path hears" true (hb = hd);
@@ -483,7 +471,7 @@ let series_heard_parity () =
     (r, heard, !seen)
   in
   let re, he, se = observed Reference_engine.run in
-  let rf, hf, sf = observed Engine.run in
+  let rf, hf, sf = observed Engine.run_nodes in
   check Alcotest.bool "observed: engine observables identical" true (same_result re rf);
   check Alcotest.bool "observed: listeners seen identical" true (se = sf);
   check Alcotest.bool "observed: heard frames identical" true (he = hf);
@@ -506,14 +494,12 @@ let series_rejects_bad_arguments () =
                (Printf.sprintf "Engine.listen_random: bound %d outside 1..2" bound))
             (fun () ->
               ignore
-                (run cfg ~adversary:Adversary.null
-                   (Array.make 2 (fun (ctx : Engine.ctx) ->
-                        if ctx.Engine.id = 0 then begin
-                          rng := Some ctx.Engine.rng;
-                          ignore
-                            (Engine.listen_random ~rng:ctx.Engine.rng ~bound ~wait:2
-                               ~len:4)
-                        end))));
+                (run cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
+                     if ctx.Engine.id = 0 then begin
+                       rng := Some ctx.Engine.rng;
+                       ignore
+                         (Engine.listen_random ~rng:ctx.Engine.rng ~bound ~wait:2 ~len:4)
+                     end)));
           let fresh = Prng.Rng.split_at (Prng.Rng.create 3L) 1 in
           match !rng with
           | None -> Alcotest.fail "node 0 never ran"
@@ -522,8 +508,8 @@ let series_rejects_bad_arguments () =
               (Printf.sprintf "%s: bound %d draws nothing" label bound)
               (Prng.Rng.bits64 fresh) (Prng.Rng.bits64 rng))
         [ 0; 3 ])
-    [ ("parked", false, Engine.run);
-      ("parked, recording", true, Engine.run);
+    [ ("parked", false, Engine.run_nodes);
+      ("parked, recording", true, Engine.run_nodes);
       ("reference", false, Reference_engine.run) ]
 
 let series_stale_read_raises () =
@@ -535,14 +521,13 @@ let series_stale_read_raises () =
     (fun (label, record, run_core) ->
       let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L ~record_transcript:record () in
       let run read =
-        run_core cfg ~adversary:Adversary.null
-          (Array.make 2 (fun (ctx : Engine.ctx) ->
-               if ctx.Engine.id = 0 then
-                 read (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~wait:1 ~len:3)
-               else
-                 for _ = 1 to 6 do
-                   Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
-                 done))
+        run_core cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
+            if ctx.Engine.id = 0 then
+              read (Engine.listen_random ~rng:ctx.Engine.rng ~bound:2 ~wait:1 ~len:3)
+            else
+              for _ = 1 to 6 do
+                Engine.transmit ~chan:0 (Frame.Plain { src = 1; dst = 0; body = "s" })
+              done)
       in
       Alcotest.check_raises (label ^ ": round action, then a read")
         (Invalid_argument "Engine.heard: series read after a round action") (fun () ->
@@ -566,8 +551,8 @@ let series_stale_read_raises () =
       check Alcotest.(list int) (label ^ ": current_round reads the resume round") [ 4; 4; 4 ]
         !rounds;
       check Alcotest.bool (label ^ ": completed") true r.Engine.completed)
-    [ ("parked", false, Engine.run);
-      ("parked, recording", true, Engine.run);
+    [ ("parked", false, Engine.run_nodes);
+      ("parked, recording", true, Engine.run_nodes);
       ("reference", false, Reference_engine.run);
       ("reference, recording", true, Reference_engine.run) ]
 
@@ -615,9 +600,9 @@ let series_wait_only_is_idle_for () =
             List.map
               (fun folded ->
                 ( Printf.sprintf "%s, record %b, folded %b" core record folded,
-                  run cfg ~adversary:Adversary.null (Array.make n (body ~folded)) ))
+                  run cfg ~adversary:Adversary.null (body ~folded) ))
               [ true; false ])
-          [ ("parked", Engine.run); ("reference", Reference_engine.run) ]
+          [ ("parked", Engine.run_nodes); ("reference", Reference_engine.run) ]
       in
       let _, first = List.hd runs in
       List.iter
@@ -709,7 +694,6 @@ let () =
           Alcotest.test_case "abort with parked fibers" `Quick abort_with_parked_fibers;
           Alcotest.test_case "staggered wakes parity" `Quick staggered_wakes_parity;
           Alcotest.test_case "wake bucket merged across passes" `Quick wake_bucket_merged;
-          Alcotest.test_case "run_nodes = run" `Quick run_nodes_equals_run;
           Alcotest.test_case "channel usage totals = stats" `Quick
             channel_usage_totals_match_stats ] );
       ( "listen-series",

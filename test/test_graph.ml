@@ -193,34 +193,10 @@ let vc_is_cover_negative () =
   let g = Ref.of_edges [ (0, 1); (2, 3) ] in
   check Alcotest.bool "partial set is not a cover" false (Ref.is_cover g [ 0 ])
 
-(* -- memo cache determinism -- *)
-
-let vc_cache_on_off_agree =
-  QCheck.Test.make ~name:"cached and uncached solves agree" ~count:100 arb_graph
-    (fun edges ->
-      let g = Dense.of_edges edges in
-      let cached = Vertex_cover.minimum_dense g in
-      let uncached = Cache.with_disabled (fun () -> Vertex_cover.minimum_dense g) in
-      let cached_again = Vertex_cover.minimum_dense g in
-      cached = uncached && cached = cached_again)
-
-let vc_cache_hits_on_repeat () =
-  let g = Dense.of_edges (Workload.complete ~n:7) in
-  let first = Vertex_cover.minimum_dense g in
-  let hits_of () =
-    match Vertex_cover.cache_stats () with
-    | [ _; (_, s) ] -> s.Cache.hits
-    | _ -> Alcotest.fail "expected two caches"
-  in
-  let h0 = hits_of () in
-  let again = Vertex_cover.minimum_dense g in
-  check Alcotest.bool "same cover" true (first = again);
-  check Alcotest.bool "repeat query hit the memo" true (hits_of () > h0)
-
 let vc_pool_matches_serial () =
   (* The same batch of covers through 4 pool workers and serially: the
-     memo tables are domain-local, so pooled solves must agree with serial
-     ones byte-for-byte. *)
+     solver keeps no state across calls, so pooled solves must agree with
+     serial ones byte-for-byte. *)
   let rng = Prng.Rng.create 99L in
   let graphs =
     List.init 24 (fun i ->
@@ -330,11 +306,8 @@ let () =
           Alcotest.test_case "is_cover negative" `Quick vc_is_cover_negative;
           qcheck vc_minimum_is_cover;
           qcheck vc_at_most_consistent;
-          qcheck vc_matches_brute_force ] );
-      ( "memo-cache",
-        [ Alcotest.test_case "hits on repeat" `Quick vc_cache_hits_on_repeat;
-          Alcotest.test_case "pool matches serial" `Quick vc_pool_matches_serial;
-          qcheck vc_cache_on_off_agree ] );
+          qcheck vc_matches_brute_force;
+          Alcotest.test_case "pool matches serial" `Quick vc_pool_matches_serial ] );
       ( "spanner",
         [ Alcotest.test_case "pair count" `Quick spanner_pair_count;
           Alcotest.test_case "leaders" `Quick spanner_leaders;

@@ -140,8 +140,7 @@ let test_atomic_escaped () =
   Alcotest.(check int) "all hits suppressed" 3 (List.length report.Lint.Engine.suppressed)
 
 let test_atomic_allowlisted () =
-  (* The shape the repo config uses: lib/parallel and lib/cache on the
-     allowlist. *)
+  (* The shape the repo config uses: lib/parallel on the allowlist. *)
   let rules = [ ("nondet-atomic", rule_cfg ~allow:[ fx "bad_atomic.ml" ] ()) ] in
   let report = run ~rules [ "bad_atomic.ml" ] in
   Alcotest.(check (list string)) "no active violations" [] (active_rules report);

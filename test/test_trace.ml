@@ -14,15 +14,15 @@ let recorded_run () =
           if round = 0 then [ { Radio.Adversary.chan = 1; spoof = None } ] else []);
       observe = None }
   in
-  Radio.Engine.run cfg ~adversary:jam
-    [| (fun _ ->
-         Radio.Engine.transmit ~chan:0 (Radio.Frame.Plain { src = 0; dst = 1; body = "x" });
-         Radio.Engine.idle ());
-       (fun _ ->
-         ignore (Radio.Engine.listen ~chan:0);
-         Radio.Engine.idle ());
-       (fun _ -> Radio.Engine.idle_for 2);
-       (fun _ -> Radio.Engine.idle_for 2) |]
+  Radio.Engine.run_nodes cfg ~adversary:jam (fun ctx ->
+      match ctx.Radio.Engine.id with
+      | 0 ->
+        Radio.Engine.transmit ~chan:0 (Radio.Frame.Plain { src = 0; dst = 1; body = "x" });
+        Radio.Engine.idle ()
+      | 1 ->
+        ignore (Radio.Engine.listen ~chan:0);
+        Radio.Engine.idle ()
+      | _ -> Radio.Engine.idle_for 2)
 
 let trace_renders () =
   let result = recorded_run () in

@@ -69,6 +69,33 @@ let explore_two_disjoint_edges () =
     r.Verify.Game_tree.worst_moves
     (List.length r.Verify.Game_tree.worst_path)
 
+(* Each [explore] keeps its own position table, so exploring another
+   instance in between (one that reaches some of the same positions)
+   leaves the counters of a repeat exploration unchanged, and every
+   exploration expands its root: nothing is left over from earlier calls,
+   this test's or any other's. *)
+let explore_repeat_is_independent () =
+  let a = two_edge_root ~t:1 in
+  let b =
+    Game.State.create_dense ~proposal_size:2 ~min_proposal:2
+      (Rgraph.Digraph.Dense.of_edges [ (0, 1); (1, 2); (2, 3) ])
+      ~t:1
+  in
+  let first = Verify.Game_tree.explore a in
+  ignore (Verify.Game_tree.explore b : Verify.Game_tree.result);
+  let again = Verify.Game_tree.explore a in
+  if again.Verify.Game_tree.states < 1 then Alcotest.fail "the root was not expanded";
+  check Alcotest.int "states" first.Verify.Game_tree.states again.Verify.Game_tree.states;
+  check Alcotest.int "choices" first.Verify.Game_tree.choices again.Verify.Game_tree.choices;
+  check Alcotest.int "strategies" first.Verify.Game_tree.strategies
+    again.Verify.Game_tree.strategies;
+  check Alcotest.int "worst moves" first.Verify.Game_tree.worst_moves
+    again.Verify.Game_tree.worst_moves;
+  check (Alcotest.list Alcotest.string) "worst path" first.Verify.Game_tree.worst_path
+    again.Verify.Game_tree.worst_path;
+  check (Alcotest.list Alcotest.string) "violations" first.Verify.Game_tree.violations
+    again.Verify.Game_tree.violations
+
 let strike_paths_count_matches_strategies () =
   let root = two_edge_root ~t:1 in
   let r = Verify.Game_tree.explore root in
@@ -221,6 +248,8 @@ let () =
           Alcotest.test_case "jobs parity" `Quick disrupt_parity_across_jobs ] );
       ( "game_tree",
         [ Alcotest.test_case "explore two disjoint edges" `Quick explore_two_disjoint_edges;
+          Alcotest.test_case "repeat explore is independent" `Quick
+            explore_repeat_is_independent;
           Alcotest.test_case "strike paths = strategies" `Quick
             strike_paths_count_matches_strategies;
           Alcotest.test_case "path limit fails loudly" `Quick strike_paths_limit_fails_loudly;
