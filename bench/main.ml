@@ -242,17 +242,22 @@ let micro_tests ~quick =
     Test.make ~name:"prng/bits64" (Staged.stage (fun () -> ignore (Prng.Rng.bits64 rng)))
   in
   (* Bounded draws: the power-of-two mask path, the division path, and one
-     feedback phase's hop fill (86 = the fame-n2e4 feedback reps). *)
+     feedback phase's parked series (86 = the fame-n2e4 feedback reps),
+     booked into a 2-channel ring of 128 rows from row 64, so it wraps, and
+     a 1-byte hop store. *)
   let prng_int bound =
     let rng = Prng.Rng.create 9L in
     Test.make
       ~name:(Printf.sprintf "prng/int-bound-%d" bound)
       (Staged.stage (fun () -> ignore (Prng.Rng.int rng bound)))
   in
-  let prng_fill =
-    let rng = Prng.Rng.create 9L and buf = Array.make 86 0 in
-    Test.make ~name:"prng/fill-int-86"
-      (Staged.stage (fun () -> Prng.Rng.fill_int rng 2 buf ~len:86))
+  let prng_tally =
+    let rng = Prng.Rng.create 9L in
+    let counts = Array.make (128 * 2) 0 and store = Bytes.make 86 '\000' in
+    Test.make ~name:"prng/tally-int-86"
+      (Staged.stage (fun () ->
+           Prng.Rng.tally_int rng 2 ~counts ~stride:2 ~row:64 ~rows:128 ~store ~cell:1 ~at:0
+             ~len:86))
   in
   let engine_small = engine_bench ~name:"engine/rounds-per-sec-small" ~n:8 ~channels:2 ~t:1 in
   let engine_2t2 =
@@ -269,7 +274,7 @@ let micro_tests ~quick =
     Test.make ~name:"crypto/hmac-sha256-keyed"
       (Staged.stage (fun () -> ignore (Crypto.Hmac.mac_keyed handle sha_input_small)))
   in
-  [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_fill; sha_small; sha_large; hmac;
+  [ prng; prng_int 2; prng_int 6; prng_int 1000; prng_tally; sha_small; sha_large; hmac;
     hmac_keyed; dh; seal; seal_into 32; seal_into 1040; open_into 32; open_into 1040; mac_ok;
     greedy_move;
     game_full; engine_round; parked_series; fame_small; engine_small; engine_2t2; prf_keyed ]

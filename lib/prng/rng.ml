@@ -12,9 +12,9 @@ let int t bound =
   assert (bound > 0);
   Xoshiro.below t.engine bound
 
-let fill_int t bound arr ~len =
+let tally_int t bound ~counts ~stride ~row ~rows ~store ~cell ~at ~len =
   assert (bound > 0);
-  Xoshiro.fill_below t.engine bound arr ~len
+  Xoshiro.tally_below t.engine bound ~counts ~stride ~row ~rows ~store ~cell ~at ~len
 
 let bool t = Xoshiro.bool t.engine
 

@@ -25,15 +25,17 @@ val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Requires [bound > 0].
     One {!Xoshiro.below} draw; allocates nothing. *)
 
-val fill_int : t -> int -> int array -> len:int -> unit
-(** [fill_int t bound arr ~len] sets [arr.(0) .. arr.(len - 1)] to
-    successive draws uniform in [\[0, bound)].  Bit-identical to [len]
-    calls of [int t bound] in index order: the same values, and [t] ends in
-    the same state, so later draws agree too.  It is one
-    {!Xoshiro.fill_below} call, which loads the generator state and
-    computes the bound's limit once, and allocates nothing.  Requires
-    [bound > 0]; raises [Invalid_argument] unless
-    [0 <= len <= Array.length arr]. *)
+val tally_int :
+  t -> int -> counts:int array -> stride:int -> row:int -> rows:int -> store:Bytes.t ->
+  cell:int -> at:int -> len:int -> unit
+(** [tally_int t bound ~counts ~stride ~row ~rows ~store ~cell ~at ~len]
+    takes [len] draws uniform in [\[0, bound)] and books each as it is
+    drawn: draw [j] counts once in ring row [(row + j) mod rows] of
+    [counts] and fills cell [at + j] of [store].  Bit-identical to [len]
+    calls of [int t bound] in order: the same values, and [t] ends in the
+    same state, so later draws agree too.  It is one
+    {!Xoshiro.tally_below} call, with the same layout and checks, and
+    allocates nothing.  Requires [bound > 0]. *)
 
 val bool : t -> bool
 

@@ -23,13 +23,21 @@ val below : t -> int -> int
     for its rejection limit and one per draw.  Allocates nothing.  Raises
     [Invalid_argument] unless [bound > 0]. *)
 
-val fill_below : t -> int -> int array -> len:int -> unit
-(** [fill_below t bound arr ~len] sets [arr.(0) .. arr.(len - 1)] to [len]
-    successive {!below} draws in one pass of the step loop: the state is
-    loaded and stored once, and the bound's limit computed once.  Same
-    output and final state as [len] calls of [below].  Raises
-    [Invalid_argument] unless [bound > 0] and
-    [0 <= len <= Array.length arr]. *)
+val tally_below :
+  t -> int -> counts:int array -> stride:int -> row:int -> rows:int -> store:Bytes.t ->
+  cell:int -> at:int -> len:int -> unit
+(** [tally_below t bound ~counts ~stride ~row ~rows ~store ~cell ~at ~len]
+    takes [len] successive {!below} draws [h_0 .. h_(len-1)] and books each
+    as it is drawn, in one pass of the step loop: draw [h_j] adds 1 to
+    [counts.(r_j * stride + h_j)], where [r_j = (row + j) mod rows] is its
+    row of a ring of [rows] rows of [stride] counts, and is written
+    little-endian to cell [at + j] of [store], whose cells are [cell]
+    bytes.  Same draws and final state as [len] calls of [below]; the
+    state is loaded and stored once, the bound's limit computed once, and
+    nothing is allocated.  Raises [Invalid_argument] unless [bound > 0],
+    [cell] is 1, 2 or 4 with [bound <= 2^(8 cell)], [bound <= stride],
+    [0 <= row < rows], [rows * stride <= Array.length counts], [len >= 0]
+    and cells [at .. at + len - 1] lie in [store]. *)
 
 val accepts : bound:int -> int64 -> bool
 (** The rejection predicate: whether the 63-bit value [v] (in

@@ -170,35 +170,6 @@ let rec merge_pass src dst len lo runs =
 let rec merge_runs src dst len =
   if merge_pass src dst len 0 0 <= 2 then dst else merge_runs dst src len
 
-(* Book hops [p0, p1) of a parked series whose hop [p0] listens in ring row
-   [row]: one more listener on each hop's channel in [counts], and the hop
-   in store cell [hop0 + p].  The rows must not wrap (the caller splits the
-   series where the ring does); one loop per cell width. *)
-let book_hops ~counts ~channels ~store ~cell ~hop0 hops p0 p1 row =
-  let base = (row - p0) * channels in
-  match cell with
-  | 1 ->
-    for p = p0 to p1 - 1 do
-      let hop = Array.get hops p in
-      let idx = base + (p * channels) + hop in
-      Array.set counts idx (Array.get counts idx + 1);
-      Bytes.set_uint8 store (hop0 + p) hop
-    done
-  | 2 ->
-    for p = p0 to p1 - 1 do
-      let hop = Array.get hops p in
-      let idx = base + (p * channels) + hop in
-      Array.set counts idx (Array.get counts idx + 1);
-      Bytes.set_uint16_le store (2 * (hop0 + p)) hop
-    done
-  | _ ->
-    for p = p0 to p1 - 1 do
-      let hop = Array.get hops p in
-      let idx = base + (p * channels) + hop in
-      Array.set counts idx (Array.get counts idx + 1);
-      Bytes.set_int32_le store (4 * (hop0 + p)) (Int32.of_int hop)
-    done
-
 (* Suspended-continuation slot: a two-constructor variant, so each
    suspension allocates one two-word block beside the runtime continuation
    itself. *)
@@ -253,13 +224,14 @@ let run_nodes cfg ~adversary body =
     cfg.Config.record_transcript || Option.is_some adversary.Adversary.observe
   in
   (* Parked listen-series rings.  A [listen_random] fiber does not ride the
-     active list at all: the core draws its hops, its per-round
-     listener counts are pre-accumulated into [series_counts] (a round-ring
-     of per-channel ints) at declare time, from the first round after its
-     [wait] idle rounds; delivered frames land in [series_hist] (same
-     geometry, shared [Some] per channel per round), and the fiber parks
-     in the wake queue until the round after its last listen, where it is
-     resumed once with a view of its history rows.
+     active list at all: at declare time one [Prng.Rng.tally_int] draws its
+     hops and books each as it is drawn, as one listener in
+     [series_counts] (a round-ring of per-channel ints, from the first
+     round after its [wait] idle rounds on, wrapping at [series_depth]) and
+     as one cell of the hop store; delivered frames land in [series_hist]
+     (same geometry, shared [Some] per channel per round), and the fiber
+     parks in the wake queue until the round after its last listen, where
+     it is resumed once with a view of its history rows.
      Rows are addressed by [round mod series_depth]; a row is live for
      exactly one round in each ring (counts: consumed and zeroed at its
      round's resolution; history: written at its round's resolution,
@@ -273,12 +245,10 @@ let run_nodes cfg ~adversary body =
   let series_outstanding = ref 0 in
   (* The parked series' hops: node i's row is cells
      [i * hop_width, (i + 1) * hop_width) of [hop_store], written at declare
-     time and read back through the view.  [hop_draw] is the one scratch
-     the core draws a series' hops into before booking them. *)
+     time and read back through the view. *)
   let cell = cell_bytes channels in
   let hop_width = ref 0 in
   let hop_store = ref Bytes.empty in
-  let hop_draw = ref [||] in
   (* Double-buffered sorted active lists. *)
   let cur = ref (Array.make (max n 1) 0) in
   let n_cur = ref 0 in
@@ -409,7 +379,6 @@ let run_nodes cfg ~adversary body =
         Bytes.blit !hop_store (i * old_row) store (i * width * cell) old_row
       done;
     hop_store := store;
-    hop_draw := Array.make width 0;
     hop_width := width
   in
   let some_listen_park =
@@ -420,18 +389,14 @@ let run_nodes cfg ~adversary body =
         let span = !pending_wait + len in
         if span > !series_depth then series_grow span;
         if len > !hop_width then hop_grow len;
-        let hops = !hop_draw in
-        Prng.Rng.fill_int !pending_rng !pending_chan hops ~len;
         incr n_series;
         n_hops := !n_hops + len;
-        (* Hop 0 listens [wait] rounds after the declare round; [len <=
-           depth], so the rows wrap at most once, after hop [first - 1]. *)
+        (* Hop 0 listens [wait] rounds after the declare round; hop j books
+           into row [(r0 + j) mod depth]. *)
         let r0 = !round_counter + !pending_wait in
-        let row = r0 mod !series_depth in
-        let first = min len (!series_depth - row) in
-        let counts = !series_counts and store = !hop_store and hop0 = i * !hop_width in
-        book_hops ~counts ~channels ~store ~cell ~hop0 hops 0 first row;
-        if first < len then book_hops ~counts ~channels ~store ~cell ~hop0 hops first len 0;
+        Prng.Rng.tally_int !pending_rng !pending_chan ~counts:!series_counts ~stride:channels
+          ~row:(r0 mod !series_depth) ~rows:!series_depth ~store:!hop_store ~cell
+          ~at:(i * !hop_width) ~len;
         Bytes.set st i 'p';
         ser_start.(i) <- r0;
         konts.(i) <- K k;

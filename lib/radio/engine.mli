@@ -73,14 +73,14 @@ val listen_random : rng:Prng.Rng.t -> bound:int -> wait:int -> len:int -> series
     hops), and fold the idle rounds before it into [wait].
 
     The sparse core parks the fiber for the whole span, whatever the run
-    records: it draws the hops itself with one {!Prng.Rng.fill_int} into
-    one core-owned scratch, books the listener counts from round
-    [declare + wait] on, and keeps the hops in a per-node store of 1-, 2-
-    or 4-byte cells, from which a recorded round reads the listener of a
-    series that has started.  When the series ends the fiber resumes once,
-    and {!heard} reads each heard frame straight from the core's history
-    ring, so the span costs no per-round resume, no per-hop copy, and no
-    hop buffer or closure in the fiber.
+    records: it draws the hops itself with one {!Prng.Rng.tally_int},
+    which books each hop as it is drawn, as a listener count in the
+    core's round ring from round [declare + wait] on and as a cell of a
+    per-node store of 1-, 2- or 4-byte cells, from which a recorded round
+    reads the listener of a series that has started.  When the series
+    ends the fiber resumes once, and {!heard} reads each heard frame
+    straight from the core's history ring, so the span costs no per-round
+    resume, no per-hop copy, and no hop buffer or closure in the fiber.
 
     Raises [Invalid_argument] (from the engine, before any round is
     booked) unless [1 <= bound <= channels].  [len <= 0] is

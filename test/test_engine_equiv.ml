@@ -391,7 +391,11 @@ let series_paths_agree =
 
 let series_lengths = [| 3; 1; 40; 0; 7; 33 |]
 
-let series_workload ~n ~channels ~record ~seed run_core =
+(* Spans of at most 12 rounds (wait + len) keep the round rings at 12 to
+   16 rows, so most of these series wrap the ring mid-series. *)
+let wrapping_series_lengths = [| 5; 9; 2; 9; 0; 9; 7; 9; 8; 9 |]
+
+let series_workload ?(lengths = series_lengths) ~n ~channels ~record ~seed run_core =
   let heard = Array.make n [] in
   let cfg =
     Config.make ~n ~channels ~t:0 ~seed ~record_transcript:record ()
@@ -433,29 +437,32 @@ let series_workload ~n ~channels ~record ~seed run_core =
             in
             heard.(id) <- s :: heard.(id)
           done)
-        series_lengths
+        lengths
   in
   let r = run_core cfg body in
   (r, heard)
 
-let series_heard_parity () =
-  let n = 12 and channels = 3 and seed = 5L in
+(* The series workload through both cores: parked (recording off), with
+   recording on, and under an observing adversary; returns what the parked
+   listeners heard. *)
+let series_parity ?lengths ~channels () =
+  let n = 12 and seed = 5L in
   let go ~record ?(adversary = Adversary.null) run =
-    series_workload ~n ~channels ~record ~seed (fun cfg body -> run cfg ~adversary body)
+    series_workload ?lengths ~n ~channels ~record ~seed (fun cfg body ->
+        run cfg ~adversary body)
   in
+  let check_bool what = check Alcotest.bool (Printf.sprintf "C = %d, %s" channels what) true in
   (* Parked fast path (record off, non-observing adversary) vs reference. *)
   let ra, ha = go ~record:false Reference_engine.run in
   let rb, hb = go ~record:false Engine.run_nodes in
-  check Alcotest.bool "parked: engine observables identical" true (same_result ra rb);
-  check Alcotest.bool "parked: heard frames identical" true (ha = hb);
-  check Alcotest.bool "listeners heard something" true
-    (Array.exists (List.exists (fun s -> not (String.ends_with ~suffix:"@-" s))) hb);
+  check_bool "parked: engine observables identical" (same_result ra rb);
+  check_bool "parked: heard frames identical" (ha = hb);
   (* Parked series, recording on: must hear exactly the same frames. *)
   let rc, hc = go ~record:true Reference_engine.run in
   let rd, hd = go ~record:true Engine.run_nodes in
-  check Alcotest.bool "recorded: engine observables identical" true (same_result rc rd);
-  check Alcotest.bool "recorded: heard frames identical" true (hc = hd);
-  check Alcotest.bool "recorded path hears what the parked path hears" true (hb = hd);
+  check_bool "recorded: engine observables identical" (same_result rc rd);
+  check_bool "recorded: heard frames identical" (hc = hd);
+  check_bool "recorded path hears what the parked path hears" (hb = hd);
   (* Parked series, recording off but an observing adversary.  It never
      strikes, so the heard frames must match the unobserved run; it keeps
      the per-round listener identities, which both cores must show it
@@ -472,11 +479,26 @@ let series_heard_parity () =
   in
   let re, he, se = observed Reference_engine.run in
   let rf, hf, sf = observed Engine.run_nodes in
-  check Alcotest.bool "observed: engine observables identical" true (same_result re rf);
-  check Alcotest.bool "observed: listeners seen identical" true (se = sf);
-  check Alcotest.bool "observed: heard frames identical" true (he = hf);
-  check Alcotest.bool "observed path matches the parked path" true
-    (same_result rb rf && hb = hf)
+  check_bool "observed: engine observables identical" (same_result re rf);
+  check_bool "observed: listeners seen identical" (se = sf);
+  check_bool "observed: heard frames identical" (he = hf);
+  check_bool "observed path matches the parked path" (same_result rb rf && hb = hf);
+  hb
+
+let series_heard_parity () =
+  let heard = series_parity ~channels:3 () in
+  check Alcotest.bool "listeners heard something" true
+    (Array.exists (List.exists (fun s -> not (String.ends_with ~suffix:"@-" s))) heard)
+
+let series_wide_cells () =
+  (* The hop store's 2-byte cells (C = 300) and 4-byte cells (C = 70,000):
+     a hop past 255, or past 65,535, read back from a narrower cell names
+     the wrong listener channel in the recorded runs and the observer's
+     view, and series that wrap the ring mid-series book their later hops
+     in its first rows. *)
+  List.iter
+    (fun channels -> ignore (series_parity ~lengths:wrapping_series_lengths ~channels ()))
+    [ 300; 70_000 ]
 
 let series_rejects_bad_arguments () =
   (* A bound outside 1..C raises when the series is declared, on both
@@ -613,9 +635,10 @@ let series_wait_only_is_idle_for () =
 
 let series_completion_allocation () =
   (* A parked series costs the same constant number of words whatever its
-     length: the engine draws the hops into its own scratch and store, the
-     fiber is resumed once with a view of them and of the ring, and reading
-     every hop back through the view copies and boxes nothing. *)
+     length: the engine books each hop into its ring and hop store as it
+     draws it, the fiber is resumed once with a view of them and of the
+     ring, and reading every hop back through the view copies and boxes
+     nothing. *)
   let words ~len =
     let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~seed:3L () in
     let per_series = ref 0.0 in
@@ -699,6 +722,7 @@ let () =
       ( "listen-series",
         [ qcheck series_paths_agree;
           Alcotest.test_case "heard parity across cores and paths" `Quick series_heard_parity;
+          Alcotest.test_case "wide hop cells, wrapping series" `Quick series_wide_cells;
           Alcotest.test_case "argument validation" `Quick series_rejects_bad_arguments;
           Alcotest.test_case "stale read raises" `Quick series_stale_read_raises;
           Alcotest.test_case "wait-only series = idle_for" `Quick series_wait_only_is_idle_for;

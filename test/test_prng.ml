@@ -175,53 +175,122 @@ let rng_int_matches_reference () =
       done)
     reference_bounds
 
-let rng_fill_int_matches_reference () =
-  (* Fills of mixed lengths, a zero-length one included, into a buffer
-     longer than each fill: the draws continue one stream, and the slots
-     past [len] keep their sentinel. *)
-  let buf = Array.make 100 (-1) in
+(* The kernel books each draw into a ring of per-value counts, so its
+   bounds stop where a ring row (one count per value) still fits in a test:
+   the mask path up to 2^20, the division path at small and odd bounds and
+   one past 2^20, and a cell width for each.  The large bounds above run
+   through [Rng.int], whose [reduce] the kernel shares. *)
+let tally_bounds =
+  List.init 21 (fun k -> 1 lsl k) @ [ 3; 6; 7; 255; 257; 1000; 65535; 65537; 0x100001 ]
+
+let cell_for bound = if bound <= 0x100 then 1 else if bound <= 0x10000 then 2 else 4
+
+let get_cell store cell i =
+  match cell with
+  | 1 -> Bytes.get_uint8 store i
+  | 2 -> Bytes.get_uint16_le store (2 * i)
+  | _ -> Int32.to_int (Bytes.get_int32_le store (4 * i)) land 0xFFFFFFFF
+
+(* [len] draws of [bound] booked into a fresh one-row ring and a store
+   of [len + 2] cells from cell 1, so the cells either side must keep
+   their sentinel. *)
+let tally_once g bound ~len =
+  let cell = cell_for bound in
+  let counts = Array.make bound 0 and store = Bytes.make ((len + 2) * cell) '\xAA' in
+  Rng.tally_int g bound ~counts ~stride:bound ~row:0 ~rows:1 ~store ~cell ~at:1 ~len;
+  (counts, store, cell)
+
+let rng_tally_matches_reference () =
+  (* Series of mixed lengths, a zero-length one included: the draws
+     continue one stream, and read back from the store in order. *)
   List.iter
     (fun bound ->
       let g = Rng.create 2718L and r = Xoshiro_reference.create 2718L in
       List.iter
         (fun len ->
-          Array.fill buf 0 (Array.length buf) (-1);
-          Rng.fill_int g bound buf ~len;
+          let _, store, cell = tally_once g bound ~len in
           for i = 0 to len - 1 do
             let expect = reference_int r bound in
-            if buf.(i) <> expect then
-              Alcotest.failf "bound %d, fill of %d: slot %d gives %d, reference %d" bound len i
-                buf.(i) expect
+            let got = get_cell store cell (i + 1) in
+            if got <> expect then
+              Alcotest.failf "bound %d, series of %d: hop %d gives %d, reference %d" bound len
+                i got expect
           done;
-          if len < Array.length buf && buf.(len) <> -1 then
-            Alcotest.failf "bound %d: fill of %d wrote past len" bound len)
-        [ 1; 86; 0; 7; 99; 3; 100 ])
-    reference_bounds
+          let sentinel = Bytes.make cell '\xAA' in
+          if Bytes.sub store 0 cell <> sentinel
+             || Bytes.sub store ((len + 1) * cell) cell <> sentinel
+          then Alcotest.failf "bound %d: series of %d wrote outside its cells" bound len)
+        [ 1; 86; 0; 7; 99; 3 ])
+    tally_bounds
 
-let rng_fill_int_shares_state () =
-  (* After a fill, the generator is where [len] single draws leave it. *)
+let rng_tally_shares_state () =
+  (* After a series, the generator is where [len] single draws leave it. *)
   List.iter
     (fun bound ->
       let a = Rng.create 99L and b = Rng.create 99L and r = Xoshiro_reference.create 99L in
-      let buf = Array.make 86 0 in
-      Rng.fill_int a bound buf ~len:86;
+      ignore (tally_once a bound ~len:86);
       for _ = 1 to 86 do
         ignore (Rng.int b bound);
         ignore (reference_int r bound)
       done;
       let next = Xoshiro_reference.next r in
-      check Alcotest.int64 "bits64 after the fill" next (Rng.bits64 a);
+      check Alcotest.int64 "bits64 after the series" next (Rng.bits64 a);
       check Alcotest.int64 "bits64 after the ints" next (Rng.bits64 b))
-    [ 2; 6; 0x3FFFFFFF; 0x40000000 ]
+    [ 2; 6; 1000; 65537 ]
 
-let rng_fill_int_rejects_bad_len () =
-  let g = Rng.create 1L and buf = Array.make 4 0 in
+let rng_tally_matches_recount () =
+  (* Each draw adds one in its own ring row, the rows wrapping at [rows]:
+     series from several start rows, one longer than the ring, over counts
+     that start nonzero, against a naive recount of the same draws. *)
   List.iter
-    (fun (bound, len) ->
-      match Rng.fill_int g bound buf ~len with
-      | () -> Alcotest.failf "bound %d, len %d accepted" bound len
-      | exception Invalid_argument _ -> ())
-    [ (6, 5); (6, -1); (0x40000000, 5); (0x40000000, -1) ]
+    (fun (bound, stride, rows, row, len) ->
+      let g = Rng.create 31L and twin = Rng.create 31L in
+      let counts = Array.init (rows * stride) (fun i -> i * 7) in
+      let expect = Array.copy counts in
+      let cell = cell_for bound in
+      let store = Bytes.make ((len + 3) * cell) '\000' in
+      Rng.tally_int g bound ~counts ~stride ~row ~rows ~store ~cell ~at:3 ~len;
+      for j = 0 to len - 1 do
+        let h = Rng.int twin bound in
+        let idx = ((row + j) mod rows * stride) + h in
+        expect.(idx) <- expect.(idx) + 1
+      done;
+      if counts <> expect then
+        Alcotest.failf "bound %d, stride %d, %d rows from row %d, %d hops: tallies differ"
+          bound stride rows row len)
+    [ (2, 2, 8, 0, 8); (2, 2, 8, 5, 8); (3, 5, 7, 6, 2); (6, 6, 4, 1, 11);
+      (300, 300, 5, 4, 12); (70_000, 70_000, 3, 2, 5); (1, 1, 3, 2, 0) ]
+
+let rng_tally_rejects_bad_arguments () =
+  (* Each case changes one argument of a valid call; a rejected call draws
+     nothing. *)
+  let counts = Array.make 12 0 and store = Bytes.make 8 '\000' in
+  let call ?(bound = 3) ?(counts = counts) ?(stride = 4) ?(row = 0) ?(rows = 3)
+      ?(store = store) ?(cell = 1) ?(at = 0) ?(len = 8) g =
+    Rng.tally_int g bound ~counts ~stride ~row ~rows ~store ~cell ~at ~len
+  in
+  call (Rng.create 1L);
+  List.iter
+    (fun (label, bad) ->
+      let g = Rng.create 1L and twin = Rng.create 1L in
+      (match bad g with
+       | () -> Alcotest.failf "%s accepted" label
+       | exception Invalid_argument _ -> ());
+      check Alcotest.int64 (label ^ ": nothing drawn") (Rng.bits64 twin) (Rng.bits64 g))
+    [ ("len -1", fun g -> call ~len:(-1) g);
+      ("len past the store", fun g -> call ~len:9 g);
+      ("at past the store", fun g -> call ~at:1 g);
+      ("at -1", fun g -> call ~at:(-1) ~len:1 g);
+      ("2-byte cells past the store", fun g -> call ~cell:2 ~len:5 g);
+      ("cell 3", fun g -> call ~cell:3 ~len:2 g);
+      ( "bound past a 1-byte cell",
+        fun g -> call ~bound:257 ~stride:257 ~counts:(Array.make 771 0) g );
+      ("row -1", fun g -> call ~row:(-1) g);
+      ("row = rows", fun g -> call ~row:3 g);
+      ("rows past counts", fun g -> call ~rows:4 g);
+      ("no rows", fun g -> call ~rows:0 g);
+      ("stride below bound", fun g -> call ~stride:2 ~rows:6 g);
+      ("stride 0", fun g -> call ~stride:0 g) ]
 
 let xoshiro_accept_boundary () =
   (* The rejection branch: the 63-bit value v is accepted iff v < limit.
@@ -250,18 +319,26 @@ let minor_words_per_call f =
   (Gc.minor_words () -. before) /. float_of_int iters
 
 let rng_draws_allocation_free () =
-  let g = Rng.create 5L and buf = Array.make 86 0 in
+  let g = Rng.create 5L in
   List.iter
     (fun bound ->
       let int_words = minor_words_per_call (fun () -> ignore (Rng.int g bound)) in
       if int_words > 0.01 then
-        Alcotest.failf "Rng.int %d allocates %.3f words/draw" bound int_words;
-      let fill_words =
-        minor_words_per_call (fun () -> Rng.fill_int g bound buf ~len:86) /. 86.0
+        Alcotest.failf "Rng.int %d allocates %.3f words/draw" bound int_words)
+    [ 1; 2; 6; 1000; 0x3FFFFFFF; 0x40000000; 0x7FFFFFFFF ];
+  List.iter
+    (fun bound ->
+      let cell = cell_for bound in
+      let counts = Array.make (4 * bound) 0 and store = Bytes.make (86 * cell) '\000' in
+      let tally_words =
+        minor_words_per_call (fun () ->
+            Rng.tally_int g bound ~counts ~stride:bound ~row:2 ~rows:4 ~store ~cell ~at:0
+              ~len:86)
+        /. 86.0
       in
-      if fill_words > 0.01 then
-        Alcotest.failf "Rng.fill_int %d allocates %.3f words/draw" bound fill_words)
-    [ 1; 2; 6; 1000; 0x3FFFFFFF; 0x40000000; 0x7FFFFFFFF ]
+      if tally_words > 0.01 then
+        Alcotest.failf "Rng.tally_int %d allocates %.3f words/draw" bound tally_words)
+    [ 1; 2; 6; 300; 1000; 70_000 ]
 
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int stays in range" ~count:1000
@@ -299,12 +376,13 @@ let () =
           Alcotest.test_case "split_at base-keyed" `Quick rng_split_does_not_disturb_split_at;
           Alcotest.test_case "int matches rejection reference" `Quick
             rng_int_matches_reference;
-          Alcotest.test_case "fill_int matches rejection reference" `Quick
-            rng_fill_int_matches_reference;
-          Alcotest.test_case "fill_int shares the stream state" `Quick
-            rng_fill_int_shares_state;
-          Alcotest.test_case "fill_int rejects a bad len" `Quick rng_fill_int_rejects_bad_len;
-          Alcotest.test_case "int and fill_int allocation-free" `Quick
+          Alcotest.test_case "tally_int matches rejection reference" `Quick
+            rng_tally_matches_reference;
+          Alcotest.test_case "tally_int shares the stream state" `Quick rng_tally_shares_state;
+          Alcotest.test_case "tally_int = naive recount" `Quick rng_tally_matches_recount;
+          Alcotest.test_case "tally_int rejects bad arguments" `Quick
+            rng_tally_rejects_bad_arguments;
+          Alcotest.test_case "int and tally_int allocation-free" `Quick
             rng_draws_allocation_free;
           qcheck rng_int_bounds;
           qcheck rng_shuffle_is_permutation ] ) ]

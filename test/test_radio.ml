@@ -169,17 +169,21 @@ let transmitter_learns_nothing () =
   check Alcotest.int "same rounds either way" r1.Engine.rounds_used r2.Engine.rounds_used
 
 let current_round_advances () =
+  (* Every node reads the round before each of its three idle rounds. *)
   let cfg = base_cfg () in
-  let rounds = ref [] in
+  let rounds = Array.make cfg.Config.n [] in
   ignore
-    (Engine.run_nodes cfg ~adversary:Adversary.null (fun _ ->
+    (Engine.run_nodes cfg ~adversary:Adversary.null (fun (ctx : Engine.ctx) ->
+         let id = ctx.Engine.id in
          for _ = 1 to 3 do
-           rounds := Engine.current_round () :: !rounds;
+           rounds.(id) <- Engine.current_round () :: rounds.(id);
            Engine.idle ()
          done));
-  let mine = List.rev (List.filteri (fun i _ -> i mod 4 = 0) !rounds) in
-  ignore mine;
-  check Alcotest.int "12 samples" 12 (List.length !rounds)
+  Array.iteri
+    (fun id mine ->
+      check Alcotest.(list int) (Printf.sprintf "node %d reads rounds 0, 1, 2" id) [ 0; 1; 2 ]
+        (List.rev mine))
+    rounds
 
 let max_rounds_aborts () =
   let cfg = Config.make ~n:2 ~channels:2 ~t:0 ~max_rounds:5 () in
